@@ -34,17 +34,15 @@ from .potentials import (
     MorsePotential,
     PairwisePotential,
     PotentialModel,
-    depth_at_reference,
 )
 from .metric import (
     EnergySurface,
-    MetricSample,
     RhoCoords,
     conformal_factor,
+    flow_coefficients,
     gamma_rho,
     lambda_sq,
     log_gradient,
-    metric_sample,
     reduced_hamiltonian,
 )
 from .geodesic import (
@@ -53,7 +51,6 @@ from .geodesic import (
     conservation_report,
     external_coordinates,
     external_rates,
-    geodesic_rhs,
     integrate,
     momentum_rhs,
 )

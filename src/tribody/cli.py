@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chaos import ChannelLabel, chaos_report, classify_channel, kl_divergence
+from .chaos import chaos_report, classify_channel, kl_divergence
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -32,15 +32,14 @@ from .errors import (
     FitError,
     ForbiddenRegionError,
     ResolutionError,
-    TribodyError,
 )
 from .fokker_planck import (
     FpeConfig,
     MomentumGrid,
-    density_from_ensemble,
     fpe_evolve,
+    pin_boundary,
     quantum_epsilon,
-    total_mass,
+    read_density,
     write_density,
 )
 from .geodesic import (
@@ -54,7 +53,7 @@ from .geodesic import (
 )
 from .kinematics import Masses, reduced_mass
 from .langevin import CoefficientSchedule, NoiseModel, run_ensemble
-from .metric import EnergySurface, lambda_sq
+from .metric import EnergySurface, flow_coefficients
 from .potentials import FreePotential, GravityPotential, MorsePotential
 
 STAGES = ("simulate", "ensemble", "fpe", "chaos", "channels")
@@ -168,8 +167,9 @@ def parse_config(doc: dict) -> dict:
         except DomainError as exc:
             raise ConfigError(f"noise: {exc}")
     elif has_eps:
+        # kept in JSON form (a float or nested lists); the solvers normalize it
         eps = noise["epsilon"]
-        cfg["epsilon"] = np.asarray(eps, dtype=float) if isinstance(eps, list) else float(eps)
+        cfg["epsilon"] = np.asarray(eps, dtype=float).tolist() if isinstance(eps, list) else float(eps)
     else:
         cfg["epsilon"] = 0.0
 
@@ -221,14 +221,13 @@ class StageWriter:
             raise FileExistsError(
                 f"{self.manifest_path} exists; pass --force to overwrite"
             )
-        eps = self.cfg["epsilon"]
         self.header = {
             "artifact_version": __version__,
             "stage": self.stage,
             "config": self.cfg["echo"],
             "derived": {
                 "mu0": self.cfg["mu0"],
-                "epsilon": eps.tolist() if isinstance(eps, np.ndarray) else eps,
+                "epsilon": self.cfg["epsilon"],
                 "seed": self.cfg["seed"],
             },
             "status": "running",
@@ -257,16 +256,9 @@ def _load_trajectory(out_dir: Path) -> dict:
 
 
 def _schedule_from_csv(data: dict, cfg: dict) -> CoefficientSchedule:
-    surf = cfg["surface"]
     x = np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
-    n = len(data["s"])
-    a = np.empty((n, 3))
-    lam = np.empty(n)
     J = math.sqrt(sum(j * j for j in cfg["angular_momentum"]))
-    for i in range(n):
-        u = surf.potential.evaluate(x[i])
-        a[i] = 0.5 * surf.potential.gradient(x[i]) / (surf.E - u)
-        lam[i] = lambda_sq(data["g"][i], J)
+    _, a, lam = flow_coefficients(x, cfg["surface"], J)
     return CoefficientSchedule(s=data["s"], a=a, lam_sq=lam)
 
 
@@ -295,8 +287,7 @@ def _initial_density(cfg: dict) -> MomentumGrid:
     mesh = grid.mesh()
     d2 = np.sum((mesh - cfg["xi0"]) ** 2, axis=-1)
     grid.P = np.exp(-0.5 * d2 / sigma**2)
-    from .fokker_planck import _pin_boundary
-    _pin_boundary(grid.P)
+    pin_boundary(grid.P)
     grid.normalize()
     return grid
 
@@ -351,7 +342,7 @@ def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s):
         epsilon=cfg["epsilon"],
         schedule=schedule,
         sign_mode="conventional",
-        multiplicative=False,
+        multiplicative=cfg["sde"]["mode"] == "multiplicative",
     )
     grid0 = _initial_density(cfg)
     span = (float(schedule.s[0]), float(schedule.s[-1]))
@@ -363,11 +354,7 @@ def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     schedule = _schedule_from_csv(data, cfg)
     snaps = [float(v) for v in cfg["sde"]["snapshots"]]
     result = _fpe_run(cfg, schedule, snaps)
-    eps = cfg["epsilon"]
-    info = {
-        "sign_mode": "conventional",
-        "epsilon": eps.tolist() if isinstance(eps, np.ndarray) else eps,
-    }
+    info = {"sign_mode": "conventional", "epsilon": cfg["epsilon"]}
     for i, (s_val, grid) in enumerate(result.snapshots):
         write_density(grid, s_val, info, writer.path(f"density_{i:04d}.txt"))
     _atomic_write_text(writer.path("fpe_meta.json"), _json_dump({
@@ -378,8 +365,6 @@ def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
 
 
 def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    from .fokker_planck import read_density
-
     cc = cfg["chaos"]
     if cc.get("series_a") and cc.get("series_b"):
         # explicit density series produced by two prior fpe runs

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
-from .langevin import CoefficientSchedule, diffusion, drift
+from .langevin import CoefficientSchedule, diffusion, drift, epsilon_matrix
 
 __all__ = [
     "MomentumGrid",
@@ -33,6 +33,7 @@ __all__ = [
     "fpe_evolve",
     "density_from_ensemble",
     "total_mass",
+    "pin_boundary",
     "write_density",
     "read_density",
 ]
@@ -107,13 +108,7 @@ class FpeConfig:
     mass_tol: float = 1e-6
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=float)
-        if eps.ndim == 0:
-            eps = float(eps) * np.eye(3)
-        self.epsilon = eps.reshape(3, 3)
-        w = np.linalg.eigvalsh(self.epsilon)
-        if w.min() < -1e-13 * max(1.0, abs(w.max())):
-            raise ConfigError("epsilon must be positive semidefinite")
+        self.epsilon = epsilon_matrix(self.epsilon)
         if self.sign_mode not in ("conventional", "verbatim"):
             raise ConfigError(f"unknown sign mode {self.sign_mode!r}")
 
@@ -223,7 +218,8 @@ def _stable_ds(grid, coeffs, cfg, mesh):
     return cfg.safety * ds
 
 
-def _pin_boundary(P):
+def pin_boundary(P):
+    """Zero the outermost cells of a density array in place."""
     P[0, :, :] = P[-1, :, :] = 0.0
     P[:, 0, :] = P[:, -1, :] = 0.0
     P[:, :, 0] = P[:, :, -1] = 0.0
@@ -273,12 +269,12 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             work.P = P
             k1 = fpe_rhs(work, coeffs, cfg, mesh)
             mid = P + 0.5 * ds * k1
-            _pin_boundary(mid)
+            pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(min(s + 0.5 * ds, cfg.schedule.s[-1]))
             k2 = fpe_rhs(work, coeffs_mid, cfg, mesh)
             P = P + ds * k2
-            _pin_boundary(P)
+            pin_boundary(P)
             if np.any(P < -1e-12 * max(P.max(), 1e-300)):
                 neg_flags += 1
             s += ds

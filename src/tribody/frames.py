@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import cholesky, LinAlgError
 
 from .errors import DegenerateMetricError, DomainError, ForbiddenRegionError
+from .metric import flow_coefficients
 
 __all__ = [
     "FrameGauge",
@@ -139,8 +140,6 @@ def reconstruct_rho(
     gauge_policy(step_index) -> FrameGauge; defaults to constant identity.
     The transformation is differential, so closed loops may show holonomy.
     """
-    from .metric import conformal_factor
-
     if gauge_policy is None:
         identity = FrameGauge.identity()
         gauge_policy = lambda k: identity
@@ -150,6 +149,11 @@ def reconstruct_rho(
     n = len(s)
     rho = np.full((n, 3), np.nan)
     rho[0] = np.asarray(rho0, dtype=float).reshape(3)
+    # g at the samples and the step midpoints; a forbidden one ends the
+    # series at its step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = flow_coefficients(x, surf, 0.0)[0]
+        g_mid = flow_coefficients(0.5 * (x[:-1] + x[1:]), surf, 0.0)[0]
 
     for k in range(n - 1):
         dx = x[k + 1] - x[k]
@@ -159,12 +163,14 @@ def reconstruct_rho(
             )
         gauge = gauge_policy(k)
         try:
-            g_here = conformal_factor(x[k], surf)
-            frame = internal_frame(g_here, rho[k, 1] ** 2, gauge)
+            if min(g[k], g_mid[k]) <= surf.g_min:
+                raise ForbiddenRegionError(
+                    f"g = {min(g[k], g_mid[k])} <= g_min = {surf.g_min} near x = {x[k]}"
+                )
+            frame = internal_frame(g[k], rho[k, 1] ** 2, gauge)
             # predictor half-step, then full step with the midpoint frame
             rho_mid = rho[k] + frame.as_matrix() @ (0.5 * dx)
-            g_mid = conformal_factor(0.5 * (x[k] + x[k + 1]), surf)
-            frame_mid = internal_frame(g_mid, rho_mid[1] ** 2, gauge)
+            frame_mid = internal_frame(g_mid[k], rho_mid[1] ** 2, gauge)
         except (DegenerateMetricError, ForbiddenRegionError) as exc:
             return RhoSeries(
                 s=s[: k + 1], rho=rho[: k + 1], complete=False,

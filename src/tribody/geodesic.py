@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, ForbiddenRegionError
-from .metric import EnergySurface, lambda_sq, log_gradient, reduced_hamiltonian
+from .errors import DomainError
+from .metric import EnergySurface, conformal_factor, flow_coefficients, reduced_hamiltonian
 
 __all__ = [
     "GeodesicState",
     "TrajectoryRecord",
     "momentum_rhs",
-    "geodesic_rhs",
     "external_rates",
     "integrate",
     "conservation_report",
@@ -87,14 +86,6 @@ def momentum_rhs(xi, a, lam2):
     )
 
 
-def geodesic_rhs(state: GeodesicState, surf: EnergySurface, J: float):
-    """(dx/ds, dxi/ds) at a state; raises in the forbidden region."""
-    a = log_gradient(state.x, surf)
-    g = (surf.E - surf.potential.evaluate(state.x)) / surf.U0
-    lam2 = lambda_sq(g, J)
-    return state.xi.copy(), momentum_rhs(state.xi, a, lam2)
-
-
 def external_rates(g, J1, J2, J3):
     """Exact Euler-angle rates dx_mu/ds = J_(mu-3)/g, mu = 4..6."""
     g = np.asarray(g, dtype=float)
@@ -130,14 +121,8 @@ def integrate(
     def rhs(s, y):
         # no floor check here: trial steps may probe past the boundary,
         # the terminal event below owns the stop
-        x, xi = y[:3], y[3:]
-        e_minus_u = surf.E - surf.potential.evaluate(x)
-        if e_minus_u == 0.0:
-            e_minus_u = np.finfo(float).tiny
-        a = 0.5 * surf.potential.gradient(x) / e_minus_u
-        g = e_minus_u / surf.U0
-        lam2 = (J_tot / g) ** 2 if g != 0.0 else np.inf
-        return np.concatenate([xi, momentum_rhs(xi, a, lam2)])
+        _, a, lam2 = flow_coefficients(y[:3], surf, J_tot)
+        return np.concatenate([y[3:], momentum_rhs(y[3:], a, lam2)])
 
     nfev = [0]
 
@@ -147,16 +132,14 @@ def integrate(
         nfev[0] += 1
         if nfev[0] > 7 * max_steps:
             return -1.0
-        return (surf.E - surf.potential.evaluate(y[:3])) / surf.U0 - surf.g_min
+        return flow_coefficients(y[:3], surf, 0.0)[0] - surf.g_min
 
     boundary.terminal = True
     boundary.direction = -1
 
     y0 = np.concatenate([state0.x, state0.xi])
     s_eval = np.linspace(state0.s, s_end, n_samples)
-    g0 = (surf.E - surf.potential.evaluate(state0.x)) / surf.U0
-    if g0 <= surf.g_min:
-        raise ForbiddenRegionError(f"initial state has g = {g0} <= g_min = {surf.g_min}")
+    conformal_factor(state0.x, surf)  # raises on a forbidden initial state
 
     sol = solve_ivp(
         rhs,
@@ -181,15 +164,8 @@ def integrate(
     s_arr = sol.t
     x_arr = sol.y[:3].T.copy()
     xi_arr = sol.y[3:].T.copy()
-    n = len(s_arr)
-    g_arr = np.empty(n)
-    a_arr = np.empty((n, 3))
-    lam_arr = np.empty(n)
-    for i in range(n):
-        u = surf.potential.evaluate(x_arr[i])
-        g_arr[i] = (surf.E - u) / surf.U0
-        a_arr[i] = 0.5 * surf.potential.gradient(x_arr[i]) / (surf.E - u)
-        lam_arr[i] = lambda_sq(g_arr[i], J_tot) if g_arr[i] > 0 else np.nan
+    g_arr, a_arr, lam_arr = flow_coefficients(x_arr, surf, J_tot)
+    lam_arr = np.where(g_arr > 0, lam_arr, np.nan)
 
     return TrajectoryRecord(
         s=s_arr, x=x_arr, xi=xi_arr, g=g_arr, a=a_arr, lam_sq=lam_arr,
@@ -213,10 +189,7 @@ def conservation_report(traj: TrajectoryRecord, surf: EnergySurface, mu0: float)
     """Max relative drift of H and of the conformal speed along a trajectory."""
     if len(traj.s) == 0:
         raise DomainError("empty trajectory")
-    J = traj.J_total
-    H = np.array([
-        reduced_hamiltonian(traj.x[i], traj.xi[i], J, surf, mu0) for i in range(len(traj.s))
-    ])
+    H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, mu0)
     speed = traj.g * (np.sum(traj.xi**2, axis=1) + traj.lam_sq)
     def drift(v):
         ref = max(abs(v[0]), 1e-300)
@@ -231,17 +204,12 @@ def conservation_report(traj: TrajectoryRecord, surf: EnergySurface, mu0: float)
 
 def write_trajectory_csv(traj: TrajectoryRecord, surf: EnergySurface, mu0: float, path):
     """Export s, x, xi, g, H with a header row, one sample per line."""
-    J = traj.J_total
+    H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, mu0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for i in range(len(traj.s)):
-            H = 0.5 * mu0 * traj.g[i] * (float(np.dot(traj.xi[i], traj.xi[i])) + (J / traj.g[i]) ** 2)
-            writer.writerow(
-                [repr(float(v)) for v in (
-                    traj.s[i], *traj.x[i], *traj.xi[i], traj.g[i], H,
-                )]
-            )
+        for row in np.column_stack([traj.s, traj.x, traj.xi, traj.g, H]):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def read_trajectory_csv(path) -> dict:

@@ -24,6 +24,7 @@ from .errors import BlowUpError, ConfigError, DomainError
 from .geodesic import TrajectoryRecord, momentum_rhs
 
 __all__ = [
+    "epsilon_matrix",
     "NoiseModel",
     "CoefficientSchedule",
     "SdeState",
@@ -36,6 +37,21 @@ __all__ = [
 ]
 
 
+def epsilon_matrix(epsilon) -> np.ndarray:
+    """The noise power as a symmetric PSD 3x3 matrix; a scalar means
+    scalar * identity."""
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim == 0:
+        eps = float(eps) * np.eye(3)
+    eps = eps.reshape(3, 3)
+    if np.max(np.abs(eps - eps.T)) > 0.0:
+        raise ConfigError("epsilon must be symmetric")
+    w = np.linalg.eigvalsh(eps)
+    if w.min() < -1e-13 * max(1.0, abs(w.max())):
+        raise ConfigError(f"epsilon must be positive semidefinite, eigenvalues {w}")
+    return eps
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Noise power matrix eps_ij (PSD) and the master seed."""
@@ -44,16 +60,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=float)
-        if eps.ndim == 0:
-            eps = float(eps) * np.eye(3)
-        eps = eps.reshape(3, 3)
-        if np.max(np.abs(eps - eps.T)) > 0.0:
-            raise ConfigError("epsilon must be symmetric")
-        w = np.linalg.eigvalsh(eps)
-        if w.min() < -1e-13 * max(1.0, abs(w.max())):
-            raise ConfigError(f"epsilon must be positive semidefinite, eigenvalues {w}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", epsilon_matrix(self.epsilon))
 
     def scale_matrix(self) -> np.ndarray:
         """S with S S^T = 2*eps; increments are S @ N(0, ds*I)."""
@@ -141,24 +148,28 @@ def diffusion(xi, lam_sq_bar) -> np.ndarray:
     return B
 
 
-def sde_step(state: SdeState, ds: float, mode: str, coeffs, noise: NoiseModel,
-             rng: np.random.Generator) -> SdeState:
-    """Advance one step: Euler-Maruyama (additive) or Stratonovich Heun
-    (multiplicative, dW entering through B(xi))."""
-    if not ds > 0.0:
-        raise DomainError(f"ds must be positive, got {ds}")
-    dW = white_noise_increments(ds, noise, rng)
-    xi = state.xi
+def _step(xi, ds: float, mode: str, coeffs, dW) -> np.ndarray:
+    """One step of a batch xi (n, 3) with increments dW (n, 3): Euler-Maruyama
+    (additive) or Stratonovich Heun (multiplicative, dW entering through
+    B(xi)).  Both Heun stages use the same coefficients."""
     if mode == "additive":
-        xi_new = xi + drift(xi, coeffs) * ds + dW
-    elif mode == "multiplicative":
+        return xi + drift(xi, coeffs) * ds + dW
+    if mode == "multiplicative":
         a_pred = drift(xi, coeffs)
         b_pred = diffusion(xi, coeffs[1])
-        xi_star = xi + a_pred * ds + b_pred @ dW
-        xi_new = xi + 0.5 * (a_pred + drift(xi_star, coeffs)) * ds \
-            + 0.5 * (b_pred + diffusion(xi_star, coeffs[1])) @ dW
-    else:
-        raise ConfigError(f"unknown SDE mode {mode!r}")
+        xi_star = xi + a_pred * ds + np.einsum("nij,nj->ni", b_pred, dW)
+        b_star = diffusion(xi_star, coeffs[1])
+        return xi + 0.5 * (a_pred + drift(xi_star, coeffs)) * ds \
+            + 0.5 * np.einsum("nij,nj->ni", b_pred + b_star, dW)
+    raise ConfigError(f"unknown SDE mode {mode!r}")
+
+
+def sde_step(state: SdeState, ds: float, mode: str, coeffs, noise: NoiseModel,
+             rng: np.random.Generator) -> SdeState:
+    """Advance one state by one step: the ensemble's Euler-Maruyama or
+    Heun update on a batch of one."""
+    dW = white_noise_increments(ds, noise, rng, 1)
+    xi_new = _step(state.xi[None, :], ds, mode, coeffs, dW)[0]
     if not np.all(np.isfinite(xi_new)):
         raise BlowUpError(state.s + ds)
     return SdeState(xi=xi_new, s=state.s + ds)
@@ -206,8 +217,6 @@ def run_ensemble(
 
     xi = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3)).copy()
     rng = np.random.Generator(np.random.Philox(key=noise.seed))
-    scale = noise.scale_matrix()
-    has_noise = bool(np.any(noise.epsilon))
 
     snapshot_s = sorted(snapshot_s)
     snap_iter = iter(snapshot_s + [np.inf])
@@ -218,27 +227,12 @@ def run_ensemble(
 
     s = s0
     for k in range(n_steps):
-        if has_noise:
-            dW = rng.standard_normal((n_traj, 3)) @ scale.T * np.sqrt(ds)
-        else:
-            dW = 0.0
+        dW = white_noise_increments(ds, noise, rng, n_traj)
         coeffs = schedule.at(min(s, schedule.s[-1]))
         # runaway paths overflow before they are frozen; the non-finite
         # check below is the intended detector, so silence the transient
         with np.errstate(over="ignore", invalid="ignore"):
-            if mode == "additive":
-                xi_new = xi + drift(xi, coeffs) * ds + dW
-            elif mode == "multiplicative":
-                a_pred = drift(xi, coeffs)
-                b_pred = diffusion(xi, coeffs[1])
-                bdw = np.einsum("nij,nj->ni", b_pred, dW) if has_noise else 0.0
-                xi_star = xi + a_pred * ds + bdw
-                coeffs_next = schedule.at(min(s + ds, schedule.s[-1]))
-                b_star = diffusion(xi_star, coeffs_next[1])
-                bdw2 = 0.5 * np.einsum("nij,nj->ni", b_pred + b_star, dW) if has_noise else 0.0
-                xi_new = xi + 0.5 * (a_pred + drift(xi_star, coeffs_next)) * ds + bdw2
-            else:
-                raise ConfigError(f"unknown SDE mode {mode!r}")
+            xi_new = _step(xi, ds, mode, coeffs, dW)
 
         bad = alive & ~np.all(np.isfinite(xi_new), axis=1)
         for p in np.nonzero(bad)[0]:

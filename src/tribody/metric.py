@@ -8,6 +8,8 @@ so the classical motion becomes geodesic flow on the region g > 0.  This
 module evaluates g, its logarithmic gradient a_i = -(1/2) d_i ln g, the
 centrifugal term Lambda^2 = (J/g)^2, the reduced Hamiltonian, and the 6x6
 tensor gamma over the full coordinate set (r, R, theta, Theta, Phi, Psi).
+The point-wise quantities take internal coordinates of shape (..., 3) and
+all come from one kernel, flow_coefficients.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .potentials import PotentialModel
 
 __all__ = [
     "EnergySurface",
-    "MetricSample",
     "RhoCoords",
+    "flow_coefficients",
     "conformal_factor",
     "log_gradient",
     "lambda_sq",
-    "metric_sample",
     "gamma_rho",
     "reduced_hamiltonian",
 ]
@@ -50,15 +51,6 @@ class EnergySurface:
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    """Metric quantities at one point: g, a_i, Lambda^2."""
-
-    g: float
-    a: np.ndarray
-    lambda_sq: float
-
-
-@dataclass(frozen=True)
 class RhoCoords:
     """Full coordinate set (r, R, theta, Theta, Phi, Psi)."""
 
@@ -76,41 +68,53 @@ class RhoCoords:
             raise DomainError("Psi must lie in [0, pi]")
 
 
-def conformal_factor(x, surf: EnergySurface) -> float:
+def flow_coefficients(x, surf: EnergySurface, J: float):
+    """(g, a, Lambda^2) of the momentum flow at internal points x (..., 3).
+
+    g = (E - U) / U0, a_i = (1/2) (d_i U) / (E - U) and Lambda^2 = (J/g)^2,
+    with no floor check, so that integrator trial points past the boundary
+    give finite values; each caller applies its own forbidden-region policy.
+    """
+    e_minus_u = np.subtract(surf.E, surf.potential.evaluate(x))
+    g = e_minus_u / surf.U0
+    a = 0.5 * surf.potential.gradient(x) / e_minus_u[..., None]
+    return g, a, (J / g) ** 2
+
+
+def _allowed_coefficients(x, surf: EnergySurface, J: float):
+    """flow_coefficients, raising once g falls to the configured floor."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g, a, lam2 = flow_coefficients(x, surf, J)
+    if np.any(g <= surf.g_min):
+        k = np.argmin(g)
+        raise ForbiddenRegionError(
+            f"g = {np.ravel(g)[k]} <= g_min = {surf.g_min} at x = {np.reshape(x, (-1, 3))[k]}"
+        )
+    return g, a, lam2
+
+
+def conformal_factor(x, surf: EnergySurface):
     """g = (E - U(x)) / U0; raises once g falls to the configured floor."""
-    g = (surf.E - surf.potential.evaluate(x)) / surf.U0
-    if g <= surf.g_min:
-        raise ForbiddenRegionError(f"g = {g} <= g_min = {surf.g_min} at x = {np.asarray(x)}")
-    return g
+    return _allowed_coefficients(x, surf, 0.0)[0]
 
 
 def log_gradient(x, surf: EnergySurface) -> np.ndarray:
     """a_i = -(1/2) d_i ln g = (1/2) (d_i U) / (E - U), analytic gradient."""
-    u = surf.potential.evaluate(x)
-    g = (surf.E - u) / surf.U0
-    if g <= surf.g_min:
-        raise ForbiddenRegionError(f"g = {g} <= g_min = {surf.g_min} at x = {np.asarray(x)}")
-    return 0.5 * surf.potential.gradient(x) / (surf.E - u)
+    return _allowed_coefficients(x, surf, 0.0)[1]
 
 
-def lambda_sq(g: float, J: float) -> float:
+def lambda_sq(g, J: float):
     """Centrifugal term Lambda^2 = (J/g)^2 of the reduced internal system."""
-    if g <= 0.0:
+    if np.any(np.asarray(g) <= 0.0):
         raise DomainError(f"g must be positive, got {g}")
     return (J / g) ** 2
 
 
-def metric_sample(x, surf: EnergySurface, J: float) -> MetricSample:
-    """Bundle (g, a, Lambda^2) at one internal point."""
-    g = conformal_factor(x, surf)
-    return MetricSample(g=g, a=log_gradient(x, surf), lambda_sq=lambda_sq(g, J))
-
-
-def reduced_hamiltonian(x, xdot, J: float, surf: EnergySurface, mu0: float) -> float:
-    """H = (mu0/2) g(x) [ sum_i (xdot_i)^2 + (J/g(x))^2 ]."""
-    g = conformal_factor(x, surf)
+def reduced_hamiltonian(x, xdot, J: float, surf: EnergySurface, mu0: float):
+    """H = (mu0/2) g(x) [ sum_i (xdot_i)^2 + (J/g(x))^2 ] at points (..., 3)."""
+    g, _, lam2 = _allowed_coefficients(x, surf, J)
     xdot = np.asarray(xdot, dtype=float)
-    return 0.5 * mu0 * g * (float(np.dot(xdot, xdot)) + (J / g) ** 2)
+    return 0.5 * mu0 * g * (np.sum(xdot * xdot, axis=-1) + lam2)
 
 
 def gamma_rho(rho: RhoCoords) -> np.ndarray:

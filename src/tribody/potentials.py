@@ -1,9 +1,11 @@
 """Interaction potentials over the internal (shape) coordinates.
 
 Every model maps internal coordinates x = (x1, x2, x3) to a total energy
-and its analytic gradient dU/dx_i.  The built-in pairwise models go through
-the physical pair separations (d23, d13, d12), whose squares are linear in
-(x1^2, x2^2, x3^2), so the chain rule stays closed-form.
+and its analytic gradient dU/dx_i.  Points may be batched: x of shape
+(..., 3) gives energies of shape (...) and gradients of shape (..., 3); a
+single point (3,) gives a float energy.  The built-in pairwise models go
+through the physical pair separations (d23, d13, d12), whose squares are
+linear in (x1^2, x2^2, x3^2), so the chain rule stays closed-form.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "PairwisePotential",
     "GravityPotential",
     "MorsePotential",
-    "depth_at_reference",
 ]
 
 
@@ -30,47 +31,57 @@ class PotentialModel(ABC):
     """Potential energy U(x) on the internal space and its gradient."""
 
     @abstractmethod
-    def evaluate(self, x) -> float:
-        """Total potential energy at internal coordinates x = (x1, x2, x3)."""
+    def evaluate(self, x):
+        """Total potential energy at internal coordinates x of shape (..., 3);
+        a float for a single point."""
 
     @abstractmethod
     def gradient(self, x) -> np.ndarray:
-        """Analytic 3-vector dU/dx_i at x."""
+        """Analytic dU/dx_i at x, same shape as x."""
 
 
 class FreePotential(PotentialModel):
     """U identically zero (free motion)."""
 
     def evaluate(self, x):
-        return 0.0
+        x = np.asarray(x, dtype=float)
+        return 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
 
     def gradient(self, x):
-        return np.zeros(3)
+        return np.zeros(np.shape(x))
 
 
 class CallablePotential(PotentialModel):
-    """Wrap plain callables f(x) and grad(x) as a potential model."""
+    """Wrap plain point-wise callables f(x) and grad(x) as a potential model.
+
+    The callables see one point (3,) at a time; batched input is mapped
+    over its rows here, so they need not broadcast.
+    """
 
     def __init__(self, f, grad):
         self._f = f
         self._grad = grad
 
     def evaluate(self, x):
-        return float(self._f(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(self._f(x))
+        return np.array([float(self._f(p)) for p in x.reshape(-1, 3)]).reshape(x.shape[:-1])
 
     def gradient(self, x):
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        rows = [np.asarray(self._grad(p), dtype=float) for p in x.reshape(-1, 3)]
+        return np.array(rows).reshape(x.shape)
 
 
 class PairwisePotential(PotentialModel):
     """Sum of pair terms v(d) over the three physical separations.
 
-    Subclasses supply pair_energy(d, i, j) and pair_energy_dd(d, i, j) for
-    the pair (i, j); the geometry and chain rule live here.  Pair order is
-    (2,3), (1,3), (1,2) matching kinematics.pair_distances.
+    Subclasses supply pair_energy(d) and its derivative pair_energy_dd(d)
+    for separations d of shape (..., 3) in pair order (2,3), (1,3), (1,2),
+    matching kinematics.pair_distances; the geometry and chain rule live
+    here.
     """
-
-    _PAIRS = ((2, 3), (1, 3), (1, 2))
 
     def __init__(self, masses: Masses):
         self.masses = masses
@@ -90,31 +101,33 @@ class PairwisePotential(PotentialModel):
         )
 
     @abstractmethod
-    def pair_energy(self, d: float, i: int, j: int) -> float:
-        """Energy of the (i, j) pair at separation d."""
+    def pair_energy(self, d: np.ndarray) -> np.ndarray:
+        """Energies of the three pairs at separations d (..., 3)."""
 
     @abstractmethod
-    def pair_energy_dd(self, d: float, i: int, j: int) -> float:
-        """Derivative of the pair energy with respect to d."""
+    def pair_energy_dd(self, d: np.ndarray) -> np.ndarray:
+        """Derivatives of the pair energies with respect to d (..., 3)."""
 
     def _distances(self, x):
-        xsq = np.asarray(x, dtype=float) ** 2
-        return np.sqrt(np.maximum(self._C @ xsq, 0.0))
+        # an elementwise sum, not a matmul, so a batch row and the same
+        # point on its own give bit-identical results
+        d_sq = (self._C * (x * x)[..., None, :]).sum(-1)
+        return np.sqrt(np.maximum(d_sq, 0.0))
 
     def evaluate(self, x):
-        d = self._distances(x)
-        return float(sum(self.pair_energy(d[p], *ij) for p, ij in enumerate(self._PAIRS)))
+        x = np.asarray(x, dtype=float)
+        u = self.pair_energy(self._distances(x)).sum(-1)
+        return float(u) if x.ndim == 1 else u
 
     def gradient(self, x):
+        # dU/dx_i = x_i * sum_p C[p,i] * v'(d_p) / d_p; a pair at d_p = 0
+        # contributes nothing
         x = np.asarray(x, dtype=float)
         d = self._distances(x)
-        grad = np.zeros(3)
-        for p, ij in enumerate(self._PAIRS):
-            if d[p] <= 0.0:
-                continue
-            # dU/dx_i = v'(d) * (C[p,i] * x_i) / d
-            grad += self.pair_energy_dd(d[p], *ij) * self._C[p] * x / d[p]
-        return grad
+        live = d > 0.0
+        d = np.where(live, d, 1.0)
+        w = np.where(live, self.pair_energy_dd(d) / d, 0.0)
+        return (w[..., None] * self._C).sum(-2) * x
 
 
 class GravityPotential(PairwisePotential):
@@ -124,14 +137,16 @@ class GravityPotential(PairwisePotential):
         super().__init__(masses)
         self.G = G
         self.softening = softening
-        self._m = {1: masses.m1, 2: masses.m2, 3: masses.m3}
+        # mi*mj in pair order (2,3), (1,3), (1,2)
+        self._mm = np.array([masses.m2 * masses.m3, masses.m1 * masses.m3,
+                             masses.m1 * masses.m2])
 
-    def pair_energy(self, d, i, j):
-        return -self.G * self._m[i] * self._m[j] / math.sqrt(d * d + self.softening**2)
+    def pair_energy(self, d):
+        return -self.G * self._mm / np.sqrt(d * d + self.softening**2)
 
-    def pair_energy_dd(self, d, i, j):
+    def pair_energy_dd(self, d):
         den = (d * d + self.softening**2) ** 1.5
-        return self.G * self._m[i] * self._m[j] * d / den
+        return self.G * self._mm * d / den
 
 
 class MorsePotential(PairwisePotential):
@@ -143,16 +158,11 @@ class MorsePotential(PairwisePotential):
         self.alpha = alpha
         self.d0 = d0
 
-    def pair_energy(self, d, i, j):
-        e = math.exp(-self.alpha * (d - self.d0))
-        return self.D * ((1.0 - e) ** 2 - 1.0)
+    def pair_energy(self, d):
+        # (1 - e)^2 - 1 written as e*(e - 2), without the cancellation at small e
+        e = np.exp(-self.alpha * (d - self.d0))
+        return self.D * e * (e - 2.0)
 
-    def pair_energy_dd(self, d, i, j):
-        e = math.exp(-self.alpha * (d - self.d0))
+    def pair_energy_dd(self, d):
+        e = np.exp(-self.alpha * (d - self.d0))
         return 2.0 * self.D * self.alpha * e * (1.0 - e)
-
-
-def depth_at_reference(potential: PotentialModel, x_ref) -> float:
-    """|U| at a reference configuration, a practical stand-in for the
-    (possibly unbounded) maximal potential depth used to normalize g."""
-    return abs(potential.evaluate(x_ref))

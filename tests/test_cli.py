@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribody.cli import main, parse_config
+from tribody.cli import _initial_density, _schedule_from_csv, main, parse_config
 from tribody.errors import ConfigError
+from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
+from tribody.geodesic import read_trajectory_csv
 from tribody.potentials import MorsePotential
 
 
@@ -208,6 +210,28 @@ class TestPipelineStages:
             assert (out / f"density_{i:04d}.txt").exists()
         assert meta["diagnostics"]["mass_initial"] == pytest.approx(1.0)
         assert 0.0 < meta["diagnostics"]["mass_final"] <= 1.0 + 1e-9
+
+    def test_fpe_follows_sde_mode(self, tmp_path):
+        doc = base_config()
+        doc["sde"].update(mode="multiplicative", snapshots=[0.5])
+        doc["integrator"]["s_end"] = 0.5
+        doc["grid"]["n"] = 12
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("fpe", cfg, out) == 0
+        written, _ = read_density(out / "density_0000.txt")
+
+        parsed = parse_config(doc)
+        schedule = _schedule_from_csv(read_trajectory_csv(out / "trajectory.csv"), parsed)
+
+        def direct(multiplicative):
+            fpe_cfg = FpeConfig(epsilon=parsed["epsilon"], schedule=schedule,
+                                multiplicative=multiplicative)
+            res = fpe_evolve(_initial_density(parsed), (0.0, 0.5), fpe_cfg, snapshot_s=[0.5])
+            return res.snapshots[0][1].P
+
+        assert np.array_equal(written.P, direct(True))
+        assert not np.allclose(written.P, direct(False), rtol=1e-6, atol=1e-9)
 
     def test_chaos_default_route(self, prepared):
         cfg, out = prepared

@@ -94,9 +94,11 @@ class TestFpeConfig:
 
     def test_epsilon_must_be_psd(self):
         sched = CoefficientSchedule.constant([0, 0, 0], 0.0)
-        bad = np.diag([1.0, 1.0, -0.5])
-        with pytest.raises(ConfigError):
-            FpeConfig(epsilon=bad, schedule=sched)
+        asymmetric = np.eye(3)
+        asymmetric[0, 1] = 0.1
+        for bad in (np.diag([1.0, 1.0, -0.5]), asymmetric):
+            with pytest.raises(ConfigError):
+                FpeConfig(epsilon=bad, schedule=sched)
 
     def test_quantum_epsilon(self):
         assert np.isclose(quantum_epsilon(0.1, 4.0), 0.5 * 0.1 * 2.0)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,19 @@ class TestReconstructRho:
                          surf, s_end=5.0, tol=1e-9, n_samples=4)
         with pytest.raises(DomainError):
             reconstruct_rho(traj, rho0=[1, 1, 1], surf=surf, dx_cap=0.5)
+
+    def test_forbidden_sample_ends_series(self):
+        # g = 1 - x1 reaches the floor at sample 5, where x1 = 1
+        pot = CallablePotential(lambda x: x[0], lambda x: np.array([1.0, 0.0, 0.0]))
+        surf = EnergySurface(E=1.0, U0=1.0, potential=pot, g_min=1e-6)
+        traj = SimpleNamespace(
+            s=np.arange(12.0),
+            x=np.column_stack([np.linspace(0.0, 2.2, 12), np.full((12, 2), 3.0)]),
+        )
+        series = reconstruct_rho(traj, rho0=[3.0, 3.0, 0.3], surf=surf)
+        assert not series.complete
+        assert series.stop_reason.startswith("ForbiddenRegionError at step 5")
+        assert len(series.s) == 6 and np.all(np.isfinite(series.rho))
 
     @staticmethod
     def _loop_traj(radius, n=400):

@@ -14,7 +14,6 @@ from tribody import (
     conservation_report,
     external_coordinates,
     external_rates,
-    geodesic_rhs,
     integrate,
     lambda_sq,
     log_gradient,
@@ -37,12 +36,6 @@ def morse_setup():
 
 
 class TestRhs:
-    def test_free_motion_is_straight(self):
-        state = GeodesicState(x=[1, 2, 2], xi=[0.3, -0.1, 0.2])
-        dx, dxi = geodesic_rhs(state, free_surface(), J=0.0)
-        assert np.allclose(dx, state.xi)
-        assert np.allclose(dxi, 0.0)
-
     def test_row_one_substitution(self):
         # a=(1,0,0), xi=(1,0,0), Lambda^2=0 -> dxi/ds = (1,0,0)
         out = momentum_rhs(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.0)

@@ -237,3 +237,24 @@ class TestRunEnsemble:
                            NoiseModel(epsilon=0.0))
         assert len(res.blowups) == 4
         assert np.all(np.isnan(res.xi_final))
+
+
+class TestOneStepKernel:
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_sde_step_is_one_ensemble_step(self, mode):
+        # a trajectory schedule, so coefficients change within the step
+        _, sched = morse_schedule()
+        eps = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
+        nm = NoiseModel(epsilon=eps, seed=31)
+        xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
+        res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
+        out = sde_step(SdeState(xi=xi0, s=s0), ds, mode, sched.at(s0), nm, philox(31))
+        assert np.array_equal(res.xi_final[0], out.xi)
+
+    def test_ensemble_draws_white_noise_increments(self):
+        # zero drift from the origin: one step leaves exactly the increment
+        eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
+        nm = NoiseModel(epsilon=eps, seed=8)
+        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.01))
+        res = run_ensemble(16, sched, np.zeros(3), 0.01, "additive", nm)
+        assert np.array_equal(res.xi_final, white_noise_increments(0.01, nm, philox(8), n=16))
