@@ -5,14 +5,17 @@ The density P(xi, s) obeys
     dP/ds = sign * sum_i d_i(A_i P)
             + sum_{i,j,l,k} eps_ij d_l [ B_il d_k ( B_kj P ) ]
 
-with the drift A and coupling B of the stochastic module.  The printed
-operator carries +d_i(A_i P); the continuity form matching the SDE needs
-the minus sign.  Both are available ("verbatim" vs "conventional"); the
-conventional sign is the default and the one validated against ensembles.
+with the coupling B(xi; Lambda^2) v = 2 (xi . v) xi - (|xi|^2 + Lambda^2) v
+and the drift A = B a of the stochastic module; this pairs with the
+Stratonovich SDE dxi = B(xi) o (a ds + dW).  The printed operator carries
++d_i(A_i P); the continuity form matching the SDE needs the minus sign.
+Both are available ("verbatim" vs "conventional"); the conventional sign
+is the default and the one validated against ensembles.
 
-For the additive-noise case B is the identity and the diffusion term
-collapses to sum_ij eps_ij d_i d_j P, discretized with compact stencils.
-Boundary density is pinned to zero; mass loss is audited, not hidden.
+For additive noise, dxi = B(xi) a ds + dW, the noise coupling is the
+identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P,
+discretized with compact stencils.  Boundary density is pinned to zero;
+mass loss is audited, not hidden.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
 from .langevin import CoefficientSchedule, diffusion, drift, epsilon_matrix
+
+DS_FLOOR = 1e-9   # smallest admissible step
+SAFETY = 0.5      # fraction of the CFL bound taken per step
+MASS_TOL = 1e-6   # allowed mass change per unit s in the audit
 
 __all__ = [
     "MomentumGrid",
@@ -103,9 +110,6 @@ class FpeConfig:
     schedule: CoefficientSchedule
     sign_mode: str = "conventional"     # or "verbatim"
     multiplicative: bool = False        # False: B = identity (additive noise)
-    ds_floor: float = 1e-9
-    safety: float = 0.5
-    mass_tol: float = 1e-6
 
     def __post_init__(self):
         self.epsilon = epsilon_matrix(self.epsilon)
@@ -129,37 +133,32 @@ def total_mass(grid: MomentumGrid) -> float:
     return float(np.sum(grid.P) * grid.cell_volume)
 
 
+def _at(axis, index):
+    """Index tuple selecting `index` along one of the three grid axes."""
+    sel = [slice(None)] * 3
+    sel[axis] = index
+    return tuple(sel)
+
+
 def _d(F, axis, h):
     """Central first difference with zero ghost cells (pinned boundary)."""
     out = np.empty_like(F)
-    sl = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo = [slice(None)] * 3
-    sl[axis], hi[axis], lo[axis] = slice(1, -1), slice(2, None), slice(None, -2)
-    out[tuple(sl)] = (F[tuple(hi)] - F[tuple(lo)]) / (2.0 * h)
-    first, second = [slice(None)] * 3, [slice(None)] * 3
-    first[axis], second[axis] = 0, 1
-    out[tuple(first)] = F[tuple(second)] / (2.0 * h)
-    last, prev = [slice(None)] * 3, [slice(None)] * 3
-    last[axis], prev[axis] = -1, -2
-    out[tuple(last)] = -F[tuple(prev)] / (2.0 * h)
+    hi, mid, lo = (_at(axis, slice(2, None)), _at(axis, slice(1, -1)),
+                   _at(axis, slice(None, -2)))
+    out[mid] = (F[hi] - F[lo]) / (2.0 * h)
+    out[_at(axis, 0)] = F[_at(axis, 1)] / (2.0 * h)
+    out[_at(axis, -1)] = -F[_at(axis, -2)] / (2.0 * h)
     return out
 
 
 def _d2(F, axis, h):
     """Compact second difference with zero ghost cells."""
     out = np.empty_like(F)
-    sl = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo = [slice(None)] * 3
-    sl[axis], hi[axis], lo[axis] = slice(1, -1), slice(2, None), slice(None, -2)
-    out[tuple(sl)] = (F[tuple(hi)] - 2.0 * F[tuple(sl)] + F[tuple(lo)]) / (h * h)
-    first, second = [slice(None)] * 3, [slice(None)] * 3
-    first[axis], second[axis] = 0, 1
-    out[tuple(first)] = (F[tuple(second)] - 2.0 * F[tuple(first)]) / (h * h)
-    last, prev = [slice(None)] * 3, [slice(None)] * 3
-    last[axis], prev[axis] = -1, -2
-    out[tuple(last)] = (F[tuple(prev)] - 2.0 * F[tuple(last)]) / (h * h)
+    hi, mid, lo = (_at(axis, slice(2, None)), _at(axis, slice(1, -1)),
+                   _at(axis, slice(None, -2)))
+    out[mid] = (F[hi] - 2.0 * F[mid] + F[lo]) / (h * h)
+    out[_at(axis, 0)] = (F[_at(axis, 1)] - 2.0 * F[_at(axis, 0)]) / (h * h)
+    out[_at(axis, -1)] = (F[_at(axis, -2)] - 2.0 * F[_at(axis, -1)]) / (h * h)
     return out
 
 
@@ -187,15 +186,11 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, mesh=None) -> np.ndarray
         return rhs
 
     B = diffusion(mesh, coeffs[1])  # (n1, n2, n3, 3, 3)
-    # F_j = sum_k d_k (B_kj P); then rhs += sum_{i,l} d_l [ B_il sum_j eps_ij F_j ]
-    F = np.zeros(P.shape + (3,))
-    for j in range(3):
-        for k in range(3):
-            F[..., j] += _d(B[..., k, j] * P, k, h[k])
-    G = np.einsum("ij,...j->...i", eps, F)
-    for i in range(3):
-        for l in range(3):
-            rhs += _d(B[..., i, l] * G[..., i], l, h[l])
+    # F_j = sum_k d_k (B_kj P); then rhs += sum_l d_l [ sum_i B_il (eps F)_i ]
+    F = sum(_d(B[..., k, :] * P[..., None], k, h[k]) for k in range(3))
+    BG = np.einsum("...il,...i->...l", B, F @ eps)
+    for l in range(3):
+        rhs += _d(BG[..., l], l, h[l])
     return rhs
 
 
@@ -208,14 +203,10 @@ def _stable_ds(grid, coeffs, cfg, mesh):
         ds = min(ds, float(np.min(h)) / amax)
     tr_eps = float(np.trace(cfg.epsilon))
     if tr_eps > 0.0:
-        if cfg.multiplicative:
-            B = diffusion(mesh, coeffs[1])
-            bmax = float(np.max(np.abs(B)))
-            bmax = max(bmax, 1.0)
-        else:
-            bmax = 1.0
+        bmax = (max(float(np.max(np.abs(diffusion(mesh, coeffs[1])))), 1.0)
+                if cfg.multiplicative else 1.0)
         ds = min(ds, float(np.min(h)) ** 2 / (2.0 * tr_eps * bmax * bmax))
-    return cfg.safety * ds
+    return SAFETY * ds
 
 
 def pin_boundary(P):
@@ -237,14 +228,16 @@ class FpeResult:
 def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> FpeResult:
     """Explicit RK2 (midpoint) evolution with a CFL-bounded step.
 
-    The initial density must be normalized to 1e-9.  Boundary cells are
-    pinned to zero every stage; snapshots are deep copies.
+    The initial density must be normalized to 1e-9, the span must lie
+    inside the schedule and the snapshot times in (s0, s1].  Boundary
+    cells are pinned to zero every stage; snapshots are deep copies.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
     s0, s1 = float(s_span[0]), float(s_span[1])
     if s1 <= s0:
         raise DomainError("empty evolution span")
+    cfg.schedule.check_span(s0, s1)
 
     mesh = grid0.mesh()
     P = grid0.P.copy()
@@ -260,18 +253,16 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
 
     for target in targets:
         while s < target - 1e-15:
-            coeffs = cfg.schedule.at(min(s, cfg.schedule.s[-1]))
+            coeffs = cfg.schedule.at(s)
             ds = min(_stable_ds(work, coeffs, cfg, mesh), target - s)
-            if ds < cfg.ds_floor:
-                raise ResolutionError(
-                    f"stability limit forced ds = {ds} below floor {cfg.ds_floor}"
-                )
+            if ds < DS_FLOOR:
+                raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
             k1 = fpe_rhs(work, coeffs, cfg, mesh)
             mid = P + 0.5 * ds * k1
             pin_boundary(mid)
             work.P = mid
-            coeffs_mid = cfg.schedule.at(min(s + 0.5 * ds, cfg.schedule.s[-1]))
+            coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
             k2 = fpe_rhs(work, coeffs_mid, cfg, mesh)
             P = P + ds * k2
             pin_boundary(P)
@@ -292,7 +283,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
              for i in range(1, len(masses))),
             default=0.0,
         ),
-        "mass_ok": abs(masses[-1] - masses[0]) <= cfg.mass_tol * max(s1 - s0, 1.0),
+        "mass_ok": abs(masses[-1] - masses[0]) <= MASS_TOL * max(s1 - s0, 1.0),
     }
     return FpeResult(snapshots=snaps, mass_series=mass_series, diagnostics=diag)
 

@@ -1,13 +1,14 @@
 """Deterministic integration of the reduced geodesic system.
 
 State is (x, xi) with xi_i = dx_i/ds.  The momentum equations are the
-quadratic (Riccati-type) system
+quadratic (Riccati-type) system dxi/ds = B(xi; Lambda^2) a, where
 
-    dxi_1/ds = a1*(xi1^2 - xi2^2 - xi3^2 - Lambda^2) + 2*xi1*(a2*xi2 + a3*xi3)
+    B(xi; Lambda^2) v = 2 (xi . v) xi - (|xi|^2 + Lambda^2) v
 
-and cyclic permutations, with a_i the logarithmic metric gradient and
-Lambda^2 = (J/g)^2.  The three external (Euler-angle) rates decouple
-exactly, dx_mu/ds = J_(mu-3)/g, and are recovered by quadrature.
+is linear in v, a_i is the logarithmic metric gradient and
+Lambda^2 = (J/g)^2; the langevin module applies the same map to the
+noise.  The three external (Euler-angle) rates decouple exactly,
+dx_mu/ds = J_(mu-3)/g, and are recovered by quadrature.
 """
 
 from __future__ import annotations
@@ -69,21 +70,18 @@ class TrajectoryRecord:
 
 
 def momentum_rhs(xi, a, lam2):
-    """Right-hand side of the quadratic momentum system.
+    """Right-hand side of the quadratic momentum system: B(xi; lam2) a,
+    i.e. 2 (xi . a) xi - (|xi|^2 + lam2) a, which is linear in a.
 
     Broadcasts over leading axes: xi and a may be (..., 3), lam2 (...,).
-    Shared with the stochastic drift, which uses the same formulas with
-    scheduled coefficients.
+    Shared with the stochastic drift and noise coupling, which apply the
+    same map to scheduled coefficients and noise increments.
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(a, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
-    q = np.sum(xi * xi, axis=-1)  # xi1^2 + xi2^2 + xi3^2
-    # a_i*(2*xi_i^2 - q - lam2) + 2*xi_i*(sum_j a_j xi_j - a_i xi_i)
-    s = np.sum(a * xi, axis=-1)
-    return a * (2.0 * xi**2 - q[..., None] - lam2[..., None]) + 2.0 * xi * (
-        s[..., None] - a * xi
-    )
+    q = np.sum(xi * xi, axis=-1) + lam2
+    s = np.sum(xi * a, axis=-1)
+    return 2.0 * s[..., None] * xi - q[..., None] * a
 
 
 def external_rates(g, J1, J2, J3):

@@ -1,17 +1,22 @@
 """Stochastic momentum dynamics under white-noise forcing.
 
-Two noise routes are supported:
+Quantum fluctuations enter as a random part of the metric's log-gradient,
+a_i -> a_i + eta_i, so drift and noise pass through one linear map
 
-* multiplicative -- d(xi_i) = A_i ds + sum_j B_ij(xi) dW_j, stepped with a
-  Stratonovich Heun predictor-corrector (the density equation pairs with
-  the Stratonovich reading of the state-dependent noise);
-* additive -- d(xi_i) = A_i ds + dW_i, Euler-Maruyama (interpretation
+    B(xi; Lambda^2) v = 2 (xi . v) xi - (|xi|^2 + Lambda^2) v,
+
+the deterministic momentum right-hand side (geodesic.momentum_rhs) with
+coefficients (a, Lambda^2) scheduled along a stored classical trajectory.
+The drift is A = B a.  Two noise routes are supported:
+
+* multiplicative -- dxi = B(xi) o (a ds + dW), stepped with a Stratonovich
+  Heun predictor-corrector (the density equation pairs with the
+  Stratonovich reading of the state-dependent noise);
+* additive -- dxi = B(xi) a ds + dW, Euler-Maruyama (interpretation
   independent).
 
-The drift A and the noise coupling B reuse the deterministic momentum
-formulas with coefficients (a_i, Lambda^2) scheduled along a stored
-classical trajectory.  Increments are Gaussian with covariance
-2*eps*ds, matching the correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').
+Increments are Gaussian with covariance 2*eps*ds, matching the
+correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').
 """
 
 from __future__ import annotations
@@ -99,9 +104,13 @@ class CoefficientSchedule:
         return cls(s=np.array(s_span, dtype=float), a=np.vstack([a, a]),
                    lam_sq=np.array([lam_sq, lam_sq]))
 
+    def check_span(self, s0: float, s1: float) -> None:
+        """Raise DomainError unless [s0, s1] lies inside the schedule span."""
+        if not (self.s[0] - 1e-12 <= s0 and s1 <= self.s[-1] + 1e-12):
+            raise DomainError(f"[{s0}, {s1}] outside schedule span [{self.s[0]}, {self.s[-1]}]")
+
     def at(self, s: float):
-        if not (self.s[0] - 1e-12 <= s <= self.s[-1] + 1e-12):
-            raise DomainError(f"s = {s} outside schedule span [{self.s[0]}, {self.s[-1]}]")
+        self.check_span(s, s)
         a = np.array([np.interp(s, self.s, self.a[:, i]) for i in range(3)])
         return a, float(np.interp(s, self.s, self.lam_sq))
 
@@ -131,36 +140,31 @@ def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generato
 
 
 def drift(xi, coeffs) -> np.ndarray:
-    """Drift A_i(xi): the deterministic momentum right-hand side with the
-    scheduled coefficients (a_bar, Lambda_bar^2).  Broadcasts over (..., 3)."""
+    """Drift A(xi) = B(xi; Lambda_bar^2) a_bar with the scheduled
+    coefficients (a_bar, Lambda_bar^2).  Broadcasts over (..., 3)."""
     a_bar, lam_sq_bar = coeffs
     return momentum_rhs(xi, a_bar, lam_sq_bar)
 
 
 def diffusion(xi, lam_sq_bar) -> np.ndarray:
-    """Noise coupling B_ij(xi): diagonal 2*xi_i^2 - q - Lambda_bar^2 with
-    q = sum xi^2, off-diagonal 2*xi_i*xi_j.  Returns (..., 3, 3)."""
+    """Noise coupling B(xi; Lambda_bar^2) as a matrix,
+    2 xi (x) xi - (|xi|^2 + Lambda_bar^2) I.  Returns (..., 3, 3)."""
     xi = np.asarray(xi, dtype=float)
-    q = np.sum(xi * xi, axis=-1)
-    B = 2.0 * xi[..., :, None] * xi[..., None, :]
-    idx = np.arange(3)
-    B[..., idx, idx] = 2.0 * xi**2 - q[..., None] - lam_sq_bar
-    return B
+    q = np.sum(xi * xi, axis=-1) + lam_sq_bar
+    return 2.0 * xi[..., :, None] * xi[..., None, :] - q[..., None, None] * np.eye(3)
 
 
 def _step(xi, ds: float, mode: str, coeffs, dW) -> np.ndarray:
     """One step of a batch xi (n, 3) with increments dW (n, 3): Euler-Maruyama
-    (additive) or Stratonovich Heun (multiplicative, dW entering through
-    B(xi)).  Both Heun stages use the same coefficients."""
+    (additive) or Stratonovich Heun on dxi = B(xi) o (a ds + dW), whose
+    stages are drift calls on the forcing a ds + dW since B is linear in it
+    (multiplicative).  Both stages use the same coefficients."""
     if mode == "additive":
         return xi + drift(xi, coeffs) * ds + dW
     if mode == "multiplicative":
-        a_pred = drift(xi, coeffs)
-        b_pred = diffusion(xi, coeffs[1])
-        xi_star = xi + a_pred * ds + np.einsum("nij,nj->ni", b_pred, dW)
-        b_star = diffusion(xi_star, coeffs[1])
-        return xi + 0.5 * (a_pred + drift(xi_star, coeffs)) * ds \
-            + 0.5 * np.einsum("nij,nj->ni", b_pred + b_star, dW)
+        forcing = (coeffs[0] * ds + dW, coeffs[1])
+        k = drift(xi, forcing)
+        return xi + 0.5 * (k + drift(xi + k, forcing))
     raise ConfigError(f"unknown SDE mode {mode!r}")
 
 
@@ -202,7 +206,8 @@ def run_ensemble(
     the increment of (path p, step k) sits at a fixed counter offset, so
     ensembles are bit-reproducible for a given (seed, n_traj, ds).  xi0
     may be a single 3-vector (all paths start together) or (n_traj, 3).
-    Blown-up paths are frozen as NaN and recorded, not fatal.
+    The span must lie inside the schedule and the snapshot times in
+    (s0, s1].  Blown-up paths are frozen as NaN and recorded, not fatal.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -211,14 +216,17 @@ def run_ensemble(
     if s_span is None:
         s_span = (float(schedule.s[0]), float(schedule.s[-1]))
     s0, s1 = s_span
+    schedule.check_span(s0, s1)
     n_steps = int(round((s1 - s0) / ds))
     if n_steps < 1:
         raise DomainError("span shorter than one step")
+    snapshot_s = sorted(float(v) for v in snapshot_s)
+    if snapshot_s and (snapshot_s[0] <= s0 or snapshot_s[-1] > s1 + 1e-12):
+        raise DomainError("snapshot times must lie in (s0, s1]")
 
     xi = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3)).copy()
     rng = np.random.Generator(np.random.Philox(key=noise.seed))
 
-    snapshot_s = sorted(snapshot_s)
     snap_iter = iter(snapshot_s + [np.inf])
     next_snap = next(snap_iter)
     snapshots = []
@@ -228,7 +236,7 @@ def run_ensemble(
     s = s0
     for k in range(n_steps):
         dW = white_noise_increments(ds, noise, rng, n_traj)
-        coeffs = schedule.at(min(s, schedule.s[-1]))
+        coeffs = schedule.at(s)
         # runaway paths overflow before they are frozen; the non-finite
         # check below is the intended detector, so silence the transient
         with np.errstate(over="ignore", invalid="ignore"):

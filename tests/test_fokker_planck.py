@@ -268,9 +268,20 @@ class TestFpeEvolve:
             fpe_evolve(grid, (0.5, 0.5), cfg)
         with pytest.raises(DomainError):
             fpe_evolve(grid, (0.0, 0.1), cfg, snapshot_s=(0.5,))
-        strict = FpeConfig(epsilon=0.01, schedule=sched, ds_floor=10.0)
+        # the diffusion CFL bound on this grid gives ds ~ 2.3e-10, below the floor
+        stiff = FpeConfig(epsilon=1e7, schedule=sched)
         with pytest.raises(ResolutionError):
-            fpe_evolve(grid, (0.0, 0.1), strict)
+            fpe_evolve(grid, (0.0, 0.1), stiff)
+
+    def test_span_past_schedule_rejected(self):
+        # the schedule covers [0, 1]; a longer span must not hold the last
+        # coefficients silently
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        cfg = FpeConfig(epsilon=0.01, schedule=sched)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
+        for span in ((0.0, 1.5), (-0.5, 0.5)):
+            with pytest.raises(DomainError):
+                fpe_evolve(grid, span, cfg)
 
     def test_snapshots_sorted_and_include_endpoint(self):
         sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)

@@ -25,6 +25,16 @@ def philox(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def matrix_form_heun(xi, ds, coeffs, dW):
+    """Stratonovich Heun step of a batch with the coupling matrix written out."""
+    a_p = drift(xi, coeffs)
+    b_p = diffusion(xi, coeffs[1])
+    xi_star = xi + a_p * ds + np.einsum("nij,nj->ni", b_p, dW)
+    b_s = diffusion(xi_star, coeffs[1])
+    return xi + 0.5 * (a_p + drift(xi_star, coeffs)) * ds \
+        + 0.5 * np.einsum("nij,nj->ni", b_p + b_s, dW)
+
+
 class TestNoiseModel:
     def test_scalar_expands_to_diagonal(self):
         nm = NoiseModel(epsilon=0.5)
@@ -115,6 +125,14 @@ class TestDriftDiffusion:
             lam2 = rng.uniform(0, 3)
             assert np.allclose(diffusion(xi, lam2) @ a, drift(xi, (a, lam2)),
                                rtol=1e-13, atol=1e-13)
+        # batched (..., 3) states and coefficients, one Lambda^2 per point
+        xi = rng.standard_normal((4, 5, 3))
+        a = rng.standard_normal((4, 5, 3))
+        lam2 = rng.uniform(0, 3, (4, 5))
+        B = np.stack([diffusion(xi[i, j], lam2[i, j]) for i in range(4) for j in range(5)])
+        assert np.allclose(diffusion(xi, lam2), B.reshape(4, 5, 3, 3), rtol=1e-15, atol=0)
+        assert np.allclose(np.einsum("...ij,...j->...i", diffusion(xi, lam2), a),
+                           drift(xi, (a, lam2)), rtol=1e-13, atol=1e-13)
 
 
 class TestSdeStep:
@@ -167,12 +185,7 @@ class TestSdeStep:
         def heun_run(dW, ds):
             xi = np.tile([0.3, 0.2, -0.1], (n_paths, 1))
             for k in range(dW.shape[1]):
-                a_p = drift(xi, coeffs)
-                b_p = diffusion(xi, coeffs[1])
-                xi_star = xi + a_p * ds + np.einsum("nij,nj->ni", b_p, dW[:, k])
-                b_s = diffusion(xi_star, coeffs[1])
-                xi = xi + 0.5 * (a_p + drift(xi_star, coeffs)) * ds \
-                    + 0.5 * np.einsum("nij,nj->ni", b_p + b_s, dW[:, k])
+                xi = matrix_form_heun(xi, ds, coeffs, dW[:, k])
             return xi
 
         ref = heun_run(dW_fine, ds_ref)
@@ -230,6 +243,22 @@ class TestRunEnsemble:
             errs.append(np.linalg.norm(mean - det.xi_final[0]))
         assert errs[2] < errs[1] < errs[0]
 
+    def test_span_past_schedule_rejected(self):
+        # the schedule ends at s = 2; a longer span must not hold the last
+        # coefficients silently
+        traj, sched = morse_schedule()
+        for span in ((0.0, 2.5), (-0.1, 1.0)):
+            with pytest.raises(DomainError):
+                run_ensemble(4, sched, traj.xi[0], 0.01, "additive",
+                             NoiseModel(epsilon=0.0), s_span=span)
+
+    def test_snapshot_times_outside_span_rejected(self):
+        _, sched = morse_schedule()
+        for snaps in ([0.0, 1.0], [1.0, 2.5], [-0.5]):
+            with pytest.raises(DomainError):
+                run_ensemble(4, sched, [0.1, -0.2, 0.05], 0.01, "additive",
+                             NoiseModel(epsilon=0.0), snapshot_s=snaps)
+
     def test_blowup_recorded_not_fatal(self):
         # enormous coefficients drive the quadratic drift to overflow
         sched = CoefficientSchedule.constant([50.0, 50.0, 50.0], 0.0, (0.0, 2.0))
@@ -240,6 +269,19 @@ class TestRunEnsemble:
 
 
 class TestOneStepKernel:
+    def test_multiplicative_step_is_matrix_form_heun(self):
+        from tribody.langevin import _step
+
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            xi = rng.standard_normal((64, 3))
+            dW = 0.1 * rng.standard_normal((64, 3))
+            coeffs = (rng.standard_normal(3), rng.uniform(0, 2))
+            ds = rng.uniform(1e-3, 2e-2)
+            ref = matrix_form_heun(xi, ds, coeffs, dW)
+            out = _step(xi, ds, "multiplicative", coeffs, dW)
+            assert np.allclose(out, ref, rtol=1e-14, atol=1e-15 * np.abs(ref).max())
+
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_sde_step_is_one_ensemble_step(self, mode):
         # a trajectory schedule, so coefficients change within the step
