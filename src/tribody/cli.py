@@ -320,10 +320,10 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     )
     rows = ["path_id,s,xi1,xi2,xi3"]
     for s_val, xi in result.snapshots + [(result.s_final, result.xi_final)]:
-        for p in range(xi.shape[0]):
-            rows.append(
-                f"{p},{s_val!r},{xi[p, 0]!r},{xi[p, 1]!r},{xi[p, 2]!r}"
-            )
+        s_txt = repr(float(s_val))
+        # tolist() yields Python floats, whose repr is the plain shortest form
+        for p, (x1, x2, x3) in enumerate(xi.tolist()):
+            rows.append(f"{p},{s_txt},{x1!r},{x2!r},{x3!r}")
     writer.path("ensemble_snapshots.csv").write_text("\n".join(rows) + "\n")
     meta = {
         "seed": cfg["seed"],

@@ -162,14 +162,25 @@ def _d2(F, axis, h):
     return out
 
 
-def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, mesh=None) -> np.ndarray:
-    """Discrete right-hand side dP/ds on the grid (second-order stencils)."""
-    if mesh is None:
-        mesh = grid.mesh()
+def _fields(mesh, coeffs, cfg):
+    """Drift A (n1, n2, n3, 3) and, for multiplicative noise, the coupling
+    B (n1, n2, n3, 3, 3) on the mesh at coeffs; B is None for additive noise."""
+    return drift(mesh, coeffs), (diffusion(mesh, coeffs[1]) if cfg.multiplicative else None)
+
+
+def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, mesh=None, *, fields=None) -> np.ndarray:
+    """Discrete right-hand side dP/ds on the grid (second-order stencils).
+
+    `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
+    mesh; fpe_evolve passes the pair its step bound has read.  It is
+    evaluated here when omitted.
+    """
+    if fields is None:
+        fields = _fields(grid.mesh() if mesh is None else mesh, coeffs, cfg)
+    A, B = fields
     P = grid.P
     h = grid.h
     eps = cfg.epsilon
-    A = drift(mesh, coeffs)  # (n1, n2, n3, 3)
 
     rhs = np.zeros_like(P)
     for i in range(3):
@@ -185,7 +196,6 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, mesh=None) -> np.ndarray
                     rhs += 2.0 * eps[i, j] * _d(_d(P, j, h[j]), i, h[i])
         return rhs
 
-    B = diffusion(mesh, coeffs[1])  # (n1, n2, n3, 3, 3)
     # F_j = sum_k d_k (B_kj P); then rhs += sum_l d_l [ sum_i B_il (eps F)_i ]
     F = sum(_d(B[..., k, :] * P[..., None], k, h[k]) for k in range(3))
     BG = np.einsum("...il,...i->...l", B, F @ eps)
@@ -194,8 +204,9 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, mesh=None) -> np.ndarray
     return rhs
 
 
-def _stable_ds(grid, coeffs, cfg, mesh):
-    A = drift(mesh, coeffs)
+def _stable_ds(grid, cfg, fields):
+    """CFL step bound from the step-start fields (A, B) of _fields."""
+    A, B = fields
     amax = float(np.max(np.abs(A)))
     h = grid.h
     ds = np.inf
@@ -203,8 +214,7 @@ def _stable_ds(grid, coeffs, cfg, mesh):
         ds = min(ds, float(np.min(h)) / amax)
     tr_eps = float(np.trace(cfg.epsilon))
     if tr_eps > 0.0:
-        bmax = (max(float(np.max(np.abs(diffusion(mesh, coeffs[1])))), 1.0)
-                if cfg.multiplicative else 1.0)
+        bmax = max(float(np.max(np.abs(B))), 1.0) if cfg.multiplicative else 1.0
         ds = min(ds, float(np.min(h)) ** 2 / (2.0 * tr_eps * bmax * bmax))
     return SAFETY * ds
 
@@ -254,17 +264,19 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     for target in targets:
         while s < target - 1e-15:
             coeffs = cfg.schedule.at(s)
-            ds = min(_stable_ds(work, coeffs, cfg, mesh), target - s)
+            fields = _fields(mesh, coeffs, cfg)
+            ds = min(_stable_ds(work, cfg, fields), target - s)
             if ds < DS_FLOOR:
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
-            k1 = fpe_rhs(work, coeffs, cfg, mesh)
-            mid = P + 0.5 * ds * k1
+            # the stage slopes k1, k2 are consumed at once and the step-start
+            # fields freed before k2 evaluates its own: this bounds peak memory
+            mid = P + 0.5 * ds * fpe_rhs(work, coeffs, cfg, mesh, fields=fields)
+            del fields
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            k2 = fpe_rhs(work, coeffs_mid, cfg, mesh)
-            P = P + ds * k2
+            P = P + ds * fpe_rhs(work, coeffs_mid, cfg, mesh)
             pin_boundary(P)
             if np.any(P < -1e-12 * max(P.max(), 1e-300)):
                 neg_flags += 1

@@ -76,11 +76,18 @@ def momentum_rhs(xi, a, lam2):
     Broadcasts over leading axes: xi and a may be (..., 3), lam2 (...,).
     Shared with the stochastic drift and noise coupling, which apply the
     same map to scheduled coefficients and noise increments.
+
+    The two dot products are written out component by component: a numpy
+    reduction over a length-3 last axis runs a 3-element inner loop per
+    point and is the slowest part of the kernel on large batches.  The
+    terms are added left to right, the order np.sum uses over that axis,
+    so the result is bit-identical to the reduction.
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(a, dtype=float)
-    q = np.sum(xi * xi, axis=-1) + lam2
-    s = np.sum(xi * a, axis=-1)
+    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
+    q = x * x + y * y + z * z + lam2
+    s = x * a[..., 0] + y * a[..., 1] + z * a[..., 2]
     return 2.0 * s[..., None] * xi - q[..., None] * a
 
 

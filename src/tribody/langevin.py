@@ -21,6 +21,7 @@ correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,8 +207,10 @@ def run_ensemble(
     the increment of (path p, step k) sits at a fixed counter offset, so
     ensembles are bit-reproducible for a given (seed, n_traj, ds).  xi0
     may be a single 3-vector (all paths start together) or (n_traj, 3).
-    The span must lie inside the schedule and the snapshot times in
-    (s0, s1].  Blown-up paths are frozen as NaN and recorded, not fatal.
+    Steps are ds long; when ds does not divide the span, the last step is
+    shortened so that the ensemble ends at s1.  The span must lie inside
+    the schedule and the snapshot times in (s0, s1].  Blown-up paths are
+    frozen as NaN and recorded, not fatal.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -217,9 +220,16 @@ def run_ensemble(
         s_span = (float(schedule.s[0]), float(schedule.s[-1]))
     s0, s1 = s_span
     schedule.check_span(s0, s1)
-    n_steps = int(round((s1 - s0) / ds))
-    if n_steps < 1:
-        raise DomainError("span shorter than one step")
+    if not s1 > s0:
+        raise DomainError("empty ensemble span")
+    # ds divides the span when n is an integer to 1e-9 relative
+    n = (s1 - s0) / ds
+    n_steps = round(n)
+    if abs(n - n_steps) <= 1e-9 * n:
+        s_end, last_ds = s0 + n_steps * ds, ds
+    else:
+        n_steps = math.ceil(n)
+        s_end, last_ds = s1, s1 - (s0 + (n_steps - 1) * ds)
     snapshot_s = sorted(float(v) for v in snapshot_s)
     if snapshot_s and (snapshot_s[0] <= s0 or snapshot_s[-1] > s1 + 1e-12):
         raise DomainError("snapshot times must lie in (s0, s1]")
@@ -235,21 +245,30 @@ def run_ensemble(
 
     s = s0
     for k in range(n_steps):
-        dW = white_noise_increments(ds, noise, rng, n_traj)
+        last = k == n_steps - 1
+        h = last_ds if last else ds
+        dW = white_noise_increments(h, noise, rng, n_traj)
         coeffs = schedule.at(s)
         # runaway paths overflow before they are frozen; the non-finite
         # check below is the intended detector, so silence the transient
         with np.errstate(over="ignore", invalid="ignore"):
-            xi_new = _step(xi, ds, mode, coeffs, dW)
+            xi_new = _step(xi, h, mode, coeffs, dW)
 
-        bad = alive & ~np.all(np.isfinite(xi_new), axis=1)
-        for p in np.nonzero(bad)[0]:
-            blowups[int(p)] = s + ds
-        alive &= ~bad
-        xi = np.where(alive[:, None], xi_new, np.nan)
-        s = s0 + (k + 1) * ds
+        if np.isfinite(xi_new).all():
+            # a frozen path stays NaN, so no path has blown up yet
+            xi = xi_new
+        else:
+            bad = alive & ~np.all(np.isfinite(xi_new), axis=1)
+            for p in np.nonzero(bad)[0]:
+                blowups[int(p)] = s + h
+            alive &= ~bad
+            xi = np.where(alive[:, None], xi_new, np.nan)
+        s = s_end if last else s0 + (k + 1) * ds
 
-        while s >= next_snap - 0.5 * ds:
+        # a snapshot takes the state at the step end nearest to it; the end
+        # of the span takes every one left
+        half_next = 0.5 * (last_ds if k + 2 == n_steps else ds)
+        while next_snap < np.inf and (last or s >= next_snap - half_next):
             snapshots.append((float(next_snap), xi.copy()))
             next_snap = next(snap_iter)
 

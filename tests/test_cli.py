@@ -12,6 +12,7 @@ from tribody.cli import _initial_density, _schedule_from_csv, main, parse_config
 from tribody.errors import ConfigError
 from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
 from tribody.geodesic import read_trajectory_csv
+from tribody.langevin import NoiseModel, run_ensemble
 from tribody.potentials import MorsePotential
 
 
@@ -190,6 +191,24 @@ class TestPipelineStages:
         assert meta["seed"] == 11
         assert meta["n_paths"] == 50
         assert "blowups" in meta
+
+    def test_ensemble_csv_is_numeric(self, prepared):
+        cfg, out = prepared
+        assert run("ensemble", cfg, out) == 0
+        table = np.genfromtxt(out / "ensemble_snapshots.csv", delimiter=",", names=True)
+        parsed = parse_config(json.loads(cfg.read_text()))
+        schedule = _schedule_from_csv(read_trajectory_csv(out / "trajectory.csv"), parsed)
+        sde = parsed["sde"]
+        res = run_ensemble(int(sde["n_paths"]), schedule, parsed["xi0"], float(sde["ds"]),
+                           sde["mode"], NoiseModel(epsilon=parsed["epsilon"], seed=parsed["seed"]),
+                           snapshot_s=sde["snapshots"])
+        states = np.concatenate([xi for _, xi in res.snapshots] + [res.xi_final])
+        written = np.column_stack([table[c] for c in ("xi1", "xi2", "xi3")])
+        assert np.all(np.isfinite(written)) and np.all(np.isfinite(table["s"]))
+        assert np.array_equal(written, states)
+        n = int(sde["n_paths"])
+        assert np.array_equal(table["path_id"], np.tile(np.arange(n), len(res.snapshots) + 1))
+        assert np.array_equal(table["s"][::n], [s for s, _ in res.snapshots] + [res.s_final])
 
     def test_ensemble_determinism(self, prepared, tmp_path):
         cfg, out = prepared

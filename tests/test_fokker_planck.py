@@ -283,6 +283,45 @@ class TestFpeEvolve:
             with pytest.raises(DomainError):
                 fpe_evolve(grid, span, cfg)
 
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_step_bound_shares_the_first_stage_fields(self, monkeypatch, multiplicative):
+        # the CFL bound reads the drift (and coupling) that k1 uses, so an
+        # RK2 step evaluates each field once per stage
+        import tribody.fokker_planck as fp
+
+        calls = {}
+
+        def counted(name):
+            fn = getattr(fp, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("drift", "diffusion", "fpe_rhs", "_stable_ds"):
+            monkeypatch.setattr(fp, name, counted(name))
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        cfg = FpeConfig(epsilon=0.05, schedule=sched, multiplicative=multiplicative)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
+        fp.fpe_evolve(grid, (0.0, 0.2), cfg, snapshot_s=(0.1,))
+        steps = calls["_stable_ds"]
+        assert steps > 2
+        assert calls["fpe_rhs"] == 2 * steps
+        assert calls["drift"] == 2 * steps
+        assert calls.get("diffusion", 0) == (2 * steps if multiplicative else 0)
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_rhs_with_given_fields_matches_own(self, multiplicative):
+        from tribody.fokker_planck import _fields
+
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        cfg = FpeConfig(epsilon=0.01, schedule=sched, multiplicative=multiplicative)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0.1] * 3, 0.2)
+        coeffs = sched.at(0.0)
+        given = fpe_rhs(grid, coeffs, cfg, fields=_fields(grid.mesh(), coeffs, cfg))
+        assert np.array_equal(given, fpe_rhs(grid, coeffs, cfg))
+
     def test_snapshots_sorted_and_include_endpoint(self):
         sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
         cfg = FpeConfig(epsilon=0.01, schedule=sched)

@@ -61,6 +61,23 @@ class TestRhs:
             assert np.allclose(momentum_rhs(xi, a, lam2), second_order(xi, a, lam2),
                                rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3,), (257, 3), (4, 5, 3)])
+    def test_bit_identical_to_reduction_form(self, shape):
+        # oracle: the dot products as np.sum reductions over the last axis;
+        # magnitudes spread over 8 decades make the order of the additions
+        # visible in the last bits
+        def reduction_form(xi, a, lam2):
+            q = np.sum(xi * xi, axis=-1) + lam2
+            s = np.sum(xi * a, axis=-1)
+            return 2.0 * s[..., None] * xi - q[..., None] * a
+
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            xi = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
+            lam2 = rng.uniform(0.0, 4.0, shape[:-1])
+            assert np.array_equal(momentum_rhs(xi, a, lam2), reduction_form(xi, a, lam2))
+
 
 class TestIntegrate:
     def test_free_motion_straight_line(self):

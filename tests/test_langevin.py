@@ -268,6 +268,55 @@ class TestRunEnsemble:
         assert np.all(np.isnan(res.xi_final))
 
 
+    def test_last_step_shortened_to_end_of_span(self):
+        # ds = 0.3 does not divide [0, 1]: three steps of 0.3, one of 0.1
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 1.0))
+        xi0 = np.array([0.1, -0.2, 0.05])
+        res = run_ensemble(4, sched, xi0, 0.3, "additive", NoiseModel(epsilon=0.0),
+                           snapshot_s=[0.6, 1.0])
+        assert res.s_final == 1.0
+        assert res.meta["n_steps"] == 4
+        xi = xi0
+        for h in (0.3, 0.3, 0.3, 1.0 - 3 * 0.3):
+            xi = xi + drift(xi, sched.at(0.0)) * h
+        assert np.array_equal(res.xi_final, np.broadcast_to(xi, (4, 3)))
+        assert [s for s, _ in res.snapshots] == [0.6, 1.0]
+        assert np.array_equal(res.snapshots[1][1], res.xi_final)
+        noisy = run_ensemble(4, sched, xi0, 0.3, "additive", NoiseModel(epsilon=0.01, seed=2),
+                             snapshot_s=[1.0])
+        assert noisy.s_final == 1.0
+        assert np.array_equal(noisy.snapshots[0][1], noisy.xi_final)
+
+    def test_steps_stay_ds_when_ds_divides_span(self):
+        # 0.7 / 0.1 is 6.999999999999999 in floating point: still 7 steps of ds
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 1.0))
+        res = run_ensemble(2, sched, [0.1, -0.2, 0.05], 0.1, "additive",
+                           NoiseModel(epsilon=0.0), s_span=(0.0, 0.7))
+        assert res.meta["n_steps"] == 7
+        assert res.s_final == 7 * 0.1
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_partial_blowup_freezes_only_those_paths(self, mode):
+        # zero noise: rows 1 and 3 overflow at different steps, the rest stay finite
+        sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
+        xi0 = np.array([[0.1, -0.2, 0.05], [30.0, 15.0, -15.0], [0.2, 0.1, 0.0],
+                        [3.0, 1.5, -1.5], [-0.3, 0.1, 0.2], [-30.0, -15.0, 15.0]])
+        nm = NoiseModel(epsilon=0.0)
+        res = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm, snapshot_s=[1.0])
+        assert sorted(res.blowups) == [1, 3]
+        for p in (1, 3):
+            alone = run_ensemble(1, sched, xi0[p], 0.01, mode, nm)
+            assert res.blowups[p] == alone.blowups[0]
+        assert res.blowups[1] < res.blowups[3]
+        assert np.all(np.isnan(res.xi_final[[1, 3]]))
+        survivors = [0, 2, 4, 5]
+        alone = run_ensemble(len(survivors), sched, xi0[survivors], 0.01, mode, nm,
+                             snapshot_s=[1.0])
+        assert not alone.blowups
+        assert np.array_equal(res.xi_final[survivors], alone.xi_final)
+        assert np.array_equal(res.snapshots[0][1][survivors], alone.snapshots[0][1])
+
+
 class TestOneStepKernel:
     def test_multiplicative_step_is_matrix_form_heun(self):
         from tribody.langevin import _step
