@@ -5,8 +5,8 @@ output directory where required, and writes its outputs atomically together
 with a per-stage manifest carrying checksums.  Same config + seed gives
 bit-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 missing upstream artifact,
-4 numerical failure, 5 I/O error.
+Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
+artifact, 4 numerical failure, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -249,9 +249,21 @@ class StageWriter:
 
 
 def _load_trajectory(out_dir: Path) -> dict:
+    """Read trajectory.csv once the simulate manifest vouches for it:
+    complete, and listing the file's checksum."""
     path = out_dir / "trajectory.csv"
-    if not path.exists():
-        raise DependencyError(f"missing upstream artifact {path}; run 'simulate' first")
+    manifest = out_dir / "manifest_simulate.json"
+    if not path.exists() or not manifest.exists():
+        raise DependencyError(f"missing upstream artifact {path} or {manifest.name}; "
+                              "run 'simulate' first")
+    try:
+        doc = json.loads(manifest.read_text())
+    except json.JSONDecodeError as exc:
+        raise DependencyError(f"{manifest} is not valid JSON: {exc}")
+    if doc.get("status") != "complete":
+        raise DependencyError(f"{manifest} status is {doc.get('status')!r}, not 'complete'")
+    if doc.get("outputs", {}).get(path.name) != _sha256(path):
+        raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
     return read_trajectory_csv(path)
 
 
@@ -333,6 +345,7 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         "epsilon": noise.epsilon.tolist(),
         "schedule_source": "trajectory.csv",
         "blowups": {str(k): v for k, v in result.blowups.items()},
+        "n_steps": result.meta["n_steps"],
     }
     _atomic_write_text(writer.path("ensemble_meta.json"), _json_dump(meta))
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, LinAlgError
 
 from .errors import DegenerateMetricError, DomainError, ForbiddenRegionError
 from .metric import flow_coefficients
@@ -94,9 +93,11 @@ def external_frame(g: float, Gamma, gauge: FrameGauge) -> ExternalFrame:
     if not g > 0.0:
         raise DomainError(f"g must be positive, got {g}")
     Gamma = np.asarray(Gamma, dtype=float).reshape(3, 3)
+    if not np.isfinite(Gamma).all():
+        raise DomainError("external metric block must be finite")
     try:
-        L = cholesky(Gamma, lower=True)
-    except LinAlgError as exc:
+        L = np.linalg.cholesky(Gamma)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(
             "external metric block is not positive definite "
             "(expected near collinear configurations)"

@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy
 
 from .errors import DomainError
 from .metric import EnergySurface, conformal_factor, flow_coefficients, reduced_hamiltonian
@@ -146,7 +146,9 @@ def integrate(
     s_eval = np.linspace(state0.s, s_end, n_samples)
     conformal_factor(state0.x, surf)  # raises on a forbidden initial state
 
-    sol = solve_ivp(
+    # scipy.integrate loads on this first access, so only the stages
+    # that integrate pay for its import
+    sol = scipy.integrate.solve_ivp(
         rhs,
         (state0.s, s_end),
         y0,

@@ -21,6 +21,7 @@ correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -191,6 +192,32 @@ class EnsembleResult:
     meta: dict = field(default_factory=dict)
 
 
+def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
+    """Yield the step ends of an ensemble over [s0, s1] in order, as
+    (s, on the ds grid, snapshot times taken there).  The grid s0 + k ds
+    is cut at the end of the span and at each snapshot time off it.  A
+    time whose step count (s - s0) / ds is within 1e-9 relative of an
+    integer lies on the grid, and a snapshot that close to the end of the
+    span, or past it, is taken there."""
+    def position(s):
+        # an int for a point on the grid, the float step count otherwise
+        m = (s - s0) / ds
+        k = round(m)
+        return k if abs(m - k) <= 1e-9 * m else m
+
+    end = position(s1)
+    taken: dict = {}
+    for t in snapshot_s:
+        m = position(t)
+        taken.setdefault(end if m >= end * (1.0 - 1e-9) else m, []).append(t)
+    cuts = {m: ts[0] for m, ts in taken.items() if isinstance(m, float)}
+    if isinstance(end, float):
+        cuts[end] = s1
+    for m in heapq.merge(range(1, math.floor(end) + 1), sorted(cuts)):
+        on_grid = isinstance(m, int)
+        yield (s0 + m * ds if on_grid else cuts[m]), on_grid, taken.get(m, [])
+
+
 def run_ensemble(
     n_traj: int,
     schedule: CoefficientSchedule,
@@ -203,14 +230,19 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Propagate n_traj independent paths over the schedule span.
 
-    Noise comes from one counter-based Philox stream keyed by the seed;
-    the increment of (path p, step k) sits at a fixed counter offset, so
-    ensembles are bit-reproducible for a given (seed, n_traj, ds).  xi0
-    may be a single 3-vector (all paths start together) or (n_traj, 3).
-    Steps are ds long; when ds does not divide the span, the last step is
-    shortened so that the ensemble ends at s1.  The span must lie inside
-    the schedule and the snapshot times in (s0, s1].  Blown-up paths are
-    frozen as NaN and recorded, not fatal.
+    Noise comes from one sequential Philox stream keyed by the seed, drawn
+    step by step for the whole batch; the normal sampler consumes a
+    variable number of raw draws, so no increment sits at a fixed offset.
+    An ensemble is bit-reproducible for a given (seed, n_traj, ds,
+    snapshot times), and path p's noise changes with n_traj.  xi0 may be a
+    single 3-vector (all paths start together) or (n_traj, 3).
+
+    Steps are ds long on the grid s0 + k ds.  A step that would cross a
+    snapshot time off that grid is cut to end on it (as fpe_evolve does),
+    and when ds does not divide the span the last step is shortened so
+    that the ensemble ends at s1.  The span must lie inside the schedule
+    and the snapshot times in (s0, s1].  Blown-up paths are frozen as NaN
+    and recorded, not fatal.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -222,14 +254,6 @@ def run_ensemble(
     schedule.check_span(s0, s1)
     if not s1 > s0:
         raise DomainError("empty ensemble span")
-    # ds divides the span when n is an integer to 1e-9 relative
-    n = (s1 - s0) / ds
-    n_steps = round(n)
-    if abs(n - n_steps) <= 1e-9 * n:
-        s_end, last_ds = s0 + n_steps * ds, ds
-    else:
-        n_steps = math.ceil(n)
-        s_end, last_ds = s1, s1 - (s0 + (n_steps - 1) * ds)
     snapshot_s = sorted(float(v) for v in snapshot_s)
     if snapshot_s and (snapshot_s[0] <= s0 or snapshot_s[-1] > s1 + 1e-12):
         raise DomainError("snapshot times must lie in (s0, s1]")
@@ -237,16 +261,13 @@ def run_ensemble(
     xi = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3)).copy()
     rng = np.random.Generator(np.random.Philox(key=noise.seed))
 
-    snap_iter = iter(snapshot_s + [np.inf])
-    next_snap = next(snap_iter)
     snapshots = []
     blowups: dict[int, float] = {}
     alive = np.ones(n_traj, dtype=bool)
 
-    s = s0
-    for k in range(n_steps):
-        last = k == n_steps - 1
-        h = last_ds if last else ds
+    s, on_grid, n_steps = s0, True, 0
+    for s_next, next_on_grid, taken in _step_ends(s0, s1, ds, snapshot_s):
+        h = ds if on_grid and next_on_grid else s_next - s
         dW = white_noise_increments(h, noise, rng, n_traj)
         coeffs = schedule.at(s)
         # runaway paths overflow before they are frozen; the non-finite
@@ -263,14 +284,8 @@ def run_ensemble(
                 blowups[int(p)] = s + h
             alive &= ~bad
             xi = np.where(alive[:, None], xi_new, np.nan)
-        s = s_end if last else s0 + (k + 1) * ds
-
-        # a snapshot takes the state at the step end nearest to it; the end
-        # of the span takes every one left
-        half_next = 0.5 * (last_ds if k + 2 == n_steps else ds)
-        while next_snap < np.inf and (last or s >= next_snap - half_next):
-            snapshots.append((float(next_snap), xi.copy()))
-            next_snap = next(snap_iter)
+        s, on_grid, n_steps = s_next, next_on_grid, n_steps + 1
+        snapshots.extend((t, xi.copy()) for t in taken)
 
     return EnsembleResult(
         s_final=s,

@@ -133,6 +133,32 @@ class TestExitCodes:
         for stage in ("ensemble", "fpe", "channels"):
             assert run(stage, cfg, tmp_path / stage) == 3
 
+    def test_tampered_trajectory_is_3(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        traj = out / "trajectory.csv"
+        lines = traj.read_text().splitlines()
+        lines[5] = ",".join(repr(1.01 * float(v)) for v in lines[5].split(","))
+        traj.write_text("\n".join(lines) + "\n")
+        for stage in ("ensemble", "fpe", "chaos", "channels"):
+            assert run(stage, cfg, out) == 3
+            manifest = json.loads((out / f"manifest_{stage}.json").read_text())
+            assert manifest["status"] == "running"
+
+    def test_missing_or_incomplete_simulate_manifest_is_3(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        manifest = out / "manifest_simulate.json"
+        doc = json.loads(manifest.read_text())
+        doc["status"] = "running"
+        manifest.write_text(json.dumps(doc))
+        assert run("ensemble", cfg, out) == 3
+        manifest.unlink()
+        for stage in ("ensemble", "fpe", "chaos", "channels"):
+            assert run(stage, cfg, out, "--force") == 3
+
     def test_forbidden_start_is_4(self, tmp_path):
         doc = base_config()
         doc["energy"] = -5.0  # E < U everywhere reachable: forbidden region
@@ -191,6 +217,8 @@ class TestPipelineStages:
         assert meta["seed"] == 11
         assert meta["n_paths"] == 50
         assert "blowups" in meta
+        # span 2, ds 0.01
+        assert meta["n_steps"] == 200
 
     def test_ensemble_csv_is_numeric(self, prepared):
         cfg, out = prepared

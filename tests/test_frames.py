@@ -74,6 +74,14 @@ class TestExternalFrame:
         with pytest.raises(DegenerateMetricError):
             external_frame(1.0, np.diag([1.0, -1.0, 1.0]), FrameGauge.identity())
 
+    def test_non_finite_gamma_rejected(self):
+        # a NaN block would otherwise factor into a NaN frame without an error
+        for bad in (np.nan, np.inf):
+            Gamma = np.eye(3)
+            Gamma[1, 1] = bad
+            with pytest.raises(DomainError):
+                external_frame(1.0, Gamma, FrameGauge.identity())
+
     def test_all_six_equations_with_designations(self):
         # diagonal equations W_mu' Gamma W_mu = g and the bilinear conditions
         # written with the a_i, b_j, c_k designations, term by term

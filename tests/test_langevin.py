@@ -287,6 +287,39 @@ class TestRunEnsemble:
         assert noisy.s_final == 1.0
         assert np.array_equal(noisy.snapshots[0][1], noisy.xi_final)
 
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_snapshot_off_the_grid_is_taken_at_its_time(self, mode):
+        # ds = 0.3: the step from 0.3 to 0.6 is cut at 0.5, so the snapshot
+        # labelled 0.5 is the state at 0.5, the end of a run over (0, 0.5)
+        _, sched = morse_schedule()
+        nm = NoiseModel(epsilon=0.01, seed=9)
+        xi0 = np.array([0.1, -0.2, 0.05])
+        res = run_ensemble(8, sched, xi0, 0.3, mode, nm, s_span=(0.0, 1.0),
+                           snapshot_s=[0.5, 0.6])
+        alone = run_ensemble(8, sched, xi0, 0.3, mode, nm, s_span=(0.0, 0.5))
+        assert alone.s_final == 0.5
+        assert [s for s, _ in res.snapshots] == [0.5, 0.6]
+        assert np.array_equal(res.snapshots[0][1], alone.xi_final)
+        # the grid stays anchored at s0: 0.3, 0.5, 0.6, 0.9, 1.0
+        assert res.meta["n_steps"] == 5
+        assert res.s_final == 1.0
+
+    def test_snapshots_on_the_grid_leave_every_step_ds(self):
+        # 0.35 / 0.002 is 174.99999999999997 in floating point: on the grid
+        _, sched = morse_schedule()
+        nm = NoiseModel(epsilon=0.01, seed=4)
+        xi0 = np.array([0.1, -0.2, 0.05])
+        plain = run_ensemble(16, sched, xi0, 0.002, "additive", nm, s_span=(0.0, 0.5))
+        snaps = run_ensemble(16, sched, xi0, 0.002, "additive", nm, s_span=(0.0, 0.5),
+                             snapshot_s=[0.5 * 0.4, 0.5 * 0.7, 0.5])
+        assert snaps.meta["n_steps"] == plain.meta["n_steps"] == 250
+        assert snaps.s_final == plain.s_final
+        assert np.array_equal(snaps.xi_final, plain.xi_final)
+        assert np.array_equal(snaps.snapshots[-1][1], plain.xi_final)
+        upto = run_ensemble(16, sched, xi0, 0.002, "additive", nm, s_span=(0.0, 0.5 * 0.7))
+        assert upto.meta["n_steps"] == 175
+        assert np.array_equal(snaps.snapshots[1][1], upto.xi_final)
+
     def test_steps_stay_ds_when_ds_divides_span(self):
         # 0.7 / 0.1 is 6.999999999999999 in floating point: still 7 steps of ds
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 1.0))
