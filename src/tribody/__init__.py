@@ -5,7 +5,6 @@ and a Kullback-Leibler chaos criterion."""
 __version__ = "0.1.0"
 
 from .errors import (
-    BlowUpError,
     ConfigError,
     DegenerateConfigurationError,
     DegenerateMetricError,
@@ -68,11 +67,9 @@ from .langevin import (
     CoefficientSchedule,
     EnsembleResult,
     NoiseModel,
-    SdeState,
     diffusion,
     drift,
     run_ensemble,
-    sde_step,
     white_noise_increments,
 )
 from .fokker_planck import (

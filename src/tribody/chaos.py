@@ -29,7 +29,8 @@ __all__ = [
     "classify_channel",
 ]
 
-DEFAULT_KL_FLOOR = 1e-300
+KL_FLOOR = 1e-300         # stand-in for Pb where Pa > 0 but Pb is not
+MIN_WINDOW_SAMPLES = 4    # fewest samples in the channel reference window
 
 
 class ChannelLabel(Enum):
@@ -43,13 +44,12 @@ class ChannelLabel(Enum):
 def kl_divergence(
     Pa: MomentumGrid,
     Pb: MomentumGrid,
-    floor: float = DEFAULT_KL_FLOOR,
     return_diagnostics: bool = False,
 ):
     """Sum of Pa*ln(Pa/Pb)*cellvol over cells with Pa > 0.
 
-    Cells where Pa > 0 but Pb is at or below the floor use Pb = floor and
-    are counted in the support-mismatch diagnostic.  Asymmetric by design:
+    Cells where Pa > 0 but Pb is at or below KL_FLOOR use Pb = KL_FLOOR
+    and are counted in the support-mismatch diagnostic.  Asymmetric by design:
     the direction is (a || b).
     """
     if not Pa.same_spec(Pb):
@@ -57,8 +57,8 @@ def kl_divergence(
     pa = Pa.P
     pb = Pb.P
     mask = pa > 0.0
-    mismatch = int(np.count_nonzero(mask & (pb <= floor)))
-    pb_safe = np.maximum(pb, floor)
+    mismatch = int(np.count_nonzero(mask & (pb <= KL_FLOOR)))
+    pb_safe = np.maximum(pb, KL_FLOOR)
     val = float(np.sum(pa[mask] * np.log(pa[mask] / pb_safe[mask])) * Pa.cell_volume)
     if return_diagnostics:
         return val, {"support_mismatch_cells": mismatch}
@@ -116,14 +116,13 @@ class ChaosReport:
 def chaos_report(
     s,
     D,
-    window=None,
     residual_max: float = 0.2,
     min_decades: float = 1.0,
 ) -> ChaosReport:
-    """Fit the KL series and apply the verdict gate.
+    """Fit the KL series over its whole span and apply the verdict gate.
 
     "chaotic" requires k > 0, RMS log-residual below residual_max, and at
-    least min_decades decades of growth over the fit window; decaying or
+    least min_decades decades of growth over the series; decaying or
     flat series with a clean fit are "regular"; anything else (including
     an unusable fit) is "inconclusive".
     """
@@ -131,8 +130,7 @@ def chaos_report(
     D = np.asarray(D, dtype=float).reshape(-1)
     if np.any(D < 0.0):
         raise DomainError("KL series must be nonnegative")
-    if window is None:
-        window = (float(s[0]), float(s[-1]))
+    window = (float(s[0]), float(s[-1]))
     thresholds = {"residual_max": residual_max, "min_decades": min_decades}
     if np.all(D == 0.0):
         # identical tubes: zero distance throughout
@@ -163,11 +161,10 @@ def _monotone_growing(d, tol_frac=1e-9):
 def classify_channel(
     s,
     x,
-    masses: Masses = None,
+    masses: Masses,
     r_bound: float = 3.0,
     r_free: float = 10.0,
     window_frac: float = 0.2,
-    min_window_samples: int = 4,
 ) -> ChannelLabel:
     """Label the asymptotic outcome of a trajectory.
 
@@ -180,35 +177,24 @@ def classify_channel(
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(len(s), 3)
-    if masses is None:
-        masses = Masses(1.0, 1.0, 1.0)
-    n_win = max(min_window_samples, int(math.ceil(window_frac * len(s))))
-    if len(s) < min_window_samples:
+    n_win = max(MIN_WINDOW_SAMPLES, int(math.ceil(window_frac * len(s))))
+    if len(s) < MIN_WINDOW_SAMPLES:
         raise DomainError("trajectory shorter than the minimum reference window")
     w = slice(len(s) - n_win, len(s))
 
-    d = pair_distances(x[w], masses)          # (n_win, 3) -> columns (d23, d13, d12)
-    m = {1: masses.m1, 2: masses.m2, 3: masses.m3}
-
-    def cm_distance(free, i, j):
-        # |r_free - cm(i,j)|^2 = (mi*d_fi^2 + mj*d_fj^2)/(mi+mj) - mi*mj*d_ij^2/(mi+mj)^2
-        cols = {frozenset((2, 3)): 0, frozenset((1, 3)): 1, frozenset((1, 2)): 2}
-        d_fi = d[:, cols[frozenset((free, i))]]
-        d_fj = d[:, cols[frozenset((free, j))]]
-        d_ij = d[:, cols[frozenset((i, j))]]
+    # column c is the pair without body c + 1: the pairs (free, i) and
+    # (free, j) are columns j and i, the pair (i, j) is column free
+    d = pair_distances(x[w], masses)
+    m = (masses.m1, masses.m2, masses.m3)
+    bound = (ChannelLabel.BOUND_23_FREE_1, ChannelLabel.BOUND_13_FREE_2,
+             ChannelLabel.BOUND_12_FREE_3)
+    for free, label in enumerate(bound):
+        i, j = (c for c in range(3) if c != free)
         mij = m[i] + m[j]
-        val = (m[i] * d_fi**2 + m[j] * d_fj**2) / mij - m[i] * m[j] * d_ij**2 / mij**2
-        return np.sqrt(np.maximum(val, 0.0))
-
-    candidates = [
-        (ChannelLabel.BOUND_23_FREE_1, 0, (1, 2, 3)),
-        (ChannelLabel.BOUND_13_FREE_2, 1, (2, 1, 3)),
-        (ChannelLabel.BOUND_12_FREE_3, 2, (3, 1, 2)),
-    ]
-    for label, col, (free, i, j) in candidates:
-        pair_sep = d[:, col]
-        third = cm_distance(free, i, j)
-        if pair_sep.max() < r_bound and _monotone_growing(third) and third[-1] > r_free:
+        # |r_free - cm(i,j)|^2 = (mi*d_fi^2 + mj*d_fj^2)/(mi+mj) - mi*mj*d_ij^2/(mi+mj)^2
+        val = (m[i] * d[:, j]**2 + m[j] * d[:, i]**2) / mij - m[i] * m[j] * d[:, free]**2 / mij**2
+        third = np.sqrt(np.maximum(val, 0.0))
+        if d[:, free].max() < r_bound and _monotone_growing(third) and third[-1] > r_free:
             return label
 
     if all(_monotone_growing(d[:, c]) and d[-1, c] > r_free for c in range(3)):

@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .chaos import chaos_report, classify_channel, kl_divergence
 from .errors import (
-    BlowUpError,
     ConfigError,
     DependencyError,
     DomainError,
@@ -58,20 +57,54 @@ from .potentials import FreePotential, GravityPotential, MorsePotential
 
 STAGES = ("simulate", "ensemble", "fpe", "chaos", "channels")
 
+
+def _real(value, where: str) -> float:
+    """A JSON number as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+    return [_real(v, where) for v in value]
+
+
+def _epsilon(value, where: str):
+    """A number, or a matrix as a list of rows."""
+    return [_reals(row, where) for row in value] if isinstance(value, list) else _real(value, where)
+
+
+def _integer(value, where: str) -> int:
+    if not _real(value, where).is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+# every config key with the converter of its value; a section maps its keys
 _SCHEMA = {
-    "masses": {"m1", "m2", "m3"},
-    "potential": {"name", "G", "softening", "D", "alpha", "d0"},
-    "energy": None,
-    "u0": None,
-    "angular_momentum": None,
-    "initial": {"x", "xi"},
-    "integrator": {"tol", "s_end", "n_samples"},
-    "noise": {"epsilon", "hbar_scale", "omega_sq_mean"},
-    "sde": {"mode", "ds", "n_paths", "snapshots"},
-    "grid": {"min", "max", "n", "sigma0"},
-    "chaos": {"delta", "residual_max", "min_decades", "series_a", "series_b"},
-    "channels": {"r_bound", "r_free", "window_frac"},
-    "seed": None,
+    "masses": {"m1": _real, "m2": _real, "m3": _real},
+    "potential": {"name": _text, "G": _real, "softening": _real, "D": _real, "alpha": _real,
+                  "d0": _real},
+    "energy": _real,
+    "u0": _real,
+    "angular_momentum": _reals,
+    "initial": {"x": _reals, "xi": _reals},
+    "integrator": {"tol": _real, "s_end": _real, "n_samples": _integer},
+    "noise": {"epsilon": _epsilon, "hbar_scale": _real, "omega_sq_mean": _real},
+    "sde": {"mode": _text, "ds": _real, "n_paths": _integer, "snapshots": _reals},
+    "grid": {"min": _real, "max": _real, "n": _integer, "sigma0": _real},
+    "chaos": {"delta": _real, "residual_max": _real, "min_decades": _real, "series_a": _text,
+              "series_b": _text},
+    "channels": {"r_bound": _real, "r_free": _real, "window_frac": _real},
+    "seed": _integer,
 }
 
 _DEFAULTS = {
@@ -85,34 +118,43 @@ _DEFAULTS = {
 }
 
 
-def parse_config(doc: dict) -> dict:
-    """Validate a raw config document; fill defaults; reject unknown keys."""
+def _typed(doc: dict) -> dict:
+    """The config document with every value converted by its _SCHEMA
+    entry: an unknown key or a value of the wrong type is a ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    for key in doc:
+    typed = {}
+    for key, value in doc.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-    for key, subkeys in _SCHEMA.items():
-        if isinstance(subkeys, set) and key in doc:
-            if not isinstance(doc[key], dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            for sub in doc[key]:
-                if sub not in subkeys:
-                    raise ConfigError(f"unknown config key {key}.{sub}")
+        kinds = _SCHEMA[key]
+        if not isinstance(kinds, dict):
+            typed[key] = kinds(value, key)
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key!r} must be an object")
+        for sub in value:
+            if sub not in kinds:
+                raise ConfigError(f"unknown config key {key}.{sub}")
+        typed[key] = {sub: kinds[sub](v, f"{key}.{sub}") for sub, v in value.items()}
+    return typed
 
+
+def parse_config(doc: dict) -> dict:
+    """Validate a raw config document; convert its values; fill defaults;
+    reject unknown keys."""
+    typed = _typed(doc)
     for key in ("masses", "potential", "energy", "u0", "initial"):
-        if key not in doc:
+        if key not in typed:
             raise ConfigError(f"missing required config key {key!r}")
 
     cfg = {}
     try:
-        cfg["masses"] = Masses(**{k: float(doc["masses"][k]) for k in ("m1", "m2", "m3")})
-    except KeyError as exc:
-        raise ConfigError(f"masses: missing {exc}")
-    except (DomainError, TypeError, ValueError) as exc:
+        cfg["masses"] = Masses(**typed["masses"])
+    except (DomainError, TypeError) as exc:
         raise ConfigError(f"masses: {exc}")
 
-    pot = dict(doc["potential"])
+    pot = dict(typed["potential"])
     name = pot.pop("name", None)
     try:
         if name == "free":
@@ -125,36 +167,35 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"potential.name must be free|gravity|morse, got {name!r}")
     except TypeError as exc:
         raise ConfigError(f"potential: {exc}")
-    cfg["potential_doc"] = doc["potential"]
 
-    cfg["energy"] = float(doc["energy"])
-    cfg["u0"] = float(doc["u0"])
+    cfg["energy"] = typed["energy"]
+    cfg["u0"] = typed["u0"]
     if cfg["u0"] <= 0.0:
         raise ConfigError(f"u0 must be positive, got {cfg['u0']}")
 
-    J = [float(v) for v in doc.get("angular_momentum", _DEFAULTS["angular_momentum"])]
+    J = typed.get("angular_momentum", _DEFAULTS["angular_momentum"])
     if len(J) != 3:
         raise ConfigError("angular_momentum must be a 3-vector")
     cfg["angular_momentum"] = tuple(J)
 
-    init = doc["initial"]
+    init = typed["initial"]
     if "x" not in init or "xi" not in init:
         raise ConfigError("initial must carry both 'x' and 'xi'")
-    cfg["x0"] = np.asarray([float(v) for v in init["x"]], dtype=float)
-    cfg["xi0"] = np.asarray([float(v) for v in init["xi"]], dtype=float)
+    cfg["x0"] = np.asarray(init["x"], dtype=float)
+    cfg["xi0"] = np.asarray(init["xi"], dtype=float)
     if cfg["x0"].shape != (3,) or cfg["xi0"].shape != (3,):
         raise ConfigError("initial.x and initial.xi must be 3-vectors")
 
     for key in ("integrator", "sde", "grid", "chaos", "channels"):
         merged = dict(_DEFAULTS[key])
-        merged.update(doc.get(key, {}))
+        merged.update(typed.get(key, {}))
         cfg[key] = merged
     if cfg["integrator"]["tol"] <= 0:
         raise ConfigError("integrator.tol must be positive")
     if cfg["sde"]["mode"] not in ("additive", "multiplicative"):
         raise ConfigError("sde.mode must be 'additive' or 'multiplicative'")
 
-    noise = doc.get("noise", {})
+    noise = typed.get("noise", {})
     has_eps = "epsilon" in noise
     has_q = "hbar_scale" in noise or "omega_sq_mean" in noise
     if has_eps and has_q:
@@ -163,17 +204,14 @@ def parse_config(doc: dict) -> dict:
         if not ("hbar_scale" in noise and "omega_sq_mean" in noise):
             raise ConfigError("noise: hbar_scale and omega_sq_mean must come together")
         try:
-            cfg["epsilon"] = quantum_epsilon(float(noise["hbar_scale"]), float(noise["omega_sq_mean"]))
+            cfg["epsilon"] = quantum_epsilon(noise["hbar_scale"], noise["omega_sq_mean"])
         except DomainError as exc:
             raise ConfigError(f"noise: {exc}")
-    elif has_eps:
-        # kept in JSON form (a float or nested lists); the solvers normalize it
-        eps = noise["epsilon"]
-        cfg["epsilon"] = np.asarray(eps, dtype=float).tolist() if isinstance(eps, list) else float(eps)
     else:
-        cfg["epsilon"] = 0.0
+        # kept in JSON form (a float or nested lists); the solvers normalize it
+        cfg["epsilon"] = noise.get("epsilon", 0.0)
 
-    cfg["seed"] = int(doc.get("seed", _DEFAULTS["seed"]))
+    cfg["seed"] = typed.get("seed", _DEFAULTS["seed"])
     cfg["mu0"] = reduced_mass(cfg["masses"])
     cfg["surface"] = EnergySurface(E=cfg["energy"], U0=cfg["u0"], potential=cfg["potential"])
     cfg["echo"] = doc
@@ -248,30 +286,48 @@ class StageWriter:
         _atomic_write_text(self.manifest_path, _json_dump(self.header))
 
 
-def _load_trajectory(out_dir: Path) -> dict:
-    """Read trajectory.csv once the simulate manifest vouches for it:
-    complete, and listing the file's checksum."""
-    path = out_dir / "trajectory.csv"
-    manifest = out_dir / "manifest_simulate.json"
-    if not path.exists() or not manifest.exists():
-        raise DependencyError(f"missing upstream artifact {path} or {manifest.name}; "
-                              "run 'simulate' first")
+def _verified(out_dir: Path, stage: str) -> dict:
+    """The outputs {name: sha256} of a stage's manifest in out_dir, once
+    the manifest is complete and every output matches its checksum."""
+    manifest = out_dir / f"manifest_{stage}.json"
     try:
         doc = json.loads(manifest.read_text())
+    except FileNotFoundError:
+        raise DependencyError(f"missing upstream manifest {manifest}; run '{stage}' first")
     except json.JSONDecodeError as exc:
         raise DependencyError(f"{manifest} is not valid JSON: {exc}")
     if doc.get("status") != "complete":
         raise DependencyError(f"{manifest} status is {doc.get('status')!r}, not 'complete'")
-    if doc.get("outputs", {}).get(path.name) != _sha256(path):
-        raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
-    return read_trajectory_csv(path)
+    outputs = doc.get("outputs", {})
+    for name, digest in outputs.items():
+        path = out_dir / name
+        if not path.exists() or _sha256(path) != digest:
+            raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
+    return outputs
 
 
-def _schedule_from_csv(data: dict, cfg: dict) -> CoefficientSchedule:
-    x = np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
+def _load_trajectory(out_dir: Path):
+    """Samples (s, x) of trajectory.csv once the simulate manifest vouches
+    for it."""
+    if "trajectory.csv" not in _verified(out_dir, "simulate"):
+        raise DependencyError(f"manifest_simulate.json in {out_dir} does not list trajectory.csv")
+    data = read_trajectory_csv(out_dir / "trajectory.csv")
+    return data["s"], np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
+
+
+def _load_densities(out_dir: Path) -> list:
+    """The (grid, s) snapshots that the fpe manifest in out_dir vouches for."""
+    names = sorted(n for n in _verified(out_dir, "fpe") if n.startswith("density_"))
+    if not names:
+        raise DependencyError(f"no density snapshots under {out_dir}")
+    return [read_density(out_dir / n) for n in names]
+
+
+def _schedule(s, x, cfg: dict) -> CoefficientSchedule:
+    """Coefficients (a, Lambda^2) along trajectory samples (s, x)."""
     J = math.sqrt(sum(j * j for j in cfg["angular_momentum"]))
     _, a, lam = flow_coefficients(x, cfg["surface"], J)
-    return CoefficientSchedule(s=data["s"], a=a, lam_sq=lam)
+    return CoefficientSchedule(s=s, a=a, lam_sq=lam)
 
 
 def _run_trajectory(cfg: dict, x0=None) -> TrajectoryRecord:
@@ -282,20 +338,19 @@ def _run_trajectory(cfg: dict, x0=None) -> TrajectoryRecord:
         J=cfg["angular_momentum"],
         s_end=cfg["integrator"]["s_end"],
         tol=cfg["integrator"]["tol"],
-        n_samples=int(cfg["integrator"]["n_samples"]),
+        n_samples=cfg["integrator"]["n_samples"],
         mu0=cfg["mu0"],
     )
 
 
 def _grid_spec(cfg: dict) -> MomentumGrid:
     gc = cfg["grid"]
-    n = int(gc["n"])
-    return MomentumGrid(mins=[gc["min"]] * 3, maxs=[gc["max"]] * 3, shape=(n, n, n))
+    return MomentumGrid(mins=[gc["min"]] * 3, maxs=[gc["max"]] * 3, shape=(gc["n"],) * 3)
 
 
 def _initial_density(cfg: dict) -> MomentumGrid:
     grid = _grid_spec(cfg)
-    sigma = float(cfg["grid"]["sigma0"])
+    sigma = cfg["grid"]["sigma0"]
     mesh = grid.mesh()
     d2 = np.sum((mesh - cfg["xi0"]) ** 2, axis=-1)
     grid.P = np.exp(-0.5 * d2 / sigma**2)
@@ -317,18 +372,17 @@ def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    data = _load_trajectory(out_dir)
-    schedule = _schedule_from_csv(data, cfg)
+    schedule = _schedule(*_load_trajectory(out_dir), cfg)
     noise = NoiseModel(epsilon=cfg["epsilon"], seed=cfg["seed"])
     sde = cfg["sde"]
     result = run_ensemble(
-        n_traj=int(sde["n_paths"]),
+        n_traj=sde["n_paths"],
         schedule=schedule,
         xi0=cfg["xi0"],
-        ds=float(sde["ds"]),
+        ds=sde["ds"],
         mode=sde["mode"],
         noise=noise,
-        snapshot_s=[float(v) for v in sde["snapshots"]],
+        snapshot_s=sde["snapshots"],
     )
     rows = ["path_id,s,xi1,xi2,xi3"]
     for s_val, xi in result.snapshots + [(result.s_final, result.xi_final)]:
@@ -341,7 +395,7 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         "seed": cfg["seed"],
         "mode": sde["mode"],
         "ds": sde["ds"],
-        "n_paths": int(sde["n_paths"]),
+        "n_paths": sde["n_paths"],
         "epsilon": noise.epsilon.tolist(),
         "schedule_source": "trajectory.csv",
         "blowups": {str(k): v for k, v in result.blowups.items()},
@@ -350,7 +404,8 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     _atomic_write_text(writer.path("ensemble_meta.json"), _json_dump(meta))
 
 
-def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s):
+def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s, s_end: float):
+    """Evolve the initial density over the schedule from its start to s_end."""
     fpe_cfg = FpeConfig(
         epsilon=cfg["epsilon"],
         schedule=schedule,
@@ -358,15 +413,12 @@ def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s):
         multiplicative=cfg["sde"]["mode"] == "multiplicative",
     )
     grid0 = _initial_density(cfg)
-    span = (float(schedule.s[0]), float(schedule.s[-1]))
-    return fpe_evolve(grid0, span, fpe_cfg, snapshot_s=snapshot_s)
+    return fpe_evolve(grid0, (schedule.s[0], s_end), fpe_cfg, snapshot_s=snapshot_s)
 
 
 def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    data = _load_trajectory(out_dir)
-    schedule = _schedule_from_csv(data, cfg)
-    snaps = [float(v) for v in cfg["sde"]["snapshots"]]
-    result = _fpe_run(cfg, schedule, snaps)
+    schedule = _schedule(*_load_trajectory(out_dir), cfg)
+    result = _fpe_run(cfg, schedule, cfg["sde"]["snapshots"], schedule.s[-1])
     info = {"sign_mode": "conventional", "epsilon": cfg["epsilon"]}
     for i, (s_val, grid) in enumerate(result.snapshots):
         write_density(grid, s_val, info, writer.path(f"density_{i:04d}.txt"))
@@ -381,31 +433,24 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     cc = cfg["chaos"]
     if cc.get("series_a") and cc.get("series_b"):
         # explicit density series produced by two prior fpe runs
-        def load(dirname):
-            d = Path(dirname)
-            files = sorted(d.glob("density_*.txt"))
-            if not files:
-                raise DependencyError(f"no density snapshots under {d}")
-            return [read_density(f) for f in files]
-        series_a, series_b = load(cc["series_a"]), load(cc["series_b"])
+        series_a = _load_densities(Path(cc["series_a"]))
+        series_b = _load_densities(Path(cc["series_b"]))
         if len(series_a) != len(series_b):
             raise DependencyError("density series differ in length")
         s_vals = [s for _, s in series_a]
         pairs = [(ga, gb) for (ga, _), (gb, _) in zip(series_a, series_b)]
     else:
-        # default route: tube b from initial internal coordinates perturbed by delta
-        data = _load_trajectory(out_dir)
-        schedule_a = _schedule_from_csv(data, cfg)
-        traj_b = _run_trajectory(cfg, x0=cfg["x0"] + float(cc["delta"]))
-        schedule_b = CoefficientSchedule.from_trajectory(traj_b)
-        s_hi = min(schedule_a.s[-1], schedule_b.s[-1])
-        s_lo = schedule_a.s[0]
-        snaps = [float(v) for v in cfg["sde"]["snapshots"] if s_lo < float(v) <= s_hi]
+        # default route: tube b from initial internal coordinates perturbed
+        # by delta, both tubes up to the end of the shorter trajectory
+        s, x = _load_trajectory(out_dir)
+        traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
+        s_hi = min(s[-1], traj_b.s[-1])
+        snaps = [v for v in cfg["sde"]["snapshots"] if s[0] < v <= s_hi]
         if not snaps:
-            snaps = list(np.linspace(s_lo + 0.1 * (s_hi - s_lo), s_hi, 8))
-        res_a = _fpe_run(cfg, _clip_schedule(schedule_a, s_hi), snaps)
-        res_b = _fpe_run(cfg, _clip_schedule(schedule_b, s_hi), snaps)
-        s_vals = [s for s, _ in res_a.snapshots]
+            snaps = list(np.linspace(s[0] + 0.1 * (s_hi - s[0]), s_hi, 8))
+        tubes = (_schedule(s, x, cfg), _schedule(traj_b.s, traj_b.x, cfg))
+        res_a, res_b = (_fpe_run(cfg, tube, snaps, s_hi) for tube in tubes)
+        s_vals = [s_snap for s_snap, _ in res_a.snapshots]
         pairs = [(ga, gb) for (_, ga), (_, gb) in zip(res_a.snapshots, res_b.snapshots)]
 
     D = []
@@ -415,30 +460,19 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         D.append(kl_divergence(ga, gb))
     report = chaos_report(
         np.asarray(s_vals), np.asarray(D),
-        residual_max=float(cc["residual_max"]),
-        min_decades=float(cc["min_decades"]),
+        residual_max=cc["residual_max"],
+        min_decades=cc["min_decades"],
     )
     _atomic_write_text(writer.path("chaos_report.json"), report.to_json() + "\n")
 
 
-def _clip_schedule(schedule: CoefficientSchedule, s_hi: float) -> CoefficientSchedule:
-    mask = schedule.s <= s_hi + 1e-12
-    return CoefficientSchedule(s=schedule.s[mask], a=schedule.a[mask], lam_sq=schedule.lam_sq[mask])
-
-
 def cmd_channels(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    data = _load_trajectory(out_dir)
-    x = np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
+    s, x = _load_trajectory(out_dir)
     ch = cfg["channels"]
-    label = classify_channel(
-        data["s"], x, cfg["masses"],
-        r_bound=float(ch["r_bound"]),
-        r_free=float(ch["r_free"]),
-        window_frac=float(ch["window_frac"]),
-    )
+    label = classify_channel(s, x, cfg["masses"], **ch)
     _atomic_write_text(writer.path("channels.json"), _json_dump({
         "label": label.value,
-        "thresholds": {k: float(v) for k, v in ch.items()},
+        "thresholds": ch,
     }))
 
 
@@ -494,8 +528,8 @@ def main(argv=None) -> int:
     except DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return 3
-    except (BlowUpError, ResolutionError, ForbiddenRegionError, FitError,
-            EmptyDensityError, DomainError) as exc:
+    except (ResolutionError, ForbiddenRegionError, FitError, EmptyDensityError,
+            DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (OSError, FileExistsError) as exc:

@@ -21,14 +21,6 @@ class DegenerateMetricError(TribodyError):
     """Metric block not positive definite; frame equations unsolvable."""
 
 
-class BlowUpError(TribodyError):
-    """Stochastic path produced a non-finite state."""
-
-    def __init__(self, s, message=None):
-        self.s = s
-        super().__init__(message or f"non-finite state at s={s}")
-
-
 class ResolutionError(TribodyError):
     """Stability limit pushed the time step below the configured floor."""
 

@@ -168,15 +168,15 @@ def _fields(mesh, coeffs, cfg):
     return drift(mesh, coeffs), (diffusion(mesh, coeffs[1]) if cfg.multiplicative else None)
 
 
-def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, mesh=None, *, fields=None) -> np.ndarray:
+def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.ndarray:
     """Discrete right-hand side dP/ds on the grid (second-order stencils).
 
     `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
-    mesh; fpe_evolve passes the pair its step bound has read.  It is
-    evaluated here when omitted.
+    mesh; fpe_evolve passes it for both stages, and the first stage's is
+    the pair its step bound has read.  It is evaluated here when omitted.
     """
     if fields is None:
-        fields = _fields(grid.mesh() if mesh is None else mesh, coeffs, cfg)
+        fields = _fields(grid.mesh(), coeffs, cfg)
     A, B = fields
     P = grid.P
     h = grid.h
@@ -271,12 +271,12 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             work.P = P
             # the stage slopes k1, k2 are consumed at once and the step-start
             # fields freed before k2 evaluates its own: this bounds peak memory
-            mid = P + 0.5 * ds * fpe_rhs(work, coeffs, cfg, mesh, fields=fields)
+            mid = P + 0.5 * ds * fpe_rhs(work, coeffs, cfg, fields=fields)
             del fields
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            P = P + ds * fpe_rhs(work, coeffs_mid, cfg, mesh)
+            P = P + ds * fpe_rhs(work, coeffs_mid, cfg, fields=_fields(mesh, coeffs_mid, cfg))
             pin_boundary(P)
             if np.any(P < -1e-12 * max(P.max(), 1e-300)):
                 neg_flags += 1

@@ -131,20 +131,16 @@ def reconstruct_rho(
     traj,
     rho0,
     surf,
-    gauge_policy=None,
     dx_cap: float = 0.5,
 ) -> RhoSeries:
     """Integrate d(rho_i) = x_i dx1 + y_i dx2 + z_i dx3 along a trajectory.
 
-    The frame is re-solved at every step from the current gamma33 = rho2^2
-    and the local g; a midpoint pass keeps the quadrature second order.
-    gauge_policy(step_index) -> FrameGauge; defaults to constant identity.
-    The transformation is differential, so closed loops may show holonomy.
+    The frame is re-solved at every step, in the identity gauge, from the
+    current gamma33 = rho2^2 and the local g; a midpoint pass keeps the
+    quadrature second order.  The transformation is differential, so
+    closed loops may show holonomy.
     """
-    if gauge_policy is None:
-        identity = FrameGauge.identity()
-        gauge_policy = lambda k: identity
-
+    gauge = FrameGauge.identity()
     x = np.asarray(traj.x, dtype=float)
     s = np.asarray(traj.s, dtype=float)
     n = len(s)
@@ -162,7 +158,6 @@ def reconstruct_rho(
             raise DomainError(
                 f"per-step |dx| = {np.linalg.norm(dx)} exceeds cap {dx_cap}; sample more densely"
             )
-        gauge = gauge_policy(k)
         try:
             if min(g[k], g_mid[k]) <= surf.g_min:
                 raise ForbiddenRegionError(

@@ -29,6 +29,8 @@ __all__ = [
     "mass_scaled_jacobi",
     "internal_from_jacobi",
     "jacobi_from_internal",
+    "pair_matrix",
+    "separations",
     "pair_distances",
 ]
 
@@ -151,30 +153,41 @@ def jacobi_from_internal(x: InternalCoords) -> JacobiCoords:
     return JacobiCoords(x.x1, x.x2, theta)
 
 
-def pair_distances(x, m: Masses) -> np.ndarray:
-    """Physical pair separations (d23, d13, d12) from internal coordinates.
+def pair_matrix(m: Masses) -> np.ndarray:
+    """Matrix C with d_p^2 = sum_i C[p, i] x_i^2, row p - 1 being the pair
+    without body p: (2,3), (1,3), (1,2).  Written out,
 
-    The squared physical distances are linear in (x1^2, x2^2, x3^2):
-
-        d23 = c1*x1
+        d23^2 = c1^2*x1^2
         d13^2 = c2^2*x2^2 + k2^2*c1^2*x1^2 + k2*c1*c2*(x1^2 + x2^2 - x3^2)
         d12^2 = c2^2*x2^2 + k3^2*c1^2*x1^2 - k3*c1*c2*(x1^2 + x2^2 - x3^2)
 
     with c1 = sqrt(mu0/mu23), c2 = sqrt(mu0/mu1_23), k2 = m2/(m2+m3),
-    k3 = m3/(m2+m3).  Accepts x of shape (3,) or (N, 3).
+    k3 = m3/(m2+m3); x1^2 + x2^2 - x3^2 = 2*x1*x2*cos(theta).
     """
-    x = np.asarray(x, dtype=float)
     mu0 = reduced_mass(m)
     m23 = m.m2 + m.m3
     c1 = math.sqrt(mu0 * m23 / (m.m2 * m.m3))
     c2 = math.sqrt(mu0 * m.total / (m.m1 * m23))
     k2 = m.m2 / m23
     k3 = m.m3 / m23
+    return np.array(
+        [
+            [c1 * c1, 0.0, 0.0],
+            [(k2 * c1) ** 2 + k2 * c1 * c2, c2 * c2 + k2 * c1 * c2, -k2 * c1 * c2],
+            [(k3 * c1) ** 2 - k3 * c1 * c2, c2 * c2 - k3 * c1 * c2, k3 * c1 * c2],
+        ]
+    )
 
-    x1s = x[..., 0] ** 2
-    x2s = x[..., 1] ** 2
-    cross = x1s + x2s - x[..., 2] ** 2  # = 2*x1*x2*cos(theta)
-    d23 = c1 * x[..., 0]
-    d13 = np.sqrt(np.maximum(c2**2 * x2s + (k2 * c1) ** 2 * x1s + k2 * c1 * c2 * cross, 0.0))
-    d12 = np.sqrt(np.maximum(c2**2 * x2s + (k3 * c1) ** 2 * x1s - k3 * c1 * c2 * cross, 0.0))
-    return np.stack([d23, d13, d12], axis=-1)
+
+def separations(x, C) -> np.ndarray:
+    """Pair separations sqrt(sum_i C[p, i] x_i^2) of x (..., 3) for a
+    pair matrix C.  An elementwise sum, not a matmul, so a batch row and
+    the same point on its own give bit-identical results."""
+    d_sq = (C * (x * x)[..., None, :]).sum(-1)
+    return np.sqrt(np.maximum(d_sq, 0.0))
+
+
+def pair_distances(x, m: Masses) -> np.ndarray:
+    """Physical pair separations (d23, d13, d12) from internal coordinates
+    x of shape (..., 3); column p - 1 is the pair without body p."""
+    return separations(np.asarray(x, dtype=float), pair_matrix(m))

@@ -27,19 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .geodesic import TrajectoryRecord, momentum_rhs
 
 __all__ = [
     "epsilon_matrix",
     "NoiseModel",
     "CoefficientSchedule",
-    "SdeState",
     "EnsembleResult",
     "white_noise_increments",
     "drift",
     "diffusion",
-    "sde_step",
     "run_ensemble",
 ]
 
@@ -117,25 +115,12 @@ class CoefficientSchedule:
         return a, float(np.interp(s, self.s, self.lam_sq))
 
 
-@dataclass(frozen=True)
-class SdeState:
-    xi: np.ndarray
-    s: float = 0.0
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float).reshape(3)
-        if not np.all(np.isfinite(xi)):
-            raise DomainError("SDE state must be finite")
-        object.__setattr__(self, "xi", xi)
-
-
 def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
-                           n: int | None = None) -> np.ndarray:
-    """Gaussian increments with covariance 2*eps*ds; one 3-vector, or a
-    batch of shape (n, 3) when n is given."""
+                           n: int) -> np.ndarray:
+    """A batch (n, 3) of Gaussian increments with covariance 2*eps*ds."""
     if not ds > 0.0:
         raise DomainError(f"ds must be positive, got {ds}")
-    shape = (3,) if n is None else (int(n), 3)
+    shape = (int(n), 3)
     if not np.any(noise.epsilon):
         return np.zeros(shape)
     return rng.standard_normal(shape) @ noise.scale_matrix().T * np.sqrt(ds)
@@ -168,17 +153,6 @@ def _step(xi, ds: float, mode: str, coeffs, dW) -> np.ndarray:
         k = drift(xi, forcing)
         return xi + 0.5 * (k + drift(xi + k, forcing))
     raise ConfigError(f"unknown SDE mode {mode!r}")
-
-
-def sde_step(state: SdeState, ds: float, mode: str, coeffs, noise: NoiseModel,
-             rng: np.random.Generator) -> SdeState:
-    """Advance one state by one step: the ensemble's Euler-Maruyama or
-    Heun update on a batch of one."""
-    dW = white_noise_increments(ds, noise, rng, 1)
-    xi_new = _step(state.xi[None, :], ds, mode, coeffs, dW)[0]
-    if not np.all(np.isfinite(xi_new)):
-        raise BlowUpError(state.s + ds)
-    return SdeState(xi=xi_new, s=state.s + ds)
 
 
 @dataclass

@@ -10,12 +10,11 @@ linear in (x1^2, x2^2, x3^2), so the chain rule stays closed-form.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .kinematics import Masses, reduced_mass
+from .kinematics import Masses, pair_matrix, separations
 
 __all__ = [
     "PotentialModel",
@@ -79,26 +78,13 @@ class PairwisePotential(PotentialModel):
 
     Subclasses supply pair_energy(d) and its derivative pair_energy_dd(d)
     for separations d of shape (..., 3) in pair order (2,3), (1,3), (1,2),
-    matching kinematics.pair_distances; the geometry and chain rule live
-    here.
+    matching kinematics.pair_distances, whose pair matrix C gives the
+    geometry; the chain rule lives here.
     """
 
     def __init__(self, masses: Masses):
         self.masses = masses
-        mu0 = reduced_mass(masses)
-        m23 = masses.m2 + masses.m3
-        c1 = math.sqrt(mu0 * m23 / (masses.m2 * masses.m3))
-        c2 = math.sqrt(mu0 * masses.total / (masses.m1 * m23))
-        k2 = masses.m2 / m23
-        k3 = masses.m3 / m23
-        # d_p^2 = sum_i C[p, i] * x_i^2 for p in (23, 13, 12)
-        self._C = np.array(
-            [
-                [c1 * c1, 0.0, 0.0],
-                [(k2 * c1) ** 2 + k2 * c1 * c2, c2 * c2 + k2 * c1 * c2, -k2 * c1 * c2],
-                [(k3 * c1) ** 2 - k3 * c1 * c2, c2 * c2 - k3 * c1 * c2, k3 * c1 * c2],
-            ]
-        )
+        self._C = pair_matrix(masses)
 
     @abstractmethod
     def pair_energy(self, d: np.ndarray) -> np.ndarray:
@@ -108,22 +94,16 @@ class PairwisePotential(PotentialModel):
     def pair_energy_dd(self, d: np.ndarray) -> np.ndarray:
         """Derivatives of the pair energies with respect to d (..., 3)."""
 
-    def _distances(self, x):
-        # an elementwise sum, not a matmul, so a batch row and the same
-        # point on its own give bit-identical results
-        d_sq = (self._C * (x * x)[..., None, :]).sum(-1)
-        return np.sqrt(np.maximum(d_sq, 0.0))
-
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        u = self.pair_energy(self._distances(x)).sum(-1)
+        u = self.pair_energy(separations(x, self._C)).sum(-1)
         return float(u) if x.ndim == 1 else u
 
     def gradient(self, x):
         # dU/dx_i = x_i * sum_p C[p,i] * v'(d_p) / d_p; a pair at d_p = 0
         # contributes nothing
         x = np.asarray(x, dtype=float)
-        d = self._distances(x)
+        d = separations(x, self._C)
         live = d > 0.0
         d = np.where(live, d, 1.0)
         w = np.where(live, self.pair_energy_dd(d) / d, 0.0)

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribody.cli import _initial_density, _schedule_from_csv, main, parse_config
+from tribody.cli import _initial_density, _load_trajectory, _schedule, main, parse_config
 from tribody.errors import ConfigError
 from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
-from tribody.geodesic import read_trajectory_csv
-from tribody.langevin import NoiseModel, run_ensemble
+from tribody.geodesic import GeodesicState, integrate
+from tribody.langevin import CoefficientSchedule, NoiseModel, run_ensemble
 from tribody.potentials import MorsePotential
 
 
@@ -104,6 +104,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mode"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("integrator", "tol", "1e-9"),
+        ("sde", "n_paths", "many"),
+        ("sde", "snapshots", ["x"]),
+        ("grid", "n", "24x"),
+    ])
+    def test_wrongly_typed_value_is_2(self, tmp_path, section, key, value):
+        doc = base_config()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(doc)
+        cfg = write_config(tmp_path, doc)
+        for stage in ("simulate", "ensemble", "fpe"):
+            assert run(stage, cfg, tmp_path / "out") == 2
+
     def test_defaults_when_sections_absent(self):
         doc = base_config()
         for key in ("integrator", "sde", "grid", "noise", "seed"):
@@ -158,6 +173,34 @@ class TestExitCodes:
         manifest.unlink()
         for stage in ("ensemble", "fpe", "chaos", "channels"):
             assert run(stage, cfg, out, "--force") == 3
+
+    @staticmethod
+    def series_from_one_fpe_run(tmp_path):
+        """An fpe run directory, and a config whose chaos stage reads it as
+        both density series."""
+        doc = base_config()
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, doc)
+        assert run("simulate", cfg, out) == 0
+        assert run("fpe", cfg, out) == 0
+        doc["chaos"] = {"series_a": str(out), "series_b": str(out)}
+        return out, write_config(tmp_path, doc, "chaos.json")
+
+    def test_tampered_density_series_is_3(self, tmp_path):
+        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        assert run("chaos", chaos_cfg, tmp_path / "clean") == 0
+        density = out / "density_0001.txt"
+        lines = density.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 300
+        lines[row] = " ".join(repr(5.0 * float(v)) for v in lines[row].split())
+        density.write_text("\n".join(lines) + "\n")
+        assert run("chaos", chaos_cfg, tmp_path / "tampered") == 3
+        assert not (tmp_path / "tampered" / "chaos_report.json").exists()
+
+    def test_missing_fpe_manifest_is_3(self, tmp_path):
+        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        (out / "manifest_fpe.json").unlink()
+        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
 
     def test_forbidden_start_is_4(self, tmp_path):
         doc = base_config()
@@ -225,16 +268,16 @@ class TestPipelineStages:
         assert run("ensemble", cfg, out) == 0
         table = np.genfromtxt(out / "ensemble_snapshots.csv", delimiter=",", names=True)
         parsed = parse_config(json.loads(cfg.read_text()))
-        schedule = _schedule_from_csv(read_trajectory_csv(out / "trajectory.csv"), parsed)
+        schedule = _schedule(*_load_trajectory(out), parsed)
         sde = parsed["sde"]
-        res = run_ensemble(int(sde["n_paths"]), schedule, parsed["xi0"], float(sde["ds"]),
+        res = run_ensemble(sde["n_paths"], schedule, parsed["xi0"], sde["ds"],
                            sde["mode"], NoiseModel(epsilon=parsed["epsilon"], seed=parsed["seed"]),
                            snapshot_s=sde["snapshots"])
         states = np.concatenate([xi for _, xi in res.snapshots] + [res.xi_final])
         written = np.column_stack([table[c] for c in ("xi1", "xi2", "xi3")])
         assert np.all(np.isfinite(written)) and np.all(np.isfinite(table["s"]))
         assert np.array_equal(written, states)
-        n = int(sde["n_paths"])
+        n = sde["n_paths"]
         assert np.array_equal(table["path_id"], np.tile(np.arange(n), len(res.snapshots) + 1))
         assert np.array_equal(table["s"][::n], [s for s, _ in res.snapshots] + [res.s_final])
 
@@ -269,7 +312,7 @@ class TestPipelineStages:
         written, _ = read_density(out / "density_0000.txt")
 
         parsed = parse_config(doc)
-        schedule = _schedule_from_csv(read_trajectory_csv(out / "trajectory.csv"), parsed)
+        schedule = _schedule(*_load_trajectory(out), parsed)
 
         def direct(multiplicative):
             fpe_cfg = FpeConfig(epsilon=parsed["epsilon"], schedule=schedule,
@@ -300,6 +343,20 @@ class TestPipelineStages:
         report = json.loads((out2 / "chaos_report.json").read_text())
         # identical series: zero distance everywhere -> regular
         assert report["verdict"] == "regular"
+
+    def test_schedule_is_the_trajectory_schedule(self, prepared):
+        # the schedule read back from trajectory.csv is the one integrate records
+        cfg, out = prepared
+        parsed = parse_config(json.loads(cfg.read_text()))
+        integ = parsed["integrator"]
+        traj = integrate(GeodesicState(x=parsed["x0"], xi=parsed["xi0"]), parsed["surface"],
+                         J=parsed["angular_momentum"], s_end=integ["s_end"], tol=integ["tol"],
+                         n_samples=integ["n_samples"], mu0=parsed["mu0"])
+        direct = CoefficientSchedule.from_trajectory(traj)
+        for via in (_schedule(*_load_trajectory(out), parsed), _schedule(traj.s, traj.x, parsed)):
+            assert np.array_equal(via.s, direct.s)
+            assert np.array_equal(via.a, direct.a)
+            assert np.array_equal(via.lam_sq, direct.lam_sq)
 
     def test_channels(self, prepared):
         cfg, out = prepared

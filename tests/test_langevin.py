@@ -10,13 +10,11 @@ from tribody import (
     Masses,
     MorsePotential,
     NoiseModel,
-    SdeState,
     diffusion,
     drift,
     integrate,
     momentum_rhs,
     run_ensemble,
-    sde_step,
     white_noise_increments,
 )
 
@@ -53,8 +51,8 @@ class TestNoiseModel:
 
 class TestWhiteNoise:
     def test_zero_epsilon_exact_zero(self):
-        out = white_noise_increments(0.01, NoiseModel(epsilon=0.0), philox())
-        assert np.array_equal(out, np.zeros(3))
+        out = white_noise_increments(0.01, NoiseModel(epsilon=0.0), philox(), n=4)
+        assert np.array_equal(out, np.zeros((4, 3)))
 
     def test_variance_calibration(self):
         # <dW_i^2> = 2*eps*ds: eps = 0.5, ds = 0.01 -> 0.01 per component
@@ -79,7 +77,7 @@ class TestWhiteNoise:
 
     def test_invalid_ds(self):
         with pytest.raises(DomainError):
-            white_noise_increments(0.0, NoiseModel(epsilon=1.0), philox())
+            white_noise_increments(0.0, NoiseModel(epsilon=1.0), philox(), n=1)
 
 
 class TestDriftDiffusion:
@@ -135,40 +133,42 @@ class TestDriftDiffusion:
                            drift(xi, (a, lam2)), rtol=1e-13, atol=1e-13)
 
 
+def one_step(xi0, ds, mode, coeffs, noise, n_traj=1):
+    """One ensemble step of ds from s = 0 on constant coefficients."""
+    sched = CoefficientSchedule.constant(coeffs[0], coeffs[1], (0.0, ds))
+    return run_ensemble(n_traj, sched, xi0, ds, mode, noise).xi_final
+
+
 class TestSdeStep:
     def test_zero_noise_additive_is_euler(self):
         coeffs = (np.array([0.3, -0.2, 0.1]), 0.5)
-        state = SdeState(xi=[0.4, 0.1, -0.3])
-        nm = NoiseModel(epsilon=0.0)
-        out = sde_step(state, 0.01, "additive", coeffs, nm, philox())
-        euler = state.xi + drift(state.xi, coeffs) * 0.01
-        assert np.allclose(out.xi, euler, atol=1e-15)
+        xi0 = np.array([0.4, 0.1, -0.3])
+        out = one_step(xi0, 0.01, "additive", coeffs, NoiseModel(epsilon=0.0))
+        euler = xi0 + drift(xi0, coeffs) * 0.01
+        assert np.allclose(out[0], euler, atol=1e-15)
 
     def test_zero_noise_multiplicative_is_heun(self):
         coeffs = (np.array([0.3, -0.2, 0.1]), 0.5)
-        state = SdeState(xi=[0.4, 0.1, -0.3])
-        nm = NoiseModel(epsilon=0.0)
-        out = sde_step(state, 0.01, "multiplicative", coeffs, nm, philox())
-        pred = state.xi + drift(state.xi, coeffs) * 0.01
-        heun = state.xi + 0.005 * (drift(state.xi, coeffs) + drift(pred, coeffs))
-        assert np.allclose(out.xi, heun, atol=1e-15)
+        xi0 = np.array([0.4, 0.1, -0.3])
+        out = one_step(xi0, 0.01, "multiplicative", coeffs, NoiseModel(epsilon=0.0))
+        pred = xi0 + drift(xi0, coeffs) * 0.01
+        heun = xi0 + 0.005 * (drift(xi0, coeffs) + drift(pred, coeffs))
+        assert np.allclose(out[0], heun, atol=1e-15)
 
     def test_pure_brownian_variance(self):
-        coeffs = (np.zeros(3), 0.0)
-        nm = NoiseModel(epsilon=0.05)
-        rng = philox(11)
-        finals = np.empty((20000, 3))
-        for p in range(20000):
-            st = SdeState(xi=[0.0, 0.0, 0.0])
-            st = sde_step(st, 0.02, "additive", coeffs, nm, rng)
-            finals[p] = st.xi
-        # per-step variance 2*eps*ds = 0.002
-        assert np.allclose(finals.var(axis=0), 0.002, rtol=0.05)
+        # one path, zero drift: each of its 20000 steps adds one increment
+        # of variance 2*eps*ds = 0.002 per component
+        ds, n = 0.02, 20000
+        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, n * ds))
+        res = run_ensemble(1, sched, np.zeros(3), ds, "additive",
+                           NoiseModel(epsilon=0.05, seed=11), snapshot_s=ds * np.arange(1, n + 1))
+        assert res.meta["n_steps"] == n
+        path = np.concatenate([np.zeros((1, 3))] + [xi for _, xi in res.snapshots])
+        assert np.allclose(np.diff(path, axis=0).var(axis=0), 0.002, rtol=0.05)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            sde_step(SdeState(xi=[0, 0, 0]), 0.01, "milstein",
-                     (np.zeros(3), 0.0), NoiseModel(epsilon=0.0), philox())
+            one_step(np.zeros(3), 0.01, "milstein", (np.zeros(3), 0.0), NoiseModel(epsilon=0.0))
 
     def test_multiplicative_strong_convergence(self):
         # frozen coefficients, common Brownian increments across resolutions:
@@ -365,15 +365,17 @@ class TestOneStepKernel:
             assert np.allclose(out, ref, rtol=1e-14, atol=1e-15 * np.abs(ref).max())
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_sde_step_is_one_ensemble_step(self, mode):
+    def test_one_path_step_is_the_kernel_at_the_step_start(self, mode):
         # a trajectory schedule, so coefficients change within the step
+        from tribody.langevin import _step
+
         _, sched = morse_schedule()
         eps = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
         nm = NoiseModel(epsilon=eps, seed=31)
         xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
         res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
-        out = sde_step(SdeState(xi=xi0, s=s0), ds, mode, sched.at(s0), nm, philox(31))
-        assert np.array_equal(res.xi_final[0], out.xi)
+        dW = white_noise_increments(ds, nm, philox(31), n=1)
+        assert np.array_equal(res.xi_final, _step(xi0[None, :], ds, mode, sched.at(s0), dW))
 
     def test_ensemble_draws_white_noise_increments(self):
         # zero drift from the origin: one step leaves exactly the increment
