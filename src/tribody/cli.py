@@ -72,8 +72,13 @@ def _reals(value, where: str) -> list:
 
 
 def _epsilon(value, where: str):
-    """A number, or a matrix as a list of rows."""
-    return [_reals(row, where) for row in value] if isinstance(value, list) else _real(value, where)
+    """A number, or a 3x3 matrix as a list of 3 rows of 3 numbers."""
+    if not isinstance(value, list):
+        return _real(value, where)
+    rows = [_reals(row, where) for row in value]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise ConfigError(f"{where}: expected a number or 3 rows of 3 numbers, got {value!r}")
+    return rows
 
 
 def _integer(value, where: str) -> int:

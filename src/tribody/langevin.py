@@ -23,12 +23,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geodesic import TrajectoryRecord, momentum_rhs
+
+# paths per chunk of the ensemble; each chunk has its own noise stream
+CHUNK = 16384
+# upper bound on the ensemble's worker threads
+MAX_WORKERS = 8
 
 __all__ = [
     "epsilon_matrix",
@@ -66,6 +72,9 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", epsilon_matrix(self.epsilon))
+        # the seed is one 64-bit word of each noise stream's Philox key
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def scale_matrix(self) -> np.ndarray:
         """S with S S^T = 2*eps; increments are S @ N(0, ds*I)."""
@@ -117,13 +126,22 @@ class CoefficientSchedule:
 
 def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
                            n: int) -> np.ndarray:
-    """A batch (n, 3) of Gaussian increments with covariance 2*eps*ds."""
+    """A batch (n, 3) of Gaussian increments with covariance 2*eps*ds,
+    row r made from the r-th triple of normals that rng draws."""
     if not ds > 0.0:
         raise DomainError(f"ds must be positive, got {ds}")
     shape = (int(n), 3)
     if not np.any(noise.epsilon):
         return np.zeros(shape)
-    return rng.standard_normal(shape) @ noise.scale_matrix().T * np.sqrt(ds)
+    z = rng.standard_normal(shape)
+    # formed term by term, not by a BLAS product, whose last bit can depend
+    # on how many rows it multiplies: a row depends only on its own normals
+    scale = noise.scale_matrix() * np.sqrt(ds)
+    diagonal = np.diagonal(scale)
+    dW = z * diagonal
+    for i, j in zip(*np.nonzero(scale - np.diag(diagonal))):
+        dW[:, i] += scale[i, j] * z[:, j]
+    return dW
 
 
 def drift(xi, coeffs) -> np.ndarray:
@@ -192,6 +210,13 @@ def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
         yield (s0 + m * ds if on_grid else cuts[m]), on_grid, taken.get(m, [])
 
 
+def _worker_count(n_chunks: int) -> int:
+    """Threads for n_chunks chunks: one per CPU this process may run on,
+    at most MAX_WORKERS, never more than there are chunks."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(n_chunks, cpus or 1, MAX_WORKERS))
+
+
 def run_ensemble(
     n_traj: int,
     schedule: CoefficientSchedule,
@@ -204,19 +229,27 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Propagate n_traj independent paths over the schedule span.
 
-    Noise comes from one sequential Philox stream keyed by the seed, drawn
-    step by step for the whole batch; the normal sampler consumes a
-    variable number of raw draws, so no increment sits at a fixed offset.
-    An ensemble is bit-reproducible for a given (seed, n_traj, ds,
-    snapshot times), and path p's noise changes with n_traj.  xi0 may be a
-    single 3-vector (all paths start together) or (n_traj, 3).
+    The paths are cut into chunks of CHUNK: chunk c holds paths
+    [c CHUNK, min(n_traj, (c+1) CHUNK)).  At step k chunk c draws its
+    increments with white_noise_increments from the counter-based stream
+    Philox(key=(seed, c), counter=(0, 0, 0, k)) (Salmon et al., "Parallel
+    Random Numbers: As Easy as 1, 2, 3", SC'11), one row per path in
+    order; the normal sampler is sequential, so a short last chunk gets
+    the first rows of a full draw.  Path p's noise therefore depends only
+    on (seed, p, step): not on n_traj, nor on how many threads step the
+    chunks or in which order, and the result is bit-identical for a
+    given (seed, ds, span, snapshot times) whatever the CPU count.  The
+    chunks are stepped on one thread per CPU the process may run on, the
+    calling thread among them, and at most MAX_WORKERS; a single chunk
+    runs in the calling thread alone.  xi0 may be a single 3-vector (all
+    paths start together) or (n_traj, 3).
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
     and when ds does not divide the span the last step is shortened so
     that the ensemble ends at s1.  The span must lie inside the schedule
     and the snapshot times in (s0, s1].  Blown-up paths are frozen as NaN
-    and recorded, not fatal.
+    and recorded by step, then by path, not fatal.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -231,40 +264,77 @@ def run_ensemble(
     snapshot_s = sorted(float(v) for v in snapshot_s)
     if snapshot_s and (snapshot_s[0] <= s0 or snapshot_s[-1] > s1 + 1e-12):
         raise DomainError("snapshot times must lie in (s0, s1]")
+    xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
-    xi = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3)).copy()
-    rng = np.random.Generator(np.random.Philox(key=noise.seed))
-
-    snapshots = []
-    blowups: dict[int, float] = {}
-    alive = np.ones(n_traj, dtype=bool)
-
-    s, on_grid, n_steps = s0, True, 0
+    # the step plan, shared read-only by the workers: per step its length,
+    # coefficients at its start, end time and the snapshots taken there
+    plan, times = [], []
+    s, on_grid = s0, True
     for s_next, next_on_grid, taken in _step_ends(s0, s1, ds, snapshot_s):
         h = ds if on_grid and next_on_grid else s_next - s
-        dW = white_noise_increments(h, noise, rng, n_traj)
-        coeffs = schedule.at(s)
-        # runaway paths overflow before they are frozen; the non-finite
-        # check below is the intended detector, so silence the transient
-        with np.errstate(over="ignore", invalid="ignore"):
-            xi_new = _step(xi, h, mode, coeffs, dW)
+        slots = range(len(times), len(times) + len(taken))
+        plan.append((h, schedule.at(s), s + h, slots))
+        times.extend(taken)
+        s, on_grid = s_next, next_on_grid
 
-        if np.isfinite(xi_new).all():
-            # a frozen path stays NaN, so no path has blown up yet
-            xi = xi_new
-        else:
-            bad = alive & ~np.all(np.isfinite(xi_new), axis=1)
-            for p in np.nonzero(bad)[0]:
-                blowups[int(p)] = s + h
-            alive &= ~bad
-            xi = np.where(alive[:, None], xi_new, np.nan)
-        s, on_grid, n_steps = s_next, next_on_grid, n_steps + 1
-        snapshots.extend((t, xi.copy()) for t in taken)
+    xi_final = np.empty((n_traj, 3))
+    snaps = [np.empty((n_traj, 3)) for _ in times]
+
+    def run_chunk(c: int) -> list:
+        """Step the paths of chunk c over the plan; its blow-ups as
+        (step, path, s)."""
+        lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
+        xi = xi0[lo:hi].copy()
+        alive = np.ones(hi - lo, dtype=bool)
+        blowups = []
+        bitgen = np.random.Philox(key=[noise.seed, c])
+        rng, start = np.random.Generator(bitgen), bitgen.state
+        for k, (h, coeffs, s_end, slots) in enumerate(plan):
+            # the stream of step k: Philox(key=(seed, c), counter=(0, 0, 0, k));
+            # restoring a state is cheaper than building a generator
+            start["state"]["counter"][3] = k
+            bitgen.state = start
+            dW = white_noise_increments(h, noise, rng, hi - lo)
+            # runaway paths overflow before they are frozen; the non-finite
+            # check below is the intended detector, so silence the
+            # transient (errstate is per thread)
+            with np.errstate(over="ignore", invalid="ignore"):
+                xi_new = _step(xi, h, mode, coeffs, dW)
+            if np.isfinite(xi_new).all():
+                # a frozen path stays NaN, so no path has blown up yet
+                xi = xi_new
+            else:
+                bad = alive & ~np.all(np.isfinite(xi_new), axis=1)
+                blowups.extend((k, lo + int(p), s_end) for p in np.nonzero(bad)[0])
+                alive &= ~bad
+                xi = np.where(alive[:, None], xi_new, np.nan)
+            for j in slots:
+                snaps[j][lo:hi] = xi
+        xi_final[lo:hi] = xi
+        return blowups
+
+    n_chunks = -(-n_traj // CHUNK)
+    workers = _worker_count(n_chunks)
+
+    def run_share(w: int) -> list:
+        """Worker w steps chunks w, w + workers, ..."""
+        return [b for c in range(w, n_chunks, workers) for b in run_chunk(c)]
+
+    if workers == 1:
+        found = run_share(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread is worker 0; every thread's allocator keeps
+        # its own arena, so each extra thread costs resident memory
+        with ThreadPoolExecutor(workers - 1) as pool:
+            shares = [pool.submit(run_share, w) for w in range(1, workers)]
+            found = run_share(0) + [b for share in shares for b in share.result()]
 
     return EnsembleResult(
         s_final=s,
-        xi_final=xi,
-        snapshots=snapshots,
-        blowups=blowups,
-        meta={"seed": noise.seed, "mode": mode, "ds": ds, "n_steps": n_steps},
+        xi_final=xi_final,
+        snapshots=list(zip(times, snaps)),
+        blowups={p: t for _, p, t in sorted(found)},
+        meta={"seed": noise.seed, "mode": mode, "ds": ds, "n_steps": len(plan)},
     )

@@ -109,6 +109,7 @@ class TestParseConfig:
         ("sde", "n_paths", "many"),
         ("sde", "snapshots", ["x"]),
         ("grid", "n", "24x"),
+        ("noise", "epsilon", [[0.01, 0.0], [0.0, 0.01]]),
     ])
     def test_wrongly_typed_value_is_2(self, tmp_path, section, key, value):
         doc = base_config()

@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,10 +21,21 @@ from tribody import (
     run_ensemble,
     white_noise_increments,
 )
+from tribody.langevin import CHUNK
 
 
 def philox(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def chunk_stream(seed, chunk=0, step=0):
+    """The noise stream of one chunk of paths at one ensemble step."""
+    return np.random.Generator(np.random.Philox(key=[seed, chunk], counter=[0, 0, 0, step]))
+
+
+def use_cpus(monkeypatch, n):
+    """Make the ensemble see n CPUs available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def matrix_form_heun(xi, ds, coeffs, dW):
@@ -47,6 +62,13 @@ class TestNoiseModel:
         eps[0, 1] = 0.1
         with pytest.raises(ConfigError):
             NoiseModel(epsilon=eps)
+
+    def test_seed_must_fit_one_key_word(self):
+        # the seed is one 64-bit word of the Philox key (seed, chunk)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                NoiseModel(epsilon=0.01, seed=seed)
+        NoiseModel(epsilon=0.01, seed=2**64 - 1)
 
 
 class TestWhiteNoise:
@@ -374,13 +396,125 @@ class TestOneStepKernel:
         nm = NoiseModel(epsilon=eps, seed=31)
         xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
         res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
-        dW = white_noise_increments(ds, nm, philox(31), n=1)
+        dW = white_noise_increments(ds, nm, chunk_stream(31), n=1)
         assert np.array_equal(res.xi_final, _step(xi0[None, :], ds, mode, sched.at(s0), dW))
 
     def test_ensemble_draws_white_noise_increments(self):
         # zero drift from the origin: one step leaves exactly the increment
         eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
         nm = NoiseModel(epsilon=eps, seed=8)
-        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.01))
-        res = run_ensemble(16, sched, np.zeros(3), 0.01, "additive", nm)
-        assert np.array_equal(res.xi_final, white_noise_increments(0.01, nm, philox(8), n=16))
+        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.02))
+        res = run_ensemble(16, sched, np.zeros(3), 0.01, "additive", nm, s_span=(0.0, 0.01))
+        assert np.array_equal(res.xi_final, white_noise_increments(0.01, nm, chunk_stream(8), n=16))
+        # chunk c at step k draws from its own stream: two chunks, two steps
+        n = CHUNK + 16
+        res = run_ensemble(n, sched, np.zeros(3), 0.01, "additive", nm)
+        for c, rows in ((0, CHUNK), (1, 16)):
+            steps = [white_noise_increments(0.01, nm, chunk_stream(8, c, k), n=rows)
+                     for k in (0, 1)]
+            assert np.array_equal(res.xi_final[c * CHUNK:c * CHUNK + rows], steps[0] + steps[1])
+
+
+class TestChunkedEnsemble:
+    """Paths are stepped in chunks of CHUNK, each chunk with its own
+    counter-keyed noise stream, on one worker thread per CPU."""
+
+    EPS = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_path_does_not_depend_on_n_traj(self, mode):
+        # 40000 paths span 3 chunks, the last one short; 32769 paths leave
+        # path 32768 alone in its chunk
+        _, sched = morse_schedule()
+        nm = NoiseModel(epsilon=self.EPS, seed=17)
+        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(3).standard_normal((40000, 3))
+
+        def run(n):
+            return run_ensemble(n, sched, xi0[:n], 0.01, mode, nm, s_span=(0.0, 0.2),
+                                snapshot_s=[0.1, 0.15])
+
+        big = run(40000)
+        assert 32768 == 2 * CHUNK < 40000 < 3 * CHUNK
+        for small, paths in ((run(10), slice(0, 10)), (run(32769), slice(0, 32769))):
+            assert np.array_equal(small.xi_final, big.xi_final[paths])
+            for (s_a, a), (s_b, b) in zip(small.snapshots, big.snapshots):
+                assert s_a == s_b
+                assert np.array_equal(a, b[paths])
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_one_and_two_workers_agree(self, mode, monkeypatch):
+        from tribody import langevin
+
+        _, sched = morse_schedule()
+        nm = NoiseModel(epsilon=self.EPS, seed=23)
+        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(4).standard_normal((2 * CHUNK + 5, 3))
+        step, threads = langevin._step, set()
+
+        def recorded_step(*args):
+            threads.add(threading.get_ident())
+            return step(*args)
+
+        monkeypatch.setattr(langevin, "_step", recorded_step)
+        runs = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            threads.clear()
+            runs[cpus] = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm,
+                                      s_span=(0.0, 0.1), snapshot_s=[0.05])
+            # one CPU: the chunks are stepped inline, in the calling thread
+            assert threads == {threading.get_ident()} if cpus == 1 else len(threads) == 2
+        assert np.array_equal(runs[1].xi_final, runs[2].xi_final)
+        assert np.array_equal(runs[1].snapshots[0][1], runs[2].snapshots[0][1])
+        assert runs[1].meta == runs[2].meta
+
+    def test_worker_count(self, monkeypatch):
+        from tribody.langevin import MAX_WORKERS, _worker_count
+
+        use_cpus(monkeypatch, 64)
+        assert _worker_count(1) == 1
+        assert _worker_count(3) == 3
+        assert _worker_count(1000) == MAX_WORKERS
+        use_cpus(monkeypatch, 2)
+        assert _worker_count(1000) == 2
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_blowups_across_chunks(self, mode, monkeypatch):
+        # zero noise; path CHUNK + 1 (chunk 1) overflows before path 1
+        # (chunk 0), and paths 3 and CHUNK + 3 overflow at the same step
+        sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
+        nm = NoiseModel(epsilon=0.0)
+        xi0 = np.tile([0.1, -0.2, 0.05], (CHUNK + 8, 1))
+        fast, slow = np.array([30.0, 15.0, -15.0]), np.array([3.0, 1.5, -1.5])
+        xi0[[CHUNK + 1, 3, CHUNK + 3]] = fast
+        xi0[1] = slow
+        use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm)
+        t_fast = run_ensemble(1, sched, fast, 0.01, mode, nm).blowups[0]
+        t_slow = run_ensemble(1, sched, slow, 0.01, mode, nm).blowups[0]
+        assert t_fast < t_slow
+        assert list(res.blowups.items()) == [(3, t_fast), (CHUNK + 1, t_fast),
+                                             (CHUNK + 3, t_fast), (1, t_slow)]
+        assert np.all(np.isnan(res.xi_final[[1, 3, CHUNK + 1, CHUNK + 3]]))
+        assert np.isfinite(np.delete(res.xi_final, [1, 3, CHUNK + 1, CHUNK + 3], axis=0)).all()
+        use_cpus(monkeypatch, 1)
+        assert list(run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm).blowups.items()) \
+            == list(res.blowups.items())
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        from tribody import langevin
+
+        step = langevin._step
+
+        def failing_step(xi, *args):
+            if len(xi) < CHUNK:
+                raise FloatingPointError("in the short chunk")
+            return step(xi, *args)
+
+        monkeypatch.setattr(langevin, "_step", failing_step)
+        use_cpus(monkeypatch, 2)
+        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.05))
+        with pytest.raises(FloatingPointError, match="short chunk"):
+            run_ensemble(CHUNK + 1, sched, np.zeros(3), 0.01, "additive",
+                         NoiseModel(epsilon=0.01))
