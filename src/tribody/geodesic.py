@@ -69,13 +69,16 @@ class TrajectoryRecord:
         return float(np.sqrt(sum(j * j for j in self.J)))
 
 
-def momentum_rhs(xi, a, lam2):
+def momentum_rhs(xi, a, lam2, out=None):
     """Right-hand side of the quadratic momentum system: B(xi; lam2) a,
     i.e. 2 (xi . a) xi - (|xi|^2 + lam2) a, which is linear in a.
 
     Broadcasts over leading axes: xi and a may be (..., 3), lam2 (...,).
     Shared with the stochastic drift and noise coupling, which apply the
-    same map to scheduled coefficients and noise increments.
+    same map to scheduled coefficients and noise increments.  The result
+    is written to out when it is given (the broadcast shape, sharing no
+    memory with xi or a); besides it the kernel allocates only two
+    scratch arrays of the batch shape.
 
     The two dot products are written out component by component: a numpy
     reduction over a length-3 last axis runs a 3-element inner loop per
@@ -85,10 +88,22 @@ def momentum_rhs(xi, a, lam2):
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(a, dtype=float)
-    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
-    q = x * x + y * y + z * z + lam2
-    s = x * a[..., 0] + y * a[..., 1] + z * a[..., 2]
-    return 2.0 * s[..., None] * xi - q[..., None] * a
+    if out is None:
+        out = np.empty(np.broadcast_shapes(xi.shape, a.shape, np.shape(lam2) + (3,)))
+    q, t = np.empty(out.shape[:-1]), np.empty(out.shape[:-1])
+    # 2 (xi . a) is kept in the last component until that one is written
+    s = out[..., 2]
+    np.multiply(xi[..., 0], a[..., 0], out=s)
+    np.multiply(xi[..., 0], xi[..., 0], out=q)
+    for i in (1, 2):
+        s += np.multiply(xi[..., i], a[..., i], out=t)
+        q += np.multiply(xi[..., i], xi[..., i], out=t)
+    q += lam2
+    s *= 2.0
+    for i in range(3):
+        np.multiply(s, xi[..., i], out=out[..., i])
+        out[..., i] -= np.multiply(q, a[..., i], out=t)
+    return out
 
 
 def external_rates(g, J1, J2, J3):

@@ -33,8 +33,9 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 
 # paths per chunk of the ensemble; each chunk has its own noise stream
 CHUNK = 16384
-# upper bound on the ensemble's worker threads
-MAX_WORKERS = 8
+# upper bound on the ensemble's worker threads: the largest count
+# benchmarked so far (on a 2-CPU host)
+MAX_WORKERS = 2
 
 __all__ = [
     "epsilon_matrix",
@@ -69,20 +70,25 @@ class NoiseModel:
 
     epsilon: np.ndarray
     seed: int = 0
+    _scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", epsilon_matrix(self.epsilon))
+        eps = epsilon_matrix(self.epsilon)
+        object.__setattr__(self, "epsilon", eps)
         # the seed is one 64-bit word of each noise stream's Philox key
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if np.count_nonzero(eps - np.diag(np.diagonal(eps))) == 0:
+            scale = np.diag(np.sqrt(2.0 * np.maximum(np.diagonal(eps), 0.0)))
+        else:
+            w, Q = np.linalg.eigh(2.0 * eps)
+            scale = Q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
+        object.__setattr__(self, "_scale", scale)
 
     def scale_matrix(self) -> np.ndarray:
-        """S with S S^T = 2*eps; increments are S @ N(0, ds*I)."""
-        eps = self.epsilon
-        if np.count_nonzero(eps - np.diag(np.diagonal(eps))) == 0:
-            return np.diag(np.sqrt(2.0 * np.maximum(np.diagonal(eps), 0.0)))
-        w, Q = np.linalg.eigh(2.0 * eps)
-        return Q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
+        """S with S S^T = 2*eps; increments are S @ N(0, ds*I).  Formed
+        once per model, so the caller must not modify it."""
+        return self._scale
 
 
 @dataclass(frozen=True)
@@ -125,30 +131,36 @@ class CoefficientSchedule:
 
 
 def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
-                           n: int) -> np.ndarray:
+                           n: int, out=None) -> np.ndarray:
     """A batch (n, 3) of Gaussian increments with covariance 2*eps*ds,
-    row r made from the r-th triple of normals that rng draws."""
+    row r made from the r-th triple of normals that rng draws.  Written
+    to out (a C-contiguous (n, 3) float array) when it is given; for a
+    diagonal eps nothing else is allocated."""
     if not ds > 0.0:
         raise DomainError(f"ds must be positive, got {ds}")
-    shape = (int(n), 3)
+    dW = np.empty((int(n), 3)) if out is None else out
     if not np.any(noise.epsilon):
-        return np.zeros(shape)
-    z = rng.standard_normal(shape)
+        dW.fill(0.0)
+        return dW
+    rng.standard_normal(out=dW)
     # formed term by term, not by a BLAS product, whose last bit can depend
     # on how many rows it multiplies: a row depends only on its own normals
     scale = noise.scale_matrix() * np.sqrt(ds)
     diagonal = np.diagonal(scale)
-    dW = z * diagonal
-    for i, j in zip(*np.nonzero(scale - np.diag(diagonal))):
+    off = list(zip(*np.nonzero(scale - np.diag(diagonal))))
+    z = dW.copy() if off else dW
+    dW *= diagonal
+    for i, j in off:
         dW[:, i] += scale[i, j] * z[:, j]
     return dW
 
 
-def drift(xi, coeffs) -> np.ndarray:
+def drift(xi, coeffs, out=None) -> np.ndarray:
     """Drift A(xi) = B(xi; Lambda_bar^2) a_bar with the scheduled
-    coefficients (a_bar, Lambda_bar^2).  Broadcasts over (..., 3)."""
+    coefficients (a_bar, Lambda_bar^2).  Broadcasts over (..., 3);
+    written to out when it is given."""
     a_bar, lam_sq_bar = coeffs
-    return momentum_rhs(xi, a_bar, lam_sq_bar)
+    return momentum_rhs(xi, a_bar, lam_sq_bar, out=out)
 
 
 def diffusion(xi, lam_sq_bar) -> np.ndarray:
@@ -159,18 +171,29 @@ def diffusion(xi, lam_sq_bar) -> np.ndarray:
     return 2.0 * xi[..., :, None] * xi[..., None, :] - q[..., None, None] * np.eye(3)
 
 
-def _step(xi, ds: float, mode: str, coeffs, dW) -> np.ndarray:
-    """One step of a batch xi (n, 3) with increments dW (n, 3): Euler-Maruyama
-    (additive) or Stratonovich Heun on dxi = B(xi) o (a ds + dW), whose
-    stages are drift calls on the forcing a ds + dW since B is linear in it
-    (multiplicative).  Both stages use the same coefficients."""
+def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
+    """One step of a batch xi (n, 3), in place, with increments dW (n, 3):
+    Euler-Maruyama (additive) or Stratonovich Heun on
+    dxi = B(xi) o (a ds + dW), whose stages are drift calls on the forcing
+    a ds + dW since B is linear in it (multiplicative; dW is overwritten
+    by the forcing).  Both stages use the same coefficients.  work holds
+    the (n, 3) arrays of the drift stages, one (additive) or three
+    (multiplicative), so a step allocates nothing of the batch's size
+    besides the drift kernel's scratch."""
     if mode == "additive":
-        return xi + drift(xi, coeffs) * ds + dW
-    if mode == "multiplicative":
-        forcing = (coeffs[0] * ds + dW, coeffs[1])
-        k = drift(xi, forcing)
-        return xi + 0.5 * (k + drift(xi + k, forcing))
-    raise ConfigError(f"unknown SDE mode {mode!r}")
+        f = drift(xi, coeffs, out=work[0])
+        f *= ds
+        xi += f
+        xi += dW
+    elif mode == "multiplicative":
+        dW += coeffs[0] * ds
+        forcing = (dW, coeffs[1])
+        k = drift(xi, forcing, out=work[0])
+        k += drift(np.add(xi, k, out=work[1]), forcing, out=work[2])
+        k *= 0.5
+        xi += k
+    else:
+        raise ConfigError(f"unknown SDE mode {mode!r}")
 
 
 @dataclass
@@ -280,11 +303,13 @@ def run_ensemble(
     xi_final = np.empty((n_traj, 3))
     snaps = [np.empty((n_traj, 3)) for _ in times]
 
-    def run_chunk(c: int) -> list:
-        """Step the paths of chunk c over the plan; its blow-ups as
-        (step, path, s)."""
+    def run_chunk(c: int, buffers) -> list:
+        """Step the paths of chunk c over the plan, in place in their rows
+        of xi_final; its blow-ups as (step, path, s)."""
         lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-        xi = xi0[lo:hi].copy()
+        dW, finite, *work = (b[:hi - lo] for b in buffers)
+        xi = xi_final[lo:hi]
+        xi[...] = xi0[lo:hi]
         alive = np.ones(hi - lo, dtype=bool)
         blowups = []
         bitgen = np.random.Philox(key=[noise.seed, c])
@@ -294,39 +319,44 @@ def run_ensemble(
             # restoring a state is cheaper than building a generator
             start["state"]["counter"][3] = k
             bitgen.state = start
-            dW = white_noise_increments(h, noise, rng, hi - lo)
+            white_noise_increments(h, noise, rng, hi - lo, out=dW)
             # runaway paths overflow before they are frozen; the non-finite
             # check below is the intended detector, so silence the
             # transient (errstate is per thread)
             with np.errstate(over="ignore", invalid="ignore"):
-                xi_new = _step(xi, h, mode, coeffs, dW)
-            if np.isfinite(xi_new).all():
-                # a frozen path stays NaN, so no path has blown up yet
-                xi = xi_new
-            else:
-                bad = alive & ~np.all(np.isfinite(xi_new), axis=1)
+                _step(xi, h, mode, coeffs, dW, work)
+            # a frozen path stays NaN, so while all is finite no path has
+            # blown up yet
+            if not np.isfinite(xi, out=finite).all():
+                bad = alive & ~finite.all(axis=1)
                 blowups.extend((k, lo + int(p), s_end) for p in np.nonzero(bad)[0])
                 alive &= ~bad
-                xi = np.where(alive[:, None], xi_new, np.nan)
+                xi[~alive] = np.nan
             for j in slots:
                 snaps[j][lo:hi] = xi
-        xi_final[lo:hi] = xi
         return blowups
 
     n_chunks = -(-n_traj // CHUNK)
     workers = _worker_count(n_chunks)
+    # each worker's step buffers (increments, finiteness, drift stages),
+    # allocated in the calling thread: what a worker thread allocates stays
+    # in its own allocator arena after the ensemble, out of reach of the
+    # stages that follow, so a worker allocates only the drift's scratch
+    rows = min(n_traj, CHUNK)
+    buffers = [[np.empty((rows, 3)), np.empty((rows, 3), dtype=bool)]
+               + [np.empty((rows, 3)) for _ in range(1 if mode == "additive" else 3)]
+               for _ in range(workers)]
 
     def run_share(w: int) -> list:
         """Worker w steps chunks w, w + workers, ..."""
-        return [b for c in range(w, n_chunks, workers) for b in run_chunk(c)]
+        return [b for c in range(w, n_chunks, workers) for b in run_chunk(c, buffers[w])]
 
     if workers == 1:
         found = run_share(0)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        # the calling thread is worker 0; every thread's allocator keeps
-        # its own arena, so each extra thread costs resident memory
+        # the calling thread is worker 0
         with ThreadPoolExecutor(workers - 1) as pool:
             shares = [pool.submit(run_share, w) for w in range(1, workers)]
             found = run_share(0) + [b for share in shares for b in share.result()]

@@ -76,7 +76,11 @@ class TestRhs:
             xi = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
             a = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
             lam2 = rng.uniform(0.0, 4.0, shape[:-1])
-            assert np.array_equal(momentum_rhs(xi, a, lam2), reduction_form(xi, a, lam2))
+            ref = reduction_form(xi, a, lam2)
+            assert np.array_equal(momentum_rhs(xi, a, lam2), ref)
+            out = np.full(shape, np.nan)
+            assert momentum_rhs(xi, a, lam2, out=out) is out
+            assert np.array_equal(out, ref)
 
 
 class TestIntegrate:

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import warnings
 
@@ -36,6 +37,15 @@ def chunk_stream(seed, chunk=0, step=0):
 def use_cpus(monkeypatch, n):
     """Make the ensemble see n CPUs available to the process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def stepped(xi, ds, mode, coeffs, dW):
+    """The ensemble kernel's step of a copy of xi; dW is left as it is."""
+    from tribody.langevin import _step
+
+    xi = np.array(xi, dtype=float)
+    _step(xi, ds, mode, coeffs, np.array(dW, dtype=float), [np.empty_like(xi) for _ in range(3)])
+    return xi
 
 
 def matrix_form_heun(xi, ds, coeffs, dW):
@@ -100,6 +110,15 @@ class TestWhiteNoise:
     def test_invalid_ds(self):
         with pytest.raises(DomainError):
             white_noise_increments(0.0, NoiseModel(epsilon=1.0), philox(), n=1)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, [[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]]])
+    def test_draw_into_out_is_the_same_draw(self, eps):
+        nm = NoiseModel(epsilon=eps, seed=6)
+        out = np.full((7, 3), np.nan)
+        assert white_noise_increments(0.02, nm, philox(6), n=7, out=out) is out
+        assert np.array_equal(out, white_noise_increments(0.02, nm, philox(6), n=7))
+        # the scale matrix is formed once per model
+        assert nm.scale_matrix() is nm.scale_matrix()
 
 
 class TestDriftDiffusion:
@@ -374,8 +393,6 @@ class TestRunEnsemble:
 
 class TestOneStepKernel:
     def test_multiplicative_step_is_matrix_form_heun(self):
-        from tribody.langevin import _step
-
         rng = np.random.default_rng(41)
         for _ in range(20):
             xi = rng.standard_normal((64, 3))
@@ -383,21 +400,19 @@ class TestOneStepKernel:
             coeffs = (rng.standard_normal(3), rng.uniform(0, 2))
             ds = rng.uniform(1e-3, 2e-2)
             ref = matrix_form_heun(xi, ds, coeffs, dW)
-            out = _step(xi, ds, "multiplicative", coeffs, dW)
+            out = stepped(xi, ds, "multiplicative", coeffs, dW)
             assert np.allclose(out, ref, rtol=1e-14, atol=1e-15 * np.abs(ref).max())
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_one_path_step_is_the_kernel_at_the_step_start(self, mode):
         # a trajectory schedule, so coefficients change within the step
-        from tribody.langevin import _step
-
         _, sched = morse_schedule()
         eps = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
         nm = NoiseModel(epsilon=eps, seed=31)
         xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
         res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
         dW = white_noise_increments(ds, nm, chunk_stream(31), n=1)
-        assert np.array_equal(res.xi_final, _step(xi0[None, :], ds, mode, sched.at(s0), dW))
+        assert np.array_equal(res.xi_final, stepped(xi0[None, :], ds, mode, sched.at(s0), dW))
 
     def test_ensemble_draws_white_noise_increments(self):
         # zero drift from the origin: one step leaves exactly the increment
@@ -442,7 +457,9 @@ class TestChunkedEnsemble:
                 assert np.array_equal(a, b[paths])
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_one_and_two_workers_agree(self, mode, monkeypatch):
+    def test_one_two_and_three_workers_agree(self, mode, monkeypatch):
+        # three workers are more threads than a 2-CPU host has; a short
+        # switch interval makes the threads interleave within a step
         from tribody import langevin
 
         _, sched = morse_schedule()
@@ -455,27 +472,37 @@ class TestChunkedEnsemble:
             return step(*args)
 
         monkeypatch.setattr(langevin, "_step", recorded_step)
+        monkeypatch.setattr(langevin, "MAX_WORKERS", 3)
         runs = {}
-        for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
-            threads.clear()
-            runs[cpus] = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm,
-                                      s_span=(0.0, 0.1), snapshot_s=[0.05])
-            # one CPU: the chunks are stepped inline, in the calling thread
-            assert threads == {threading.get_ident()} if cpus == 1 else len(threads) == 2
-        assert np.array_equal(runs[1].xi_final, runs[2].xi_final)
-        assert np.array_equal(runs[1].snapshots[0][1], runs[2].snapshots[0][1])
-        assert runs[1].meta == runs[2].meta
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3):
+                use_cpus(monkeypatch, cpus)
+                threads.clear()
+                runs[cpus] = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm,
+                                          s_span=(0.0, 0.1), snapshot_s=[0.05])
+                assert len(threads) == cpus
+                # one CPU: the chunks are stepped inline, in the calling thread
+                assert cpus > 1 or threads == {threading.get_ident()}
+        finally:
+            sys.setswitchinterval(interval)
+        for cpus in (2, 3):
+            assert np.array_equal(runs[1].xi_final, runs[cpus].xi_final)
+            assert np.array_equal(runs[1].snapshots[0][1], runs[cpus].snapshots[0][1])
+            assert runs[1].meta == runs[cpus].meta
 
     def test_worker_count(self, monkeypatch):
-        from tribody.langevin import MAX_WORKERS, _worker_count
+        from tribody import langevin
 
         use_cpus(monkeypatch, 64)
-        assert _worker_count(1) == 1
-        assert _worker_count(3) == 3
-        assert _worker_count(1000) == MAX_WORKERS
-        use_cpus(monkeypatch, 2)
-        assert _worker_count(1000) == 2
+        assert langevin._worker_count(1) == 1
+        assert langevin._worker_count(1000) == langevin.MAX_WORKERS == 2
+        monkeypatch.setattr(langevin, "MAX_WORKERS", 8)
+        assert langevin._worker_count(3) == 3
+        assert langevin._worker_count(1000) == 8
+        use_cpus(monkeypatch, 1)
+        assert langevin._worker_count(1000) == 1
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_blowups_across_chunks(self, mode, monkeypatch):
@@ -487,15 +514,19 @@ class TestChunkedEnsemble:
         fast, slow = np.array([30.0, 15.0, -15.0]), np.array([3.0, 1.5, -1.5])
         xi0[[CHUNK + 1, 3, CHUNK + 3]] = fast
         xi0[1] = slow
-        use_cpus(monkeypatch, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            res = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm)
         t_fast = run_ensemble(1, sched, fast, 0.01, mode, nm).blowups[0]
         t_slow = run_ensemble(1, sched, slow, 0.01, mode, nm).blowups[0]
         assert t_fast < t_slow
+        use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm, snapshot_s=[t_fast])
         assert list(res.blowups.items()) == [(3, t_fast), (CHUNK + 1, t_fast),
                                              (CHUNK + 3, t_fast), (1, t_slow)]
+        # a path is frozen as a row of NaN at the step it blows up
+        at_fast = res.snapshots[0][1]
+        assert np.all(np.isnan(at_fast[[3, CHUNK + 1, CHUNK + 3]]))
+        assert np.isfinite(np.delete(at_fast, [3, CHUNK + 1, CHUNK + 3], axis=0)).all()
         assert np.all(np.isnan(res.xi_final[[1, 3, CHUNK + 1, CHUNK + 3]]))
         assert np.isfinite(np.delete(res.xi_final, [1, 3, CHUNK + 1, CHUNK + 3], axis=0)).all()
         use_cpus(monkeypatch, 1)
