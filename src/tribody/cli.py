@@ -44,6 +44,7 @@ from .fokker_planck import (
 from .geodesic import (
     GeodesicState,
     TrajectoryRecord,
+    angular_momentum_norm,
     conservation_report,
     external_rates,
     integrate,
@@ -59,10 +60,16 @@ STAGES = ("simulate", "ensemble", "fpe", "chaos", "channels")
 
 
 def _real(value, where: str) -> float:
-    """A JSON number as a float."""
+    """A finite JSON number as a float (json accepts NaN and Infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _reals(value, where: str) -> list:
@@ -197,6 +204,10 @@ def parse_config(doc: dict) -> dict:
         cfg[key] = merged
     if cfg["integrator"]["tol"] <= 0:
         raise ConfigError("integrator.tol must be positive")
+    if cfg["integrator"]["s_end"] <= 0:
+        raise ConfigError("integrator.s_end must be positive")
+    if cfg["integrator"]["n_samples"] < 2:
+        raise ConfigError("integrator.n_samples must be at least 2")
     if cfg["sde"]["mode"] not in ("additive", "multiplicative"):
         raise ConfigError("sde.mode must be 'additive' or 'multiplicative'")
 
@@ -330,7 +341,7 @@ def _load_densities(out_dir: Path) -> list:
 
 def _schedule(s, x, cfg: dict) -> CoefficientSchedule:
     """Coefficients (a, Lambda^2) along trajectory samples (s, x)."""
-    J = math.sqrt(sum(j * j for j in cfg["angular_momentum"]))
+    J = angular_momentum_norm(cfg["angular_momentum"])
     _, a, lam = flow_coefficients(x, cfg["surface"], J)
     return CoefficientSchedule(s=s, a=a, lam_sq=lam)
 
@@ -373,6 +384,8 @@ def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
     report["external_rate_identity_max_err"] = float(
         np.max(np.abs(np.sum(rates**2, axis=-1) - traj.lam_sq))
     )
+    for key in ("nfev", "accepted_steps", "rejected_steps"):
+        report[key] = traj.meta[key]
     _atomic_write_text(writer.path("conservation.json"), _json_dump(report))
 
 

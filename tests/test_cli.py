@@ -110,6 +110,15 @@ class TestParseConfig:
         ("sde", "snapshots", ["x"]),
         ("grid", "n", "24x"),
         ("noise", "epsilon", [[0.01, 0.0], [0.0, 0.01]]),
+        # json reads NaN and Infinity; a NaN s_end used to hang simulate
+        ("integrator", "s_end", float("nan")),
+        ("integrator", "s_end", float("inf")),
+        ("sde", "ds", float("-inf")),
+        pytest.param("integrator", "n_samples", 10**400, id="integrator-n_samples-1e400"),
+        # out of range for the integrator
+        ("integrator", "s_end", 0.0),
+        ("integrator", "n_samples", 0),
+        ("integrator", "n_samples", 1),
     ])
     def test_wrongly_typed_value_is_2(self, tmp_path, section, key, value):
         doc = base_config()
@@ -226,6 +235,9 @@ class TestSimulateStage:
         report = json.loads((out / "conservation.json").read_text())
         assert report["H_drift"] < 1e-4
         assert report["external_rate_identity_max_err"] < 1e-8
+        assert report["termination"] == "s_end"
+        assert report["accepted_steps"] > 0 and report["rejected_steps"] >= 0
+        assert report["nfev"] == 2 + 6 * (report["accepted_steps"] + report["rejected_steps"])
 
         manifest = json.loads((out / "manifest_simulate.json").read_text())
         assert manifest["status"] == "complete"

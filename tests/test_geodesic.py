@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tribody import (
+    CallablePotential,
     DomainError,
     EnergySurface,
     FreePotential,
@@ -21,10 +22,18 @@ from tribody import (
     reduced_mass,
 )
 from tribody.geodesic import read_trajectory_csv, write_trajectory_csv
+from tribody.metric import flow_coefficients
 
 
 def free_surface():
     return EnergySurface(E=1.0, U0=1.0, potential=FreePotential())
+
+
+def ramp_setup():
+    """Linear ramp: g = 1 - x1 falls to g_min = 1e-6 ahead of the motion."""
+    pot = CallablePotential(lambda x: x[0], lambda x: np.array([1.0, 0.0, 0.0]))
+    surf = EnergySurface(E=1.0, U0=1.0, potential=pot, g_min=1e-6)
+    return surf, GeodesicState(x=[0.0, 1.0, 1.0], xi=[0.5, 0.0, 0.0])
 
 
 def morse_setup():
@@ -141,15 +150,91 @@ class TestIntegrate:
         assert np.max(np.abs(sol.y[:3].T - traj.x)) < 1e-7
 
     def test_boundary_termination_recorded(self):
-        # linear ramp: g = 1 - x1 vanishes ahead of the motion
-        from tribody import CallablePotential
-        pot = CallablePotential(lambda x: x[0], lambda x: np.array([1.0, 0.0, 0.0]))
-        surf = EnergySurface(E=1.0, U0=1.0, potential=pot, g_min=1e-6)
-        traj = integrate(GeodesicState(x=[0.0, 1.0, 1.0], xi=[0.5, 0.0, 0.0]),
-                         surf, s_end=50.0, tol=1e-8)
-        assert traj.termination != "s_end"
+        surf, state0 = ramp_setup()
+        traj = integrate(state0, surf, s_end=50.0, tol=1e-8)
+        assert traj.termination == "boundary"
+        # the located event state is the last sample
+        assert abs(traj.g[-1] - surf.g_min) < 1e-8
         assert traj.x[-1, 0] < 1.0
         assert np.all(traj.g > 0)
+
+    def test_max_steps_is_a_step_budget(self):
+        _, surf, s0 = morse_setup()
+        traj = integrate(s0, surf, J=(0.1, 0.2, 0.05), s_end=3.0, max_steps=3)
+        assert traj.termination == "max_steps"
+        assert traj.meta["accepted_steps"] <= 3
+        # the record ends at the state reached, short of s_end
+        assert traj.s[-2] < traj.s[-1] < 3.0
+        assert traj.meta["nfev"] == 2 + 6 * (traj.meta["accepted_steps"]
+                                             + traj.meta["rejected_steps"])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"s_end": float("nan")},
+        {"s_end": float("inf")},
+        {"s_end": 0.0},
+        {"n_samples": 1},
+        {"n_samples": 0},
+    ])
+    def test_bad_span_or_sampling_rejected(self, kwargs):
+        _, surf, s0 = morse_setup()
+        with pytest.raises(DomainError):
+            integrate(s0, surf, **{"s_end": 1.0, **kwargs})
+
+
+def scipy_reference(state0, surf, J, s_end, tol, n_samples):
+    """The integrator's contract as a solve_ivp call: RK45 at rtol = tol,
+    atol = 1e-3 tol, sampled at n_samples even points, stopped by the
+    terminal g <= g_min event."""
+    J_tot = math.sqrt(sum(j * j for j in J))
+
+    def rhs(s, y):
+        _, a, lam2 = flow_coefficients(y[:3], surf, J_tot)
+        return np.concatenate([y[3:], momentum_rhs(y[3:], a, lam2)])
+
+    def boundary(s, y):
+        return flow_coefficients(y[:3], surf, 0.0)[0] - surf.g_min
+
+    boundary.terminal = True
+    boundary.direction = -1
+    return solve_ivp(rhs, (state0.s, s_end), np.concatenate([state0.x, state0.xi]),
+                     method="RK45", rtol=tol, atol=tol * 1e-3,
+                     t_eval=np.linspace(state0.s, s_end, n_samples), events=boundary)
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_same_steps_and_samples(self, tol):
+        _, surf, s0 = morse_setup()
+        J = (0.1, 0.2, 0.05)
+        traj = integrate(s0, surf, J=J, s_end=3.0, tol=tol, n_samples=64)
+        sol = scipy_reference(s0, surf, J, 3.0, tol, 64)
+        assert traj.termination == "s_end" and sol.status == 0
+        assert np.array_equal(traj.s, sol.t)
+        assert traj.meta["nfev"] == sol.nfev
+        assert np.max(np.abs(np.hstack([traj.x, traj.xi]) - sol.y.T)) <= 1e-12
+
+    def test_step_underflow_recorded(self):
+        # the gradient is NaN beyond x1 = 0.5: every step across it is
+        # rejected until the step underflows short of that wall
+        pot = CallablePotential(lambda x: 0.0, lambda x: np.full(3, 0.0 if x[0] < 0.5 else np.nan))
+        surf = EnergySurface(E=1.0, U0=1.0, potential=pot)
+        state0 = GeodesicState(x=[0.0, 1.0, 1.0], xi=[0.5, 0.0, 0.0])
+        traj = integrate(state0, surf, s_end=5.0, tol=1e-8, n_samples=16)
+        sol = scipy_reference(state0, surf, (0.0, 0.0, 0.0), 5.0, 1e-8, 16)
+        assert sol.status == -1
+        assert traj.termination == f"solver_stop: {sol.message}"
+        assert np.array_equal(traj.s[:-1], sol.t)
+        assert traj.meta["nfev"] == sol.nfev
+        assert 0.5 - 1e-6 < traj.x[-1, 0] < 0.5
+
+    def test_boundary_event_located(self):
+        surf, state0 = ramp_setup()
+        traj = integrate(state0, surf, s_end=50.0, tol=1e-8)
+        sol = scipy_reference(state0, surf, (0.0, 0.0, 0.0), 50.0, 1e-8, 512)
+        assert sol.status == 1
+        assert abs(traj.s[-1] - sol.t_events[0][0]) <= 1e-10
+        assert np.array_equal(traj.s[:-1], sol.t)
+        assert traj.meta["nfev"] == sol.nfev
 
 
 class TestExternalRates:
