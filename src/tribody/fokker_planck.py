@@ -12,21 +12,33 @@ Stratonovich SDE dxi = B(xi) o (a ds + dW).  The printed operator carries
 Both are available ("verbatim" vs "conventional"); the conventional sign
 is the default and the one validated against ensembles.
 
+For multiplicative noise the operator is formed component by component
+on (n1, n2, n3) arrays: F_j = sum_k d_k(B_kj P), G = eps F, then
+sum_l d_l(sum_i B_il G_i).  B is symmetric, and on a fixed mesh only the
+-Lambda^2 shift of its diagonal changes with s, so fpe_evolve forms the
+products 2 xi_k xi_j (k <= j) and |xi|^2 once and each stage sets only
+the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2).
+
 For additive noise, dxi = B(xi) a ds + dW, the noise coupling is the
 identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P,
 discretized with compact stencils.  Boundary density is pinned to zero;
-mass loss is audited, not hidden.
+mass loss is audited, not hidden: the mass that the end-of-step pins
+delete is recorded beside the mass balance.  The additive operator
+telescopes on the pinned grid, so that outflow closes the balance; the
+multiplicative one also carries mass out through the boundary faces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
-from .langevin import CoefficientSchedule, diffusion, drift, epsilon_matrix
+from .langevin import CoefficientSchedule, drift, epsilon_matrix
 
 DS_FLOOR = 1e-9   # smallest admissible step
 SAFETY = 0.5      # fraction of the CFL bound taken per step
@@ -162,18 +174,57 @@ def _d2(F, axis, h):
     return out
 
 
-def _fields(mesh, coeffs, cfg):
+# the entries (k, j), k <= j, that fix a symmetric 3x3 matrix
+_UPPER = tuple((k, j) for k in range(3) for j in range(k, 3))
+
+
+def _symmetric(entries):
+    """Rows of a symmetric 3x3 matrix from its ((k, j), value) entries on
+    and above the diagonal; M[k][j] and M[j][k] are one object."""
+    M = [[None] * 3 for _ in range(3)]
+    for (k, j), value in entries:
+        M[k][j] = M[j][k] = value
+    return M
+
+
+def _quadratic(mesh):
+    """The parts of the coupling that do not depend on Lambda^2: the rows of
+    the symmetric 2 xi xi^T and |xi|^2, as (n1, n2, n3) arrays."""
+    xi = [mesh[..., k] for k in range(3)]
+    two_xx = _symmetric(((k, j), 2.0 * xi[k] * xi[j]) for k, j in _UPPER)
+    return two_xx, xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
+
+
+def _coupling(quad, lam_sq):
+    """The coupling B(xi; Lambda^2) of langevin.diffusion on the mesh, as
+    the rows of (n1, n2, n3) components that _symmetric makes.  Only the
+    diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2) is formed; the off-diagonal
+    products of _quadratic are used as they are."""
+    two_xx, sq = quad
+    q = sq + lam_sq
+    return _symmetric(((k, j), two_xx[k][j] - q if k == j else two_xx[k][j])
+                      for k, j in _UPPER)
+
+
+def _fields(mesh, coeffs, cfg, quad=None):
     """Drift A (n1, n2, n3, 3) and, for multiplicative noise, the coupling
-    B (n1, n2, n3, 3, 3) on the mesh at coeffs; B is None for additive noise."""
-    return drift(mesh, coeffs), (diffusion(mesh, coeffs[1]) if cfg.multiplicative else None)
+    B of _coupling on the mesh at coeffs; B is None for additive noise.
+    quad is _quadratic(mesh), formed here when omitted."""
+    A = drift(mesh, coeffs)
+    if not cfg.multiplicative:
+        return A, None
+    return A, _coupling(_quadratic(mesh) if quad is None else quad, coeffs[1])
 
 
 def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.ndarray:
     """Discrete right-hand side dP/ds on the grid (second-order stencils).
 
     `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
-    mesh; fpe_evolve passes it for both stages, and the first stage's is
-    the pair its step bound has read.  It is evaluated here when omitted.
+    mesh: A with the drift's components on the last axis and, for
+    multiplicative noise, B as rows of (n1, n2, n3) components, where the
+    symmetric B[k][j] and B[j][k] are one array.  fpe_evolve passes it for
+    both stages, and the first stage's is the pair its step bound has
+    read.  It is evaluated here when omitted.
     """
     if fields is None:
         fields = _fields(grid.mesh(), coeffs, cfg)
@@ -196,11 +247,21 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
                     rhs += 2.0 * eps[i, j] * _d(_d(P, j, h[j]), i, h[i])
         return rhs
 
-    # F_j = sum_k d_k (B_kj P); then rhs += sum_l d_l [ sum_i B_il (eps F)_i ]
-    F = sum(_d(B[..., k, :] * P[..., None], k, h[k]) for k in range(3))
-    BG = np.einsum("...il,...i->...l", B, F @ eps)
+    # F_j = sum_k d_k (B_kj P), component by component.  Each product
+    # B_kj P (k <= j) is formed once and differenced along k for F_j and
+    # along j for F_k; in _UPPER order every F_j gets its terms k = 0, 1, 2
+    # left to right.
+    F = [np.zeros_like(P) for _ in range(3)]
+    for k, j in _UPPER:
+        BP = B[k][j] * P
+        for axis, comp in {(k, j), (j, k)}:
+            F[comp] += _d(BP, axis, h[axis])
+    del BP
+    # G = eps F; then rhs += sum_l d_l [ sum_i B_il G_i ]
+    G = [sum(eps[i, j] * F[j] for j in range(3) if eps[i, j] != 0.0) for i in range(3)]
+    del F
     for l in range(3):
-        rhs += _d(BG[..., l], l, h[l])
+        rhs += _d(reduce(iadd, (B[i][l] * G[i] for i in range(3))), l, h[l])
     return rhs
 
 
@@ -214,7 +275,9 @@ def _stable_ds(grid, cfg, fields):
         ds = min(ds, float(np.min(h)) / amax)
     tr_eps = float(np.trace(cfg.epsilon))
     if tr_eps > 0.0:
-        bmax = max(float(np.max(np.abs(B))), 1.0) if cfg.multiplicative else 1.0
+        bmax = 1.0
+        if cfg.multiplicative:
+            bmax = max(max(float(np.max(np.abs(B[k][j]))) for k, j in _UPPER), 1.0)
         ds = min(ds, float(np.min(h)) ** 2 / (2.0 * tr_eps * bmax * bmax))
     return SAFETY * ds
 
@@ -240,7 +303,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
 
     The initial density must be normalized to 1e-9, the span must lie
     inside the schedule and the snapshot times in (s0, s1].  Boundary
-    cells are pinned to zero every stage; snapshots are deep copies.
+    cells are pinned to zero every stage; snapshots are deep copies.  The
+    diagnostics record the mass that the end-of-step pins delete
+    (`boundary_outflow`) and `mass_balance_residual` = mass_initial -
+    mass_final - boundary_outflow.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -250,6 +316,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     cfg.schedule.check_span(s0, s1)
 
     mesh = grid0.mesh()
+    quad = _quadratic(mesh) if cfg.multiplicative else None
     P = grid0.P.copy()
     work = grid0.copy_with(P)
 
@@ -259,12 +326,13 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     snaps: list = []
     mass_series = [(s0, total_mass(work))]
     neg_flags = 0
+    outflow = 0.0
     s = s0
 
     for target in targets:
         while s < target - 1e-15:
             coeffs = cfg.schedule.at(s)
-            fields = _fields(mesh, coeffs, cfg)
+            fields = _fields(mesh, coeffs, cfg, quad)
             ds = min(_stable_ds(work, cfg, fields), target - s)
             if ds < DS_FLOOR:
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
@@ -276,8 +344,11 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            P = P + ds * fpe_rhs(work, coeffs_mid, cfg, fields=_fields(mesh, coeffs_mid, cfg))
+            P = P + ds * fpe_rhs(work, coeffs_mid, cfg,
+                                 fields=_fields(mesh, coeffs_mid, cfg, quad))
+            unpinned = np.sum(P)
             pin_boundary(P)
+            outflow += float((unpinned - np.sum(P)) * work.cell_volume)
             if np.any(P < -1e-12 * max(P.max(), 1e-300)):
                 neg_flags += 1
             s += ds
@@ -290,6 +361,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         "negative_undershoot_steps": neg_flags,
         "mass_initial": masses[0],
         "mass_final": masses[-1],
+        "boundary_outflow": outflow,
+        "mass_balance_residual": masses[0] - masses[-1] - outflow,
         "max_mass_loss_rate": max(
             (abs(masses[i] - masses[i - 1]) / max(mass_series[i][0] - mass_series[i - 1][0], 1e-300)
              for i in range(1, len(masses))),

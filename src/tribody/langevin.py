@@ -165,7 +165,12 @@ def drift(xi, coeffs, out=None) -> np.ndarray:
 
 def diffusion(xi, lam_sq_bar) -> np.ndarray:
     """Noise coupling B(xi; Lambda_bar^2) as a matrix,
-    2 xi (x) xi - (|xi|^2 + Lambda_bar^2) I.  Returns (..., 3, 3)."""
+    2 xi (x) xi - (|xi|^2 + Lambda_bar^2) I.  Returns (..., 3, 3).
+
+    B is symmetric.  The density solver keeps B as components on its mesh
+    (fokker_planck._coupling) and does not call this; the tensor stays as
+    public API, as the reference the tests hold those components to, and
+    as the benchmark tracer's `langevin.diffusion` layer."""
     xi = np.asarray(xi, dtype=float)
     q = np.sum(xi * xi, axis=-1) + lam_sq_bar
     return 2.0 * xi[..., :, None] * xi[..., None, :] - q[..., None, None] * np.eye(3)
