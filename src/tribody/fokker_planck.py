@@ -26,23 +26,48 @@ mass loss is audited, not hidden: the mass that the end-of-step pins
 delete is recorded beside the mass balance.  The additive operator
 telescopes on the pinned grid, so that outflow closes the balance; the
 multiplicative one also carries mass out through the boundary faces.
+
+Layout.  Per-cell vectors are stored component-major: fpe_evolve forms
+the cell centres once per solve as a contiguous (3, n1, n2, n3) array
+X = grid.mesh(axis=0), and each stage writes its drift into one
+(3, n1, n2, n3) buffer A by calling langevin.drift (so
+geodesic.momentum_rhs, the one B a kernel) on the (n1, n2, n3, 3) views
+of X and A, whose components are then contiguous.  The stencils write
+into preallocated arrays and run as one flat pass over contiguous data,
+with each cell's operations in the same order as on the mesh form, so
+the result is bit-identical to it.
+
+Slabs.  fpe_rhs cuts axis 0 into one slab per worker thread
+(langevin._worker_count, the ensemble's rule: at most
+langevin.MAX_WORKERS, one per CPU the process may run on), the calling
+thread among them.  A slab reads HALO = 2 rows past its own on each side,
+since the multiplicative operator nests two differences along axis 0,
+and writes only its own rows of the result, so the result does not
+depend on the number of slabs.  Grids of fewer than SLAB_CELLS cells
+are evaluated in the calling thread alone: below it, starting a thread
+and handing the GIL between the slabs cost more than the second CPU
+gives back.  The workers call no traced function and allocate nothing;
+the calling thread allocates their scratch for each evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import iadd
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
-from .langevin import CoefficientSchedule, drift, epsilon_matrix
+from .langevin import CoefficientSchedule, _worker_count, drift, epsilon_matrix
 
 DS_FLOOR = 1e-9   # smallest admissible step
 SAFETY = 0.5      # fraction of the CFL bound taken per step
 MASS_TOL = 1e-6   # allowed mass change per unit s in the audit
+# grids of fewer cells are stepped in the calling thread alone
+SLAB_CELLS = 64**3
+# rows a slab reads past its own on each side: the multiplicative
+# operator nests two central differences along axis 0
+HALO = 2
 
 __all__ = [
     "MomentumGrid",
@@ -92,10 +117,12 @@ class MomentumGrid:
         h = self.h[axis]
         return self.mins[axis] + h * (np.arange(self.shape[axis]) + 0.5)
 
-    def mesh(self) -> np.ndarray:
-        """Cell-center coordinates, shape (n1, n2, n3, 3)."""
+    def mesh(self, axis: int = -1) -> np.ndarray:
+        """Cell-center coordinates stacked on `axis`: shape (n1, n2, n3, 3)
+        by default, and the contiguous component-major (3, n1, n2, n3)
+        with axis=0."""
         grids = np.meshgrid(*(self.centers(i) for i in range(3)), indexing="ij")
-        return np.stack(grids, axis=-1)
+        return np.stack(grids, axis=axis)
 
     def same_spec(self, other: "MomentumGrid") -> bool:
         return (
@@ -152,25 +179,50 @@ def _at(axis, index):
     return tuple(sel)
 
 
-def _d(F, axis, h):
-    """Central first difference with zero ghost cells (pinned boundary)."""
-    out = np.empty_like(F)
-    hi, mid, lo = (_at(axis, slice(2, None)), _at(axis, slice(1, -1)),
-                   _at(axis, slice(None, -2)))
-    out[mid] = (F[hi] - F[lo]) / (2.0 * h)
-    out[_at(axis, 0)] = F[_at(axis, 1)] / (2.0 * h)
-    out[_at(axis, -1)] = -F[_at(axis, -2)] / (2.0 * h)
+def _flat(F, axis, out):
+    """F as a C-contiguous array, out (C-contiguous, F's shape; made when
+    None), both flattened, and the distance s in the flattened arrays
+    from a cell to its neighbour along `axis`."""
+    F = np.ascontiguousarray(F)
+    if out is None:
+        out = np.empty_like(F)
+    elif not out.flags.c_contiguous or out.shape != F.shape:
+        raise ValueError("out must be C-contiguous with the shape of F")
+    return F, out, F.reshape(-1), out.reshape(-1), F.strides[axis] // F.itemsize
+
+
+def _d(F, axis, h, out=None):
+    """Central first difference with zero ghost cells (pinned boundary),
+    written to out (C-contiguous, F's shape, sharing no memory with F)
+    when given.
+
+    The interior is one contiguous pass over the flattened arrays, where
+    a cell's neighbours along the axis lie s elements away.  That pass
+    also fills the two faces normal to the axis, from the adjacent rows
+    of the flattened array; the one-sided formulas then overwrite them.
+    """
+    F, out, f, o, s = _flat(F, axis, out)
+    mid = o[s:-s]
+    np.subtract(f[2 * s:], f[:-2 * s], out=mid)
+    mid /= 2.0 * h
+    np.divide(F[_at(axis, 1)], 2.0 * h, out=out[_at(axis, 0)])
+    last = np.negative(F[_at(axis, -2)], out=out[_at(axis, -1)])
+    last /= 2.0 * h
     return out
 
 
-def _d2(F, axis, h):
-    """Compact second difference with zero ghost cells."""
-    out = np.empty_like(F)
-    hi, mid, lo = (_at(axis, slice(2, None)), _at(axis, slice(1, -1)),
-                   _at(axis, slice(None, -2)))
-    out[mid] = (F[hi] - 2.0 * F[mid] + F[lo]) / (h * h)
-    out[_at(axis, 0)] = (F[_at(axis, 1)] - 2.0 * F[_at(axis, 0)]) / (h * h)
-    out[_at(axis, -1)] = (F[_at(axis, -2)] - 2.0 * F[_at(axis, -1)]) / (h * h)
+def _d2(F, axis, h, out=None):
+    """Compact second difference with zero ghost cells, written to out
+    (as for _d) when given; the interior is one flat pass, as in _d."""
+    F, out, f, o, s = _flat(F, axis, out)
+    for dst, src, hi, lo in ((o[s:-s], f[s:-s], f[2 * s:], f[:-2 * s]),
+                             (out[_at(axis, 0)], F[_at(axis, 0)], F[_at(axis, 1)], None),
+                             (out[_at(axis, -1)], F[_at(axis, -1)], F[_at(axis, -2)], None)):
+        np.multiply(src, 2.0, out=dst)
+        np.subtract(hi, dst, out=dst)
+        if lo is not None:
+            dst += lo
+        dst /= h * h
     return out
 
 
@@ -187,10 +239,11 @@ def _symmetric(entries):
     return M
 
 
-def _quadratic(mesh):
+def _quadratic(X):
     """The parts of the coupling that do not depend on Lambda^2: the rows of
-    the symmetric 2 xi xi^T and |xi|^2, as (n1, n2, n3) arrays."""
-    xi = [mesh[..., k] for k in range(3)]
+    the symmetric 2 xi xi^T and |xi|^2, as (n1, n2, n3) arrays, from the
+    component-major cell centres X = grid.mesh(axis=0)."""
+    xi = list(X)
     two_xx = _symmetric(((k, j), 2.0 * xi[k] * xi[j]) for k, j in _UPPER)
     return two_xx, xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
 
@@ -206,80 +259,169 @@ def _coupling(quad, lam_sq):
                       for k, j in _UPPER)
 
 
-def _fields(mesh, coeffs, cfg, quad=None):
-    """Drift A (n1, n2, n3, 3) and, for multiplicative noise, the coupling
-    B of _coupling on the mesh at coeffs; B is None for additive noise.
-    quad is _quadratic(mesh), formed here when omitted."""
-    A = drift(mesh, coeffs)
+def _fields(X, coeffs, cfg, quad=None, out=None):
+    """Drift A and, for multiplicative noise, the coupling B of _coupling
+    at coeffs on the component-major cell centres X = grid.mesh(axis=0);
+    B is None for additive noise.  A is (3, n1, n2, n3), component A[i]
+    contiguous, written to out when it is given: the drift kernel runs on
+    the (n1, n2, n3, 3) views of X and A, whose components are then
+    contiguous.  quad is _quadratic(X), formed here when omitted."""
+    A = np.empty(X.shape) if out is None else out
+    drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
     if not cfg.multiplicative:
         return A, None
-    return A, _coupling(_quadratic(mesh) if quad is None else quad, coeffs[1])
+    return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
 
 
-def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.ndarray:
-    """Discrete right-hand side dP/ds on the grid (second-order stencils).
+def _slabs(shape, multiplicative: bool) -> list:
+    """Cut axis 0 of a grid of `shape` into one slab per worker of
+    langevin._worker_count (one slab below SLAB_CELLS cells), as a list of
+    (rows, cells, scratch): the slab owns `rows` and reads `cells`, which
+    reach HALO rows past its own where the grid goes on; scratch holds its
+    temporaries, 2 arrays of the cells' shape (8 for multiplicative
+    noise).  Made by the calling thread for each evaluation: a worker
+    allocates nothing, so no worker's allocator arena keeps memory after
+    it, and the scratch is not held while the drift kernel has its own."""
+    n1 = shape[0]
+    count = 1 if math.prod(shape) < SLAB_CELLS else _worker_count(n1)
+    plan = []
+    for w in range(count):
+        r0, r1 = n1 * w // count, n1 * (w + 1) // count
+        lo, hi = max(r0 - HALO, 0), min(r1 + HALO, n1)
+        scratch = [np.empty((hi - lo,) + tuple(shape[1:]))
+                   for _ in range(8 if multiplicative else 2)]
+        plan.append((slice(r0, r1), slice(lo, hi), scratch))
+    return plan
 
-    `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
-    mesh: A with the drift's components on the last axis and, for
-    multiplicative noise, B as rows of (n1, n2, n3) components, where the
-    symmetric B[k][j] and B[j][k] are one array.  fpe_evolve passes it for
-    both stages, and the first stage's is the pair its step bound has
-    read.  It is evaluated here when omitted.
+
+def _slab_rhs(P, A, B, h, cfg, rows, out, scratch):
+    """Add the right-hand side of fpe_rhs on `rows` of a slab to out.
+
+    P, A[i] and B[k][j] are the slab's cells (see _slabs), and scratch
+    its temporaries.  The differences run over all the cells, as if they
+    ended in zero ghost cells, so a row that a cut left without its
+    neighbours comes out wrong; `rows` keeps the rows HALO deep inside,
+    where each cell gets the operations, in the same order, that it gets
+    on the whole grid.  Calls no traced function and allocates no array
+    data, so it may run in a worker thread.
     """
-    if fields is None:
-        fields = _fields(grid.mesh(), coeffs, cfg)
-    A, B = fields
-    P = grid.P
-    h = grid.h
     eps = cfg.epsilon
-
-    rhs = np.zeros_like(P)
+    accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
+    t, d = scratch[:2]
     for i in range(3):
-        rhs += cfg.drift_sign * _d(A[..., i] * P, i, h[i])
+        accumulate(out, _d(np.multiply(A[i], P, out=t), i, h[i], out=d)[rows], out=out)
 
-    if not cfg.multiplicative:
+    if B is None:
         # B = identity: sum_ij eps_ij d_i d_j P with compact stencils
         for i in range(3):
             if eps[i, i] != 0.0:
-                rhs += eps[i, i] * _d2(P, i, h[i])
+                term = _d2(P, i, h[i], out=d)[rows]
+                term *= eps[i, i]
+                out += term
             for j in range(i + 1, 3):
                 if eps[i, j] != 0.0:
-                    rhs += 2.0 * eps[i, j] * _d(_d(P, j, h[j]), i, h[i])
-        return rhs
+                    term = _d(_d(P, j, h[j], out=t), i, h[i], out=d)[rows]
+                    term *= 2.0 * eps[i, j]
+                    out += term
+        return
 
     # F_j = sum_k d_k (B_kj P), component by component.  Each product
     # B_kj P (k <= j) is formed once and differenced along k for F_j and
     # along j for F_k; in _UPPER order every F_j gets its terms k = 0, 1, 2
     # left to right.
-    F = [np.zeros_like(P) for _ in range(3)]
+    F, G = scratch[2:5], scratch[5:8]
+    for a in F + G:
+        a.fill(0.0)
     for k, j in _UPPER:
-        BP = B[k][j] * P
+        np.multiply(B[k][j], P, out=t)
         for axis, comp in {(k, j), (j, k)}:
-            F[comp] += _d(BP, axis, h[axis])
-    del BP
-    # G = eps F; then rhs += sum_l d_l [ sum_i B_il G_i ]
-    G = [sum(eps[i, j] * F[j] for j in range(3) if eps[i, j] != 0.0) for i in range(3)]
-    del F
+            F[comp] += _d(t, axis, h[axis], out=d)
+    # G = eps F, each G_i summed over j left to right
+    for i in range(3):
+        for j in range(3):
+            if eps[i, j] != 0.0:
+                G[i] += np.multiply(F[j], eps[i, j], out=d)
+    # rhs += sum_l d_l [ sum_i B_il G_i ]
     for l in range(3):
-        rhs += _d(reduce(iadd, (B[i][l] * G[i] for i in range(3))), l, h[l])
+        np.multiply(B[0][l], G[0], out=t)
+        for i in (1, 2):
+            t += np.multiply(B[i][l], G[i], out=d)
+        out += _d(t, l, h[l], out=d)[rows]
+
+
+def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
+            out=None) -> np.ndarray:
+    """Discrete right-hand side dP/ds on the grid (second-order stencils).
+
+    `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
+    cells: A component-major, (3, n1, n2, n3), and, for multiplicative
+    noise, B as rows of (n1, n2, n3) components, where the symmetric
+    B[k][j] and B[j][k] are one array.  fpe_evolve passes it for both
+    stages, and the first stage's is the pair its step bound has read.  It
+    is evaluated here when omitted.  The result is written to out (the
+    grid's shape, sharing no memory with the inputs) when it is given.
+
+    The grid is cut into the slabs of _slabs, each evaluated from views
+    of P, A and B into its own rows of the result, one slab per thread
+    with the calling thread among them; the result does not depend on the
+    number of slabs.
+    """
+    if fields is None:
+        fields = _fields(grid.mesh(axis=0), coeffs, cfg)
+    A, B = fields
+    P = grid.P
+    rhs = np.empty_like(P) if out is None else out
+    rhs.fill(0.0)
+    slabs = _slabs(P.shape, cfg.multiplicative)
+
+    def run_slab(slab) -> None:
+        rows, cells, scratch = slab
+        own = slice(rows.start - cells.start, rows.stop - cells.start)
+        _slab_rhs(P[cells], A[:, cells],
+                  None if B is None else [[b[cells] for b in row] for row in B],
+                  grid.h, cfg, own, rhs[rows], scratch)
+
+    if len(slabs) == 1:
+        run_slab(slabs[0])
+    else:
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread is worker 0; each worker runs in a copy of the
+        # caller's context, so np.errstate holds in every slab
+        with ThreadPoolExecutor(len(slabs) - 1) as pool:
+            others = [pool.submit(contextvars.copy_context().run, run_slab, slab)
+                      for slab in slabs[1:]]
+            run_slab(slabs[0])
+            for other in others:
+                other.result()
     return rhs
 
 
+def _absmax(x) -> float:
+    """max |x| without a temporary of x's size (NaN if x holds one)."""
+    return float(max(x.max(), -x.min()))
+
+
 def _stable_ds(grid, cfg, fields):
-    """CFL step bound from the step-start fields (A, B) of _fields."""
+    """CFL step bound from the step-start fields (A, B) of _fields, and the
+    term that sets it: "drift", "diffusion", or None when neither bounds
+    the step (the bound is then inf)."""
     A, B = fields
-    amax = float(np.max(np.abs(A)))
+    amax = _absmax(A)
     h = grid.h
-    ds = np.inf
+    ds, term = np.inf, None
     if amax > 0.0:
-        ds = min(ds, float(np.min(h)) / amax)
+        ds, term = float(np.min(h)) / amax, "drift"
     tr_eps = float(np.trace(cfg.epsilon))
     if tr_eps > 0.0:
         bmax = 1.0
         if cfg.multiplicative:
-            bmax = max(max(float(np.max(np.abs(B[k][j]))) for k, j in _UPPER), 1.0)
-        ds = min(ds, float(np.min(h)) ** 2 / (2.0 * tr_eps * bmax * bmax))
-    return SAFETY * ds
+            bmax = max(max(_absmax(B[k][j]) for k, j in _UPPER), 1.0)
+        diffusive = float(np.min(h)) ** 2 / (2.0 * tr_eps * bmax * bmax)
+        if diffusive < ds:
+            ds, term = diffusive, "diffusion"
+    return SAFETY * ds, term
 
 
 def pin_boundary(P):
@@ -306,7 +448,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     cells are pinned to zero every stage; snapshots are deep copies.  The
     diagnostics record the mass that the end-of-step pins delete
     (`boundary_outflow`) and `mass_balance_residual` = mass_initial -
-    mass_final - boundary_outflow.
+    mass_final - boundary_outflow; the number of `steps`, their `ds_min`,
+    `ds_median` and `ds_max`; and in `cfl_limit` how many steps the drift
+    or the diffusion bound set and how many were cut to end on a
+    snapshot time ("snapshot").
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -315,10 +460,14 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         raise DomainError("empty evolution span")
     cfg.schedule.check_span(s0, s1)
 
-    mesh = grid0.mesh()
-    quad = _quadratic(mesh) if cfg.multiplicative else None
+    X = grid0.mesh(axis=0)
+    quad = _quadratic(X) if cfg.multiplicative else None
     P = grid0.P.copy()
     work = grid0.copy_with(P)
+    # the run's buffers, reused by every step: the drift of the stage being
+    # evaluated, the midpoint stage and the next density
+    A = np.empty(X.shape)
+    stage, spare = np.empty_like(P), np.empty_like(P)
 
     targets = sorted({float(v) for v in snapshot_s} | {s1})
     if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
@@ -327,36 +476,51 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     mass_series = [(s0, total_mass(work))]
     neg_flags = 0
     outflow = 0.0
+    steps: list = []
+    limits = {"drift": 0, "diffusion": 0, "snapshot": 0}
     s = s0
 
     for target in targets:
         while s < target - 1e-15:
             coeffs = cfg.schedule.at(s)
-            fields = _fields(mesh, coeffs, cfg, quad)
-            ds = min(_stable_ds(work, cfg, fields), target - s)
+            fields = _fields(X, coeffs, cfg, quad, out=A)
+            ds, term = _stable_ds(work, cfg, fields)
+            if target - s < ds:
+                ds, term = target - s, "snapshot"
             if ds < DS_FLOOR:
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
-            # the stage slopes k1, k2 are consumed at once and the step-start
-            # fields freed before k2 evaluates its own: this bounds peak memory
-            mid = P + 0.5 * ds * fpe_rhs(work, coeffs, cfg, fields=fields)
+            # each stage slope is turned into its stage in place, and the
+            # step-start coupling is freed before k2 forms its own
+            mid = fpe_rhs(work, coeffs, cfg, fields=fields, out=stage)
             del fields
+            mid *= 0.5 * ds
+            mid += P
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            P = P + ds * fpe_rhs(work, coeffs_mid, cfg,
-                                 fields=_fields(mesh, coeffs_mid, cfg, quad))
+            new = fpe_rhs(work, coeffs_mid, cfg, out=spare,
+                          fields=_fields(X, coeffs_mid, cfg, quad, out=A))
+            new *= ds
+            new += P
+            P, spare = new, P
             unpinned = np.sum(P)
             pin_boundary(P)
             outflow += float((unpinned - np.sum(P)) * work.cell_volume)
             if np.any(P < -1e-12 * max(P.max(), 1e-300)):
                 neg_flags += 1
             s += ds
+            steps.append(ds)
+            limits[term] += 1
         work.P = P
         mass_series.append((s, total_mass(work)))
         snaps.append((s, work.copy_with(P)))
 
     masses = [m for _, m in mass_series]
+    # the median by hand: np.median imports numpy.ma, ~1 MB of resident
+    # memory for one number
+    ordered, half = sorted(steps), len(steps) // 2
+    ds_median = ordered[half] if len(steps) % 2 else (ordered[half - 1] + ordered[half]) / 2
     diag = {
         "negative_undershoot_steps": neg_flags,
         "mass_initial": masses[0],
@@ -369,6 +533,11 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             default=0.0,
         ),
         "mass_ok": abs(masses[-1] - masses[0]) <= MASS_TOL * max(s1 - s0, 1.0),
+        "steps": len(steps),
+        "ds_min": ordered[0],
+        "ds_median": ds_median,
+        "ds_max": ordered[-1],
+        "cfl_limit": limits,
     }
     return FpeResult(snapshots=snaps, mass_series=mass_series, diagnostics=diag)
 

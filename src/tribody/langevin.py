@@ -33,8 +33,8 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 
 # paths per chunk of the ensemble; each chunk has its own noise stream
 CHUNK = 16384
-# upper bound on the ensemble's worker threads: the largest count
-# benchmarked so far (on a 2-CPU host)
+# upper bound on the worker threads of the ensemble and of the density
+# solver: the largest count benchmarked so far (on a 2-CPU host)
 MAX_WORKERS = 2
 
 __all__ = [
@@ -149,7 +149,10 @@ def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generato
     diagonal = np.diagonal(scale)
     off = list(zip(*np.nonzero(scale - np.diag(diagonal))))
     z = dW.copy() if off else dW
-    dW *= diagonal
+    # column by column: a product broadcast over the length-3 axis runs a
+    # 3-element inner loop per row
+    for i in range(3):
+        dW[:, i] *= diagonal[i]
     for i, j in off:
         dW[:, i] += scale[i, j] * z[:, j]
     return dW
@@ -191,7 +194,9 @@ def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
         xi += f
         xi += dW
     elif mode == "multiplicative":
-        dW += coeffs[0] * ds
+        a_ds = coeffs[0] * ds
+        for i in range(3):
+            dW[:, i] += a_ds[i]
         forcing = (dW, coeffs[1])
         k = drift(xi, forcing, out=work[0])
         k += drift(np.add(xi, k, out=work[1]), forcing, out=work[2])
@@ -238,11 +243,12 @@ def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
         yield (s0 + m * ds if on_grid else cuts[m]), on_grid, taken.get(m, [])
 
 
-def _worker_count(n_chunks: int) -> int:
-    """Threads for n_chunks chunks: one per CPU this process may run on,
-    at most MAX_WORKERS, never more than there are chunks."""
+def _worker_count(n_parts: int) -> int:
+    """Threads for work cut into n_parts parts (the ensemble's chunks, the
+    density solver's slabs): one per CPU this process may run on, at most
+    MAX_WORKERS, never more than there are parts."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(n_chunks, cpus or 1, MAX_WORKERS))
+    return max(1, min(n_parts, cpus or 1, MAX_WORKERS))
 
 
 def run_ensemble(

@@ -313,6 +313,11 @@ class TestPipelineStages:
             assert (out / f"density_{i:04d}.txt").exists()
         assert meta["diagnostics"]["mass_initial"] == pytest.approx(1.0)
         assert 0.0 < meta["diagnostics"]["mass_final"] <= 1.0 + 1e-9
+        # the step record: how many steps, how long, and what bound each
+        diag = meta["diagnostics"]
+        assert diag["steps"] == sum(diag["cfl_limit"].values()) > 0
+        assert set(diag["cfl_limit"]) == {"drift", "diffusion", "snapshot"}
+        assert 0.0 < diag["ds_min"] <= diag["ds_median"] <= diag["ds_max"]
 
     def test_fpe_follows_sde_mode(self, tmp_path):
         doc = base_config()

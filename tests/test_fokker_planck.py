@@ -1,5 +1,6 @@
 """Tests for the momentum-space density evolution."""
 
+import math
 import sys
 
 import numpy as np
@@ -268,12 +269,240 @@ class TestCouplingComponents:
         coeffs = (np.zeros(3), 0.1)
         sched = CoefficientSchedule.constant(*coeffs)
         cfg = FpeConfig(epsilon=0.02, schedule=sched, multiplicative=True)
-        mesh = grid.mesh()
-        B = diffusion(mesh, coeffs[1])
+        B = diffusion(grid.mesh(), coeffs[1])
         bmax = float(np.max(np.abs(B)))
         assert bmax > max(1.0, np.max(np.abs(np.diagonal(B, axis1=-2, axis2=-1))))
         expected = SAFETY * float(np.min(grid.h)) ** 2 / (2.0 * 0.06 * bmax * bmax)
-        assert _stable_ds(grid, cfg, _fields(mesh, coeffs, cfg)) == expected
+        fields = _fields(grid.mesh(axis=0), coeffs, cfg)
+        assert _stable_ds(grid, cfg, fields) == (expected, "diffusion")
+
+
+def mesh_rhs(grid, coeffs, cfg):
+    """The right-hand side transcribed on the (n1, n2, n3, 3) mesh: drift
+    from `drift(grid.mesh(), ...)`, coupling from `langevin.diffusion`,
+    differences on zero-padded arrays, every sum in the solver's order."""
+    from tribody.langevin import diffusion
+
+    mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
+
+    def d(F, axis):
+        padded = np.pad(F, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
+        hi, lo = [slice(None)] * 3, [slice(None)] * 3
+        hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+        return (padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h[axis])
+
+    def d2(F, axis):
+        padded = np.pad(F, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
+        hi, mid, lo = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
+        hi[axis], mid[axis], lo[axis] = slice(2, None), slice(1, -1), slice(None, -2)
+        return (padded[tuple(hi)] - 2.0 * padded[tuple(mid)] + padded[tuple(lo)]) / (h[axis] ** 2)
+
+    A = drift(mesh, coeffs)
+    rhs = np.zeros_like(P)
+    for i in range(3):
+        rhs += cfg.drift_sign * d(A[..., i] * P, i)
+    if not cfg.multiplicative:
+        for i in range(3):
+            rhs += eps[i, i] * d2(P, i)
+            for j in range(i + 1, 3):
+                rhs += 2.0 * eps[i, j] * d(d(P, j), i)
+        return rhs
+    B = diffusion(mesh, coeffs[1])
+    F = [sum(d(B[..., k, j] * P, k) for k in range(3)) for j in range(3)]
+    G = [sum(eps[i, j] * F[j] for j in range(3)) for i in range(3)]
+    for l in range(3):
+        rhs += d(sum(B[..., i, l] * G[i] for i in range(3)), l)
+    return rhs
+
+
+class TestComponentMajor:
+    """The solver keeps the drift as (3, n1, n2, n3) components; its fields
+    and right-hand side are those of the mesh form, bit for bit."""
+
+    COEFFS = (np.array([0.06, -0.04, 0.05]), 0.25)
+    FULL = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
+
+    def grid(self):
+        return gaussian_grid([-0.7, -0.9, -0.6], [0.8, 0.7, 0.9], (10, 8, 20),
+                             [0.1, 0.0, -0.05], 0.22)
+
+    def cfg(self, epsilon, multiplicative):
+        sched = CoefficientSchedule.constant(*self.COEFFS)
+        return FpeConfig(epsilon=epsilon, schedule=sched, multiplicative=multiplicative)
+
+    def test_mesh_along_axis_zero_is_the_component_major_mesh(self):
+        grid = self.grid()
+        X = grid.mesh(axis=0)
+        assert X.shape == (3, 10, 8, 20) and X.flags.c_contiguous
+        assert np.array_equal(X, np.moveaxis(grid.mesh(), -1, 0))
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_fields_match_mesh_form(self, multiplicative):
+        from tribody.fokker_planck import _fields
+        from tribody.langevin import diffusion
+
+        grid, cfg = self.grid(), self.cfg(0.013, multiplicative)
+        A, B = _fields(grid.mesh(axis=0), self.COEFFS, cfg)
+        assert A.shape == (3, 10, 8, 20) and A.flags.c_contiguous
+        assert np.array_equal(A, np.moveaxis(drift(grid.mesh(), self.COEFFS), -1, 0))
+        if not multiplicative:
+            assert B is None
+            return
+        ref = diffusion(grid.mesh(), self.COEFFS[1])
+        for k in range(3):
+            for j in range(3):
+                assert np.array_equal(B[k][j], ref[..., k, j])
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    @pytest.mark.parametrize("epsilon", ["scalar", "full"])
+    @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
+    def test_rhs_matches_mesh_form(self, multiplicative, epsilon, sign_mode):
+        eps = 0.013 if epsilon == "scalar" else self.FULL
+        grid = self.grid()
+        cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*self.COEFFS),
+                        sign_mode=sign_mode, multiplicative=multiplicative)
+        assert np.array_equal(fpe_rhs(grid, self.COEFFS, cfg), mesh_rhs(grid, self.COEFFS, cfg))
+
+
+def use_cpus(monkeypatch, n):
+    """Make the solvers see n CPUs available to the process."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestSlabs:
+    """Grids of SLAB_CELLS cells or more are stepped in slabs along axis 0,
+    one per worker thread; the result does not depend on the slab count."""
+
+    @staticmethod
+    def big_grid():
+        # odd n1, so that two or three slabs are uneven, and just enough
+        # cells to reach the cutoff
+        from tribody.fokker_planck import SLAB_CELLS
+
+        n1 = 25
+        m = math.isqrt(-(-SLAB_CELLS // n1) - 1) + 1
+        assert n1 * m * m >= SLAB_CELLS > n1 * (m - 1) * (m - 1)
+        return gaussian_grid([-0.8, -0.9, -1.0], [1.0, 0.9, 0.8], (n1, m, m), [0.1, 0.0, -0.1], 0.2)
+
+    def test_plan(self, monkeypatch):
+        from tribody import langevin
+        from tribody.fokker_planck import HALO, SLAB_CELLS, _slabs
+
+        monkeypatch.setattr(langevin, "MAX_WORKERS", 3)
+        use_cpus(monkeypatch, 3)
+        small = _slabs((8, 8, 8), False)
+        assert [(rows, cells) for rows, cells, _ in small] == [(slice(0, 8), slice(0, 8))]
+        shape = (25, 40, SLAB_CELLS // 1000 + 1)
+        plan = _slabs(shape, True)
+        assert [rows for rows, _, _ in plan] == [slice(0, 8), slice(8, 16), slice(16, 25)]
+        for rows, cells, scratch in plan:
+            assert cells == slice(max(rows.start - HALO, 0), min(rows.stop + HALO, 25))
+            assert len(scratch) == 8
+            assert all(a.shape == (cells.stop - cells.start,) + shape[1:] for a in scratch)
+        assert len(_slabs(shape, False)[0][2]) == 2
+        use_cpus(monkeypatch, 1)
+        assert len(_slabs(shape, True)) == 1
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_slabbed_solve_matches_inline(self, monkeypatch, multiplicative):
+        # one slab (inline), the slabs of this host (inline on one CPU) and
+        # three slabs; the snapshot cuts a step
+        import threading
+
+        from tribody import fokker_planck as fp, langevin
+
+        grid = self.big_grid()
+        n1 = grid.shape[0]
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.05))
+        eps = np.array([[0.002, 0.0004, 0.0], [0.0004, 0.0015, 0.0002], [0.0, 0.0002, 0.001]])
+        cfg = FpeConfig(epsilon=eps, schedule=sched, multiplicative=multiplicative)
+        end, snapshot = (0.012, 0.0053) if multiplicative else (0.05, 0.0123)
+        slab_rhs, seen = fp._slab_rhs, set()
+
+        def recorded(P, A, B, h, cfg, rows, out, scratch):
+            # a slab is told by its size and where its own rows start among
+            # its cells: the first slab starts at 0, the others past a halo
+            seen.add((out.shape[0], rows.start, threading.get_ident() == main))
+            return slab_rhs(P, A, B, h, cfg, rows, out, scratch)
+
+        main = threading.get_ident()
+        monkeypatch.setattr(fp, "_slab_rhs", recorded)
+        runs = {}
+        for cpus in (1, None, 3):
+            if cpus is not None:
+                use_cpus(monkeypatch, cpus)
+                monkeypatch.setattr(langevin, "MAX_WORKERS", cpus)
+            else:
+                monkeypatch.undo()
+                monkeypatch.setattr(fp, "_slab_rhs", recorded)
+            seen.clear()
+            runs[cpus] = fpe_evolve(grid, (0.0, end), cfg, snapshot_s=(snapshot,))
+            count = langevin._worker_count(n1)
+            # the first slab runs in the calling thread, each other one in a
+            # worker
+            assert len(seen) == count
+            assert {(start == 0) == in_caller for _, start, in_caller in seen} == {True}
+        inline = runs[1]
+        limits = inline.diagnostics["cfl_limit"]
+        assert limits["snapshot"] >= 1 and limits["drift"] + limits["diffusion"] >= 2
+        for cpus in (None, 3):
+            res = runs[cpus]
+            assert [s for s, _ in res.snapshots] == [s for s, _ in inline.snapshots]
+            for (_, a), (_, b) in zip(res.snapshots, inline.snapshots):
+                assert np.array_equal(a.P, b.P)
+            assert res.mass_series == inline.mass_series
+            assert res.diagnostics == inline.diagnostics
+
+    def test_small_grid_runs_inline(self, monkeypatch):
+        import threading
+
+        from tribody import fokker_planck as fp
+
+        use_cpus(monkeypatch, 2)
+        slab_rhs, threads = fp._slab_rhs, set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return slab_rhs(*args)
+
+        monkeypatch.setattr(fp, "_slab_rhs", recorded)
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
+        fpe_evolve(grid, (0.0, 0.05), FpeConfig(epsilon=0.01, schedule=sched, multiplicative=True))
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, cpus):
+        # inf - inf in the last slab's own rows: invalid under the caller's
+        # np.errstate whichever thread evaluates that slab
+        use_cpus(monkeypatch, cpus)
+        grid = self.big_grid()
+        grid.P[-3, 5, 5] = grid.P[-3, 5, 7] = np.inf
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        cfg = FpeConfig(epsilon=0.01, schedule=sched)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            fpe_rhs(grid, sched.at(0.0), cfg)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(fpe_rhs(grid, sched.at(0.0), cfg)[-3, 5, 6])
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        from tribody import fokker_planck as fp
+
+        use_cpus(monkeypatch, 2)
+        slab_rhs = fp._slab_rhs
+
+        def failing(P, A, B, h, cfg, rows, out, scratch):
+            if rows.start > 0:
+                raise FloatingPointError("in the second slab")
+            return slab_rhs(P, A, B, h, cfg, rows, out, scratch)
+
+        monkeypatch.setattr(fp, "_slab_rhs", failing)
+        grid = self.big_grid()
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        with pytest.raises(FloatingPointError, match="second slab"):
+            fpe_rhs(grid, sched.at(0.0), FpeConfig(epsilon=0.01, schedule=sched))
 
 
 class TestFpeEvolve:
@@ -345,6 +574,47 @@ class TestFpeEvolve:
         assert diag["boundary_outflow"] > 1e-2
         assert abs(diag["mass_balance_residual"]) <= 1e-12
 
+    def test_step_diagnostics(self):
+        # constant coefficients: every step the bound sets has its length,
+        # and the snapshot and the end of the span each cut one step
+        from tribody.fokker_planck import _fields, _stable_ds
+
+        grid = gaussian_grid([-1] * 3, [1] * 3, (16, 16, 16), [0.1] * 3, 0.3)
+        for a, eps, term in (([5.0, -3.0, 2.0], 0.0, "drift"), ([0.0] * 3, 0.1, "diffusion")):
+            sched = CoefficientSchedule.constant(a, 0.2)
+            cfg = FpeConfig(epsilon=eps, schedule=sched)
+            bound, bound_term = _stable_ds(grid, cfg, _fields(grid.mesh(axis=0), sched.at(0.0), cfg))
+            assert bound_term == term
+            diag = fpe_evolve(grid, (0.0, 0.3), cfg, snapshot_s=(0.1234,)).diagnostics
+            limits = diag["cfl_limit"]
+            assert limits["snapshot"] == 2
+            assert limits[term] == math.floor(0.1234 / bound) + math.floor((0.3 - 0.1234) / bound)
+            assert diag["steps"] == sum(limits.values()) == limits[term] + 2
+            assert diag["ds_max"] == diag["ds_median"] == bound
+            assert 0.0 < diag["ds_min"] < bound
+            assert fpe_evolve(grid, (0.0, 0.3), cfg, snapshot_s=(0.1234,)).diagnostics == diag
+
+    @pytest.mark.parametrize("ratio", [0.7, 1.4])
+    def test_step_bound_is_the_smaller_term(self, ratio):
+        # the diffusion bound set to `ratio` times the drift bound; the
+        # drift's largest |A| is one of its negative values
+        from tribody.fokker_planck import SAFETY, _fields, _stable_ds
+
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 14, 16), [0] * 3, 0.3)
+        coeffs = (np.array([0.5, 0.2, 0.1]), 0.3)
+        A = drift(grid.mesh(), coeffs)
+        assert -A.min() > A.max()
+        h = float(np.min(grid.h))
+        drift_bound = h / float(np.max(np.abs(A)))
+        tr_eps = h * h / (2.0 * ratio * drift_bound)
+        cfg = FpeConfig(epsilon=np.diag([0.5, 0.3, 0.2]) * tr_eps,
+                        schedule=CoefficientSchedule.constant(*coeffs))
+        diffusive = h * h / (2.0 * float(np.trace(cfg.epsilon)))
+        assert diffusive == pytest.approx(ratio * drift_bound)
+        ds, term = _stable_ds(grid, cfg, _fields(grid.mesh(axis=0), coeffs, cfg))
+        assert term == ("diffusion" if ratio < 1.0 else "drift")
+        assert ds == SAFETY * min(drift_bound, diffusive)
+
     def test_validation_errors(self):
         sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
         cfg = FpeConfig(epsilon=0.01, schedule=sched)
@@ -376,15 +646,24 @@ class TestFpeEvolve:
         # the CFL bound reads the drift (and coupling) that k1 uses, so an
         # RK2 step evaluates each field once per stage; the coupling is
         # built from the mesh's products, formed once per run, never
-        # through langevin.diffusion
+        # through langevin.diffusion.  Every drift call runs on the
+        # (n1, n2, n3, 3) views of the run's component-major cell centres
+        # and writes to the same views of one drift buffer.
         import tribody.fokker_planck as fp
         import tribody.langevin as langevin
 
-        calls = {}
+        calls, drift_args, rhs_drifts = {}, set(), set()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
+                if name == "drift":
+                    xi, out = args[0], kwargs["out"]
+                    assert xi.shape == out.shape == grid.shape + (3,)
+                    assert xi.strides[-1] == out.strides[-1] == grid.P.size * 8
+                    drift_args.add((xi.ctypes.data, out.ctypes.data))
+                if name == "fpe_rhs":
+                    rhs_drifts.add(kwargs["fields"][0].ctypes.data)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -402,6 +681,9 @@ class TestFpeEvolve:
         assert steps > 2
         assert calls["fpe_rhs"] == 2 * steps
         assert calls["drift"] == 2 * steps
+        # one drift buffer, which both stages' right-hand sides read
+        assert len(drift_args) == 1
+        assert rhs_drifts == {out for _, out in drift_args}
         assert calls.get("_quadratic", 0) == (1 if multiplicative else 0)
         assert calls.get("_coupling", 0) == (2 * steps if multiplicative else 0)
         assert "diffusion" not in calls
@@ -414,7 +696,7 @@ class TestFpeEvolve:
         cfg = FpeConfig(epsilon=0.01, schedule=sched, multiplicative=multiplicative)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0.1] * 3, 0.2)
         coeffs = sched.at(0.0)
-        given = fpe_rhs(grid, coeffs, cfg, fields=_fields(grid.mesh(), coeffs, cfg))
+        given = fpe_rhs(grid, coeffs, cfg, fields=_fields(grid.mesh(axis=0), coeffs, cfg))
         assert np.array_equal(given, fpe_rhs(grid, coeffs, cfg))
 
     def test_snapshots_sorted_and_include_endpoint(self):

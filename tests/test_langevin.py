@@ -120,6 +120,20 @@ class TestWhiteNoise:
         # the scale matrix is formed once per model
         assert nm.scale_matrix() is nm.scale_matrix()
 
+    @pytest.mark.parametrize("eps", [[0.5, 0.02, 0.3], [[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]]])
+    def test_columnwise_scaling_is_the_broadcast_product(self, eps):
+        # a non-uniform diagonal and a full eps: scaling column by column
+        # gives the broadcast product's bits
+        nm = NoiseModel(epsilon=np.diag(eps) if np.ndim(eps) == 1 else eps, seed=2)
+        ds, n = 0.013, 1000
+        z = philox(9).standard_normal((n, 3))
+        scale = nm.scale_matrix() * np.sqrt(ds)
+        diagonal = np.diagonal(scale)
+        ref = z * diagonal
+        for i, j in zip(*np.nonzero(scale - np.diag(diagonal))):
+            ref[:, i] += scale[i, j] * z[:, j]
+        assert np.array_equal(white_noise_increments(ds, nm, philox(9), n=n), ref)
+
 
 class TestDriftDiffusion:
     def test_zero_coefficients(self):
@@ -392,6 +406,16 @@ class TestRunEnsemble:
 
 
 class TestOneStepKernel:
+    def test_multiplicative_forcing_is_added_column_by_column(self):
+        # the forcing a ds + dW of the Heun stages, as the broadcast sum
+        rng = np.random.default_rng(43)
+        xi, dW = rng.standard_normal((50, 3)), 0.1 * rng.standard_normal((50, 3))
+        coeffs, ds = (np.array([0.3, -1.7, 0.05]), 0.4), 0.011
+        forcing = (dW + coeffs[0] * ds, coeffs[1])
+        k = drift(xi, forcing)
+        ref = xi + 0.5 * (k + drift(xi + k, forcing))
+        assert np.array_equal(stepped(xi, ds, "multiplicative", coeffs, dW), ref)
+
     def test_multiplicative_step_is_matrix_form_heun(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
