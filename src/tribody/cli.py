@@ -210,6 +210,18 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("integrator.n_samples must be at least 2")
     if cfg["sde"]["mode"] not in ("additive", "multiplicative"):
         raise ConfigError("sde.mode must be 'additive' or 'multiplicative'")
+    if cfg["sde"]["ds"] <= 0:
+        raise ConfigError("sde.ds must be positive")
+    if cfg["sde"]["n_paths"] < 1:
+        raise ConfigError("sde.n_paths must be at least 1")
+    if cfg["grid"]["sigma0"] <= 0:
+        raise ConfigError("grid.sigma0 must be positive")
+    try:
+        _grid_spec(cfg)
+    except (DomainError, MemoryError) as exc:  # MemoryError: a grid too large to hold
+        raise ConfigError(f"grid: {exc}")
+    if ("series_a" in cfg["chaos"]) != ("series_b" in cfg["chaos"]):
+        raise ConfigError("chaos: series_a and series_b must come together")
 
     noise = typed.get("noise", {})
     has_eps = "epsilon" in noise
@@ -449,7 +461,7 @@ def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
 
 def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     cc = cfg["chaos"]
-    if cc.get("series_a") and cc.get("series_b"):
+    if "series_a" in cc:
         # explicit density series produced by two prior fpe runs
         series_a = _load_densities(Path(cc["series_a"]))
         series_b = _load_densities(Path(cc["series_b"]))

@@ -36,18 +36,6 @@ of X and A, whose components are then contiguous.  The stencils write
 into preallocated arrays and run as one flat pass over contiguous data,
 with each cell's operations in the same order as on the mesh form, so
 the result is bit-identical to it.
-
-Slabs.  fpe_rhs cuts axis 0 into one slab per worker thread
-(langevin._worker_count, the ensemble's rule: at most
-langevin.MAX_WORKERS, one per CPU the process may run on), the calling
-thread among them.  A slab reads HALO = 2 rows past its own on each side,
-since the multiplicative operator nests two differences along axis 0,
-and writes only its own rows of the result, so the result does not
-depend on the number of slabs.  Grids of fewer than SLAB_CELLS cells
-are evaluated in the calling thread alone: below it, starting a thread
-and handing the GIL between the slabs cost more than the second CPU
-gives back.  The workers call no traced function and allocate nothing;
-the calling thread allocates their scratch for each evaluation.
 """
 
 from __future__ import annotations
@@ -58,16 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
-from .langevin import CoefficientSchedule, _worker_count, drift, epsilon_matrix
+from .langevin import CoefficientSchedule, drift, epsilon_matrix
 
 DS_FLOOR = 1e-9   # smallest admissible step
 SAFETY = 0.5      # fraction of the CFL bound taken per step
 MASS_TOL = 1e-6   # allowed mass change per unit s in the audit
-# grids of fewer cells are stepped in the calling thread alone
-SLAB_CELLS = 64**3
-# rows a slab reads past its own on each side: the multiplicative
-# operator nests two central differences along axis 0
-HALO = 2
 
 __all__ = [
     "MomentumGrid",
@@ -273,65 +256,53 @@ def _fields(X, coeffs, cfg, quad=None, out=None):
     return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
 
 
-def _slabs(shape, multiplicative: bool) -> list:
-    """Cut axis 0 of a grid of `shape` into one slab per worker of
-    langevin._worker_count (one slab below SLAB_CELLS cells), as a list of
-    (rows, cells, scratch): the slab owns `rows` and reads `cells`, which
-    reach HALO rows past its own where the grid goes on; scratch holds its
-    temporaries, 2 arrays of the cells' shape (8 for multiplicative
-    noise).  Made by the calling thread for each evaluation: a worker
-    allocates nothing, so no worker's allocator arena keeps memory after
-    it, and the scratch is not held while the drift kernel has its own."""
-    n1 = shape[0]
-    count = 1 if math.prod(shape) < SLAB_CELLS else _worker_count(n1)
-    plan = []
-    for w in range(count):
-        r0, r1 = n1 * w // count, n1 * (w + 1) // count
-        lo, hi = max(r0 - HALO, 0), min(r1 + HALO, n1)
-        scratch = [np.empty((hi - lo,) + tuple(shape[1:]))
-                   for _ in range(8 if multiplicative else 2)]
-        plan.append((slice(r0, r1), slice(lo, hi), scratch))
-    return plan
+def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
+            out=None) -> np.ndarray:
+    """Discrete right-hand side dP/ds on the grid (second-order stencils).
 
+    `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
+    cells: A component-major, (3, n1, n2, n3), and, for multiplicative
+    noise, B as rows of (n1, n2, n3) components, where the symmetric
+    B[k][j] and B[j][k] are one array.  fpe_evolve passes it for both
+    stages, and the first stage's is the pair its step bound has read.  It
+    is evaluated here when omitted.  The result is written to out (the
+    grid's shape, sharing no memory with the inputs) when it is given.
 
-def _slab_rhs(P, A, B, h, cfg, rows, out, scratch):
-    """Add the right-hand side of fpe_rhs on `rows` of a slab to out.
-
-    P, A[i] and B[k][j] are the slab's cells (see _slabs), and scratch
-    its temporaries.  The differences run over all the cells, as if they
-    ended in zero ghost cells, so a row that a cut left without its
-    neighbours comes out wrong; `rows` keeps the rows HALO deep inside,
-    where each cell gets the operations, in the same order, that it gets
-    on the whole grid.  Calls no traced function and allocates no array
-    data, so it may run in a worker thread.
+    The temporaries, 2 arrays of the grid's shape (8 for multiplicative
+    noise), live only for the call: held for a whole solve, they would sit
+    beside the drift kernel's own scratch and raise the peak memory.
     """
-    eps = cfg.epsilon
+    if fields is None:
+        fields = _fields(grid.mesh(axis=0), coeffs, cfg)
+    A, B = fields
+    P, h, eps = grid.P, grid.h, cfg.epsilon
+    rhs = np.empty_like(P) if out is None else out
+    rhs.fill(0.0)
     accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
-    t, d = scratch[:2]
+    t, d = np.empty(P.shape), np.empty(P.shape)
     for i in range(3):
-        accumulate(out, _d(np.multiply(A[i], P, out=t), i, h[i], out=d)[rows], out=out)
+        accumulate(rhs, _d(np.multiply(A[i], P, out=t), i, h[i], out=d), out=rhs)
 
     if B is None:
         # B = identity: sum_ij eps_ij d_i d_j P with compact stencils
         for i in range(3):
             if eps[i, i] != 0.0:
-                term = _d2(P, i, h[i], out=d)[rows]
+                term = _d2(P, i, h[i], out=d)
                 term *= eps[i, i]
-                out += term
+                rhs += term
             for j in range(i + 1, 3):
                 if eps[i, j] != 0.0:
-                    term = _d(_d(P, j, h[j], out=t), i, h[i], out=d)[rows]
+                    term = _d(_d(P, j, h[j], out=t), i, h[i], out=d)
                     term *= 2.0 * eps[i, j]
-                    out += term
-        return
+                    rhs += term
+        return rhs
 
     # F_j = sum_k d_k (B_kj P), component by component.  Each product
     # B_kj P (k <= j) is formed once and differenced along k for F_j and
     # along j for F_k; in _UPPER order every F_j gets its terms k = 0, 1, 2
     # left to right.
-    F, G = scratch[2:5], scratch[5:8]
-    for a in F + G:
-        a.fill(0.0)
+    F = [np.zeros(P.shape) for _ in range(3)]
+    G = [np.zeros(P.shape) for _ in range(3)]
     for k, j in _UPPER:
         np.multiply(B[k][j], P, out=t)
         for axis, comp in {(k, j), (j, k)}:
@@ -346,55 +317,7 @@ def _slab_rhs(P, A, B, h, cfg, rows, out, scratch):
         np.multiply(B[0][l], G[0], out=t)
         for i in (1, 2):
             t += np.multiply(B[i][l], G[i], out=d)
-        out += _d(t, l, h[l], out=d)[rows]
-
-
-def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
-            out=None) -> np.ndarray:
-    """Discrete right-hand side dP/ds on the grid (second-order stencils).
-
-    `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
-    cells: A component-major, (3, n1, n2, n3), and, for multiplicative
-    noise, B as rows of (n1, n2, n3) components, where the symmetric
-    B[k][j] and B[j][k] are one array.  fpe_evolve passes it for both
-    stages, and the first stage's is the pair its step bound has read.  It
-    is evaluated here when omitted.  The result is written to out (the
-    grid's shape, sharing no memory with the inputs) when it is given.
-
-    The grid is cut into the slabs of _slabs, each evaluated from views
-    of P, A and B into its own rows of the result, one slab per thread
-    with the calling thread among them; the result does not depend on the
-    number of slabs.
-    """
-    if fields is None:
-        fields = _fields(grid.mesh(axis=0), coeffs, cfg)
-    A, B = fields
-    P = grid.P
-    rhs = np.empty_like(P) if out is None else out
-    rhs.fill(0.0)
-    slabs = _slabs(P.shape, cfg.multiplicative)
-
-    def run_slab(slab) -> None:
-        rows, cells, scratch = slab
-        own = slice(rows.start - cells.start, rows.stop - cells.start)
-        _slab_rhs(P[cells], A[:, cells],
-                  None if B is None else [[b[cells] for b in row] for row in B],
-                  grid.h, cfg, own, rhs[rows], scratch)
-
-    if len(slabs) == 1:
-        run_slab(slabs[0])
-    else:
-        import contextvars
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread is worker 0; each worker runs in a copy of the
-        # caller's context, so np.errstate holds in every slab
-        with ThreadPoolExecutor(len(slabs) - 1) as pool:
-            others = [pool.submit(contextvars.copy_context().run, run_slab, slab)
-                      for slab in slabs[1:]]
-            run_slab(slabs[0])
-            for other in others:
-                other.result()
+        rhs += _d(t, l, h[l], out=d)
     return rhs
 
 

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused by the package: loaded only so that tools which report the
-# environment from sys.modules["scipy"] find it (ROADMAP item 2, "Then")
+# unused by the package: loaded only because perfbench/worker.py reads
+# scipy's version from sys.modules["scipy"]; it can go once that stops
 import scipy  # noqa: F401
 
 from .errors import DomainError

@@ -33,8 +33,8 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 
 # paths per chunk of the ensemble; each chunk has its own noise stream
 CHUNK = 16384
-# upper bound on the worker threads of the ensemble and of the density
-# solver: the largest count benchmarked so far (on a 2-CPU host)
+# upper bound on the ensemble's worker threads, the only threads in the
+# package: the largest count benchmarked so far (on a 2-CPU host)
 MAX_WORKERS = 2
 
 __all__ = [
@@ -244,9 +244,8 @@ def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
 
 
 def _worker_count(n_parts: int) -> int:
-    """Threads for work cut into n_parts parts (the ensemble's chunks, the
-    density solver's slabs): one per CPU this process may run on, at most
-    MAX_WORKERS, never more than there are parts."""
+    """Threads for the ensemble's n_parts chunks: one per CPU this process
+    may run on, at most MAX_WORKERS, never more than there are chunks."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(n_parts, cpus or 1, MAX_WORKERS))
 

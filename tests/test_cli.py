@@ -129,6 +129,30 @@ class TestParseConfig:
         for stage in ("simulate", "ensemble", "fpe"):
             assert run(stage, cfg, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("key", ["series_a", "series_b"])
+    def test_one_chaos_series_alone_is_2(self, tmp_path, key):
+        doc = base_config()
+        doc["chaos"] = {key: str(tmp_path)}
+        with pytest.raises(ConfigError, match="series_a and series_b"):
+            parse_config(doc)
+        assert run("chaos", write_config(tmp_path, doc), tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "n", 4),
+        ("grid", "max", -1.5),
+        ("grid", "max", -2.0),
+        ("grid", "sigma0", 0.0),
+        ("sde", "ds", 0.0),
+        ("sde", "n_paths", 0),
+    ])
+    def test_out_of_range_value_is_2(self, tmp_path, section, key, value):
+        # values the solvers cannot run with are rejected before any stage
+        doc = base_config()
+        doc[section][key] = value
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+        assert run("simulate", write_config(tmp_path, doc), tmp_path / "out") == 2
+
     def test_defaults_when_sections_absent(self):
         doc = base_config()
         for key in ("integrator", "sde", "grid", "noise", "seed"):

@@ -372,113 +372,15 @@ def use_cpus(monkeypatch, n):
 
 
 class TestSlabs:
-    """Grids of SLAB_CELLS cells or more are stepped in slabs along axis 0,
-    one per worker thread; the result does not depend on the slab count."""
-
-    @staticmethod
-    def big_grid():
-        # odd n1, so that two or three slabs are uneven, and just enough
-        # cells to reach the cutoff
-        from tribody.fokker_planck import SLAB_CELLS
-
-        n1 = 25
-        m = math.isqrt(-(-SLAB_CELLS // n1) - 1) + 1
-        assert n1 * m * m >= SLAB_CELLS > n1 * (m - 1) * (m - 1)
-        return gaussian_grid([-0.8, -0.9, -1.0], [1.0, 0.9, 0.8], (n1, m, m), [0.1, 0.0, -0.1], 0.2)
-
-    def test_plan(self, monkeypatch):
-        from tribody import langevin
-        from tribody.fokker_planck import HALO, SLAB_CELLS, _slabs
-
-        monkeypatch.setattr(langevin, "MAX_WORKERS", 3)
-        use_cpus(monkeypatch, 3)
-        small = _slabs((8, 8, 8), False)
-        assert [(rows, cells) for rows, cells, _ in small] == [(slice(0, 8), slice(0, 8))]
-        shape = (25, 40, SLAB_CELLS // 1000 + 1)
-        plan = _slabs(shape, True)
-        assert [rows for rows, _, _ in plan] == [slice(0, 8), slice(8, 16), slice(16, 25)]
-        for rows, cells, scratch in plan:
-            assert cells == slice(max(rows.start - HALO, 0), min(rows.stop + HALO, 25))
-            assert len(scratch) == 8
-            assert all(a.shape == (cells.stop - cells.start,) + shape[1:] for a in scratch)
-        assert len(_slabs(shape, False)[0][2]) == 2
-        use_cpus(monkeypatch, 1)
-        assert len(_slabs(shape, True)) == 1
-
-    @pytest.mark.parametrize("multiplicative", [False, True])
-    def test_slabbed_solve_matches_inline(self, monkeypatch, multiplicative):
-        # one slab (inline), the slabs of this host (inline on one CPU) and
-        # three slabs; the snapshot cuts a step
-        import threading
-
-        from tribody import fokker_planck as fp, langevin
-
-        grid = self.big_grid()
-        n1 = grid.shape[0]
-        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.05))
-        eps = np.array([[0.002, 0.0004, 0.0], [0.0004, 0.0015, 0.0002], [0.0, 0.0002, 0.001]])
-        cfg = FpeConfig(epsilon=eps, schedule=sched, multiplicative=multiplicative)
-        end, snapshot = (0.012, 0.0053) if multiplicative else (0.05, 0.0123)
-        slab_rhs, seen = fp._slab_rhs, set()
-
-        def recorded(P, A, B, h, cfg, rows, out, scratch):
-            # a slab is told by its size and where its own rows start among
-            # its cells: the first slab starts at 0, the others past a halo
-            seen.add((out.shape[0], rows.start, threading.get_ident() == main))
-            return slab_rhs(P, A, B, h, cfg, rows, out, scratch)
-
-        main = threading.get_ident()
-        monkeypatch.setattr(fp, "_slab_rhs", recorded)
-        runs = {}
-        for cpus in (1, None, 3):
-            if cpus is not None:
-                use_cpus(monkeypatch, cpus)
-                monkeypatch.setattr(langevin, "MAX_WORKERS", cpus)
-            else:
-                monkeypatch.undo()
-                monkeypatch.setattr(fp, "_slab_rhs", recorded)
-            seen.clear()
-            runs[cpus] = fpe_evolve(grid, (0.0, end), cfg, snapshot_s=(snapshot,))
-            count = langevin._worker_count(n1)
-            # the first slab runs in the calling thread, each other one in a
-            # worker
-            assert len(seen) == count
-            assert {(start == 0) == in_caller for _, start, in_caller in seen} == {True}
-        inline = runs[1]
-        limits = inline.diagnostics["cfl_limit"]
-        assert limits["snapshot"] >= 1 and limits["drift"] + limits["diffusion"] >= 2
-        for cpus in (None, 3):
-            res = runs[cpus]
-            assert [s for s, _ in res.snapshots] == [s for s, _ in inline.snapshots]
-            for (_, a), (_, b) in zip(res.snapshots, inline.snapshots):
-                assert np.array_equal(a.P, b.P)
-            assert res.mass_series == inline.mass_series
-            assert res.diagnostics == inline.diagnostics
-
-    def test_small_grid_runs_inline(self, monkeypatch):
-        import threading
-
-        from tribody import fokker_planck as fp
-
-        use_cpus(monkeypatch, 2)
-        slab_rhs, threads = fp._slab_rhs, set()
-
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            return slab_rhs(*args)
-
-        monkeypatch.setattr(fp, "_slab_rhs", recorded)
-        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
-        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
-        fpe_evolve(grid, (0.0, 0.05), FpeConfig(epsilon=0.01, schedule=sched, multiplicative=True))
-        assert threads == {threading.get_ident()}
+    """fpe_rhs evaluates the whole grid in one pass on the calling thread,
+    whatever the CPU count; nothing is split into slabs or handed to workers."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_workers_keep_the_callers_errstate(self, monkeypatch, cpus):
-        # inf - inf in the last slab's own rows: invalid under the caller's
-        # np.errstate whichever thread evaluates that slab
+        # inf - inf in the drift term's differences: invalid under the
+        # caller's np.errstate however many CPUs the process sees
         use_cpus(monkeypatch, cpus)
-        grid = self.big_grid()
+        grid = gaussian_grid([-0.8, -0.9, -1.0], [1.0, 0.9, 0.8], (25, 20, 20), [0.1, 0.0, -0.1], 0.2)
         grid.P[-3, 5, 5] = grid.P[-3, 5, 7] = np.inf
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
         cfg = FpeConfig(epsilon=0.01, schedule=sched)
@@ -486,23 +388,6 @@ class TestSlabs:
             fpe_rhs(grid, sched.at(0.0), cfg)
         with np.errstate(invalid="ignore"):
             assert np.isnan(fpe_rhs(grid, sched.at(0.0), cfg)[-3, 5, 6])
-
-    def test_worker_exception_propagates(self, monkeypatch):
-        from tribody import fokker_planck as fp
-
-        use_cpus(monkeypatch, 2)
-        slab_rhs = fp._slab_rhs
-
-        def failing(P, A, B, h, cfg, rows, out, scratch):
-            if rows.start > 0:
-                raise FloatingPointError("in the second slab")
-            return slab_rhs(P, A, B, h, cfg, rows, out, scratch)
-
-        monkeypatch.setattr(fp, "_slab_rhs", failing)
-        grid = self.big_grid()
-        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
-        with pytest.raises(FloatingPointError, match="second slab"):
-            fpe_rhs(grid, sched.at(0.0), FpeConfig(epsilon=0.01, schedule=sched))
 
 
 class TestFpeEvolve:
