@@ -214,6 +214,11 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("sde.ds must be positive")
     if cfg["sde"]["n_paths"] < 1:
         raise ConfigError("sde.n_paths must be at least 1")
+    s_end = cfg["integrator"]["s_end"]
+    outside = [v for v in cfg["sde"]["snapshots"] if not 0.0 < v <= s_end]
+    if outside:
+        raise ConfigError(f"sde.snapshots must lie in (0, integrator.s_end] = (0, {s_end}], "
+                          f"got {outside}")
     if cfg["grid"]["sigma0"] <= 0:
         raise ConfigError("grid.sigma0 must be positive")
     try:
@@ -430,6 +435,8 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         "schedule_source": "trajectory.csv",
         "blowups": {str(k): v for k, v in result.blowups.items()},
         "n_steps": result.meta["n_steps"],
+        "noise_stream": result.meta["noise_stream"],
+        "chunk": result.meta["chunk"],
     }
     _atomic_write_text(writer.path("ensemble_meta.json"), _json_dump(meta))
 

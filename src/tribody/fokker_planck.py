@@ -29,10 +29,13 @@ multiplicative one also carries mass out through the boundary faces.
 
 Layout.  Per-cell vectors are stored component-major: fpe_evolve forms
 the cell centres once per solve as a contiguous (3, n1, n2, n3) array
-X = grid.mesh(axis=0), and each stage writes its drift into one
-(3, n1, n2, n3) buffer A by calling langevin.drift (so
-geodesic.momentum_rhs, the one B a kernel) on the (n1, n2, n3, 3) views
-of X and A, whose components are then contiguous.  The stencils write
+X = grid.mesh(axis=0), and writes the drift into one (3, n1, n2, n3)
+buffer A by calling langevin.drift (so geodesic.momentum_rhs, the one
+B a kernel) on the (n1, n2, n3, 3) views of X and A, whose components
+are then contiguous.  The fields (A, and B for multiplicative noise) are
+formed only for a stage whose coefficients (a, Lambda^2) differ from
+those of the fields held: a constant schedule forms them once per
+solve, a trajectory schedule at every stage.  The stencils write
 into preallocated arrays and run as one flat pass over contiguous data,
 with each cell's operations in the same order as on the mesh form, so
 the result is bit-identical to it.
@@ -265,7 +268,7 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
     noise, B as rows of (n1, n2, n3) components, where the symmetric
     B[k][j] and B[j][k] are one array.  fpe_evolve passes it for both
     stages, and the first stage's is the pair its step bound has read.  It
-    is evaluated here when omitted.  The result is written to out (the
+    is formed here when omitted.  The result is written to out (the
     grid's shape, sharing no memory with the inputs) when it is given.
 
     The temporaries, 2 arrays of the grid's shape (8 for multiplicative
@@ -372,9 +375,18 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     diagnostics record the mass that the end-of-step pins delete
     (`boundary_outflow`) and `mass_balance_residual` = mass_initial -
     mass_final - boundary_outflow; the number of `steps`, their `ds_min`,
-    `ds_median` and `ds_max`; and in `cfl_limit` how many steps the drift
+    `ds_median` and `ds_max`; in `cfl_limit` how many steps the drift
     or the diffusion bound set and how many were cut to end on a
-    snapshot time ("snapshot").
+    snapshot time ("snapshot"); and in `field_evals` how many times the
+    solve formed its fields with _fields.
+
+    A stage's fields are formed only when its coefficients differ, bit
+    for bit, from those of the fields held, which are released first:
+    the step bound and the first stage share the step start's fields,
+    a constant schedule forms them once per solve (`field_evals` 1), and
+    a schedule that changes between stages forms them at every stage
+    (`field_evals` = 2 `steps`).  Reuse skips a call of _fields on the
+    inputs it was last called with, so the results are the same bits.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -387,10 +399,24 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     quad = _quadratic(X) if cfg.multiplicative else None
     P = grid0.P.copy()
     work = grid0.copy_with(P)
-    # the run's buffers, reused by every step: the drift of the stage being
-    # evaluated, the midpoint stage and the next density
+    # the run's buffers, reused by every step: the drift of the held fields,
+    # the midpoint stage and the next density
     A = np.empty(X.shape)
     stage, spare = np.empty_like(P), np.empty_like(P)
+    held, fields, field_evals = None, None, 0
+
+    def fields_at(coeffs):
+        """The fields at coeffs: the held ones when coeffs has the bits of
+        the coefficients they were formed for, new ones otherwise."""
+        nonlocal held, fields, field_evals
+        key = np.append(coeffs[0], coeffs[1]).tobytes()
+        if key != held:
+            # release the held coupling before the next one is formed
+            fields = None
+            fields = _fields(X, coeffs, cfg, quad, out=A)
+            held = key
+            field_evals += 1
+        return fields
 
     targets = sorted({float(v) for v in snapshot_s} | {s1})
     if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
@@ -406,24 +432,20 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     for target in targets:
         while s < target - 1e-15:
             coeffs = cfg.schedule.at(s)
-            fields = _fields(X, coeffs, cfg, quad, out=A)
-            ds, term = _stable_ds(work, cfg, fields)
+            ds, term = _stable_ds(work, cfg, fields_at(coeffs))
             if target - s < ds:
                 ds, term = target - s, "snapshot"
             if ds < DS_FLOOR:
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
-            # each stage slope is turned into its stage in place, and the
-            # step-start coupling is freed before k2 forms its own
-            mid = fpe_rhs(work, coeffs, cfg, fields=fields, out=stage)
-            del fields
+            # each stage slope is turned into its stage in place
+            mid = fpe_rhs(work, coeffs, cfg, fields=fields_at(coeffs), out=stage)
             mid *= 0.5 * ds
             mid += P
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            new = fpe_rhs(work, coeffs_mid, cfg, out=spare,
-                          fields=_fields(X, coeffs_mid, cfg, quad, out=A))
+            new = fpe_rhs(work, coeffs_mid, cfg, fields=fields_at(coeffs_mid), out=spare)
             new *= ds
             new += P
             P, spare = new, P
@@ -461,6 +483,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         "ds_median": ds_median,
         "ds_max": ordered[-1],
         "cfl_limit": limits,
+        "field_evals": field_evals,
     }
     return FpeResult(snapshots=snaps, mass_series=mass_series, diagnostics=diag)
 

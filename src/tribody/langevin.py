@@ -16,7 +16,11 @@ The drift is A = B a.  Two noise routes are supported:
   independent).
 
 Increments are Gaussian with covariance 2*eps*ds, matching the
-correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').
+correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').  An ensemble
+steps its paths in chunks of CHUNK, and at step k chunk c draws its
+normals from its own SFC64 generator, seeded with
+SeedSequence((seed, c, k)): numpy's construction of independent streams
+from one master seed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geodesic import TrajectoryRecord, momentum_rhs
 
-# paths per chunk of the ensemble; each chunk has its own noise stream
+# paths per chunk of the ensemble; each chunk has its own noise stream at
+# every step, SFC64(SeedSequence((seed, chunk, step)))
 CHUNK = 16384
 # upper bound on the ensemble's worker threads, the only threads in the
 # package: the largest count benchmarked so far (on a 2-CPU host)
@@ -75,7 +80,8 @@ class NoiseModel:
     def __post_init__(self):
         eps = epsilon_matrix(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
-        # the seed is one 64-bit word of each noise stream's Philox key
+        # the seed is the first of the entropy words (seed, chunk, step) of
+        # every noise stream's SeedSequence, which rejects a negative word
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if np.count_nonzero(eps - np.diag(np.diagonal(eps))) == 0:
@@ -264,18 +270,19 @@ def run_ensemble(
 
     The paths are cut into chunks of CHUNK: chunk c holds paths
     [c CHUNK, min(n_traj, (c+1) CHUNK)).  At step k chunk c draws its
-    increments with white_noise_increments from the counter-based stream
-    Philox(key=(seed, c), counter=(0, 0, 0, k)) (Salmon et al., "Parallel
-    Random Numbers: As Easy as 1, 2, 3", SC'11), one row per path in
-    order; the normal sampler is sequential, so a short last chunk gets
-    the first rows of a full draw.  Path p's noise therefore depends only
-    on (seed, p, step): not on n_traj, nor on how many threads step the
-    chunks or in which order, and the result is bit-identical for a
-    given (seed, ds, span, snapshot times) whatever the CPU count.  The
-    chunks are stepped on one thread per CPU the process may run on, the
-    calling thread among them, and at most MAX_WORKERS; a single chunk
-    runs in the calling thread alone.  xi0 may be a single 3-vector (all
-    paths start together) or (n_traj, 3).
+    increments with white_noise_increments from
+    Generator(SFC64(SeedSequence((seed, c, k)))), one row per path in
+    order; SeedSequence hashes its entropy words into the generator's
+    state, so the streams of distinct (seed, c, k) are independent for
+    all practical purposes.  The normal sampler is sequential, so a
+    short last chunk gets the first rows of a full draw.  Path p's noise
+    therefore depends only on (seed, p, step): not on n_traj, nor on how
+    many threads step the chunks or in which order, and the result is
+    bit-identical for a given (seed, ds, span, snapshot times) whatever
+    the CPU count.  The chunks are stepped on one thread per CPU the
+    process may run on, the calling thread among them, and at most
+    MAX_WORKERS; a single chunk runs in the calling thread alone.  xi0
+    may be a single 3-vector (all paths start together) or (n_traj, 3).
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -322,13 +329,9 @@ def run_ensemble(
         xi[...] = xi0[lo:hi]
         alive = np.ones(hi - lo, dtype=bool)
         blowups = []
-        bitgen = np.random.Philox(key=[noise.seed, c])
-        rng, start = np.random.Generator(bitgen), bitgen.state
         for k, (h, coeffs, s_end, slots) in enumerate(plan):
-            # the stream of step k: Philox(key=(seed, c), counter=(0, 0, 0, k));
-            # restoring a state is cheaper than building a generator
-            start["state"]["counter"][3] = k
-            bitgen.state = start
+            seeded = np.random.SeedSequence((noise.seed, c, k))
+            rng = np.random.Generator(np.random.SFC64(seeded))
             white_noise_increments(h, noise, rng, hi - lo, out=dW)
             # runaway paths overflow before they are frozen; the non-finite
             # check below is the intended detector, so silence the
@@ -376,5 +379,6 @@ def run_ensemble(
         xi_final=xi_final,
         snapshots=list(zip(times, snaps)),
         blowups={p: t for _, p, t in sorted(found)},
-        meta={"seed": noise.seed, "mode": mode, "ds": ds, "n_steps": len(plan)},
+        meta={"seed": noise.seed, "mode": mode, "ds": ds, "n_steps": len(plan),
+              "noise_stream": "SFC64(SeedSequence((seed, chunk, step)))", "chunk": CHUNK},
     )

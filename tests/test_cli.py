@@ -153,6 +153,16 @@ class TestParseConfig:
             parse_config(doc)
         assert run("simulate", write_config(tmp_path, doc), tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("snapshots", [[-0.5], [0.0], [100.0]])
+    def test_snapshot_outside_the_run_is_2(self, tmp_path, snapshots):
+        # integrator.s_end is 2.0: the ensemble and fpe stages could not
+        # take these snapshots, so no stage starts
+        doc = base_config()
+        doc["sde"]["snapshots"] = snapshots
+        with pytest.raises(ConfigError, match="sde.snapshots"):
+            parse_config(doc)
+        assert run("simulate", write_config(tmp_path, doc), tmp_path / "out") == 2
+
     def test_defaults_when_sections_absent(self):
         doc = base_config()
         for key in ("integrator", "sde", "grid", "noise", "seed"):
@@ -299,6 +309,9 @@ class TestPipelineStages:
         assert "blowups" in meta
         # span 2, ds 0.01
         assert meta["n_steps"] == 200
+        # the noise streams the paths were drawn from
+        assert meta["noise_stream"] == "SFC64(SeedSequence((seed, chunk, step)))"
+        assert meta["chunk"] == 16384
 
     def test_ensemble_csv_is_numeric(self, prepared):
         cfg, out = prepared
@@ -342,6 +355,8 @@ class TestPipelineStages:
         assert diag["steps"] == sum(diag["cfl_limit"].values()) > 0
         assert set(diag["cfl_limit"]) == {"drift", "diffusion", "snapshot"}
         assert 0.0 < diag["ds_min"] <= diag["ds_median"] <= diag["ds_max"]
+        # a trajectory schedule: new coefficients, so new fields, at every stage
+        assert diag["field_evals"] == 2 * diag["steps"]
 
     def test_fpe_follows_sde_mode(self, tmp_path):
         doc = base_config()

@@ -24,6 +24,7 @@ from tribody import (
     write_density,
 )
 from tribody.errors import ConfigError
+from tribody.fokker_planck import pin_boundary
 
 
 def philox(seed):
@@ -526,14 +527,10 @@ class TestFpeEvolve:
             with pytest.raises(DomainError):
                 fpe_evolve(grid, span, cfg)
 
-    @pytest.mark.parametrize("multiplicative", [False, True])
-    def test_step_bound_shares_the_first_stage_fields(self, monkeypatch, multiplicative):
-        # the CFL bound reads the drift (and coupling) that k1 uses, so an
-        # RK2 step evaluates each field once per stage; the coupling is
-        # built from the mesh's products, formed once per run, never
-        # through langevin.diffusion.  Every drift call runs on the
-        # (n1, n2, n3, 3) views of the run's component-major cell centres
-        # and writes to the same views of one drift buffer.
+    @staticmethod
+    def counted_solve(monkeypatch, sched, multiplicative):
+        """One solve on sched with its layers counted: checks what holds on
+        any schedule and returns the call counts and the number of steps."""
         import tribody.fokker_planck as fp
         import tribody.langevin as langevin
 
@@ -558,20 +555,65 @@ class TestFpeEvolve:
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "tribody" and vars(mod).get("diffusion") is original:
                 monkeypatch.setattr(mod, "diffusion", counted("diffusion", original))
-        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
         cfg = FpeConfig(epsilon=0.05, schedule=sched, multiplicative=multiplicative)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
-        fp.fpe_evolve(grid, (0.0, 0.2), cfg, snapshot_s=(0.1,))
+        diag = fp.fpe_evolve(grid, (0.0, 0.2), cfg, snapshot_s=(0.1,)).diagnostics
         steps = calls["_stable_ds"]
-        assert steps > 2
+        assert steps == diag["steps"] > 2
         assert calls["fpe_rhs"] == 2 * steps
-        assert calls["drift"] == 2 * steps
+        assert calls["drift"] == diag["field_evals"]
         # one drift buffer, which both stages' right-hand sides read
         assert len(drift_args) == 1
         assert rhs_drifts == {out for _, out in drift_args}
         assert calls.get("_quadratic", 0) == (1 if multiplicative else 0)
-        assert calls.get("_coupling", 0) == (2 * steps if multiplicative else 0)
+        assert calls.get("_coupling", 0) == (calls["drift"] if multiplicative else 0)
         assert "diffusion" not in calls
+        return calls, steps
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_step_bound_shares_the_first_stage_fields(self, monkeypatch, multiplicative):
+        # coefficients that change between stages: the CFL bound reads the
+        # drift (and coupling) that k1 uses, so an RK2 step evaluates each
+        # field once per stage; the coupling is built from the mesh's
+        # products, formed once per run, never through langevin.diffusion.
+        # Every drift call runs on the (n1, n2, n3, 3) views of the run's
+        # component-major cell centres and writes to the same views of one
+        # drift buffer.
+        sched = CoefficientSchedule(s=[0.0, 0.2], a=[[0.05, -0.03, 0.02], [0.08, -0.01, 0.0]],
+                                    lam_sq=[0.2, 0.35])
+        calls, steps = self.counted_solve(monkeypatch, sched, multiplicative)
+        assert calls["drift"] == 2 * steps
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_constant_schedule_forms_its_fields_once(self, monkeypatch, multiplicative):
+        # every stage has the coefficients of the fields held, so the solve
+        # forms its drift (and coupling) once
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        calls, _ = self.counted_solve(monkeypatch, sched, multiplicative)
+        assert calls["drift"] == 1
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    @pytest.mark.parametrize("a_end, field_evals", [([0.05, -0.03, 0.02], 1),
+                                                    ([0.08, -0.01, 0.0], 2)])
+    def test_one_step_is_midpoint_rk2_with_fields_of_its_own(self, multiplicative, a_end,
+                                                             field_evals):
+        # a span shorter than the step bound: one step, whose midpoint
+        # stage reuses the step start's fields when the coefficients there
+        # are the same; each fpe_rhs here forms its own
+        sched = CoefficientSchedule(s=[0.0, 1e-3], a=[[0.05, -0.03, 0.02], a_end],
+                                    lam_sq=[0.2, 0.2])
+        cfg = FpeConfig(epsilon=0.01, schedule=sched, multiplicative=multiplicative)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0.1, 0.0, -0.1], 0.2)
+        ds = 1e-3
+        res = fpe_evolve(grid, (0.0, ds), cfg)
+        assert res.diagnostics["steps"] == 1
+        assert res.diagnostics["field_evals"] == field_evals
+        P = grid.P
+        mid = P + 0.5 * ds * fpe_rhs(grid, sched.at(0.0), cfg)
+        pin_boundary(mid)
+        new = P + ds * fpe_rhs(grid.copy_with(mid), sched.at(0.5 * ds), cfg)
+        pin_boundary(new)
+        assert np.array_equal(res.snapshots[-1][1].P, new)
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_rhs_with_given_fields_matches_own(self, multiplicative):

@@ -31,7 +31,7 @@ def philox(seed=0):
 
 def chunk_stream(seed, chunk=0, step=0):
     """The noise stream of one chunk of paths at one ensemble step."""
-    return np.random.Generator(np.random.Philox(key=[seed, chunk], counter=[0, 0, 0, step]))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, chunk, step))))
 
 
 def use_cpus(monkeypatch, n):
@@ -74,7 +74,8 @@ class TestNoiseModel:
             NoiseModel(epsilon=eps)
 
     def test_seed_must_fit_one_key_word(self):
-        # the seed is one 64-bit word of the Philox key (seed, chunk)
+        # the seed is one word of the SeedSequence entropy (seed, chunk,
+        # step), kept to one unsigned 64-bit word
         for seed in (-1, 2**64):
             with pytest.raises(ConfigError, match="seed"):
                 NoiseModel(epsilon=0.01, seed=seed)
@@ -452,6 +453,24 @@ class TestOneStepKernel:
             steps = [white_noise_increments(0.01, nm, chunk_stream(8, c, k), n=rows)
                      for k in (0, 1)]
             assert np.array_equal(res.xi_final[c * CHUNK:c * CHUNK + rows], steps[0] + steps[1])
+
+
+    def test_streams_of_many_chunks_have_the_noise_covariance(self):
+        # zero drift from the origin, one step over six chunks: the rows are
+        # the increments, with covariance 2 eps ds, and the streams of two
+        # chunks are uncorrelated
+        eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
+        nm = NoiseModel(epsilon=eps, seed=19)
+        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.01))
+        n = 6 * CHUNK
+        res = run_ensemble(n, sched, np.zeros(3), 0.01, "additive", nm)
+        expect = 2 * eps * 0.01
+        # five standard errors of each sample covariance entry
+        se = np.sqrt((np.outer(np.diagonal(expect), np.diagonal(expect)) + expect**2) / n)
+        assert np.all(np.abs(np.cov(res.xi_final.T) - expect) < 5 * se)
+        first, second = res.xi_final[:CHUNK], res.xi_final[CHUNK:2 * CHUNK]
+        cross = np.corrcoef(first.T, second.T)[:3, 3:]
+        assert np.all(np.abs(cross) < 4 / np.sqrt(CHUNK))
 
 
 class TestChunkedEnsemble:
