@@ -152,9 +152,9 @@ def _typed(doc: dict) -> dict:
     return typed
 
 
-def parse_config(doc: dict) -> dict:
+def parse_config(doc: dict, seed=None) -> dict:
     """Validate a raw config document; convert its values; fill defaults;
-    reject unknown keys."""
+    reject unknown keys.  seed, when given, overrides the config's seed."""
     typed = _typed(doc)
     for key in ("masses", "potential", "energy", "u0", "initial"):
         if key not in typed:
@@ -244,7 +244,9 @@ def parse_config(doc: dict) -> dict:
         # kept in JSON form (a float or nested lists); the solvers normalize it
         cfg["epsilon"] = noise.get("epsilon", 0.0)
 
-    cfg["seed"] = typed.get("seed", _DEFAULTS["seed"])
+    cfg["seed"] = typed.get("seed", _DEFAULTS["seed"]) if seed is None else seed
+    # every stage runs NoiseModel's checks of the noise power and the seed
+    cfg["noise"] = NoiseModel(epsilon=cfg["epsilon"], seed=cfg["seed"])
     cfg["mu0"] = reduced_mass(cfg["masses"])
     cfg["surface"] = EnergySurface(E=cfg["energy"], U0=cfg["u0"], potential=cfg["potential"])
     cfg["echo"] = doc
@@ -408,7 +410,7 @@ def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
 
 def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     schedule = _schedule(*_load_trajectory(out_dir), cfg)
-    noise = NoiseModel(epsilon=cfg["epsilon"], seed=cfg["seed"])
+    noise = cfg["noise"]
     sde = cfg["sde"]
     result = run_ensemble(
         n_traj=sde["n_paths"],
@@ -554,9 +556,7 @@ def main(argv=None) -> int:
             return 5
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-        cfg = parse_config(doc)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = parse_config(doc, seed=args.seed)
         run_command(args.command, cfg, Path(args.out), force=args.force)
         return 0
     except ConfigError as exc:

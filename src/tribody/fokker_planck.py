@@ -29,16 +29,16 @@ multiplicative one also carries mass out through the boundary faces.
 
 Layout.  Per-cell vectors are stored component-major: fpe_evolve forms
 the cell centres once per solve as a contiguous (3, n1, n2, n3) array
-X = grid.mesh(axis=0), and writes the drift into one (3, n1, n2, n3)
-buffer A by calling langevin.drift (so geodesic.momentum_rhs, the one
-B a kernel) on the (n1, n2, n3, 3) views of X and A, whose components
+X = grid.mesh(axis=0), and the drift A is a new (3, n1, n2, n3) array
+that langevin.drift (so geodesic.momentum_rhs, the one B a kernel)
+fills through the (n1, n2, n3, 3) views of X and A, whose components
 are then contiguous.  The fields (A, and B for multiplicative noise) are
 formed only for a stage whose coefficients (a, Lambda^2) differ from
 those of the fields held: a constant schedule forms them once per
-solve, a trajectory schedule at every stage.  The stencils write
-into preallocated arrays and run as one flat pass over contiguous data,
-with each cell's operations in the same order as on the mesh form, so
-the result is bit-identical to it.
+solve, a trajectory schedule at every stage.  Every other array lives
+for one call: each stencil returns a new array from one flat pass over
+contiguous data, with each cell's operations in the same order as on
+the mesh form, so the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -165,29 +165,25 @@ def _at(axis, index):
     return tuple(sel)
 
 
-def _flat(F, axis, out):
-    """F as a C-contiguous array, out (C-contiguous, F's shape; made when
-    None), both flattened, and the distance s in the flattened arrays
-    from a cell to its neighbour along `axis`."""
+def _flat(F, axis):
+    """F as a C-contiguous array, a new array of its shape, both also
+    flattened, and the distance s in the flattened arrays from a cell to
+    its neighbour along `axis`."""
     F = np.ascontiguousarray(F)
-    if out is None:
-        out = np.empty_like(F)
-    elif not out.flags.c_contiguous or out.shape != F.shape:
-        raise ValueError("out must be C-contiguous with the shape of F")
+    out = np.empty_like(F)
     return F, out, F.reshape(-1), out.reshape(-1), F.strides[axis] // F.itemsize
 
 
-def _d(F, axis, h, out=None):
+def _d(F, axis, h):
     """Central first difference with zero ghost cells (pinned boundary),
-    written to out (C-contiguous, F's shape, sharing no memory with F)
-    when given.
+    as a new array.
 
     The interior is one contiguous pass over the flattened arrays, where
     a cell's neighbours along the axis lie s elements away.  That pass
     also fills the two faces normal to the axis, from the adjacent rows
     of the flattened array; the one-sided formulas then overwrite them.
     """
-    F, out, f, o, s = _flat(F, axis, out)
+    F, out, f, o, s = _flat(F, axis)
     mid = o[s:-s]
     np.subtract(f[2 * s:], f[:-2 * s], out=mid)
     mid /= 2.0 * h
@@ -197,10 +193,10 @@ def _d(F, axis, h, out=None):
     return out
 
 
-def _d2(F, axis, h, out=None):
-    """Compact second difference with zero ghost cells, written to out
-    (as for _d) when given; the interior is one flat pass, as in _d."""
-    F, out, f, o, s = _flat(F, axis, out)
+def _d2(F, axis, h):
+    """Compact second difference with zero ghost cells, as a new array;
+    the interior is one flat pass, as in _d."""
+    F, out, f, o, s = _flat(F, axis)
     for dst, src, hi, lo in ((o[s:-s], f[s:-s], f[2 * s:], f[:-2 * s]),
                              (out[_at(axis, 0)], F[_at(axis, 0)], F[_at(axis, 1)], None),
                              (out[_at(axis, -1)], F[_at(axis, -1)], F[_at(axis, -2)], None)):
@@ -245,22 +241,21 @@ def _coupling(quad, lam_sq):
                       for k, j in _UPPER)
 
 
-def _fields(X, coeffs, cfg, quad=None, out=None):
+def _fields(X, coeffs, cfg, quad=None):
     """Drift A and, for multiplicative noise, the coupling B of _coupling
     at coeffs on the component-major cell centres X = grid.mesh(axis=0);
-    B is None for additive noise.  A is (3, n1, n2, n3), component A[i]
-    contiguous, written to out when it is given: the drift kernel runs on
-    the (n1, n2, n3, 3) views of X and A, whose components are then
+    B is None for additive noise.  A is a new (3, n1, n2, n3) array,
+    component A[i] contiguous: the drift kernel runs on the
+    (n1, n2, n3, 3) views of X and A, whose components are then
     contiguous.  quad is _quadratic(X), formed here when omitted."""
-    A = np.empty(X.shape) if out is None else out
+    A = np.empty(X.shape)
     drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
     if not cfg.multiplicative:
         return A, None
     return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
 
 
-def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
-            out=None) -> np.ndarray:
+def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.ndarray:
     """Discrete right-hand side dP/ds on the grid (second-order stencils).
 
     `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
@@ -268,36 +263,31 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
     noise, B as rows of (n1, n2, n3) components, where the symmetric
     B[k][j] and B[j][k] are one array.  fpe_evolve passes it for both
     stages, and the first stage's is the pair its step bound has read.  It
-    is formed here when omitted.  The result is written to out (the
-    grid's shape, sharing no memory with the inputs) when it is given.
+    is formed here when omitted.  The result is a new array.
 
-    The temporaries, 2 arrays of the grid's shape (8 for multiplicative
-    noise), live only for the call: held for a whole solve, they would sit
-    beside the drift kernel's own scratch and raise the peak memory.
+    Each term is scaled and added in place, so beside the result the call
+    holds at most 2 temporaries of the grid's shape (8 for multiplicative
+    noise, with F and G), all freed when it returns.
     """
     if fields is None:
         fields = _fields(grid.mesh(axis=0), coeffs, cfg)
     A, B = fields
     P, h, eps = grid.P, grid.h, cfg.epsilon
-    rhs = np.empty_like(P) if out is None else out
-    rhs.fill(0.0)
+    rhs = np.zeros_like(P)
     accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
-    t, d = np.empty(P.shape), np.empty(P.shape)
     for i in range(3):
-        accumulate(rhs, _d(np.multiply(A[i], P, out=t), i, h[i], out=d), out=rhs)
+        accumulate(rhs, _d(A[i] * P, i, h[i]), out=rhs)
 
     if B is None:
-        # B = identity: sum_ij eps_ij d_i d_j P with compact stencils
+        # B = identity: sum_ij eps_ij d_i d_j P with compact stencils, the
+        # diagonal term of each i first; each term is freed before the next
         for i in range(3):
-            if eps[i, i] != 0.0:
-                term = _d2(P, i, h[i], out=d)
-                term *= eps[i, i]
-                rhs += term
-            for j in range(i + 1, 3):
+            for j in range(i, 3):
                 if eps[i, j] != 0.0:
-                    term = _d(_d(P, j, h[j], out=t), i, h[i], out=d)
-                    term *= 2.0 * eps[i, j]
+                    term = _d2(P, i, h[i]) if j == i else _d(_d(P, j, h[j]), i, h[i])
+                    term *= eps[i, i] if j == i else 2.0 * eps[i, j]
                     rhs += term
+                    del term
         return rhs
 
     # F_j = sum_k d_k (B_kj P), component by component.  Each product
@@ -307,20 +297,20 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None,
     F = [np.zeros(P.shape) for _ in range(3)]
     G = [np.zeros(P.shape) for _ in range(3)]
     for k, j in _UPPER:
-        np.multiply(B[k][j], P, out=t)
+        t = B[k][j] * P
         for axis, comp in {(k, j), (j, k)}:
-            F[comp] += _d(t, axis, h[axis], out=d)
+            F[comp] += _d(t, axis, h[axis])
     # G = eps F, each G_i summed over j left to right
     for i in range(3):
         for j in range(3):
             if eps[i, j] != 0.0:
-                G[i] += np.multiply(F[j], eps[i, j], out=d)
+                G[i] += F[j] * eps[i, j]
     # rhs += sum_l d_l [ sum_i B_il G_i ]
     for l in range(3):
-        np.multiply(B[0][l], G[0], out=t)
+        t = B[0][l] * G[0]
         for i in (1, 2):
-            t += np.multiply(B[i][l], G[i], out=d)
-        rhs += _d(t, l, h[l], out=d)
+            t += B[i][l] * G[i]
+        rhs += _d(t, l, h[l])
     return rhs
 
 
@@ -399,10 +389,6 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     quad = _quadratic(X) if cfg.multiplicative else None
     P = grid0.P.copy()
     work = grid0.copy_with(P)
-    # the run's buffers, reused by every step: the drift of the held fields,
-    # the midpoint stage and the next density
-    A = np.empty(X.shape)
-    stage, spare = np.empty_like(P), np.empty_like(P)
     held, fields, field_evals = None, None, 0
 
     def fields_at(coeffs):
@@ -411,9 +397,9 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         nonlocal held, fields, field_evals
         key = np.append(coeffs[0], coeffs[1]).tobytes()
         if key != held:
-            # release the held coupling before the next one is formed
+            # release the held fields before the next ones are formed
             fields = None
-            fields = _fields(X, coeffs, cfg, quad, out=A)
+            fields = _fields(X, coeffs, cfg, quad)
             held = key
             field_evals += 1
         return fields
@@ -439,16 +425,16 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
             # each stage slope is turned into its stage in place
-            mid = fpe_rhs(work, coeffs, cfg, fields=fields_at(coeffs), out=stage)
+            mid = fpe_rhs(work, coeffs, cfg, fields=fields_at(coeffs))
             mid *= 0.5 * ds
             mid += P
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            new = fpe_rhs(work, coeffs_mid, cfg, fields=fields_at(coeffs_mid), out=spare)
+            new = fpe_rhs(work, coeffs_mid, cfg, fields=fields_at(coeffs_mid))
             new *= ds
             new += P
-            P, spare = new, P
+            P = new
             unpinned = np.sum(P)
             pin_boundary(P)
             outflow += float((unpinned - np.sum(P)) * work.cell_volume)

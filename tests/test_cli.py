@@ -163,6 +163,27 @@ class TestParseConfig:
             parse_config(doc)
         assert run("simulate", write_config(tmp_path, doc), tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("key, value, extra", [
+        ("epsilon", [[0.01, 0.02, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]], ()),
+        ("epsilon", -0.01, ()),
+        ("epsilon", [[0.01, 0.05, 0.0], [0.05, 0.01, 0.0], [0.0, 0.0, 0.01]], ()),
+        ("seed", -1, ()),
+        ("seed", 2**64, ()),
+        ("seed", 11, ("--seed", "-3")),
+    ], ids=["asymmetric_epsilon", "negative_epsilon", "indefinite_epsilon", "negative_seed",
+            "seed_2_pow_64", "negative_seed_flag"])
+    def test_invalid_noise_or_seed_is_2(self, tmp_path, key, value, extra):
+        # the ensemble and fpe stages would reject these; simulate must too,
+        # before it writes a manifest
+        doc = base_config()
+        if key == "epsilon":
+            doc["noise"]["epsilon"] = value
+        else:
+            doc["seed"] = value
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, doc), out, *extra) == 2
+        assert not (out / "manifest_simulate.json").exists()
+
     def test_defaults_when_sections_absent(self):
         doc = base_config()
         for key in ("integrator", "sde", "grid", "noise", "seed"):

@@ -534,7 +534,7 @@ class TestFpeEvolve:
         import tribody.fokker_planck as fp
         import tribody.langevin as langevin
 
-        calls, drift_args, rhs_drifts = {}, set(), set()
+        calls, meshes, latest = {}, [], {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -543,9 +543,11 @@ class TestFpeEvolve:
                     xi, out = args[0], kwargs["out"]
                     assert xi.shape == out.shape == grid.shape + (3,)
                     assert xi.strides[-1] == out.strides[-1] == grid.P.size * 8
-                    drift_args.add((xi.ctypes.data, out.ctypes.data))
+                    meshes.append(xi.base)
+                    latest["A"] = out.base
                 if name == "fpe_rhs":
-                    rhs_drifts.add(kwargs["fields"][0].ctypes.data)
+                    # the drift that the latest drift call wrote
+                    assert kwargs["fields"][0] is latest["A"]
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -562,9 +564,8 @@ class TestFpeEvolve:
         assert steps == diag["steps"] > 2
         assert calls["fpe_rhs"] == 2 * steps
         assert calls["drift"] == diag["field_evals"]
-        # one drift buffer, which both stages' right-hand sides read
-        assert len(drift_args) == 1
-        assert rhs_drifts == {out for _, out in drift_args}
+        # every drift call runs on the views of the solve's one mesh
+        assert meshes[0] is not None and all(X is meshes[0] for X in meshes)
         assert calls.get("_quadratic", 0) == (1 if multiplicative else 0)
         assert calls.get("_coupling", 0) == (calls["drift"] if multiplicative else 0)
         assert "diffusion" not in calls
@@ -577,8 +578,8 @@ class TestFpeEvolve:
         # field once per stage; the coupling is built from the mesh's
         # products, formed once per run, never through langevin.diffusion.
         # Every drift call runs on the (n1, n2, n3, 3) views of the run's
-        # component-major cell centres and writes to the same views of one
-        # drift buffer.
+        # component-major cell centres, and each right-hand side reads the
+        # drift that the latest drift call wrote.
         sched = CoefficientSchedule(s=[0.0, 0.2], a=[[0.05, -0.03, 0.02], [0.08, -0.01, 0.0]],
                                     lam_sq=[0.2, 0.35])
         calls, steps = self.counted_solve(monkeypatch, sched, multiplicative)
