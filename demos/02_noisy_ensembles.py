@@ -2,8 +2,8 @@
 
 Freezes the geodesic coefficients along a reference trajectory, then
 propagates a momentum ensemble under white noise of power eps in both
-the additive (Euler-Maruyama) and multiplicative (Stratonovich Heun)
-forms.  Zero noise must reproduce the deterministic flow; finite noise
+the additive (simplified weak Euler, two-point increments) and
+multiplicative (Stratonovich Heun, Gaussian increments) forms.  Zero noise must reproduce the deterministic flow; finite noise
 spreads the ensemble at a rate set by eps.
 """
 

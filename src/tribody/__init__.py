@@ -71,6 +71,7 @@ from .langevin import (
     drift,
     run_ensemble,
     white_noise_increments,
+    two_point_increments,
 )
 from .fokker_planck import (
     FpeConfig,

@@ -438,6 +438,7 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         "blowups": {str(k): v for k, v in result.blowups.items()},
         "n_steps": result.meta["n_steps"],
         "noise_stream": result.meta["noise_stream"],
+        "increments": result.meta["increments"],
         "chunk": result.meta["chunk"],
     }
     _atomic_write_text(writer.path("ensemble_meta.json"), _json_dump(meta))

@@ -12,15 +12,21 @@ The drift is A = B a.  Two noise routes are supported:
 * multiplicative -- dxi = B(xi) o (a ds + dW), stepped with a Stratonovich
   Heun predictor-corrector (the density equation pairs with the
   Stratonovich reading of the state-dependent noise);
-* additive -- dxi = B(xi) a ds + dW, Euler-Maruyama (interpretation
-  independent).
+* additive -- dxi = B(xi) a ds + dW, stepped with the simplified weak
+  Euler scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992,
+  section 14.1): an Euler step whose increments are two-point values
+  S z sqrt(ds), z = +-1 per axis, S S^T = 2 eps.  Only the law of the
+  paths matters here (the density solver evolves it), and these
+  increments match the Gaussian ones in their first three moments, so
+  the scheme keeps Euler-Maruyama's weak order 1 at a fraction of the
+  cost of a normal draw.
 
-Increments are Gaussian with covariance 2*eps*ds, matching the
-correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').  An ensemble
-steps its paths in chunks of CHUNK, and at step k chunk c draws its
-normals from its own SFC64 generator, seeded with
-SeedSequence((seed, c, k)): numpy's construction of independent streams
-from one master seed.
+The multiplicative route keeps Gaussian increments, covariance 2*eps*ds,
+matching the correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').  An
+ensemble steps its paths in chunks of CHUNK, and at step k chunk c draws
+from its own SFC64 generator, seeded with SeedSequence((seed, c, k)):
+numpy's construction of independent streams from one master seed.  So
+path p's noise is fixed by (seed, p, step) under either law.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "CoefficientSchedule",
     "EnsembleResult",
     "white_noise_increments",
+    "two_point_increments",
     "drift",
     "diffusion",
     "run_ensemble",
@@ -63,7 +70,9 @@ def epsilon_matrix(epsilon) -> np.ndarray:
     eps = eps.reshape(3, 3)
     if np.max(np.abs(eps - eps.T)) > 0.0:
         raise ConfigError("epsilon must be symmetric")
-    w = np.linalg.eigvalsh(eps)
+    # a diagonal eps has its diagonal for eigenvalues: no LAPACK call
+    off = np.count_nonzero(eps - np.diag(np.diagonal(eps)))
+    w = np.linalg.eigvalsh(eps) if off else np.diagonal(eps)
     if w.min() < -1e-13 * max(1.0, abs(w.max())):
         raise ConfigError(f"epsilon must be positive semidefinite, eigenvalues {w}")
     return eps
@@ -136,32 +145,83 @@ class CoefficientSchedule:
         return a, float(np.interp(s, self.s, self.lam_sq))
 
 
+def _increment_scale(noise: NoiseModel, ds: float):
+    """S sqrt(ds) as its diagonal and its off-diagonal entries
+    [(i, j, S_ij sqrt(ds)), ...], or None for a zero eps."""
+    if not np.any(noise.epsilon):
+        return None
+    scale = noise.scale_matrix() * np.sqrt(ds)
+    diagonal = np.diagonal(scale)
+    off = zip(*np.nonzero(scale - np.diag(diagonal)))
+    return diagonal, [(i, j, scale[i, j]) for i, j in off]
+
+
+def _scale_rows(z, diagonal, off) -> np.ndarray:
+    """z (n, 3) -> z S^T sqrt(ds) in place, S sqrt(ds) given by
+    _increment_scale.  Formed term by term, not by a BLAS product, whose
+    last bit can depend on how many rows it multiplies: a row depends
+    only on its own z.  Column by column: a product broadcast over the
+    length-3 axis runs a 3-element inner loop per row."""
+    zj = z.copy() if off else z
+    for i in range(3):
+        z[:, i] *= diagonal[i]
+    for i, j, v in off:
+        z[:, i] += v * zj[:, j]
+    return z
+
+
+def _gaussian(rng: np.random.Generator, scale, out) -> np.ndarray:
+    """Gaussian increments into out (C-contiguous (n, 3)): row r from the
+    r-th triple of normals that rng draws; zeros, drawing nothing, for a
+    zero eps (scale None)."""
+    if scale is None:
+        out.fill(0.0)
+        return out
+    rng.standard_normal(out=out)
+    return _scale_rows(out, *scale)
+
+
+def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
+    """Two-point increments into out ((n, 3), any layout): z_ri = +1 where
+    bit 3r + i of the ceil(3n / 64) words rng.bit_generator.random_raw
+    draws is set, -1 where it is clear (bit b of word w is bit 64 w + b,
+    least significant first, on any host), then scaled as _gaussian
+    scales normals, so a diagonal eps gives exactly +-S_ii sqrt(ds)."""
+    if scale is None:
+        out.fill(0.0)
+        return out
+    n = len(out)
+    words = rng.bit_generator.random_raw(-(-3 * n // 64))
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    # an assignment casts across layouts faster than a ufunc with out=
+    out[...] = bits[:3 * n].reshape(n, 3)
+    out *= 2.0
+    out -= 1.0
+    return _scale_rows(out, *scale)
+
+
 def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
                            n: int, out=None) -> np.ndarray:
     """A batch (n, 3) of Gaussian increments with covariance 2*eps*ds,
-    row r made from the r-th triple of normals that rng draws.  Written
-    to out (a C-contiguous (n, 3) float array) when it is given; for a
-    diagonal eps nothing else is allocated."""
+    row r made from the r-th triple of normals that rng draws: the law
+    of the multiplicative ensemble.  Written to out (a C-contiguous
+    (n, 3) float array) when it is given; for a diagonal eps nothing else
+    is allocated."""
     if not ds > 0.0:
         raise DomainError(f"ds must be positive, got {ds}")
-    dW = np.empty((int(n), 3)) if out is None else out
-    if not np.any(noise.epsilon):
-        dW.fill(0.0)
-        return dW
-    rng.standard_normal(out=dW)
-    # formed term by term, not by a BLAS product, whose last bit can depend
-    # on how many rows it multiplies: a row depends only on its own normals
-    scale = noise.scale_matrix() * np.sqrt(ds)
-    diagonal = np.diagonal(scale)
-    off = list(zip(*np.nonzero(scale - np.diag(diagonal))))
-    z = dW.copy() if off else dW
-    # column by column: a product broadcast over the length-3 axis runs a
-    # 3-element inner loop per row
-    for i in range(3):
-        dW[:, i] *= diagonal[i]
-    for i, j in off:
-        dW[:, i] += scale[i, j] * z[:, j]
-    return dW
+    return _gaussian(rng, _increment_scale(noise, ds),
+                     np.empty((int(n), 3)) if out is None else out)
+
+
+def two_point_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
+                         n: int) -> np.ndarray:
+    """A batch (n, 3) of two-point increments S z sqrt(ds), z = +-1 per
+    axis, with covariance 2*eps*ds: the law of the additive ensemble.
+    Component i of row r has sign bit 3r + i of the raw words that
+    rng's bit generator draws, least significant bit first."""
+    if not ds > 0.0:
+        raise DomainError(f"ds must be positive, got {ds}")
+    return _two_point(rng, _increment_scale(noise, ds), np.empty((int(n), 3)))
 
 
 def drift(xi, coeffs, out=None) -> np.ndarray:
@@ -187,18 +247,21 @@ def diffusion(xi, lam_sq_bar) -> np.ndarray:
 
 def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
     """One step of a batch xi (n, 3), in place, with increments dW (n, 3):
-    Euler-Maruyama (additive) or Stratonovich Heun on
-    dxi = B(xi) o (a ds + dW), whose stages are drift calls on the forcing
-    a ds + dW since B is linear in it (multiplicative; dW is overwritten
-    by the forcing).  Both stages use the same coefficients.  work holds
-    the (n, 3) arrays of the drift stages, one (additive) or three
-    (multiplicative), so a step allocates nothing of the batch's size
-    besides the drift kernel's scratch."""
+    Euler (additive; with dW None the caller adds the increments after
+    the step) or Stratonovich Heun on dxi = B(xi) o (a ds + dW), whose
+    stages are drift calls on the forcing a ds + dW since B is linear in
+    it (multiplicative; dW is overwritten by the forcing).  Both stages
+    use the same coefficients.  work holds the (n, 3) arrays of the drift
+    stages, one (additive) or three (multiplicative), so a step allocates
+    nothing of the batch's size besides the drift kernel's scratch.  The
+    arrays may be transposed views of component-major (3, n) storage, as
+    the ensemble passes them."""
     if mode == "additive":
         f = drift(xi, coeffs, out=work[0])
         f *= ds
         xi += f
-        xi += dW
+        if dW is not None:
+            xi += dW
     elif mode == "multiplicative":
         a_ds = coeffs[0] * ds
         for i in range(3):
@@ -270,19 +333,23 @@ def run_ensemble(
 
     The paths are cut into chunks of CHUNK: chunk c holds paths
     [c CHUNK, min(n_traj, (c+1) CHUNK)).  At step k chunk c draws its
-    increments with white_noise_increments from
-    Generator(SFC64(SeedSequence((seed, c, k)))), one row per path in
-    order; SeedSequence hashes its entropy words into the generator's
-    state, so the streams of distinct (seed, c, k) are independent for
-    all practical purposes.  The normal sampler is sequential, so a
-    short last chunk gets the first rows of a full draw.  Path p's noise
-    therefore depends only on (seed, p, step): not on n_traj, nor on how
-    many threads step the chunks or in which order, and the result is
-    bit-identical for a given (seed, ds, span, snapshot times) whatever
-    the CPU count.  The chunks are stepped on one thread per CPU the
-    process may run on, the calling thread among them, and at most
-    MAX_WORKERS; a single chunk runs in the calling thread alone.  xi0
-    may be a single 3-vector (all paths start together) or (n_traj, 3).
+    increments from Generator(SFC64(SeedSequence((seed, c, k)))), one
+    row per path in order: two_point_increments in additive mode,
+    white_noise_increments in multiplicative mode.  SeedSequence hashes
+    its entropy words into the generator's state, so the streams of
+    distinct (seed, c, k) are independent for all practical purposes.
+    Both draws are sequential, so a short last chunk gets the first rows
+    of a full draw.  Path p's noise therefore depends only on
+    (seed, p, step): not on n_traj, nor on how many threads step the
+    chunks or in which order, and the result is bit-identical for a
+    given (seed, ds, span, snapshot times) whatever the CPU count.  The
+    chunks are stepped on one thread per CPU the process may run on, the
+    calling thread among them, and at most MAX_WORKERS; a single chunk
+    runs in the calling thread alone.  A chunk's state is stored
+    component-major, (3, rows), so that the elementwise kernels run over
+    contiguous rows; its values are those of (rows, 3) storage, bit for
+    bit.  xi0 may be a single 3-vector (all paths start together) or
+    (n_traj, 3).
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -307,37 +374,47 @@ def run_ensemble(
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
     # the step plan, shared read-only by the workers: per step its length,
-    # coefficients at its start, end time and the snapshots taken there
+    # coefficients at its start, end time, the snapshots taken there and
+    # the increments' scale
     plan, times = [], []
     s, on_grid = s0, True
     for s_next, next_on_grid, taken in _step_ends(s0, s1, ds, snapshot_s):
         h = ds if on_grid and next_on_grid else s_next - s
         slots = range(len(times), len(times) + len(taken))
-        plan.append((h, schedule.at(s), s + h, slots))
+        plan.append((h, schedule.at(s), s + h, slots, _increment_scale(noise, h)))
         times.extend(taken)
         s, on_grid = s_next, next_on_grid
 
     xi_final = np.empty((n_traj, 3))
     snaps = [np.empty((n_traj, 3)) for _ in times]
+    two_point = mode == "additive"
 
     def run_chunk(c: int, buffers) -> list:
-        """Step the paths of chunk c over the plan, in place in their rows
-        of xi_final; its blow-ups as (step, path, s)."""
+        """Step the paths of chunk c over the plan in a worker's buffers
+        and copy them to their rows of xi_final; its blow-ups as
+        (step, path, s)."""
         lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-        dW, finite, *work = (b[:hi - lo] for b in buffers)
-        xi = xi_final[lo:hi]
+        dW, state = buffers
+        dW = None if two_point else dW[:hi - lo]
+        # the (rows, 3) views of the chunk's component-major arrays
+        xi, finite, *work = (b[:, :hi - lo].T for b in state)
         xi[...] = xi0[lo:hi]
         alive = np.ones(hi - lo, dtype=bool)
         blowups = []
-        for k, (h, coeffs, s_end, slots) in enumerate(plan):
+        for k, (h, coeffs, s_end, slots, scale) in enumerate(plan):
             seeded = np.random.SeedSequence((noise.seed, c, k))
             rng = np.random.Generator(np.random.SFC64(seeded))
-            white_noise_increments(h, noise, rng, hi - lo, out=dW)
+            if not two_point:
+                _gaussian(rng, scale, dW)
             # runaway paths overflow before they are frozen; the non-finite
             # check below is the intended detector, so silence the
             # transient (errstate is per thread)
             with np.errstate(over="ignore", invalid="ignore"):
                 _step(xi, h, mode, coeffs, dW, work)
+                if two_point and scale is not None:
+                    # the step is done with its drift stage, which takes
+                    # the increments
+                    xi += _two_point(rng, scale, work[0])
             # a frozen path stays NaN, so while all is finite no path has
             # blown up yet
             if not np.isfinite(xi, out=finite).all():
@@ -347,17 +424,23 @@ def run_ensemble(
                 xi[~alive] = np.nan
             for j in slots:
                 snaps[j][lo:hi] = xi
+        xi_final[lo:hi] = xi
         return blowups
 
     n_chunks = -(-n_traj // CHUNK)
     workers = _worker_count(n_chunks)
-    # each worker's step buffers (increments, finiteness, drift stages),
-    # allocated in the calling thread: what a worker thread allocates stays
-    # in its own allocator arena after the ensemble, out of reach of the
-    # stages that follow, so a worker allocates only the drift's scratch
+    # each worker's step buffers, allocated in the calling thread: what a
+    # worker thread allocates stays in its own allocator arena after the
+    # ensemble, out of reach of the stages that follow, so a worker
+    # allocates only the drift's scratch and the two-point draw's bits
+    # (3 rows bytes a step).  The Gaussian increments are
+    # drawn row-major; the state, its finiteness and the drift stages are
+    # component-major.  Additive mode forms its increments in the drift
+    # stage and has no increment buffer.
     rows = min(n_traj, CHUNK)
-    buffers = [[np.empty((rows, 3)), np.empty((rows, 3), dtype=bool)]
-               + [np.empty((rows, 3)) for _ in range(1 if mode == "additive" else 3)]
+    buffers = [(None if two_point else np.empty((rows, 3)),
+                [np.empty((3, rows)), np.empty((3, rows), dtype=bool)]
+                + [np.empty((3, rows)) for _ in range(1 if two_point else 3)])
                for _ in range(workers)]
 
     def run_share(w: int) -> list:
@@ -380,5 +463,6 @@ def run_ensemble(
         snapshots=list(zip(times, snaps)),
         blowups={p: t for _, p, t in sorted(found)},
         meta={"seed": noise.seed, "mode": mode, "ds": ds, "n_steps": len(plan),
-              "noise_stream": "SFC64(SeedSequence((seed, chunk, step)))", "chunk": CHUNK},
+              "noise_stream": "SFC64(SeedSequence((seed, chunk, step)))",
+              "increments": "two_point" if two_point else "gaussian", "chunk": CHUNK},
     )

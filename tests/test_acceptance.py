@@ -40,6 +40,7 @@ from tribody import (
     kl_divergence,
     mass_scaled_jacobi,
     run_ensemble,
+    two_point_increments,
     white_noise_increments,
 )
 from tribody.cli import main as cli_main
@@ -164,12 +165,15 @@ def test_criterion_04_zero_noise_reduction(verdict):
 
 
 def test_criterion_05_noise_calibration(verdict):
+    # both laws: Gaussian (multiplicative ensembles), two-point (additive)
     eps, ds, n = 0.02, 0.01, 1_000_000
-    dW = white_noise_increments(ds, NoiseModel(epsilon=eps), philox(55), n=n)
-    var = dW.var(axis=0, ddof=1)
-    rel = float(np.max(np.abs(var - 2.0 * eps * ds) / (2.0 * eps * ds)))
-    verdict(5, f"increment variance matches 2*eps*ds within {rel:.2%} (< 1%)",
-            rel < 0.01)
+    rels = []
+    for law in (white_noise_increments, two_point_increments):
+        dW = law(ds, NoiseModel(epsilon=eps), philox(55), n=n)
+        var = dW.var(axis=0, ddof=1)
+        rels.append(float(np.max(np.abs(var - 2.0 * eps * ds) / (2.0 * eps * ds))))
+    verdict(5, f"increment variance matches 2*eps*ds within {rels[0]:.2%} (Gaussian), "
+               f"{rels[1]:.2%} (two-point) (< 1%)", max(rels) < 0.01)
 
 
 def test_criterion_06_sde_fpe_consistency(verdict):

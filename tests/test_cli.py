@@ -334,6 +334,17 @@ class TestPipelineStages:
         assert meta["noise_stream"] == "SFC64(SeedSequence((seed, chunk, step)))"
         assert meta["chunk"] == 16384
 
+    @pytest.mark.parametrize("mode, law", [("additive", "two_point"),
+                                           ("multiplicative", "gaussian")])
+    def test_ensemble_records_its_increment_law(self, tmp_path, mode, law):
+        doc = base_config()
+        doc["sde"].update(mode=mode, n_paths=4, snapshots=[0.2])
+        doc["integrator"]["s_end"] = 0.2
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("ensemble", cfg, out) == 0
+        assert json.loads((out / "ensemble_meta.json").read_text())["increments"] == law
+
     def test_ensemble_csv_is_numeric(self, prepared):
         cfg, out = prepared
         assert run("ensemble", cfg, out) == 0

@@ -20,6 +20,7 @@ from tribody import (
     integrate,
     momentum_rhs,
     run_ensemble,
+    two_point_increments,
     white_noise_increments,
 )
 from tribody.langevin import CHUNK
@@ -32,6 +33,21 @@ def philox(seed=0):
 def chunk_stream(seed, chunk=0, step=0):
     """The noise stream of one chunk of paths at one ensemble step."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, chunk, step))))
+
+
+def two_point_stream(nm, ds, seed, chunk=0, step=0, rows=1):
+    """The additive ensemble's increments for one chunk of rows paths at
+    one step of ds: S z sqrt(ds), where z of path r on axis i is +1 if bit
+    3r + i of the chunk-step stream's raw 64-bit words is set, else -1,
+    bits counted from the least significant of the first word."""
+    bits = np.random.SFC64(np.random.SeedSequence((seed, chunk, step))).random_raw(
+        -(-3 * rows // 64))[:, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)
+    z = np.where(bits.ravel()[:3 * rows] == 1, 1.0, -1.0).reshape(rows, 3)
+    scale = nm.scale_matrix() * np.sqrt(ds)
+    dW = z * np.diagonal(scale)
+    for i, j in zip(*np.nonzero(scale - np.diag(np.diagonal(scale)))):
+        dW[:, i] += scale[i, j] * z[:, j]
+    return dW
 
 
 def use_cpus(monkeypatch, n):
@@ -66,6 +82,24 @@ class TestNoiseModel:
     def test_non_psd_rejected(self):
         with pytest.raises(ConfigError):
             NoiseModel(epsilon=np.diag([1.0, -1.0, 1.0]))
+
+    def test_diagonal_epsilon_is_checked_on_its_diagonal(self, monkeypatch):
+        # a diagonal eps has its diagonal for eigenvalues: LAPACK is called
+        # only for an eps with off-diagonal entries
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        NoiseModel(epsilon=0.5)
+        NoiseModel(epsilon=np.diag([0.1, 0.0, 0.2]))
+        with pytest.raises(ConfigError, match="semidefinite"):
+            NoiseModel(epsilon=np.diag([0.1, -1e-3, 0.2]))
+        assert calls == []
+        # positive diagonal, eigenvalues 0.1 - 0.2 < 0 and 0.1 + 0.2
+        with pytest.raises(ConfigError, match="semidefinite"):
+            NoiseModel(epsilon=[[0.1, 0.2, 0.0], [0.2, 0.1, 0.0], [0.0, 0.0, 0.1]])
+        assert len(calls) == 1
+        NoiseModel(epsilon=[[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
+        assert len(calls) == 2
 
     def test_asymmetric_rejected(self):
         eps = np.eye(3)
@@ -134,6 +168,47 @@ class TestWhiteNoise:
         for i, j in zip(*np.nonzero(scale - np.diag(diagonal))):
             ref[:, i] += scale[i, j] * z[:, j]
         assert np.array_equal(white_noise_increments(ds, nm, philox(9), n=n), ref)
+
+
+class TestTwoPoint:
+    EPS = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
+
+    @pytest.mark.parametrize("eps", [0.5, [0.5, 0.02, 0.3], EPS])
+    def test_increments_are_the_signed_raw_bits(self, eps):
+        # 37 rows take 111 bits, two words; the second is drawn whole
+        nm = NoiseModel(epsilon=np.diag(eps) if np.ndim(eps) == 1 else eps, seed=5)
+        draws = two_point_increments(0.02, nm, chunk_stream(5, 3, 4), n=37)
+        assert np.array_equal(draws, two_point_stream(nm, 0.02, 5, 3, 4, rows=37))
+        if np.ndim(eps) < 2:
+            # a diagonal eps: exactly +-sqrt(2 eps_ii ds)
+            c = np.sqrt(2.0 * np.diagonal(nm.epsilon) * 0.02)
+            assert np.all((draws == c) | (draws == -c))
+
+    def test_short_draw_is_the_start_of_a_long_one(self):
+        nm = NoiseModel(epsilon=self.EPS)
+        short = two_point_increments(0.01, nm, chunk_stream(1), n=5)
+        assert np.array_equal(short, two_point_increments(0.01, nm, chunk_stream(1), n=1000)[:5])
+
+    def test_full_matrix_covariance_and_moments(self):
+        # mean 0, covariance 2 eps ds, third moments 0: the moments that
+        # give the simplified weak Euler scheme weak order 1
+        n, ds = 500_000, 0.05
+        draws = two_point_increments(ds, NoiseModel(epsilon=self.EPS), philox(3), n=n)
+        expect = 2 * self.EPS * ds
+        se = np.sqrt((np.outer(np.diagonal(expect), np.diagonal(expect)) + expect**2) / n)
+        assert np.all(np.abs(np.cov(draws.T) - expect) < 5 * se)
+        sd = np.sqrt(np.diagonal(expect))
+        assert np.all(np.abs(draws.mean(axis=0)) < 5 * sd / np.sqrt(n))
+        third = np.einsum("ni,nj,nk->ijk", draws, draws, draws) / n
+        assert np.all(np.abs(third) < 5 * np.sqrt(15 / n) * np.multiply.outer(np.outer(sd, sd), sd))
+
+    def test_zero_epsilon_exact_zero(self):
+        out = two_point_increments(0.01, NoiseModel(epsilon=0.0), philox(), n=4)
+        assert np.array_equal(out, np.zeros((4, 3)))
+
+    def test_invalid_ds(self):
+        with pytest.raises(DomainError):
+            two_point_increments(0.0, NoiseModel(epsilon=1.0), philox(), n=1)
 
 
 class TestDriftDiffusion:
@@ -436,22 +511,27 @@ class TestOneStepKernel:
         nm = NoiseModel(epsilon=eps, seed=31)
         xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
         res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
-        dW = white_noise_increments(ds, nm, chunk_stream(31), n=1)
+        # additive paths take two-point increments, multiplicative ones
+        # Gaussian increments
+        if mode == "additive":
+            dW = two_point_stream(nm, ds, 31)
+        else:
+            dW = white_noise_increments(ds, nm, chunk_stream(31), n=1)
         assert np.array_equal(res.xi_final, stepped(xi0[None, :], ds, mode, sched.at(s0), dW))
 
     def test_ensemble_draws_white_noise_increments(self):
-        # zero drift from the origin: one step leaves exactly the increment
+        # zero drift from the origin: one step leaves exactly the increment,
+        # the additive law's two-point white noise
         eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
         nm = NoiseModel(epsilon=eps, seed=8)
         sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.02))
         res = run_ensemble(16, sched, np.zeros(3), 0.01, "additive", nm, s_span=(0.0, 0.01))
-        assert np.array_equal(res.xi_final, white_noise_increments(0.01, nm, chunk_stream(8), n=16))
+        assert np.array_equal(res.xi_final, two_point_stream(nm, 0.01, 8, rows=16))
         # chunk c at step k draws from its own stream: two chunks, two steps
         n = CHUNK + 16
         res = run_ensemble(n, sched, np.zeros(3), 0.01, "additive", nm)
         for c, rows in ((0, CHUNK), (1, 16)):
-            steps = [white_noise_increments(0.01, nm, chunk_stream(8, c, k), n=rows)
-                     for k in (0, 1)]
+            steps = [two_point_stream(nm, 0.01, 8, c, k, rows) for k in (0, 1)]
             assert np.array_equal(res.xi_final[c * CHUNK:c * CHUNK + rows], steps[0] + steps[1])
 
 
@@ -471,6 +551,26 @@ class TestOneStepKernel:
         first, second = res.xi_final[:CHUNK], res.xi_final[CHUNK:2 * CHUNK]
         cross = np.corrcoef(first.T, second.T)[:3, 3:]
         assert np.all(np.abs(cross) < 4 / np.sqrt(CHUNK))
+
+
+class TestTwoPointEnsemble:
+    def test_zero_drift_from_a_gaussian_start_is_the_heat_kernel(self):
+        # a = 0, Lambda^2 = 0: the paths only diffuse, so from N(m, s0^2 I)
+        # the law at s is the heat kernel N(m, (s0^2 + 2 eps s) I).  The
+        # two-point sum of 250 steps lies within sampling error of it:
+        # mean, per-axis variance and excess kurtosis (Gaussian: 0) within
+        # 5 standard errors
+        n, eps, ds, s, s0 = 100_000, 0.01, 0.002, 0.5, 0.1
+        m = np.array([0.2, 0.1, -0.1])
+        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, s))
+        xi0 = m + s0 * philox(21).standard_normal((n, 3))
+        res = run_ensemble(n, sched, xi0, ds, "additive", NoiseModel(epsilon=eps, seed=22))
+        assert res.meta["increments"] == "two_point"
+        xi, var = res.xi_final, s0**2 + 2 * eps * s
+        assert np.all(np.abs(xi.mean(axis=0) - m) < 5 * np.sqrt(var / n))
+        assert np.all(np.abs(xi.var(axis=0, ddof=1) - var) < 5 * var * np.sqrt(2 / (n - 1)))
+        kurtosis = np.mean((xi - xi.mean(axis=0))**4, axis=0) / xi.var(axis=0)**2 - 3.0
+        assert np.all(np.abs(kurtosis) < 5 * np.sqrt(24 / n))
 
 
 class TestChunkedEnsemble:
