@@ -2,9 +2,10 @@
 
 Freezes the geodesic coefficients along a reference trajectory, then
 propagates a momentum ensemble under white noise of power eps in both
-the additive (simplified weak Euler, two-point increments) and
-multiplicative (Stratonovich Heun, Gaussian increments) forms.  Zero noise must reproduce the deterministic flow; finite noise
-spreads the ensemble at a rate set by eps.
+the additive (Euler) and multiplicative (Stratonovich Heun) forms, each
+drawing two-point increments.  Zero noise must reproduce the
+deterministic flow; finite noise spreads the ensemble at a rate set by
+eps.
 """
 
 import numpy as np

@@ -70,7 +70,6 @@ from .langevin import (
     diffusion,
     drift,
     run_ensemble,
-    white_noise_increments,
     two_point_increments,
 )
 from .fokker_planck import (

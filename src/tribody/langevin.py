@@ -12,28 +12,26 @@ The drift is A = B a.  Two noise routes are supported:
 * multiplicative -- dxi = B(xi) o (a ds + dW), stepped with a Stratonovich
   Heun predictor-corrector (the density equation pairs with the
   Stratonovich reading of the state-dependent noise);
-* additive -- dxi = B(xi) a ds + dW, stepped with the simplified weak
-  Euler scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992,
-  section 14.1): an Euler step whose increments are two-point values
-  S z sqrt(ds), z = +-1 per axis, S S^T = 2 eps.  Only the law of the
-  paths matters here (the density solver evolves it), and these
-  increments match the Gaussian ones in their first three moments, so
-  the scheme keeps Euler-Maruyama's weak order 1 at a fraction of the
-  cost of a normal draw.
+* additive -- dxi = B(xi) a ds + dW, stepped with Euler.
 
-The multiplicative route keeps Gaussian increments, covariance 2*eps*ds,
-matching the correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s').  An
-ensemble steps its paths in chunks of CHUNK, and at step k chunk c draws
-from its own SFC64 generator, seeded with SeedSequence((seed, c, k)):
-numpy's construction of independent streams from one master seed.  So
-path p's noise is fixed by (seed, p, step) under either law.
+Both routes draw one law of increments, the two-point values
+S z sqrt(ds), z = +-1 per axis, S S^T = 2 eps, of the simplified weak
+schemes (Kloeden & Platen, Numerical Solution of SDEs, 1992, section
+14.1).  Only the law of the paths matters here (the density solver
+evolves it), and these increments match the Gaussian ones of covariance
+2*eps*ds, the correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s'), in
+their first three moments: so both schemes keep their weak order 1 at a
+fraction of the cost of a normal draw.  An ensemble steps its paths in
+chunks of CHUNK, one after another in the calling thread, and at step k
+chunk c draws from its own SFC64 generator, seeded with
+SeedSequence((seed, c, k)): numpy's construction of independent streams
+from one master seed.  So path p's noise is fixed by (seed, p, step).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,16 +42,12 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 # paths per chunk of the ensemble; each chunk has its own noise stream at
 # every step, SFC64(SeedSequence((seed, chunk, step)))
 CHUNK = 16384
-# upper bound on the ensemble's worker threads, the only threads in the
-# package: the largest count benchmarked so far (on a 2-CPU host)
-MAX_WORKERS = 2
 
 __all__ = [
     "epsilon_matrix",
     "NoiseModel",
     "CoefficientSchedule",
     "EnsembleResult",
-    "white_noise_increments",
     "two_point_increments",
     "drift",
     "diffusion",
@@ -101,7 +95,8 @@ class NoiseModel:
         object.__setattr__(self, "_scale", scale)
 
     def scale_matrix(self) -> np.ndarray:
-        """S with S S^T = 2*eps; increments are S @ N(0, ds*I).  Formed
+        """S with S S^T = 2*eps; increments are S z sqrt(ds), z = +-1 per
+        axis, so their covariance is 2*eps*ds.  Formed
         once per model, so the caller must not modify it."""
         return self._scale
 
@@ -170,23 +165,13 @@ def _scale_rows(z, diagonal, off) -> np.ndarray:
     return z
 
 
-def _gaussian(rng: np.random.Generator, scale, out) -> np.ndarray:
-    """Gaussian increments into out (C-contiguous (n, 3)): row r from the
-    r-th triple of normals that rng draws; zeros, drawing nothing, for a
-    zero eps (scale None)."""
-    if scale is None:
-        out.fill(0.0)
-        return out
-    rng.standard_normal(out=out)
-    return _scale_rows(out, *scale)
-
-
 def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
     """Two-point increments into out ((n, 3), any layout): z_ri = +1 where
     bit 3r + i of the ceil(3n / 64) words rng.bit_generator.random_raw
     draws is set, -1 where it is clear (bit b of word w is bit 64 w + b,
-    least significant first, on any host), then scaled as _gaussian
-    scales normals, so a diagonal eps gives exactly +-S_ii sqrt(ds)."""
+    least significant first, on any host), then scaled by _scale_rows,
+    so a diagonal eps gives exactly +-S_ii sqrt(ds); zeros, drawing
+    nothing, for a zero eps (scale None)."""
     if scale is None:
         out.fill(0.0)
         return out
@@ -200,23 +185,10 @@ def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
     return _scale_rows(out, *scale)
 
 
-def white_noise_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
-                           n: int, out=None) -> np.ndarray:
-    """A batch (n, 3) of Gaussian increments with covariance 2*eps*ds,
-    row r made from the r-th triple of normals that rng draws: the law
-    of the multiplicative ensemble.  Written to out (a C-contiguous
-    (n, 3) float array) when it is given; for a diagonal eps nothing else
-    is allocated."""
-    if not ds > 0.0:
-        raise DomainError(f"ds must be positive, got {ds}")
-    return _gaussian(rng, _increment_scale(noise, ds),
-                     np.empty((int(n), 3)) if out is None else out)
-
-
 def two_point_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
                          n: int) -> np.ndarray:
     """A batch (n, 3) of two-point increments S z sqrt(ds), z = +-1 per
-    axis, with covariance 2*eps*ds: the law of the additive ensemble.
+    axis, with covariance 2*eps*ds: the law of the ensemble.
     Component i of row r has sign bit 3r + i of the raw words that
     rng's bit generator draws, least significant bit first."""
     if not ds > 0.0:
@@ -251,11 +223,11 @@ def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
     the step) or Stratonovich Heun on dxi = B(xi) o (a ds + dW), whose
     stages are drift calls on the forcing a ds + dW since B is linear in
     it (multiplicative; dW is overwritten by the forcing).  Both stages
-    use the same coefficients.  work holds the (n, 3) arrays of the drift
-    stages, one (additive) or three (multiplicative), so a step allocates
-    nothing of the batch's size besides the drift kernel's scratch.  The
-    arrays may be transposed views of component-major (3, n) storage, as
-    the ensemble passes them."""
+    use the same coefficients.  work starts with the (n, 3) arrays of the
+    drift stages, one (additive) or three (multiplicative), so a step
+    allocates nothing of the batch's size besides the drift kernel's
+    scratch.  The arrays may be transposed views of component-major
+    (3, n) storage, as the ensemble passes them."""
     if mode == "additive":
         f = drift(xi, coeffs, out=work[0])
         f *= ds
@@ -312,13 +284,6 @@ def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
         yield (s0 + m * ds if on_grid else cuts[m]), on_grid, taken.get(m, [])
 
 
-def _worker_count(n_parts: int) -> int:
-    """Threads for the ensemble's n_parts chunks: one per CPU this process
-    may run on, at most MAX_WORKERS, never more than there are chunks."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(n_parts, cpus or 1, MAX_WORKERS))
-
-
 def run_ensemble(
     n_traj: int,
     schedule: CoefficientSchedule,
@@ -332,24 +297,20 @@ def run_ensemble(
     """Propagate n_traj independent paths over the schedule span.
 
     The paths are cut into chunks of CHUNK: chunk c holds paths
-    [c CHUNK, min(n_traj, (c+1) CHUNK)).  At step k chunk c draws its
+    [c CHUNK, min(n_traj, (c+1) CHUNK)).  The chunks are stepped one
+    after another in the calling thread.  At step k chunk c draws its
     increments from Generator(SFC64(SeedSequence((seed, c, k)))), one
-    row per path in order: two_point_increments in additive mode,
-    white_noise_increments in multiplicative mode.  SeedSequence hashes
-    its entropy words into the generator's state, so the streams of
-    distinct (seed, c, k) are independent for all practical purposes.
-    Both draws are sequential, so a short last chunk gets the first rows
-    of a full draw.  Path p's noise therefore depends only on
-    (seed, p, step): not on n_traj, nor on how many threads step the
-    chunks or in which order, and the result is bit-identical for a
-    given (seed, ds, span, snapshot times) whatever the CPU count.  The
-    chunks are stepped on one thread per CPU the process may run on, the
-    calling thread among them, and at most MAX_WORKERS; a single chunk
-    runs in the calling thread alone.  A chunk's state is stored
-    component-major, (3, rows), so that the elementwise kernels run over
-    contiguous rows; its values are those of (rows, 3) storage, bit for
-    bit.  xi0 may be a single 3-vector (all paths start together) or
-    (n_traj, 3).
+    row per path in order, as two_point_increments draws them, in either
+    mode.  SeedSequence hashes its entropy words into the generator's
+    state, so the streams of distinct (seed, c, k) are independent for
+    all practical purposes.  The draw is sequential, so a short last
+    chunk gets the first rows of a full draw.  Path p's noise therefore
+    depends only on (seed, p, step), not on n_traj, and the result is
+    bit-identical for a given (seed, ds, span, snapshot times).  A
+    chunk's state is stored component-major, (3, rows), so that the
+    elementwise kernels run over contiguous rows; its values are those
+    of (rows, 3) storage, bit for bit.  xi0 may be a single 3-vector
+    (all paths start together) or (n_traj, 3).
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -373,9 +334,8 @@ def run_ensemble(
         raise DomainError("snapshot times must lie in (s0, s1]")
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
-    # the step plan, shared read-only by the workers: per step its length,
-    # coefficients at its start, end time, the snapshots taken there and
-    # the increments' scale
+    # the step plan: per step its length, coefficients at its start, end
+    # time, the snapshots taken there and the increments' scale
     plan, times = [], []
     s, on_grid = s0, True
     for s_next, next_on_grid, taken in _step_ends(s0, s1, ds, snapshot_s):
@@ -387,75 +347,43 @@ def run_ensemble(
 
     xi_final = np.empty((n_traj, 3))
     snaps = [np.empty((n_traj, 3)) for _ in times]
-    two_point = mode == "additive"
-
-    def run_chunk(c: int, buffers) -> list:
-        """Step the paths of chunk c over the plan in a worker's buffers
-        and copy them to their rows of xi_final; its blow-ups as
-        (step, path, s)."""
+    additive = mode == "additive"
+    # a chunk's component-major state, its finiteness and the drift
+    # stages: one in additive mode, which forms the increments in it once
+    # the step is done with it; in multiplicative mode the three Heun
+    # stages and the increments, which the step turns into its forcing
+    rows = min(n_traj, CHUNK)
+    state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
+        + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
+    found = []
+    for c in range(-(-n_traj // CHUNK)):
         lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-        dW, state = buffers
-        dW = None if two_point else dW[:hi - lo]
         # the (rows, 3) views of the chunk's component-major arrays
         xi, finite, *work = (b[:, :hi - lo].T for b in state)
         xi[...] = xi0[lo:hi]
         alive = np.ones(hi - lo, dtype=bool)
-        blowups = []
         for k, (h, coeffs, s_end, slots, scale) in enumerate(plan):
             seeded = np.random.SeedSequence((noise.seed, c, k))
             rng = np.random.Generator(np.random.SFC64(seeded))
-            if not two_point:
-                _gaussian(rng, scale, dW)
             # runaway paths overflow before they are frozen; the non-finite
-            # check below is the intended detector, so silence the
-            # transient (errstate is per thread)
+            # check below is the intended detector, so silence the transient
             with np.errstate(over="ignore", invalid="ignore"):
-                _step(xi, h, mode, coeffs, dW, work)
-                if two_point and scale is not None:
-                    # the step is done with its drift stage, which takes
-                    # the increments
-                    xi += _two_point(rng, scale, work[0])
+                if additive:
+                    _step(xi, h, mode, coeffs, None, work)
+                    if scale is not None:
+                        xi += _two_point(rng, scale, work[0])
+                else:
+                    _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
             # a frozen path stays NaN, so while all is finite no path has
             # blown up yet
             if not np.isfinite(xi, out=finite).all():
                 bad = alive & ~finite.all(axis=1)
-                blowups.extend((k, lo + int(p), s_end) for p in np.nonzero(bad)[0])
+                found.extend((k, lo + int(p), s_end) for p in np.nonzero(bad)[0])
                 alive &= ~bad
                 xi[~alive] = np.nan
             for j in slots:
                 snaps[j][lo:hi] = xi
         xi_final[lo:hi] = xi
-        return blowups
-
-    n_chunks = -(-n_traj // CHUNK)
-    workers = _worker_count(n_chunks)
-    # each worker's step buffers, allocated in the calling thread: what a
-    # worker thread allocates stays in its own allocator arena after the
-    # ensemble, out of reach of the stages that follow, so a worker
-    # allocates only the drift's scratch and the two-point draw's bits
-    # (3 rows bytes a step).  The Gaussian increments are
-    # drawn row-major; the state, its finiteness and the drift stages are
-    # component-major.  Additive mode forms its increments in the drift
-    # stage and has no increment buffer.
-    rows = min(n_traj, CHUNK)
-    buffers = [(None if two_point else np.empty((rows, 3)),
-                [np.empty((3, rows)), np.empty((3, rows), dtype=bool)]
-                + [np.empty((3, rows)) for _ in range(1 if two_point else 3)])
-               for _ in range(workers)]
-
-    def run_share(w: int) -> list:
-        """Worker w steps chunks w, w + workers, ..."""
-        return [b for c in range(w, n_chunks, workers) for b in run_chunk(c, buffers[w])]
-
-    if workers == 1:
-        found = run_share(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread is worker 0
-        with ThreadPoolExecutor(workers - 1) as pool:
-            shares = [pool.submit(run_share, w) for w in range(1, workers)]
-            found = run_share(0) + [b for share in shares for b in share.result()]
 
     return EnsembleResult(
         s_final=s,
@@ -464,5 +392,5 @@ def run_ensemble(
         blowups={p: t for _, p, t in sorted(found)},
         meta={"seed": noise.seed, "mode": mode, "ds": ds, "n_steps": len(plan),
               "noise_stream": "SFC64(SeedSequence((seed, chunk, step)))",
-              "increments": "two_point" if two_point else "gaussian", "chunk": CHUNK},
+              "increments": "two_point", "chunk": CHUNK},
     )

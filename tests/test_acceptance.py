@@ -41,11 +41,13 @@ from tribody import (
     mass_scaled_jacobi,
     run_ensemble,
     two_point_increments,
-    white_noise_increments,
 )
 from tribody.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parent.parent
+# criterion 6's bound on an ensemble moment's distance from the density's,
+# in standard errors
+MOMENT_GAP_SE = 5.0
 
 
 @pytest.fixture()
@@ -83,11 +85,23 @@ def gaussian_grid(spec, center, sigma):
     return grid
 
 
-def grid_cov_diag(grid):
+def grid_moments(grid):
+    """Per-axis mean and variance of a density on its grid."""
     mesh = grid.mesh()
     w = grid.P * grid.cell_volume
     mean = np.einsum("abc,abci->i", w, mesh)
-    return np.einsum("abc,abci->i", w, (mesh - mean) ** 2)
+    return mean, np.einsum("abc,abci->i", w, (mesh - mean) ** 2)
+
+
+def moment_gaps(xi, grid):
+    """|ensemble moment - density moment| per axis, in standard errors of
+    the ensemble's estimate: sqrt(v / n) for the mean, v sqrt(2 / (n - 1))
+    for the variance, v the ensemble's variance."""
+    n = len(xi)
+    mean, var = grid_moments(grid)
+    v = xi.var(axis=0, ddof=1)
+    return (np.abs(xi.mean(axis=0) - mean) / np.sqrt(v / n),
+            np.abs(v - var) / (v * np.sqrt(2.0 / (n - 1))))
 
 
 def test_criterion_01_free_motion_oracle(verdict):
@@ -165,15 +179,13 @@ def test_criterion_04_zero_noise_reduction(verdict):
 
 
 def test_criterion_05_noise_calibration(verdict):
-    # both laws: Gaussian (multiplicative ensembles), two-point (additive)
+    # the one law both ensemble modes draw: two-point increments
     eps, ds, n = 0.02, 0.01, 1_000_000
-    rels = []
-    for law in (white_noise_increments, two_point_increments):
-        dW = law(ds, NoiseModel(epsilon=eps), philox(55), n=n)
-        var = dW.var(axis=0, ddof=1)
-        rels.append(float(np.max(np.abs(var - 2.0 * eps * ds) / (2.0 * eps * ds))))
-    verdict(5, f"increment variance matches 2*eps*ds within {rels[0]:.2%} (Gaussian), "
-               f"{rels[1]:.2%} (two-point) (< 1%)", max(rels) < 0.01)
+    dW = two_point_increments(ds, NoiseModel(epsilon=eps), philox(55), n=n)
+    var = dW.var(axis=0, ddof=1)
+    rel = float(np.max(np.abs(var - 2.0 * eps * ds) / (2.0 * eps * ds)))
+    verdict(5, f"two-point increment variance matches 2*eps*ds within {rel:.2%} (< 1%)",
+            rel < 0.01)
 
 
 def test_criterion_06_sde_fpe_consistency(verdict):
@@ -195,24 +207,30 @@ def test_criterion_06_sde_fpe_consistency(verdict):
     grid0 = gaussian_grid(spec, xi0c, sigma0)
     fres = fpe_evolve(grid0, span, FpeConfig(epsilon=eps, schedule=sched),
                       snapshot_s=checks)
-    tvs = []
+    tvs, gaps = [], []
     for (_, xi), (_, grid) in zip(res.snapshots, fres.snapshots):
         est = density_from_ensemble(xi, spec)
         tvs.append(0.5 * float(np.sum(np.abs(est.P - grid.P))) * spec.cell_volume)
+        gaps.append(moment_gaps(xi, grid))
+    # (checkpoint, mean or variance, axis); np.max keeps a NaN gap
+    mean_gap, var_gap = np.max(gaps, axis=(0, 2))
 
     # heat-kernel sub-case: zero drift, variance grows by 2*eps*s per axis
     hk_sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
     hk_spec = MomentumGrid([-0.8] * 3, [0.8] * 3, (40, 40, 40))
     hk = fpe_evolve(gaussian_grid(hk_spec, [0.0] * 3, 0.1), (0.0, 0.5),
                     FpeConfig(epsilon=0.005, schedule=hk_sched))
-    var = grid_cov_diag(hk.snapshots[-1][1])
+    var = grid_moments(hk.snapshots[-1][1])[1]
     hk_rel = float(np.max(np.abs(var - (0.1**2 + 2 * 0.005 * 0.5))
                           / (0.1**2 + 2 * 0.005 * 0.5)))
 
-    ok = max(tvs) < 0.05 and hk_rel < 0.03
+    # the TV of 1e5 paths in 64^3 cells sits near its own sampling floor
+    # and passes some wrong ensembles; the moments do not
+    ok = max(tvs) < 0.05 and np.max(gaps) < MOMENT_GAP_SE and hk_rel < 0.03
     verdict(6, f"1e5 paths vs 64^3 FPE: TV = "
                f"{', '.join(f'{t:.3f}' for t in tvs)} (< 0.05); "
-               f"heat-kernel variance within {hk_rel:.2%} (< 3%)", ok)
+               f"moment gaps mean {mean_gap:.1f}, variance {var_gap:.1f} SE "
+               f"(< {MOMENT_GAP_SE}); heat-kernel variance within {hk_rel:.2%} (< 3%)", ok)
 
 
 def test_criterion_07_fpe_hygiene(verdict):

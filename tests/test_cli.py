@@ -335,7 +335,7 @@ class TestPipelineStages:
         assert meta["chunk"] == 16384
 
     @pytest.mark.parametrize("mode, law", [("additive", "two_point"),
-                                           ("multiplicative", "gaussian")])
+                                           ("multiplicative", "two_point")])
     def test_ensemble_records_its_increment_law(self, tmp_path, mode, law):
         doc = base_config()
         doc["sde"].update(mode=mode, n_paths=4, snapshots=[0.2])

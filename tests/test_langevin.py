@@ -1,6 +1,3 @@
-import os
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -21,9 +18,8 @@ from tribody import (
     momentum_rhs,
     run_ensemble,
     two_point_increments,
-    white_noise_increments,
 )
-from tribody.langevin import CHUNK
+from tribody.langevin import CHUNK, _increment_scale, _scale_rows, _step
 
 
 def philox(seed=0):
@@ -35,8 +31,24 @@ def chunk_stream(seed, chunk=0, step=0):
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, chunk, step))))
 
 
+def white_noise_increments(ds, nm, rng, n, out=None):
+    """Gaussian increments with covariance 2*eps*ds, the oracle of the
+    two-point law: row r is the r-th triple of normals that rng draws,
+    scaled as the ensemble scales its two-point signs.  Written to out
+    (a C-contiguous (n, 3) float array) when it is given."""
+    if not ds > 0.0:
+        raise DomainError(f"ds must be positive, got {ds}")
+    out = np.empty((n, 3)) if out is None else out
+    scale = _increment_scale(nm, ds)
+    if scale is None:
+        out.fill(0.0)
+        return out
+    rng.standard_normal(out=out)
+    return _scale_rows(out, *scale)
+
+
 def two_point_stream(nm, ds, seed, chunk=0, step=0, rows=1):
-    """The additive ensemble's increments for one chunk of rows paths at
+    """The ensemble's increments for one chunk of rows paths at
     one step of ds: S z sqrt(ds), where z of path r on axis i is +1 if bit
     3r + i of the chunk-step stream's raw 64-bit words is set, else -1,
     bits counted from the least significant of the first word."""
@@ -50,15 +62,8 @@ def two_point_stream(nm, ds, seed, chunk=0, step=0, rows=1):
     return dW
 
 
-def use_cpus(monkeypatch, n):
-    """Make the ensemble see n CPUs available to the process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def stepped(xi, ds, mode, coeffs, dW):
     """The ensemble kernel's step of a copy of xi; dW is left as it is."""
-    from tribody.langevin import _step
-
     xi = np.array(xi, dtype=float)
     _step(xi, ds, mode, coeffs, np.array(dW, dtype=float), [np.empty_like(xi) for _ in range(3)])
     return xi
@@ -511,12 +516,8 @@ class TestOneStepKernel:
         nm = NoiseModel(epsilon=eps, seed=31)
         xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
         res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
-        # additive paths take two-point increments, multiplicative ones
-        # Gaussian increments
-        if mode == "additive":
-            dW = two_point_stream(nm, ds, 31)
-        else:
-            dW = white_noise_increments(ds, nm, chunk_stream(31), n=1)
+        # both modes take two-point increments
+        dW = two_point_stream(nm, ds, 31)
         assert np.array_equal(res.xi_final, stepped(xi0[None, :], ds, mode, sched.at(s0), dW))
 
     def test_ensemble_draws_white_noise_increments(self):
@@ -533,7 +534,17 @@ class TestOneStepKernel:
         for c, rows in ((0, CHUNK), (1, 16)):
             steps = [two_point_stream(nm, 0.01, 8, c, k, rows) for k in (0, 1)]
             assert np.array_equal(res.xi_final[c * CHUNK:c * CHUNK + rows], steps[0] + steps[1])
-
+        # multiplicative mode draws the same increments into its Heun step:
+        # a drift and a Lambda^2 of its own, two chunks, two steps
+        coeffs, xi0 = (np.array([0.3, -0.2, 0.1]), 0.5), np.array([0.1, -0.2, 0.05])
+        sched = CoefficientSchedule.constant(*coeffs, (0.0, 0.02))
+        res = run_ensemble(n, sched, xi0, 0.01, "multiplicative", nm)
+        for c, rows in ((0, CHUNK), (1, 16)):
+            xi = np.tile(xi0, (rows, 1))
+            for k in (0, 1):
+                xi = stepped(xi, 0.01, "multiplicative", coeffs,
+                             two_point_stream(nm, 0.01, 8, c, k, rows))
+            assert np.array_equal(res.xi_final[c * CHUNK:c * CHUNK + rows], xi)
 
     def test_streams_of_many_chunks_have_the_noise_covariance(self):
         # zero drift from the origin, one step over six chunks: the rows are
@@ -572,10 +583,35 @@ class TestTwoPointEnsemble:
         kurtosis = np.mean((xi - xi.mean(axis=0))**4, axis=0) / xi.var(axis=0)**2 - 3.0
         assert np.all(np.abs(kurtosis) < 5 * np.sqrt(24 / n))
 
+    def test_heun_paths_have_the_law_of_gaussian_increments(self):
+        # the weak-order oracle of the multiplicative ensemble: the same
+        # start stepped by the same Heun kernel at the same ds, with
+        # Gaussian increments instead, ends with the same per-axis mean and
+        # variance, within 5 standard errors of their difference.  The
+        # coupling B(xi) depends on the state, so over the span the noise
+        # moves the mean along with the drift, by ~100 standard errors
+        n, ds, steps = 100_000, 0.01, 50
+        _, sched = morse_schedule()
+        nm, xi0 = NoiseModel(epsilon=0.05, seed=2), np.array([0.4, -0.3, 0.2])
+        res = run_ensemble(n, sched, xi0, ds, "multiplicative", nm, s_span=(0.0, steps * ds))
+        assert res.meta["increments"] == "two_point" and not res.blowups
+        # the ensemble's component-major layout, Gaussian increments row-major
+        xi, *work = (np.empty((3, n)).T for _ in range(4))
+        xi[...] = xi0
+        rng, dW = philox(2), np.empty((n, 3))
+        for k in range(steps):
+            _step(xi, ds, "multiplicative", sched.at(k * ds),
+                  white_noise_increments(ds, nm, rng, n, out=dW), work)
+        va, vb = res.xi_final.var(axis=0, ddof=1), xi.var(axis=0, ddof=1)
+        gap = np.abs(res.xi_final.mean(axis=0) - xi.mean(axis=0))
+        assert np.all(gap < 5 * np.sqrt((va + vb) / n))
+        assert np.all(np.abs(va - vb) < 5 * np.sqrt(2 / (n - 1) * (va**2 + vb**2)))
+
 
 class TestChunkedEnsemble:
     """Paths are stepped in chunks of CHUNK, each chunk with its own
-    counter-keyed noise stream, on one worker thread per CPU."""
+    counter-keyed noise stream, one after another in the calling
+    thread."""
 
     EPS = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
 
@@ -600,55 +636,7 @@ class TestChunkedEnsemble:
                 assert np.array_equal(a, b[paths])
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_one_two_and_three_workers_agree(self, mode, monkeypatch):
-        # three workers are more threads than a 2-CPU host has; a short
-        # switch interval makes the threads interleave within a step
-        from tribody import langevin
-
-        _, sched = morse_schedule()
-        nm = NoiseModel(epsilon=self.EPS, seed=23)
-        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(4).standard_normal((2 * CHUNK + 5, 3))
-        step, threads = langevin._step, set()
-
-        def recorded_step(*args):
-            threads.add(threading.get_ident())
-            return step(*args)
-
-        monkeypatch.setattr(langevin, "_step", recorded_step)
-        monkeypatch.setattr(langevin, "MAX_WORKERS", 3)
-        runs = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 2, 3):
-                use_cpus(monkeypatch, cpus)
-                threads.clear()
-                runs[cpus] = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm,
-                                          s_span=(0.0, 0.1), snapshot_s=[0.05])
-                assert len(threads) == cpus
-                # one CPU: the chunks are stepped inline, in the calling thread
-                assert cpus > 1 or threads == {threading.get_ident()}
-        finally:
-            sys.setswitchinterval(interval)
-        for cpus in (2, 3):
-            assert np.array_equal(runs[1].xi_final, runs[cpus].xi_final)
-            assert np.array_equal(runs[1].snapshots[0][1], runs[cpus].snapshots[0][1])
-            assert runs[1].meta == runs[cpus].meta
-
-    def test_worker_count(self, monkeypatch):
-        from tribody import langevin
-
-        use_cpus(monkeypatch, 64)
-        assert langevin._worker_count(1) == 1
-        assert langevin._worker_count(1000) == langevin.MAX_WORKERS == 2
-        monkeypatch.setattr(langevin, "MAX_WORKERS", 8)
-        assert langevin._worker_count(3) == 3
-        assert langevin._worker_count(1000) == 8
-        use_cpus(monkeypatch, 1)
-        assert langevin._worker_count(1000) == 1
-
-    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_blowups_across_chunks(self, mode, monkeypatch):
+    def test_blowups_across_chunks(self, mode):
         # zero noise; path CHUNK + 1 (chunk 1) overflows before path 1
         # (chunk 0), and paths 3 and CHUNK + 3 overflow at the same step
         sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
@@ -660,7 +648,6 @@ class TestChunkedEnsemble:
         t_fast = run_ensemble(1, sched, fast, 0.01, mode, nm).blowups[0]
         t_slow = run_ensemble(1, sched, slow, 0.01, mode, nm).blowups[0]
         assert t_fast < t_slow
-        use_cpus(monkeypatch, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm, snapshot_s=[t_fast])
@@ -672,23 +659,3 @@ class TestChunkedEnsemble:
         assert np.isfinite(np.delete(at_fast, [3, CHUNK + 1, CHUNK + 3], axis=0)).all()
         assert np.all(np.isnan(res.xi_final[[1, 3, CHUNK + 1, CHUNK + 3]]))
         assert np.isfinite(np.delete(res.xi_final, [1, 3, CHUNK + 1, CHUNK + 3], axis=0)).all()
-        use_cpus(monkeypatch, 1)
-        assert list(run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm).blowups.items()) \
-            == list(res.blowups.items())
-
-    def test_worker_exception_propagates(self, monkeypatch):
-        from tribody import langevin
-
-        step = langevin._step
-
-        def failing_step(xi, *args):
-            if len(xi) < CHUNK:
-                raise FloatingPointError("in the short chunk")
-            return step(xi, *args)
-
-        monkeypatch.setattr(langevin, "_step", failing_step)
-        use_cpus(monkeypatch, 2)
-        sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.05))
-        with pytest.raises(FloatingPointError, match="short chunk"):
-            run_ensemble(CHUNK + 1, sched, np.zeros(3), 0.01, "additive",
-                         NoiseModel(epsilon=0.01))
