@@ -365,13 +365,22 @@ class TestComponentMajor:
         assert np.array_equal(fpe_rhs(grid, self.COEFFS, cfg), mesh_rhs(grid, self.COEFFS, cfg))
 
 
-class TestSlabs:
-    """fpe_rhs evaluates the whole grid in one pass on the calling thread;
-    nothing is split into slabs or handed to workers."""
+def use_cpus(monkeypatch, n):
+    """Make the solvers see n CPUs available to the process."""
+    import os
 
-    def test_keeps_the_callers_errstate(self):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestSlabs:
+    """fpe_rhs evaluates the whole grid in one pass on the calling thread,
+    whatever the CPU count; nothing is split into slabs or handed to workers."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, cpus):
         # inf - inf in the drift term's differences: invalid under the
-        # caller's np.errstate
+        # caller's np.errstate however many CPUs the process sees
+        use_cpus(monkeypatch, cpus)
         grid = gaussian_grid([-0.8, -0.9, -1.0], [1.0, 0.9, 0.8], (25, 20, 20), [0.1, 0.0, -0.1], 0.2)
         grid.P[-3, 5, 5] = grid.P[-3, 5, 7] = np.inf
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
