@@ -350,12 +350,20 @@ def _load_trajectory(out_dir: Path):
     return data["s"], np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
 
 
-def _load_densities(out_dir: Path) -> list:
-    """The (grid, s) snapshots that the fpe manifest in out_dir vouches for."""
-    names = sorted(n for n in _verified(out_dir, "fpe") if n.startswith("density_"))
-    if not names:
-        raise DependencyError(f"no density snapshots under {out_dir}")
-    return [read_density(out_dir / n) for n in names]
+def _load_densities(out_dir: Path) -> tuple:
+    """The snapshot times and density grids of the fpe run in out_dir, once
+    its manifest vouches for fpe_meta.json and every density_NNNN.npy."""
+    outputs = _verified(out_dir, "fpe")
+    if "fpe_meta.json" not in outputs:
+        raise DependencyError(f"manifest_fpe.json in {out_dir} does not list fpe_meta.json")
+    meta = json.loads((out_dir / "fpe_meta.json").read_text())
+    names = [f"density_{i:04d}.npy" for i in range(len(meta["snapshot_s"]))]
+    missing = [n for n in names if n not in outputs]
+    if missing:
+        raise DependencyError(f"manifest_fpe.json in {out_dir} does not list {', '.join(missing)}")
+    g = meta["grid"]
+    spec = MomentumGrid(g["mins"], g["maxs"], g["shape"])
+    return meta["snapshot_s"], [read_density(out_dir / n, spec) for n in names]
 
 
 def _schedule(s, x, cfg: dict) -> CoefficientSchedule:
@@ -459,11 +467,12 @@ def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s, s_end: float)
 def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     schedule = _schedule(*_load_trajectory(out_dir), cfg)
     result = _fpe_run(cfg, schedule, cfg["sde"]["snapshots"], schedule.s[-1])
-    info = {"sign_mode": "conventional", "epsilon": cfg["epsilon"]}
-    for i, (s_val, grid) in enumerate(result.snapshots):
-        write_density(grid, s_val, info, writer.path(f"density_{i:04d}.txt"))
+    for i, (_, grid) in enumerate(result.snapshots):
+        write_density(grid, writer.path(f"density_{i:04d}.npy"))
+    spec = _grid_spec(cfg)
     _atomic_write_text(writer.path("fpe_meta.json"), _json_dump({
         "diagnostics": result.diagnostics,
+        "grid": {"mins": spec.mins.tolist(), "maxs": spec.maxs.tolist(), "shape": list(spec.shape)},
         "mass_series": [[float(a), float(b)] for a, b in result.mass_series],
         "snapshot_s": [float(s) for s, _ in result.snapshots],
     }))
@@ -473,12 +482,11 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     cc = cfg["chaos"]
     if "series_a" in cc:
         # explicit density series produced by two prior fpe runs
-        series_a = _load_densities(Path(cc["series_a"]))
-        series_b = _load_densities(Path(cc["series_b"]))
-        if len(series_a) != len(series_b):
-            raise DependencyError("density series differ in length")
-        s_vals = [s for _, s in series_a]
-        pairs = [(ga, gb) for (ga, _), (gb, _) in zip(series_a, series_b)]
+        s_vals, series_a = _load_densities(Path(cc["series_a"]))
+        s_b, series_b = _load_densities(Path(cc["series_b"]))
+        if s_b != s_vals:
+            raise DependencyError(f"density series were taken at different times: {s_vals} and {s_b}")
+        pairs = list(zip(series_a, series_b))
     else:
         # default route: tube b from initial internal coordinates perturbed
         # by delta, both tubes up to the end of the shorter trajectory

@@ -494,32 +494,12 @@ def density_from_ensemble(samples, grid_spec: MomentumGrid) -> MomentumGrid:
     return out
 
 
-def write_density(grid: MomentumGrid, s: float, cfg_info: dict, path):
-    """Self-describing text export: axis specs and run info, then row-major values."""
-    with open(path, "w") as fh:
-        fh.write("# tribody momentum density snapshot\n")
-        fh.write(f"# s = {s!r}\n")
-        for key in sorted(cfg_info):
-            fh.write(f"# {key} = {cfg_info[key]!r}\n")
-        for i in range(3):
-            fh.write(
-                f"# axis{i + 1} min={float(grid.mins[i])!r} max={float(grid.maxs[i])!r} n={grid.shape[i]}\n"
-            )
-        np.savetxt(fh, grid.P.reshape(-1, grid.shape[-1]), fmt="%.17g")
+def write_density(grid: MomentumGrid, path) -> None:
+    """Save grid.P to path as .npy; the fpe stage records the axes in
+    fpe_meta.json."""
+    np.save(path, grid.P)
 
 
-def read_density(path) -> tuple:
-    """Load a density snapshot written by write_density; returns (grid, s)."""
-    mins, maxs, shape, s = [0.0] * 3, [0.0] * 3, [0] * 3, None
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            if line.startswith("# s ="):
-                s = float(line.split("=", 1)[1])
-            if line.startswith("# axis"):
-                i = int(line[6]) - 1
-                parts = dict(p.split("=") for p in line[8:].split())
-                mins[i], maxs[i], shape[i] = float(parts["min"]), float(parts["max"]), int(parts["n"])
-    P = np.loadtxt(path).reshape(shape)
-    return MomentumGrid(mins, maxs, tuple(shape), P), s
+def read_density(path, spec: MomentumGrid) -> MomentumGrid:
+    """The snapshot saved at path by write_density, on the axes of spec."""
+    return spec.copy_with(np.load(path))

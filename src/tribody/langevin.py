@@ -218,22 +218,20 @@ def diffusion(xi, lam_sq_bar) -> np.ndarray:
 
 
 def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
-    """One step of a batch xi (n, 3), in place, with increments dW (n, 3):
-    Euler (additive; with dW None the caller adds the increments after
-    the step) or Stratonovich Heun on dxi = B(xi) o (a ds + dW), whose
-    stages are drift calls on the forcing a ds + dW since B is linear in
-    it (multiplicative; dW is overwritten by the forcing).  Both stages
-    use the same coefficients.  work starts with the (n, 3) arrays of the
-    drift stages, one (additive) or three (multiplicative), so a step
-    allocates nothing of the batch's size besides the drift kernel's
-    scratch.  The arrays may be transposed views of component-major
-    (3, n) storage, as the ensemble passes them."""
+    """One step of a batch xi (n, 3), in place: the Euler drift step
+    (additive; dW is not used, and the caller adds the increments after
+    the step) or Stratonovich Heun on dxi = B(xi) o (a ds + dW) with
+    increments dW (n, 3), whose stages are drift calls on the forcing
+    a ds + dW since B is linear in it (multiplicative; dW is overwritten
+    by the forcing).  Both stages use the same coefficients.  work starts
+    with the (n, 3) arrays of the drift stages, one (additive) or three
+    (multiplicative), so a step allocates nothing of the batch's size
+    besides the drift kernel's scratch.  The arrays may be transposed
+    views of component-major (3, n) storage, as the ensemble passes them."""
     if mode == "additive":
         f = drift(xi, coeffs, out=work[0])
         f *= ds
         xi += f
-        if dW is not None:
-            xi += dW
     elif mode == "multiplicative":
         a_ds = coeffs[0] * ds
         for i in range(3):

@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribody.cli import _initial_density, _load_trajectory, _schedule, main, parse_config
+from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _schedule, main,
+                         parse_config)
 from tribody.errors import ConfigError
 from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
 from tribody.geodesic import GeodesicState, integrate
 from tribody.langevin import CoefficientSchedule, NoiseModel, run_ensemble
 from tribody.potentials import MorsePotential
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def base_config():
@@ -254,13 +257,42 @@ class TestExitCodes:
     def test_tampered_density_series_is_3(self, tmp_path):
         out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
         assert run("chaos", chaos_cfg, tmp_path / "clean") == 0
-        density = out / "density_0001.txt"
-        lines = density.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 300
-        lines[row] = " ".join(repr(5.0 * float(v)) for v in lines[row].split())
-        density.write_text("\n".join(lines) + "\n")
+        density = out / "density_0001.npy"
+        data = bytearray(density.read_bytes())
+        # a byte of the 300th value from the end, inside the data section
+        data[-8 * 300] ^= 0x01
+        density.write_bytes(bytes(data))
         assert run("chaos", chaos_cfg, tmp_path / "tampered") == 3
         assert not (tmp_path / "tampered" / "chaos_report.json").exists()
+
+    def test_text_density_series_is_3(self, tmp_path):
+        # a series in the text format of earlier versions: its manifest
+        # lists density_NNNN.txt, with checksums that match
+        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        manifest = out / "manifest_fpe.json"
+        doc = json.loads(manifest.read_text())
+        for name in [n for n in doc["outputs"] if n.endswith(".npy")]:
+            (out / name).rename(out / name.replace(".npy", ".txt"))
+            doc["outputs"][name.replace(".npy", ".txt")] = doc["outputs"].pop(name)
+        manifest.write_text(json.dumps(doc))
+        assert "density_0000.txt" in doc["outputs"]
+        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
+        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+
+    def test_series_at_different_times_is_3(self, tmp_path):
+        # chaos pairs the two series by index, so their times must agree
+        doc = json.loads((REPO / "configs" / "sample_morse.json").read_text())
+        series = {}
+        for key, snapshots in (("series_a", [0.5, 1.0, 1.5, 2.0]), ("series_b", [0.3, 0.7, 1.1, 2.0])):
+            doc["sde"]["snapshots"] = snapshots
+            cfg, out = write_config(tmp_path, doc, f"{key}.json"), tmp_path / key
+            assert run("simulate", cfg, out) == 0
+            assert run("fpe", cfg, out) == 0
+            series[key] = str(out)
+        doc["chaos"] = series
+        chaos_cfg = write_config(tmp_path, doc, "chaos.json")
+        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
+        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
 
     def test_missing_fpe_manifest_is_3(self, tmp_path):
         out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
@@ -379,7 +411,8 @@ class TestPipelineStages:
         n_snaps = len(meta["snapshot_s"])
         assert n_snaps >= 2
         for i in range(n_snaps):
-            assert (out / f"density_{i:04d}.txt").exists()
+            assert (out / f"density_{i:04d}.npy").exists()
+        assert meta["grid"] == {"mins": [-1.5] * 3, "maxs": [1.5] * 3, "shape": [24] * 3}
         assert meta["diagnostics"]["mass_initial"] == pytest.approx(1.0)
         assert 0.0 < meta["diagnostics"]["mass_final"] <= 1.0 + 1e-9
         # the step record: how many steps, how long, and what bound each
@@ -398,9 +431,8 @@ class TestPipelineStages:
         cfg, out = write_config(tmp_path, doc), tmp_path / "out"
         assert run("simulate", cfg, out) == 0
         assert run("fpe", cfg, out) == 0
-        written, _ = read_density(out / "density_0000.txt")
-
         parsed = parse_config(doc)
+        written = read_density(out / "density_0000.npy", _grid_spec(parsed))
         schedule = _schedule(*_load_trajectory(out), parsed)
 
         def direct(multiplicative):

@@ -668,9 +668,8 @@ class TestDensityFromEnsemble:
 class TestDensityIo:
     def test_round_trip(self, tmp_path):
         grid = gaussian_grid([-0.5, -1.0, 0.0], [0.5, 1.0, 2.0], (8, 10, 12), [0.0, 0.0, 1.0], 0.3)
-        path = tmp_path / "density.txt"
-        write_density(grid, 0.375, {"epsilon": 0.01, "mode": "conventional"}, path)
-        loaded, s = read_density(path)
-        assert s == 0.375
+        path = tmp_path / "density.npy"
+        write_density(grid, path)
+        loaded = read_density(path, MomentumGrid(grid.mins, grid.maxs, grid.shape))
         assert loaded.same_spec(grid)
-        assert np.allclose(loaded.P, grid.P, rtol=1e-15, atol=0.0)
+        assert np.array_equal(loaded.P, grid.P)

@@ -63,9 +63,12 @@ def two_point_stream(nm, ds, seed, chunk=0, step=0, rows=1):
 
 
 def stepped(xi, ds, mode, coeffs, dW):
-    """The ensemble kernel's step of a copy of xi; dW is left as it is."""
+    """The ensemble kernel's step of a copy of xi, with the additive
+    increments added after it as run_ensemble does; dW is left as it is."""
     xi = np.array(xi, dtype=float)
     _step(xi, ds, mode, coeffs, np.array(dW, dtype=float), [np.empty_like(xi) for _ in range(3)])
+    if mode == "additive":
+        xi += dW
     return xi
 
 
