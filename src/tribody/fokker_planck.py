@@ -14,31 +14,34 @@ is the default and the one validated against ensembles.
 
 For multiplicative noise the operator is formed component by component
 on (n1, n2, n3) arrays: F_j = sum_k d_k(B_kj P), G = eps F, then
-sum_l d_l(sum_i B_il G_i).  B is symmetric, and on a fixed mesh only the
--Lambda^2 shift of its diagonal changes with s, so fpe_evolve forms the
-products 2 xi_k xi_j (k <= j) and |xi|^2 once and each stage sets only
-the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2).
+sum_l d_l(t_l) with t_l = sum_i B_il G_i pinned to zero on the boundary
+cells like P.  The drift term needs no drift field: a is constant over
+the mesh, d linear and B symmetric, so sum_i d_i(A_i P) = sum_k a_k F_k.
+On a fixed mesh only the -Lambda^2 shift of B's diagonal changes with s,
+so fpe_evolve forms the products 2 xi_k xi_j (k <= j) and |xi|^2 once and
+each stage sets only the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2).
 
 For additive noise, dxi = B(xi) a ds + dW, the noise coupling is the
 identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P,
 discretized with compact stencils.  Boundary density is pinned to zero;
 mass loss is audited, not hidden: the mass that the end-of-step pins
-delete is recorded beside the mass balance.  The additive operator
-telescopes on the pinned grid, so that outflow closes the balance; the
-multiplicative one also carries mass out through the boundary faces.
+delete is recorded beside the mass balance.  Both operators telescope on
+the pinned grid (every flux that is differenced is zero on the boundary
+cells), so that outflow closes the balance up to rounding.
 
 Layout.  Per-cell vectors are stored component-major: fpe_evolve forms
 the cell centres once per solve as a contiguous (3, n1, n2, n3) array
 X = grid.mesh(axis=0), and the drift A is a new (3, n1, n2, n3) array
 that langevin.drift (so geodesic.momentum_rhs, the one B a kernel)
 fills through the (n1, n2, n3, 3) views of X and A, whose components
-are then contiguous.  The fields (A, and B for multiplicative noise) are
-formed only for a stage whose coefficients (a, Lambda^2) differ from
-those of the fields held: a constant schedule forms them once per
-solve, a trajectory schedule at every stage.  Every other array lives
-for one call: each stencil returns a new array from one flat pass over
-contiguous data, with each cell's operations in the same order as on
-the mesh form, so the result is bit-identical to it.
+are then contiguous.  The fields (A, and B for multiplicative noise;
+a multiplicative midpoint forms B alone) are formed only for a stage
+whose coefficients (a, Lambda^2) differ from those of the fields held:
+a constant schedule forms them once per solve, a trajectory schedule at
+every stage.  Every other array lives for one call: each stencil
+returns a new array from one flat pass over contiguous data, with each
+cell's operations in the same order as on the mesh form, so the result
+is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -241,15 +244,17 @@ def _coupling(quad, lam_sq):
                       for k, j in _UPPER)
 
 
-def _fields(X, coeffs, cfg, quad=None):
+def _fields(X, coeffs, cfg, quad=None, drift_field=True):
     """Drift A and, for multiplicative noise, the coupling B of _coupling
     at coeffs on the component-major cell centres X = grid.mesh(axis=0);
-    B is None for additive noise.  A is a new (3, n1, n2, n3) array,
-    component A[i] contiguous: the drift kernel runs on the
-    (n1, n2, n3, 3) views of X and A, whose components are then
-    contiguous.  quad is _quadratic(X), formed here when omitted."""
-    A = np.empty(X.shape)
-    drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
+    B is None for additive noise, A None when drift_field is false.  A is
+    a new (3, n1, n2, n3) array, component A[i] contiguous: the drift
+    kernel runs on the (n1, n2, n3, 3) views of X and A, whose components
+    are then contiguous.  quad is _quadratic(X), formed here when omitted."""
+    A = None
+    if drift_field:
+        A = np.empty(X.shape)
+        drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
     if not cfg.multiplicative:
         return A, None
     return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
@@ -261,24 +266,29 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
     `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
     cells: A component-major, (3, n1, n2, n3), and, for multiplicative
     noise, B as rows of (n1, n2, n3) components, where the symmetric
-    B[k][j] and B[j][k] are one array.  fpe_evolve passes it for both
-    stages, and the first stage's is the pair its step bound has read.  It
-    is formed here when omitted.  The result is a new array.
+    B[k][j] and B[j][k] are one array.  The multiplicative operator does
+    not read A, which may then be None: its drift term is
+    sign * sum_k a_k F_k.  fpe_evolve passes the fields for both stages,
+    and the first stage's are those its step bound has read.  They are
+    formed here when omitted (B alone for multiplicative noise).  The
+    result is a new array.
 
     Each term is scaled and added in place, so beside the result the call
-    holds at most 2 temporaries of the grid's shape (8 for multiplicative
-    noise, with F and G), all freed when it returns.
+    holds at most 2 temporaries of the grid's shape for additive noise.
+    For multiplicative noise it holds F, which a diagonal eps scales into
+    G in place, and at most 3 more (4 more while an off-diagonal eps
+    forms G beside F), all freed when it returns.
     """
     if fields is None:
-        fields = _fields(grid.mesh(axis=0), coeffs, cfg)
+        fields = _fields(grid.mesh(axis=0), coeffs, cfg, drift_field=not cfg.multiplicative)
     A, B = fields
     P, h, eps = grid.P, grid.h, cfg.epsilon
-    rhs = np.zeros_like(P)
-    accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
-    for i in range(3):
-        accumulate(rhs, _d(A[i] * P, i, h[i]), out=rhs)
 
     if B is None:
+        rhs = np.zeros_like(P)
+        accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
+        for i in range(3):
+            accumulate(rhs, _d(A[i] * P, i, h[i]), out=rhs)
         # B = identity: sum_ij eps_ij d_i d_j P with compact stencils, the
         # diagonal term of each i first; each term is freed before the next
         for i in range(3):
@@ -293,23 +303,39 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
     # F_j = sum_k d_k (B_kj P), component by component.  Each product
     # B_kj P (k <= j) is formed once and differenced along k for F_j and
     # along j for F_k; in _UPPER order every F_j gets its terms k = 0, 1, 2
-    # left to right.
-    F = [np.zeros(P.shape) for _ in range(3)]
-    G = [np.zeros(P.shape) for _ in range(3)]
+    # left to right, the first one starting it.
+    F = [None] * 3
     for k, j in _UPPER:
         t = B[k][j] * P
         for axis, comp in {(k, j), (j, k)}:
-            F[comp] += _d(t, axis, h[axis])
-    # G = eps F, each G_i summed over j left to right
-    for i in range(3):
-        for j in range(3):
-            if eps[i, j] != 0.0:
-                G[i] += F[j] * eps[i, j]
-    # rhs += sum_l d_l [ sum_i B_il G_i ]
+            term = _d(t, axis, h[axis])
+            F[comp] = term if F[comp] is None else np.add(F[comp], term, out=F[comp])
+    del t, term
+    # the drift term sign * sum_i d_i(A_i P) with A = B a, B symmetric:
+    # sign * sum_k a_k F_k, summed over k left to right
+    c = cfg.drift_sign * np.asarray(coeffs[0], dtype=float)
+    rhs = F[0] * c[0]
+    for k in (1, 2):
+        rhs += F[k] * c[k]
+    if not np.any(eps - np.diag(np.diagonal(eps))):
+        # G_i = eps_ii F_i, in place: F is not read again
+        G = [np.multiply(F[i], eps[i, i], out=F[i]) for i in range(3)]
+    else:
+        # each G_i summed over j left to right from its first nonzero term
+        G = []
+        for i in range(3):
+            g = None
+            for j in np.flatnonzero(eps[i]):
+                g = F[j] * eps[i, j] if g is None else np.add(g, F[j] * eps[i, j], out=g)
+            G.append(np.zeros(P.shape) if g is None else g)
+        del F
+    # rhs += sum_l d_l [ sum_i B_il G_i ], the flux pinned like P: its
+    # difference then moves no mass through the outer faces
     for l in range(3):
         t = B[0][l] * G[0]
         for i in (1, 2):
             t += B[i][l] * G[i]
+        pin_boundary(t)
         rhs += _d(t, l, h[l])
     return rhs
 
@@ -368,15 +394,20 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     `ds_median` and `ds_max`; in `cfl_limit` how many steps the drift
     or the diffusion bound set and how many were cut to end on a
     snapshot time ("snapshot"); and in `field_evals` how many times the
-    solve formed its fields with _fields.
+    solve formed fields with _fields.
 
-    A stage's fields are formed only when its coefficients differ, bit
-    for bit, from those of the fields held, which are released first:
-    the step bound and the first stage share the step start's fields,
-    a constant schedule forms them once per solve (`field_evals` 1), and
-    a schedule that changes between stages forms them at every stage
-    (`field_evals` = 2 `steps`).  Reuse skips a call of _fields on the
-    inputs it was last called with, so the results are the same bits.
+    A stage forms fields only when its coefficients differ, bit for bit,
+    from those of the fields held (released first), or when a step start
+    needs the drift that the held fields lack: only the step bound and
+    the additive operator read the drift, so a multiplicative midpoint
+    forms B alone.  The step bound is computed once per fields formed,
+    when a step start first reads them, and the step's first stage shares
+    those fields.  So a constant schedule forms its fields and its bound
+    once per solve (`field_evals` 1), and a schedule that changes between
+    stages forms fields at every stage (`field_evals` = 2 `steps`), with
+    the drift kernel run twice per step for additive noise and once for
+    multiplicative noise.  Reuse skips a call of _fields or _stable_ds on
+    the inputs it was last called with, so the results are the same bits.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -389,20 +420,31 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     quad = _quadratic(X) if cfg.multiplicative else None
     P = grid0.P.copy()
     work = grid0.copy_with(P)
-    held, fields, field_evals = None, None, 0
+    # the fields held, the bits of their coefficients, and their step
+    # bound once a step start has read it
+    held = {"key": None, "fields": None, "bound": None}
+    field_evals = 0
 
-    def fields_at(coeffs):
+    def fields_at(coeffs, drift_field):
         """The fields at coeffs: the held ones when coeffs has the bits of
-        the coefficients they were formed for, new ones otherwise."""
-        nonlocal held, fields, field_evals
+        the coefficients they were formed for and they hold a drift field
+        if drift_field asks for one, new ones otherwise."""
+        nonlocal field_evals
         key = np.append(coeffs[0], coeffs[1]).tobytes()
-        if key != held:
+        if key != held["key"] or (drift_field and held["fields"][0] is None):
             # release the held fields before the next ones are formed
-            fields = None
-            fields = _fields(X, coeffs, cfg, quad)
-            held = key
+            held.update(key=None, fields=None, bound=None)
+            held.update(key=key, fields=_fields(X, coeffs, cfg, quad, drift_field))
             field_evals += 1
-        return fields
+        return held["fields"]
+
+    def step_bound(coeffs):
+        """_stable_ds of the fields at coeffs with their drift, computed
+        once per fields formed."""
+        fields = fields_at(coeffs, True)
+        if held["bound"] is None:
+            held["bound"] = _stable_ds(work, cfg, fields)
+        return held["bound"]
 
     targets = sorted({float(v) for v in snapshot_s} | {s1})
     if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
@@ -418,20 +460,21 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     for target in targets:
         while s < target - 1e-15:
             coeffs = cfg.schedule.at(s)
-            ds, term = _stable_ds(work, cfg, fields_at(coeffs))
+            ds, term = step_bound(coeffs)
             if target - s < ds:
                 ds, term = target - s, "snapshot"
             if ds < DS_FLOOR:
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
             # each stage slope is turned into its stage in place
-            mid = fpe_rhs(work, coeffs, cfg, fields=fields_at(coeffs))
+            mid = fpe_rhs(work, coeffs, cfg, fields=held["fields"])
             mid *= 0.5 * ds
             mid += P
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            new = fpe_rhs(work, coeffs_mid, cfg, fields=fields_at(coeffs_mid))
+            new = fpe_rhs(work, coeffs_mid, cfg,
+                          fields=fields_at(coeffs_mid, not cfg.multiplicative))
             new *= ds
             new += P
             P = new

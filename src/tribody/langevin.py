@@ -282,6 +282,29 @@ def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
         yield (s0 + m * ds if on_grid else cuts[m]), on_grid, taken.get(m, [])
 
 
+def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
+    """The steps of an ensemble over [s0, s1], built once: per step its
+    start, length, coefficients at its start (the bits of schedule.at
+    there, from one np.interp per column over all starts), the slots of
+    the snapshots taken at its end and the increments' scale of
+    _increment_scale, formed once per distinct length.  Also the snapshot
+    times in slot order and the time the last step ends on."""
+    steps, times = [], []
+    s, on_grid = s0, True
+    for s_next, next_on_grid, taken in _step_ends(s0, s1, ds, snapshot_s):
+        h = ds if on_grid and next_on_grid else s_next - s
+        steps.append((s, h, range(len(times), len(times) + len(taken))))
+        times.extend(taken)
+        s, on_grid = s_next, next_on_grid
+    starts = np.array([start for start, _, _ in steps])
+    a = np.column_stack([np.interp(starts, schedule.s, schedule.a[:, i]) for i in range(3)])
+    lam_sq = np.interp(starts, schedule.s, schedule.lam_sq).tolist()
+    scales = {h: _increment_scale(noise, h) for h in {h for _, h, _ in steps}}
+    plan = [(start, h, (a[k], lam_sq[k]), slots, scales[h])
+            for k, (start, h, slots) in enumerate(steps)]
+    return plan, times, s
+
+
 def run_ensemble(
     n_traj: int,
     schedule: CoefficientSchedule,
@@ -332,17 +355,7 @@ def run_ensemble(
         raise DomainError("snapshot times must lie in (s0, s1]")
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
-    # the step plan: per step its length, coefficients at its start, end
-    # time, the snapshots taken there and the increments' scale
-    plan, times = [], []
-    s, on_grid = s0, True
-    for s_next, next_on_grid, taken in _step_ends(s0, s1, ds, snapshot_s):
-        h = ds if on_grid and next_on_grid else s_next - s
-        slots = range(len(times), len(times) + len(taken))
-        plan.append((h, schedule.at(s), s + h, slots, _increment_scale(noise, h)))
-        times.extend(taken)
-        s, on_grid = s_next, next_on_grid
-
+    plan, times, s_final = _step_plan(schedule, noise, s0, s1, ds, snapshot_s)
     xi_final = np.empty((n_traj, 3))
     snaps = [np.empty((n_traj, 3)) for _ in times]
     additive = mode == "additive"
@@ -354,37 +367,37 @@ def run_ensemble(
     state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
         + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
     found = []
-    for c in range(-(-n_traj // CHUNK)):
-        lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-        # the (rows, 3) views of the chunk's component-major arrays
-        xi, finite, *work = (b[:, :hi - lo].T for b in state)
-        xi[...] = xi0[lo:hi]
-        alive = np.ones(hi - lo, dtype=bool)
-        for k, (h, coeffs, s_end, slots, scale) in enumerate(plan):
-            seeded = np.random.SeedSequence((noise.seed, c, k))
-            rng = np.random.Generator(np.random.SFC64(seeded))
-            # runaway paths overflow before they are frozen; the non-finite
-            # check below is the intended detector, so silence the transient
-            with np.errstate(over="ignore", invalid="ignore"):
+    # runaway paths overflow before they are frozen; the non-finite check
+    # after each step is the intended detector, so silence the transient
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(-(-n_traj // CHUNK)):
+            lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
+            # the (rows, 3) views of the chunk's component-major arrays
+            xi, finite, *work = (b[:, :hi - lo].T for b in state)
+            xi[...] = xi0[lo:hi]
+            alive = np.ones(hi - lo, dtype=bool)
+            for k, (start, h, coeffs, slots, scale) in enumerate(plan):
+                seeded = np.random.SeedSequence((noise.seed, c, k))
+                rng = np.random.Generator(np.random.SFC64(seeded))
                 if additive:
                     _step(xi, h, mode, coeffs, None, work)
                     if scale is not None:
                         xi += _two_point(rng, scale, work[0])
                 else:
                     _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
-            # a frozen path stays NaN, so while all is finite no path has
-            # blown up yet
-            if not np.isfinite(xi, out=finite).all():
-                bad = alive & ~finite.all(axis=1)
-                found.extend((k, lo + int(p), s_end) for p in np.nonzero(bad)[0])
-                alive &= ~bad
-                xi[~alive] = np.nan
-            for j in slots:
-                snaps[j][lo:hi] = xi
-        xi_final[lo:hi] = xi
+                # a frozen path stays NaN, so while all is finite no path
+                # has blown up yet
+                if not np.isfinite(xi, out=finite).all():
+                    bad = alive & ~finite.all(axis=1)
+                    found.extend((k, lo + int(p), start + h) for p in np.nonzero(bad)[0])
+                    alive &= ~bad
+                    xi[~alive] = np.nan
+                for j in slots:
+                    snaps[j][lo:hi] = xi
+            xi_final[lo:hi] = xi
 
     return EnsembleResult(
-        s_final=s,
+        s_final=s_final,
         xi_final=xi_final,
         snapshots=list(zip(times, snaps)),
         blowups={p: t for _, p, t in sorted(found)},

@@ -210,27 +210,30 @@ class TestFpeRhs:
             for k in range(3):
                 F[..., j] += d(B[..., k, j] * P, k)
         G = np.einsum("ij,...j->...i", eps, F)
-        for i in range(3):
-            for l in range(3):
-                ref += d(B[..., i, l] * G[..., i], l)
+        for l in range(3):
+            flux = np.zeros_like(P)
+            for i in range(3):
+                flux += B[..., i, l] * G[..., i]
+            flux[[0, -1], :, :] = flux[:, [0, -1], :] = flux[:, :, [0, -1]] = 0.0
+            ref += d(flux, l)
         assert np.allclose(rhs, ref, atol=1e-12, rtol=1e-10)
 
 
 def tensor_rhs(grid, coeffs, cfg):
     """The multiplicative right-hand side with the coupling as an
     (n1, n2, n3, 3, 3) tensor from langevin.diffusion, contracted by einsum
-    and a matrix product: the oracle for the component form of fpe_rhs."""
+    and a matrix product: the oracle for the component form of fpe_rhs.
+    The drift term is sign * sum_k a_k F_k, and the flux B G is pinned
+    to zero on the boundary cells before its difference."""
     from tribody.fokker_planck import _d
     from tribody.langevin import diffusion
 
     mesh, P, h = grid.mesh(), grid.P, grid.h
-    A = drift(mesh, coeffs)
     B = diffusion(mesh, coeffs[1])
-    rhs = np.zeros_like(P)
-    for i in range(3):
-        rhs += cfg.drift_sign * _d(A[..., i] * P, i, h[i])
     F = sum(_d(B[..., k, :] * P[..., None], k, h[k]) for k in range(3))
+    rhs = sum(F[..., k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
     BG = np.einsum("...il,...i->...l", B, F @ cfg.epsilon)
+    pin_boundary(BG)
     for l in range(3):
         rhs += _d(BG[..., l], l, h[l])
     return rhs
@@ -259,6 +262,21 @@ class TestCouplingComponents:
         rhs, ref = fpe_rhs(grid, self.COEFFS, cfg), tensor_rhs(grid, self.COEFFS, cfg)
         assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
+    def test_drift_term_is_a_dot_F(self, sign_mode):
+        # eps = 0 leaves the drift term alone: sign * sum_k a_k F_k must be
+        # sign * sum_i d_i(A_i P) with the drift field A = B a, up to rounding
+        from tribody.fokker_planck import _d
+
+        grid = self.grid()
+        cfg = FpeConfig(epsilon=0.0, schedule=CoefficientSchedule.constant(*self.COEFFS),
+                        sign_mode=sign_mode, multiplicative=True)
+        A = drift(grid.mesh(), self.COEFFS)
+        ref = sum(cfg.drift_sign * _d(A[..., i] * grid.P, i, grid.h[i]) for i in range(3))
+        rhs = fpe_rhs(grid, self.COEFFS, cfg)
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_step_bound_reads_the_tensor_maximum(self):
         # zero drift, so the diffusion term alone bounds the step; near the
         # (1, 1, 1) direction |B| peaks off the diagonal, so the bound must
@@ -280,8 +298,10 @@ class TestCouplingComponents:
 
 def mesh_rhs(grid, coeffs, cfg):
     """The right-hand side transcribed on the (n1, n2, n3, 3) mesh: drift
-    from `drift(grid.mesh(), ...)`, coupling from `langevin.diffusion`,
-    differences on zero-padded arrays, every sum in the solver's order."""
+    from `drift(grid.mesh(), ...)` (as sign * sum_k a_k F_k for
+    multiplicative noise), coupling from `langevin.diffusion`, differences
+    on zero-padded arrays, the outer flux pinned, every sum in the
+    solver's order."""
     from tribody.langevin import diffusion
 
     mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
@@ -298,11 +318,11 @@ def mesh_rhs(grid, coeffs, cfg):
         hi[axis], mid[axis], lo[axis] = slice(2, None), slice(1, -1), slice(None, -2)
         return (padded[tuple(hi)] - 2.0 * padded[tuple(mid)] + padded[tuple(lo)]) / (h[axis] ** 2)
 
-    A = drift(mesh, coeffs)
-    rhs = np.zeros_like(P)
-    for i in range(3):
-        rhs += cfg.drift_sign * d(A[..., i] * P, i)
     if not cfg.multiplicative:
+        A = drift(mesh, coeffs)
+        rhs = np.zeros_like(P)
+        for i in range(3):
+            rhs += cfg.drift_sign * d(A[..., i] * P, i)
         for i in range(3):
             rhs += eps[i, i] * d2(P, i)
             for j in range(i + 1, 3):
@@ -310,9 +330,12 @@ def mesh_rhs(grid, coeffs, cfg):
         return rhs
     B = diffusion(mesh, coeffs[1])
     F = [sum(d(B[..., k, j] * P, k) for k in range(3)) for j in range(3)]
+    rhs = sum(F[k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
     G = [sum(eps[i, j] * F[j] for j in range(3)) for i in range(3)]
     for l in range(3):
-        rhs += d(sum(B[..., i, l] * G[i] for i in range(3)), l)
+        flux = sum(B[..., i, l] * G[i] for i in range(3))
+        pin_boundary(flux)
+        rhs += d(flux, l)
     return rhs
 
 
@@ -448,11 +471,9 @@ class TestFpeEvolve:
         assert diag["mass_balance_residual"] == (
             diag["mass_initial"] - diag["mass_final"] - diag["boundary_outflow"])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the multiplicative operator's outer difference d_l(sum_i B_il G_i) "
-        "takes flux through the boundary faces, since G = eps F is nonzero in "
-        "the pinned layer: this run's residual is 8.3e-3 of an outflow of 1.7e-2"))
     def test_mass_balance_closes_with_boundary_outflow_multiplicative(self):
+        # the outer flux sum_i B_il G_i is pinned like P before its
+        # difference, so this operator telescopes too
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
         cfg = FpeConfig(epsilon=0.05, schedule=sched, multiplicative=True)
         grid = gaussian_grid([-1] * 3, [1] * 3, (16, 16, 16), [0.1] * 3, 0.3)
@@ -546,9 +567,19 @@ class TestFpeEvolve:
                     meshes.append(xi.base)
                     latest["A"] = out.base
                 if name == "fpe_rhs":
-                    # the drift that the latest drift call wrote
-                    assert kwargs["fields"][0] is latest["A"]
-                return fn(*args, **kwargs)
+                    A, B = kwargs["fields"]
+                    # the drift that the latest drift call wrote, which the
+                    # multiplicative operator does not read: a midpoint
+                    # then passes the latest coupling alone
+                    assert A is latest["A"] or (multiplicative and A is None)
+                    assert B is latest.get("B")
+                if name == "_stable_ds":
+                    # the step bound reads the latest drift
+                    assert args[2][0] is latest["A"]
+                result = fn(*args, **kwargs)
+                if name == "_coupling":
+                    latest["B"] = result
+                return result
             return wrapper
 
         for name in ("drift", "_quadratic", "_coupling", "fpe_rhs", "_stable_ds"):
@@ -560,38 +591,45 @@ class TestFpeEvolve:
         cfg = FpeConfig(epsilon=0.05, schedule=sched, multiplicative=multiplicative)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
         diag = fp.fpe_evolve(grid, (0.0, 0.2), cfg, snapshot_s=(0.1,)).diagnostics
-        steps = calls["_stable_ds"]
-        assert steps == diag["steps"] > 2
+        steps = diag["steps"]
+        assert steps > 2
         assert calls["fpe_rhs"] == 2 * steps
-        assert calls["drift"] == diag["field_evals"]
+        # every fields formed runs the coupling for multiplicative noise and
+        # the drift kernel for additive noise
+        assert calls["_coupling" if multiplicative else "drift"] == diag["field_evals"]
         # every drift call runs on the views of the solve's one mesh
         assert meshes[0] is not None and all(X is meshes[0] for X in meshes)
         assert calls.get("_quadratic", 0) == (1 if multiplicative else 0)
-        assert calls.get("_coupling", 0) == (calls["drift"] if multiplicative else 0)
+        assert multiplicative or "_coupling" not in calls
+        # one step bound per drift field that a step start reads
+        assert calls["_stable_ds"] <= calls["drift"]
         assert "diffusion" not in calls
         return calls, steps
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_step_bound_shares_the_first_stage_fields(self, monkeypatch, multiplicative):
         # coefficients that change between stages: the CFL bound reads the
-        # drift (and coupling) that k1 uses, so an RK2 step evaluates each
-        # field once per stage; the coupling is built from the mesh's
-        # products, formed once per run, never through langevin.diffusion.
+        # drift (and coupling) that k1 uses, so an RK2 step forms fields
+        # once per stage, and the step bound once; the coupling is built
+        # from the mesh's products, formed once per run, never through
+        # langevin.diffusion.  The multiplicative midpoint forms the
+        # coupling alone, so its solve runs the drift kernel once per step.
         # Every drift call runs on the (n1, n2, n3, 3) views of the run's
         # component-major cell centres, and each right-hand side reads the
         # drift that the latest drift call wrote.
         sched = CoefficientSchedule(s=[0.0, 0.2], a=[[0.05, -0.03, 0.02], [0.08, -0.01, 0.0]],
                                     lam_sq=[0.2, 0.35])
         calls, steps = self.counted_solve(monkeypatch, sched, multiplicative)
-        assert calls["drift"] == 2 * steps
+        assert calls["drift"] == (steps if multiplicative else 2 * steps)
+        assert calls["_stable_ds"] == steps
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_constant_schedule_forms_its_fields_once(self, monkeypatch, multiplicative):
         # every stage has the coefficients of the fields held, so the solve
-        # forms its drift (and coupling) once
+        # forms its drift (and coupling) and its step bound once
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
         calls, _ = self.counted_solve(monkeypatch, sched, multiplicative)
-        assert calls["drift"] == 1
+        assert calls["drift"] == calls["_stable_ds"] == 1
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     @pytest.mark.parametrize("a_end, field_evals", [([0.05, -0.03, 0.02], 1),

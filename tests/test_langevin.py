@@ -19,7 +19,7 @@ from tribody import (
     run_ensemble,
     two_point_increments,
 )
-from tribody.langevin import CHUNK, _increment_scale, _scale_rows, _step
+from tribody.langevin import CHUNK, _increment_scale, _scale_rows, _step, _step_plan
 
 
 def philox(seed=0):
@@ -442,6 +442,29 @@ class TestRunEnsemble:
         # the grid stays anchored at s0: 0.3, 0.5, 0.6, 0.9, 1.0
         assert res.meta["n_steps"] == 5
         assert res.s_final == 1.0
+
+    @pytest.mark.parametrize("ds, span, snapshot_s", [
+        (0.3, (0.0, 1.0), [0.5, 0.6]),             # a cut at 0.5, a short last step
+        (0.002, (0.1, 1.7371), [0.1234, 1.0]),     # off-grid and on-grid snapshots
+    ])
+    def test_plan_has_the_schedule_coefficients_at_every_step_start(self, ds, span, snapshot_s):
+        # the plan interpolates all step starts at once; each step's
+        # coefficients are those schedule.at gives there, bit for bit, and
+        # its scale that of _increment_scale for its length
+        _, sched = morse_schedule()
+        nm = NoiseModel(epsilon=np.diag([0.01, 0.02, 0.005]), seed=3)
+        plan, times, s_final = _step_plan(sched, nm, *span, ds, snapshot_s)
+        assert times == snapshot_s and s_final == span[1]
+        starts = [start for start, _, _, _, _ in plan]
+        assert starts[0] == span[0] and starts == sorted(set(starts))
+        # cut steps are among them
+        assert len({h for _, h, _, _, _ in plan}) > 1
+        for start, h, (a, lam_sq), _, scale in plan:
+            a_at, lam_at = sched.at(start)
+            assert a.tobytes() == a_at.tobytes()
+            assert type(lam_sq) is float and lam_sq.hex() == lam_at.hex()
+            diagonal, off = _increment_scale(nm, h)
+            assert diagonal.tobytes() == scale[0].tobytes() and scale[1] == off == []
 
     def test_snapshots_on_the_grid_leave_every_step_ds(self):
         # 0.35 / 0.002 is 174.99999999999997 in floating point: on the grid
