@@ -275,9 +275,10 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
 
     Each term is scaled and added in place, so beside the result the call
     holds at most 2 temporaries of the grid's shape for additive noise.
-    For multiplicative noise it holds F, which a diagonal eps scales into
-    G in place, and at most 3 more (4 more while an off-diagonal eps
-    forms G beside F), all freed when it returns.
+    For multiplicative noise it holds F and forms G beside it (with one
+    product F_j eps_ij more while an off-diagonal eps sums into G_i); F is
+    freed before the flux terms, which hold G and at most 3 more, all
+    freed when it returns.
     """
     if fields is None:
         fields = _fields(grid.mesh(axis=0), coeffs, cfg, drift_field=not cfg.multiplicative)
@@ -317,18 +318,14 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
     rhs = F[0] * c[0]
     for k in (1, 2):
         rhs += F[k] * c[k]
-    if not np.any(eps - np.diag(np.diagonal(eps))):
-        # G_i = eps_ii F_i, in place: F is not read again
-        G = [np.multiply(F[i], eps[i, i], out=F[i]) for i in range(3)]
-    else:
-        # each G_i summed over j left to right from its first nonzero term
-        G = []
-        for i in range(3):
-            g = None
-            for j in np.flatnonzero(eps[i]):
-                g = F[j] * eps[i, j] if g is None else np.add(g, F[j] * eps[i, j], out=g)
-            G.append(np.zeros(P.shape) if g is None else g)
-        del F
+    # each G_i summed over j left to right from its first nonzero term
+    G = []
+    for i in range(3):
+        g = None
+        for j in np.flatnonzero(eps[i]):
+            g = F[j] * eps[i, j] if g is None else np.add(g, F[j] * eps[i, j], out=g)
+        G.append(np.zeros(P.shape) if g is None else g)
+    del F
     # rhs += sum_l d_l [ sum_i B_il G_i ], the flux pinned like P: its
     # difference then moves no mass through the outer faces
     for l in range(3):
