@@ -501,17 +501,22 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         s_vals = [s_snap for s_snap, _ in res_a.snapshots]
         pairs = [(ga, gb) for (_, ga), (_, gb) in zip(res_a.snapshots, res_b.snapshots)]
 
-    D = []
+    D, mismatch = [], []
     for ga, gb in pairs:
         ga.normalize()
         gb.normalize()
-        D.append(kl_divergence(ga, gb))
+        d, diag = kl_divergence(ga, gb, return_diagnostics=True)
+        D.append(d)
+        mismatch.append(diag["support_mismatch_cells"])
     report = chaos_report(
         np.asarray(s_vals), np.asarray(D),
         residual_max=cc["residual_max"],
         min_decades=cc["min_decades"],
     )
-    _atomic_write_text(writer.path("chaos_report.json"), report.to_json() + "\n")
+    doc = json.loads(report.to_json())
+    # per pair, the cells where tube a has mass and tube b is floored
+    doc["support_mismatch_cells"] = mismatch
+    _atomic_write_text(writer.path("chaos_report.json"), _json_dump(doc))
 
 
 def cmd_channels(cfg: dict, writer: StageWriter, out_dir: Path) -> None:

@@ -22,16 +22,23 @@ evolves it), and these increments match the Gaussian ones of covariance
 2*eps*ds, the correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s'), in
 their first three moments: so both schemes keep their weak order 1 at a
 fraction of the cost of a normal draw.  An ensemble steps its paths in
-chunks of CHUNK, one after another in the calling thread, and at step k
-chunk c draws from its own SFC64 generator, seeded with
-SeedSequence((seed, c, k)): numpy's construction of independent streams
-from one master seed.  So path p's noise is fixed by (seed, p, step).
+chunks of CHUNK, and at step k chunk c draws from its own SFC64
+generator, seeded with SeedSequence((seed, c, k)): numpy's construction
+of independent streams from one master seed.  So path p's noise is fixed
+by (seed, p, step).  The chunks are independent: with two or more of
+them and two or more usable CPUs, contiguous shares are stepped in
+worker processes forked for the call, with the same bits as one process
+stepping every chunk in turn (run_ensemble).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,6 +312,75 @@ def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
     return plan, times, s
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _fork_share(step_chunks, lo: int, hi: int):
+    """Fork a worker that steps chunks [lo, hi) with step_chunks and sends
+    the caller its blow-ups, or the exception it raised, pickled through a
+    pipe.  Returns the worker's pid and the pipe's read end.  The worker
+    leaves only through os._exit, so none of the caller's handlers,
+    atexit hooks or buffered output run or flush twice."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, step_chunks(lo, hi))
+            except BaseException as exc:  # the caller re-raises it
+                result = (False, exc)
+            with open(w, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _step_shares(step_chunks, n_chunks: int, procs: int) -> list:
+    """Step chunks [0, n_chunks) in procs contiguous shares, the first in
+    the calling process and each other one in a forked worker, and return
+    the blow-ups of all.  Share i holds chunks [i n / procs, (i+1) n /
+    procs), rounded down, so the short last chunk falls in the last share
+    and the earlier shares are no larger.  A worker's exception is
+    re-raised here with its type.  Every worker is reaped before this
+    returns or raises; when the caller's own share or the wait is cut
+    short, by an exception or an interrupt, the workers are killed
+    first."""
+    bounds = [i * n_chunks // procs for i in range(procs + 1)]
+    workers, results = [], None
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_fork_share(step_chunks, lo, hi))
+        found = step_chunks(bounds[0], bounds[1])
+        # read each pipe to its end, which the worker reaches once it has
+        # sent its result, before reaping: a result larger than the pipe's
+        # buffer would otherwise hold the worker up forever
+        results = [pipe.read() for _, pipe in workers]
+    finally:
+        statuses = []
+        for pid, pipe in workers:
+            pipe.close()
+            if results is None:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for data, status in zip(results, statuses):
+        if not data:
+            raise RuntimeError(f"an ensemble worker ended with wait status {status} "
+                               "and sent no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        found.extend(value)
+    return found
+
+
 def run_ensemble(
     n_traj: int,
     schedule: CoefficientSchedule,
@@ -318,8 +394,7 @@ def run_ensemble(
     """Propagate n_traj independent paths over the schedule span.
 
     The paths are cut into chunks of CHUNK: chunk c holds paths
-    [c CHUNK, min(n_traj, (c+1) CHUNK)).  The chunks are stepped one
-    after another in the calling thread.  At step k chunk c draws its
+    [c CHUNK, min(n_traj, (c+1) CHUNK)).  At step k chunk c draws its
     increments from Generator(SFC64(SeedSequence((seed, c, k)))), one
     row per path in order, as two_point_increments draws them, in either
     mode.  SeedSequence hashes its entropy words into the generator's
@@ -332,6 +407,19 @@ def run_ensemble(
     elementwise kernels run over contiguous rows; its values are those
     of (rows, 3) storage, bit for bit.  xi0 may be a single 3-vector
     (all paths start together) or (n_traj, 3).
+
+    The chunks are independent, so with two or more chunks and two or
+    more CPUs usable by the process (os.sched_getaffinity), they are
+    split into min(chunks, CPUs) contiguous shares: the caller steps the
+    first, and a worker forked with os.fork steps each other one, with
+    no interpreter lock shared between them.  The final states and the
+    snapshots lie in one shared anonymous mmap, which each worker writes
+    its rows of in place; blow-ups come back through a pipe.  Otherwise
+    (one chunk or one CPU) the caller steps every chunk, one after
+    another.  The result is the same bits either way.  The workers make
+    no BLAS call; Python 3.12 and later warn on a fork in a process with
+    more than one thread, as numpy's OpenBLAS makes it unless pinned to
+    one.
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -356,46 +444,62 @@ def run_ensemble(
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
     plan, times, s_final = _step_plan(schedule, noise, s0, s1, ds, snapshot_s)
-    xi_final = np.empty((n_traj, 3))
-    snaps = [np.empty((n_traj, 3)) for _ in times]
+    n_chunks = -(-n_traj // CHUNK)
+    procs = min(n_chunks, _usable_cpus())
+    # the final states, then the snapshots, in one block, which the
+    # workers share when there are any
+    shape = (1 + len(times), n_traj, 3)
+    if procs > 1:
+        out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    else:
+        out = np.empty(shape)
+    xi_final, *snaps = out
     additive = mode == "additive"
-    # a chunk's component-major state, its finiteness and the drift
-    # stages: one in additive mode, which forms the increments in it once
-    # the step is done with it; in multiplicative mode the three Heun
-    # stages and the increments, which the step turns into its forcing
-    rows = min(n_traj, CHUNK)
-    state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
-        + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
-    found = []
-    # runaway paths overflow before they are frozen; the non-finite check
-    # after each step is the intended detector, so silence the transient
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(-(-n_traj // CHUNK)):
-            lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-            # the (rows, 3) views of the chunk's component-major arrays
-            xi, finite, *work = (b[:, :hi - lo].T for b in state)
-            xi[...] = xi0[lo:hi]
-            alive = np.ones(hi - lo, dtype=bool)
-            for k, (start, h, coeffs, slots, scale) in enumerate(plan):
-                seeded = np.random.SeedSequence((noise.seed, c, k))
-                rng = np.random.Generator(np.random.SFC64(seeded))
-                if additive:
-                    _step(xi, h, mode, coeffs, None, work)
-                    if scale is not None:
-                        xi += _two_point(rng, scale, work[0])
-                else:
-                    _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
-                # a frozen path stays NaN, so while all is finite no path
-                # has blown up yet
-                if not np.isfinite(xi, out=finite).all():
-                    bad = alive & ~finite.all(axis=1)
-                    found.extend((k, lo + int(p), start + h) for p in np.nonzero(bad)[0])
-                    alive &= ~bad
-                    xi[~alive] = np.nan
-                for j in slots:
-                    snaps[j][lo:hi] = xi
-            xi_final[lo:hi] = xi
 
+    def step_chunks(c_lo: int, c_hi: int) -> list:
+        """Step chunks [c_lo, c_hi) into out; return their blow-ups as
+        (step, path, s)."""
+        # a chunk's component-major state, its finiteness and the drift
+        # stages: one in additive mode, which forms the increments in it
+        # once the step is done with it; in multiplicative mode the three
+        # Heun stages and the increments, which the step turns into its
+        # forcing
+        rows = min(n_traj, CHUNK)
+        state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
+            + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
+        found = []
+        # runaway paths overflow before they are frozen; the non-finite
+        # check after each step is the intended detector, so silence the
+        # transient
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(c_lo, c_hi):
+                lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
+                # the (rows, 3) views of the chunk's component-major arrays
+                xi, finite, *work = (b[:, :hi - lo].T for b in state)
+                xi[...] = xi0[lo:hi]
+                alive = np.ones(hi - lo, dtype=bool)
+                for k, (start, h, coeffs, slots, scale) in enumerate(plan):
+                    seeded = np.random.SeedSequence((noise.seed, c, k))
+                    rng = np.random.Generator(np.random.SFC64(seeded))
+                    if additive:
+                        _step(xi, h, mode, coeffs, None, work)
+                        if scale is not None:
+                            xi += _two_point(rng, scale, work[0])
+                    else:
+                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
+                    # a frozen path stays NaN, so while all is finite no
+                    # path has blown up yet
+                    if not np.isfinite(xi, out=finite).all():
+                        bad = alive & ~finite.all(axis=1)
+                        found.extend((k, lo + int(p), start + h) for p in np.nonzero(bad)[0])
+                        alive &= ~bad
+                        xi[~alive] = np.nan
+                    for j in slots:
+                        snaps[j][lo:hi] = xi
+                xi_final[lo:hi] = xi
+        return found
+
+    found = step_chunks(0, n_chunks) if procs == 1 else _step_shares(step_chunks, n_chunks, procs)
     return EnsembleResult(
         s_final=s_final,
         xi_final=xi_final,

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tribody import cli
+from tribody.chaos import kl_divergence
 from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _schedule, main,
                          parse_config)
 from tribody.errors import ConfigError
@@ -395,6 +397,24 @@ class TestPipelineStages:
         assert np.array_equal(table["path_id"], np.tile(np.arange(n), len(res.snapshots) + 1))
         assert np.array_equal(table["s"][::n], [s for s, _ in res.snapshots] + [res.s_final])
 
+    def test_ensemble_files_do_not_depend_on_the_cpu_count(self, tmp_path, use_cpus):
+        # 20000 paths are two chunks: both stepped in one process on 1
+        # CPU, the second in a forked worker on 2; the run directory does
+        # not record which
+        doc = base_config()
+        doc["sde"].update(n_paths=20000, snapshots=[0.05, 0.1])
+        doc["integrator"]["s_end"] = 0.1
+        cfg = write_config(tmp_path, doc)
+        runs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            assert run("simulate", cfg, out) == 0
+            use_cpus(cpus)
+            assert run("ensemble", cfg, out) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "manifest_ensemble.json" in runs[0] and "ensemble_snapshots.csv" in runs[0]
+        assert runs[0] == runs[1]
+
     def test_ensemble_determinism(self, prepared, tmp_path):
         cfg, out = prepared
         assert run("ensemble", cfg, out) == 0
@@ -451,6 +471,25 @@ class TestPipelineStages:
         assert report["verdict"] in ("chaotic", "regular", "inconclusive")
         assert len(report["series"]) >= 2
         assert all(d >= 0.0 for _, d in report["series"])
+
+    def test_chaos_records_support_mismatch_per_pair(self, tmp_path, monkeypatch):
+        # the sample: some of its KL pairs have cells where tube a has mass
+        # and tube b is floored
+        counts = []
+
+        def recording(pa, pb, return_diagnostics):
+            val, diag = kl_divergence(pa, pb, return_diagnostics=True)
+            counts.append(diag["support_mismatch_cells"])
+            return val, diag
+
+        monkeypatch.setattr(cli, "kl_divergence", recording)
+        cfg, out = REPO / "configs" / "sample_morse.json", tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("chaos", cfg, out) == 0
+        report = json.loads((out / "chaos_report.json").read_text())
+        assert len(counts) == len(report["series"])
+        assert report["support_mismatch_cells"] == counts
+        assert any(counts)
 
     def test_chaos_explicit_series(self, prepared, tmp_path):
         cfg_doc = base_config()

@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -19,6 +22,7 @@ from tribody import (
     run_ensemble,
     two_point_increments,
 )
+from tribody import langevin
 from tribody.langevin import CHUNK, _increment_scale, _scale_rows, _step, _step_plan
 
 
@@ -634,15 +638,37 @@ class TestTwoPointEnsemble:
         assert np.all(np.abs(va - vb) < 5 * np.sqrt(2 / (n - 1) * (va**2 + vb**2)))
 
 
+def on_one_and_two_cpus(use_cpus, *args, **kwargs):
+    """run_ensemble(*args, **kwargs) with 1 and with 2 CPUs usable by the
+    process, in process and with a forked worker when there are two or
+    more chunks; the two results must agree bit for bit, and the first is
+    returned."""
+    results = []
+    for cpus in (1, 2):
+        use_cpus(cpus)
+        results.append(run_ensemble(*args, **kwargs))
+    one, two = results
+    assert np.array_equal(one.xi_final, two.xi_final, equal_nan=True)
+    assert len(one.snapshots) == len(two.snapshots)
+    for (s_a, a), (s_b, b) in zip(one.snapshots, two.snapshots):
+        assert s_a == s_b
+        assert np.array_equal(a, b, equal_nan=True)
+    assert list(one.blowups.items()) == list(two.blowups.items())
+    assert one.meta == two.meta and one.s_final == two.s_final
+    return one
+
+
 class TestChunkedEnsemble:
     """Paths are stepped in chunks of CHUNK, each chunk with its own
-    counter-keyed noise stream, one after another in the calling
-    thread."""
+    counter-keyed noise stream.  With two or more chunks and two or more
+    usable CPUs, contiguous shares of the chunks are stepped in forked
+    worker processes; the bits are those of one process stepping every
+    chunk."""
 
     EPS = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_path_does_not_depend_on_n_traj(self, mode):
+    def test_path_does_not_depend_on_n_traj(self, use_cpus, mode):
         # 40000 paths span 3 chunks, the last one short; 32769 paths leave
         # path 32768 alone in its chunk
         _, sched = morse_schedule()
@@ -650,8 +676,8 @@ class TestChunkedEnsemble:
         xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(3).standard_normal((40000, 3))
 
         def run(n):
-            return run_ensemble(n, sched, xi0[:n], 0.01, mode, nm, s_span=(0.0, 0.2),
-                                snapshot_s=[0.1, 0.15])
+            return on_one_and_two_cpus(use_cpus, n, sched, xi0[:n], 0.01, mode, nm,
+                                       s_span=(0.0, 0.2), snapshot_s=[0.1, 0.15])
 
         big = run(40000)
         assert 32768 == 2 * CHUNK < 40000 < 3 * CHUNK
@@ -662,7 +688,7 @@ class TestChunkedEnsemble:
                 assert np.array_equal(a, b[paths])
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_blowups_across_chunks(self, mode):
+    def test_blowups_across_chunks(self, use_cpus, mode):
         # zero noise; path CHUNK + 1 (chunk 1) overflows before path 1
         # (chunk 0), and paths 3 and CHUNK + 3 overflow at the same step
         sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
@@ -676,7 +702,8 @@ class TestChunkedEnsemble:
         assert t_fast < t_slow
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = run_ensemble(len(xi0), sched, xi0, 0.01, mode, nm, snapshot_s=[t_fast])
+            res = on_one_and_two_cpus(use_cpus, len(xi0), sched, xi0, 0.01, mode, nm,
+                                      snapshot_s=[t_fast])
         assert list(res.blowups.items()) == [(3, t_fast), (CHUNK + 1, t_fast),
                                              (CHUNK + 3, t_fast), (1, t_slow)]
         # a path is frozen as a row of NaN at the step it blows up
@@ -685,3 +712,70 @@ class TestChunkedEnsemble:
         assert np.isfinite(np.delete(at_fast, [3, CHUNK + 1, CHUNK + 3], axis=0)).all()
         assert np.all(np.isnan(res.xi_final[[1, 3, CHUNK + 1, CHUNK + 3]]))
         assert np.isfinite(np.delete(res.xi_final, [1, 3, CHUNK + 1, CHUNK + 3], axis=0)).all()
+
+
+def hooked_step(in_caller=None, in_worker=None):
+    """_step that first calls in_caller() in the calling process or
+    in_worker() in a forked worker, when that hook is given."""
+    caller = os.getpid()
+
+    def step(*args):
+        hook = in_caller if os.getpid() == caller else in_worker
+        if hook is not None:
+            hook()
+        return _step(*args)
+    return step
+
+
+class TestForkedShares:
+    """Failures in the forked route: nothing is lost and no process is left."""
+
+    SCHED = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.5))
+
+    def run(self):
+        return run_ensemble(2 * CHUNK, self.SCHED, [0.1, -0.2, 0.05], 0.002, "additive",
+                            NoiseModel(epsilon=0.01, seed=5))
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_exception_is_raised_with_its_type(self, monkeypatch, use_cpus):
+        use_cpus(2)
+
+        def fail():
+            raise DomainError("raised in a worker's share")
+        monkeypatch.setattr(langevin, "_step", hooked_step(in_worker=fail))
+        with pytest.raises(DomainError, match="worker's share"):
+            self.run()
+        self.assert_no_child_left()
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch, use_cpus):
+        use_cpus(2)
+        monkeypatch.setattr(langevin, "_step", hooked_step(
+            in_worker=lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        with pytest.raises(RuntimeError, match="no result"):
+            self.run()
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [DomainError, KeyboardInterrupt, SystemExit])
+    def test_caller_exception_kills_and_reaps_the_workers(self, monkeypatch, use_cpus, exc):
+        # the worker stalls for 20 s at its first step: it is killed, not
+        # waited for
+        use_cpus(2)
+        stalled = []
+
+        def stall():
+            if not stalled:
+                stalled.append(True)
+                time.sleep(20.0)
+
+        def fail():
+            raise exc("raised in the caller's share")
+        monkeypatch.setattr(langevin, "_step", hooked_step(in_caller=fail, in_worker=stall))
+        t0 = time.monotonic()
+        with pytest.raises(exc):
+            self.run()
+        assert time.monotonic() - t0 < 10.0
+        self.assert_no_child_left()
