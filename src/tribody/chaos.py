@@ -96,6 +96,9 @@ class ChaosReport:
     fit_window: tuple
     direction: str = "a||b"
     thresholds: dict = field(default_factory=dict)
+    # per KL pair, the cells where Pa > 0 and Pb is floored
+    # (kl_divergence's diagnostic); set by the caller that has them
+    support_mismatch_cells: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -107,6 +110,7 @@ class ChaosReport:
                 "fit_window": list(self.fit_window),
                 "direction": self.direction,
                 "thresholds": self.thresholds,
+                "support_mismatch_cells": self.support_mismatch_cells,
             },
             indent=2,
             sort_keys=True,

@@ -513,10 +513,8 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
         residual_max=cc["residual_max"],
         min_decades=cc["min_decades"],
     )
-    doc = json.loads(report.to_json())
-    # per pair, the cells where tube a has mass and tube b is floored
-    doc["support_mismatch_cells"] = mismatch
-    _atomic_write_text(writer.path("chaos_report.json"), _json_dump(doc))
+    report.support_mismatch_cells = mismatch
+    _atomic_write_text(writer.path("chaos_report.json"), report.to_json() + "\n")
 
 
 def cmd_channels(cfg: dict, writer: StageWriter, out_dir: Path) -> None:

@@ -33,6 +33,7 @@ stepping every chunk in turn (run_ensemble).
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import math
 import mmap
@@ -318,17 +319,35 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this forked worker with SIGKILL when the thread
+    that forked it ends, by any signal included (Linux prctl
+    PR_SET_PDEATHSIG), and leave at once if the caller is already gone.
+    Where the C library has no prctl this does nothing, and a caller that
+    dies by a signal Python does not handle leaves the worker running to
+    the end of its share."""
+    prctl = getattr(ctypes.CDLL(None, use_errno=True), "prctl", None)
+    if prctl is None:
+        return
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _fork_share(step_chunks, lo: int, hi: int):
     """Fork a worker that steps chunks [lo, hi) with step_chunks and sends
     the caller its blow-ups, or the exception it raised, pickled through a
     pipe.  Returns the worker's pid and the pipe's read end.  The worker
-    leaves only through os._exit, so none of the caller's handlers,
-    atexit hooks or buffered output run or flush twice."""
+    dies with the caller (_die_with) and leaves only through os._exit, so
+    none of the caller's handlers, atexit hooks or buffered output run or
+    flush twice."""
+    parent = os.getpid()
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            _die_with(parent)
             os.close(r)
             try:
                 result = (True, step_chunks(lo, hi))
@@ -352,7 +371,7 @@ def _step_shares(step_chunks, n_chunks: int, procs: int) -> list:
     re-raised here with its type.  Every worker is reaped before this
     returns or raises; when the caller's own share or the wait is cut
     short, by an exception or an interrupt, the workers are killed
-    first."""
+    first.  With one share nothing is forked."""
     bounds = [i * n_chunks // procs for i in range(procs + 1)]
     workers, results = [], None
     try:
@@ -416,10 +435,12 @@ def run_ensemble(
     snapshots lie in one shared anonymous mmap, which each worker writes
     its rows of in place; blow-ups come back through a pipe.  Otherwise
     (one chunk or one CPU) the caller steps every chunk, one after
-    another.  The result is the same bits either way.  The workers make
-    no BLAS call; Python 3.12 and later warn on a fork in a process with
-    more than one thread, as numpy's OpenBLAS makes it unless pinned to
-    one.
+    another.  The result is the same bits either way.  Every worker is
+    reaped before the call returns or raises, and on Linux the kernel
+    kills it if the caller dies first, by SIGTERM or SIGKILL too.  The
+    workers make no BLAS call; Python 3.12 and later warn on a fork in a
+    process with more than one thread, as numpy's OpenBLAS makes it
+    unless pinned to one.
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -446,13 +467,10 @@ def run_ensemble(
     plan, times, s_final = _step_plan(schedule, noise, s0, s1, ds, snapshot_s)
     n_chunks = -(-n_traj // CHUNK)
     procs = min(n_chunks, _usable_cpus())
-    # the final states, then the snapshots, in one block, which the
-    # workers share when there are any
+    # the final states, then the snapshots, in one shared block, which
+    # forked workers write their rows of in place
     shape = (1 + len(times), n_traj, 3)
-    if procs > 1:
-        out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-    else:
-        out = np.empty(shape)
+    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     xi_final, *snaps = out
     additive = mode == "additive"
 
@@ -499,7 +517,7 @@ def run_ensemble(
                 xi_final[lo:hi] = xi
         return found
 
-    found = step_chunks(0, n_chunks) if procs == 1 else _step_shares(step_chunks, n_chunks, procs)
+    found = _step_shares(step_chunks, n_chunks, procs)
     return EnsembleResult(
         s_final=s_final,
         xi_final=xi_final,

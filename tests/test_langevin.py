@@ -1,7 +1,11 @@
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,6 +731,15 @@ def hooked_step(in_caller=None, in_worker=None):
     return step
 
 
+def alive(pid):
+    """Whether process pid runs; a zombie does not (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestForkedShares:
     """Failures in the forked route: nothing is lost and no process is left."""
 
@@ -779,3 +792,43 @@ class TestForkedShares:
             self.run()
         assert time.monotonic() - t0 < 10.0
         self.assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_worker_dies_with_a_caller_killed_by_sigterm(self):
+        # the caller runs in its own process with no SIGTERM handler, so no
+        # finally of its runs; its worker stalls for 60 s at its first step
+        # and must go with it all the same
+        script = textwrap.dedent("""
+            import os, time
+            from tribody import langevin
+            from tribody.langevin import CHUNK, CoefficientSchedule, NoiseModel, run_ensemble
+            os.sched_getaffinity = lambda pid: {0, 1}
+            caller, step = os.getpid(), langevin._step
+            def stalled(*args):
+                if os.getpid() != caller:
+                    print(os.getpid(), flush=True)
+                    time.sleep(60.0)
+                return step(*args)
+            langevin._step = stalled
+            run_ensemble(2 * CHUNK, CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.5)),
+                         [0.1, -0.2, 0.05], 0.002, "additive", NoiseModel(epsilon=0.01, seed=5))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(langevin.__file__).parents[1]))
+        caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                  env=env, text=True)
+        worker = None
+        try:
+            worker = int(caller.stdout.readline())
+            caller.terminate()
+            assert caller.wait(10.0) == -signal.SIGTERM
+            deadline = time.monotonic() + 10.0
+            while alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not alive(worker)
+        finally:
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            if worker is not None and alive(worker):
+                os.kill(worker, signal.SIGKILL)
