@@ -1,9 +1,10 @@
 """Batch pipeline: simulate, ensemble, fpe, chaos, channels.
 
 Each command reads a JSON run config, consumes upstream artifacts from the
-output directory where required, and writes its outputs atomically together
-with a per-stage manifest carrying checksums.  Same config + seed gives
-bit-identical outputs.
+output directory where required, and writes its outputs and a per-stage
+manifest, which lists their checksums once the stage completes.  A stage
+trusts an upstream output only once its manifest is complete and its
+checksum matches.  Same config + seed gives bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
 artifact, 4 numerical failure, 5 I/O error.
@@ -170,7 +171,7 @@ def parse_config(doc: dict, seed=None) -> dict:
     name = pot.pop("name", None)
     try:
         if name == "free":
-            cfg["potential"] = FreePotential()
+            cfg["potential"] = FreePotential(**pot)
         elif name == "gravity":
             cfg["potential"] = GravityPotential(cfg["masses"], **pot)
         elif name == "morse":
@@ -272,7 +273,7 @@ def _json_dump(obj) -> str:
 
 
 class StageWriter:
-    """Atomic per-stage outputs plus a manifest written first, finalized last."""
+    """Per-stage outputs plus a manifest written first, finalized last."""
 
     def __init__(self, stage: str, out_dir: Path, cfg: dict, force: bool):
         self.stage = stage
@@ -283,13 +284,7 @@ class StageWriter:
         self.manifest_path = out_dir / f"manifest_{stage}.json"
 
     def start(self):
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-            probe = self.out / f".write_probe_{self.stage}"
-            probe.write_text("")
-            probe.unlink()
-        except OSError as exc:
-            raise OSError(f"output directory not writable: {exc}")
+        self.out.mkdir(parents=True, exist_ok=True)
         if self.manifest_path.exists() and not self.force:
             raise FileExistsError(
                 f"{self.manifest_path} exists; pass --force to overwrite"
@@ -416,8 +411,8 @@ def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
     _atomic_write_text(writer.path("conservation.json"), _json_dump(report))
 
 
-def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    schedule = _schedule(*_load_trajectory(out_dir), cfg)
+def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
+    schedule = _schedule(*_load_trajectory(writer.out), cfg)
     noise = cfg["noise"]
     sde = cfg["sde"]
     result = run_ensemble(
@@ -437,17 +432,11 @@ def cmd_ensemble(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
             rows.append(f"{p},{s_txt},{x1!r},{x2!r},{x3!r}")
     writer.path("ensemble_snapshots.csv").write_text("\n".join(rows) + "\n")
     meta = {
-        "seed": cfg["seed"],
-        "mode": sde["mode"],
-        "ds": sde["ds"],
+        **result.meta,
         "n_paths": sde["n_paths"],
         "epsilon": noise.epsilon.tolist(),
         "schedule_source": "trajectory.csv",
         "blowups": {str(k): v for k, v in result.blowups.items()},
-        "n_steps": result.meta["n_steps"],
-        "noise_stream": result.meta["noise_stream"],
-        "increments": result.meta["increments"],
-        "chunk": result.meta["chunk"],
     }
     _atomic_write_text(writer.path("ensemble_meta.json"), _json_dump(meta))
 
@@ -464,8 +453,8 @@ def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s, s_end: float)
     return fpe_evolve(grid0, (schedule.s[0], s_end), fpe_cfg, snapshot_s=snapshot_s)
 
 
-def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    schedule = _schedule(*_load_trajectory(out_dir), cfg)
+def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
+    schedule = _schedule(*_load_trajectory(writer.out), cfg)
     result = _fpe_run(cfg, schedule, cfg["sde"]["snapshots"], schedule.s[-1])
     for i, (_, grid) in enumerate(result.snapshots):
         write_density(grid, writer.path(f"density_{i:04d}.npy"))
@@ -478,7 +467,7 @@ def cmd_fpe(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     }))
 
 
-def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
+def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
     cc = cfg["chaos"]
     if "series_a" in cc:
         # explicit density series produced by two prior fpe runs
@@ -490,13 +479,13 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     else:
         # default route: tube b from initial internal coordinates perturbed
         # by delta, both tubes up to the end of the shorter trajectory
-        s, x = _load_trajectory(out_dir)
+        s, x = _load_trajectory(writer.out)
         traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
         s_hi = min(s[-1], traj_b.s[-1])
         snaps = [v for v in cfg["sde"]["snapshots"] if s[0] < v <= s_hi]
         if not snaps:
             snaps = list(np.linspace(s[0] + 0.1 * (s_hi - s[0]), s_hi, 8))
-        tubes = (_schedule(s, x, cfg), _schedule(traj_b.s, traj_b.x, cfg))
+        tubes = (_schedule(s, x, cfg), CoefficientSchedule.from_trajectory(traj_b))
         res_a, res_b = (_fpe_run(cfg, tube, snaps, s_hi) for tube in tubes)
         s_vals = [s_snap for s_snap, _ in res_a.snapshots]
         pairs = [(ga, gb) for (_, ga), (_, gb) in zip(res_a.snapshots, res_b.snapshots)]
@@ -517,8 +506,8 @@ def cmd_chaos(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
     _atomic_write_text(writer.path("chaos_report.json"), report.to_json() + "\n")
 
 
-def cmd_channels(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
-    s, x = _load_trajectory(out_dir)
+def cmd_channels(cfg: dict, writer: StageWriter) -> None:
+    s, x = _load_trajectory(writer.out)
     ch = cfg["channels"]
     label = classify_channel(s, x, cfg["masses"], **ch)
     _atomic_write_text(writer.path("channels.json"), _json_dump({
@@ -528,21 +517,15 @@ def cmd_channels(cfg: dict, writer: StageWriter, out_dir: Path) -> None:
 
 
 def run_command(name: str, cfg: dict, out_dir: Path, force: bool = False) -> None:
-    """Execute one pipeline stage; raises on any failure."""
+    """Run stage name, one of STAGES, as cmd_<name>(cfg, writer) between
+    the writer's start and finalize; raises on any failure.  cmd_<name> is
+    looked up in this module's namespace at each call, so a wrapper put
+    there after import (a tracer's, a test's) is the one that runs."""
+    if name not in STAGES:
+        raise ConfigError(f"unknown command {name!r}")
     writer = StageWriter(name, out_dir, cfg, force)
     writer.start()
-    if name == "simulate":
-        cmd_simulate(cfg, writer)
-    elif name == "ensemble":
-        cmd_ensemble(cfg, writer, out_dir)
-    elif name == "fpe":
-        cmd_fpe(cfg, writer, out_dir)
-    elif name == "chaos":
-        cmd_chaos(cfg, writer, out_dir)
-    elif name == "channels":
-        cmd_channels(cfg, writer, out_dir)
-    else:
-        raise ConfigError(f"unknown command {name!r}")
+    globals()[f"cmd_{name}"](cfg, writer)
     writer.finalize()
 
 
@@ -563,9 +546,6 @@ def main(argv=None) -> int:
     try:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return 5
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         cfg = parse_config(doc, seed=args.seed)
@@ -581,7 +561,7 @@ def main(argv=None) -> int:
             DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (OSError, FileExistsError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 5
 

@@ -240,7 +240,7 @@ def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
         f = drift(xi, coeffs, out=work[0])
         f *= ds
         xi += f
-    elif mode == "multiplicative":
+    else:
         a_ds = coeffs[0] * ds
         for i in range(3):
             dW[:, i] += a_ds[i]
@@ -249,8 +249,6 @@ def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
         k += drift(np.add(xi, k, out=work[1]), forcing, out=work[2])
         k *= 0.5
         xi += k
-    else:
-        raise ConfigError(f"unknown SDE mode {mode!r}")
 
 
 @dataclass
@@ -449,6 +447,8 @@ def run_ensemble(
     and the snapshot times in (s0, s1].  Blown-up paths are frozen as NaN
     and recorded by step, then by path, not fatal.
     """
+    if mode not in ("additive", "multiplicative"):
+        raise ConfigError(f"unknown SDE mode {mode!r}")
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     if not ds > 0.0:

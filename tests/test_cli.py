@@ -124,6 +124,13 @@ class TestParseConfig:
         ("integrator", "s_end", 0.0),
         ("integrator", "n_samples", 0),
         ("integrator", "n_samples", 1),
+        ("integrator", "tol", 0.0),
+        ("integrator", "tol", -1e-9),
+        # not an integer, not a string, not a list, not a 3-vector
+        ("sde", "n_paths", 50.5),
+        ("sde", "mode", 1),
+        ("initial", "x", 2.0),
+        ("initial", "x", [2.0, 3.0]),
     ])
     def test_wrongly_typed_value_is_2(self, tmp_path, section, key, value):
         doc = base_config()
@@ -133,6 +140,31 @@ class TestParseConfig:
         cfg = write_config(tmp_path, doc)
         for stage in ("simulate", "ensemble", "fpe"):
             assert run(stage, cfg, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda d: [d], "config root", id="root-not-an-object"),
+        pytest.param(lambda d: {**d, "masses": 1.0}, "'masses' must be an object",
+                     id="section-not-an-object"),
+        pytest.param(lambda d: {**d, "masses": {"m1": 1.0, "m2": 1.0}}, "masses: .*'m3'",
+                     id="masses-without-m3"),
+        pytest.param(lambda d: {**d, "potential": {"name": "gravity", "G": 1.0, "D": 1.0}},
+                     "potential: .*'D'", id="gravity-with-D"),
+        pytest.param(lambda d: {**d, "potential": {"name": "free", "D": 5.0, "alpha": 2.0}},
+                     "potential: FreePotential", id="free-with-parameters"),
+        pytest.param(lambda d: {**d, "angular_momentum": [0.1, 0.0]},
+                     "angular_momentum must be a 3-vector", id="angular_momentum-of-length-2"),
+        pytest.param(lambda d: {**d, "initial": {"x": [2.0, 3.0, 3.5]}}, "both 'x' and 'xi'",
+                     id="initial-without-xi"),
+        pytest.param(lambda d: {**d, "noise": {"hbar_scale": -1.0, "omega_sq_mean": 1.0}},
+                     "noise: hbar scale", id="negative-hbar_scale"),
+    ])
+    def test_invalid_document_is_2(self, tmp_path, edit, match):
+        doc = edit(base_config())
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc)
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, doc), out) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["series_a", "series_b"])
     def test_one_chaos_series_alone_is_2(self, tmp_path, key):
@@ -244,6 +276,21 @@ class TestExitCodes:
         for stage in ("ensemble", "fpe", "chaos", "channels"):
             assert run(stage, cfg, out, "--force") == 3
 
+    @pytest.mark.parametrize("damage", ["not-json", "without-trajectory"])
+    def test_unusable_simulate_manifest_is_3(self, tmp_path, damage):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        manifest = out / "manifest_simulate.json"
+        if damage == "not-json":
+            manifest.write_text("{not json")
+        else:
+            doc = json.loads(manifest.read_text())
+            del doc["outputs"]["trajectory.csv"]
+            manifest.write_text(json.dumps(doc))
+        for stage in ("ensemble", "fpe", "chaos", "channels"):
+            assert run(stage, cfg, out) == 3
+
     @staticmethod
     def series_from_one_fpe_run(tmp_path):
         """An fpe run directory, and a config whose chaos stage reads it as
@@ -313,6 +360,31 @@ class TestExitCodes:
         assert run("simulate", cfg, out) == 0
         assert run("simulate", cfg, out) == 5
         assert run("simulate", cfg, out, "--force") == 0
+
+    def test_out_that_cannot_be_created_is_5(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run("simulate", cfg, blocker / "out") == 5
+
+
+class TestRunCommand:
+    def test_stage_is_the_module_function_at_call_time(self, tmp_path, monkeypatch):
+        # a wrapper put in the module after import is the one that runs,
+        # as perfbench's tracer relies on
+        calls = []
+        monkeypatch.setattr(cli, "cmd_channels", lambda cfg, writer: calls.append((cfg, writer)))
+        cfg, out = parse_config(base_config()), tmp_path / "out"
+        cli.run_command("channels", cfg, out)
+        [(seen, writer)] = calls
+        assert seen is cfg and writer.stage == "channels" and writer.out == out
+        manifest = json.loads((out / "manifest_channels.json").read_text())
+        assert manifest["status"] == "complete" and manifest["outputs"] == {}
+
+    def test_unknown_stage_writes_nothing(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown command"):
+            cli.run_command("inspect", parse_config(base_config()), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateStage:
@@ -471,6 +543,19 @@ class TestPipelineStages:
         assert report["verdict"] in ("chaotic", "regular", "inconclusive")
         assert len(report["series"]) >= 2
         assert all(d >= 0.0 for _, d in report["series"])
+
+    def test_chaos_without_snapshots_takes_eight_times(self, tmp_path):
+        # with no sde.snapshots the tubes are compared at 8 times, from a
+        # tenth of the run to its end: 0.2 to 2.0 on the sample
+        doc = json.loads((REPO / "configs" / "sample_morse.json").read_text())
+        del doc["sde"]["snapshots"]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("chaos", cfg, out) == 0
+        report = json.loads((out / "chaos_report.json").read_text())
+        times = [s for s, _ in report["series"]]
+        assert times == pytest.approx(np.linspace(0.2, 2.0, 8), rel=0, abs=1e-12)
+        assert times[-1] == 2.0
 
     def test_chaos_records_support_mismatch_per_pair(self, tmp_path, monkeypatch):
         # the sample: some of its KL pairs have cells where tube a has mass

@@ -793,6 +793,24 @@ class TestForkedShares:
         assert time.monotonic() - t0 < 10.0
         self.assert_no_child_left()
 
+    @pytest.mark.parametrize("mode, ds, s_span, error, match", [
+        ("milstein", 0.002, None, ConfigError, "unknown SDE mode"),
+        ("additive", 0.0, None, DomainError, "ds must be positive"),
+        ("additive", 0.002, (0.3, 0.3), DomainError, "empty ensemble span"),
+    ], ids=["unknown-mode", "zero-ds", "empty-span"])
+    def test_rejected_before_any_work(self, monkeypatch, use_cpus, mode, ds, s_span, error,
+                                      match):
+        # two chunks on two CPUs would map the output block and fork a worker
+        use_cpus(2)
+
+        def no_work(*args):
+            raise AssertionError("work started before the arguments were checked")
+        monkeypatch.setattr(os, "fork", no_work)
+        monkeypatch.setattr(langevin.mmap, "mmap", no_work)
+        with pytest.raises(error, match=match):
+            run_ensemble(2 * CHUNK, self.SCHED, [0.1, -0.2, 0.05], ds, mode,
+                         NoiseModel(epsilon=0.01, seed=5), s_span=s_span)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the parent-death signal is Linux's")
     def test_worker_dies_with_a_caller_killed_by_sigterm(self):
