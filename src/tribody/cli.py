@@ -318,20 +318,27 @@ class StageWriter:
 
 def _verified(out_dir: Path, stage: str) -> dict:
     """The outputs {name: sha256} of a stage's manifest in out_dir, once
-    the manifest is complete and every output matches its checksum."""
+    the manifest is a complete JSON object, every output is a file named
+    directly in out_dir, and each matches its checksum."""
     manifest = out_dir / f"manifest_{stage}.json"
     try:
-        doc = json.loads(manifest.read_text())
+        doc = json.loads(manifest.read_bytes().decode("utf-8"))
     except FileNotFoundError:
         raise DependencyError(f"missing upstream manifest {manifest}; run '{stage}' first")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not UTF-8, or not JSON
         raise DependencyError(f"{manifest} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise DependencyError(f"{manifest} is not a JSON object")
     if doc.get("status") != "complete":
         raise DependencyError(f"{manifest} status is {doc.get('status')!r}, not 'complete'")
     outputs = doc.get("outputs", {})
+    if not isinstance(outputs, dict):
+        raise DependencyError(f"{manifest} outputs is not an object")
     for name, digest in outputs.items():
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise DependencyError(f"{manifest.name} lists {name!r}, not a file name in {out_dir}")
         path = out_dir / name
-        if not path.exists() or _sha256(path) != digest:
+        if not path.is_file() or _sha256(path) != digest:
             raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
     return outputs
 
@@ -544,8 +551,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        raw = Path(args.config).read_bytes()
         try:
-            doc = json.loads(Path(args.config).read_text())
+            doc = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         cfg = parse_config(doc, seed=args.seed)

@@ -29,6 +29,17 @@ delete is recorded beside the mass balance.  Both operators telescope on
 the pinned grid (every flux that is differenced is zero on the boundary
 cells), so that outflow closes the balance up to rounding.
 
+Step bound.  Each midpoint RK2 step takes SAFETY times the smaller of the
+drift bound min(h) / max|A| and the diffusion bound 2 / R, the scheme's
+limit on the negative real axis when R bounds the diffusion operator's
+spectral radius.  R is at least that operator's largest absolute row sum
+(Gershgorin).  For additive noise it is 4 tr(eps) / min(h)^2, the compact
+stencil's row sum on a cubic grid with diagonal eps.  For multiplicative
+noise R = r0 + |Lambda^2| r1 + Lambda^4 r2, where r_m bounds the row sums
+of the part of the 19-point stencil's coefficients that goes with
+Lambda^(2m); fpe_evolve forms (r0, r1, r2) once per solve, from the
+products that it forms once too.
+
 Layout.  Per-cell vectors are stored component-major: fpe_evolve forms
 the cell centres once per solve as a contiguous (3, n1, n2, n3) array
 X = grid.mesh(axis=0), and the drift A is a new (3, n1, n2, n3) array
@@ -46,6 +57,7 @@ is bit-identical to it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -233,31 +245,93 @@ def _quadratic(X):
     return two_xx, xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
 
 
-def _coupling(quad, lam_sq):
-    """The coupling B(xi; Lambda^2) of langevin.diffusion on the mesh, as
-    the rows of (n1, n2, n3) components that _symmetric makes.  Only the
-    diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2) is formed; the off-diagonal
-    products of _quadratic are used as they are."""
+class _Coupling(list):
+    """B(xi; Lambda^2) on the mesh: the rows of (n1, n2, n3) components that
+    _symmetric makes, with the lam_sq they were formed at and the row sums
+    (r0, r1, r2) of _row_sums that the step bound reads (None when the
+    coupling was formed without them)."""
+
+    def __init__(self, rows, lam_sq, sums):
+        super().__init__(rows)
+        self.lam_sq, self.sums = lam_sq, sums
+
+
+def _coupling(quad, lam_sq, sums=None):
+    """The coupling B(xi; Lambda^2) of langevin.diffusion on the mesh, as a
+    _Coupling.  Only the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2) is formed;
+    the off-diagonal products of _quadratic are used as they are."""
     two_xx, sq = quad
     q = sq + lam_sq
-    return _symmetric(((k, j), two_xx[k][j] - q if k == j else two_xx[k][j])
-                      for k, j in _UPPER)
+    return _Coupling(_symmetric(((k, j), two_xx[k][j] - q if k == j else two_xx[k][j])
+                                for k, j in _UPPER), lam_sq, sums)
 
 
-def _fields(X, coeffs, cfg, quad=None, drift_field=True):
+def _row_sums(quad, h, eps):
+    """Gershgorin row sums of the pinned multiplicative diffusion operator
+    P -> sum_l d_l pin(sum_i B_il sum_j eps_ij sum_k d_k(B_kj P)), split by
+    powers of Lambda^2: (r0, r1, r2) with r_m the largest over interior
+    rows of sum_offsets |c_m|, where c0 + Lambda^2 c1 + Lambda^4 c2 is the
+    coefficient at an offset.
+
+    The operator is a 19-point stencil.  Its coefficient at x + s e_l +
+    t e_k sums s t / (4 h_l h_k) (B(y) eps B(z))_lk over every (l, k, s, t)
+    that lands there, with y = x + s e_l (no term when y is a boundary cell,
+    whose flux is pinned) and z = y + t e_k.  With B = Q - Lambda^2 I and Q
+    the coupling at Lambda^2 = 0, (B(y) eps B(z))_lk = (Q(y) eps Q(z))_lk -
+    Lambda^2 ((eps Q(z))_lk + (Q(y) eps)_lk) + Lambda^4 eps_lk.  The
+    offsets are summed one at a time, so beside Q's diagonal and the three
+    sums only one offset's coefficients are held."""
+    two_xx, sq = quad
+    Q = _symmetric(((k, j), two_xx[k][j] - sq if k == j else two_xx[k][j]) for k, j in _UPPER)
+    n = sq.shape
+    inner = tuple(m - 2 for m in n)
+    nonzero = [(i, j) for i in range(3) for j in range(3) if eps[i, j] != 0.0]
+    stencil = {}
+    for l, k, s, t in itertools.product(range(3), range(3), (-1, 1), (-1, 1)):
+        offset = tuple(s * (a == l) + t * (a == k) for a in range(3))
+        stencil.setdefault(offset, []).append((l, k, s, t))
+    sums = [np.zeros(inner) for _ in range(3)]
+    for offset, terms in stencil.items():
+        coeff = [np.zeros(inner) for _ in range(3)]
+        for l, k, s, t in terms:
+            # the interior rows x, index range [lo, hi) on each axis, whose
+            # y = x + s e_l is interior too, and the cells y and z of each
+            lo, hi = [1, 1, 1], [m - 1 for m in n]
+            if s > 0:
+                hi[l] -= 1
+            else:
+                lo[l] += 1
+            rows = tuple(slice(a - 1, b - 1) for a, b in zip(lo, hi))
+            y = tuple(slice(a + s * (d == l), b + s * (d == l))
+                      for d, (a, b) in enumerate(zip(lo, hi)))
+            z = tuple(slice(a + o, b + o) for a, b, o in zip(lo, hi, offset))
+            w = s * t / (4.0 * h[l] * h[k])
+            c0 = sum(eps[i, j] * Q[l][i][y] * Q[j][k][z] for i, j in nonzero)
+            c1 = sum(eps[l, j] * Q[j][k][z] for j in range(3) if eps[l, j] != 0.0)
+            c1 = c1 + sum(eps[i, k] * Q[l][i][y] for i in range(3) if eps[i, k] != 0.0)
+            coeff[0][rows] += w * c0
+            coeff[1][rows] -= w * c1
+            coeff[2][rows] += w * eps[l, k]
+        for total, c in zip(sums, coeff):
+            total += np.abs(c, out=c)
+    return tuple(float(total.max()) for total in sums)
+
+
+def _fields(X, coeffs, cfg, quad=None, drift_field=True, sums=None):
     """Drift A and, for multiplicative noise, the coupling B of _coupling
     at coeffs on the component-major cell centres X = grid.mesh(axis=0);
     B is None for additive noise, A None when drift_field is false.  A is
     a new (3, n1, n2, n3) array, component A[i] contiguous: the drift
     kernel runs on the (n1, n2, n3, 3) views of X and A, whose components
-    are then contiguous.  quad is _quadratic(X), formed here when omitted."""
+    are then contiguous.  quad is _quadratic(X), formed here when omitted,
+    and sums the step bound's _row_sums, which B carries."""
     A = None
     if drift_field:
         A = np.empty(X.shape)
         drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
     if not cfg.multiplicative:
         return A, None
-    return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
+    return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1], sums)
 
 
 def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.ndarray:
@@ -345,7 +419,16 @@ def _absmax(x) -> float:
 def _stable_ds(grid, cfg, fields):
     """CFL step bound from the step-start fields (A, B) of _fields, and the
     term that sets it: "drift", "diffusion", or None when neither bounds
-    the step (the bound is then inf)."""
+    the step (the bound is then inf).
+
+    The drift term allows min(h) / max|A|.  The diffusion term allows
+    2 / R, midpoint RK2's limit on the negative real axis, for R at least
+    the largest absolute row sum of the diffusion operator, and so at
+    least its spectral radius (Gershgorin).  For multiplicative noise R =
+    r0 + |Lambda^2| r1 + Lambda^4 r2 from the row sums that B carries
+    (_row_sums, formed here from the grid when B has none).  For additive
+    noise it is 4 tr(eps) / min(h)^2, the compact stencil's row sum on a
+    cubic grid with diagonal eps."""
     A, B = fields
     amax = _absmax(A)
     h = grid.h
@@ -354,10 +437,15 @@ def _stable_ds(grid, cfg, fields):
         ds, term = float(np.min(h)) / amax, "drift"
     tr_eps = float(np.trace(cfg.epsilon))
     if tr_eps > 0.0:
-        bmax = 1.0
         if cfg.multiplicative:
-            bmax = max(max(_absmax(B[k][j]) for k, j in _UPPER), 1.0)
-        diffusive = float(np.min(h)) ** 2 / (2.0 * tr_eps * bmax * bmax)
+            sums = B.sums
+            if sums is None:
+                sums = _row_sums(_quadratic(grid.mesh(axis=0)), h, cfg.epsilon)
+            r0, r1, r2 = sums
+            lam_sq = B.lam_sq
+            diffusive = 2.0 / (r0 + abs(lam_sq) * r1 + lam_sq * lam_sq * r2)
+        else:
+            diffusive = float(np.min(h)) ** 2 / (2.0 * tr_eps)
         if diffusive < ds:
             ds, term = diffusive, "diffusion"
     return SAFETY * ds, term
@@ -414,7 +502,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     cfg.schedule.check_span(s0, s1)
 
     X = grid0.mesh(axis=0)
-    quad = _quadratic(X) if cfg.multiplicative else None
+    quad = sums = None
+    if cfg.multiplicative:
+        quad = _quadratic(X)
+        sums = _row_sums(quad, grid0.h, cfg.epsilon)
     P = grid0.P.copy()
     work = grid0.copy_with(P)
     # the fields held, the bits of their coefficients, and their step
@@ -431,7 +522,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         if key != held["key"] or (drift_field and held["fields"][0] is None):
             # release the held fields before the next ones are formed
             held.update(key=None, fields=None, bound=None)
-            held.update(key=key, fields=_fields(X, coeffs, cfg, quad, drift_field))
+            held.update(key=key, fields=_fields(X, coeffs, cfg, quad, drift_field, sums))
             field_evals += 1
         return held["fields"]
 

@@ -242,6 +242,12 @@ class TestExitCodes:
         path.write_text("{not json")
         assert run("simulate", path, tmp_path / "out") == 2
 
+    def test_config_that_is_not_utf8_is_2(self, tmp_path):
+        # UTF-16 with its byte order mark, as some editors save it
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_config()).encode("utf-16-le"))
+        assert run("simulate", path, tmp_path / "out") == 2
+
     def test_missing_config_file_is_5(self, tmp_path):
         assert run("simulate", tmp_path / "absent.json", tmp_path / "out") == 5
 
@@ -290,6 +296,44 @@ class TestExitCodes:
             manifest.write_text(json.dumps(doc))
         for stage in ("ensemble", "fpe", "chaos", "channels"):
             assert run(stage, cfg, out) == 3
+
+    @staticmethod
+    def simulated(tmp_path):
+        """A config, its simulate run directory and that stage's manifest."""
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        return cfg, out, out / "manifest_simulate.json"
+
+    def test_manifest_that_is_not_an_object_is_3(self, tmp_path):
+        cfg, out, manifest = self.simulated(tmp_path)
+        manifest.write_text("[]")
+        assert run("ensemble", cfg, out) == 3
+
+    def test_manifest_that_is_not_utf8_is_3(self, tmp_path):
+        cfg, out, manifest = self.simulated(tmp_path)
+        manifest.write_bytes(b"\x80" + manifest.read_bytes())
+        assert run("ensemble", cfg, out) == 3
+
+    def test_outputs_that_are_not_an_object_is_3(self, tmp_path):
+        cfg, out, manifest = self.simulated(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["outputs"] = list(doc["outputs"])
+        manifest.write_text(json.dumps(doc))
+        assert run("ensemble", cfg, out) == 3
+
+    @pytest.mark.parametrize("name", ["/etc", "../x", "absolute", "."])
+    def test_output_outside_the_run_directory_is_3(self, tmp_path, name):
+        # x lies beside the run directory and matches its digest, so only
+        # the name can fail the manifest
+        cfg, out, manifest = self.simulated(tmp_path)
+        outside = tmp_path / "x"
+        outside.write_text("outside the run directory\n")
+        name = str(outside) if name == "absolute" else name
+        doc = json.loads(manifest.read_text())
+        doc["outputs"][name] = sha256(outside)
+        manifest.write_text(json.dumps(doc))
+        assert run("ensemble", cfg, out) == 3
 
     @staticmethod
     def series_from_one_fpe_run(tmp_path):

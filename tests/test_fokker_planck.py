@@ -277,23 +277,38 @@ class TestCouplingComponents:
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    def test_step_bound_reads_the_tensor_maximum(self):
-        # zero drift, so the diffusion term alone bounds the step; near the
-        # (1, 1, 1) direction |B| peaks off the diagonal, so the bound must
-        # read the off-diagonal components too
-        from tribody.fokker_planck import SAFETY, _fields, _stable_ds
-        from tribody.langevin import diffusion
+    @pytest.mark.parametrize("lam_sq", [0.0, 0.3])
+    def test_step_bound_is_a_gershgorin_bound_of_the_operator(self, lam_sq):
+        # the pinned diffusion operator assembled column by column through
+        # fpe_rhs (a = 0, so the drift term is zero), with a full eps on a
+        # box where |B| varies: R is at least its largest absolute row sum
+        # and its spectral radius, and equals that row sum at Lambda^2 = 0
+        from tribody.fokker_planck import SAFETY, _fields, _quadratic, _row_sums, _stable_ds
 
-        grid = gaussian_grid([0.4] * 3, [2.0, 1.9, 2.1], (10, 12, 14), [1.2] * 3, 0.5)
-        coeffs = (np.zeros(3), 0.1)
-        sched = CoefficientSchedule.constant(*coeffs)
-        cfg = FpeConfig(epsilon=0.02, schedule=sched, multiplicative=True)
-        B = diffusion(grid.mesh(), coeffs[1])
-        bmax = float(np.max(np.abs(B)))
-        assert bmax > max(1.0, np.max(np.abs(np.diagonal(B, axis1=-2, axis2=-1))))
-        expected = SAFETY * float(np.min(grid.h)) ** 2 / (2.0 * 0.06 * bmax * bmax)
+        eps = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
+        grid = MomentumGrid([0.4, -0.3, 0.2], [2.0, 1.1, 1.9], (10, 10, 10))
+        coeffs = (np.zeros(3), lam_sq)
+        cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*coeffs),
+                        multiplicative=True)
+        n = grid.P.size
+        M = np.empty((n, n))
+        for c in range(n):
+            unit = np.zeros(n)
+            unit[c] = 1.0
+            column = fpe_rhs(grid.copy_with(unit), coeffs, cfg)
+            pin_boundary(column)
+            M[:, c] = column.ravel()
+        # the pinned rows are zero, so the largest row sum is an interior one
+        row_sum = float(np.max(np.sum(np.abs(M), axis=1)))
+        radius = float(np.max(np.abs(np.linalg.eigvals(M))))
+        r0, r1, r2 = _row_sums(_quadratic(grid.mesh(axis=0)), grid.h, cfg.epsilon)
+        R = r0 + abs(lam_sq) * r1 + lam_sq * lam_sq * r2
+        if lam_sq == 0.0:
+            assert r0 == pytest.approx(row_sum, rel=1e-12)
+        assert R >= row_sum >= radius > 0.0
         fields = _fields(grid.mesh(axis=0), coeffs, cfg)
-        assert _stable_ds(grid, cfg, fields) == (expected, "diffusion")
+        assert fields[1].sums is None
+        assert _stable_ds(grid, cfg, fields) == (SAFETY * 2.0 / R, "diffusion")
 
 
 def mesh_rhs(grid, coeffs, cfg):
@@ -514,6 +529,29 @@ class TestFpeEvolve:
         ds, term = _stable_ds(grid, cfg, _fields(grid.mesh(axis=0), coeffs, cfg))
         assert term == ("diffusion" if ratio < 1.0 else "drift")
         assert ds == SAFETY * min(drift_bound, diffusive)
+
+    def test_step_refinement(self, monkeypatch):
+        # Lambda^2 changes over the span, so each step start reads its own
+        # bound, which the box's corners set; an eighth of that step moves
+        # the final density, which sits where |B| is small, by little, and
+        # takes no fewer undershoot steps
+        import tribody.fokker_planck as fp
+
+        sched = CoefficientSchedule(s=[0.0, 0.3], a=[[0.05, -0.03, 0.02], [0.08, -0.01, 0.0]],
+                                    lam_sq=[0.02, 0.1])
+        cfg = FpeConfig(epsilon=0.02, schedule=sched, multiplicative=True)
+        grid = gaussian_grid([-2] * 3, [2] * 3, (16, 16, 16), [0.1, 0.0, -0.1], 0.25)
+        runs = [fpe_evolve(grid, (0.0, 0.3), cfg)]
+        monkeypatch.setattr(fp, "SAFETY", fp.SAFETY / 8.0)
+        runs.append(fpe_evolve(grid, (0.0, 0.3), cfg))
+        large, small = (res.diagnostics for res in runs)
+        assert large["cfl_limit"]["diffusion"] == large["steps"] - 1
+        assert small["steps"] >= 8 * (large["steps"] - 1)
+        final = [res.snapshots[-1][1].P for res in runs]
+        assert np.max(np.abs(final[0] - final[1])) <= 1e-5 * np.max(final[1])
+        for diag in (large, small):
+            assert abs(diag["mass_balance_residual"]) <= 1e-12
+        assert large["negative_undershoot_steps"] <= small["negative_undershoot_steps"]
 
     def test_validation_errors(self):
         sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
