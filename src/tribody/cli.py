@@ -354,18 +354,26 @@ def _load_trajectory(out_dir: Path):
 
 def _load_densities(out_dir: Path) -> tuple:
     """The snapshot times and density grids of the fpe run in out_dir, once
-    its manifest vouches for fpe_meta.json and every density_NNNN.npy."""
+    its manifest vouches for fpe_meta.json and every density_NNNN.npy, and
+    fpe_meta.json gives a grid, whose shape each density has, and the
+    times as a list of numbers."""
     outputs = _verified(out_dir, "fpe")
     if "fpe_meta.json" not in outputs:
         raise DependencyError(f"manifest_fpe.json in {out_dir} does not list fpe_meta.json")
-    meta = json.loads((out_dir / "fpe_meta.json").read_text())
-    names = [f"density_{i:04d}.npy" for i in range(len(meta["snapshot_s"]))]
-    missing = [n for n in names if n not in outputs]
-    if missing:
-        raise DependencyError(f"manifest_fpe.json in {out_dir} does not list {', '.join(missing)}")
-    g = meta["grid"]
-    spec = MomentumGrid(g["mins"], g["maxs"], g["shape"])
-    return meta["snapshot_s"], [read_density(out_dir / n, spec) for n in names]
+    try:
+        meta = json.loads((out_dir / "fpe_meta.json").read_bytes().decode("utf-8"))
+        times, g = meta["snapshot_s"], meta["grid"]
+        if not isinstance(times, list) or not all(type(t) in (int, float) for t in times):
+            raise TypeError(f"snapshot_s is {times!r}, not a list of numbers")
+        names = [f"density_{i:04d}.npy" for i in range(len(times))]
+        missing = [n for n in names if n not in outputs]
+        if missing:
+            raise DependencyError(
+                f"manifest_fpe.json in {out_dir} does not list {', '.join(missing)}")
+        spec = MomentumGrid(g["mins"], g["maxs"], g["shape"])
+        return times, [read_density(out_dir / n, spec) for n in names]
+    except (KeyError, TypeError, ValueError) as exc:   # DomainError is a ValueError
+        raise DependencyError(f"fpe_meta.json in {out_dir} does not fit its densities: {exc!r}")
 
 
 def _schedule(s, x, cfg: dict) -> CoefficientSchedule:

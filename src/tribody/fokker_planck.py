@@ -40,19 +40,20 @@ of the part of the 19-point stencil's coefficients that goes with
 Lambda^(2m); fpe_evolve forms (r0, r1, r2) once per solve, from the
 products that it forms once too.
 
-Layout.  Per-cell vectors are stored component-major: fpe_evolve forms
+Layout.  Each coefficient set (a, Lambda^2) has one field, which the
+operator and the step bound read: the drift A for additive noise, and
+the rows of B for multiplicative noise, whose step bound reads max|A| as
+max|B a|.  Per-cell vectors are stored component-major: fpe_evolve forms
 the cell centres once per solve as a contiguous (3, n1, n2, n3) array
-X = grid.mesh(axis=0), and the drift A is a new (3, n1, n2, n3) array
-that langevin.drift (so geodesic.momentum_rhs, the one B a kernel)
-fills through the (n1, n2, n3, 3) views of X and A, whose components
-are then contiguous.  The fields (A, and B for multiplicative noise;
-a multiplicative midpoint forms B alone) are formed only for a stage
-whose coefficients (a, Lambda^2) differ from those of the fields held:
-a constant schedule forms them once per solve, a trajectory schedule at
-every stage.  Every other array lives for one call: each stencil
-returns a new array from one flat pass over contiguous data, with each
-cell's operations in the same order as on the mesh form, so the result
-is bit-identical to it.
+X = grid.mesh(axis=0), and A is a new (3, n1, n2, n3) array that
+langevin.drift (so geodesic.momentum_rhs, the one B a kernel) fills
+through the (n1, n2, n3, 3) views of X and A, whose components are then
+contiguous.  A field is formed only for a stage whose coefficients
+differ from those of the field held: a constant schedule forms it once
+per solve, a trajectory schedule at every stage.  Every other array
+lives for one call: each stencil returns a new array from one flat pass
+over contiguous data, with each cell's operations in the same order as
+on the mesh form, so the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -245,25 +246,14 @@ def _quadratic(X):
     return two_xx, xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
 
 
-class _Coupling(list):
-    """B(xi; Lambda^2) on the mesh: the rows of (n1, n2, n3) components that
-    _symmetric makes, with the lam_sq they were formed at and the row sums
-    (r0, r1, r2) of _row_sums that the step bound reads (None when the
-    coupling was formed without them)."""
-
-    def __init__(self, rows, lam_sq, sums):
-        super().__init__(rows)
-        self.lam_sq, self.sums = lam_sq, sums
-
-
-def _coupling(quad, lam_sq, sums=None):
-    """The coupling B(xi; Lambda^2) of langevin.diffusion on the mesh, as a
-    _Coupling.  Only the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2) is formed;
-    the off-diagonal products of _quadratic are used as they are."""
+def _coupling(quad, lam_sq):
+    """The coupling B(xi; Lambda^2) of langevin.diffusion on the mesh, as the
+    rows that _symmetric makes.  Only the diagonal 2 xi_k^2 - (|xi|^2 +
+    Lambda^2) is formed; the off-diagonal products of _quadratic are used
+    as they are."""
     two_xx, sq = quad
     q = sq + lam_sq
-    return _Coupling(_symmetric(((k, j), two_xx[k][j] - q if k == j else two_xx[k][j])
-                                for k, j in _UPPER), lam_sq, sums)
+    return _symmetric(((k, j), two_xx[k][j] - q if k == j else two_xx[k][j]) for k, j in _UPPER)
 
 
 def _row_sums(quad, h, eps):
@@ -281,9 +271,8 @@ def _row_sums(quad, h, eps):
     Lambda^2 ((eps Q(z))_lk + (Q(y) eps)_lk) + Lambda^4 eps_lk.  The
     offsets are summed one at a time, so beside Q's diagonal and the three
     sums only one offset's coefficients are held."""
-    two_xx, sq = quad
-    Q = _symmetric(((k, j), two_xx[k][j] - sq if k == j else two_xx[k][j]) for k, j in _UPPER)
-    n = sq.shape
+    Q = _coupling(quad, 0.0)
+    n = quad[1].shape
     inner = tuple(m - 2 for m in n)
     nonzero = [(i, j) for i in range(3) for j in range(3) if eps[i, j] != 0.0]
     stencil = {}
@@ -317,35 +306,29 @@ def _row_sums(quad, h, eps):
     return tuple(float(total.max()) for total in sums)
 
 
-def _fields(X, coeffs, cfg, quad=None, drift_field=True, sums=None):
-    """Drift A and, for multiplicative noise, the coupling B of _coupling
-    at coeffs on the component-major cell centres X = grid.mesh(axis=0);
-    B is None for additive noise, A None when drift_field is false.  A is
-    a new (3, n1, n2, n3) array, component A[i] contiguous: the drift
-    kernel runs on the (n1, n2, n3, 3) views of X and A, whose components
-    are then contiguous.  quad is _quadratic(X), formed here when omitted,
-    and sums the step bound's _row_sums, which B carries."""
-    A = None
-    if drift_field:
-        A = np.empty(X.shape)
-        drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
-    if not cfg.multiplicative:
-        return A, None
-    return A, _coupling(_quadratic(X) if quad is None else quad, coeffs[1], sums)
+def _field(X, coeffs, cfg, quad=None):
+    """The field of coeffs that fpe_rhs and the step bound read, on the
+    component-major cell centres X = grid.mesh(axis=0): for additive noise
+    the drift A, a new (3, n1, n2, n3) array that the drift kernel fills
+    through the (n1, n2, n3, 3) views of X and A; for multiplicative noise
+    the rows of _coupling, from quad = _quadratic(X), formed if omitted."""
+    if cfg.multiplicative:
+        return _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
+    A = np.empty(X.shape)
+    drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
+    return A
 
 
-def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.ndarray:
+def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.ndarray:
     """Discrete right-hand side dP/ds on the grid (second-order stencils).
 
-    `fields` is the (A, B) pair of `_fields` for these coeffs on the grid's
-    cells: A component-major, (3, n1, n2, n3), and, for multiplicative
-    noise, B as rows of (n1, n2, n3) components, where the symmetric
-    B[k][j] and B[j][k] are one array.  The multiplicative operator does
-    not read A, which may then be None: its drift term is
-    sign * sum_k a_k F_k.  fpe_evolve passes the fields for both stages,
-    and the first stage's are those its step bound has read.  They are
-    formed here when omitted (B alone for multiplicative noise).  The
-    result is a new array.
+    `field` is the field of `_field` for these coeffs on the grid's cells,
+    formed here when omitted: for additive noise the drift A, component-
+    major (3, n1, n2, n3); for multiplicative noise B as rows of
+    (n1, n2, n3) components, where the symmetric B[k][j] and B[j][k] are
+    one array, and the drift term is sign * sum_k a_k F_k.  fpe_evolve
+    passes the field for both stages, and the first stage's is the one
+    its step bound has read.  The result is a new array.
 
     Each term is scaled and added in place, so beside the result the call
     holds at most 2 temporaries of the grid's shape for additive noise.
@@ -354,16 +337,15 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
     freed before the flux terms, which hold G and at most 3 more, all
     freed when it returns.
     """
-    if fields is None:
-        fields = _fields(grid.mesh(axis=0), coeffs, cfg, drift_field=not cfg.multiplicative)
-    A, B = fields
+    if field is None:
+        field = _field(grid.mesh(axis=0), coeffs, cfg)
     P, h, eps = grid.P, grid.h, cfg.epsilon
 
-    if B is None:
+    if not cfg.multiplicative:
         rhs = np.zeros_like(P)
         accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
         for i in range(3):
-            accumulate(rhs, _d(A[i] * P, i, h[i]), out=rhs)
+            accumulate(rhs, _d(field[i] * P, i, h[i]), out=rhs)
         # B = identity: sum_ij eps_ij d_i d_j P with compact stencils, the
         # diagonal term of each i first; each term is freed before the next
         for i in range(3):
@@ -379,6 +361,7 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, fields=None) -> np.nd
     # B_kj P (k <= j) is formed once and differenced along k for F_j and
     # along j for F_k; in _UPPER order every F_j gets its terms k = 0, 1, 2
     # left to right, the first one starting it.
+    B = field
     F = [None] * 3
     for k, j in _UPPER:
         t = B[k][j] * P
@@ -416,21 +399,25 @@ def _absmax(x) -> float:
     return float(max(x.max(), -x.min()))
 
 
-def _stable_ds(grid, cfg, fields):
-    """CFL step bound from the step-start fields (A, B) of _fields, and the
-    term that sets it: "drift", "diffusion", or None when neither bounds
-    the step (the bound is then inf).
+def _stable_ds(grid, cfg, coeffs, field, sums):
+    """CFL step bound at coeffs from their field of _field, and the term
+    that sets it: "drift", "diffusion", or None when neither bounds the
+    step (the bound is then inf).
 
-    The drift term allows min(h) / max|A|.  The diffusion term allows
-    2 / R, midpoint RK2's limit on the negative real axis, for R at least
-    the largest absolute row sum of the diffusion operator, and so at
-    least its spectral radius (Gershgorin).  For multiplicative noise R =
-    r0 + |Lambda^2| r1 + Lambda^4 r2 from the row sums that B carries
-    (_row_sums, formed here from the grid when B has none).  For additive
-    noise it is 4 tr(eps) / min(h)^2, the compact stencil's row sum on a
-    cubic grid with diagonal eps."""
-    A, B = fields
-    amax = _absmax(A)
+    The drift term allows min(h) / max|A|, with the drift A the additive
+    field, or max|sum_j B_ij a_j| read off the multiplicative field B.
+    The diffusion term allows 2 / R, midpoint RK2's limit on the negative
+    real axis, for R at least the largest absolute row sum of the
+    diffusion operator, and so at least its spectral radius (Gershgorin).
+    For multiplicative noise R = r0 + |Lambda^2| r1 + Lambda^4 r2 from the
+    row sums (r0, r1, r2) of _row_sums.  For additive noise (sums unused)
+    it is 4 tr(eps) / min(h)^2, the compact stencil's row sum on a cubic
+    grid with diagonal eps."""
+    if cfg.multiplicative:
+        a = coeffs[0]
+        amax = max(_absmax(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in field)
+    else:
+        amax = _absmax(field)
     h = grid.h
     ds, term = np.inf, None
     if amax > 0.0:
@@ -438,11 +425,8 @@ def _stable_ds(grid, cfg, fields):
     tr_eps = float(np.trace(cfg.epsilon))
     if tr_eps > 0.0:
         if cfg.multiplicative:
-            sums = B.sums
-            if sums is None:
-                sums = _row_sums(_quadratic(grid.mesh(axis=0)), h, cfg.epsilon)
             r0, r1, r2 = sums
-            lam_sq = B.lam_sq
+            lam_sq = coeffs[1]
             diffusive = 2.0 / (r0 + abs(lam_sq) * r1 + lam_sq * lam_sq * r2)
         else:
             diffusive = float(np.min(h)) ** 2 / (2.0 * tr_eps)
@@ -479,20 +463,16 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     `ds_median` and `ds_max`; in `cfl_limit` how many steps the drift
     or the diffusion bound set and how many were cut to end on a
     snapshot time ("snapshot"); and in `field_evals` how many times the
-    solve formed fields with _fields.
+    solve formed a field with _field.
 
-    A stage forms fields only when its coefficients differ, bit for bit,
-    from those of the fields held (released first), or when a step start
-    needs the drift that the held fields lack: only the step bound and
-    the additive operator read the drift, so a multiplicative midpoint
-    forms B alone.  The step bound is computed once per fields formed,
-    when a step start first reads them, and the step's first stage shares
-    those fields.  So a constant schedule forms its fields and its bound
-    once per solve (`field_evals` 1), and a schedule that changes between
-    stages forms fields at every stage (`field_evals` = 2 `steps`), with
-    the drift kernel run twice per step for additive noise and once for
-    multiplicative noise.  Reuse skips a call of _fields or _stable_ds on
-    the inputs it was last called with, so the results are the same bits.
+    A stage forms a field only when its coefficients differ, bit for bit,
+    from those of the field held, which is released first.  The step bound
+    is computed once per field, when a step start first reads it, and the
+    step's first stage shares that field.  So a constant schedule forms its
+    field and its bound once per solve (`field_evals` 1), and a schedule
+    that changes between stages forms a field at every stage (`field_evals`
+    = 2 `steps`).  Reuse skips a call of _field or _stable_ds on the inputs
+    it was last called with, so the results are the same bits.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -508,31 +488,22 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
     P = grid0.P.copy()
     work = grid0.copy_with(P)
-    # the fields held, the bits of their coefficients, and their step
-    # bound once a step start has read it
-    held = {"key": None, "fields": None, "bound": None}
+    # the field held, the bits of its coefficients, and its step bound
+    # once a step start has read it
+    held = {"key": None, "field": None, "bound": None}
     field_evals = 0
 
-    def fields_at(coeffs, drift_field):
-        """The fields at coeffs: the held ones when coeffs has the bits of
-        the coefficients they were formed for and they hold a drift field
-        if drift_field asks for one, new ones otherwise."""
+    def field_at(coeffs):
+        """The field at coeffs: the held one when coeffs has the bits of the
+        coefficients it was formed for, a new one otherwise."""
         nonlocal field_evals
         key = np.append(coeffs[0], coeffs[1]).tobytes()
-        if key != held["key"] or (drift_field and held["fields"][0] is None):
-            # release the held fields before the next ones are formed
-            held.update(key=None, fields=None, bound=None)
-            held.update(key=key, fields=_fields(X, coeffs, cfg, quad, drift_field, sums))
+        if key != held["key"]:
+            # release the held field before the next one is formed
+            held.update(key=None, field=None, bound=None)
+            held.update(key=key, field=_field(X, coeffs, cfg, quad))
             field_evals += 1
-        return held["fields"]
-
-    def step_bound(coeffs):
-        """_stable_ds of the fields at coeffs with their drift, computed
-        once per fields formed."""
-        fields = fields_at(coeffs, True)
-        if held["bound"] is None:
-            held["bound"] = _stable_ds(work, cfg, fields)
-        return held["bound"]
+        return held["field"]
 
     targets = sorted({float(v) for v in snapshot_s} | {s1})
     if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
@@ -548,21 +519,25 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     for target in targets:
         while s < target - 1e-15:
             coeffs = cfg.schedule.at(s)
-            ds, term = step_bound(coeffs)
+            # read through held, not a local, which would keep this field
+            # alive while the midpoint forms the next
+            field_at(coeffs)
+            if held["bound"] is None:
+                held["bound"] = _stable_ds(work, cfg, coeffs, held["field"], sums)
+            ds, term = held["bound"]
             if target - s < ds:
                 ds, term = target - s, "snapshot"
             if ds < DS_FLOOR:
                 raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
             work.P = P
             # each stage slope is turned into its stage in place
-            mid = fpe_rhs(work, coeffs, cfg, fields=held["fields"])
+            mid = fpe_rhs(work, coeffs, cfg, field=held["field"])
             mid *= 0.5 * ds
             mid += P
             pin_boundary(mid)
             work.P = mid
             coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            new = fpe_rhs(work, coeffs_mid, cfg,
-                          fields=fields_at(coeffs_mid, not cfg.multiplicative))
+            new = fpe_rhs(work, coeffs_mid, cfg, field=field_at(coeffs_mid))
             new *= ds
             new += P
             P = new
@@ -632,5 +607,9 @@ def write_density(grid: MomentumGrid, path) -> None:
 
 
 def read_density(path, spec: MomentumGrid) -> MomentumGrid:
-    """The snapshot saved at path by write_density, on the axes of spec."""
-    return spec.copy_with(np.load(path))
+    """The snapshot saved at path by write_density, on the axes of spec; a
+    DomainError when the array saved there does not have spec's shape."""
+    P = np.load(path)
+    if P.shape != spec.shape:
+        raise DomainError(f"{path} holds an array of shape {P.shape}, not {spec.shape}")
+    return spec.copy_with(P)

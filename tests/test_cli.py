@@ -392,6 +392,47 @@ class TestExitCodes:
         (out / "manifest_fpe.json").unlink()
         assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
 
+    @staticmethod
+    def vouched(out, name):
+        """Set name's digest in out's manifest_fpe.json to the file's, so
+        that the checksum passes whatever the file holds."""
+        manifest = out / "manifest_fpe.json"
+        doc = json.loads(manifest.read_text())
+        doc["outputs"][name] = sha256(out / name)
+        manifest.write_text(json.dumps(doc))
+
+    def chaos_on_meta(self, tmp_path, change):
+        """The chaos stage's exit code on a series whose fpe_meta.json has
+        been changed by change(meta) and vouched for."""
+        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        meta = json.loads((out / "fpe_meta.json").read_text())
+        change(meta)
+        (out / "fpe_meta.json").write_text(json.dumps(meta))
+        self.vouched(out, "fpe_meta.json")
+        code = run("chaos", chaos_cfg, tmp_path / "chaos")
+        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+        return code
+
+    @pytest.mark.parametrize("key", ["grid", "snapshot_s"])
+    def test_fpe_meta_without_grid_or_times_is_3(self, tmp_path, key):
+        assert self.chaos_on_meta(tmp_path, lambda meta: meta.pop(key)) == 3
+
+    @pytest.mark.parametrize("times", ["12", [0.5, "1.0"], [0.5, None], {"0": 0.5, "1": 1.0}])
+    def test_fpe_meta_times_that_are_not_numbers_is_3(self, tmp_path, times):
+        assert self.chaos_on_meta(tmp_path, lambda meta: meta.update(snapshot_s=times)) == 3
+
+    @pytest.mark.parametrize("shape", [(24 * 24 * 24,), (12, 48, 24), (23, 24, 24)])
+    def test_density_that_is_not_the_grids_shape_is_3(self, tmp_path, shape):
+        # the first two hold the grid's number of cells, the last fewer
+        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        density = out / "density_0001.npy"
+        P = np.load(density)
+        assert P.shape == (24, 24, 24)
+        np.save(density, P.reshape(-1)[:int(np.prod(shape))].reshape(shape))
+        self.vouched(out, density.name)
+        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
+        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+
     def test_forbidden_start_is_4(self, tmp_path):
         doc = base_config()
         doc["energy"] = -5.0  # E < U everywhere reachable: forbidden region

@@ -283,7 +283,7 @@ class TestCouplingComponents:
         # fpe_rhs (a = 0, so the drift term is zero), with a full eps on a
         # box where |B| varies: R is at least its largest absolute row sum
         # and its spectral radius, and equals that row sum at Lambda^2 = 0
-        from tribody.fokker_planck import SAFETY, _fields, _quadratic, _row_sums, _stable_ds
+        from tribody.fokker_planck import SAFETY, _field, _quadratic, _row_sums, _stable_ds
 
         eps = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
         grid = MomentumGrid([0.4, -0.3, 0.2], [2.0, 1.1, 1.9], (10, 10, 10))
@@ -301,14 +301,14 @@ class TestCouplingComponents:
         # the pinned rows are zero, so the largest row sum is an interior one
         row_sum = float(np.max(np.sum(np.abs(M), axis=1)))
         radius = float(np.max(np.abs(np.linalg.eigvals(M))))
-        r0, r1, r2 = _row_sums(_quadratic(grid.mesh(axis=0)), grid.h, cfg.epsilon)
+        sums = _row_sums(_quadratic(grid.mesh(axis=0)), grid.h, cfg.epsilon)
+        r0, r1, r2 = sums
         R = r0 + abs(lam_sq) * r1 + lam_sq * lam_sq * r2
         if lam_sq == 0.0:
             assert r0 == pytest.approx(row_sum, rel=1e-12)
         assert R >= row_sum >= radius > 0.0
-        fields = _fields(grid.mesh(axis=0), coeffs, cfg)
-        assert fields[1].sums is None
-        assert _stable_ds(grid, cfg, fields) == (SAFETY * 2.0 / R, "diffusion")
+        field = _field(grid.mesh(axis=0), coeffs, cfg)
+        assert _stable_ds(grid, cfg, coeffs, field, sums) == (SAFETY * 2.0 / R, "diffusion")
 
 
 def mesh_rhs(grid, coeffs, cfg):
@@ -355,7 +355,7 @@ def mesh_rhs(grid, coeffs, cfg):
 
 
 class TestComponentMajor:
-    """The solver keeps the drift as (3, n1, n2, n3) components; its fields
+    """The solver keeps the drift as (3, n1, n2, n3) components; its field
     and right-hand side are those of the mesh form, bit for bit."""
 
     COEFFS = (np.array([0.06, -0.04, 0.05]), 0.25)
@@ -376,21 +376,22 @@ class TestComponentMajor:
         assert np.array_equal(X, np.moveaxis(grid.mesh(), -1, 0))
 
     @pytest.mark.parametrize("multiplicative", [False, True])
-    def test_fields_match_mesh_form(self, multiplicative):
-        from tribody.fokker_planck import _fields
+    def test_field_matches_mesh_form(self, multiplicative):
+        # the drift A for additive noise, the coupling B's rows for
+        # multiplicative noise
+        from tribody.fokker_planck import _field
         from tribody.langevin import diffusion
 
         grid, cfg = self.grid(), self.cfg(0.013, multiplicative)
-        A, B = _fields(grid.mesh(axis=0), self.COEFFS, cfg)
-        assert A.shape == (3, 10, 8, 20) and A.flags.c_contiguous
-        assert np.array_equal(A, np.moveaxis(drift(grid.mesh(), self.COEFFS), -1, 0))
+        field = _field(grid.mesh(axis=0), self.COEFFS, cfg)
         if not multiplicative:
-            assert B is None
+            assert field.shape == (3, 10, 8, 20) and field.flags.c_contiguous
+            assert np.array_equal(field, np.moveaxis(drift(grid.mesh(), self.COEFFS), -1, 0))
             return
         ref = diffusion(grid.mesh(), self.COEFFS[1])
         for k in range(3):
             for j in range(3):
-                assert np.array_equal(B[k][j], ref[..., k, j])
+                assert np.array_equal(field[k][j], ref[..., k, j])
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     @pytest.mark.parametrize("epsilon", ["scalar", "full"])
@@ -492,13 +493,15 @@ class TestFpeEvolve:
     def test_step_diagnostics(self):
         # constant coefficients: every step the bound sets has its length,
         # and the snapshot and the end of the span each cut one step
-        from tribody.fokker_planck import _fields, _stable_ds
+        from tribody.fokker_planck import _field, _stable_ds
 
         grid = gaussian_grid([-1] * 3, [1] * 3, (16, 16, 16), [0.1] * 3, 0.3)
         for a, eps, term in (([5.0, -3.0, 2.0], 0.0, "drift"), ([0.0] * 3, 0.1, "diffusion")):
             sched = CoefficientSchedule.constant(a, 0.2)
             cfg = FpeConfig(epsilon=eps, schedule=sched)
-            bound, bound_term = _stable_ds(grid, cfg, _fields(grid.mesh(axis=0), sched.at(0.0), cfg))
+            coeffs = sched.at(0.0)
+            field = _field(grid.mesh(axis=0), coeffs, cfg)
+            bound, bound_term = _stable_ds(grid, cfg, coeffs, field, None)
             assert bound_term == term
             diag = fpe_evolve(grid, (0.0, 0.3), cfg, snapshot_s=(0.1234,)).diagnostics
             limits = diag["cfl_limit"]
@@ -509,24 +512,48 @@ class TestFpeEvolve:
             assert 0.0 < diag["ds_min"] < bound
             assert fpe_evolve(grid, (0.0, 0.3), cfg, snapshot_s=(0.1234,)).diagnostics == diag
 
-    @pytest.mark.parametrize("ratio", [0.7, 1.4])
-    def test_step_bound_is_the_smaller_term(self, ratio):
+    @pytest.mark.parametrize("ratio, multiplicative", [
+        pytest.param(0.7, False, id="0.7"),
+        pytest.param(1.4, False, id="1.4"),
+        pytest.param(0.7, True, id="multiplicative-0.7"),
+        pytest.param(1.4, True, id="multiplicative-1.4"),
+    ])
+    def test_step_bound_is_the_smaller_term(self, ratio, multiplicative):
         # the diffusion bound set to `ratio` times the drift bound; the
-        # drift's largest |A| is one of its negative values
-        from tribody.fokker_planck import SAFETY, _fields, _stable_ds
+        # drift's largest |A| is one of its negative values.  For
+        # multiplicative noise the bound reads max|A| as max|B a| off the
+        # coupling's rows, which is the drift kernel's up to rounding
+        from tribody.fokker_planck import SAFETY, _field, _quadratic, _row_sums, _stable_ds
 
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 14, 16), [0] * 3, 0.3)
         coeffs = (np.array([0.5, 0.2, 0.1]), 0.3)
         A = drift(grid.mesh(), coeffs)
         assert -A.min() > A.max()
         h = float(np.min(grid.h))
-        drift_bound = h / float(np.max(np.abs(A)))
-        tr_eps = h * h / (2.0 * ratio * drift_bound)
-        cfg = FpeConfig(epsilon=np.diag([0.5, 0.3, 0.2]) * tr_eps,
-                        schedule=CoefficientSchedule.constant(*coeffs))
-        diffusive = h * h / (2.0 * float(np.trace(cfg.epsilon)))
+        sched = CoefficientSchedule.constant(*coeffs)
+        shape = np.diag([0.5, 0.3, 0.2])
+        if not multiplicative:
+            drift_bound = h / float(np.max(np.abs(A)))
+            tr_eps = h * h / (2.0 * ratio * drift_bound)
+            cfg = FpeConfig(epsilon=shape * tr_eps, schedule=sched)
+            diffusive, sums = h * h / (2.0 * float(np.trace(cfg.epsilon))), None
+        else:
+            cfg = FpeConfig(epsilon=shape, schedule=sched, multiplicative=True)
+            B, a = _field(grid.mesh(axis=0), coeffs, cfg), coeffs[0]
+            amax = max(float(np.max(np.abs(B[i][0] * a[0] + B[i][1] * a[1] + B[i][2] * a[2])))
+                       for i in range(3))
+            assert amax == pytest.approx(float(np.max(np.abs(A))), rel=1e-15)
+            drift_bound = h / amax
+            # R is linear in eps: scale eps so that 2 / R = ratio * drift_bound
+            quad, lam_sq = _quadratic(grid.mesh(axis=0)), coeffs[1]
+            r0, r1, r2 = _row_sums(quad, grid.h, cfg.epsilon)
+            R = r0 + lam_sq * r1 + lam_sq * lam_sq * r2
+            cfg = FpeConfig(epsilon=shape * (2.0 / (R * ratio * drift_bound)), schedule=sched,
+                            multiplicative=True)
+            sums = _row_sums(quad, grid.h, cfg.epsilon)
+            diffusive = 2.0 / (sums[0] + lam_sq * sums[1] + lam_sq * lam_sq * sums[2])
         assert diffusive == pytest.approx(ratio * drift_bound)
-        ds, term = _stable_ds(grid, cfg, _fields(grid.mesh(axis=0), coeffs, cfg))
+        ds, term = _stable_ds(grid, cfg, coeffs, _field(grid.mesh(axis=0), coeffs, cfg), sums)
         assert term == ("diffusion" if ratio < 1.0 else "drift")
         assert ds == SAFETY * min(drift_bound, diffusive)
 
@@ -598,22 +625,28 @@ class TestFpeEvolve:
                     meshes.append(xi.base)
                     latest["A"] = out.base
                 if name == "fpe_rhs":
-                    A, B = kwargs["fields"]
-                    # the drift that the latest drift call wrote, which the
-                    # multiplicative operator does not read: a midpoint
-                    # then passes the latest coupling alone
-                    assert A is latest["A"] or (multiplicative and A is None)
-                    assert B is latest.get("B")
+                    # each right-hand side reads the latest field formed
+                    assert kwargs["field"] is latest["field"]
                 if name == "_stable_ds":
-                    # the step bound reads the latest drift
-                    assert args[2][0] is latest["A"]
+                    # the step bound reads the latest field, and for
+                    # multiplicative noise the solve's row sums
+                    assert args[3] is latest["field"]
+                    assert args[4] is latest.get("sums")
                 result = fn(*args, **kwargs)
                 if name == "_coupling":
                     latest["B"] = result
+                if name == "_row_sums":
+                    latest["sums"] = result
+                if name == "_field":
+                    # the drift that the latest drift call wrote, or the
+                    # latest coupling
+                    assert result is latest["B" if multiplicative else "A"]
+                    latest["field"] = result
                 return result
             return wrapper
 
-        for name in ("drift", "_quadratic", "_coupling", "fpe_rhs", "_stable_ds"):
+        for name in ("drift", "_quadratic", "_coupling", "_row_sums", "_field", "fpe_rhs",
+                     "_stable_ds"):
             monkeypatch.setattr(fp, name, counted(name, getattr(fp, name)))
         original = langevin.diffusion
         for name, mod in list(sys.modules.items()):
@@ -625,42 +658,49 @@ class TestFpeEvolve:
         steps = diag["steps"]
         assert steps > 2
         assert calls["fpe_rhs"] == 2 * steps
-        # every fields formed runs the coupling for multiplicative noise and
-        # the drift kernel for additive noise
-        assert calls["_coupling" if multiplicative else "drift"] == diag["field_evals"]
-        # every drift call runs on the views of the solve's one mesh
-        assert meshes[0] is not None and all(X is meshes[0] for X in meshes)
-        assert calls.get("_quadratic", 0) == (1 if multiplicative else 0)
-        assert multiplicative or "_coupling" not in calls
-        # one step bound per drift field that a step start reads
-        assert calls["_stable_ds"] <= calls["drift"]
+        assert calls["_field"] == diag["field_evals"]
+        if multiplicative:
+            # every field runs the coupling, and so does _row_sums, once,
+            # for B at Lambda^2 = 0; the drift kernel never runs
+            assert calls["_coupling"] == diag["field_evals"] + 1
+            assert calls["_quadratic"] == calls["_row_sums"] == 1
+            assert "drift" not in calls
+        else:
+            # every field runs the drift kernel, on the views of the
+            # solve's one mesh
+            assert calls["drift"] == diag["field_evals"]
+            assert meshes[0] is not None and all(X is meshes[0] for X in meshes)
+            assert not {"_quadratic", "_coupling", "_row_sums"} & set(calls)
+        # one step bound per field that a step start reads
+        assert calls["_stable_ds"] <= diag["field_evals"]
         assert "diffusion" not in calls
         return calls, steps
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_step_bound_shares_the_first_stage_fields(self, monkeypatch, multiplicative):
         # coefficients that change between stages: the CFL bound reads the
-        # drift (and coupling) that k1 uses, so an RK2 step forms fields
-        # once per stage, and the step bound once; the coupling is built
-        # from the mesh's products, formed once per run, never through
-        # langevin.diffusion.  The multiplicative midpoint forms the
-        # coupling alone, so its solve runs the drift kernel once per step.
-        # Every drift call runs on the (n1, n2, n3, 3) views of the run's
-        # component-major cell centres, and each right-hand side reads the
-        # drift that the latest drift call wrote.
+        # field that k1 uses, so an RK2 step forms a field once per stage,
+        # and the step bound once; the coupling is built from the mesh's
+        # products, formed once per run, never through langevin.diffusion.
+        # A multiplicative solve never runs the drift kernel: its step
+        # bound reads max|B a| off the coupling.  Every drift call runs on
+        # the (n1, n2, n3, 3) views of the run's component-major cell
+        # centres, and each right-hand side reads the latest field formed.
         sched = CoefficientSchedule(s=[0.0, 0.2], a=[[0.05, -0.03, 0.02], [0.08, -0.01, 0.0]],
                                     lam_sq=[0.2, 0.35])
         calls, steps = self.counted_solve(monkeypatch, sched, multiplicative)
-        assert calls["drift"] == (steps if multiplicative else 2 * steps)
+        assert calls["_field"] == 2 * steps
+        assert calls.get("drift", 0) == (0 if multiplicative else 2 * steps)
         assert calls["_stable_ds"] == steps
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_constant_schedule_forms_its_fields_once(self, monkeypatch, multiplicative):
-        # every stage has the coefficients of the fields held, so the solve
-        # forms its drift (and coupling) and its step bound once
+        # every stage has the coefficients of the field held, so the solve
+        # forms its field and its step bound once
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
         calls, _ = self.counted_solve(monkeypatch, sched, multiplicative)
-        assert calls["drift"] == calls["_stable_ds"] == 1
+        assert calls["_field"] == calls["_stable_ds"] == 1
+        assert calls.get("drift", 0) == (0 if multiplicative else 1)
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     @pytest.mark.parametrize("a_end, field_evals", [([0.05, -0.03, 0.02], 1),
@@ -687,13 +727,13 @@ class TestFpeEvolve:
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_rhs_with_given_fields_matches_own(self, multiplicative):
-        from tribody.fokker_planck import _fields
+        from tribody.fokker_planck import _field
 
         sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
         cfg = FpeConfig(epsilon=0.01, schedule=sched, multiplicative=multiplicative)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0.1] * 3, 0.2)
         coeffs = sched.at(0.0)
-        given = fpe_rhs(grid, coeffs, cfg, fields=_fields(grid.mesh(axis=0), coeffs, cfg))
+        given = fpe_rhs(grid, coeffs, cfg, field=_field(grid.mesh(axis=0), coeffs, cfg))
         assert np.array_equal(given, fpe_rhs(grid, coeffs, cfg))
 
     def test_snapshots_sorted_and_include_endpoint(self):
