@@ -92,6 +92,7 @@ class ChaosReport:
     D: np.ndarray
     k: float
     residual: float
+    decades: float         # log10(max D / min D) over the fitted samples
     verdict: str
     fit_window: tuple
     direction: str = "a||b"
@@ -106,6 +107,7 @@ class ChaosReport:
                 "series": [[float(a), float(b)] for a, b in zip(self.s, self.D)],
                 "k": self.k,
                 "residual": self.residual,
+                "decades": self.decades,
                 "verdict": self.verdict,
                 "fit_window": list(self.fit_window),
                 "direction": self.direction,
@@ -138,22 +140,22 @@ def chaos_report(
     thresholds = {"residual_max": residual_max, "min_decades": min_decades}
     if np.all(D == 0.0):
         # identical tubes: zero distance throughout
-        return ChaosReport(s=s, D=D, k=0.0, residual=0.0, verdict="regular",
+        return ChaosReport(s=s, D=D, k=0.0, residual=0.0, decades=0.0, verdict="regular",
                            fit_window=window, thresholds=thresholds)
     try:
         k, resid = growth_rate(s, D, window)
     except FitError:
-        return ChaosReport(s=s, D=D, k=float("nan"), residual=float("nan"),
+        return ChaosReport(s=s, D=D, k=float("nan"), residual=float("nan"), decades=float("nan"),
                            verdict="inconclusive", fit_window=window, thresholds=thresholds)
     mask = (D > 0) & (s >= window[0]) & (s <= window[1])
-    decades = float(np.log10(D[mask].max() / D[mask].min())) if np.any(mask) else 0.0
+    decades = float(np.log10(D[mask].max() / D[mask].min()))
     if k > 0.0 and resid < residual_max and decades >= min_decades:
         verdict = "chaotic"
     elif resid < residual_max and (k <= 0.0 or decades < min_decades):
         verdict = "regular"
     else:
         verdict = "inconclusive"
-    return ChaosReport(s=s, D=D, k=k, residual=resid, verdict=verdict,
+    return ChaosReport(s=s, D=D, k=k, residual=resid, decades=decades, verdict=verdict,
                        fit_window=window, thresholds=thresholds)
 
 

@@ -4,7 +4,9 @@ Each command reads a JSON run config, consumes upstream artifacts from the
 output directory where required, and writes its outputs and a per-stage
 manifest, which lists their checksums once the stage completes.  A stage
 trusts an upstream output only once its manifest is complete and its
-checksum matches.  Same config + seed gives bit-identical outputs.
+checksum matches.  chaos compares the fpe stage's densities (tube a) with
+a tube b that it solves along a perturbed trajectory, or two density
+series named in the config.  Same config + seed gives bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
 artifact, 4 numerical failure, 5 I/O error.
@@ -458,19 +460,17 @@ def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
 
 def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s, s_end: float):
     """Evolve the initial density over the schedule from its start to s_end."""
-    fpe_cfg = FpeConfig(
-        epsilon=cfg["epsilon"],
-        schedule=schedule,
-        sign_mode="conventional",
-        multiplicative=cfg["sde"]["mode"] == "multiplicative",
-    )
-    grid0 = _initial_density(cfg)
-    return fpe_evolve(grid0, (schedule.s[0], s_end), fpe_cfg, snapshot_s=snapshot_s)
+    fpe_cfg = FpeConfig(epsilon=cfg["epsilon"], schedule=schedule,
+                        multiplicative=cfg["sde"]["mode"] == "multiplicative")
+    return fpe_evolve(_initial_density(cfg), (schedule.s[0], s_end), fpe_cfg,
+                      snapshot_s=snapshot_s)
 
 
 def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
     schedule = _schedule(*_load_trajectory(writer.out), cfg)
-    result = _fpe_run(cfg, schedule, cfg["sde"]["snapshots"], schedule.s[-1])
+    s0, s1 = schedule.s[0], schedule.s[-1]
+    snaps = cfg["sde"]["snapshots"] or np.linspace(s0 + 0.1 * (s1 - s0), s1, 8)
+    result = _fpe_run(cfg, schedule, snaps, s1)
     for i, (_, grid) in enumerate(result.snapshots):
         write_density(grid, writer.path(f"density_{i:04d}.npy"))
     spec = _grid_spec(cfg)
@@ -484,29 +484,26 @@ def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
 
 def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
     cc = cfg["chaos"]
-    if "series_a" in cc:
-        # explicit density series produced by two prior fpe runs
-        s_vals, series_a = _load_densities(Path(cc["series_a"]))
+    # tube a: the fpe stage's densities in this run directory, or series_a
+    s_vals, series_a = _load_densities(Path(cc.get("series_a", writer.out)))
+    if "series_b" in cc:
         s_b, series_b = _load_densities(Path(cc["series_b"]))
         if s_b != s_vals:
             raise DependencyError(f"density series were taken at different times: {s_vals} and {s_b}")
-        pairs = list(zip(series_a, series_b))
     else:
-        # default route: tube b from initial internal coordinates perturbed
-        # by delta, both tubes up to the end of the shorter trajectory
-        s, x = _load_trajectory(writer.out)
+        # tube b from initial internal coordinates perturbed by delta, solved
+        # at tube a's times up to the end of trajectory b (zip stops there)
+        if not all(grid.same_spec(_grid_spec(cfg)) for grid in series_a):
+            raise DependencyError(f"the densities in {writer.out} are not on the config's grid")
         traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
-        s_hi = min(s[-1], traj_b.s[-1])
-        snaps = [v for v in cfg["sde"]["snapshots"] if s[0] < v <= s_hi]
-        if not snaps:
-            snaps = list(np.linspace(s[0] + 0.1 * (s_hi - s[0]), s_hi, 8))
-        tubes = (_schedule(s, x, cfg), CoefficientSchedule.from_trajectory(traj_b))
-        res_a, res_b = (_fpe_run(cfg, tube, snaps, s_hi) for tube in tubes)
-        s_vals = [s_snap for s_snap, _ in res_a.snapshots]
-        pairs = [(ga, gb) for (_, ga), (_, gb) in zip(res_a.snapshots, res_b.snapshots)]
+        s_vals = [v for v in s_vals if v <= traj_b.s[-1]]
+        if not s_vals:
+            raise DomainError(f"trajectory b ends at s = {traj_b.s[-1]}, before tube a's times")
+        res_b = _fpe_run(cfg, CoefficientSchedule.from_trajectory(traj_b), s_vals, s_vals[-1])
+        series_b = [grid for _, grid in res_b.snapshots]
 
     D, mismatch = [], []
-    for ga, gb in pairs:
+    for ga, gb in zip(series_a, series_b):
         ga.normalize()
         gb.normalize()
         d, diag = kl_divergence(ga, gb, return_diagnostics=True)

@@ -166,6 +166,18 @@ class TestChaosReport:
         assert len(doc["series"]) == 5
         assert doc["thresholds"]["residual_max"] == 0.2
 
+    def test_decades_spanned_are_reported(self):
+        # exp(k*s) with k = ln(100) over s in [0, 1] grows by exactly 2 decades
+        s = np.linspace(0.0, 1.0, 6)
+        rep = chaos_report(s, 1e-6 * np.exp(np.log(100.0) * s))
+        assert rep.decades == pytest.approx(2.0, rel=1e-12)
+        assert json.loads(rep.to_json())["decades"] == rep.decades
+        assert chaos_report(s, np.zeros(6)).decades == 0.0
+        # two samples with D > 0: no fit, so no k and no decades
+        unfit = chaos_report(s, [0.0, 0.0, 0.0, 0.0, 1e-6, 1e-5])
+        assert np.isnan(unfit.k) and np.isnan(unfit.decades)
+        assert np.isnan(json.loads(unfit.to_json())["decades"])
+
 
 def synthetic_internal(masses, r1_of_t, r2_of_t, r3_of_t, times):
     """Internal coordinates of a prescribed three-body motion."""

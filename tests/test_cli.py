@@ -392,6 +392,32 @@ class TestExitCodes:
         (out / "manifest_fpe.json").unlink()
         assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
 
+    # the default route reads tube a from the fpe stage of its own run
+    # directory: an fpe output that is missing, altered or on another grid
+    # is a missing upstream artifact
+    def test_chaos_before_fpe_is_3(self, tmp_path):
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("chaos", cfg, out) == 3
+        assert not (out / "chaos_report.json").exists()
+
+    def test_density_altered_after_fpe_is_3(self, tmp_path):
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("fpe", cfg, out) == 0
+        density = out / "density_0001.npy"
+        data = bytearray(density.read_bytes())
+        data[-8 * 300] ^= 0x01
+        density.write_bytes(bytes(data))
+        assert run("chaos", cfg, out) == 3
+        assert not (out / "chaos_report.json").exists()
+
+    def test_fpe_on_another_grid_is_3(self, tmp_path):
+        cfg, out, _ = self.simulated(tmp_path)
+        doc = base_config()
+        doc["grid"]["n"] = 12
+        assert run("fpe", write_config(tmp_path, doc, "coarse.json"), out) == 0
+        assert run("chaos", cfg, out) == 3
+        assert not (out / "chaos_report.json").exists()
+
     @staticmethod
     def vouched(out, name):
         """Set name's digest in out's manifest_fpe.json to the file's, so
@@ -621,8 +647,45 @@ class TestPipelineStages:
         assert np.array_equal(written.P, direct(True))
         assert not np.allclose(written.P, direct(False), rtol=1e-6, atol=1e-9)
 
+    def test_fpe_without_snapshots_takes_eight_times(self, tmp_path):
+        # 8 times from a tenth of the span to its end: 0.2 to 2.0 on the sample
+        doc = json.loads((REPO / "configs" / "sample_morse.json").read_text())
+        del doc["sde"]["snapshots"]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("fpe", cfg, out) == 0
+        times = json.loads((out / "fpe_meta.json").read_text())["snapshot_s"]
+        assert times == pytest.approx(np.linspace(0.2, 2.0, 8), rel=0, abs=1e-12)
+        manifest = json.loads((out / "manifest_fpe.json").read_text())
+        assert sorted(n for n in manifest["outputs"] if n.endswith(".npy")) == [
+            f"density_{i:04d}.npy" for i in range(8)]
+
+    def test_chaos_solves_tube_b_only(self, prepared, tmp_path, monkeypatch):
+        # tube a is the fpe stage's densities: the default route solves
+        # tube b alone, at tube a's times, and the explicit route solves none
+        cfg, out = prepared
+        assert run("fpe", cfg, out) == 0
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return fpe_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fpe_evolve", counted)
+        assert run("chaos", cfg, out) == 0
+        assert len(solves) == 1
+        report = json.loads((out / "chaos_report.json").read_text())
+        meta = json.loads((out / "fpe_meta.json").read_text())
+        assert [s for s, _ in report["series"]] == meta["snapshot_s"]
+
+        doc = base_config()
+        doc["chaos"] = {"series_a": str(out), "series_b": str(out)}
+        assert run("chaos", write_config(tmp_path, doc, "explicit.json"), tmp_path / "out2") == 0
+        assert len(solves) == 1
+
     def test_chaos_default_route(self, prepared):
         cfg, out = prepared
+        assert run("fpe", cfg, out) == 0
         assert run("chaos", cfg, out) == 0
         report = json.loads((out / "chaos_report.json").read_text())
         assert report["verdict"] in ("chaotic", "regular", "inconclusive")
@@ -636,6 +699,7 @@ class TestPipelineStages:
         del doc["sde"]["snapshots"]
         cfg, out = write_config(tmp_path, doc), tmp_path / "out"
         assert run("simulate", cfg, out) == 0
+        assert run("fpe", cfg, out) == 0
         assert run("chaos", cfg, out) == 0
         report = json.loads((out / "chaos_report.json").read_text())
         times = [s for s, _ in report["series"]]
@@ -655,6 +719,7 @@ class TestPipelineStages:
         monkeypatch.setattr(cli, "kl_divergence", recording)
         cfg, out = REPO / "configs" / "sample_morse.json", tmp_path / "out"
         assert run("simulate", cfg, out) == 0
+        assert run("fpe", cfg, out) == 0
         assert run("chaos", cfg, out) == 0
         report = json.loads((out / "chaos_report.json").read_text())
         assert len(counts) == len(report["series"])

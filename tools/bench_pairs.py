@@ -1,13 +1,17 @@
-"""Compare two checkouts with perfbench in alternating pairs and write a
-BENCH_<n>.json.
+"""Compare two git revisions with perfbench in alternating pairs and write
+a BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR \\
+    python3 tools/bench_pairs.py --parent REV --change REV \\
         --seeds 1301-1310 --out BENCH_13.json \\
         [--workloads acceptance_scale,multiplicative_noise] [--seconds 10] \\
-        [--parent-rev REV] [--change-desc TEXT] [--claim TEXT] [--note TEXT]
+        [--change-desc TEXT] [--claim TEXT] [--note TEXT]
 
-For every workload and seed it runs ``perfbench/run.py --trace 0`` once in
-each checkout, each from its own root, so each side imports its own
+Each revision of this repository is exported with ``git archive`` into a
+temporary directory, so both sides are the same kind of tree: no
+``.git``, no untracked files, no bytecode cache.  (A working tree left
+uncommitted can be passed as the commit ``git stash create`` prints.)
+For every workload and seed it runs ``perfbench/run.py --trace 0`` once
+in each tree, each from its own root, so each side imports its own
 ``src``.  Which side runs first alternates from seed to seed.  The file it
 writes has the machine, the seeds, each metric's per-pair values
 ``[seed, parent, change]``, the median and inclusive quartiles of each
@@ -24,11 +28,13 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 WORKLOADS = ("pipeline_sample", "acceptance_scale", "multiplicative_noise")
+REPO = Path(__file__).resolve().parents[1]
 
 
 def seed_list(text: str) -> list:
@@ -39,8 +45,25 @@ def seed_list(text: str) -> list:
     return [int(v) for v in text.split(",")]
 
 
+def export(rev: str, into: Path) -> str:
+    """Write the tree of revision rev into the new directory into with git
+    archive; returns the revision's short commit id."""
+    commit = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--short", "--verify",
+                             f"{rev}^{{commit}}"], capture_output=True, text=True)
+    if commit.returncode != 0:
+        raise SystemExit(f"{rev!r} is not a revision of {REPO}: {commit.stderr.strip()}")
+    into.mkdir()
+    archive = subprocess.Popen(["git", "-C", str(REPO), "archive", commit.stdout.strip()],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} exited {archive.returncode}")
+    return commit.stdout.strip()
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in the checkout at root: its printed result, plus
+    """One perfbench run in the tree at root: its printed result, plus
     the machine and checks from its results file."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -91,18 +114,16 @@ def compare(roots: dict, workload: str, seeds: list, seconds: float):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--parent", required=True, help="the parent's git revision")
+    parser.add_argument("--change", required=True, help="the change's git revision")
     parser.add_argument("--seeds", type=seed_list, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--parent-rev", default="", help="the parent's revision")
     parser.add_argument("--change-desc", default="", help="what the change does")
     parser.add_argument("--claim", default="", help="the metric the change claims to improve")
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads.split(",")
     unknown = set(workloads) - set(WORKLOADS)
     if unknown:
@@ -111,17 +132,21 @@ def main(argv=None) -> int:
         parser.error("quartiles need at least 2 seeds")
 
     entries, machine = {}, {}
-    for workload in workloads:
-        entries[workload], machine = compare(roots, workload, args.seeds, args.seconds)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        roots = {side: Path(tmp) / side for side in SIDES}
+        commits = {side: export(getattr(args, side), roots[side]) for side in SIDES}
+        for workload in workloads:
+            entries[workload], machine = compare(roots, workload, args.seeds, args.seconds)
     doc = {
         "what": f"perfbench/run.py --seconds {args.seconds:g}, untraced, alternating "
-                "parent/change pairs (which side runs first alternates), written by "
-                "tools/bench_pairs.py",
+                "parent/change pairs (which side runs first alternates) in git archive "
+                "exports of both revisions, written by tools/bench_pairs.py",
         "date": datetime.date.today().isoformat(),
         "host": f"{machine['nproc']}-vCPU {machine['cpu_model']}, Python {machine['python']}, "
                 f"numpy {machine['numpy']}, scipy {machine['scipy']}, BLAS pinned to "
                 f"{machine['blas_threads_pinned']} thread",
-        "parent": args.parent_rev,
+        "parent": commits["parent"],
+        "change_commit": commits["change"],
         "change": args.change_desc,
         "claim": args.claim,
         "note": args.note,
