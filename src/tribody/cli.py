@@ -490,6 +490,8 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
         s_b, series_b = _load_densities(Path(cc["series_b"]))
         if s_b != s_vals:
             raise DependencyError(f"density series were taken at different times: {s_vals} and {s_b}")
+        if not all(ga.same_spec(gb) for ga, gb in zip(series_a, series_b)):
+            raise DependencyError("density series lie on different grids")
     else:
         # tube b from initial internal coordinates perturbed by delta, solved
         # at tube a's times up to the end of trajectory b (zip stops there)

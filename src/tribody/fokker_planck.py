@@ -22,38 +22,53 @@ so fpe_evolve forms the products 2 xi_k xi_j (k <= j) and |xi|^2 once and
 each stage sets only the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2).
 
 For additive noise, dxi = B(xi) a ds + dW, the noise coupling is the
-identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P,
-discretized with compact stencils.  Boundary density is pinned to zero;
-mass loss is audited, not hidden: the mass that the end-of-step pins
-delete is recorded beside the mass balance.  Both operators telescope on
-the pinned grid (every flux that is differenced is zero on the boundary
-cells), so that outflow closes the balance up to rounding.
+identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P.
+With zero ghost cells, the central drift difference and the compact
+second differences make a 7-point stencil: with alpha_i = eps_ii / h_i^2
+and the per-cell weights W_i = alpha_i + sign A_i / (2 h_i),
+
+    rhs[x] = -2 sum_i alpha_i P[x]
+             + sum_i ( W_i[x+e_i] P[x+e_i] + (2 alpha_i - W_i[x-e_i]) P[x-e_i] ),
+
+plus 2 eps_ij d_i d_j P for each off-diagonal eps_ij, from central
+differences.  Boundary density is pinned to zero; mass loss is audited,
+not hidden: the mass that the end-of-step pins delete, summed over the
+boundary shell before they do, is recorded beside the mass balance.
+Both operators telescope on the pinned grid (every flux that is
+differenced is zero on the boundary cells), so that outflow closes the
+balance up to rounding.
 
 Step bound.  Each midpoint RK2 step takes SAFETY times the smaller of the
 drift bound min(h) / max|A| and the diffusion bound 2 / R, the scheme's
 limit on the negative real axis when R bounds the diffusion operator's
 spectral radius.  R is at least that operator's largest absolute row sum
 (Gershgorin).  For additive noise it is 4 tr(eps) / min(h)^2, the compact
-stencil's row sum on a cubic grid with diagonal eps.  For multiplicative
+stencil's row sum on a cubic grid with diagonal eps, and max|A| is read
+off the drift before it is turned into the weights.  For multiplicative
 noise R = r0 + |Lambda^2| r1 + Lambda^4 r2, where r_m bounds the row sums
 of the part of the 19-point stencil's coefficients that goes with
 Lambda^(2m); fpe_evolve forms (r0, r1, r2) once per solve, from the
 products that it forms once too.
 
 Layout.  Each coefficient set (a, Lambda^2) has one field, which the
-operator and the step bound read: the drift A for additive noise, and
-the rows of B for multiplicative noise, whose step bound reads max|A| as
-max|B a|.  Per-cell vectors are stored component-major: fpe_evolve forms
-the cell centres once per solve as a contiguous (3, n1, n2, n3) array
-X = grid.mesh(axis=0), and A is a new (3, n1, n2, n3) array that
+operator and the step bound read: for additive noise the weights W with
+the max|A| of the drift they were formed from, and for multiplicative
+noise the rows of B, whose step bound reads max|A| as max|B a|.
+Per-cell vectors are stored component-major: fpe_evolve forms the cell
+centres once per solve as a contiguous (3, n1, n2, n3) array X =
+grid.mesh(axis=0), and A is a new (3, n1, n2, n3) array that
 langevin.drift (so geodesic.momentum_rhs, the one B a kernel) fills
 through the (n1, n2, n3, 3) views of X and A, whose components are then
-contiguous.  A field is formed only for a stage whose coefficients
-differ from those of the field held: a constant schedule forms it once
-per solve, a trajectory schedule at every stage.  Every other array
-lives for one call: each stencil returns a new array from one flat pass
-over contiguous data, with each cell's operations in the same order as
-on the mesh form, so the result is bit-identical to it.
+contiguous; W is formed from A in place.  A field is formed only for a
+stage whose coefficients differ from those of the field held: a constant
+schedule forms it once per solve, a trajectory schedule at every stage.
+Every other array lives for one call.  The additive stencil and the
+central difference work in flat passes over contiguous data, where a
+cell's neighbour along axis i lies s_i elements away.  The stencil's
+products that point at a ghost cell are zeroed on their face, so a shift
+that wraps into the next row adds an exact 0.  Each pass does each
+cell's operations in the same order as the mesh form on zero-padded
+arrays, so the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -209,21 +224,6 @@ def _d(F, axis, h):
     return out
 
 
-def _d2(F, axis, h):
-    """Compact second difference with zero ghost cells, as a new array;
-    the interior is one flat pass, as in _d."""
-    F, out, f, o, s = _flat(F, axis)
-    for dst, src, hi, lo in ((o[s:-s], f[s:-s], f[2 * s:], f[:-2 * s]),
-                             (out[_at(axis, 0)], F[_at(axis, 0)], F[_at(axis, 1)], None),
-                             (out[_at(axis, -1)], F[_at(axis, -1)], F[_at(axis, -2)], None)):
-        np.multiply(src, 2.0, out=dst)
-        np.subtract(hi, dst, out=dst)
-        if lo is not None:
-            dst += lo
-        dst /= h * h
-    return out
-
-
 # the entries (k, j), k <= j, that fix a symmetric 3x3 matrix
 _UPPER = tuple((k, j) for k in range(3) for j in range(k, 3))
 
@@ -306,55 +306,78 @@ def _row_sums(quad, h, eps):
     return tuple(float(total.max()) for total in sums)
 
 
-def _field(X, coeffs, cfg, quad=None):
+def _alpha(h, eps):
+    """The diffusion weights alpha_i = eps_ii / h_i^2 of the additive stencil."""
+    return [eps[i, i] / (h[i] * h[i]) for i in range(3)]
+
+
+def _field(X, h, coeffs, cfg, quad=None):
     """The field of coeffs that fpe_rhs and the step bound read, on the
-    component-major cell centres X = grid.mesh(axis=0): for additive noise
-    the drift A, a new (3, n1, n2, n3) array that the drift kernel fills
-    through the (n1, n2, n3, 3) views of X and A; for multiplicative noise
-    the rows of _coupling, from quad = _quadratic(X), formed if omitted."""
+    component-major cell centres X = grid.mesh(axis=0) with spacing h.
+
+    For additive noise it is (W, max|A|): the drift kernel fills a new
+    (3, n1, n2, n3) array A through the (n1, n2, n3, 3) views of X and A,
+    its max|A| is read, and A is turned in place into the stencil's
+    weights W_i = alpha_i + sign A_i / (2 h_i).  For multiplicative noise
+    it is the rows of _coupling, from quad = _quadratic(X), formed if
+    omitted."""
     if cfg.multiplicative:
         return _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
     A = np.empty(X.shape)
     drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
-    return A
+    amax = _absmax(A)
+    for i, alpha in enumerate(_alpha(h, cfg.epsilon)):
+        A[i] *= cfg.drift_sign / (2.0 * h[i])
+        A[i] += alpha
+    return A, amax
 
 
 def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.ndarray:
     """Discrete right-hand side dP/ds on the grid (second-order stencils).
 
     `field` is the field of `_field` for these coeffs on the grid's cells,
-    formed here when omitted: for additive noise the drift A, component-
-    major (3, n1, n2, n3); for multiplicative noise B as rows of
-    (n1, n2, n3) components, where the symmetric B[k][j] and B[j][k] are
-    one array, and the drift term is sign * sum_k a_k F_k.  fpe_evolve
-    passes the field for both stages, and the first stage's is the one
-    its step bound has read.  The result is a new array.
+    formed here when omitted: for additive noise the stencil's weights W,
+    component-major (3, n1, n2, n3), with max|A|; for multiplicative noise
+    B as rows of (n1, n2, n3) components, where the symmetric B[k][j] and
+    B[j][k] are one array, and the drift term is sign * sum_k a_k F_k.
+    fpe_evolve passes the field for both stages, and the first stage's is
+    the one its step bound has read.  The result is a new array.
 
-    Each term is scaled and added in place, so beside the result the call
-    holds at most 2 temporaries of the grid's shape for additive noise.
-    For multiplicative noise it holds F and forms G beside it (with one
-    product F_j eps_ij more while an off-diagonal eps sums into G_i); F is
-    freed before the flux terms, which hold G and at most 3 more, all
-    freed when it returns.
+    Beside the result the call holds at most 2 arrays of the grid's shape
+    for additive noise: the products t = W_i P and u = 2 alpha_i P - t that
+    the cells at -e_i and +e_i take, one pair for all three axes, then
+    each off-diagonal eps term, freed before the next.  For multiplicative
+    noise it holds F and forms G beside it (with one product F_j eps_ij
+    more while an off-diagonal eps sums into G_i); F is freed before the
+    flux terms, which hold G and at most 3 more, all freed when it returns.
     """
     if field is None:
-        field = _field(grid.mesh(axis=0), coeffs, cfg)
+        field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
     P, h, eps = grid.P, grid.h, cfg.epsilon
 
     if not cfg.multiplicative:
-        rhs = np.zeros_like(P)
-        accumulate = np.subtract if cfg.drift_sign < 0.0 else np.add
+        W, alpha = field[0], _alpha(h, eps)
+        P = np.ascontiguousarray(P)
+        rhs = P * (-2.0 * sum(alpha))
+        t, u = np.empty_like(P), np.empty_like(P)
         for i in range(3):
-            accumulate(rhs, _d(field[i] * P, i, h[i]), out=rhs)
-        # B = identity: sum_ij eps_ij d_i d_j P with compact stencils, the
-        # diagonal term of each i first; each term is freed before the next
-        for i in range(3):
-            for j in range(i, 3):
-                if eps[i, j] != 0.0:
-                    term = _d2(P, i, h[i]) if j == i else _d(_d(P, j, h[j]), i, h[i])
-                    term *= eps[i, i] if j == i else 2.0 * eps[i, j]
-                    rhs += term
-                    del term
+            np.multiply(P, W[i], out=t)
+            np.multiply(P, 2.0 * alpha[i], out=u)
+            u -= t
+            # the products that a ghost cell would take; zero, they make
+            # the shifts below exact where they wrap into the next row
+            t[_at(i, 0)] = 0.0
+            u[_at(i, -1)] = 0.0
+            s = P.strides[i] // P.itemsize
+            rhs.reshape(-1)[:-s] += t.reshape(-1)[s:]
+            rhs.reshape(-1)[s:] += u.reshape(-1)[:-s]
+        del t, u
+        for i, j in itertools.combinations(range(3), 2):
+            if eps[i, j] != 0.0:
+                term = _d(_d(P, j, h[j]), i, h[i])
+                term *= 2.0 * eps[i, j]
+                rhs += term
+                del term
         return rhs
 
     # F_j = sum_k d_k (B_kj P), component by component.  Each product
@@ -404,8 +427,9 @@ def _stable_ds(grid, cfg, coeffs, field, sums):
     that sets it: "drift", "diffusion", or None when neither bounds the
     step (the bound is then inf).
 
-    The drift term allows min(h) / max|A|, with the drift A the additive
-    field, or max|sum_j B_ij a_j| read off the multiplicative field B.
+    The drift term allows min(h) / max|A|, with max|A| the one that the
+    additive field holds, or max|sum_j B_ij a_j| read off the
+    multiplicative field B.
     The diffusion term allows 2 / R, midpoint RK2's limit on the negative
     real axis, for R at least the largest absolute row sum of the
     diffusion operator, and so at least its spectral radius (Gershgorin).
@@ -417,7 +441,7 @@ def _stable_ds(grid, cfg, coeffs, field, sums):
         a = coeffs[0]
         amax = max(_absmax(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in field)
     else:
-        amax = _absmax(field)
+        amax = field[1]
     h = grid.h
     ds, term = np.inf, None
     if amax > 0.0:
@@ -433,6 +457,14 @@ def _stable_ds(grid, cfg, coeffs, field, sums):
         if diffusive < ds:
             ds, term = diffusive, "diffusion"
     return SAFETY * ds, term
+
+
+def _shell_sum(P) -> float:
+    """The sum of P over its outermost cells, each counted once: the mass
+    density that pin_boundary deletes."""
+    inner = P[1:-1]
+    return float(P[0].sum() + P[-1].sum() + inner[:, 0].sum() + inner[:, -1].sum()
+                 + inner[:, 1:-1, 0].sum() + inner[:, 1:-1, -1].sum())
 
 
 def pin_boundary(P):
@@ -457,8 +489,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     The initial density must be normalized to 1e-9, the span must lie
     inside the schedule and the snapshot times in (s0, s1].  Boundary
     cells are pinned to zero every stage; snapshots are deep copies.  The
-    diagnostics record the mass that the end-of-step pins delete
-    (`boundary_outflow`) and `mass_balance_residual` = mass_initial -
+    diagnostics record the mass that the end-of-step pins delete, summed
+    over the boundary shell (`boundary_outflow`), the steps that leave a
+    cell below -1e-12 of the peak (`negative_undershoot_steps`), and
+    `mass_balance_residual` = mass_initial -
     mass_final - boundary_outflow; the number of `steps`, their `ds_min`,
     `ds_median` and `ds_max`; in `cfl_limit` how many steps the drift
     or the diffusion bound set and how many were cut to end on a
@@ -486,8 +520,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     if cfg.multiplicative:
         quad = _quadratic(X)
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
-    P = grid0.P.copy()
-    work = grid0.copy_with(P)
+    work = grid0.copy_with(grid0.P)
+    P = work.P
     # the field held, the bits of its coefficients, and its step bound
     # once a step start has read it
     held = {"key": None, "field": None, "bound": None}
@@ -501,7 +535,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         if key != held["key"]:
             # release the held field before the next one is formed
             held.update(key=None, field=None, bound=None)
-            held.update(key=key, field=_field(X, coeffs, cfg, quad))
+            held.update(key=key, field=_field(X, grid0.h, coeffs, cfg, quad))
             field_evals += 1
         return held["field"]
 
@@ -541,10 +575,9 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             new *= ds
             new += P
             P = new
-            unpinned = np.sum(P)
+            outflow += _shell_sum(P) * work.cell_volume
             pin_boundary(P)
-            outflow += float((unpinned - np.sum(P)) * work.cell_volume)
-            if np.any(P < -1e-12 * max(P.max(), 1e-300)):
+            if P.min() < -1e-12 * max(P.max(), 1e-300):
                 neg_flags += 1
             s += ds
             steps.append(ds)

@@ -387,6 +387,21 @@ class TestExitCodes:
         assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
         assert not (tmp_path / "chaos" / "chaos_report.json").exists()
 
+    def test_series_on_different_grids_is_3(self, tmp_path):
+        # chaos compares the two series cell by cell, so their grids must agree
+        doc = base_config()
+        series = {}
+        for key, n in (("series_a", 12), ("series_b", 16)):
+            doc["grid"]["n"] = n
+            cfg, out = write_config(tmp_path, doc, f"{key}.json"), tmp_path / key
+            assert run("simulate", cfg, out) == 0
+            assert run("fpe", cfg, out) == 0
+            series[key] = str(out)
+        doc["chaos"] = series
+        chaos_cfg = write_config(tmp_path, doc, "chaos.json")
+        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
+        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+
     def test_missing_fpe_manifest_is_3(self, tmp_path):
         out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
         (out / "manifest_fpe.json").unlink()

@@ -307,50 +307,78 @@ class TestCouplingComponents:
         if lam_sq == 0.0:
             assert r0 == pytest.approx(row_sum, rel=1e-12)
         assert R >= row_sum >= radius > 0.0
-        field = _field(grid.mesh(axis=0), coeffs, cfg)
+        field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
         assert _stable_ds(grid, cfg, coeffs, field, sums) == (SAFETY * 2.0 / R, "diffusion")
 
 
+def _neighbour(F, axis, step):
+    """F at the neighbour x + step e_axis of every cell x, 0 past the grid."""
+    padded = np.pad(F, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
+    sel = [slice(None)] * 3
+    sel[axis] = slice(1 + step, padded.shape[axis] - 1 + step)
+    return padded[tuple(sel)]
+
+
+def _mesh_d(F, axis, h):
+    """Central first difference of F along axis with zero ghost cells."""
+    return (_neighbour(F, axis, 1) - _neighbour(F, axis, -1)) / (2.0 * h[axis])
+
+
 def mesh_rhs(grid, coeffs, cfg):
-    """The right-hand side transcribed on the (n1, n2, n3, 3) mesh: drift
-    from `drift(grid.mesh(), ...)` (as sign * sum_k a_k F_k for
-    multiplicative noise), coupling from `langevin.diffusion`, differences
-    on zero-padded arrays, the outer flux pinned, every sum in the
-    solver's order."""
+    """The right-hand side transcribed on the (n1, n2, n3, 3) mesh, every
+    sum in the solver's order.  Additive noise: the 7-point stencil, with
+    weights W_i = alpha_i + sign A_i / (2 h_i) from `drift(grid.mesh(),
+    ...)`, neighbours from zero-padded arrays, and the off-diagonal eps
+    terms last.  Multiplicative noise: drift as sign * sum_k a_k F_k,
+    coupling from `langevin.diffusion`, differences on zero-padded arrays,
+    the outer flux pinned."""
     from tribody.langevin import diffusion
 
     mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
 
-    def d(F, axis):
-        padded = np.pad(F, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
-        hi, lo = [slice(None)] * 3, [slice(None)] * 3
-        hi[axis], lo[axis] = slice(2, None), slice(None, -2)
-        return (padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h[axis])
-
-    def d2(F, axis):
-        padded = np.pad(F, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
-        hi, mid, lo = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
-        hi[axis], mid[axis], lo[axis] = slice(2, None), slice(1, -1), slice(None, -2)
-        return (padded[tuple(hi)] - 2.0 * padded[tuple(mid)] + padded[tuple(lo)]) / (h[axis] ** 2)
-
     if not cfg.multiplicative:
         A = drift(mesh, coeffs)
-        rhs = np.zeros_like(P)
+        alpha = [eps[i, i] / (h[i] * h[i]) for i in range(3)]
+        rhs = P * (-2.0 * (alpha[0] + alpha[1] + alpha[2]))
         for i in range(3):
-            rhs += cfg.drift_sign * d(A[..., i] * P, i)
-        for i in range(3):
-            rhs += eps[i, i] * d2(P, i)
-            for j in range(i + 1, 3):
-                rhs += 2.0 * eps[i, j] * d(d(P, j), i)
+            t = P * (A[..., i] * (cfg.drift_sign / (2.0 * h[i])) + alpha[i])
+            u = P * (2.0 * alpha[i]) - t
+            rhs += _neighbour(t, i, 1)
+            rhs += _neighbour(u, i, -1)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if eps[i, j] != 0.0:
+                rhs += _mesh_d(_mesh_d(P, j, h), i, h) * (2.0 * eps[i, j])
         return rhs
     B = diffusion(mesh, coeffs[1])
-    F = [sum(d(B[..., k, j] * P, k) for k in range(3)) for j in range(3)]
+    F = [sum(_mesh_d(B[..., k, j] * P, k, h) for k in range(3)) for j in range(3)]
     rhs = sum(F[k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
     G = [sum(eps[i, j] * F[j] for j in range(3)) for i in range(3)]
     for l in range(3):
         flux = sum(B[..., i, l] * G[i] for i in range(3))
         pin_boundary(flux)
-        rhs += d(flux, l)
+        rhs += _mesh_d(flux, l, h)
+    return rhs
+
+
+def composed_rhs(grid, coeffs, cfg):
+    """The additive right-hand side composed term by term on the mesh:
+    sign * sum_i d_i(A_i P) + sum_i eps_ii d2_i P + sum_{i<j} 2 eps_ij d_i
+    d_j P, with central and compact differences on zero-padded arrays.  An
+    oracle independent of the stencil's weights; it equals the stencil up
+    to the order of floating-point operations."""
+    mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
+
+    def d2(F, axis):
+        return (_neighbour(F, axis, 1) - 2.0 * F + _neighbour(F, axis, -1)) / (h[axis] ** 2)
+
+    A = drift(mesh, coeffs)
+    rhs = np.zeros_like(P)
+    for i in range(3):
+        rhs += cfg.drift_sign * _mesh_d(A[..., i] * P, i, h)
+    for i in range(3):
+        rhs += eps[i, i] * d2(P, i)
+        for j in range(i + 1, 3):
+            rhs += 2.0 * eps[i, j] * _mesh_d(_mesh_d(P, j, h), i, h)
     return rhs
 
 
@@ -377,16 +405,22 @@ class TestComponentMajor:
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_field_matches_mesh_form(self, multiplicative):
-        # the drift A for additive noise, the coupling B's rows for
-        # multiplicative noise
+        # for additive noise the stencil's weights W_i = alpha_i + sign A_i
+        # / (2 h_i), formed in this order from the drift A, with max|A|;
+        # the coupling B's rows for multiplicative noise
         from tribody.fokker_planck import _field
         from tribody.langevin import diffusion
 
         grid, cfg = self.grid(), self.cfg(0.013, multiplicative)
-        field = _field(grid.mesh(axis=0), self.COEFFS, cfg)
+        field = _field(grid.mesh(axis=0), grid.h, self.COEFFS, cfg)
         if not multiplicative:
-            assert field.shape == (3, 10, 8, 20) and field.flags.c_contiguous
-            assert np.array_equal(field, np.moveaxis(drift(grid.mesh(), self.COEFFS), -1, 0))
+            W, amax = field
+            assert W.shape == (3, 10, 8, 20) and W.flags.c_contiguous
+            A, h = drift(grid.mesh(), self.COEFFS), grid.h
+            for i in range(3):
+                alpha = cfg.epsilon[i, i] / (h[i] * h[i])
+                assert np.array_equal(W[i], A[..., i] * (cfg.drift_sign / (2.0 * h[i])) + alpha)
+            assert amax == np.max(np.abs(A))
             return
         ref = diffusion(grid.mesh(), self.COEFFS[1])
         for k in range(3):
@@ -397,11 +431,103 @@ class TestComponentMajor:
     @pytest.mark.parametrize("epsilon", ["scalar", "full"])
     @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
     def test_rhs_matches_mesh_form(self, multiplicative, epsilon, sign_mode):
+        # for additive noise also the composed form, up to the order of
+        # floating-point operations
         eps = 0.013 if epsilon == "scalar" else self.FULL
         grid = self.grid()
         cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*self.COEFFS),
                         sign_mode=sign_mode, multiplicative=multiplicative)
-        assert np.array_equal(fpe_rhs(grid, self.COEFFS, cfg), mesh_rhs(grid, self.COEFFS, cfg))
+        rhs = fpe_rhs(grid, self.COEFFS, cfg)
+        assert np.array_equal(rhs, mesh_rhs(grid, self.COEFFS, cfg))
+        if not multiplicative:
+            gap = np.max(np.abs(rhs - composed_rhs(grid, self.COEFFS, cfg)))
+            assert gap <= 16 * np.spacing(np.max(np.abs(rhs)))
+
+
+class TestStencil:
+    """The additive operator is a 7-point stencil of per-cell weights,
+    applied in flat passes: it equals the composed form up to the order of
+    floating-point operations, and nothing crosses a face."""
+
+    COEFFS = (np.array([0.3, -0.2, 0.25]), 0.4)
+
+    @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
+    def test_non_cubic_grid_with_full_eps(self, sign_mode):
+        # a density that is nonzero on every face, so each wrapped shift
+        # meets a live neighbour; the drift sets some weights below zero
+        grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 13, 11))
+        grid.P = philox(11).random(grid.shape)
+        cfg = FpeConfig(epsilon=TestComponentMajor.FULL,
+                        schedule=CoefficientSchedule.constant(*self.COEFFS), sign_mode=sign_mode)
+        from tribody.fokker_planck import _field
+
+        W, _ = _field(grid.mesh(axis=0), grid.h, self.COEFFS, cfg)
+        assert W.min() < 0.0 < W.max()
+        rhs = fpe_rhs(grid, self.COEFFS, cfg)
+        assert np.array_equal(rhs, mesh_rhs(grid, self.COEFFS, cfg))
+        gap = np.max(np.abs(rhs - composed_rhs(grid, self.COEFFS, cfg)))
+        assert gap <= 16 * np.spacing(np.max(np.abs(rhs)))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_unit_density_on_a_face_stays_in_the_grid(self, axis):
+        # a unit density in one cell of each face normal to the axis: the
+        # cell keeps -2 sum_i alpha_i, each neighbour inside the grid takes
+        # its weight, and every other cell, the ones that a flat shift
+        # wraps onto included, gets exactly 0
+        from tribody.fokker_planck import _field
+
+        grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 10, 11))
+        cfg = FpeConfig(epsilon=np.diag([0.02, 0.01, 0.015]),
+                        schedule=CoefficientSchedule.constant(*self.COEFFS))
+        W, _ = _field(grid.mesh(axis=0), grid.h, self.COEFFS, cfg)
+        alpha = [cfg.epsilon[i, i] / (grid.h[i] * grid.h[i]) for i in range(3)]
+        for face in (0, grid.shape[axis] - 1):
+            x = [4, 5, 6]
+            x[axis] = face
+            grid.P = np.zeros(grid.shape)
+            grid.P[tuple(x)] = 1.0
+            expected = np.zeros(grid.shape)
+            expected[tuple(x)] = -2.0 * (alpha[0] + alpha[1] + alpha[2])
+            for j in range(3):
+                w = W[j][tuple(x)]
+                for step, value in ((-1, w), (1, 2.0 * alpha[j] - w)):
+                    y = list(x)
+                    y[j] += step
+                    if 0 <= y[j] < grid.shape[j]:
+                        expected[tuple(y)] = value
+            rhs = fpe_rhs(grid, self.COEFFS, cfg)
+            assert np.count_nonzero(expected) == 6
+            assert np.array_equal(rhs, expected)
+
+    @pytest.mark.parametrize("n", [64, 40])
+    def test_acceptance_solves_match_composed_form(self, monkeypatch, n):
+        # criterion 6's two solves, the drift-limited 64^3 one and the
+        # 40^3 heat kernel, once with the stencil and once with the
+        # composed operator: the same steps, and densities within rounding
+        import tribody.fokker_planck as fp
+
+        if n == 64:
+            centre, eps, span = np.array([0.2, 0.1, -0.1]), 0.01, (0.0, 0.5)
+            grid = gaussian_grid(centre - 3.2, centre + 3.2, (64,) * 3, centre, 0.15)
+            sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, s_span=span)
+            snapshot_s = (0.2, 0.35, 0.5)
+        else:
+            grid = gaussian_grid([-0.8] * 3, [0.8] * 3, (40,) * 3, [0.0] * 3, 0.1)
+            eps, span, snapshot_s = 0.005, (0.0, 0.5), ()
+            sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
+        cfg = FpeConfig(epsilon=eps, schedule=sched)
+        runs = [fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)]
+        monkeypatch.setattr(fp, "fpe_rhs", lambda grid, coeffs, cfg, field: composed_rhs(
+            grid, coeffs, cfg))
+        runs.append(fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s))
+        stencil, composed = (res.diagnostics for res in runs)
+        for key in ("steps", "cfl_limit", "field_evals", "ds_min", "ds_median", "ds_max"):
+            assert stencil[key] == composed[key]
+        for diag in (stencil, composed):
+            assert abs(diag["mass_balance_residual"]) <= 1e-12
+        for (s_a, a), (s_b, b) in zip(*(res.snapshots for res in runs)):
+            assert s_a == s_b
+            assert np.max(np.abs(a.P - b.P)) <= 1e-14 * np.max(b.P)
 
 
 class TestSlabs:
@@ -490,6 +616,26 @@ class TestFpeEvolve:
         assert diag["boundary_outflow"] > 1e-2
         assert abs(diag["mass_balance_residual"]) <= 1e-12
 
+    def test_undershoot_steps_count_the_steps_that_leave_a_negative_cell(self, monkeypatch):
+        # zero noise and a narrow blob on a coarse grid: the central drift
+        # difference leaves cells below zero behind it
+        import tribody.fokker_planck as fp
+
+        original, ends = fp.pin_boundary, []
+
+        def pin_and_check(P):
+            original(P)
+            ends.append(bool(np.any(P < -1e-12 * max(P.max(), 1e-300))))
+
+        monkeypatch.setattr(fp, "pin_boundary", pin_and_check)
+        sched = CoefficientSchedule.constant([0.5, -0.3, 0.2], 0.2)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0.1, 0.0, -0.1], 0.12)
+        diag = fp.fpe_evolve(grid, (0.0, 0.3), FpeConfig(epsilon=0.0, schedule=sched)).diagnostics
+        # each step pins its midpoint stage, then its end
+        ends = ends[1::2]
+        assert len(ends) == diag["steps"]
+        assert 0 < diag["negative_undershoot_steps"] == sum(ends)
+
     def test_step_diagnostics(self):
         # constant coefficients: every step the bound sets has its length,
         # and the snapshot and the end of the span each cut one step
@@ -500,7 +646,7 @@ class TestFpeEvolve:
             sched = CoefficientSchedule.constant(a, 0.2)
             cfg = FpeConfig(epsilon=eps, schedule=sched)
             coeffs = sched.at(0.0)
-            field = _field(grid.mesh(axis=0), coeffs, cfg)
+            field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
             bound, bound_term = _stable_ds(grid, cfg, coeffs, field, None)
             assert bound_term == term
             diag = fpe_evolve(grid, (0.0, 0.3), cfg, snapshot_s=(0.1234,)).diagnostics
@@ -539,7 +685,7 @@ class TestFpeEvolve:
             diffusive, sums = h * h / (2.0 * float(np.trace(cfg.epsilon))), None
         else:
             cfg = FpeConfig(epsilon=shape, schedule=sched, multiplicative=True)
-            B, a = _field(grid.mesh(axis=0), coeffs, cfg), coeffs[0]
+            B, a = _field(grid.mesh(axis=0), grid.h, coeffs, cfg), coeffs[0]
             amax = max(float(np.max(np.abs(B[i][0] * a[0] + B[i][1] * a[1] + B[i][2] * a[2])))
                        for i in range(3))
             assert amax == pytest.approx(float(np.max(np.abs(A))), rel=1e-15)
@@ -553,7 +699,7 @@ class TestFpeEvolve:
             sums = _row_sums(quad, grid.h, cfg.epsilon)
             diffusive = 2.0 / (sums[0] + lam_sq * sums[1] + lam_sq * lam_sq * sums[2])
         assert diffusive == pytest.approx(ratio * drift_bound)
-        ds, term = _stable_ds(grid, cfg, coeffs, _field(grid.mesh(axis=0), coeffs, cfg), sums)
+        ds, term = _stable_ds(grid, cfg, coeffs, _field(grid.mesh(axis=0), grid.h, coeffs, cfg), sums)
         assert term == ("diffusion" if ratio < 1.0 else "drift")
         assert ds == SAFETY * min(drift_bound, diffusive)
 
@@ -633,14 +779,20 @@ class TestFpeEvolve:
                     assert args[3] is latest["field"]
                     assert args[4] is latest.get("sums")
                 result = fn(*args, **kwargs)
+                if name == "drift":
+                    latest["amax"] = float(np.max(np.abs(kwargs["out"])))
                 if name == "_coupling":
                     latest["B"] = result
                 if name == "_row_sums":
                     latest["sums"] = result
                 if name == "_field":
-                    # the drift that the latest drift call wrote, or the
-                    # latest coupling
-                    assert result is latest["B" if multiplicative else "A"]
+                    # the latest coupling, or the weights formed in place of
+                    # the drift that the latest drift call wrote, with its
+                    # max|A|
+                    if multiplicative:
+                        assert result is latest["B"]
+                    else:
+                        assert result[0] is latest["A"] and result[1] == latest["amax"]
                     latest["field"] = result
                 return result
             return wrapper
@@ -733,7 +885,7 @@ class TestFpeEvolve:
         cfg = FpeConfig(epsilon=0.01, schedule=sched, multiplicative=multiplicative)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0.1] * 3, 0.2)
         coeffs = sched.at(0.0)
-        given = fpe_rhs(grid, coeffs, cfg, field=_field(grid.mesh(axis=0), coeffs, cfg))
+        given = fpe_rhs(grid, coeffs, cfg, field=_field(grid.mesh(axis=0), grid.h, coeffs, cfg))
         assert np.array_equal(given, fpe_rhs(grid, coeffs, cfg))
 
     def test_snapshots_sorted_and_include_endpoint(self):

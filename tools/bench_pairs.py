@@ -15,9 +15,13 @@ in each tree, each from its own root, so each side imports its own
 ``src``.  Which side runs first alternates from seed to seed.  The file it
 writes has the machine, the seeds, each metric's per-pair values
 ``[seed, parent, change]``, the median and inclusive quartiles of each
-side, how many pairs the change was lower in, the failed operations of
-each side, and the workload's checks (criterion 6's TVs and the like) per
-seed.  A run that fails or prints no result stops the comparison.
+side, the relative change of the median, how many pairs the change was
+lower in, whether a claim that the metric went down holds (lower in at
+least nine tenths of the pairs, ties counting for neither, and a median
+gap larger than the parent's interquartile range), the failed operations
+of each side, and the workload's checks (criterion 6's TVs and the like)
+per seed; it prints the same per workload and metric.  A run that fails
+or prints no result stops the comparison.
 """
 
 from __future__ import annotations
@@ -103,9 +107,13 @@ def compare(roots: dict, workload: str, seeds: list, seconds: float):
     for m in METRICS:
         per_pair = [[seed, round(runs["parent"][seed]["metrics"][m], 4),
                      round(runs["change"][seed]["metrics"][m], 4)] for seed in seeds]
-        entry[m] = {"parent": summary([p for _, p, _ in per_pair]),
-                    "change": summary([c for _, _, c in per_pair]),
-                    "change_lower_in_pairs": sum(c < p for _, p, c in per_pair),
+        parent, change = (summary([pair[k] for pair in per_pair]) for k in (1, 2))
+        lower = sum(c < p for _, p, c in per_pair)
+        gap = parent["median"] - change["median"]
+        entry[m] = {"parent": parent, "change": change,
+                    "median_rel_change": round(-gap / parent["median"], 4),
+                    "change_lower_in_pairs": lower,
+                    "claim_holds": 10 * lower >= 9 * len(seeds) and gap > parent["iqr"],
                     "per_pair": per_pair}
     entry["checks"] = {side: {str(seed): runs[side][seed]["checks"] for seed in seeds}
                        for side in SIDES}
@@ -155,11 +163,13 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, entry in entries.items():
-        wall = entry["wall_s"]
-        print(f"{workload}: wall_s {wall['parent']['median']} -> {wall['change']['median']} s, "
-              f"change lower in {wall['change_lower_in_pairs']}/{entry['pairs']} pairs, "
-              f"parent IQR {wall['parent']['iqr']}; failed operations "
-              f"{entry['failed_operations']}")
+        print(f"{workload}: failed operations {entry['failed_operations']}")
+        for m in METRICS:
+            e = entry[m]
+            print(f"  {m} {e['parent']['median']} -> {e['change']['median']} "
+                  f"({e['median_rel_change']:+.1%}), change lower in "
+                  f"{e['change_lower_in_pairs']}/{entry['pairs']} pairs, parent IQR "
+                  f"{e['parent']['iqr']}, claim {'holds' if e['claim_holds'] else 'fails'}")
     return 0
 
 
