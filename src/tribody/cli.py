@@ -4,12 +4,14 @@ Each command reads a JSON run config, consumes upstream artifacts from the
 output directory where required, and writes its outputs and a per-stage
 manifest, which lists their checksums once the stage completes.  A stage
 trusts an upstream output only once its manifest is complete and its
-checksum matches.  chaos compares the fpe stage's densities (tube a) with
+checksum matches.  ensemble and fpe read the coefficient schedule
+(a, Lambda^2) from trajectory.csv, not the config, and share their
+snapshot times.  chaos compares the fpe stage's densities (tube a) with
 a tube b that it solves along a perturbed trajectory, or two density
 series named in the config.  Same config + seed gives bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
-artifact, 4 numerical failure, 5 I/O error.
+artifact, 4 numerical failure, 5 I/O error or out of memory.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .fokker_planck import (
 from .geodesic import (
     GeodesicState,
     TrajectoryRecord,
-    angular_momentum_norm,
     conservation_report,
     external_rates,
     integrate,
@@ -56,7 +57,7 @@ from .geodesic import (
 )
 from .kinematics import Masses, reduced_mass
 from .langevin import CoefficientSchedule, NoiseModel, run_ensemble
-from .metric import EnergySurface, flow_coefficients
+from .metric import EnergySurface
 from .potentials import FreePotential, GravityPotential, MorsePotential
 
 STAGES = ("simulate", "ensemble", "fpe", "chaos", "channels")
@@ -346,12 +347,18 @@ def _verified(out_dir: Path, stage: str) -> dict:
 
 
 def _load_trajectory(out_dir: Path):
-    """Samples (s, x) of trajectory.csv once the simulate manifest vouches
-    for it."""
+    """Samples (s, x) of trajectory.csv and the coefficient schedule
+    recorded with them, once the simulate manifest vouches for it."""
     if "trajectory.csv" not in _verified(out_dir, "simulate"):
         raise DependencyError(f"manifest_simulate.json in {out_dir} does not list trajectory.csv")
     data = read_trajectory_csv(out_dir / "trajectory.csv")
-    return data["s"], np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
+    try:
+        s, lam_sq = data["s"], data["lam_sq"]
+        x = np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
+        a = np.stack([data["a1"], data["a2"], data["a3"]], axis=1)
+    except KeyError as exc:   # a file written before the schedule was recorded
+        raise DependencyError(f"trajectory.csv in {out_dir} has no column {exc}")
+    return s, x, CoefficientSchedule(s=s, a=a, lam_sq=lam_sq)
 
 
 def _load_densities(out_dir: Path) -> tuple:
@@ -378,11 +385,13 @@ def _load_densities(out_dir: Path) -> tuple:
         raise DependencyError(f"fpe_meta.json in {out_dir} does not fit its densities: {exc!r}")
 
 
-def _schedule(s, x, cfg: dict) -> CoefficientSchedule:
-    """Coefficients (a, Lambda^2) along trajectory samples (s, x)."""
-    J = angular_momentum_norm(cfg["angular_momentum"])
-    _, a, lam = flow_coefficients(x, cfg["surface"], J)
-    return CoefficientSchedule(s=s, a=a, lam_sq=lam)
+def _snapshot_times(cfg: dict, schedule: CoefficientSchedule) -> list:
+    """The times ensemble and fpe take snapshots at, each once, in order:
+    sde.snapshots, or 8 evenly spaced from a tenth of the schedule's span
+    to its end, and the end of the schedule."""
+    s0, s1 = float(schedule.s[0]), float(schedule.s[-1])
+    times = cfg["sde"]["snapshots"] or np.linspace(s0 + 0.1 * (s1 - s0), s1, 8).tolist()
+    return sorted({*times, s1})
 
 
 def _run_trajectory(cfg: dict, x0=None) -> TrajectoryRecord:
@@ -429,7 +438,7 @@ def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
-    schedule = _schedule(*_load_trajectory(writer.out), cfg)
+    _, _, schedule = _load_trajectory(writer.out)
     noise = cfg["noise"]
     sde = cfg["sde"]
     result = run_ensemble(
@@ -439,10 +448,10 @@ def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
         ds=sde["ds"],
         mode=sde["mode"],
         noise=noise,
-        snapshot_s=sde["snapshots"],
+        snapshot_s=_snapshot_times(cfg, schedule),
     )
     rows = ["path_id,s,xi1,xi2,xi3"]
-    for s_val, xi in result.snapshots + [(result.s_final, result.xi_final)]:
+    for s_val, xi in result.snapshots:
         s_txt = repr(float(s_val))
         # tolist() yields Python floats, whose repr is the plain shortest form
         for p, (x1, x2, x3) in enumerate(xi.tolist()):
@@ -467,10 +476,8 @@ def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s, s_end: float)
 
 
 def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
-    schedule = _schedule(*_load_trajectory(writer.out), cfg)
-    s0, s1 = schedule.s[0], schedule.s[-1]
-    snaps = cfg["sde"]["snapshots"] or np.linspace(s0 + 0.1 * (s1 - s0), s1, 8)
-    result = _fpe_run(cfg, schedule, snaps, s1)
+    _, _, schedule = _load_trajectory(writer.out)
+    result = _fpe_run(cfg, schedule, _snapshot_times(cfg, schedule), schedule.s[-1])
     for i, (_, grid) in enumerate(result.snapshots):
         write_density(grid, writer.path(f"density_{i:04d}.npy"))
     spec = _grid_spec(cfg)
@@ -521,7 +528,7 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_channels(cfg: dict, writer: StageWriter) -> None:
-    s, x = _load_trajectory(writer.out)
+    s, x, _ = _load_trajectory(writer.out)
     ch = cfg["channels"]
     label = classify_channel(s, x, cfg["masses"], **ch)
     _atomic_write_text(writer.path("channels.json"), _json_dump({
@@ -580,6 +587,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 5
 
 

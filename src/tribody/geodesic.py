@@ -37,7 +37,8 @@ __all__ = [
     "read_trajectory_csv",
 ]
 
-TRAJECTORY_COLUMNS = ["s", "x1", "x2", "x3", "xi1", "xi2", "xi3", "g", "H"]
+TRAJECTORY_COLUMNS = ["s", "x1", "x2", "x3", "xi1", "xi2", "xi3", "g", "H",
+                      "a1", "a2", "a3", "lam_sq"]
 
 
 @dataclass(frozen=True)
@@ -368,12 +369,13 @@ def conservation_report(traj: TrajectoryRecord, surf: EnergySurface, mu0: float)
 
 
 def write_trajectory_csv(traj: TrajectoryRecord, surf: EnergySurface, mu0: float, path):
-    """Export s, x, xi, g, H with a header row, one sample per line."""
+    """Export s, x, xi, g, H and the schedule a, Lambda^2 with a header row,
+    one sample per line, each value as its repr, which reads back exactly."""
     H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, mu0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for row in np.column_stack([traj.s, traj.x, traj.xi, traj.g, H]):
+        for row in np.column_stack([traj.s, traj.x, traj.xi, traj.g, H, traj.a, traj.lam_sq]):
             writer.writerow([repr(float(v)) for v in row])
 
 

@@ -142,10 +142,14 @@ class CoefficientSchedule:
         if not (self.s[0] - 1e-12 <= s0 and s1 <= self.s[-1] + 1e-12):
             raise DomainError(f"[{s0}, {s1}] outside schedule span [{self.s[0]}, {self.s[-1]}]")
 
-    def at(self, s: float):
-        self.check_span(s, s)
-        a = np.array([np.interp(s, self.s, self.a[:, i]) for i in range(3)])
-        return a, float(np.interp(s, self.s, self.lam_sq))
+    def at(self, s):
+        """(a of shape s.shape + (3,), Lambda^2 of shape s.shape) at s, a time
+        or an array of times inside the span (else DomainError), from one
+        np.interp per column: the same bits for a time alone or in an array."""
+        s = np.asarray(s, dtype=float)
+        self.check_span(s.min(), s.max())
+        a = np.stack([np.interp(s, self.s, self.a[:, i]) for i in range(3)], axis=-1)
+        return a, np.interp(s, self.s, self.lam_sq)
 
 
 def _increment_scale(noise: NoiseModel, ds: float):
@@ -290,8 +294,8 @@ def _step_ends(s0: float, s1: float, ds: float, snapshot_s):
 
 def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
     """The steps of an ensemble over [s0, s1], built once: per step its
-    start, length, coefficients at its start (the bits of schedule.at
-    there, from one np.interp per column over all starts), the slots of
+    start, length, coefficients at its start (from one schedule.at over
+    all starts, the bits of schedule.at at each), the slots of
     the snapshots taken at its end and the increments' scale of
     _increment_scale, formed once per distinct length.  Also the snapshot
     times in slot order and the time the last step ends on."""
@@ -303,8 +307,8 @@ def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
         times.extend(taken)
         s, on_grid = s_next, next_on_grid
     starts = np.array([start for start, _, _ in steps])
-    a = np.column_stack([np.interp(starts, schedule.s, schedule.a[:, i]) for i in range(3)])
-    lam_sq = np.interp(starts, schedule.s, schedule.lam_sq).tolist()
+    a, lam_sq = schedule.at(starts)
+    lam_sq = lam_sq.tolist()
     scales = {h: _increment_scale(noise, h) for h in {h for _, h, _ in steps}}
     plan = [(start, h, (a[k], lam_sq[k]), slots, scales[h])
             for k, (start, h, slots) in enumerate(steps)]

@@ -3,6 +3,7 @@ artifacts, manifests, and determinism."""
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from tribody import cli
 from tribody.chaos import kl_divergence
-from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _schedule, main,
+from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _snapshot_times, main,
                          parse_config)
 from tribody.errors import ConfigError
 from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
@@ -493,6 +494,30 @@ class TestExitCodes:
         blocker.write_text("")
         assert run("simulate", cfg, blocker / "out") == 5
 
+    def test_out_of_memory_is_5(self, tmp_path, monkeypatch):
+        # a stand-in: a real allocation too large to hold can succeed under
+        # memory overcommit and then kill the process as it is touched
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 TiB")
+
+        monkeypatch.setattr(cli, "integrate", exhausted)
+        cfg, out = write_config(tmp_path, base_config()), tmp_path / "out"
+        assert run("simulate", cfg, out) == 5
+        manifest = json.loads((out / "manifest_simulate.json").read_text())
+        assert manifest["status"] == "running"
+
+    def test_trajectory_without_the_schedule_is_3(self, tmp_path):
+        # a trajectory.csv without the coefficient columns, vouched for
+        cfg, out, manifest = self.simulated(tmp_path)
+        traj = out / "trajectory.csv"
+        rows = [line.split(",")[:9] for line in traj.read_text().splitlines()]
+        traj.write_text("".join(",".join(row) + "\n" for row in rows))
+        doc = json.loads(manifest.read_text())
+        doc["outputs"]["trajectory.csv"] = sha256(traj)
+        manifest.write_text(json.dumps(doc))
+        for stage in ("ensemble", "fpe", "channels"):
+            assert run(stage, cfg, out) == 3
+
 
 class TestRunCommand:
     def test_stage_is_the_module_function_at_call_time(self, tmp_path, monkeypatch):
@@ -554,8 +579,8 @@ class TestPipelineStages:
         assert run("ensemble", cfg, out) == 0
         lines = (out / "ensemble_snapshots.csv").read_text().strip().splitlines()
         assert lines[0] == "path_id,s,xi1,xi2,xi3"
-        # 2 snapshots + final state, 50 paths each
-        assert len(lines) == 1 + 3 * 50
+        # 2 snapshots, the second at the end of the run, 50 paths each
+        assert len(lines) == 1 + 2 * 50
         meta = json.loads((out / "ensemble_meta.json").read_text())
         assert meta["seed"] == 11
         assert meta["n_paths"] == 50
@@ -582,18 +607,21 @@ class TestPipelineStages:
         assert run("ensemble", cfg, out) == 0
         table = np.genfromtxt(out / "ensemble_snapshots.csv", delimiter=",", names=True)
         parsed = parse_config(json.loads(cfg.read_text()))
-        schedule = _schedule(*_load_trajectory(out), parsed)
+        _, _, schedule = _load_trajectory(out)
         sde = parsed["sde"]
         res = run_ensemble(sde["n_paths"], schedule, parsed["xi0"], sde["ds"],
                            sde["mode"], NoiseModel(epsilon=parsed["epsilon"], seed=parsed["seed"]),
-                           snapshot_s=sde["snapshots"])
-        states = np.concatenate([xi for _, xi in res.snapshots] + [res.xi_final])
+                           snapshot_s=_snapshot_times(parsed, schedule))
+        states = np.concatenate([xi for _, xi in res.snapshots])
         written = np.column_stack([table[c] for c in ("xi1", "xi2", "xi3")])
         assert np.all(np.isfinite(written)) and np.all(np.isfinite(table["s"]))
         assert np.array_equal(written, states)
         n = sde["n_paths"]
-        assert np.array_equal(table["path_id"], np.tile(np.arange(n), len(res.snapshots) + 1))
-        assert np.array_equal(table["s"][::n], [s for s, _ in res.snapshots] + [res.s_final])
+        assert np.array_equal(table["path_id"], np.tile(np.arange(n), len(res.snapshots)))
+        assert np.array_equal(table["s"][::n], [s for s, _ in res.snapshots])
+        # the last snapshot is the final state, written once
+        assert res.snapshots[-1][0] == res.s_final
+        assert np.array_equal(res.snapshots[-1][1], res.xi_final)
 
     def test_ensemble_files_do_not_depend_on_the_cpu_count(self, tmp_path, use_cpus):
         # 20000 paths are two chunks: both stepped in one process on 1
@@ -651,7 +679,7 @@ class TestPipelineStages:
         assert run("fpe", cfg, out) == 0
         parsed = parse_config(doc)
         written = read_density(out / "density_0000.npy", _grid_spec(parsed))
-        schedule = _schedule(*_load_trajectory(out), parsed)
+        _, _, schedule = _load_trajectory(out)
 
         def direct(multiplicative):
             fpe_cfg = FpeConfig(epsilon=parsed["epsilon"], schedule=schedule,
@@ -763,10 +791,58 @@ class TestPipelineStages:
                          J=parsed["angular_momentum"], s_end=integ["s_end"], tol=integ["tol"],
                          n_samples=integ["n_samples"], mu0=parsed["mu0"])
         direct = CoefficientSchedule.from_trajectory(traj)
-        for via in (_schedule(*_load_trajectory(out), parsed), _schedule(traj.s, traj.x, parsed)):
-            assert np.array_equal(via.s, direct.s)
-            assert np.array_equal(via.a, direct.a)
-            assert np.array_equal(via.lam_sq, direct.lam_sq)
+        s, x, via = _load_trajectory(out)
+        assert np.array_equal(s, traj.s) and np.array_equal(x, traj.x)
+        assert np.array_equal(via.s, direct.s)
+        assert np.array_equal(via.a, direct.a)
+        assert np.array_equal(via.lam_sq, direct.lam_sq)
+
+    @staticmethod
+    def ensemble_times(out, n_paths):
+        """The times of ensemble_snapshots.csv's blocks, in order, after
+        checking that no (path_id, s) pair repeats."""
+        table = np.genfromtxt(out / "ensemble_snapshots.csv", delimiter=",", names=True)
+        pairs = set(zip(table["path_id"].tolist(), table["s"].tolist()))
+        assert len(pairs) == len(table)
+        return table["s"][::n_paths].tolist()
+
+    def test_duplicate_snapshot_times_are_taken_once(self, tmp_path):
+        doc = base_config()
+        doc["sde"]["snapshots"] = [1.0, 1.0]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        for stage in ("simulate", "ensemble", "fpe"):
+            assert run(stage, cfg, out) == 0
+        times = self.ensemble_times(out, 50)
+        assert times == [1.0, 2.0]
+        assert times == json.loads((out / "fpe_meta.json").read_text())["snapshot_s"]
+
+    def test_ensemble_and_fpe_without_snapshots_take_the_same_eight_times(self, tmp_path):
+        doc = base_config()
+        del doc["sde"]["snapshots"]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        for stage in ("simulate", "ensemble", "fpe"):
+            assert run(stage, cfg, out) == 0
+        times = self.ensemble_times(out, 50)
+        assert times == pytest.approx(np.linspace(0.2, 2.0, 8), rel=0, abs=1e-12)
+        assert times == json.loads((out / "fpe_meta.json").read_text())["snapshot_s"]
+
+    def test_ensemble_and_fpe_read_the_schedule_from_the_trajectory(self, prepared, tmp_path):
+        # the potential edited after simulate: ensemble and fpe follow the
+        # schedule simulate recorded, not one derived from the edited config
+        cfg, out = prepared
+        edited = base_config()
+        edited["potential"].update(D=2.0, alpha=0.5)
+        edited_cfg = write_config(tmp_path, edited, "edited.json")
+        runs = []
+        for name, stage_cfg in (("same", cfg), ("edited", edited_cfg)):
+            copy = tmp_path / name
+            shutil.copytree(out, copy)
+            for stage in ("ensemble", "fpe"):
+                assert run(stage, stage_cfg, copy) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(copy.iterdir())
+                         if not p.name.startswith("manifest_")})
+        assert "ensemble_snapshots.csv" in runs[0] and "density_0000.npy" in runs[0]
+        assert runs[0] == runs[1]
 
     def test_channels(self, prepared):
         cfg, out = prepared

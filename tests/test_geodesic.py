@@ -291,7 +291,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, surf, reduced_mass(m), path)
         data = read_trajectory_csv(path)
-        assert list(data) == ["s", "x1", "x2", "x3", "xi1", "xi2", "xi3", "g", "H"]
+        assert list(data) == ["s", "x1", "x2", "x3", "xi1", "xi2", "xi3", "g", "H",
+                              "a1", "a2", "a3", "lam_sq"]
         assert np.allclose(data["s"], traj.s)
         assert np.allclose(data["x1"], traj.x[:, 0])
         assert np.allclose(data["g"], traj.g)
+        # the coefficient schedule reads back to the same bits
+        a = np.stack([data["a1"], data["a2"], data["a3"]], axis=1)
+        assert np.array_equal(a, traj.a)
+        assert np.array_equal(data["lam_sq"], traj.lam_sq)
