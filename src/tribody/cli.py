@@ -320,9 +320,9 @@ class StageWriter:
 
 
 def _verified(out_dir: Path, stage: str) -> dict:
-    """The outputs {name: sha256} of a stage's manifest in out_dir, once
-    the manifest is a complete JSON object, every output is a file named
-    directly in out_dir, and each matches its checksum."""
+    """A stage's manifest in out_dir, with its outputs {name: sha256} under
+    "outputs", once the manifest is a complete JSON object, every output
+    is a file named directly in out_dir, and each matches its checksum."""
     manifest = out_dir / f"manifest_{stage}.json"
     try:
         doc = json.loads(manifest.read_bytes().decode("utf-8"))
@@ -334,7 +334,7 @@ def _verified(out_dir: Path, stage: str) -> dict:
         raise DependencyError(f"{manifest} is not a JSON object")
     if doc.get("status") != "complete":
         raise DependencyError(f"{manifest} status is {doc.get('status')!r}, not 'complete'")
-    outputs = doc.get("outputs", {})
+    outputs = doc.setdefault("outputs", {})
     if not isinstance(outputs, dict):
         raise DependencyError(f"{manifest} outputs is not an object")
     for name, digest in outputs.items():
@@ -343,13 +343,13 @@ def _verified(out_dir: Path, stage: str) -> dict:
         path = out_dir / name
         if not path.is_file() or _sha256(path) != digest:
             raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
-    return outputs
+    return doc
 
 
 def _load_trajectory(out_dir: Path):
     """Samples (s, x) of trajectory.csv and the coefficient schedule
     recorded with them, once the simulate manifest vouches for it."""
-    if "trajectory.csv" not in _verified(out_dir, "simulate"):
+    if "trajectory.csv" not in _verified(out_dir, "simulate")["outputs"]:
         raise DependencyError(f"manifest_simulate.json in {out_dir} does not list trajectory.csv")
     data = read_trajectory_csv(out_dir / "trajectory.csv")
     try:
@@ -366,7 +366,7 @@ def _load_densities(out_dir: Path) -> tuple:
     its manifest vouches for fpe_meta.json and every density_NNNN.npy, and
     fpe_meta.json gives a grid, whose shape each density has, and the
     times as a list of numbers."""
-    outputs = _verified(out_dir, "fpe")
+    outputs = _verified(out_dir, "fpe")["outputs"]
     if "fpe_meta.json" not in outputs:
         raise DependencyError(f"manifest_fpe.json in {out_dir} does not list fpe_meta.json")
     try:
@@ -383,6 +383,41 @@ def _load_densities(out_dir: Path) -> tuple:
         return times, [read_density(out_dir / n, spec) for n in names]
     except (KeyError, TypeError, ValueError) as exc:   # DomainError is a ValueError
         raise DependencyError(f"fpe_meta.json in {out_dir} does not fit its densities: {exc!r}")
+
+
+def _simulate_inputs(doc: dict) -> dict:
+    """The values of the config keys that simulate reads, as parse_config
+    takes them, defaults filled in, by dotted key ("potential.D").  The
+    seed is not among them."""
+    typed = _typed(doc)
+    inputs = {}
+    for key in ("masses", "potential", "energy", "u0", "angular_momentum", "initial",
+                "integrator"):
+        default = _DEFAULTS.get(key)
+        value = typed.get(key, default)
+        if isinstance(default, dict):
+            value = {**default, **value}
+        if isinstance(value, dict):
+            inputs.update((f"{key}.{sub}", v) for sub, v in value.items())
+        else:
+            inputs[key] = value
+    return inputs
+
+
+def _check_simulated_under(cfg: dict, out_dir: Path) -> None:
+    """DependencyError unless the config keys that simulate reads have the
+    values that manifest_simulate.json in out_dir recorded; the error
+    names the first that differs."""
+    try:
+        recorded = _simulate_inputs(_verified(out_dir, "simulate")["config"])
+    except (KeyError, ConfigError) as exc:
+        raise DependencyError(f"manifest_simulate.json in {out_dir} records no config "
+                              f"that parses: {exc}")
+    given = _simulate_inputs(cfg["echo"])
+    for key in dict.fromkeys([*given, *recorded]):
+        if given.get(key) != recorded.get(key):
+            raise DependencyError(f"config key {key} is {given.get(key)!r}, but simulate ran "
+                                  f"in {out_dir} with {recorded.get(key)!r}")
 
 
 def _snapshot_times(cfg: dict, schedule: CoefficientSchedule) -> list:
@@ -504,6 +539,9 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
         # at tube a's times up to the end of trajectory b (zip stops there)
         if not all(grid.same_spec(_grid_spec(cfg)) for grid in series_a):
             raise DependencyError(f"the densities in {writer.out} are not on the config's grid")
+        # tube a rests on the schedule simulate recorded: tube b must be
+        # solved under the same physics
+        _check_simulated_under(cfg, writer.out)
         traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
         s_vals = [v for v in s_vals if v <= traj_b.s[-1]]
         if not s_vals:

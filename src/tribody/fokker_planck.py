@@ -62,13 +62,23 @@ through the (n1, n2, n3, 3) views of X and A, whose components are then
 contiguous; W is formed from A in place.  A field is formed only for a
 stage whose coefficients differ from those of the field held: a constant
 schedule forms it once per solve, a trajectory schedule at every stage.
-Every other array lives for one call.  The additive stencil and the
+Beside the solve's three states (see Slabs), every other array lives for
+one call.  The additive stencil and the
 central difference work in flat passes over contiguous data, where a
 cell's neighbour along axis i lies s_i elements away.  The stencil's
 products that point at a ghost cell are zeroed on their face, so a shift
 that wraps into the next row adds an exact 0.  Each pass does each
 cell's operations in the same order as the mesh form on zero-padded
 arrays, so the result is bit-identical to it.
+
+Slabs.  The operator at a cell reads cells at most two rows away along
+any axis (the multiplicative form nests two differences), so fpe_rhs on
+a block of rows of axis 0 with HALO = 2 more rows on each side gives
+those rows' bits on the whole grid.  fpe_evolve keeps P, the midpoint
+and the new state in one shared anonymous mmap and writes each stage in
+contiguous slabs of axis 0: the caller takes the first, and for a grid
+of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a worker forked
+for the solve (_fork) takes each other one.
 """
 
 from __future__ import annotations
@@ -79,12 +89,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
 from .langevin import CoefficientSchedule, drift, epsilon_matrix
 
 DS_FLOOR = 1e-9   # smallest admissible step
 SAFETY = 0.5      # fraction of the CFL bound taken per step
 MASS_TOL = 1e-6   # allowed mass change per unit s in the audit
+# rows a slab of a stage reads beyond its own on each side: the
+# multiplicative operator nests two differences
+HALO = 2
+# fewest cells a slab of a solve's stages may get for a worker to be
+# forked for it (measured, see fpe_evolve)
+MIN_SLAB_CELLS = 50000
 
 __all__ = [
     "MomentumGrid",
@@ -138,7 +155,8 @@ class MomentumGrid:
         """Cell-center coordinates stacked on `axis`: shape (n1, n2, n3, 3)
         by default, and the contiguous component-major (3, n1, n2, n3)
         with axis=0."""
-        grids = np.meshgrid(*(self.centers(i) for i in range(3)), indexing="ij")
+        # broadcast views, which np.stack copies once
+        grids = np.meshgrid(*(self.centers(i) for i in range(3)), indexing="ij", copy=False)
         return np.stack(grids, axis=axis)
 
     def same_spec(self, other: "MomentumGrid") -> bool:
@@ -341,7 +359,10 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
     B as rows of (n1, n2, n3) components, where the symmetric B[k][j] and
     B[j][k] are one array, and the drift term is sign * sum_k a_k F_k.
     fpe_evolve passes the field for both stages, and the first stage's is
-    the one its step bound has read.  The result is a new array.
+    the one its step bound has read.  The result is a new array.  grid.P
+    may be a block of rows of axis 0 of the density, with the field of
+    those rows; the result is then that of a grid that ends at the
+    block's first and last rows (fpe_evolve's slabs).
 
     Beside the result the call holds at most 2 arrays of the grid's shape
     for additive noise: the products t = W_i P and u = 2 alpha_i P - t that
@@ -483,6 +504,32 @@ class FpeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _slab_bounds(grid) -> list:
+    """The row bounds along axis 0 of the slabs whose stages a solve on grid
+    evaluates side by side: as many slabs as CPUs usable by the process,
+    but no more than leave each at least MIN_SLAB_CELLS cells, or a row."""
+    slabs = max(1, min(_fork.usable_cpus(), grid.P.size // MIN_SLAB_CELLS, grid.shape[0]))
+    return [i * grid.shape[0] // slabs for i in range(slabs + 1)]
+
+
+def _field_rows(field, a: int, b: int, cfg):
+    """The field of rows [a, b) of axis 0, as views of field's arrays."""
+    if cfg.multiplicative:
+        return _symmetric(((k, j), field[k][j][a:b]) for k, j in _UPPER)
+    return field[0][:, a:b], field[1]
+
+
+def _key(coeffs) -> bytes:
+    """The bits of a coefficient set (a, Lambda^2)."""
+    return np.append(coeffs[0], coeffs[1]).tobytes()
+
+
+def _coeffs(key: bytes):
+    """The coefficient set (a, Lambda^2) whose bits are key."""
+    values = np.frombuffer(key)
+    return values[:3], float(values[3])
+
+
 def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> FpeResult:
     """Explicit RK2 (midpoint) evolution with a CFL-bounded step.
 
@@ -507,6 +554,22 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     that changes between stages forms a field at every stage (`field_evals`
     = 2 `steps`).  Reuse skips a call of _field or _stable_ds on the inputs
     it was last called with, so the results are the same bits.
+
+    Each stage writes dst = base + scale fpe_rhs(src) into one of three
+    arrays, for P, the midpoint and the new state, which lie in a shared
+    anonymous mmap.  It is evaluated in contiguous slabs of axis 0
+    (_slab_bounds): the caller takes the first, and on two or more CPUs,
+    for a grid of at least 2 MIN_SLAB_CELLS cells, a worker forked before
+    the first step (_fork) takes each other one, with its pipe round trip
+    per stage.  A slab's rows come from fpe_rhs on them and HALO rows more
+    on each side, which is the same bits as on the whole grid.  The
+    worker inherits the first step's field; for coefficients that differ
+    from it, it forms its own rows of the field, which is pointwise, while
+    the caller forms the whole field, whose max the step bound reads.
+    Only the caller pins, sums the boundary shell and reads min and max,
+    once every slab is written.  So the result is the same bits on any
+    number of slabs.  A worker is reaped before the call returns or
+    raises, killed first when the caller's part is cut short.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -514,14 +577,24 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     if s1 <= s0:
         raise DomainError("empty evolution span")
     cfg.schedule.check_span(s0, s1)
+    targets = sorted({float(v) for v in snapshot_s} | {s1})
+    if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
+        raise DomainError("snapshot times must lie in (s0, s1]")
 
     X = grid0.mesh(axis=0)
     quad = sums = None
     if cfg.multiplicative:
         quad = _quadratic(X)
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
-    work = grid0.copy_with(grid0.P)
-    P = work.P
+    n1 = grid0.shape[0]
+    bounds = _slab_bounds(grid0)
+    # P, the midpoint and the new state; with slab workers, the rows of
+    # one shared block that every slab writes in place
+    states = list(_fork.shared((3,) + grid0.shape)) if len(bounds) > 2 else [
+        np.empty(grid0.shape), None, None]
+    P, mid, new = 0, 1, 2
+    states[P][...] = grid0.P
+    work = MomentumGrid(grid0.mins, grid0.maxs, grid0.shape, states[P])
     # the field held, the bits of its coefficients, and its step bound
     # once a step start has read it
     held = {"key": None, "field": None, "bound": None}
@@ -531,7 +604,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         """The field at coeffs: the held one when coeffs has the bits of the
         coefficients it was formed for, a new one otherwise."""
         nonlocal field_evals
-        key = np.append(coeffs[0], coeffs[1]).tobytes()
+        key = _key(coeffs)
         if key != held["key"]:
             # release the held field before the next one is formed
             held.update(key=None, field=None, bound=None)
@@ -539,9 +612,51 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             field_evals += 1
         return held["field"]
 
-    targets = sorted({float(v) for v in snapshot_s} | {s1})
-    if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
-        raise DomainError("snapshot times must lie in (s0, s1]")
+    def evaluate(src, base, scale, coeffs, field, lo, hi, out=None):
+        """Rows [lo, hi) of the stage states[base] + scale fpe_rhs(states[src]),
+        written to out or, without it, in place into the rows of a new array,
+        from fpe_rhs on rows [a, b), those and HALO more on each side; field
+        is the field of rows [a, b)."""
+        a, b = max(lo - HALO, 0), min(hi + HALO, n1)
+        work.P = states[src][a:b]
+        rows = fpe_rhs(work, coeffs, cfg, field=field)[lo - a:hi - a]
+        out = np.multiply(rows, scale, out=rows if out is None else out)
+        out += states[base][lo:hi]
+        return out
+
+    def serve(caller, lo, hi):
+        """A slab worker's loop: write rows [lo, hi) of each stage the caller
+        sends, until it sends None."""
+        a, b = max(lo - HALO, 0), min(hi + HALO, n1)
+        key, field = held["key"], _field_rows(held["field"], a, b, cfg)
+        rows_quad = _quadratic(X[:, a:b]) if cfg.multiplicative else None
+        for src, base, dst, scale, coeffs_key in iter(caller.receive, None):
+            coeffs = _coeffs(coeffs_key)
+            if coeffs_key != key:
+                # release the held rows before the next are formed
+                key = field = None
+                field = _field(X[:, a:b], grid0.h, coeffs, cfg, rows_quad)
+                key = coeffs_key
+            evaluate(src, base, scale, coeffs, field, lo, hi, out=states[dst][lo:hi])
+            caller.reply(None)
+
+    def stage(src, base, dst, scale, coeffs, field):
+        """states[dst] = states[base] + scale fpe_rhs(states[src]), with field
+        the whole grid's field, once every slab has written it."""
+        if not workers:
+            # one slab: the stage is the array that evaluate returns, and the
+            # one it replaces is released first
+            states[dst] = None
+            states[dst] = evaluate(src, base, scale, coeffs, field, 0, n1)
+            return
+        for worker in workers:
+            worker.send((src, base, dst, scale, _key(coeffs)))
+        hi = bounds[1]
+        evaluate(src, base, scale, coeffs, _field_rows(field, 0, min(hi + HALO, n1), cfg), 0, hi,
+                 out=states[dst][:hi])
+        for worker in workers:
+            worker.receive()
+
     snaps: list = []
     mass_series = [(s0, total_mass(work))]
     neg_flags = 0
@@ -550,41 +665,42 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     limits = {"drift": 0, "diffusion": 0, "snapshot": 0}
     s = s0
 
-    for target in targets:
-        while s < target - 1e-15:
-            coeffs = cfg.schedule.at(s)
-            # read through held, not a local, which would keep this field
-            # alive while the midpoint forms the next
-            field_at(coeffs)
-            if held["bound"] is None:
-                held["bound"] = _stable_ds(work, cfg, coeffs, held["field"], sums)
-            ds, term = held["bound"]
-            if target - s < ds:
-                ds, term = target - s, "snapshot"
-            if ds < DS_FLOOR:
-                raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
-            work.P = P
-            # each stage slope is turned into its stage in place
-            mid = fpe_rhs(work, coeffs, cfg, field=held["field"])
-            mid *= 0.5 * ds
-            mid += P
-            pin_boundary(mid)
-            work.P = mid
-            coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-            new = fpe_rhs(work, coeffs_mid, cfg, field=field_at(coeffs_mid))
-            new *= ds
-            new += P
-            P = new
-            outflow += _shell_sum(P) * work.cell_volume
-            pin_boundary(P)
-            if P.min() < -1e-12 * max(P.max(), 1e-300):
-                neg_flags += 1
-            s += ds
-            steps.append(ds)
-            limits[term] += 1
-        work.P = P
-        mass_series.append((s, total_mass(work)))
-        snaps.append((s, work.copy_with(P)))
+    # the first step's field, which the slab workers inherit
+    field_at(cfg.schedule.at(s0))
+    with _fork.reaped() as workers:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: serve(caller, lo, hi)))
+        for target in targets:
+            while s < target - 1e-15:
+                coeffs = cfg.schedule.at(s)
+                # read through held, not a local, which would keep this field
+                # alive while the midpoint forms the next
+                field_at(coeffs)
+                if held["bound"] is None:
+                    held["bound"] = _stable_ds(work, cfg, coeffs, held["field"], sums)
+                ds, term = held["bound"]
+                if target - s < ds:
+                    ds, term = target - s, "snapshot"
+                if ds < DS_FLOOR:
+                    raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
+                stage(P, P, mid, 0.5 * ds, coeffs, held["field"])
+                pin_boundary(states[mid])
+                coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
+                stage(mid, P, new, ds, coeffs_mid, field_at(coeffs_mid))
+                P, new = new, P
+                outflow += _shell_sum(states[P]) * work.cell_volume
+                pin_boundary(states[P])
+                if states[P].min() < -1e-12 * max(states[P].max(), 1e-300):
+                    neg_flags += 1
+                s += ds
+                steps.append(ds)
+                limits[term] += 1
+            work.P = states[P]
+            mass_series.append((s, total_mass(work)))
+            snaps.append((s, work.copy_with(work.P)))
+        for worker in workers:
+            worker.send(None)
+            worker.receive()
 
     masses = [m for _, m in mass_series]
     # the median by hand: np.median imports numpy.ma, ~1 MB of resident
@@ -613,23 +729,51 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     return FpeResult(snapshots=snaps, mass_series=mass_series, diagnostics=diag)
 
 
+def _bins(x, edges) -> np.ndarray:
+    """The bin of each x in [edges[0], edges[-1]] that np.histogramdd finds:
+    j with edges[j] <= x < edges[j+1], and the last bin for x = edges[-1].
+    The guess floor((x - edges[0]) n / L) is moved a bin at a time until
+    it holds; rounding leaves it at most one bin off on any sane grid."""
+    n = len(edges) - 1
+    j = ((x - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(j, n - 1, out=j)
+    while True:
+        down = x < edges[j]
+        up = (x >= edges[j + 1]) & (j < n - 1)
+        if not (down.any() or up.any()):
+            return j
+        j -= down
+        j += up
+
+
 def density_from_ensemble(samples, grid_spec: MomentumGrid) -> MomentumGrid:
     """Normalized histogram of samples (n, 3) on the grid; counts out-of-range
-    samples in the returned grid's diagnostics attribute."""
+    samples in the returned grid's diagnostics attribute.  The counts are
+    np.histogramdd's on the grid's linspace edges, bin for bin: a sample
+    on an inner edge falls in the bin above it, one on the last edge in
+    the last bin, and one outside the box or not finite in none."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
     if len(samples) < 1:
         raise DomainError("need at least one sample")
-    finite = np.all(np.isfinite(samples), axis=1)
     edges = [
         np.linspace(grid_spec.mins[i], grid_spec.maxs[i], grid_spec.shape[i] + 1)
         for i in range(3)
     ]
-    hist, _ = np.histogramdd(samples[finite], bins=edges)
-    n_in = float(hist.sum())
-    if n_in == 0.0:
+    # NaN fails both comparisons, and an infinity one of them
+    inside = np.ones(len(samples), dtype=bool)
+    for i in range(3):
+        inside &= (samples[:, i] >= edges[i][0]) & (samples[:, i] <= edges[i][-1])
+    kept = samples[inside]
+    n_in = len(kept)
+    if n_in == 0:
         raise EmptyDensityError("all samples fell outside the grid")
-    out = grid_spec.copy_with(hist / (n_in * grid_spec.cell_volume))
-    out.out_of_range = int(len(samples) - n_in)
+    cell = np.zeros(n_in, dtype=np.intp)
+    for i in range(3):
+        cell *= grid_spec.shape[i]
+        cell += _bins(kept[:, i], edges[i])
+    hist = np.bincount(cell, minlength=grid_spec.P.size).reshape(grid_spec.shape)
+    out = grid_spec.copy_with(hist / (float(n_in) * grid_spec.cell_volume))
+    out.out_of_range = len(samples) - n_in
     return out
 
 

@@ -25,31 +25,30 @@ fraction of the cost of a normal draw.  An ensemble steps its paths in
 chunks of CHUNK, and at step k chunk c draws from its own SFC64
 generator, seeded with SeedSequence((seed, c, k)): numpy's construction
 of independent streams from one master seed.  So path p's noise is fixed
-by (seed, p, step).  The chunks are independent: with two or more of
-them and two or more usable CPUs, contiguous shares are stepped in
-worker processes forked for the call, with the same bits as one process
-stepping every chunk in turn (run_ensemble).
+by (seed, p, step).  The paths are independent: on two or more usable
+CPUs, contiguous shares of their rows are stepped in worker processes
+forked for the call (_fork), with the same bits as one process stepping
+every chunk in turn (run_ensemble).
 """
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import math
-import mmap
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork
 from .errors import ConfigError, DomainError
 from .geodesic import TrajectoryRecord, momentum_rhs
 
 # paths per chunk of the ensemble; each chunk has its own noise stream at
 # every step, SFC64(SeedSequence((seed, chunk, step)))
 CHUNK = 16384
+# fewest rows a share of the ensemble's paths may get for a worker to be
+# forked for it (measured, see _step_shares)
+MIN_SHARE_ROWS = 4000
 
 __all__ = [
     "epsilon_matrix",
@@ -177,21 +176,26 @@ def _scale_rows(z, diagonal, off) -> np.ndarray:
     return z
 
 
-def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
-    """Two-point increments into out ((n, 3), any layout): z_ri = +1 where
-    bit 3r + i of the ceil(3n / 64) words rng.bit_generator.random_raw
-    draws is set, -1 where it is clear (bit b of word w is bit 64 w + b,
-    least significant first, on any host), then scaled by _scale_rows,
-    so a diagonal eps gives exactly +-S_ii sqrt(ds); zeros, drawing
-    nothing, for a zero eps (scale None)."""
+def _two_point(rng: np.random.Generator, scale, out, skip: int = 0) -> np.ndarray:
+    """Two-point increments into out ((n, 3), any layout), rows [skip,
+    skip + n) of a draw: z_ri = +1 where bit 3r + i of the
+    ceil(3 (skip + n) / 64) words rng.bit_generator.random_raw draws is
+    set, -1 where it is clear (bit b of word w is bit 64 w + b, least
+    significant first, on any host), then scaled by _scale_rows, so a
+    diagonal eps gives exactly +-S_ii sqrt(ds); zeros, drawing nothing,
+    for a zero eps (scale None)."""
     if scale is None:
         out.fill(0.0)
         return out
     n = len(out)
-    words = rng.bit_generator.random_raw(-(-3 * n // 64))
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    words = rng.bit_generator.random_raw(-(-3 * (skip + n) // 64))
+    # only the words that hold row skip onwards are unpacked
+    first = 3 * skip // 64
+    bits = np.unpackbits(words[first:].astype("<u8", copy=False).view(np.uint8),
+                         bitorder="little")
+    lo = 3 * skip - 64 * first
     # an assignment casts across layouts faster than a ufunc with out=
-    out[...] = bits[:3 * n].reshape(n, 3)
+    out[...] = bits[lo:lo + 3 * n].reshape(n, 3)
     out *= 2.0
     out -= 1.0
     return _scale_rows(out, *scale)
@@ -257,7 +261,9 @@ def _step(xi, ds: float, mode: str, coeffs, dW, work) -> None:
 
 @dataclass
 class EnsembleResult:
-    """Final states and requested snapshots of an SDE ensemble."""
+    """Final states and requested snapshots of an SDE ensemble.  When a
+    snapshot is taken at the end of the span, xi_final is that snapshot's
+    array, not a copy of it."""
 
     s_final: float
     xi_final: np.ndarray                 # (n_traj, 3); NaN rows for blown-up paths
@@ -315,90 +321,24 @@ def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
     return plan, times, s
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    return len(getaffinity(0)) if getaffinity else 1
-
-
-def _die_with(parent: int) -> None:
-    """Have the kernel kill this forked worker with SIGKILL when the thread
-    that forked it ends, by any signal included (Linux prctl
-    PR_SET_PDEATHSIG), and leave at once if the caller is already gone.
-    Where the C library has no prctl this does nothing, and a caller that
-    dies by a signal Python does not handle leaves the worker running to
-    the end of its share."""
-    prctl = getattr(ctypes.CDLL(None, use_errno=True), "prctl", None)
-    if prctl is None:
-        return
-    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _fork_share(step_chunks, lo: int, hi: int):
-    """Fork a worker that steps chunks [lo, hi) with step_chunks and sends
-    the caller its blow-ups, or the exception it raised, pickled through a
-    pipe.  Returns the worker's pid and the pipe's read end.  The worker
-    dies with the caller (_die_with) and leaves only through os._exit, so
-    none of the caller's handlers, atexit hooks or buffered output run or
-    flush twice."""
-    parent = os.getpid()
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            _die_with(parent)
-            os.close(r)
-            try:
-                result = (True, step_chunks(lo, hi))
-            except BaseException as exc:  # the caller re-raises it
-                result = (False, exc)
-            with open(w, "wb") as pipe:
-                pickle.dump(result, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _step_shares(step_chunks, n_chunks: int, procs: int) -> list:
-    """Step chunks [0, n_chunks) in procs contiguous shares, the first in
-    the calling process and each other one in a forked worker, and return
-    the blow-ups of all.  Share i holds chunks [i n / procs, (i+1) n /
-    procs), rounded down, so the short last chunk falls in the last share
-    and the earlier shares are no larger.  A worker's exception is
-    re-raised here with its type.  Every worker is reaped before this
-    returns or raises; when the caller's own share or the wait is cut
-    short, by an exception or an interrupt, the workers are killed
-    first.  With one share nothing is forked."""
-    bounds = [i * n_chunks // procs for i in range(procs + 1)]
-    workers, results = [], None
-    try:
+def _step_shares(step_rows, n_traj: int) -> list:
+    """Step rows [0, n_traj) in contiguous shares of near-equal size, the
+    first in the calling process and each other one in a forked worker,
+    and return the blow-ups of all.  There are as many shares as CPUs
+    usable by the process, but no more than leave each at least
+    MIN_SHARE_ROWS rows; with one share nothing is forked.  Share i holds
+    rows [i n / shares, (i+1) n / shares), rounded down.  A worker's
+    exception is raised here with its type; every worker is reaped before
+    this returns or raises, and killed first when the caller's own share
+    or the wait is cut short, by an exception or an interrupt."""
+    shares = max(1, min(_fork.usable_cpus(), n_traj // MIN_SHARE_ROWS))
+    bounds = [i * n_traj // shares for i in range(shares + 1)]
+    with _fork.reaped() as workers:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_fork_share(step_chunks, lo, hi))
-        found = step_chunks(bounds[0], bounds[1])
-        # read each pipe to its end, which the worker reaches once it has
-        # sent its result, before reaping: a result larger than the pipe's
-        # buffer would otherwise hold the worker up forever
-        results = [pipe.read() for _, pipe in workers]
-    finally:
-        statuses = []
-        for pid, pipe in workers:
-            pipe.close()
-            if results is None:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for data, status in zip(results, statuses):
-        if not data:
-            raise RuntimeError(f"an ensemble worker ended with wait status {status} "
-                               "and sent no result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        found.extend(value)
+            workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: step_rows(lo, hi)))
+        found = step_rows(bounds[0], bounds[1])
+        for worker in workers:
+            found.extend(worker.receive())
     return found
 
 
@@ -429,20 +369,21 @@ def run_ensemble(
     of (rows, 3) storage, bit for bit.  xi0 may be a single 3-vector
     (all paths start together) or (n_traj, 3).
 
-    The chunks are independent, so with two or more chunks and two or
-    more CPUs usable by the process (os.sched_getaffinity), they are
-    split into min(chunks, CPUs) contiguous shares: the caller steps the
-    first, and a worker forked with os.fork steps each other one, with
-    no interpreter lock shared between them.  The final states and the
-    snapshots lie in one shared anonymous mmap, which each worker writes
-    its rows of in place; blow-ups come back through a pipe.  Otherwise
-    (one chunk or one CPU) the caller steps every chunk, one after
-    another.  The result is the same bits either way.  Every worker is
-    reaped before the call returns or raises, and on Linux the kernel
-    kills it if the caller dies first, by SIGTERM or SIGKILL too.  The
-    workers make no BLAS call; Python 3.12 and later warn on a fork in a
-    process with more than one thread, as numpy's OpenBLAS makes it
-    unless pinned to one.
+    The paths are independent, so on two or more CPUs usable by the
+    process (os.sched_getaffinity) their rows are split into contiguous
+    shares of near-equal size, one per CPU but none of fewer than
+    MIN_SHARE_ROWS rows (_step_shares): the caller steps the first, and a
+    worker forked with os.fork steps each other one, with no interpreter
+    lock shared between them.  A share steps the piece of each chunk that
+    it overlaps; a piece from row r0 of chunk c draws chunk c's stream for
+    rows [0, r0 + m) and keeps its own m, so a chunk cut by a share
+    boundary gives the same bits.  The snapshots and the final states
+    lie in one shared anonymous mmap, which each worker writes its rows
+    of in place; blow-ups come back through a pipe.  With one share the
+    caller steps every chunk, one after another.  The result is the same
+    bits either way.  Every worker is reaped before the call returns or
+    raises, and on Linux the kernel kills it if the caller dies first, by
+    SIGTERM or SIGKILL too (_fork).
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -469,24 +410,27 @@ def run_ensemble(
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
     plan, times, s_final = _step_plan(schedule, noise, s0, s1, ds, snapshot_s)
-    n_chunks = -(-n_traj // CHUNK)
-    procs = min(n_chunks, _usable_cpus())
-    # the final states, then the snapshots, in one shared block, which
-    # forked workers write their rows of in place
-    shape = (1 + len(times), n_traj, 3)
-    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-    xi_final, *snaps = out
+    # the final states are the last snapshot's when that is taken at the
+    # end of the last step
+    end_taken = bool(times) and len(times) - 1 in plan[-1][3]
+    # the snapshots, then the final states unless they are the last
+    # snapshot's, in one shared block, which forked workers write their
+    # rows of in place
+    out = _fork.shared((len(times) + (not end_taken), n_traj, 3))
+    snaps, xi_final = out[:len(times)], out[-1]
     additive = mode == "additive"
 
-    def step_chunks(c_lo: int, c_hi: int) -> list:
-        """Step chunks [c_lo, c_hi) into out; return their blow-ups as
-        (step, path, s)."""
-        # a chunk's component-major state, its finiteness and the drift
+    def step_rows(r_lo: int, r_hi: int) -> list:
+        """Step paths [r_lo, r_hi) into out; return their blow-ups as
+        (step, path, s).  The rows of each chunk that the range overlaps
+        are stepped as one piece, which draws the chunk's stream from its
+        first row and keeps the piece's rows."""
+        # a piece's component-major state, its finiteness and the drift
         # stages: one in additive mode, which forms the increments in it
         # once the step is done with it; in multiplicative mode the three
         # Heun stages and the increments, which the step turns into its
         # forcing
-        rows = min(n_traj, CHUNK)
+        rows = min(r_hi - r_lo, CHUNK)
         state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
             + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
         found = []
@@ -494,9 +438,10 @@ def run_ensemble(
         # check after each step is the intended detector, so silence the
         # transient
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(c_lo, c_hi):
-                lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-                # the (rows, 3) views of the chunk's component-major arrays
+            for c in range(r_lo // CHUNK, -(-r_hi // CHUNK)):
+                lo, hi = max(r_lo, c * CHUNK), min(r_hi, (c + 1) * CHUNK)
+                skip = lo - c * CHUNK
+                # the (rows, 3) views of the piece's component-major arrays
                 xi, finite, *work = (b[:, :hi - lo].T for b in state)
                 xi[...] = xi0[lo:hi]
                 alive = np.ones(hi - lo, dtype=bool)
@@ -506,9 +451,9 @@ def run_ensemble(
                     if additive:
                         _step(xi, h, mode, coeffs, None, work)
                         if scale is not None:
-                            xi += _two_point(rng, scale, work[0])
+                            xi += _two_point(rng, scale, work[0], skip)
                     else:
-                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
+                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3], skip), work)
                     # a frozen path stays NaN, so while all is finite no
                     # path has blown up yet
                     if not np.isfinite(xi, out=finite).all():
@@ -518,10 +463,11 @@ def run_ensemble(
                         xi[~alive] = np.nan
                     for j in slots:
                         snaps[j][lo:hi] = xi
-                xi_final[lo:hi] = xi
+                if not end_taken:
+                    xi_final[lo:hi] = xi
         return found
 
-    found = _step_shares(step_chunks, n_chunks, procs)
+    found = _step_shares(step_rows, n_traj)
     return EnsembleResult(
         s_final=s_final,
         xi_final=xi_final,

@@ -426,6 +426,33 @@ class TestExitCodes:
         assert run("chaos", cfg, out) == 3
         assert not (out / "chaos_report.json").exists()
 
+    @pytest.mark.parametrize("key, edit", [
+        ("potential.D", lambda doc: doc["potential"].update(D=2.0)),
+        ("integrator.n_samples", lambda doc: doc["integrator"].update(n_samples=64)),
+        ("angular_momentum", lambda doc: doc.update(angular_momentum=[0.1, 0.0, 0.0])),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_physics_edited_after_simulate_is_3(self, tmp_path, capsys, key, edit):
+        # tube a rests on the schedule simulate recorded, so chaos must not
+        # solve tube b under other physics; the key that differs is named
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("fpe", cfg, out) == 0
+        doc = base_config()
+        edit(doc)
+        capsys.readouterr()
+        assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
+        assert f"config key {key} " in capsys.readouterr().err
+        assert not (out / "chaos_report.json").exists()
+
+    def test_seed_and_defaults_are_not_physics(self, tmp_path):
+        # another seed, and a default written out, leave the physics as
+        # simulate ran it
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("fpe", cfg, out) == 0
+        doc = base_config()
+        doc["seed"] = 12
+        doc["angular_momentum"] = [0.0, 0.0, 0.0]
+        assert run("chaos", write_config(tmp_path, doc, "reseeded.json"), out, "--seed", "5") == 0
+
     def test_fpe_on_another_grid_is_3(self, tmp_path):
         cfg, out, _ = self.simulated(tmp_path)
         doc = base_config()

@@ -1,7 +1,10 @@
 """Tests for the momentum-space density evolution."""
 
 import math
+import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -500,10 +503,12 @@ class TestStencil:
             assert np.array_equal(rhs, expected)
 
     @pytest.mark.parametrize("n", [64, 40])
-    def test_acceptance_solves_match_composed_form(self, monkeypatch, n):
+    def test_acceptance_solves_match_composed_form(self, monkeypatch, use_cpus, n):
         # criterion 6's two solves, the drift-limited 64^3 one and the
         # 40^3 heat kernel, once with the stencil and once with the
-        # composed operator: the same steps, and densities within rounding
+        # composed operator: the same steps, and densities within rounding.
+        # The composed form reads the whole grid's mesh, so its solve runs
+        # in one slab
         import tribody.fokker_planck as fp
 
         if n == 64:
@@ -517,6 +522,7 @@ class TestStencil:
             sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
         cfg = FpeConfig(epsilon=eps, schedule=sched)
         runs = [fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)]
+        use_cpus(1)
         monkeypatch.setattr(fp, "fpe_rhs", lambda grid, coeffs, cfg, field: composed_rhs(
             grid, coeffs, cfg))
         runs.append(fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s))
@@ -530,23 +536,160 @@ class TestStencil:
             assert np.max(np.abs(a.P - b.P)) <= 1e-14 * np.max(b.P)
 
 
-class TestSlabs:
-    """fpe_rhs evaluates the whole grid in one pass on the calling thread,
-    whatever the CPU count; nothing is split into slabs or handed to workers."""
+def slab_grid(slabs):
+    """A Gaussian on a grid with an odd n1 and just enough cells for the
+    given number of slabs."""
+    import tribody.fokker_planck as fp
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_workers_keep_the_callers_errstate(self, use_cpus, cpus):
-        # inf - inf in the drift term's differences: invalid under the
-        # caller's np.errstate however many CPUs the process sees
-        use_cpus(cpus)
-        grid = gaussian_grid([-0.8, -0.9, -1.0], [1.0, 0.9, 0.8], (25, 20, 20), [0.1, 0.0, -0.1], 0.2)
-        grid.P[-3, 5, 5] = grid.P[-3, 5, 7] = np.inf
-        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
-        cfg = FpeConfig(epsilon=0.01, schedule=sched)
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            fpe_rhs(grid, sched.at(0.0), cfg)
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(fpe_rhs(grid, sched.at(0.0), cfg)[-3, 5, 6])
+    n1 = -(-slabs * fp.MIN_SLAB_CELLS // (24 * 25)) | 1
+    return gaussian_grid([-0.8, -0.7, -0.75], [0.7, 0.8, 0.65], (n1, 24, 25),
+                         [0.05, 0.1, -0.05], 0.2)
+
+
+def changing_schedule():
+    """Coefficients that change at every stage, as a trajectory's do."""
+    s = np.linspace(0.0, 0.1, 9)
+    a = np.column_stack([0.3 * np.sin(7 * s), -0.2 + s, 0.1 * np.cos(5 * s)])
+    return CoefficientSchedule(s, a, 0.2 + 0.5 * s)
+
+
+FULL_EPS = np.array([[0.01, 0.002, 0.001], [0.002, 0.012, 0.0015], [0.001, 0.0015, 0.009]])
+
+
+class TestSlabs:
+    """On two or more CPUs a solve of a large grid evaluates its stages in
+    slabs of axis 0, the first in the caller and each other one in a worker
+    forked for the solve: the same bits as the inline solve."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def solve(grid, multiplicative=False, sign_mode="conventional", changing=True,
+              span=(0.0, 0.008), snapshot_s=(0.0017,)):
+        sched = changing_schedule() if changing else CoefficientSchedule.constant(
+            [0.3, -0.2, 0.1], 0.2, (0.0, 0.1))
+        cfg = FpeConfig(epsilon=FULL_EPS, schedule=sched, sign_mode=sign_mode,
+                        multiplicative=multiplicative)
+        return fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)
+
+    @pytest.mark.parametrize("slabs", [2, 3])
+    @pytest.mark.parametrize("multiplicative, sign_mode, changing", [
+        (False, "conventional", False),
+        (False, "verbatim", True),
+        (True, "verbatim", False),
+        (True, "conventional", True),
+    ], ids=["additive-constant", "additive-verbatim-changing", "multiplicative-verbatim-constant",
+            "multiplicative-changing"])
+    def test_slabbed_solve_is_the_inline_one(self, use_cpus, slabs, multiplicative, sign_mode,
+                                             changing):
+        import tribody.fokker_planck as fp
+
+        grid = slab_grid(slabs)
+        assert grid.shape[0] % 2 == 1
+        runs = []
+        for cpus in (1, slabs):
+            use_cpus(cpus)
+            assert len(fp._slab_bounds(grid)) - 1 == cpus
+            runs.append(self.solve(grid, multiplicative, sign_mode, changing))
+        inline, slabbed = runs
+        assert inline.diagnostics == slabbed.diagnostics
+        assert inline.diagnostics["steps"] >= 3
+        assert inline.diagnostics["field_evals"] == (2 * inline.diagnostics["steps"] if changing
+                                                     else 1)
+        assert inline.mass_series == slabbed.mass_series
+        for (s_a, a), (s_b, b) in zip(inline.snapshots, slabbed.snapshots):
+            assert s_a == s_b
+            assert np.array_equal(a.P, b.P)
+        assert [s for s, _ in inline.snapshots] == [0.0017, 0.008]
+        self.assert_no_child_left()
+
+    def test_below_the_cutoff_nothing_is_forked(self, monkeypatch, use_cpus):
+        import tribody.fokker_planck as fp
+
+        use_cpus(2)
+        grid = gaussian_grid([-0.8] * 3, [0.8] * 3, (24, 24, 24), [0.0] * 3, 0.2)
+        assert grid.P.size < 2 * fp.MIN_SLAB_CELLS
+        assert fp._slab_bounds(grid) == [0, 24]
+
+        def no_fork():
+            raise AssertionError("forked below the cutoff")
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.solve(grid)
+
+    def test_worker_exception_is_raised_with_its_type(self, monkeypatch, use_cpus):
+        import tribody.fokker_planck as fp
+
+        use_cpus(2)
+        caller, original = os.getpid(), fp.fpe_rhs
+
+        def failing(*args, **kwargs):
+            if os.getpid() != caller:
+                raise DomainError("raised in a slab worker")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(fp, "fpe_rhs", failing)
+        with pytest.raises(DomainError, match="slab worker"):
+            self.solve(slab_grid(2))
+        self.assert_no_child_left()
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch, use_cpus):
+        import tribody.fokker_planck as fp
+
+        use_cpus(2)
+        caller, original = os.getpid(), fp.fpe_rhs
+
+        def dying(*args, **kwargs):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(fp, "fpe_rhs", dying)
+        with pytest.raises(RuntimeError, match="no result"):
+            self.solve(slab_grid(2))
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [ResolutionError, KeyboardInterrupt])
+    def test_caller_exception_kills_and_reaps_the_worker(self, monkeypatch, use_cpus, exc):
+        # the caller raises in its part of the second stage while the
+        # worker stalls for 20 s in its own: the worker is killed, not
+        # waited for
+        import tribody.fokker_planck as fp
+
+        use_cpus(2)
+        caller, original = os.getpid(), fp.fpe_rhs
+        calls = []
+
+        def stage(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == 2:
+                if os.getpid() == caller:
+                    raise exc("raised in the caller's slab")
+                time.sleep(20.0)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(fp, "fpe_rhs", stage)
+        t0 = time.monotonic()
+        with pytest.raises(exc):
+            self.solve(slab_grid(2))
+        assert time.monotonic() - t0 < 10.0
+        self.assert_no_child_left()
+
+    def test_resolution_error_mid_solve_reaps_the_worker(self, monkeypatch, use_cpus):
+        # the second step's bound falls below the floor, with the worker
+        # idle between stages
+        import tribody.fokker_planck as fp
+
+        use_cpus(2)
+        original, bounds = fp._stable_ds, []
+
+        def collapsing(*args):
+            bounds.append(original(*args))
+            return bounds[-1] if len(bounds) < 2 else (fp.DS_FLOOR / 2, "drift")
+        monkeypatch.setattr(fp, "_stable_ds", collapsing)
+        with pytest.raises(ResolutionError):
+            self.solve(slab_grid(2))
+        assert len(bounds) == 2
+        self.assert_no_child_left()
 
 
 class TestFpeEvolve:
@@ -917,6 +1060,40 @@ class TestDensityFromEnsemble:
         est = density_from_ensemble(samples, spec)
         assert est.out_of_range == 2
         assert np.isclose(total_mass(est), 1.0)
+
+    @pytest.mark.parametrize("mins, maxs, shape", [
+        ([-1.0] * 3, [1.0] * 3, (8, 8, 8)),
+        ([-3.0, -2.9, 0.1], [3.4, 3.5, 0.7], (64, 13, 9)),
+        ([1e3, -0.3, -7.0], [1e3 + 0.1, 0.3, 7.0], (10, 33, 17)),
+    ])
+    def test_counts_are_histogramdds(self, mins, maxs, shape):
+        # samples on every edge, one ulp either side of it, on the last
+        # (closed) edge, outside the box, infinite or NaN: binned as
+        # np.histogramdd bins them on the grid's linspace edges
+        spec = MomentumGrid(mins, maxs, shape)
+        edges = [np.linspace(spec.mins[i], spec.maxs[i], spec.shape[i] + 1) for i in range(3)]
+        rng = philox(5)
+        columns = []
+        for e in edges:
+            width = e[-1] - e[0]
+            special = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                      [e[0] - width, e[-1] + width, np.inf, -np.inf, np.nan]])
+            inner = e[0] + width * rng.random(4000)
+            columns.append(np.concatenate([special, inner]))
+        n = max(len(c) for c in columns)
+        samples = np.stack([rng.permutation(np.resize(c, n)) for c in columns], axis=1)
+        # and every sample of one axis with the others held at an edge
+        samples = np.concatenate(
+            [samples] + [np.column_stack([c if j == i else np.full(len(c), edges[j][k])
+                                          for j in range(3)])
+                         for i, c in enumerate(columns) for k in (0, -1)])
+        est = density_from_ensemble(samples, spec)
+        finite = np.all(np.isfinite(samples), axis=1)
+        hist, _ = np.histogramdd(samples[finite], bins=edges)
+        n_in = float(hist.sum())
+        assert np.array_equal(est.P, hist / (n_in * spec.cell_volume))
+        assert est.out_of_range == len(samples) - n_in
+        assert est.out_of_range > 0 and n_in > 0
 
     def test_all_outside_raises(self):
         spec = MomentumGrid([-1.0] * 3, [1.0] * 3, (8, 8, 8))

@@ -1,3 +1,4 @@
+import mmap
 import os
 import signal
 import subprocess
@@ -434,6 +435,21 @@ class TestRunEnsemble:
         assert noisy.s_final == 1.0
         assert np.array_equal(noisy.snapshots[0][1], noisy.xi_final)
 
+    def test_final_state_is_the_last_snapshot_when_that_is_the_end(self):
+        # a snapshot at the end of the span is the final state's array, not
+        # a second copy; without one the final state has its own array
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 1.0))
+        nm = NoiseModel(epsilon=0.01, seed=2)
+        at_end = run_ensemble(6, sched, [0.1, -0.2, 0.05], 0.3, "additive", nm,
+                              snapshot_s=[0.6, 1.0])
+        assert at_end.snapshots[-1][1] is at_end.xi_final or np.shares_memory(
+            at_end.snapshots[-1][1], at_end.xi_final)
+        before = run_ensemble(6, sched, [0.1, -0.2, 0.05], 0.3, "additive", nm,
+                              snapshot_s=[0.6])
+        assert not np.shares_memory(before.snapshots[-1][1], before.xi_final)
+        assert np.array_equal(before.xi_final, at_end.xi_final)
+        assert np.array_equal(before.snapshots[0][1], at_end.snapshots[0][1])
+
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_snapshot_off_the_grid_is_taken_at_its_time(self, mode):
         # ds = 0.3: the step from 0.3 to 0.6 is cut at 0.5, so the snapshot
@@ -664,10 +680,10 @@ def on_one_and_two_cpus(use_cpus, *args, **kwargs):
 
 class TestChunkedEnsemble:
     """Paths are stepped in chunks of CHUNK, each chunk with its own
-    counter-keyed noise stream.  With two or more chunks and two or more
-    usable CPUs, contiguous shares of the chunks are stepped in forked
-    worker processes; the bits are those of one process stepping every
-    chunk."""
+    counter-keyed noise stream.  On two or more usable CPUs, contiguous
+    shares of the rows, of at least MIN_SHARE_ROWS each, are stepped in
+    forked worker processes; the bits are those of one process stepping
+    every chunk."""
 
     EPS = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
 
@@ -716,6 +732,55 @@ class TestChunkedEnsemble:
         assert np.isfinite(np.delete(at_fast, [3, CHUNK + 1, CHUNK + 3], axis=0)).all()
         assert np.all(np.isnan(res.xi_final[[1, 3, CHUNK + 1, CHUNK + 3]]))
         assert np.isfinite(np.delete(res.xi_final, [1, 3, CHUNK + 1, CHUNK + 3], axis=0)).all()
+
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_share_boundary_inside_a_chunk(self, use_cpus, mode):
+        # 2 CHUNK + 10 paths: on 2 CPUs the shares meet at row 16389 of
+        # chunk 1, on 3 CPUs at rows 10928 of chunk 0 and 21856 of chunk
+        # 1.  Paths on both sides of each boundary blow up: first the two
+        # fast ones, then the slow ones.  The noise is weak enough to leave
+        # that order as the drift sets it, and its bits show any row of a
+        # draw taken from the wrong place
+        nm = NoiseModel(epsilon=1e-8 * self.EPS, seed=23)
+        sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
+        n = 2 * CHUNK + 10
+        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(4).standard_normal((n, 3))
+        fast, slow = [16388, 16389], [10927, 10928, 21855, 21856]
+        xi0[fast] = [30.0, 15.0, -15.0]
+        xi0[slow] = [3.0, 1.5, -1.5]
+        runs = []
+        for cpus in (1, 2, 3):
+            use_cpus(cpus)
+            bounds = [i * n // cpus for i in range(cpus + 1)]
+            assert all(b % CHUNK for b in bounds[1:-1])
+            assert min(np.diff(bounds)) >= langevin.MIN_SHARE_ROWS
+            runs.append(run_ensemble(n, sched, xi0, 0.01, mode, nm, snapshot_s=[0.3, 1.45]))
+        one = runs[0]
+        for other in runs[1:]:
+            assert np.array_equal(one.xi_final, other.xi_final, equal_nan=True)
+            for (s_a, a), (s_b, b) in zip(one.snapshots, other.snapshots):
+                assert s_a == s_b
+                assert np.array_equal(a, b, equal_nan=True)
+            assert list(one.blowups.items()) == list(other.blowups.items())
+        # every fast and slow path, and no other, by step, then by path
+        assert sorted(one.blowups) == sorted(fast + slow)
+        assert list(one.blowups.items()) == sorted(one.blowups.items(), key=lambda pt: pt[::-1])
+        assert max(one.blowups[p] for p in fast) < min(one.blowups[p] for p in slow)
+        assert np.all(np.isnan(one.xi_final[fast + slow]))
+        assert np.isfinite(np.delete(one.xi_final, fast + slow, axis=0)).all()
+
+    def test_few_paths_are_stepped_in_the_caller(self, monkeypatch, use_cpus):
+        # fewer than 2 MIN_SHARE_ROWS paths make one share: nothing forked
+        use_cpus(2)
+
+        def no_fork():
+            raise AssertionError("forked for a small ensemble")
+        monkeypatch.setattr(os, "fork", no_fork)
+        n = 2 * langevin.MIN_SHARE_ROWS - 1
+        res = run_ensemble(n, CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.1)),
+                           [0.1, -0.2, 0.05], 0.01, "additive", NoiseModel(epsilon=0.01))
+        assert np.isfinite(res.xi_final).all()
 
 
 def hooked_step(in_caller=None, in_worker=None):
@@ -806,7 +871,7 @@ class TestForkedShares:
         def no_work(*args):
             raise AssertionError("work started before the arguments were checked")
         monkeypatch.setattr(os, "fork", no_work)
-        monkeypatch.setattr(langevin.mmap, "mmap", no_work)
+        monkeypatch.setattr(mmap, "mmap", no_work)
         with pytest.raises(error, match=match):
             run_ensemble(2 * CHUNK, self.SCHED, [0.1, -0.2, 0.05], ds, mode,
                          NoiseModel(epsilon=0.01, seed=5), s_span=s_span)
