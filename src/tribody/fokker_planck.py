@@ -62,8 +62,8 @@ through the (n1, n2, n3, 3) views of X and A, whose components are then
 contiguous; W is formed from A in place.  A field is formed only for a
 stage whose coefficients differ from those of the field held: a constant
 schedule forms it once per solve, a trajectory schedule at every stage.
-Beside the solve's three states (see Slabs), every other array lives for
-one call.  The additive stencil and the
+Every other array lives for one call, except the states that slab
+workers share (see Slabs).  The additive stencil and the
 central difference work in flat passes over contiguous data, where a
 cell's neighbour along axis i lies s_i elements away.  The stencil's
 products that point at a ghost cell are zeroed on their face, so a shift
@@ -74,11 +74,11 @@ arrays, so the result is bit-identical to it.
 Slabs.  The operator at a cell reads cells at most two rows away along
 any axis (the multiplicative form nests two differences), so fpe_rhs on
 a block of rows of axis 0 with HALO = 2 more rows on each side gives
-those rows' bits on the whole grid.  fpe_evolve keeps P, the midpoint
-and the new state in one shared anonymous mmap and writes each stage in
+those rows' bits on the whole grid.  fpe_evolve writes each stage in
 contiguous slabs of axis 0: the caller takes the first, and for a grid
 of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a worker forked
-for the solve (_fork) takes each other one.
+for the solve (_fork) takes each other one, writing its rows of P, the
+midpoint and the new state in one shared anonymous mmap.
 """
 
 from __future__ import annotations
@@ -555,21 +555,22 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     = 2 `steps`).  Reuse skips a call of _field or _stable_ds on the inputs
     it was last called with, so the results are the same bits.
 
-    Each stage writes dst = base + scale fpe_rhs(src) into one of three
-    arrays, for P, the midpoint and the new state, which lie in a shared
-    anonymous mmap.  It is evaluated in contiguous slabs of axis 0
-    (_slab_bounds): the caller takes the first, and on two or more CPUs,
-    for a grid of at least 2 MIN_SLAB_CELLS cells, a worker forked before
-    the first step (_fork) takes each other one, with its pipe round trip
-    per stage.  A slab's rows come from fpe_rhs on them and HALO rows more
-    on each side, which is the same bits as on the whole grid.  The
-    worker inherits the first step's field; for coefficients that differ
-    from it, it forms its own rows of the field, which is pointwise, while
-    the caller forms the whole field, whose max the step bound reads.
-    Only the caller pins, sums the boundary shell and reads min and max,
-    once every slab is written.  So the result is the same bits on any
-    number of slabs.  A worker is reaped before the call returns or
-    raises, killed first when the caller's part is cut short.
+    A stage base + scale fpe_rhs(src) is evaluated in contiguous slabs of
+    axis 0 (_slab_bounds).  With one slab, on one CPU or below 2
+    MIN_SLAB_CELLS cells, it is the array that fpe_rhs returns, scaled
+    and added to in place.  With more, P, the midpoint and the new state
+    lie in a shared anonymous mmap: the caller writes the first slab's
+    rows, and a worker forked before the first step (_fork) each other
+    slab's, with one pipe round trip per stage.  A slab's rows come from
+    fpe_rhs on them and HALO rows more on each side, which is the same
+    bits as on the whole grid.  The worker inherits the first step's
+    field; for coefficients that differ from it, it forms its own rows of
+    the field, which is pointwise, while the caller forms the whole field,
+    whose max the step bound reads.  Only the caller pins, sums the
+    boundary shell and reads min and max, once every slab is written.  So
+    the result is the same bits on any number of slabs.  A worker is
+    reaped before the call returns or raises, and killed first when the
+    caller's part is cut short.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")

@@ -443,6 +443,15 @@ class TestExitCodes:
         assert f"config key {key} " in capsys.readouterr().err
         assert not (out / "chaos_report.json").exists()
 
+    def test_simulate_manifest_without_its_config_is_3(self, tmp_path):
+        # the config echo is what chaos holds the physics to
+        cfg, out, manifest = self.simulated(tmp_path)
+        assert run("fpe", cfg, out) == 0
+        doc = json.loads(manifest.read_text())
+        del doc["config"]
+        manifest.write_text(json.dumps(doc))
+        assert run("chaos", cfg, out) == 3
+
     def test_seed_and_defaults_are_not_physics(self, tmp_path):
         # another seed, and a default written out, leave the physics as
         # simulate ran it

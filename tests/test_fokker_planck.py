@@ -674,6 +674,20 @@ class TestSlabs:
         assert time.monotonic() - t0 < 10.0
         self.assert_no_child_left()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_keep_the_callers_errstate(self, use_cpus, cpus):
+        # inf - inf in the drift term's differences: invalid under the
+        # caller's np.errstate however many CPUs the process sees
+        use_cpus(cpus)
+        grid = gaussian_grid([-0.8, -0.9, -1.0], [1.0, 0.9, 0.8], (25, 20, 20), [0.1, 0.0, -0.1], 0.2)
+        grid.P[-3, 5, 5] = grid.P[-3, 5, 7] = np.inf
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        cfg = FpeConfig(epsilon=0.01, schedule=sched)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            fpe_rhs(grid, sched.at(0.0), cfg)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(fpe_rhs(grid, sched.at(0.0), cfg)[-3, 5, 6])
+
     def test_resolution_error_mid_solve_reaps_the_worker(self, monkeypatch, use_cpus):
         # the second step's bound falls below the floor, with the worker
         # idle between stages
