@@ -736,11 +736,13 @@ def _bins(x, edges) -> np.ndarray:
     The guess floor((x - edges[0]) n / L) is moved a bin at a time until
     it holds; rounding leaves it at most one bin off on any sane grid."""
     n = len(edges) - 1
+    # each bin's upper edge, none for the last, which is closed
+    upper = np.append(edges[1:-1], np.inf)
     j = ((x - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
     np.minimum(j, n - 1, out=j)
     while True:
         down = x < edges[j]
-        up = (x >= edges[j + 1]) & (j < n - 1)
+        up = x >= upper[j]
         if not (down.any() or up.any()):
             return j
         j -= down
@@ -764,14 +766,13 @@ def density_from_ensemble(samples, grid_spec: MomentumGrid) -> MomentumGrid:
     inside = np.ones(len(samples), dtype=bool)
     for i in range(3):
         inside &= (samples[:, i] >= edges[i][0]) & (samples[:, i] <= edges[i][-1])
-    kept = samples[inside]
-    n_in = len(kept)
+    n_in = int(np.count_nonzero(inside))
     if n_in == 0:
         raise EmptyDensityError("all samples fell outside the grid")
     cell = np.zeros(n_in, dtype=np.intp)
     for i in range(3):
         cell *= grid_spec.shape[i]
-        cell += _bins(kept[:, i], edges[i])
+        cell += _bins(samples[:, i][inside], edges[i])
     hist = np.bincount(cell, minlength=grid_spec.P.size).reshape(grid_spec.shape)
     out = grid_spec.copy_with(hist / (float(n_in) * grid_spec.cell_volume))
     out.out_of_range = len(samples) - n_in
