@@ -1,22 +1,16 @@
 """Forked workers, the one way both solvers use a second CPU.
 
-run_ensemble steps contiguous shares of its paths, and fpe_evolve the
-slabs of its grid's rows, in worker processes forked for the call with
-os.fork: a worker shares no interpreter lock with its caller, and it
-writes its part of the result in place into a shared anonymous mmap
-(`shared`) that the caller mapped before the fork.  Beside that block a
-worker and its caller talk through two pipes of pickled objects: the
-caller sends commands (Worker.send), and the worker sends replies and,
-last, the value its function returned or the exception it raised
-(Worker.receive, which raises that exception here with its type).
-
-Every worker started inside `reaped` is reaped when the block is left,
-and killed first when the block is left by an exception or an interrupt;
-on Linux the kernel also kills it when its caller dies first (_die_with).
-A worker leaves only through os._exit, so none of the caller's handlers,
-atexit hooks or buffered output run or flush twice.  The workers make no
-BLAS call; Python 3.12 and later warn on a fork in a process with more
-than one thread, as numpy's OpenBLAS makes it unless pinned to one.
+run_ensemble steps shares of its paths, and fpe_evolve slabs of its
+grid's rows, in workers forked with os.fork: a worker shares no
+interpreter lock with its caller, and writes its part of the result in
+place into a shared anonymous mmap (`shared`) mapped before the fork.
+Commands and replies pass through two pipes of pickled objects.  A
+worker leaves only through os._exit, so none of the caller's handlers,
+atexit hooks or buffered output run or flush twice, and on Linux the
+kernel kills it when its caller dies first (_die_with).  The workers
+make no BLAS call; Python 3.12 and later warn on a fork in a process
+with more than one thread, as numpy's OpenBLAS makes it unless pinned
+to one.
 """
 
 from __future__ import annotations

@@ -643,7 +643,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
 
     def stage(src, base, dst, scale, coeffs, field):
         """states[dst] = states[base] + scale fpe_rhs(states[src]), with field
-        the whole grid's field, once every slab has written it."""
+        the whole grid's field; returns once every slab has written its
+        rows."""
         if not workers:
             # one slab: the stage is the array that evaluate returns, and the
             # one it replaces is released first
