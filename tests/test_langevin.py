@@ -442,8 +442,7 @@ class TestRunEnsemble:
         nm = NoiseModel(epsilon=0.01, seed=2)
         at_end = run_ensemble(6, sched, [0.1, -0.2, 0.05], 0.3, "additive", nm,
                               snapshot_s=[0.6, 1.0])
-        assert at_end.snapshots[-1][1] is at_end.xi_final or np.shares_memory(
-            at_end.snapshots[-1][1], at_end.xi_final)
+        assert np.shares_memory(at_end.snapshots[-1][1], at_end.xi_final)
         before = run_ensemble(6, sched, [0.1, -0.2, 0.05], 0.3, "additive", nm,
                               snapshot_s=[0.6])
         assert not np.shares_memory(before.snapshots[-1][1], before.xi_final)
