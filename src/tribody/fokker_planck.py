@@ -62,8 +62,8 @@ through the (n1, n2, n3, 3) views of X and A, whose components are then
 contiguous; W is formed from A in place.  A field is formed only for a
 stage whose coefficients differ from those of the field held: a constant
 schedule forms it once per solve, a trajectory schedule at every stage.
-Every other array lives for one call, except the states that slab
-workers share (see Slabs).  The additive stencil and the
+Every other array lives for one call, except P, the midpoint and the
+new state (see Slabs).  The additive stencil and the
 central difference work in flat passes over contiguous data, where a
 cell's neighbour along axis i lies s_i elements away.  The stencil's
 products that point at a ghost cell are zeroed on their face, so a shift
@@ -75,10 +75,11 @@ Slabs.  The operator at a cell reads cells at most two rows away along
 any axis (the multiplicative form nests two differences), so fpe_rhs on
 a block of rows of axis 0 with HALO = 2 more rows on each side gives
 those rows' bits on the whole grid.  fpe_evolve writes each stage in
-contiguous slabs of axis 0: the caller takes the first, and for a grid
-of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a worker forked
-for the solve (_fork) takes each other one, writing its rows of P, the
-midpoint and the new state in one shared anonymous mmap.
+contiguous slabs of axis 0 into P, the midpoint and the new state, which
+lie in one shared anonymous mmap: the caller takes the first slab, and
+for a grid of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a
+worker forked for the solve (_fork) takes each other one.  With one slab
+the caller writes every row and nothing is forked.
 """
 
 from __future__ import annotations
@@ -556,14 +557,13 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     it was last called with, so the results are the same bits.
 
     A stage base + scale fpe_rhs(src) is evaluated in contiguous slabs of
-    axis 0 (_slab_bounds).  With one slab, on one CPU or below 2
-    MIN_SLAB_CELLS cells, it is the array that fpe_rhs returns, scaled
-    and added to in place.  With more, P, the midpoint and the new state
-    lie in a shared anonymous mmap: the caller writes the first slab's
-    rows, and a worker forked before the first step (_fork) each other
-    slab's, with one pipe round trip per stage.  A slab's rows come from
-    fpe_rhs on them and HALO rows more on each side, which is the same
-    bits as on the whole grid.  The worker inherits the first step's
+    axis 0 (_slab_bounds) into P, the midpoint or the new state, the
+    three rows of a shared anonymous mmap.  The caller writes the first
+    slab's rows, and a worker forked before the first step (_fork) each
+    other slab's, with one pipe round trip per stage; with one slab, on
+    one CPU or below 2 MIN_SLAB_CELLS cells, nothing is forked.  A slab's
+    rows come from fpe_rhs on them and HALO rows more on each side, which
+    is the same bits as on the whole grid.  The worker inherits the first step's
     field; for coefficients that differ from it, it forms its own rows of
     the field, which is pointwise, while the caller forms the whole field,
     whose max the step bound reads.  Only the caller pins, sums the
@@ -589,10 +589,9 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
     n1 = grid0.shape[0]
     bounds = _slab_bounds(grid0)
-    # P, the midpoint and the new state; with slab workers, the rows of
-    # one shared block that every slab writes in place
-    states = list(_fork.shared((3,) + grid0.shape)) if len(bounds) > 2 else [
-        np.empty(grid0.shape), None, None]
+    # P, the midpoint and the new state: one shared block, whose rows
+    # every slab writes in place
+    states = _fork.shared((3,) + grid0.shape)
     P, mid, new = 0, 1, 2
     states[P][...] = grid0.P
     work = MomentumGrid(grid0.mins, grid0.maxs, grid0.shape, states[P])
@@ -613,17 +612,15 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             field_evals += 1
         return held["field"]
 
-    def evaluate(src, base, scale, coeffs, field, lo, hi, out=None):
-        """Rows [lo, hi) of the stage states[base] + scale fpe_rhs(states[src]),
-        written to out or, without it, in place into the rows of a new array,
-        from fpe_rhs on rows [a, b), those and HALO more on each side; field
-        is the field of rows [a, b)."""
+    def evaluate(src, base, dst, scale, coeffs, field, lo, hi):
+        """Rows [lo, hi) of the stage states[dst] = states[base] + scale
+        fpe_rhs(states[src]), from fpe_rhs on rows [a, b), those and HALO
+        more on each side; field is the field of rows [a, b)."""
         a, b = max(lo - HALO, 0), min(hi + HALO, n1)
         work.P = states[src][a:b]
-        rows = fpe_rhs(work, coeffs, cfg, field=field)[lo - a:hi - a]
-        out = np.multiply(rows, scale, out=rows if out is None else out)
+        out = states[dst][lo:hi]
+        np.multiply(fpe_rhs(work, coeffs, cfg, field=field)[lo - a:hi - a], scale, out=out)
         out += states[base][lo:hi]
-        return out
 
     def serve(caller, lo, hi):
         """A slab worker's loop: write rows [lo, hi) of each stage the caller
@@ -638,24 +635,19 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                 key = field = None
                 field = _field(X[:, a:b], grid0.h, coeffs, cfg, rows_quad)
                 key = coeffs_key
-            evaluate(src, base, scale, coeffs, field, lo, hi, out=states[dst][lo:hi])
+            evaluate(src, base, dst, scale, coeffs, field, lo, hi)
             caller.reply(None)
 
     def stage(src, base, dst, scale, coeffs, field):
         """states[dst] = states[base] + scale fpe_rhs(states[src]), with field
         the whole grid's field; returns once every slab has written its
         rows."""
-        if not workers:
-            # one slab: the stage is the array that evaluate returns, and the
-            # one it replaces is released first
-            states[dst] = None
-            states[dst] = evaluate(src, base, scale, coeffs, field, 0, n1)
-            return
         for worker in workers:
             worker.send((src, base, dst, scale, _key(coeffs)))
         hi = bounds[1]
-        evaluate(src, base, scale, coeffs, _field_rows(field, 0, min(hi + HALO, n1), cfg), 0, hi,
-                 out=states[dst][:hi])
+        b = min(hi + HALO, n1)
+        evaluate(src, base, dst, scale, coeffs, field if b == n1 else _field_rows(field, 0, b, cfg),
+                 0, hi)
         for worker in workers:
             worker.receive()
 

@@ -48,7 +48,7 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 CHUNK = 16384
 # fewest rows a share of the ensemble's paths may get for a worker to be
 # forked for it (measured, see _step_shares)
-MIN_SHARE_ROWS = 4000
+MIN_SHARE_ROWS = 8192
 
 __all__ = [
     "epsilon_matrix",
