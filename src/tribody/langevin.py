@@ -25,10 +25,10 @@ fraction of the cost of a normal draw.  An ensemble steps its paths in
 chunks of CHUNK, and at step k chunk c draws from its own SFC64
 generator, seeded with SeedSequence((seed, c, k)): numpy's construction
 of independent streams from one master seed.  So path p's noise is fixed
-by (seed, p, step).  The paths are independent: on two or more usable
-CPUs, contiguous shares of their rows are stepped in worker processes
-forked for the call (_fork), with the same bits as one process stepping
-every chunk in turn (run_ensemble).
+by (seed, p, step).  The chunks are independent: with two or more of
+them and two or more usable CPUs, contiguous shares are stepped in
+worker processes forked for the call (_fork), with the same bits as one
+process stepping every chunk in turn (run_ensemble).
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 # paths per chunk of the ensemble; each chunk has its own noise stream at
 # every step, SFC64(SeedSequence((seed, chunk, step)))
 CHUNK = 16384
-# fewest rows a share of the ensemble's paths may get for a worker to be
-# forked for it (measured, see _step_shares)
-MIN_SHARE_ROWS = 8192
 
 __all__ = [
     "epsilon_matrix",
@@ -176,26 +173,21 @@ def _scale_rows(z, diagonal, off) -> np.ndarray:
     return z
 
 
-def _two_point(rng: np.random.Generator, scale, out, skip: int = 0) -> np.ndarray:
-    """Two-point increments into out ((n, 3), any layout), rows [skip,
-    skip + n) of a draw: z_ri = +1 where bit 3r + i of the
-    ceil(3 (skip + n) / 64) words rng.bit_generator.random_raw draws is
-    set, -1 where it is clear (bit b of word w is bit 64 w + b, least
-    significant first, on any host), then scaled by _scale_rows, so a
-    diagonal eps gives exactly +-S_ii sqrt(ds); zeros, drawing nothing,
-    for a zero eps (scale None)."""
+def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
+    """Two-point increments into out ((n, 3), any layout): z_ri = +1 where
+    bit 3r + i of the ceil(3n / 64) words rng.bit_generator.random_raw
+    draws is set, -1 where it is clear (bit b of word w is bit 64 w + b,
+    least significant first, on any host), then scaled by _scale_rows,
+    so a diagonal eps gives exactly +-S_ii sqrt(ds); zeros, drawing
+    nothing, for a zero eps (scale None)."""
     if scale is None:
         out.fill(0.0)
         return out
     n = len(out)
-    words = rng.bit_generator.random_raw(-(-3 * (skip + n) // 64))
-    # only the words that hold row skip onwards are unpacked
-    first = 3 * skip // 64
-    bits = np.unpackbits(words[first:].astype("<u8", copy=False).view(np.uint8),
-                         bitorder="little")
-    lo = 3 * skip - 64 * first
+    words = rng.bit_generator.random_raw(-(-3 * n // 64))
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
     # an assignment casts across layouts faster than a ufunc with out=
-    out[...] = bits[lo:lo + 3 * n].reshape(n, 3)
+    out[...] = bits[:3 * n].reshape(n, 3)
     out *= 2.0
     out -= 1.0
     return _scale_rows(out, *scale)
@@ -321,22 +313,23 @@ def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
     return plan, times, s
 
 
-def _step_shares(step_rows, n_traj: int) -> list:
-    """Step rows [0, n_traj) in contiguous shares of near-equal size, the
-    first in the calling process and each other one in a forked worker,
-    and return the blow-ups of all.  There are as many shares as CPUs
-    usable by the process, but no more than leave each at least
-    MIN_SHARE_ROWS rows; with one share nothing is forked.  Share i holds
-    rows [i n / shares, (i+1) n / shares), rounded down.  A worker's
+def _step_shares(step_chunks, n_chunks: int) -> list:
+    """Step chunks [0, n_chunks) in contiguous shares, the last in the
+    calling process and each other one in a forked worker, and return the
+    blow-ups of all.  There are as many shares as CPUs usable by the
+    process, but no more than chunks; with one share nothing is forked.
+    Share i holds chunks [i n / shares, (i+1) n / shares), rounded down,
+    so the last share, which holds the short last chunk, is the largest:
+    the caller steps it while each worker pays for its fork.  A worker's
     exception is raised here with its type; every worker is reaped before
     this returns or raises, and killed first when the caller's own share
     or the wait is cut short, by an exception or an interrupt."""
-    shares = max(1, min(_fork.usable_cpus(), n_traj // MIN_SHARE_ROWS))
-    bounds = [i * n_traj // shares for i in range(shares + 1)]
+    shares = min(_fork.usable_cpus(), n_chunks)
+    bounds = [i * n_chunks // shares for i in range(shares + 1)]
     with _fork.reaped() as workers:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: step_rows(lo, hi)))
-        found = step_rows(bounds[0], bounds[1])
+        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+            workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: step_chunks(lo, hi)))
+        found = step_chunks(bounds[-2], bounds[-1])
         for worker in workers:
             found.extend(worker.receive())
     return found
@@ -369,18 +362,15 @@ def run_ensemble(
     of (rows, 3) storage, bit for bit.  xi0 may be a single 3-vector
     (all paths start together) or (n_traj, 3).
 
-    The paths are independent, so on two or more CPUs usable by the
-    process (os.sched_getaffinity) their rows are split into contiguous
-    shares of near-equal size, one per CPU but none of fewer than
-    MIN_SHARE_ROWS rows (_step_shares): the caller steps the first, and a
-    worker forked with os.fork steps each other one, with no interpreter
-    lock shared between them.  A share steps the piece of each chunk that
-    it overlaps; a piece from row r0 of chunk c draws chunk c's stream for
-    rows [0, r0 + m) and keeps its own m, so a chunk cut by a share
-    boundary gives the same bits.  The snapshots and the final states
-    lie in one shared anonymous mmap, which each worker writes its rows
-    of in place; blow-ups come back through a pipe.  With one share the
-    caller steps every chunk, one after another.  The result is the same
+    The chunks are independent, so with two or more chunks and two or
+    more CPUs usable by the process (os.sched_getaffinity) they are split
+    into contiguous shares, one per CPU (_step_shares): the caller steps
+    the last, which holds the short last chunk, and a worker forked with
+    os.fork steps each other one, with no interpreter lock shared between
+    them.  The snapshots and the final states lie in one shared anonymous
+    mmap, which each worker writes its rows of in place; blow-ups come
+    back through a pipe.  With one share the caller steps every chunk,
+    one after another.  The result is the same
     bits either way.  Every worker is reaped before the call returns or
     raises, and on Linux the kernel kills it if the caller dies first, by
     SIGTERM or SIGKILL too (_fork).
@@ -420,17 +410,15 @@ def run_ensemble(
     snaps, xi_final = out[:len(times)], out[-1]
     additive = mode == "additive"
 
-    def step_rows(r_lo: int, r_hi: int) -> list:
-        """Step paths [r_lo, r_hi) into out; return their blow-ups as
-        (step, path, s).  The rows of each chunk that the range overlaps
-        are stepped as one piece, which draws the chunk's stream from its
-        first row and keeps the piece's rows."""
-        # a piece's component-major state, its finiteness and the drift
+    def step_chunks(c_lo: int, c_hi: int) -> list:
+        """Step chunks [c_lo, c_hi) into out; return their blow-ups as
+        (step, path, s)."""
+        # a chunk's component-major state, its finiteness and the drift
         # stages: one in additive mode, which forms the increments in it
         # once the step is done with it; in multiplicative mode the three
         # Heun stages and the increments, which the step turns into its
         # forcing
-        rows = min(r_hi - r_lo, CHUNK)
+        rows = min(n_traj, CHUNK)
         state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
             + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
         found = []
@@ -438,10 +426,9 @@ def run_ensemble(
         # check after each step is the intended detector, so silence the
         # transient
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(r_lo // CHUNK, -(-r_hi // CHUNK)):
-                lo, hi = max(r_lo, c * CHUNK), min(r_hi, (c + 1) * CHUNK)
-                skip = lo - c * CHUNK
-                # the (rows, 3) views of the piece's component-major arrays
+            for c in range(c_lo, c_hi):
+                lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
+                # the (rows, 3) views of the chunk's component-major arrays
                 xi, finite, *work = (b[:, :hi - lo].T for b in state)
                 xi[...] = xi0[lo:hi]
                 alive = np.ones(hi - lo, dtype=bool)
@@ -451,9 +438,9 @@ def run_ensemble(
                     if additive:
                         _step(xi, h, mode, coeffs, None, work)
                         if scale is not None:
-                            xi += _two_point(rng, scale, work[0], skip)
+                            xi += _two_point(rng, scale, work[0])
                     else:
-                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3], skip), work)
+                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
                     # a frozen path stays NaN, so while all is finite no
                     # path has blown up yet
                     if not np.isfinite(xi, out=finite).all():
@@ -467,7 +454,7 @@ def run_ensemble(
                     xi_final[lo:hi] = xi
         return found
 
-    found = _step_shares(step_rows, n_traj)
+    found = _step_shares(step_chunks, -(-n_traj // CHUNK))
     return EnsembleResult(
         s_final=s_final,
         xi_final=xi_final,

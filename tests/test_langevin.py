@@ -679,12 +679,13 @@ def on_one_and_two_cpus(use_cpus, *args, **kwargs):
 
 class TestChunkedEnsemble:
     """Paths are stepped in chunks of CHUNK, each chunk with its own
-    counter-keyed noise stream.  On two or more usable CPUs, contiguous
-    shares of the rows, of at least MIN_SHARE_ROWS each, are stepped in
-    forked worker processes; the bits are those of one process stepping
-    every chunk."""
+    counter-keyed noise stream.  With two or more chunks and two or more
+    usable CPUs, contiguous shares of the chunks are stepped in forked
+    worker processes; the bits are those of one process stepping every
+    chunk."""
 
     EPS = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
+    SCHED = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.1))
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_path_does_not_depend_on_n_traj(self, use_cpus, mode):
@@ -732,53 +733,43 @@ class TestChunkedEnsemble:
         assert np.all(np.isnan(res.xi_final[[1, 3, CHUNK + 1, CHUNK + 3]]))
         assert np.isfinite(np.delete(res.xi_final, [1, 3, CHUNK + 1, CHUNK + 3], axis=0)).all()
 
-
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
-    def test_share_boundary_inside_a_chunk(self, use_cpus, mode):
-        # 2 CHUNK + 10 paths: on 2 CPUs the shares meet at row 16389 of
-        # chunk 1, on 3 CPUs at rows 10928 of chunk 0 and 21856 of chunk
-        # 1.  Paths on both sides of each boundary blow up: first the two
-        # fast ones, then the slow ones.  The noise is weak enough to leave
-        # that order as the drift sets it, and its bits show any row of a
-        # draw taken from the wrong place
-        nm = NoiseModel(epsilon=1e-8 * self.EPS, seed=23)
-        sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
+    def test_short_last_chunk_is_stepped_in_the_caller(self, monkeypatch, use_cpus, mode):
+        # 2 CHUNK + 10 paths make two full chunks and a short one: on 2 and
+        # 3 CPUs the caller steps the short chunk, and no worker steps one
+        caller = os.getpid()
+        rows_in_caller = []
+
+        def step(xi, *args):
+            if os.getpid() == caller:
+                rows_in_caller.append(len(xi))
+            elif len(xi) < CHUNK:
+                raise AssertionError("a worker stepped the short chunk")
+            return _step(xi, *args)
+        monkeypatch.setattr(langevin, "_step", step)
         n = 2 * CHUNK + 10
+        nm = NoiseModel(epsilon=self.EPS, seed=23)
         xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(4).standard_normal((n, 3))
-        fast, slow = [16388, 16389], [10927, 10928, 21855, 21856]
-        xi0[fast] = [30.0, 15.0, -15.0]
-        xi0[slow] = [3.0, 1.5, -1.5]
         runs = []
         for cpus in (1, 2, 3):
             use_cpus(cpus)
-            bounds = [i * n // cpus for i in range(cpus + 1)]
-            assert all(b % CHUNK for b in bounds[1:-1])
-            assert min(np.diff(bounds)) >= langevin.MIN_SHARE_ROWS
-            runs.append(run_ensemble(n, sched, xi0, 0.01, mode, nm, snapshot_s=[0.3, 1.45]))
-        one = runs[0]
+            rows_in_caller.clear()
+            runs.append(run_ensemble(n, self.SCHED, xi0, 0.01, mode, nm, snapshot_s=[0.05]))
+            assert 10 in rows_in_caller
+            assert (CHUNK in rows_in_caller) == (cpus < 3)
         for other in runs[1:]:
-            assert np.array_equal(one.xi_final, other.xi_final, equal_nan=True)
-            for (s_a, a), (s_b, b) in zip(one.snapshots, other.snapshots):
-                assert s_a == s_b
-                assert np.array_equal(a, b, equal_nan=True)
-            assert list(one.blowups.items()) == list(other.blowups.items())
-        # every fast and slow path, and no other, by step, then by path
-        assert sorted(one.blowups) == sorted(fast + slow)
-        assert list(one.blowups.items()) == sorted(one.blowups.items(), key=lambda pt: pt[::-1])
-        assert max(one.blowups[p] for p in fast) < min(one.blowups[p] for p in slow)
-        assert np.all(np.isnan(one.xi_final[fast + slow]))
-        assert np.isfinite(np.delete(one.xi_final, fast + slow, axis=0)).all()
+            assert np.array_equal(runs[0].xi_final, other.xi_final)
+            assert np.array_equal(runs[0].snapshots[0][1], other.snapshots[0][1])
 
-    def test_few_paths_are_stepped_in_the_caller(self, monkeypatch, use_cpus):
-        # fewer than 2 MIN_SHARE_ROWS paths make one share: nothing forked
+    def test_one_chunk_is_stepped_in_the_caller(self, monkeypatch, use_cpus):
+        # one chunk makes one share: nothing forked
         use_cpus(2)
 
         def no_fork():
-            raise AssertionError("forked for a small ensemble")
+            raise AssertionError("forked for a one-chunk ensemble")
         monkeypatch.setattr(os, "fork", no_fork)
-        n = 2 * langevin.MIN_SHARE_ROWS - 1
-        res = run_ensemble(n, CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.1)),
-                           [0.1, -0.2, 0.05], 0.01, "additive", NoiseModel(epsilon=0.01))
+        res = run_ensemble(CHUNK, self.SCHED, [0.1, -0.2, 0.05], 0.01, "additive",
+                           NoiseModel(epsilon=0.01))
         assert np.isfinite(res.xi_final).all()
 
 
