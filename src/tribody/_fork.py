@@ -1,6 +1,6 @@
 """Forked workers, the one way both solvers use a second CPU.
 
-run_ensemble steps shares of its paths, and fpe_evolve slabs of its
+run_ensemble steps shares of its chunks, and fpe_evolve slabs of its
 grid's rows, in workers forked with os.fork: a worker shares no
 interpreter lock with its caller, and writes its part of the result in
 place into a shared anonymous mmap (`shared`) mapped before the fork.
