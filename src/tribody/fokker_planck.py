@@ -56,14 +56,16 @@ the max|A| of the drift they were formed from, and for multiplicative
 noise the rows of B, whose step bound reads max|A| as max|B a|.
 Per-cell vectors are stored component-major: fpe_evolve forms the cell
 centres once per solve as a contiguous (3, n1, n2, n3) array X =
-grid.mesh(axis=0), and A is a new (3, n1, n2, n3) array that
+grid.mesh(axis=0), and A is a (3, n1, n2, n3) array that
 langevin.drift (so geodesic.momentum_rhs, the one B a kernel) fills
 through the (n1, n2, n3, 3) views of X and A, whose components are then
-contiguous; W is formed from A in place.  A field is formed only for a
-stage whose coefficients differ from those of the field held: a constant
-schedule forms it once per solve, a trajectory schedule at every stage.
-Every other array lives for one call, except P, the midpoint and the
-new state (see Slabs).  The additive stencil and the
+contiguous; W is formed from A in place.  fpe_evolve forms each field
+into one (3, n1, n2, n3) buffer, A and W for additive noise and B's
+diagonal for multiplicative noise, and only for a stage whose
+coefficients differ from those of the field held: a constant schedule
+forms it once per solve, a trajectory schedule at every stage.  Every
+other array lives for one call, except P, the midpoint, the new state
+and that buffer (see Slabs).  The additive stencil and the
 central difference work in flat passes over contiguous data, where a
 cell's neighbour along axis i lies s_i elements away.  The stencil's
 products that point at a ghost cell are zeroed on their face, so a shift
@@ -76,10 +78,12 @@ any axis (the multiplicative form nests two differences), so fpe_rhs on
 a block of rows of axis 0 with HALO = 2 more rows on each side gives
 those rows' bits on the whole grid.  fpe_evolve writes each stage in
 contiguous slabs of axis 0 into P, the midpoint and the new state, which
-lie in one shared anonymous mmap: the caller takes the first slab, and
-for a grid of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a
-worker forked for the solve (_fork) takes each other one.  With one slab
-the caller writes every row and nothing is forked.
+lie in one shared anonymous mmap with the field's buffer: the caller
+takes the first slab, and for a grid of at least 2 MIN_SLAB_CELLS cells
+on two or more CPUs a worker forked for the solve (_fork) takes each
+other one.  The caller alone forms the field, and every slab reads its
+rows of it there.  With one slab the caller writes every row and nothing
+is forked.
 """
 
 from __future__ import annotations
@@ -265,14 +269,19 @@ def _quadratic(X):
     return two_xx, xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
 
 
-def _coupling(quad, lam_sq):
+def _coupling(quad, lam_sq, out=None):
     """The coupling B(xi; Lambda^2) of langevin.diffusion on the mesh, as the
     rows that _symmetric makes.  Only the diagonal 2 xi_k^2 - (|xi|^2 +
-    Lambda^2) is formed; the off-diagonal products of _quadratic are used
-    as they are."""
+    Lambda^2) is formed, into the (3, n1, n2, n3) array out (a new one if
+    omitted); the off-diagonal products of _quadratic are used as they
+    are."""
     two_xx, sq = quad
+    if out is None:
+        out = np.empty((3,) + sq.shape)
     q = sq + lam_sq
-    return _symmetric(((k, j), two_xx[k][j] - q if k == j else two_xx[k][j]) for k, j in _UPPER)
+    for k in range(3):
+        np.subtract(two_xx[k][k], q, out=out[k])
+    return _symmetric(((k, j), out[k] if k == j else two_xx[k][j]) for k, j in _UPPER)
 
 
 def _row_sums(quad, h, eps):
@@ -330,19 +339,20 @@ def _alpha(h, eps):
     return [eps[i, i] / (h[i] * h[i]) for i in range(3)]
 
 
-def _field(X, h, coeffs, cfg, quad=None):
+def _field(X, h, coeffs, cfg, quad=None, out=None):
     """The field of coeffs that fpe_rhs and the step bound read, on the
-    component-major cell centres X = grid.mesh(axis=0) with spacing h.
+    component-major cell centres X = grid.mesh(axis=0) with spacing h,
+    formed into the (3, n1, n2, n3) array out (a new one if omitted).
 
-    For additive noise it is (W, max|A|): the drift kernel fills a new
-    (3, n1, n2, n3) array A through the (n1, n2, n3, 3) views of X and A,
-    its max|A| is read, and A is turned in place into the stencil's
-    weights W_i = alpha_i + sign A_i / (2 h_i).  For multiplicative noise
-    it is the rows of _coupling, from quad = _quadratic(X), formed if
-    omitted."""
+    For additive noise it is (W, max|A|): the drift kernel fills out with
+    A through the (n1, n2, n3, 3) views of X and out, its max|A| is read,
+    and A is turned in place into the stencil's weights W_i = alpha_i +
+    sign A_i / (2 h_i).  For multiplicative noise it is the rows of
+    _coupling, from quad = _quadratic(X), formed if omitted, with B's
+    diagonal in out."""
     if cfg.multiplicative:
-        return _coupling(_quadratic(X) if quad is None else quad, coeffs[1])
-    A = np.empty(X.shape)
+        return _coupling(_quadratic(X) if quad is None else quad, coeffs[1], out)
+    A = np.empty(X.shape) if out is None else out
     drift(np.moveaxis(X, 0, -1), coeffs, out=np.moveaxis(A, 0, -1))
     amax = _absmax(A)
     for i, alpha in enumerate(_alpha(h, cfg.epsilon)):
@@ -525,12 +535,6 @@ def _key(coeffs) -> bytes:
     return np.append(coeffs[0], coeffs[1]).tobytes()
 
 
-def _coeffs(key: bytes):
-    """The coefficient set (a, Lambda^2) whose bits are key."""
-    values = np.frombuffer(key)
-    return values[:3], float(values[3])
-
-
 def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> FpeResult:
     """Explicit RK2 (midpoint) evolution with a CFL-bounded step.
 
@@ -548,7 +552,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     solve formed a field with _field.
 
     A stage forms a field only when its coefficients differ, bit for bit,
-    from those of the field held, which is released first.  The step bound
+    from those of the field held, in its place.  The step bound
     is computed once per field, when a step start first reads it, and the
     step's first stage shares that field.  So a constant schedule forms its
     field and its bound once per solve (`field_evals` 1), and a schedule
@@ -557,20 +561,19 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     it was last called with, so the results are the same bits.
 
     A stage base + scale fpe_rhs(src) is evaluated in contiguous slabs of
-    axis 0 (_slab_bounds) into P, the midpoint or the new state, the
-    three rows of a shared anonymous mmap.  The caller writes the first
-    slab's rows, and a worker forked before the first step (_fork) each
-    other slab's, with one pipe round trip per stage; with one slab, on
-    one CPU or below 2 MIN_SLAB_CELLS cells, nothing is forked.  A slab's
-    rows come from fpe_rhs on them and HALO rows more on each side, which
-    is the same bits as on the whole grid.  The worker inherits the first step's
-    field; for coefficients that differ from it, it forms its own rows of
-    the field, which is pointwise, while the caller forms the whole field,
-    whose max the step bound reads.  Only the caller pins, sums the
-    boundary shell and reads min and max, once every slab is written.  So
-    the result is the same bits on any number of slabs.  A worker is
-    reaped before the call returns or raises, and killed first when the
-    caller's part is cut short.
+    axis 0 (_slab_bounds) into P, the midpoint or the new state, three
+    rows of a shared anonymous mmap whose other three hold the field.  The
+    caller writes the first slab's rows, and a worker forked before the
+    first step (_fork) each other slab's, with one pipe round trip per
+    stage; with one slab, on one CPU or below 2 MIN_SLAB_CELLS cells,
+    nothing is forked.  A slab's rows come from fpe_rhs on them and HALO
+    rows more on each side, with those rows of the field, which is the
+    same bits as on the whole grid.  Only the caller forms the field, once
+    every slab has written the stage before, and only the caller pins,
+    sums the boundary shell and reads min and max, once every slab is
+    written.  So the result is the same bits on any number of slabs.  A
+    worker is reaped before the call returns or raises, and killed first
+    when the caller's part is cut short.
     """
     if abs(total_mass(grid0) - 1.0) > 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -589,65 +592,54 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
     n1 = grid0.shape[0]
     bounds = _slab_bounds(grid0)
-    # P, the midpoint and the new state: one shared block, whose rows
-    # every slab writes in place
-    states = _fork.shared((3,) + grid0.shape)
+    # P, the midpoint, the new state and the field's per-cell arrays: one
+    # shared block, whose rows every slab reads and writes in place
+    block = _fork.shared((6,) + grid0.shape)
+    states, buffer = block[:3], block[3:]
     P, mid, new = 0, 1, 2
     states[P][...] = grid0.P
     work = MomentumGrid(grid0.mins, grid0.maxs, grid0.shape, states[P])
-    # the field held, the bits of its coefficients, and its step bound
+    # the field in buffer, the bits of its coefficients, and its step bound
     # once a step start has read it
     held = {"key": None, "field": None, "bound": None}
     field_evals = 0
 
     def field_at(coeffs):
         """The field at coeffs: the held one when coeffs has the bits of the
-        coefficients it was formed for, a new one otherwise."""
+        coefficients it was formed for, a new one in its place otherwise."""
         nonlocal field_evals
         key = _key(coeffs)
         if key != held["key"]:
-            # release the held field before the next one is formed
-            held.update(key=None, field=None, bound=None)
-            held.update(key=key, field=_field(X, grid0.h, coeffs, cfg, quad))
+            held.update(key=key, field=_field(X, grid0.h, coeffs, cfg, quad, out=buffer),
+                        bound=None)
             field_evals += 1
         return held["field"]
 
-    def evaluate(src, base, dst, scale, coeffs, field, lo, hi):
+    def evaluate(src, base, dst, scale, coeffs, lo, hi):
         """Rows [lo, hi) of the stage states[dst] = states[base] + scale
         fpe_rhs(states[src]), from fpe_rhs on rows [a, b), those and HALO
-        more on each side; field is the field of rows [a, b)."""
+        more on each side, and the held field's rows [a, b)."""
         a, b = max(lo - HALO, 0), min(hi + HALO, n1)
         work.P = states[src][a:b]
         out = states[dst][lo:hi]
+        field = _field_rows(held["field"], a, b, cfg)
         np.multiply(fpe_rhs(work, coeffs, cfg, field=field)[lo - a:hi - a], scale, out=out)
         out += states[base][lo:hi]
 
     def serve(caller, lo, hi):
         """A slab worker's loop: write rows [lo, hi) of each stage the caller
         sends, until it sends None."""
-        a, b = max(lo - HALO, 0), min(hi + HALO, n1)
-        key, field = held["key"], _field_rows(held["field"], a, b, cfg)
-        rows_quad = _quadratic(X[:, a:b]) if cfg.multiplicative else None
-        for src, base, dst, scale, coeffs_key in iter(caller.receive, None):
-            coeffs = _coeffs(coeffs_key)
-            if coeffs_key != key:
-                # release the held rows before the next are formed
-                key = field = None
-                field = _field(X[:, a:b], grid0.h, coeffs, cfg, rows_quad)
-                key = coeffs_key
-            evaluate(src, base, dst, scale, coeffs, field, lo, hi)
+        for command in iter(caller.receive, None):
+            evaluate(*command, lo, hi)
             caller.reply(None)
 
-    def stage(src, base, dst, scale, coeffs, field):
-        """states[dst] = states[base] + scale fpe_rhs(states[src]), with field
-        the whole grid's field; returns once every slab has written its
-        rows."""
+    def stage(src, base, dst, scale, coeffs):
+        """states[dst] = states[base] + scale fpe_rhs(states[src]) with the
+        field at coeffs; returns once every slab has written its rows."""
+        field_at(coeffs)
         for worker in workers:
-            worker.send((src, base, dst, scale, _key(coeffs)))
-        hi = bounds[1]
-        b = min(hi + HALO, n1)
-        evaluate(src, base, dst, scale, coeffs, field if b == n1 else _field_rows(field, 0, b, cfg),
-                 0, hi)
+            worker.send((src, base, dst, scale, coeffs))
+        evaluate(src, base, dst, scale, coeffs, 0, bounds[1])
         for worker in workers:
             worker.receive()
 
@@ -659,7 +651,9 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     limits = {"drift": 0, "diffusion": 0, "snapshot": 0}
     s = s0
 
-    # the first step's field, which the slab workers inherit
+    # the first step's field, whose views of buffer the slab workers
+    # inherit: they read each later field, which the caller writes there
+    # only once every slab has written its rows of the stage before
     field_at(cfg.schedule.at(s0))
     with _fork.reaped() as workers:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -667,20 +661,17 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         for target in targets:
             while s < target - 1e-15:
                 coeffs = cfg.schedule.at(s)
-                # read through held, not a local, which would keep this field
-                # alive while the midpoint forms the next
-                field_at(coeffs)
+                field = field_at(coeffs)
                 if held["bound"] is None:
-                    held["bound"] = _stable_ds(work, cfg, coeffs, held["field"], sums)
+                    held["bound"] = _stable_ds(work, cfg, coeffs, field, sums)
                 ds, term = held["bound"]
                 if target - s < ds:
                     ds, term = target - s, "snapshot"
                 if ds < DS_FLOOR:
                     raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
-                stage(P, P, mid, 0.5 * ds, coeffs, held["field"])
+                stage(P, P, mid, 0.5 * ds, coeffs)
                 pin_boundary(states[mid])
-                coeffs_mid = cfg.schedule.at(s + 0.5 * ds)
-                stage(mid, P, new, ds, coeffs_mid, field_at(coeffs_mid))
+                stage(mid, P, new, ds, cfg.schedule.at(s + 0.5 * ds))
                 P, new = new, P
                 outflow += _shell_sum(states[P]) * work.cell_volume
                 pin_boundary(states[P])

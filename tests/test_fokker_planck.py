@@ -606,6 +606,27 @@ class TestSlabs:
         assert [s for s, _ in inline.snapshots] == [0.0017, 0.008]
         self.assert_no_child_left()
 
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_workers_form_no_field(self, monkeypatch, use_cpus, multiplicative):
+        # the caller forms each field of a changing schedule, and the
+        # worker reads its rows from the shared block
+        import tribody.fokker_planck as fp
+
+        use_cpus(2)
+        caller = os.getpid()
+
+        def in_caller_only(name, fn):
+            def wrapper(*args, **kwargs):
+                if os.getpid() != caller:
+                    raise DomainError(f"{name} called in a slab worker")
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in ("_field", "_coupling", "_quadratic"):
+            monkeypatch.setattr(fp, name, in_caller_only(name, getattr(fp, name)))
+        res = self.solve(slab_grid(2), multiplicative)
+        assert res.diagnostics["field_evals"] == 2 * res.diagnostics["steps"]
+        self.assert_no_child_left()
+
     def test_below_the_cutoff_nothing_is_forked(self, monkeypatch, use_cpus):
         import tribody.fokker_planck as fp
 
@@ -918,6 +939,12 @@ class TestFpeEvolve:
 
         calls, meshes, latest = {}, [], {}
 
+        def shares_field(field, formed):
+            """Whether each array of field is a view of formed's."""
+            if multiplicative:
+                return all(np.shares_memory(field[k][j], formed[k][j]) for k, j in fp._UPPER)
+            return np.shares_memory(field[0], formed[0])
+
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
@@ -926,14 +953,14 @@ class TestFpeEvolve:
                     assert xi.shape == out.shape == grid.shape + (3,)
                     assert xi.strides[-1] == out.strides[-1] == grid.P.size * 8
                     meshes.append(xi.base)
-                    latest["A"] = out.base
+                    latest["A"] = out
                 if name == "fpe_rhs":
                     # each right-hand side reads the latest field formed
-                    assert kwargs["field"] is latest["field"]
+                    assert shares_field(kwargs["field"], latest["field"])
                 if name == "_stable_ds":
                     # the step bound reads the latest field, and for
                     # multiplicative noise the solve's row sums
-                    assert args[3] is latest["field"]
+                    assert shares_field(args[3], latest["field"])
                     assert args[4] is latest.get("sums")
                 result = fn(*args, **kwargs)
                 if name == "drift":
@@ -949,7 +976,8 @@ class TestFpeEvolve:
                     if multiplicative:
                         assert result is latest["B"]
                     else:
-                        assert result[0] is latest["A"] and result[1] == latest["amax"]
+                        assert np.shares_memory(result[0], latest["A"])
+                        assert result[1] == latest["amax"]
                     latest["field"] = result
                 return result
             return wrapper
