@@ -80,7 +80,12 @@ class Worker:
     def __init__(self, work):
         parent = os.getpid()
         commands, replies = os.pipe(), os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in commands + replies:
+                os.close(fd)
+            raise
         if pid == 0:
             code = 1
             try:
