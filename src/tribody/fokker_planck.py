@@ -54,18 +54,20 @@ Layout.  Each coefficient set (a, Lambda^2) has one field, which the
 operator and the step bound read: for additive noise the weights W with
 the max|A| of the drift they were formed from, and for multiplicative
 noise the rows of B, whose step bound reads max|A| as max|B a|.
-Per-cell vectors are stored component-major: fpe_evolve forms the cell
-centres once per solve as a contiguous (3, n1, n2, n3) array X =
-grid.mesh(axis=0), and A is a (3, n1, n2, n3) array that
-langevin.drift (so geodesic.momentum_rhs, the one B a kernel) fills
-through the (n1, n2, n3, 3) views of X and A, whose components are then
-contiguous; W is formed from A in place.  fpe_evolve forms each field
-into one (3, n1, n2, n3) buffer, A and W for additive noise and B's
-diagonal for multiplicative noise, and only for a stage whose
-coefficients differ from those of the field held: a constant schedule
-forms it once per solve, a trajectory schedule at every stage.  Every
-other array lives for one call, except P, the midpoint, the new state
-and that buffer (see Slabs).  The additive stencil and the
+Per-cell vectors are stored component-major: A is a (3, n1, n2, n3)
+array that langevin.drift (so geodesic.momentum_rhs, the one B a kernel)
+fills a block of rows of axis 0 at a time, through the (rows, n2, n3, 3)
+views of A's rows and of the block's contiguous cell centres X =
+grid.mesh(axis=0, rows=...), whose components are then contiguous; W is
+formed from A in place, and max|A| is the largest of the blocks'.  So no
+solve holds the whole grid's cell centres: a multiplicative one forms
+them once, for the products of _quadratic, and drops them.  fpe_evolve
+forms each field into one (3, n1, n2, n3) buffer, A and W for additive
+noise and B's diagonal for multiplicative noise, and only for a stage
+whose coefficients differ from those of the field held: a constant
+schedule forms it once per solve, a trajectory schedule at every stage.
+Every other array lives for one call, except P, the midpoint, the new
+state and that buffer (see Slabs).  The additive stencil and the
 central difference work in flat passes over contiguous data, where a
 cell's neighbour along axis i lies s_i elements away.  The stencil's
 products that point at a ghost cell are zeroed on their face, so a shift
@@ -74,16 +76,21 @@ cell's operations in the same order as the mesh form on zero-padded
 arrays, so the result is bit-identical to it.
 
 Slabs.  The operator at a cell reads cells at most two rows away along
-any axis (the multiplicative form nests two differences), so fpe_rhs on
-a block of rows of axis 0 with HALO = 2 more rows on each side gives
-those rows' bits on the whole grid.  fpe_evolve writes each stage in
-contiguous slabs of axis 0 into P, the midpoint and the new state, which
-lie in one shared anonymous mmap with the field's buffer: the caller
-takes the first slab, and for a grid of at least 2 MIN_SLAB_CELLS cells
-on two or more CPUs a worker forked for the solve (_fork) takes each
-other one.  The caller alone forms the field, and every slab reads its
-rows of it there.  With one slab the caller writes every row and nothing
-is forked.
+any axis for multiplicative noise, whose form nests two differences, and
+one row away for additive noise (the 7-point stencil and the cross
+differences).  So fpe_rhs on a block of rows of axis 0 with HALO = 2, or
+for additive noise 1, more rows on each side gives those rows' bits on
+the whole grid.  fpe_evolve writes each stage in contiguous slabs of
+axis 0 into P, the midpoint and the new state, which lie in one shared
+anonymous mmap with the field's buffer: the caller takes the first slab,
+and for a grid of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a
+worker forked for the solve (_fork) takes each other one.  The caller
+alone forms the field, and every slab reads its rows of it there.  With
+one slab the caller writes every row and nothing is forked.  A slab
+evaluates an additive stage in blocks of at most BLOCK_CELLS cells (a
+row at least), whose arrays stay in a core's L2 cache, and a
+multiplicative stage in one block: that operator holds ~15 arrays of the
+block's size, and in blocks it measured no faster.
 """
 
 from __future__ import annotations
@@ -101,9 +108,13 @@ from .langevin import CoefficientSchedule, drift, epsilon_matrix
 DS_FLOOR = 1e-9   # smallest admissible step
 SAFETY = 0.5      # fraction of the CFL bound taken per step
 MASS_TOL = 1e-6   # allowed mass change per unit s in the audit
-# rows a slab of a stage reads beyond its own on each side: the
-# multiplicative operator nests two differences
+# rows a block of a multiplicative stage reads beyond its own on each side:
+# that operator nests two differences (the additive one reads 1 row)
 HALO = 2
+# most cells in a block of rows of an additive stage (but at least a row),
+# so that a block's arrays stay in a core's L2 cache (measured, see
+# fpe_evolve)
+BLOCK_CELLS = 32768
 # fewest cells a slab of a solve's stages may get for a worker to be
 # forked for it (measured, see fpe_evolve)
 MIN_SLAB_CELLS = 50000
@@ -156,19 +167,21 @@ class MomentumGrid:
         h = self.h[axis]
         return self.mins[axis] + h * (np.arange(self.shape[axis]) + 0.5)
 
-    def mesh(self, axis: int = -1) -> np.ndarray:
+    def mesh(self, axis: int = -1, rows: slice = slice(None)) -> np.ndarray:
         """Cell-center coordinates stacked on `axis`: shape (n1, n2, n3, 3)
         by default, and the contiguous component-major (3, n1, n2, n3)
-        with axis=0."""
+        with axis=0; of the rows of axis 0 that `rows` selects only."""
+        axes = [self.centers(i) for i in range(3)]
+        axes[0] = axes[0][rows]
         # broadcast views, which np.stack copies once
-        grids = np.meshgrid(*(self.centers(i) for i in range(3)), indexing="ij", copy=False)
-        return np.stack(grids, axis=axis)
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=axis)
 
     def same_spec(self, other: "MomentumGrid") -> bool:
+        """Whether other has this grid's shape and bounds, bit for bit."""
         return (
             self.shape == other.shape
-            and np.allclose(self.mins, other.mins)
-            and np.allclose(self.maxs, other.maxs)
+            and np.array_equal(self.mins, other.mins)
+            and np.array_equal(self.maxs, other.maxs)
         )
 
     def copy_with(self, P) -> "MomentumGrid":
@@ -341,15 +354,16 @@ def _alpha(h, eps):
 
 def _field(X, h, coeffs, cfg, quad=None, out=None):
     """The field of coeffs that fpe_rhs and the step bound read, on the
-    component-major cell centres X = grid.mesh(axis=0) with spacing h,
-    formed into the (3, n1, n2, n3) array out (a new one if omitted).
+    component-major cell centres X = grid.mesh(axis=0), or a block of its
+    rows, with spacing h, formed into the array out of X's shape (a new
+    one if omitted).
 
     For additive noise it is (W, max|A|): the drift kernel fills out with
     A through the (n1, n2, n3, 3) views of X and out, its max|A| is read,
     and A is turned in place into the stencil's weights W_i = alpha_i +
     sign A_i / (2 h_i).  For multiplicative noise it is the rows of
-    _coupling, from quad = _quadratic(X), formed if omitted, with B's
-    diagonal in out."""
+    _coupling, from quad = _quadratic(X), formed if omitted (X is not read
+    otherwise), with B's diagonal in out."""
     if cfg.multiplicative:
         return _coupling(_quadratic(X) if quad is None else quad, coeffs[1], out)
     A = np.empty(X.shape) if out is None else out
@@ -373,7 +387,7 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
     the one its step bound has read.  The result is a new array.  grid.P
     may be a block of rows of axis 0 of the density, with the field of
     those rows; the result is then that of a grid that ends at the
-    block's first and last rows (fpe_evolve's slabs).
+    block's first and last rows (fpe_evolve's blocks).
 
     Beside the result the call holds at most 2 arrays of the grid's shape
     for additive noise: the products t = W_i P and u = 2 alpha_i P - t that
@@ -523,6 +537,16 @@ def _slab_bounds(grid) -> list:
     return [i * grid.shape[0] // slabs for i in range(slabs + 1)]
 
 
+def _blocking(shape, cfg) -> tuple:
+    """The rows of axis 0 in each block of a slab's stage, and the rows that
+    a block reads beyond its own on each side: blocks of at most
+    BLOCK_CELLS cells (or one row) with 1 for additive noise, and the whole
+    slab with HALO for multiplicative noise."""
+    if cfg.multiplicative:
+        return shape[0], HALO
+    return max(1, BLOCK_CELLS // (shape[1] * shape[2])), 1
+
+
 def _field_rows(field, a: int, b: int, cfg):
     """The field of rows [a, b) of axis 0, as views of field's arrays."""
     if cfg.multiplicative:
@@ -566,9 +590,15 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     caller writes the first slab's rows, and a worker forked before the
     first step (_fork) each other slab's, with one pipe round trip per
     stage; with one slab, on one CPU or below 2 MIN_SLAB_CELLS cells,
-    nothing is forked.  A slab's rows come from fpe_rhs on them and HALO
-    rows more on each side, with those rows of the field, which is the
-    same bits as on the whole grid.  Only the caller forms the field, once
+    nothing is forked.  A slab writes its rows a block at a time
+    (_blocking): for additive noise blocks of at most BLOCK_CELLS cells,
+    each from fpe_rhs on its rows and 1 row more on each side, and for
+    multiplicative noise one block, with HALO rows more on each side; each
+    reads those rows of the field, which gives the same bits as on the
+    whole grid.  BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest
+    blocks of a sweep from 2 to 32 rows of one slab there (CHANGES.md).
+    The additive field is formed block by block too, so no solve holds
+    the whole grid's mesh.  Only the caller forms the field, once
     every slab has written the stage before, and only the caller pins,
     sums the boundary shell and reads min and max, once every slab is
     written.  So the result is the same bits on any number of slabs.  A
@@ -585,13 +615,14 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
         raise DomainError("snapshot times must lie in (s0, s1]")
 
-    X = grid0.mesh(axis=0)
     quad = sums = None
     if cfg.multiplicative:
-        quad = _quadratic(X)
+        # the cell centres live only while the products are formed
+        quad = _quadratic(grid0.mesh(axis=0))
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
     n1 = grid0.shape[0]
     bounds = _slab_bounds(grid0)
+    rows, halo = _blocking(grid0.shape, cfg)
     # P, the midpoint, the new state and the field's per-cell arrays: one
     # shared block, whose rows every slab reads and writes in place
     block = _fork.shared((6,) + grid0.shape)
@@ -604,27 +635,39 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     held = {"key": None, "field": None, "bound": None}
     field_evals = 0
 
+    def form(coeffs):
+        """The field at coeffs, formed into buffer: for additive noise block
+        by block from each block's cell centres, with the largest of the
+        blocks' max|A| (NaN if one is)."""
+        if cfg.multiplicative:
+            return _field(None, grid0.h, coeffs, cfg, quad, out=buffer)
+        amax = [_field(grid0.mesh(axis=0, rows=slice(a, a + rows)), grid0.h, coeffs, cfg,
+                       out=buffer[:, a:a + rows])[1] for a in range(0, n1, rows)]
+        return buffer, float(np.max(amax))
+
     def field_at(coeffs):
         """The field at coeffs: the held one when coeffs has the bits of the
         coefficients it was formed for, a new one in its place otherwise."""
         nonlocal field_evals
         key = _key(coeffs)
         if key != held["key"]:
-            held.update(key=key, field=_field(X, grid0.h, coeffs, cfg, quad, out=buffer),
-                        bound=None)
+            held.update(key=key, field=form(coeffs), bound=None)
             field_evals += 1
         return held["field"]
 
     def evaluate(src, base, dst, scale, coeffs, lo, hi):
         """Rows [lo, hi) of the stage states[dst] = states[base] + scale
-        fpe_rhs(states[src]), from fpe_rhs on rows [a, b), those and HALO
-        more on each side, and the held field's rows [a, b)."""
-        a, b = max(lo - HALO, 0), min(hi + HALO, n1)
-        work.P = states[src][a:b]
-        out = states[dst][lo:hi]
-        field = _field_rows(held["field"], a, b, cfg)
-        np.multiply(fpe_rhs(work, coeffs, cfg, field=field)[lo - a:hi - a], scale, out=out)
-        out += states[base][lo:hi]
+        fpe_rhs(states[src]), a block [r, t) at a time, each from fpe_rhs on
+        rows [a, b), those and halo more on each side, and the held field's
+        rows [a, b)."""
+        for r in range(lo, hi, rows):
+            t = min(r + rows, hi)
+            a, b = max(r - halo, 0), min(t + halo, n1)
+            work.P = states[src][a:b]
+            out = states[dst][r:t]
+            field = _field_rows(held["field"], a, b, cfg)
+            np.multiply(fpe_rhs(work, coeffs, cfg, field=field)[r - a:t - a], scale, out=out)
+            out += states[base][r:t]
 
     def serve(caller, lo, hi):
         """A slab worker's loop: write rows [lo, hi) of each stage the caller

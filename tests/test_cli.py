@@ -388,20 +388,30 @@ class TestExitCodes:
         assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
         assert not (tmp_path / "chaos" / "chaos_report.json").exists()
 
-    def test_series_on_different_grids_is_3(self, tmp_path):
-        # chaos compares the two series cell by cell, so their grids must agree
+    @staticmethod
+    def chaos_on_two_grids(tmp_path, grid_b):
+        """chaos's exit code on series_a at grid.n 12 and series_b on that
+        grid with grid_b's edits, neither writing a report."""
         doc = base_config()
         series = {}
-        for key, n in (("series_a", 12), ("series_b", 16)):
-            doc["grid"]["n"] = n
+        for key, grid in (("series_a", {"n": 12}), ("series_b", {"n": 12, **grid_b})):
+            doc["grid"].update(grid)
             cfg, out = write_config(tmp_path, doc, f"{key}.json"), tmp_path / key
             assert run("simulate", cfg, out) == 0
             assert run("fpe", cfg, out) == 0
             series[key] = str(out)
         doc["chaos"] = series
-        chaos_cfg = write_config(tmp_path, doc, "chaos.json")
-        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
+        code = run("chaos", write_config(tmp_path, doc, "chaos.json"), tmp_path / "chaos")
         assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+        return code
+
+    def test_series_on_different_grids_is_3(self, tmp_path):
+        # chaos compares the two series cell by cell, so their grids must agree
+        assert self.chaos_on_two_grids(tmp_path, {"n": 16}) == 3
+
+    def test_series_on_grids_1e6_apart_is_3(self, tmp_path):
+        # and agree bit for bit: bounds 1e-6 apart are another grid
+        assert self.chaos_on_two_grids(tmp_path, {"max": 1.500001}) == 3
 
     def test_missing_fpe_manifest_is_3(self, tmp_path):
         out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
@@ -469,6 +479,17 @@ class TestExitCodes:
         assert run("fpe", write_config(tmp_path, doc, "coarse.json"), out) == 0
         assert run("chaos", cfg, out) == 3
         assert not (out / "chaos_report.json").exists()
+
+    def test_grid_edited_after_fpe_is_3(self, tmp_path):
+        # the densities must lie on the config's grid bit for bit, and
+        # fpe_meta.json keeps the bounds' bits
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("fpe", cfg, out) == 0
+        doc = base_config()
+        doc["grid"]["max"] = 1.500001
+        assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
+        assert not (out / "chaos_report.json").exists()
+        assert run("chaos", cfg, out, "--force") == 0
 
     @staticmethod
     def vouched(out, name):

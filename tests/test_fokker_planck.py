@@ -83,8 +83,8 @@ class TestMomentumGrid:
         other.P[0, 0, 0] = 7.0
         assert grid.P[0, 0, 0] == 0.0
         assert grid.same_spec(other)
-        shifted = MomentumGrid([-2, -1, -1], [1, 1, 1], (8, 8, 8))
-        assert not grid.same_spec(shifted)
+        for mins, maxs in (([-2, -1, -1], [1, 1, 1]), ([-1, -1, -1], [1, 1, 1 + 1e-9])):
+            assert not grid.same_spec(MomentumGrid(mins, maxs, (8, 8, 8)))
 
 
 class TestFpeConfig:
@@ -508,7 +508,7 @@ class TestStencil:
         # 40^3 heat kernel, once with the stencil and once with the
         # composed operator: the same steps, and densities within rounding.
         # The composed form reads the whole grid's mesh, so its solve runs
-        # in one slab
+        # in one slab of one block
         import tribody.fokker_planck as fp
 
         if n == 64:
@@ -523,6 +523,7 @@ class TestStencil:
         cfg = FpeConfig(epsilon=eps, schedule=sched)
         runs = [fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)]
         use_cpus(1)
+        monkeypatch.setattr(fp, "BLOCK_CELLS", grid.P.size)
         monkeypatch.setattr(fp, "fpe_rhs", lambda grid, coeffs, cfg, field: composed_rhs(
             grid, coeffs, cfg))
         runs.append(fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s))
@@ -554,6 +555,13 @@ def changing_schedule():
 
 
 FULL_EPS = np.array([[0.01, 0.002, 0.001], [0.002, 0.012, 0.0015], [0.001, 0.0015, 0.009]])
+# (multiplicative, sign_mode, changing schedule) of TestSlabs' solves
+SLAB_MODES = {
+    "additive-constant": (False, "conventional", False),
+    "additive-verbatim-changing": (False, "verbatim", True),
+    "multiplicative-verbatim-constant": (True, "verbatim", False),
+    "multiplicative-changing": (True, "conventional", True),
+}
 
 
 class TestSlabs:
@@ -575,25 +583,42 @@ class TestSlabs:
                         multiplicative=multiplicative)
         return fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)
 
-    @pytest.mark.parametrize("slabs", [2, 3])
-    @pytest.mark.parametrize("multiplicative, sign_mode, changing", [
-        (False, "conventional", False),
-        (False, "verbatim", True),
-        (True, "verbatim", False),
-        (True, "conventional", True),
-    ], ids=["additive-constant", "additive-verbatim-changing", "multiplicative-verbatim-constant",
-            "multiplicative-changing"])
-    def test_slabbed_solve_is_the_inline_one(self, use_cpus, slabs, multiplicative, sign_mode,
-                                             changing):
+    # an additive slab is cut into blocks of rows, each read with one row
+    # more on each side: FULL_EPS's cross differences and both signs on
+    # blocks of the default budget's 54 rows, of 4 rows (a budget that is
+    # not a whole number of rows) and of one row, in 1, 2 and 3 slabs.  A
+    # multiplicative slab is one block
+    @pytest.mark.parametrize("multiplicative, sign_mode, changing, budget, slabs", [
+        *(pytest.param(*SLAB_MODES[mode], None, slabs, id=f"{mode}-{slabs}")
+          for mode in SLAB_MODES for slabs in (2, 3)),
+        *(pytest.param(*SLAB_MODES[mode], budget, slabs, id=f"{mode}-{rows}-row-blocks-{slabs}")
+          for mode in ("additive-constant", "additive-verbatim-changing")
+          for rows, budget in ((4, 4 * 600 + 599), (1, 1)) for slabs in (1, 2, 3)),
+    ])
+    def test_slabbed_solve_is_the_inline_one(self, monkeypatch, use_cpus, multiplicative,
+                                             sign_mode, changing, budget, slabs):
         import tribody.fokker_planck as fp
 
+        span = (0.0, 0.008)
+        if budget:
+            # a lower cutoff, and so fewer and coarser rows, keeps small
+            # blocks quick; a longer span keeps the steps
+            monkeypatch.setattr(fp, "MIN_SLAB_CELLS", 6000)
+            span = (0.0, 0.08)
         grid = slab_grid(slabs)
         assert grid.shape[0] % 2 == 1
         runs = []
-        for cpus in (1, slabs):
+        # the inline solve: one slab of one block, then the slabbed one in
+        # blocks of the budget
+        for cpus, cells in ((1, grid.P.size), (slabs, budget or fp.BLOCK_CELLS)):
             use_cpus(cpus)
+            monkeypatch.setattr(fp, "BLOCK_CELLS", cells)
             assert len(fp._slab_bounds(grid)) - 1 == cpus
-            runs.append(self.solve(grid, multiplicative, sign_mode, changing))
+            runs.append(self.solve(grid, multiplicative, sign_mode, changing, span))
+        cfg = FpeConfig(epsilon=FULL_EPS, schedule=changing_schedule(),
+                        multiplicative=multiplicative)
+        assert fp._blocking(grid.shape, cfg) == (
+            (grid.shape[0], 2) if multiplicative else ({None: 54, 2999: 4, 1: 1}[budget], 1))
         inline, slabbed = runs
         assert inline.diagnostics == slabbed.diagnostics
         assert inline.diagnostics["steps"] >= 3
@@ -603,7 +628,7 @@ class TestSlabs:
         for (s_a, a), (s_b, b) in zip(inline.snapshots, slabbed.snapshots):
             assert s_a == s_b
             assert np.array_equal(a.P, b.P)
-        assert [s for s, _ in inline.snapshots] == [0.0017, 0.008]
+        assert [s for s, _ in inline.snapshots] == [0.0017, span[1]]
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("multiplicative", [False, True])
@@ -937,7 +962,7 @@ class TestFpeEvolve:
         import tribody.fokker_planck as fp
         import tribody.langevin as langevin
 
-        calls, meshes, latest = {}, [], {}
+        calls, latest = {}, {}
 
         def shares_field(field, formed):
             """Whether each array of field is a view of formed's."""
@@ -949,10 +974,13 @@ class TestFpeEvolve:
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
                 if name == "drift":
+                    # on the (rows, n2, n3, 3) views of a block's
+                    # component-major cell centres and of its rows of the
+                    # (3, n1, n2, n3) field
                     xi, out = args[0], kwargs["out"]
-                    assert xi.shape == out.shape == grid.shape + (3,)
-                    assert xi.strides[-1] == out.strides[-1] == grid.P.size * 8
-                    meshes.append(xi.base)
+                    assert xi.shape == out.shape == (rows,) + grid.shape[1:] + (3,)
+                    assert xi.strides[-1] == xi[..., 0].size * 8
+                    assert out.strides[-1] == grid.P.size * 8
                     latest["A"] = out
                 if name == "fpe_rhs":
                     # each right-hand side reads the latest field formed
@@ -991,6 +1019,9 @@ class TestFpeEvolve:
                 monkeypatch.setattr(mod, "diffusion", counted("diffusion", original))
         cfg = FpeConfig(epsilon=0.05, schedule=sched, multiplicative=multiplicative)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
+        # the default budget puts the 12 rows in one block
+        rows, blocks = 12, 1
+        assert fp.BLOCK_CELLS >= grid.P.size
         diag = fp.fpe_evolve(grid, (0.0, 0.2), cfg, snapshot_s=(0.1,)).diagnostics
         steps = diag["steps"]
         assert steps > 2
@@ -1003,10 +1034,8 @@ class TestFpeEvolve:
             assert calls["_quadratic"] == calls["_row_sums"] == 1
             assert "drift" not in calls
         else:
-            # every field runs the drift kernel, on the views of the
-            # solve's one mesh
-            assert calls["drift"] == diag["field_evals"]
-            assert meshes[0] is not None and all(X is meshes[0] for X in meshes)
+            # the drift kernel runs once per block of each field formed
+            assert calls["drift"] == blocks * diag["field_evals"]
             assert not {"_quadratic", "_coupling", "_row_sums"} & set(calls)
         # one step bound per field that a step start reads
         assert calls["_stable_ds"] <= diag["field_evals"]
@@ -1061,6 +1090,71 @@ class TestFpeEvolve:
         new = P + ds * fpe_rhs(grid.copy_with(mid), sched.at(0.5 * ds), cfg)
         pin_boundary(new)
         assert np.array_equal(res.snapshots[-1][1].P, new)
+
+    def test_additive_solve_forms_no_whole_grid_mesh(self, monkeypatch, use_cpus):
+        # the field is formed block by block from each block's cell
+        # centres, so the solve allocates no (3, n1, n2, n3) mesh, 3 times
+        # the density's bytes: at its peak it holds the final snapshot and
+        # a block's arrays
+        import tracemalloc
+
+        import tribody.fokker_planck as fp
+
+        use_cpus(1)
+        monkeypatch.setattr(fp, "BLOCK_CELLS", 4 * 20 * 20)
+        grid = gaussian_grid([-1] * 3, [1] * 3, (40, 20, 20), [0] * 3, 0.2)
+        cfg = FpeConfig(epsilon=FULL_EPS, schedule=changing_schedule())
+        shapes, mesh = [], MomentumGrid.mesh
+
+        def recorded(self, *args, **kwargs):
+            X = mesh(self, *args, **kwargs)
+            shapes.append(X.shape)
+            return X
+        monkeypatch.setattr(MomentumGrid, "mesh", recorded)
+        tracemalloc.start()
+        try:
+            res = fpe_evolve(grid, (0.0, 0.1), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["steps"] >= 3
+        assert shapes == [(3, 4, 20, 20)] * (10 * res.diagnostics["field_evals"])
+        assert peak < 2 * grid.P.nbytes
+
+    @pytest.mark.parametrize("nan_row", [None, 9, 39])
+    def test_step_bound_reads_the_largest_drift_of_every_block(self, monkeypatch, use_cpus,
+                                                                 nan_row):
+        # the additive field's max|A| is the largest of its blocks': that of
+        # the whole drift (here in the last of 10 blocks), and NaN when a
+        # block's drift holds one
+        import tribody.fokker_planck as fp
+
+        use_cpus(1)
+        monkeypatch.setattr(fp, "BLOCK_CELLS", 4 * 20 * 20)
+        grid = gaussian_grid([-0.5, -1, -1], [2, 1, 1], (40, 20, 20), [0.5, 0, 0], 0.3)
+        sched = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2)
+        A = drift(grid.mesh(), sched.at(0.0))
+        if nan_row is not None:
+            A[nan_row, 3, 5, 1] = np.nan
+        expected = fp._absmax(A)
+        assert np.isnan(expected) or expected == np.max(np.abs(A[36:]))
+
+        def drift_with_nan(xi, coeffs, out):
+            drift(xi, coeffs, out=out)
+            if nan_row is not None:
+                out[xi[:, 0, 0, 0] == grid.centers(0)[nan_row], 3, 5, 1] = np.nan
+
+        class Read(Exception):
+            pass
+
+        def read_bound(grid, cfg, coeffs, field, sums):
+            raise Read(field[1])
+        monkeypatch.setattr(fp, "drift", drift_with_nan)
+        monkeypatch.setattr(fp, "_stable_ds", read_bound)
+        with pytest.raises(Read) as read:
+            fpe_evolve(grid, (0.0, 0.1), FpeConfig(epsilon=0.01, schedule=sched))
+        amax = read.value.args[0]
+        assert np.isnan(amax) if nan_row is not None else amax == expected
 
     @pytest.mark.parametrize("multiplicative", [False, True])
     def test_rhs_with_given_fields_matches_own(self, multiplicative):
