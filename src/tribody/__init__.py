@@ -48,7 +48,6 @@ from .geodesic import (
     GeodesicState,
     TrajectoryRecord,
     conservation_report,
-    external_coordinates,
     external_rates,
     integrate,
     momentum_rhs,

@@ -276,7 +276,8 @@ def _json_dump(obj) -> str:
 
 
 class StageWriter:
-    """Per-stage outputs plus a manifest written first, finalized last."""
+    """Per-stage outputs plus a manifest written first, finalized last.
+    Without force, only a failed run's manifest and claims are replaced."""
 
     def __init__(self, stage: str, out_dir: Path, cfg: dict, force: bool):
         self.stage = stage
@@ -288,10 +289,16 @@ class StageWriter:
 
     def start(self):
         self.out.mkdir(parents=True, exist_ok=True)
+        self.claimed = set()   # outputs a failed run wrote, free to overwrite
         if self.manifest_path.exists() and not self.force:
-            raise FileExistsError(
-                f"{self.manifest_path} exists; pass --force to overwrite"
-            )
+            try:
+                doc = json.loads(self.manifest_path.read_bytes())
+            except ValueError:   # not text, or not JSON
+                doc = None
+            if not isinstance(doc, dict) or doc.get("status") != "failed":
+                raise FileExistsError(f"{self.manifest_path} exists; pass --force to overwrite")
+            claimed = doc.get("claimed")
+            self.claimed = set(map(str, claimed)) if isinstance(claimed, list) else set()
         self.header = {
             "artifact_version": __version__,
             "stage": self.stage,
@@ -308,7 +315,7 @@ class StageWriter:
 
     def path(self, name: str) -> Path:
         p = self.out / name
-        if p.exists() and not self.force:
+        if p.exists() and not self.force and name not in self.claimed:
             raise FileExistsError(f"{p} exists; pass --force to overwrite")
         self.files.append(p)
         return p
@@ -316,6 +323,13 @@ class StageWriter:
     def finalize(self):
         self.header["status"] = "complete"
         self.header["outputs"] = {p.name: _sha256(p) for p in self.files}
+        _atomic_write_text(self.manifest_path, _json_dump(self.header))
+
+    def fail(self):
+        """Mark the manifest failed, claiming the outputs written here by
+        this run or the failed one before it."""
+        self.header["status"] = "failed"
+        self.header["claimed"] = sorted(self.claimed | {p.name for p in self.files})
         _atomic_write_text(self.manifest_path, _json_dump(self.header))
 
 
@@ -577,14 +591,18 @@ def cmd_channels(cfg: dict, writer: StageWriter) -> None:
 
 def run_command(name: str, cfg: dict, out_dir: Path, force: bool = False) -> None:
     """Run stage name, one of STAGES, as cmd_<name>(cfg, writer) between
-    the writer's start and finalize; raises on any failure.  cmd_<name> is
-    looked up in this module's namespace at each call, so a wrapper put
-    there after import (a tracer's, a test's) is the one that runs."""
+    the writer's start and finalize, or its fail before raising on.
+    cmd_<name> is looked up in this module's namespace at each call, so a
+    wrapper put there after import (a tracer's, a test's) is what runs."""
     if name not in STAGES:
         raise ConfigError(f"unknown command {name!r}")
     writer = StageWriter(name, out_dir, cfg, force)
     writer.start()
-    globals()[f"cmd_{name}"](cfg, writer)
+    try:
+        globals()[f"cmd_{name}"](cfg, writer)
+    except Exception:
+        writer.fail()
+        raise
     writer.finalize()
 
 

@@ -41,14 +41,16 @@ balance up to rounding.
 Step bound.  Each midpoint RK2 step takes SAFETY times the smaller of the
 drift bound min(h) / max|A| and the diffusion bound 2 / R, the scheme's
 limit on the negative real axis when R bounds the diffusion operator's
-spectral radius.  R is at least that operator's largest absolute row sum
-(Gershgorin).  For additive noise it is 4 tr(eps) / min(h)^2, the compact
-stencil's row sum on a cubic grid with diagonal eps, and max|A| is read
-off the drift before it is turned into the weights.  For multiplicative
-noise R = r0 + |Lambda^2| r1 + Lambda^4 r2, where r_m bounds the row sums
-of the part of the 19-point stencil's coefficients that goes with
-Lambda^(2m); fpe_evolve forms (r0, r1, r2) once per solve, from the
-products that it forms once too.
+spectral radius.  For multiplicative noise R = r0 + |Lambda^2| r1 +
+Lambda^4 r2, where r_m bounds the row sums of the part of the 19-point
+stencil's coefficients that goes with Lambda^(2m), so R bounds the radius
+(Gershgorin); fpe_evolve forms (r0, r1, r2) once per solve, from the
+products that it forms once too.  For additive noise R = 4 tr(eps) /
+min(h)^2, the compact stencil's row sum on a cubic grid with diagonal
+eps, and max|A| is read off the drift before it is turned into the
+weights.  R leaves out an off-diagonal eps's cross differences: on a 10^3
+cubic grid with eps_ii = 0.01 and eps_ij = 0.008 the largest row sum is
+1.40 R and the radius 1.01 R, inside the limit only because of SAFETY.
 
 Layout.  Each coefficient set (a, Lambda^2) has one field, which the
 operator and the step bound read: for additive noise the weights W with
@@ -67,13 +69,14 @@ noise and B's diagonal for multiplicative noise, and only for a stage
 whose coefficients differ from those of the field held: a constant
 schedule forms it once per solve, a trajectory schedule at every stage.
 Every other array lives for one call, except P, the midpoint, the new
-state and that buffer (see Slabs).  The additive stencil and the
-central difference work in flat passes over contiguous data, where a
-cell's neighbour along axis i lies s_i elements away.  The stencil's
-products that point at a ghost cell are zeroed on their face, so a shift
-that wraps into the next row adds an exact 0.  Each pass does each
-cell's operations in the same order as the mesh form on zero-padded
-arrays, so the result is bit-identical to it.
+state and that buffer (see Slabs), and for multiplicative noise the
+products of _quadratic.  The additive stencil and the central difference
+work in flat passes over contiguous data, where a cell's neighbour along
+axis i lies s_i elements away.  The stencil's products that point at a
+ghost cell are zeroed on their face, so a shift that wraps into the next
+row adds an exact 0.  Each pass does each cell's operations in the same
+order as the mesh form on zero-padded arrays, so the result is
+bit-identical to it.
 
 Slabs.  The operator at a cell reads cells at most two rows away along
 any axis for multiplicative noise, whose form nests two differences, and
@@ -87,10 +90,8 @@ and for a grid of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a
 worker forked for the solve (_fork) takes each other one.  The caller
 alone forms the field, and every slab reads its rows of it there.  With
 one slab the caller writes every row and nothing is forked.  A slab
-evaluates an additive stage in blocks of at most BLOCK_CELLS cells (a
-row at least), whose arrays stay in a core's L2 cache, and a
-multiplicative stage in one block: that operator holds ~15 arrays of the
-block's size, and in blocks it measured no faster.
+evaluates a stage in blocks of at most BLOCK_CELLS cells (a row at
+least), whose arrays stay in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ MASS_TOL = 1e-6   # allowed mass change per unit s in the audit
 # rows a block of a multiplicative stage reads beyond its own on each side:
 # that operator nests two differences (the additive one reads 1 row)
 HALO = 2
-# most cells in a block of rows of an additive stage (but at least a row),
-# so that a block's arrays stay in a core's L2 cache (measured, see
-# fpe_evolve)
+# most cells in a block of rows of a stage (but at least a row), so that a
+# block's arrays stay in a core's L2 cache (measured, see fpe_evolve)
 BLOCK_CELLS = 32768
 # fewest cells a slab of a solve's stages may get for a worker to be
 # forked for it (measured, see fpe_evolve)
@@ -476,13 +476,11 @@ def _stable_ds(grid, cfg, coeffs, field, sums):
     The drift term allows min(h) / max|A|, with max|A| the one that the
     additive field holds, or max|sum_j B_ij a_j| read off the
     multiplicative field B.
-    The diffusion term allows 2 / R, midpoint RK2's limit on the negative
-    real axis, for R at least the largest absolute row sum of the
-    diffusion operator, and so at least its spectral radius (Gershgorin).
-    For multiplicative noise R = r0 + |Lambda^2| r1 + Lambda^4 r2 from the
-    row sums (r0, r1, r2) of _row_sums.  For additive noise (sums unused)
-    it is 4 tr(eps) / min(h)^2, the compact stencil's row sum on a cubic
-    grid with diagonal eps."""
+    The diffusion term allows 2 / R (module docstring, Step bound), with
+    R = r0 + |Lambda^2| r1 + Lambda^4 r2 from the row sums (r0, r1, r2) of
+    _row_sums for multiplicative noise, and 4 tr(eps) / min(h)^2 for
+    additive noise (sums unused), which an off-diagonal eps can put below
+    the operator's spectral radius."""
     if cfg.multiplicative:
         a = coeffs[0]
         amax = max(_absmax(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in field)
@@ -538,13 +536,10 @@ def _slab_bounds(grid) -> list:
 
 
 def _blocking(shape, cfg) -> tuple:
-    """The rows of axis 0 in each block of a slab's stage, and the rows that
-    a block reads beyond its own on each side: blocks of at most
-    BLOCK_CELLS cells (or one row) with 1 for additive noise, and the whole
-    slab with HALO for multiplicative noise."""
-    if cfg.multiplicative:
-        return shape[0], HALO
-    return max(1, BLOCK_CELLS // (shape[1] * shape[2])), 1
+    """The rows of axis 0 in each block of a slab's stage, at most
+    BLOCK_CELLS cells (or one row), and the rows that a block reads beyond
+    its own on each side: HALO for multiplicative noise, 1 for additive."""
+    return max(1, BLOCK_CELLS // (shape[1] * shape[2])), HALO if cfg.multiplicative else 1
 
 
 def _field_rows(field, a: int, b: int, cfg):
@@ -590,15 +585,13 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     caller writes the first slab's rows, and a worker forked before the
     first step (_fork) each other slab's, with one pipe round trip per
     stage; with one slab, on one CPU or below 2 MIN_SLAB_CELLS cells,
-    nothing is forked.  A slab writes its rows a block at a time
-    (_blocking): for additive noise blocks of at most BLOCK_CELLS cells,
-    each from fpe_rhs on its rows and 1 row more on each side, and for
-    multiplicative noise one block, with HALO rows more on each side; each
-    reads those rows of the field, which gives the same bits as on the
-    whole grid.  BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest
-    blocks of a sweep from 2 to 32 rows of one slab there (CHANGES.md).
-    The additive field is formed block by block too, so no solve holds
-    the whole grid's mesh.  Only the caller forms the field, once
+    nothing is forked.  A slab writes its rows in blocks (_blocking), each
+    from fpe_rhs on its rows, the halo rows beside them and those rows of
+    the field, which gives the same bits as on the whole grid.
+    BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest additive blocks of
+    a sweep from 2 to 32 rows of one slab there (CHANGES.md).  The
+    additive field is formed block by block too, so no additive solve
+    holds the whole grid's mesh.  Only the caller forms the field, once
     every slab has written the stage before, and only the caller pins,
     sums the boundary shell and reads min and max, once every slab is
     written.  So the result is the same bits on any number of slabs.  A

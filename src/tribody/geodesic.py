@@ -8,7 +8,7 @@ quadratic (Riccati-type) system dxi/ds = B(xi; Lambda^2) a, where
 is linear in v, a_i is the logarithmic metric gradient and
 Lambda^2 = (J/g)^2; the langevin module applies the same map to the
 noise.  The three external (Euler-angle) rates decouple exactly,
-dx_mu/ds = J_(mu-3)/g, and are recovered by quadrature.
+dx_mu/ds = J_(mu-3)/g (external_rates).
 """
 
 from __future__ import annotations
@@ -338,17 +338,6 @@ def integrate(
         meta={"tol": tol, "nfev": solver.nfev, "accepted_steps": solver.accepted,
               "rejected_steps": solver.rejected},
     )
-
-
-def external_coordinates(traj: TrajectoryRecord, x0_ext=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Euler angles x4..x6 by trapezoidal quadrature of the exact rates."""
-    rates = external_rates(traj.g, *traj.J)  # (N, 3)
-    ds = np.diff(traj.s)
-    out = np.empty_like(rates)
-    out[0] = np.asarray(x0_ext, dtype=float)
-    increments = 0.5 * (rates[1:] + rates[:-1]) * ds[:, None]
-    out[1:] = out[0] + np.cumsum(increments, axis=0)
-    return out
 
 
 def conservation_report(traj: TrajectoryRecord, surf: EnergySurface, mu0: float) -> dict:

@@ -268,7 +268,7 @@ class TestExitCodes:
         for stage in ("ensemble", "fpe", "chaos", "channels"):
             assert run(stage, cfg, out) == 3
             manifest = json.loads((out / f"manifest_{stage}.json").read_text())
-            assert manifest["status"] == "running"
+            assert manifest["status"] == "failed"
 
     def test_missing_or_incomplete_simulate_manifest_is_3(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -491,6 +491,47 @@ class TestExitCodes:
         assert not (out / "chaos_report.json").exists()
         assert run("chaos", cfg, out, "--force") == 0
 
+    def test_failed_stage_runs_again_without_force(self, tmp_path):
+        # a stage whose run failed runs again once its fault is fixed; a
+        # complete manifest, and one still "running" (a live run's, or a
+        # killed one's), need --force
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("fpe", cfg, out) == 0
+        doc = base_config()
+        doc["grid"]["max"] = 1.500001
+        assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
+        manifest = out / "manifest_chaos.json"
+        assert json.loads(manifest.read_text())["status"] == "failed"
+        assert run("chaos", cfg, out) == 0
+        assert json.loads(manifest.read_text())["status"] == "complete"
+        assert run("chaos", cfg, out) == 5
+        doc = json.loads(manifest.read_text())
+        doc["status"] = "running"
+        manifest.write_text(json.dumps(doc))
+        report = (out / "chaos_report.json").read_bytes()
+        assert run("chaos", cfg, out) == 5
+        assert (out / "chaos_report.json").read_bytes() == report
+        assert json.loads(manifest.read_text())["status"] == "running"
+        assert run("chaos", cfg, out, "--force") == 0
+
+    def test_failed_stage_overwrites_its_own_outputs(self, tmp_path, monkeypatch):
+        # an output written before the stage failed is overwritten too
+        cfg, out, _ = self.simulated(tmp_path)
+        channels = cli.cmd_channels
+
+        def fails_after_writing(cfg, writer):
+            writer.path("channels.json").write_text("partial")
+            raise MemoryError("stand-in")
+
+        monkeypatch.setattr(cli, "cmd_channels", fails_after_writing)
+        assert run("channels", cfg, out) == 5
+        manifest = json.loads((out / "manifest_channels.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["claimed"] == ["channels.json"]
+        monkeypatch.setattr(cli, "cmd_channels", channels)
+        assert run("channels", cfg, out) == 0
+        assert json.loads((out / "channels.json").read_text())["label"]
+
     @staticmethod
     def vouched(out, name):
         """Set name's digest in out's manifest_fpe.json to the file's, so
@@ -544,6 +585,15 @@ class TestExitCodes:
         assert run("simulate", cfg, out) == 0
         assert run("simulate", cfg, out) == 5
         assert run("simulate", cfg, out, "--force") == 0
+        # an output with no manifest beside it stays protected, also when
+        # the refused run's failed manifest is there on the next try
+        (out / "manifest_simulate.json").unlink()
+        traj = (out / "trajectory.csv").read_bytes()
+        for _ in range(2):
+            assert run("simulate", cfg, out) == 5
+            assert (out / "trajectory.csv").read_bytes() == traj
+        manifest = json.loads((out / "manifest_simulate.json").read_text())
+        assert manifest["status"] == "failed" and manifest["claimed"] == []
 
     def test_out_that_cannot_be_created_is_5(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -561,7 +611,7 @@ class TestExitCodes:
         cfg, out = write_config(tmp_path, base_config()), tmp_path / "out"
         assert run("simulate", cfg, out) == 5
         manifest = json.loads((out / "manifest_simulate.json").read_text())
-        assert manifest["status"] == "running"
+        assert manifest["status"] == "failed"
 
     def test_trajectory_without_the_schedule_is_3(self, tmp_path):
         # a trajectory.csv without the coefficient columns, vouched for

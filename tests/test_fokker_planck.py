@@ -242,6 +242,21 @@ def tensor_rhs(grid, coeffs, cfg):
     return rhs
 
 
+def row_sum_and_radius(grid, coeffs, cfg):
+    """The largest absolute row sum and the spectral radius of the
+    pinned operator P -> pin(fpe_rhs(P)), assembled column by column."""
+    n = grid.P.size
+    M = np.empty((n, n))
+    for c in range(n):
+        unit = np.zeros(n)
+        unit[c] = 1.0
+        column = fpe_rhs(grid.copy_with(unit), coeffs, cfg)
+        pin_boundary(column)
+        M[:, c] = column.ravel()
+    return (float(np.max(np.sum(np.abs(M), axis=1))),
+            float(np.max(np.abs(np.linalg.eigvals(M)))))
+
+
 class TestCouplingComponents:
     COEFFS = (np.array([0.06, -0.04, 0.05]), 0.25)
 
@@ -282,10 +297,10 @@ class TestCouplingComponents:
 
     @pytest.mark.parametrize("lam_sq", [0.0, 0.3])
     def test_step_bound_is_a_gershgorin_bound_of_the_operator(self, lam_sq):
-        # the pinned diffusion operator assembled column by column through
-        # fpe_rhs (a = 0, so the drift term is zero), with a full eps on a
-        # box where |B| varies: R is at least its largest absolute row sum
-        # and its spectral radius, and equals that row sum at Lambda^2 = 0
+        # the pinned diffusion operator (a = 0, so the drift term is zero),
+        # with a full eps on a box where |B| varies: R is at least its
+        # largest absolute row sum and its spectral radius, and equals that
+        # row sum at Lambda^2 = 0
         from tribody.fokker_planck import SAFETY, _field, _quadratic, _row_sums, _stable_ds
 
         eps = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
@@ -293,17 +308,8 @@ class TestCouplingComponents:
         coeffs = (np.zeros(3), lam_sq)
         cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*coeffs),
                         multiplicative=True)
-        n = grid.P.size
-        M = np.empty((n, n))
-        for c in range(n):
-            unit = np.zeros(n)
-            unit[c] = 1.0
-            column = fpe_rhs(grid.copy_with(unit), coeffs, cfg)
-            pin_boundary(column)
-            M[:, c] = column.ravel()
         # the pinned rows are zero, so the largest row sum is an interior one
-        row_sum = float(np.max(np.sum(np.abs(M), axis=1)))
-        radius = float(np.max(np.abs(np.linalg.eigvals(M))))
+        row_sum, radius = row_sum_and_radius(grid, coeffs, cfg)
         sums = _row_sums(_quadratic(grid.mesh(axis=0)), grid.h, cfg.epsilon)
         r0, r1, r2 = sums
         R = r0 + abs(lam_sq) * r1 + lam_sq * lam_sq * r2
@@ -536,6 +542,26 @@ class TestStencil:
             assert s_a == s_b
             assert np.max(np.abs(a.P - b.P)) <= 1e-14 * np.max(b.P)
 
+    def test_additive_step_stays_stable_with_a_full_eps(self):
+        # the pinned additive diffusion operator with large off-diagonal
+        # eps: R = 4 tr(eps) / min(h)^2 bounds neither its row sums nor its
+        # spectral radius, so only SAFETY keeps the step inside midpoint
+        # RK2's real-axis limit ds rho <= 2
+        from tribody.fokker_planck import SAFETY, _field, _stable_ds
+
+        eps = np.full((3, 3), 0.008)
+        np.fill_diagonal(eps, 0.01)
+        grid = MomentumGrid([-1.0] * 3, [1.0] * 3, (10, 10, 10))
+        coeffs = (np.zeros(3), 0.0)
+        cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*coeffs))
+        row_sum, radius = row_sum_and_radius(grid, coeffs, cfg)
+        R = 4.0 * np.trace(eps) / np.min(grid.h) ** 2
+        assert row_sum > radius > R
+        field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
+        ds, term = _stable_ds(grid, cfg, coeffs, field, None)
+        assert (ds, term) == (SAFETY * 2.0 / R, "diffusion")
+        assert ds * radius <= 2.0
+
 
 def slab_grid(slabs):
     """A Gaussian on a grid with an odd n1 and just enough cells for the
@@ -583,16 +609,16 @@ class TestSlabs:
                         multiplicative=multiplicative)
         return fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)
 
-    # an additive slab is cut into blocks of rows, each read with one row
-    # more on each side: FULL_EPS's cross differences and both signs on
-    # blocks of the default budget's 54 rows, of 4 rows (a budget that is
-    # not a whole number of rows) and of one row, in 1, 2 and 3 slabs.  A
-    # multiplicative slab is one block
+    # a slab is cut into blocks of rows, each read with one row more on
+    # each side for additive noise and two for multiplicative noise:
+    # FULL_EPS's cross differences and both signs in both modes on blocks
+    # of the default budget's 54 rows, of 4 rows (a budget that is not a
+    # whole number of rows) and of one row, in 1, 2 and 3 slabs
     @pytest.mark.parametrize("multiplicative, sign_mode, changing, budget, slabs", [
         *(pytest.param(*SLAB_MODES[mode], None, slabs, id=f"{mode}-{slabs}")
           for mode in SLAB_MODES for slabs in (2, 3)),
         *(pytest.param(*SLAB_MODES[mode], budget, slabs, id=f"{mode}-{rows}-row-blocks-{slabs}")
-          for mode in ("additive-constant", "additive-verbatim-changing")
+          for mode in SLAB_MODES
           for rows, budget in ((4, 4 * 600 + 599), (1, 1)) for slabs in (1, 2, 3)),
     ])
     def test_slabbed_solve_is_the_inline_one(self, monkeypatch, use_cpus, multiplicative,
@@ -618,7 +644,7 @@ class TestSlabs:
         cfg = FpeConfig(epsilon=FULL_EPS, schedule=changing_schedule(),
                         multiplicative=multiplicative)
         assert fp._blocking(grid.shape, cfg) == (
-            (grid.shape[0], 2) if multiplicative else ({None: 54, 2999: 4, 1: 1}[budget], 1))
+            {None: 54, 2999: 4, 1: 1}[budget], 2 if multiplicative else 1)
         inline, slabbed = runs
         assert inline.diagnostics == slabbed.diagnostics
         assert inline.diagnostics["steps"] >= 3

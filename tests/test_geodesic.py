@@ -13,7 +13,6 @@ from tribody import (
     Masses,
     MorsePotential,
     conservation_report,
-    external_coordinates,
     external_rates,
     integrate,
     lambda_sq,
@@ -254,8 +253,11 @@ class TestExternalRates:
     def test_quadrature_recovers_angles(self):
         traj = integrate(GeodesicState(x=[1, 1, 1], xi=[0.05, 0, 0]),
                          free_surface(), J=(1.0, 2.0, 3.0), s_end=2.0, tol=1e-10)
-        ext = external_coordinates(traj)
-        # free motion: g = 1, so x_mu = J_(mu-3) * s exactly
+        # the trapezoid sum of the rates from x_mu = 0 at s = 0; free
+        # motion has g = 1, so x_mu = J_(mu-3) * s exactly
+        rates = external_rates(traj.g, *traj.J)
+        steps = 0.5 * (rates[1:] + rates[:-1]) * np.diff(traj.s)[:, None]
+        ext = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
         assert np.allclose(ext, np.outer(traj.s, [1.0, 2.0, 3.0]), atol=1e-9)
 
 

@@ -1,0 +1,62 @@
+"""Check the run directory of the five CLI stages on one config.
+
+    python3 tools/check_run.py RUN_DIR [--summary FILE --title TEXT]
+
+Exits with a message naming the first check that fails:
+
+- the fpe stage's mass balance residual is above rounding (1e-12);
+- the chaos series (tube a) is not taken at the times of the fpe stage's
+  densities, fpe_meta.json's snapshot_s;
+- ensemble_snapshots.csv writes a (path_id, s) pair twice;
+- the ensemble's snapshots are not taken at those times.
+
+With --summary it first appends the fpe solve's step counts (steps,
+cfl_limit, negative_undershoot_steps) to FILE as a markdown section
+headed TITLE, such as a CI job summary.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from pathlib import Path
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("run", type=Path, help="run directory of the five stages")
+    parser.add_argument("--summary", type=Path, help="file to append the step counts to")
+    parser.add_argument("--title", default="fpe steps", help="heading of that section")
+    args = parser.parse_args(argv)
+    run = args.run
+    meta = json.loads((run / "fpe_meta.json").read_text())
+    diag = meta["diagnostics"]
+    if args.summary:
+        with open(args.summary, "a") as f:
+            f.write(f"### {args.title}\n```\n")
+            for key in ("steps", "cfl_limit", "negative_undershoot_steps"):
+                f.write(f"{key} = {json.dumps(diag[key])}\n")
+            f.write("```\n")
+    residual = diag["mass_balance_residual"]
+    print(f"mass_balance_residual = {residual:.3g}")
+    if not abs(residual) <= 1e-12:
+        sys.exit(f"mass balance residual {residual} exceeds 1e-12")
+    times = [s for s, _ in json.loads((run / "chaos_report.json").read_text())["series"]]
+    if times != meta["snapshot_s"]:
+        sys.exit(f"chaos series times {times} are not fpe_meta.json's snapshot_s "
+                 f"{meta['snapshot_s']}")
+    with open(run / "ensemble_snapshots.csv") as f:
+        pairs = [(row["path_id"], float(row["s"])) for row in csv.DictReader(f)]
+    if len(set(pairs)) != len(pairs):
+        sys.exit("ensemble_snapshots.csv writes a (path_id, s) pair twice")
+    times = sorted({s for _, s in pairs})
+    if times != meta["snapshot_s"]:
+        sys.exit(f"ensemble times {times} are not fpe_meta.json's snapshot_s "
+                 f"{meta['snapshot_s']}")
+    print(f"{run}: mass balance, chaos and ensemble times, and (path_id, s) pairs check")
+
+
+if __name__ == "__main__":
+    main()
