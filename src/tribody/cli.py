@@ -4,11 +4,13 @@ Each command reads a JSON run config, consumes upstream artifacts from the
 output directory where required, and writes its outputs and a per-stage
 manifest, which lists their checksums once the stage completes.  A stage
 trusts an upstream output only once its manifest is complete and its
-checksum matches.  ensemble and fpe read the coefficient schedule
-(a, Lambda^2) from trajectory.csv, not the config, and share their
-snapshot times.  chaos compares the fpe stage's densities (tube a) with
-a tube b that it solves along a perturbed trajectory, or two density
-series named in the config.  Same config + seed gives bit-identical outputs.
+checksum matches.  ensemble and fpe read the starting momentum and the
+coefficient schedule (a, Lambda^2) from trajectory.csv, not the config,
+and share their snapshot times.  chaos compares the fpe stage's densities
+(tube a) with a tube b that it solves along a perturbed trajectory.  chaos
+and channels hold the config keys they share with simulate and fpe to the
+values those stages' manifests recorded.  Same config + seed gives
+bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
 artifact, 4 numerical failure, 5 I/O error or out of memory.
@@ -117,8 +119,7 @@ _SCHEMA = {
     "noise": {"epsilon": _epsilon, "hbar_scale": _real, "omega_sq_mean": _real},
     "sde": {"mode": _text, "ds": _real, "n_paths": _integer, "snapshots": _reals},
     "grid": {"min": _real, "max": _real, "n": _integer, "sigma0": _real},
-    "chaos": {"delta": _real, "residual_max": _real, "min_decades": _real, "series_a": _text,
-              "series_b": _text},
+    "chaos": {"delta": _real, "residual_max": _real, "min_decades": _real},
     "channels": {"r_bound": _real, "r_free": _real, "window_frac": _real},
     "seed": _integer,
 }
@@ -229,8 +230,6 @@ def parse_config(doc: dict, seed=None) -> dict:
         _grid_spec(cfg)
     except (DomainError, MemoryError) as exc:  # MemoryError: a grid too large to hold
         raise ConfigError(f"grid: {exc}")
-    if ("series_a" in cfg["chaos"]) != ("series_b" in cfg["chaos"]):
-        raise ConfigError("chaos: series_a and series_b must come together")
 
     noise = typed.get("noise", {})
     has_eps = "epsilon" in noise
@@ -333,10 +332,47 @@ class StageWriter:
         _atomic_write_text(self.manifest_path, _json_dump(self.header))
 
 
-def _verified(out_dir: Path, stage: str) -> dict:
+def _check_ran_under(cfg: dict, stage: str, upstream: dict, keys) -> None:
+    """DependencyError unless each config key in keys (a section, one
+    "section.key", or noise.epsilon, compared as the derived noise power
+    so that either noise form matches) has in cfg the value, defaults
+    filled in, that stage's manifest upstream records in its config echo.
+    The error names the first key that differs."""
+
+    def values(config: dict, epsilon) -> dict:
+        typed = _typed(config)
+        found = {}
+        for key in keys:
+            if key == "noise.epsilon":
+                found[key] = epsilon
+                continue
+            section, _, sub = key.partition(".")
+            default = _DEFAULTS.get(section)
+            value = typed.get(section, default)
+            if isinstance(default, dict):
+                value = {**default, **value}
+            if isinstance(value, dict):
+                found.update((f"{section}.{k}", v) for k, v in value.items() if sub in ("", k))
+            else:
+                found[key] = value
+        return found
+
+    try:
+        recorded = values(upstream["config"], upstream["derived"]["epsilon"])
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DependencyError(f"manifest_{stage}.json records no config that parses: {exc!r}")
+    given = values(cfg["echo"], cfg["epsilon"])
+    for key in dict.fromkeys([*given, *recorded]):
+        if given.get(key) != recorded.get(key):
+            raise DependencyError(f"config key {key} is {given.get(key)!r}, but {stage} ran "
+                                  f"with {recorded.get(key)!r}")
+
+
+def _verified(out_dir: Path, stage: str, cfg=None, keys=()) -> dict:
     """A stage's manifest in out_dir, with its outputs {name: sha256} under
     "outputs", once the manifest is a complete JSON object, every output
-    is a file named directly in out_dir, and each matches its checksum."""
+    is a file named directly in out_dir, each matches its checksum, and
+    the stage ran under cfg's values of the config keys in keys."""
     manifest = out_dir / f"manifest_{stage}.json"
     try:
         doc = json.loads(manifest.read_bytes().decode("utf-8"))
@@ -357,30 +393,34 @@ def _verified(out_dir: Path, stage: str) -> dict:
         path = out_dir / name
         if not path.is_file() or _sha256(path) != digest:
             raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
+    if keys:
+        _check_ran_under(cfg, stage, doc, keys)
     return doc
 
 
-def _load_trajectory(out_dir: Path):
-    """Samples (s, x) of trajectory.csv and the coefficient schedule
-    recorded with them, once the simulate manifest vouches for it."""
-    if "trajectory.csv" not in _verified(out_dir, "simulate")["outputs"]:
+def _load_trajectory(out_dir: Path, cfg=None, keys=()):
+    """Samples (s, x, xi) of trajectory.csv and the coefficient schedule
+    recorded with them, once the simulate manifest vouches for it and
+    simulate ran under cfg's values of the config keys in keys."""
+    if "trajectory.csv" not in _verified(out_dir, "simulate", cfg, keys)["outputs"]:
         raise DependencyError(f"manifest_simulate.json in {out_dir} does not list trajectory.csv")
     data = read_trajectory_csv(out_dir / "trajectory.csv")
     try:
         s, lam_sq = data["s"], data["lam_sq"]
         x = np.stack([data["x1"], data["x2"], data["x3"]], axis=1)
+        xi = np.stack([data["xi1"], data["xi2"], data["xi3"]], axis=1)
         a = np.stack([data["a1"], data["a2"], data["a3"]], axis=1)
     except KeyError as exc:   # a file written before the schedule was recorded
         raise DependencyError(f"trajectory.csv in {out_dir} has no column {exc}")
-    return s, x, CoefficientSchedule(s=s, a=a, lam_sq=lam_sq)
+    return s, x, xi, CoefficientSchedule(s=s, a=a, lam_sq=lam_sq)
 
 
-def _load_densities(out_dir: Path) -> tuple:
+def _load_densities(out_dir: Path, cfg: dict) -> tuple:
     """The snapshot times and density grids of the fpe run in out_dir, once
-    its manifest vouches for fpe_meta.json and every density_NNNN.npy, and
-    fpe_meta.json gives a grid, whose shape each density has, and the
-    times as a list of numbers."""
-    outputs = _verified(out_dir, "fpe")["outputs"]
+    its manifest vouches for fpe_meta.json and every density_NNNN.npy, fpe
+    ran under cfg's mode, grid and noise, and fpe_meta.json gives a grid,
+    whose shape each density has, and the times as a list of numbers."""
+    outputs = _verified(out_dir, "fpe", cfg, ("sde.mode", "grid", "noise.epsilon"))["outputs"]
     if "fpe_meta.json" not in outputs:
         raise DependencyError(f"manifest_fpe.json in {out_dir} does not list fpe_meta.json")
     try:
@@ -397,41 +437,6 @@ def _load_densities(out_dir: Path) -> tuple:
         return times, [read_density(out_dir / n, spec) for n in names]
     except (KeyError, TypeError, ValueError) as exc:   # DomainError is a ValueError
         raise DependencyError(f"fpe_meta.json in {out_dir} does not fit its densities: {exc!r}")
-
-
-def _simulate_inputs(doc: dict) -> dict:
-    """The values of the config keys that simulate reads, as parse_config
-    takes them, defaults filled in, by dotted key ("potential.D").  The
-    seed is not among them."""
-    typed = _typed(doc)
-    inputs = {}
-    for key in ("masses", "potential", "energy", "u0", "angular_momentum", "initial",
-                "integrator"):
-        default = _DEFAULTS.get(key)
-        value = typed.get(key, default)
-        if isinstance(default, dict):
-            value = {**default, **value}
-        if isinstance(value, dict):
-            inputs.update((f"{key}.{sub}", v) for sub, v in value.items())
-        else:
-            inputs[key] = value
-    return inputs
-
-
-def _check_simulated_under(cfg: dict, out_dir: Path) -> None:
-    """DependencyError unless the config keys that simulate reads have the
-    values that manifest_simulate.json in out_dir recorded; the error
-    names the first that differs."""
-    try:
-        recorded = _simulate_inputs(_verified(out_dir, "simulate")["config"])
-    except (KeyError, ConfigError) as exc:
-        raise DependencyError(f"manifest_simulate.json in {out_dir} records no config "
-                              f"that parses: {exc}")
-    given = _simulate_inputs(cfg["echo"])
-    for key in dict.fromkeys([*given, *recorded]):
-        if given.get(key) != recorded.get(key):
-            raise DependencyError(f"config key {key} is {given.get(key)!r}, but simulate ran "
-                                  f"in {out_dir} with {recorded.get(key)!r}")
 
 
 def _snapshot_times(cfg: dict, schedule: CoefficientSchedule) -> list:
@@ -461,11 +466,11 @@ def _grid_spec(cfg: dict) -> MomentumGrid:
     return MomentumGrid(mins=[gc["min"]] * 3, maxs=[gc["max"]] * 3, shape=(gc["n"],) * 3)
 
 
-def _initial_density(cfg: dict) -> MomentumGrid:
+def _initial_density(cfg: dict, xi0) -> MomentumGrid:
     grid = _grid_spec(cfg)
     sigma = cfg["grid"]["sigma0"]
     mesh = grid.mesh()
-    d2 = np.sum((mesh - cfg["xi0"]) ** 2, axis=-1)
+    d2 = np.sum((mesh - xi0) ** 2, axis=-1)
     grid.P = np.exp(-0.5 * d2 / sigma**2)
     pin_boundary(grid.P)
     grid.normalize()
@@ -487,13 +492,13 @@ def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
-    _, _, schedule = _load_trajectory(writer.out)
+    _, _, xi, schedule = _load_trajectory(writer.out)
     noise = cfg["noise"]
     sde = cfg["sde"]
     result = run_ensemble(
         n_traj=sde["n_paths"],
         schedule=schedule,
-        xi0=cfg["xi0"],
+        xi0=xi[0],
         ds=sde["ds"],
         mode=sde["mode"],
         noise=noise,
@@ -516,17 +521,17 @@ def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
     _atomic_write_text(writer.path("ensemble_meta.json"), _json_dump(meta))
 
 
-def _fpe_run(cfg: dict, schedule: CoefficientSchedule, snapshot_s, s_end: float):
-    """Evolve the initial density over the schedule from its start to s_end."""
+def _fpe_run(cfg: dict, xi0, schedule: CoefficientSchedule, snapshot_s, s_end: float):
+    """Evolve the initial density about xi0 over the schedule to s_end."""
     fpe_cfg = FpeConfig(epsilon=cfg["epsilon"], schedule=schedule,
                         multiplicative=cfg["sde"]["mode"] == "multiplicative")
-    return fpe_evolve(_initial_density(cfg), (schedule.s[0], s_end), fpe_cfg,
+    return fpe_evolve(_initial_density(cfg, xi0), (schedule.s[0], s_end), fpe_cfg,
                       snapshot_s=snapshot_s)
 
 
 def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
-    _, _, schedule = _load_trajectory(writer.out)
-    result = _fpe_run(cfg, schedule, _snapshot_times(cfg, schedule), schedule.s[-1])
+    _, _, xi, schedule = _load_trajectory(writer.out)
+    result = _fpe_run(cfg, xi[0], schedule, _snapshot_times(cfg, schedule), schedule.s[-1])
     for i, (_, grid) in enumerate(result.snapshots):
         write_density(grid, writer.path(f"density_{i:04d}.npy"))
     spec = _grid_spec(cfg)
@@ -540,28 +545,20 @@ def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
 
 def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
     cc = cfg["chaos"]
-    # tube a: the fpe stage's densities in this run directory, or series_a
-    s_vals, series_a = _load_densities(Path(cc.get("series_a", writer.out)))
-    if "series_b" in cc:
-        s_b, series_b = _load_densities(Path(cc["series_b"]))
-        if s_b != s_vals:
-            raise DependencyError(f"density series were taken at different times: {s_vals} and {s_b}")
-        if not all(ga.same_spec(gb) for ga, gb in zip(series_a, series_b)):
-            raise DependencyError("density series lie on different grids")
-    else:
-        # tube b from initial internal coordinates perturbed by delta, solved
-        # at tube a's times up to the end of trajectory b (zip stops there)
-        if not all(grid.same_spec(_grid_spec(cfg)) for grid in series_a):
-            raise DependencyError(f"the densities in {writer.out} are not on the config's grid")
-        # tube a rests on the schedule simulate recorded: tube b must be
-        # solved under the same physics
-        _check_simulated_under(cfg, writer.out)
-        traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
-        s_vals = [v for v in s_vals if v <= traj_b.s[-1]]
-        if not s_vals:
-            raise DomainError(f"trajectory b ends at s = {traj_b.s[-1]}, before tube a's times")
-        res_b = _fpe_run(cfg, CoefficientSchedule.from_trajectory(traj_b), s_vals, s_vals[-1])
-        series_b = [grid for _, grid in res_b.snapshots]
+    # tube a is the fpe stage's densities, on the schedule simulate
+    # recorded: tube b is solved under the same physics, noise and grid
+    _verified(writer.out, "simulate", cfg, ("masses", "potential", "energy", "u0",
+                                            "angular_momentum", "initial", "integrator"))
+    s_vals, series_a = _load_densities(writer.out, cfg)
+    # tube b from initial internal coordinates perturbed by delta, solved
+    # at tube a's times up to the end of trajectory b (zip stops there)
+    traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
+    s_vals = [v for v in s_vals if v <= traj_b.s[-1]]
+    if not s_vals:
+        raise DomainError(f"trajectory b ends at s = {traj_b.s[-1]}, before tube a's times")
+    res_b = _fpe_run(cfg, traj_b.xi[0], CoefficientSchedule.from_trajectory(traj_b), s_vals,
+                     s_vals[-1])
+    series_b = [grid for _, grid in res_b.snapshots]
 
     D, mismatch = [], []
     for ga, gb in zip(series_a, series_b):
@@ -580,7 +577,8 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_channels(cfg: dict, writer: StageWriter) -> None:
-    s, x, _ = _load_trajectory(writer.out)
+    # the pair distances weigh x by the masses, which must be simulate's
+    s, x, _, _ = _load_trajectory(writer.out, cfg, ("masses",))
     ch = cfg["channels"]
     label = classify_channel(s, x, cfg["masses"], **ch)
     _atomic_write_text(writer.path("channels.json"), _json_dump({

@@ -168,10 +168,12 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["series_a", "series_b"])
-    def test_one_chaos_series_alone_is_2(self, tmp_path, key):
+    def test_chaos_series_key_is_unknown_is_2(self, tmp_path, key):
+        # chaos reads tube a from its own run directory only: a config
+        # naming another density series is rejected before any stage
         doc = base_config()
         doc["chaos"] = {key: str(tmp_path)}
-        with pytest.raises(ConfigError, match="series_a and series_b"):
+        with pytest.raises(ConfigError, match=f"unknown config key chaos.{key}"):
             parse_config(doc)
         assert run("chaos", write_config(tmp_path, doc), tmp_path / "out") == 2
 
@@ -336,33 +338,43 @@ class TestExitCodes:
         manifest.write_text(json.dumps(doc))
         assert run("ensemble", cfg, out) == 3
 
-    @staticmethod
-    def series_from_one_fpe_run(tmp_path):
-        """An fpe run directory, and a config whose chaos stage reads it as
-        both density series."""
-        doc = base_config()
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, doc)
+    @pytest.fixture(scope="class")
+    def fpe_run(self, tmp_path_factory):
+        """The base config and a run directory of its simulate and fpe
+        stages, run once for the class."""
+        base = tmp_path_factory.mktemp("fpe_run")
+        cfg, out = write_config(base, base_config()), base / "out"
         assert run("simulate", cfg, out) == 0
         assert run("fpe", cfg, out) == 0
-        doc["chaos"] = {"series_a": str(out), "series_b": str(out)}
-        return out, write_config(tmp_path, doc, "chaos.json")
+        return cfg, out
 
-    def test_tampered_density_series_is_3(self, tmp_path):
-        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
-        assert run("chaos", chaos_cfg, tmp_path / "clean") == 0
+    @pytest.fixture()
+    def after_fpe(self, fpe_run, tmp_path):
+        """fpe_run's config and a copy of its run directory for one test."""
+        cfg, out = fpe_run
+        shutil.copytree(out, tmp_path / "out")
+        return cfg, tmp_path / "out"
+
+    # chaos reads tube a from the fpe stage of its own run directory: an
+    # fpe output that is missing, altered or unreadable is a missing
+    # upstream artifact
+    def test_tampered_density_series_is_3(self, after_fpe):
+        # a density altered after chaos ran: chaos run again fails, and its
+        # manifest no longer vouches for the report
+        cfg, out = after_fpe
+        assert run("chaos", cfg, out) == 0
         density = out / "density_0001.npy"
         data = bytearray(density.read_bytes())
         # a byte of the 300th value from the end, inside the data section
         data[-8 * 300] ^= 0x01
         density.write_bytes(bytes(data))
-        assert run("chaos", chaos_cfg, tmp_path / "tampered") == 3
-        assert not (tmp_path / "tampered" / "chaos_report.json").exists()
+        assert run("chaos", cfg, out, "--force") == 3
+        assert json.loads((out / "manifest_chaos.json").read_text())["status"] == "failed"
 
-    def test_text_density_series_is_3(self, tmp_path):
+    def test_text_density_series_is_3(self, after_fpe):
         # a series in the text format of earlier versions: its manifest
         # lists density_NNNN.txt, with checksums that match
-        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        cfg, out = after_fpe
         manifest = out / "manifest_fpe.json"
         doc = json.loads(manifest.read_text())
         for name in [n for n in doc["outputs"] if n.endswith(".npy")]:
@@ -370,65 +382,22 @@ class TestExitCodes:
             doc["outputs"][name.replace(".npy", ".txt")] = doc["outputs"].pop(name)
         manifest.write_text(json.dumps(doc))
         assert "density_0000.txt" in doc["outputs"]
-        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
-        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+        assert run("chaos", cfg, out) == 3
+        assert not (out / "chaos_report.json").exists()
 
-    def test_series_at_different_times_is_3(self, tmp_path):
-        # chaos pairs the two series by index, so their times must agree
-        doc = json.loads((REPO / "configs" / "sample_morse.json").read_text())
-        series = {}
-        for key, snapshots in (("series_a", [0.5, 1.0, 1.5, 2.0]), ("series_b", [0.3, 0.7, 1.1, 2.0])):
-            doc["sde"]["snapshots"] = snapshots
-            cfg, out = write_config(tmp_path, doc, f"{key}.json"), tmp_path / key
-            assert run("simulate", cfg, out) == 0
-            assert run("fpe", cfg, out) == 0
-            series[key] = str(out)
-        doc["chaos"] = series
-        chaos_cfg = write_config(tmp_path, doc, "chaos.json")
-        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
-        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
-
-    @staticmethod
-    def chaos_on_two_grids(tmp_path, grid_b):
-        """chaos's exit code on series_a at grid.n 12 and series_b on that
-        grid with grid_b's edits, neither writing a report."""
-        doc = base_config()
-        series = {}
-        for key, grid in (("series_a", {"n": 12}), ("series_b", {"n": 12, **grid_b})):
-            doc["grid"].update(grid)
-            cfg, out = write_config(tmp_path, doc, f"{key}.json"), tmp_path / key
-            assert run("simulate", cfg, out) == 0
-            assert run("fpe", cfg, out) == 0
-            series[key] = str(out)
-        doc["chaos"] = series
-        code = run("chaos", write_config(tmp_path, doc, "chaos.json"), tmp_path / "chaos")
-        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
-        return code
-
-    def test_series_on_different_grids_is_3(self, tmp_path):
-        # chaos compares the two series cell by cell, so their grids must agree
-        assert self.chaos_on_two_grids(tmp_path, {"n": 16}) == 3
-
-    def test_series_on_grids_1e6_apart_is_3(self, tmp_path):
-        # and agree bit for bit: bounds 1e-6 apart are another grid
-        assert self.chaos_on_two_grids(tmp_path, {"max": 1.500001}) == 3
-
-    def test_missing_fpe_manifest_is_3(self, tmp_path):
-        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+    def test_missing_fpe_manifest_is_3(self, after_fpe):
+        cfg, out = after_fpe
         (out / "manifest_fpe.json").unlink()
-        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
+        assert run("chaos", cfg, out) == 3
+        assert not (out / "chaos_report.json").exists()
 
-    # the default route reads tube a from the fpe stage of its own run
-    # directory: an fpe output that is missing, altered or on another grid
-    # is a missing upstream artifact
     def test_chaos_before_fpe_is_3(self, tmp_path):
         cfg, out, _ = self.simulated(tmp_path)
         assert run("chaos", cfg, out) == 3
         assert not (out / "chaos_report.json").exists()
 
-    def test_density_altered_after_fpe_is_3(self, tmp_path):
-        cfg, out, _ = self.simulated(tmp_path)
-        assert run("fpe", cfg, out) == 0
+    def test_density_altered_after_fpe_is_3(self, after_fpe):
+        cfg, out = after_fpe
         density = out / "density_0001.npy"
         data = bytearray(density.read_bytes())
         data[-8 * 300] ^= 0x01
@@ -436,40 +405,71 @@ class TestExitCodes:
         assert run("chaos", cfg, out) == 3
         assert not (out / "chaos_report.json").exists()
 
+    @staticmethod
+    def chaos_on_edited(capsys, cfg, out, edit):
+        """chaos's exit code in out under the config at cfg edited by
+        edit(doc), and what it wrote to stderr."""
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        capsys.readouterr()
+        code = run("chaos", write_config(out.parent, doc, "edited.json"), out)
+        return code, capsys.readouterr().err
+
     @pytest.mark.parametrize("key, edit", [
         ("potential.D", lambda doc: doc["potential"].update(D=2.0)),
         ("integrator.n_samples", lambda doc: doc["integrator"].update(n_samples=64)),
         ("angular_momentum", lambda doc: doc.update(angular_momentum=[0.1, 0.0, 0.0])),
+        ("masses.m2", lambda doc: doc["masses"].update(m2=2.0)),
+        ("energy", lambda doc: doc.update(energy=1.5)),
+        ("u0", lambda doc: doc.update(u0=3.5)),
+        ("initial.x", lambda doc: doc["initial"].update(x=[2.0, 3.0, 3.6])),
+        ("initial.xi", lambda doc: doc["initial"].update(xi=[0.3, 0.0, 0.0])),
+        ("integrator.tol", lambda doc: doc["integrator"].update(tol=1e-8)),
     ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_physics_edited_after_simulate_is_3(self, tmp_path, capsys, key, edit):
+    def test_physics_edited_after_simulate_is_3(self, after_fpe, capsys, key, edit):
         # tube a rests on the schedule simulate recorded, so chaos must not
         # solve tube b under other physics; the key that differs is named
-        cfg, out, _ = self.simulated(tmp_path)
-        assert run("fpe", cfg, out) == 0
-        doc = base_config()
-        edit(doc)
-        capsys.readouterr()
-        assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
-        assert f"config key {key} " in capsys.readouterr().err
-        assert not (out / "chaos_report.json").exists()
+        code, err = self.chaos_on_edited(capsys, *after_fpe, edit)
+        assert code == 3
+        assert f"config key {key} " in err and "but simulate ran" in err
+        assert not (after_fpe[1] / "chaos_report.json").exists()
 
-    def test_simulate_manifest_without_its_config_is_3(self, tmp_path):
+    def test_masses_edited_after_simulate_is_3(self, tmp_path, capsys):
+        # channels weighs the pair distances by the masses: they must be
+        # the ones the trajectory was integrated with
+        _, out, _ = self.simulated(tmp_path)
+        doc = base_config()
+        doc["masses"] = {"m1": 1.0, "m2": 5.0, "m3": 0.2}
+        capsys.readouterr()
+        assert run("channels", write_config(tmp_path, doc, "edited.json"), out) == 3
+        assert "config key masses.m2 " in capsys.readouterr().err
+        assert not (out / "channels.json").exists()
+
+    def test_simulate_manifest_without_its_config_is_3(self, after_fpe):
         # the config echo is what chaos holds the physics to
-        cfg, out, manifest = self.simulated(tmp_path)
-        assert run("fpe", cfg, out) == 0
+        cfg, out = after_fpe
+        manifest = out / "manifest_simulate.json"
         doc = json.loads(manifest.read_text())
         del doc["config"]
         manifest.write_text(json.dumps(doc))
         assert run("chaos", cfg, out) == 3
 
-    def test_seed_and_defaults_are_not_physics(self, tmp_path):
-        # another seed, and a default written out, leave the physics as
-        # simulate ran it
-        cfg, out, _ = self.simulated(tmp_path)
-        assert run("fpe", cfg, out) == 0
-        doc = base_config()
-        doc["seed"] = 12
-        doc["angular_momentum"] = [0.0, 0.0, 0.0]
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(seed=12, angular_momentum=[0.0, 0.0, 0.0]),
+        lambda doc: doc["sde"].update(n_paths=7),
+        lambda doc: doc["sde"].update(ds=0.02),
+        lambda doc: doc.update(channels={"r_bound": 4.0}),
+        # 0.5 * 0.02 * sqrt(1.0) is the config's epsilon, 0.01
+        lambda doc: doc.update(noise={"hbar_scale": 0.02, "omega_sq_mean": 1.0}),
+    ], ids=["seed-and-default", "sde.n_paths", "sde.ds", "channels.r_bound",
+            "noise-hbar_scale-same-epsilon"])
+    def test_seed_and_defaults_are_not_physics(self, after_fpe, tmp_path, edit):
+        # another seed, a default written out, keys that neither simulate
+        # nor fpe reads, and the same noise power in its other form leave
+        # the run as simulate and fpe made it
+        cfg, out = after_fpe
+        doc = json.loads(cfg.read_text())
+        edit(doc)
         assert run("chaos", write_config(tmp_path, doc, "reseeded.json"), out, "--seed", "5") == 0
 
     def test_fpe_on_another_grid_is_3(self, tmp_path):
@@ -480,23 +480,35 @@ class TestExitCodes:
         assert run("chaos", cfg, out) == 3
         assert not (out / "chaos_report.json").exists()
 
-    def test_grid_edited_after_fpe_is_3(self, tmp_path):
-        # the densities must lie on the config's grid bit for bit, and
-        # fpe_meta.json keeps the bounds' bits
-        cfg, out, _ = self.simulated(tmp_path)
-        assert run("fpe", cfg, out) == 0
-        doc = base_config()
-        doc["grid"]["max"] = 1.500001
-        assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
+    @pytest.mark.parametrize("key, edit", [
+        ("noise.epsilon", lambda doc: doc["noise"].update(epsilon=0.05)),
+        # 0.5 * 0.1 * sqrt(1.0) = 0.05 in the other noise form
+        ("noise.epsilon", lambda doc: doc.update(noise={"hbar_scale": 0.1,
+                                                        "omega_sq_mean": 1.0})),
+        ("sde.mode", lambda doc: doc["sde"].update(mode="multiplicative")),
+        ("grid.min", lambda doc: doc["grid"].update(min=-1.4)),
+        # the bounds' bits: 1e-6 apart is another grid
+        ("grid.max", lambda doc: doc["grid"].update(max=1.500001)),
+        ("grid.n", lambda doc: doc["grid"].update(n=16)),
+        ("grid.sigma0", lambda doc: doc["grid"].update(sigma0=0.3)),
+    ], ids=["noise.epsilon", "noise-hbar_scale", "sde.mode", "grid.min", "grid.max", "grid.n",
+            "grid.sigma0"])
+    def test_grid_edited_after_fpe_is_3(self, after_fpe, capsys, key, edit):
+        # tube b is solved from the initial density on the grid, in the mode
+        # and with the noise that fpe solved tube a with; the key that
+        # differs is named
+        cfg, out = after_fpe
+        code, err = self.chaos_on_edited(capsys, cfg, out, edit)
+        assert code == 3
+        assert f"config key {key} " in err and "but fpe ran" in err
         assert not (out / "chaos_report.json").exists()
         assert run("chaos", cfg, out, "--force") == 0
 
-    def test_failed_stage_runs_again_without_force(self, tmp_path):
+    def test_failed_stage_runs_again_without_force(self, after_fpe, tmp_path):
         # a stage whose run failed runs again once its fault is fixed; a
         # complete manifest, and one still "running" (a live run's, or a
         # killed one's), need --force
-        cfg, out, _ = self.simulated(tmp_path)
-        assert run("fpe", cfg, out) == 0
+        cfg, out = after_fpe
         doc = base_config()
         doc["grid"]["max"] = 1.500001
         assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
@@ -541,37 +553,37 @@ class TestExitCodes:
         doc["outputs"][name] = sha256(out / name)
         manifest.write_text(json.dumps(doc))
 
-    def chaos_on_meta(self, tmp_path, change):
-        """The chaos stage's exit code on a series whose fpe_meta.json has
+    def chaos_on_meta(self, after_fpe, change):
+        """The chaos stage's exit code on a run whose fpe_meta.json has
         been changed by change(meta) and vouched for."""
-        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        cfg, out = after_fpe
         meta = json.loads((out / "fpe_meta.json").read_text())
         change(meta)
         (out / "fpe_meta.json").write_text(json.dumps(meta))
         self.vouched(out, "fpe_meta.json")
-        code = run("chaos", chaos_cfg, tmp_path / "chaos")
-        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+        code = run("chaos", cfg, out)
+        assert not (out / "chaos_report.json").exists()
         return code
 
     @pytest.mark.parametrize("key", ["grid", "snapshot_s"])
-    def test_fpe_meta_without_grid_or_times_is_3(self, tmp_path, key):
-        assert self.chaos_on_meta(tmp_path, lambda meta: meta.pop(key)) == 3
+    def test_fpe_meta_without_grid_or_times_is_3(self, after_fpe, key):
+        assert self.chaos_on_meta(after_fpe, lambda meta: meta.pop(key)) == 3
 
     @pytest.mark.parametrize("times", ["12", [0.5, "1.0"], [0.5, None], {"0": 0.5, "1": 1.0}])
-    def test_fpe_meta_times_that_are_not_numbers_is_3(self, tmp_path, times):
-        assert self.chaos_on_meta(tmp_path, lambda meta: meta.update(snapshot_s=times)) == 3
+    def test_fpe_meta_times_that_are_not_numbers_is_3(self, after_fpe, times):
+        assert self.chaos_on_meta(after_fpe, lambda meta: meta.update(snapshot_s=times)) == 3
 
     @pytest.mark.parametrize("shape", [(24 * 24 * 24,), (12, 48, 24), (23, 24, 24)])
-    def test_density_that_is_not_the_grids_shape_is_3(self, tmp_path, shape):
+    def test_density_that_is_not_the_grids_shape_is_3(self, after_fpe, shape):
         # the first two hold the grid's number of cells, the last fewer
-        out, chaos_cfg = self.series_from_one_fpe_run(tmp_path)
+        cfg, out = after_fpe
         density = out / "density_0001.npy"
         P = np.load(density)
         assert P.shape == (24, 24, 24)
         np.save(density, P.reshape(-1)[:int(np.prod(shape))].reshape(shape))
         self.vouched(out, density.name)
-        assert run("chaos", chaos_cfg, tmp_path / "chaos") == 3
-        assert not (tmp_path / "chaos" / "chaos_report.json").exists()
+        assert run("chaos", cfg, out) == 3
+        assert not (out / "chaos_report.json").exists()
 
     def test_forbidden_start_is_4(self, tmp_path):
         doc = base_config()
@@ -714,7 +726,7 @@ class TestPipelineStages:
         assert run("ensemble", cfg, out) == 0
         table = np.genfromtxt(out / "ensemble_snapshots.csv", delimiter=",", names=True)
         parsed = parse_config(json.loads(cfg.read_text()))
-        _, _, schedule = _load_trajectory(out)
+        _, _, _, schedule = _load_trajectory(out)
         sde = parsed["sde"]
         res = run_ensemble(sde["n_paths"], schedule, parsed["xi0"], sde["ds"],
                            sde["mode"], NoiseModel(epsilon=parsed["epsilon"], seed=parsed["seed"]),
@@ -786,12 +798,13 @@ class TestPipelineStages:
         assert run("fpe", cfg, out) == 0
         parsed = parse_config(doc)
         written = read_density(out / "density_0000.npy", _grid_spec(parsed))
-        _, _, schedule = _load_trajectory(out)
+        _, _, _, schedule = _load_trajectory(out)
 
         def direct(multiplicative):
             fpe_cfg = FpeConfig(epsilon=parsed["epsilon"], schedule=schedule,
                                 multiplicative=multiplicative)
-            res = fpe_evolve(_initial_density(parsed), (0.0, 0.5), fpe_cfg, snapshot_s=[0.5])
+            res = fpe_evolve(_initial_density(parsed, parsed["xi0"]), (0.0, 0.5), fpe_cfg,
+                             snapshot_s=[0.5])
             return res.snapshots[0][1].P
 
         assert np.array_equal(written.P, direct(True))
@@ -810,9 +823,9 @@ class TestPipelineStages:
         assert sorted(n for n in manifest["outputs"] if n.endswith(".npy")) == [
             f"density_{i:04d}.npy" for i in range(8)]
 
-    def test_chaos_solves_tube_b_only(self, prepared, tmp_path, monkeypatch):
-        # tube a is the fpe stage's densities: the default route solves
-        # tube b alone, at tube a's times, and the explicit route solves none
+    def test_chaos_solves_tube_b_only(self, prepared, monkeypatch):
+        # tube a is the fpe stage's densities: chaos solves tube b alone, at
+        # tube a's times
         cfg, out = prepared
         assert run("fpe", cfg, out) == 0
         solves = []
@@ -827,11 +840,6 @@ class TestPipelineStages:
         report = json.loads((out / "chaos_report.json").read_text())
         meta = json.loads((out / "fpe_meta.json").read_text())
         assert [s for s, _ in report["series"]] == meta["snapshot_s"]
-
-        doc = base_config()
-        doc["chaos"] = {"series_a": str(out), "series_b": str(out)}
-        assert run("chaos", write_config(tmp_path, doc, "explicit.json"), tmp_path / "out2") == 0
-        assert len(solves) == 1
 
     def test_chaos_default_route(self, prepared):
         cfg, out = prepared
@@ -876,19 +884,6 @@ class TestPipelineStages:
         assert report["support_mismatch_cells"] == counts
         assert any(counts)
 
-    def test_chaos_explicit_series(self, prepared, tmp_path):
-        cfg_doc = base_config()
-        _, out = prepared
-        assert run("fpe", write_config(tmp_path, cfg_doc, "a.json"), out) == 0
-        cfg_doc["chaos"] = {"series_a": str(out), "series_b": str(out)}
-        cfg2 = write_config(tmp_path, cfg_doc, "b.json")
-        out2 = tmp_path / "out2"
-        (out2).mkdir()
-        assert run("chaos", cfg2, out2) == 0
-        report = json.loads((out2 / "chaos_report.json").read_text())
-        # identical series: zero distance everywhere -> regular
-        assert report["verdict"] == "regular"
-
     def test_schedule_is_the_trajectory_schedule(self, prepared):
         # the schedule read back from trajectory.csv is the one integrate records
         cfg, out = prepared
@@ -898,8 +893,11 @@ class TestPipelineStages:
                          J=parsed["angular_momentum"], s_end=integ["s_end"], tol=integ["tol"],
                          n_samples=integ["n_samples"], mu0=parsed["mu0"])
         direct = CoefficientSchedule.from_trajectory(traj)
-        s, x, via = _load_trajectory(out)
+        s, x, xi, via = _load_trajectory(out)
         assert np.array_equal(s, traj.s) and np.array_equal(x, traj.x)
+        assert np.array_equal(xi, traj.xi)
+        # the first sample is initial.xi, bit for bit
+        assert np.array_equal(xi[0], parsed["xi0"])
         assert np.array_equal(via.s, direct.s)
         assert np.array_equal(via.a, direct.a)
         assert np.array_equal(via.lam_sq, direct.lam_sq)
@@ -934,14 +932,17 @@ class TestPipelineStages:
         assert times == json.loads((out / "fpe_meta.json").read_text())["snapshot_s"]
 
     def test_ensemble_and_fpe_read_the_schedule_from_the_trajectory(self, prepared, tmp_path):
-        # the potential edited after simulate: ensemble and fpe follow the
-        # schedule simulate recorded, not one derived from the edited config
+        # the potential or initial.xi edited after simulate: ensemble and
+        # fpe start from the momentum and follow the schedule simulate
+        # recorded, not from the edited config
         cfg, out = prepared
-        edited = base_config()
-        edited["potential"].update(D=2.0, alpha=0.5)
-        edited_cfg = write_config(tmp_path, edited, "edited.json")
+        potential, xi = base_config(), base_config()
+        potential["potential"].update(D=2.0, alpha=0.5)
+        xi["initial"]["xi"] = [0.3, 0.0, 0.0]
         runs = []
-        for name, stage_cfg in (("same", cfg), ("edited", edited_cfg)):
+        for name, stage_cfg in (("same", cfg),
+                                ("potential", write_config(tmp_path, potential, "potential.json")),
+                                ("xi", write_config(tmp_path, xi, "xi.json"))):
             copy = tmp_path / name
             shutil.copytree(out, copy)
             for stage in ("ensemble", "fpe"):
@@ -949,7 +950,7 @@ class TestPipelineStages:
             runs.append({p.name: p.read_bytes() for p in sorted(copy.iterdir())
                          if not p.name.startswith("manifest_")})
         assert "ensemble_snapshots.csv" in runs[0] and "density_0000.npy" in runs[0]
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_channels(self, prepared):
         cfg, out = prepared
