@@ -23,20 +23,25 @@ each stage sets only the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2).
 
 For additive noise, dxi = B(xi) a ds + dW, the noise coupling is the
 identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P.
-With zero ghost cells, the central drift difference and the compact
-second differences make a 7-point stencil: with alpha_i = eps_ii / h_i^2
-and the per-cell weights W_i = alpha_i + sign A_i / (2 h_i),
+Both operators are a divergence of face fluxes, rhs[x] = sum_i
+(Phi_i[x+e_i/2] - Phi_i[x-e_i/2]), with zero ghost cells.  A central
+difference (t[x+e] - t[x-e]) / 2h is the divergence of the face averages
+(t[x] + t[x+e]) / 2h, whose outer faces carry t of the first and of the
+last cells (_central); the multiplicative operator and the additive cross
+terms 2 eps_ij d_i d_j P are made of these.  The additive drift and
+diagonal diffusion make one 7-point flux: with alpha_i = eps_ii / h_i^2,
+weights W_i = alpha_i + sign A_i / (2 h_i), t = W_i P and u = 2 alpha_i P
+- t, Phi_i[x+e_i/2] = t[x+e_i] - u[x], so
 
-    rhs[x] = -2 sum_i alpha_i P[x]
-             + sum_i ( W_i[x+e_i] P[x+e_i] + (2 alpha_i - W_i[x-e_i]) P[x-e_i] ),
+    rhs[x] = -2 sum_i alpha_i P[x] + sum_i ( t[x+e_i] + u[x-e_i] ),
 
-plus 2 eps_ij d_i d_j P for each off-diagonal eps_ij, from central
-differences.  Boundary density is pinned to zero; mass loss is audited,
-not hidden: the mass that the end-of-step pins delete, summed over the
-boundary shell before they do, is recorded beside the mass balance.
-Both operators telescope on the pinned grid (every flux that is
-differenced is zero on the boundary cells), so that outflow closes the
-balance up to rounding.
+where a cell's own part, -(t + u)[x], holds the outer faces' flux, t of
+the first cells and -u of the last.  Boundary density is pinned to zero,
+so both operators telescope: the grid sum of rhs, the net flux through
+the outer faces, is zero on a pinned density (t = u = 0 there, and the
+flux sum_i B_il G_i is pinned too).  Mass loss is audited, not hidden:
+the mass that the end-of-step pins delete, summed over the boundary shell
+first, is recorded beside the mass balance and closes it up to rounding.
 
 Step bound.  Each midpoint RK2 step takes SAFETY times the smaller of the
 drift bound min(h) / max|A| and the diffusion bound 2 / R, the scheme's
@@ -68,30 +73,30 @@ forms each field into one (3, n1, n2, n3) buffer, A and W for additive
 noise and B's diagonal for multiplicative noise, and only for a stage
 whose coefficients differ from those of the field held: a constant
 schedule forms it once per solve, a trajectory schedule at every stage.
-Every other array lives for one call, except P, the midpoint, the new
-state and that buffer (see Slabs), and for multiplicative noise the
-products of _quadratic.  The additive stencil and the central difference
-work in flat passes over contiguous data, where a cell's neighbour along
-axis i lies s_i elements away.  The stencil's products that point at a
-ghost cell are zeroed on their face, so a shift that wraps into the next
-row adds an exact 0.  Each pass does each cell's operations in the same
-order as the mesh form on zero-padded arrays, so the result is
+Every other array lives for one call, except P, the midpoint and that
+buffer (see Slabs), and for multiplicative noise the products of
+_quadratic.  Fluxes and their divergence are formed in flat passes over
+contiguous data, where a cell's neighbour along axis i lies s_i elements
+away; where a pass meets the next row, it adds an exact 0.  Axis by axis,
+each cell gets its upper face's flux, then loses its lower face's, the
+order of the mesh form on zero-padded arrays, so the result is
 bit-identical to it.
 
 Slabs.  The operator at a cell reads cells at most two rows away along
 any axis for multiplicative noise, whose form nests two differences, and
-one row away for additive noise (the 7-point stencil and the cross
+one row away for additive noise (the 7-point flux and the cross
 differences).  So fpe_rhs on a block of rows of axis 0 with HALO = 2, or
 for additive noise 1, more rows on each side gives those rows' bits on
 the whole grid.  fpe_evolve writes each stage in contiguous slabs of
-axis 0 into P, the midpoint and the new state, which lie in one shared
-anonymous mmap with the field's buffer: the caller takes the first slab,
-and for a grid of at least 2 MIN_SLAB_CELLS cells on two or more CPUs a
-worker forked for the solve (_fork) takes each other one.  The caller
-alone forms the field, and every slab reads its rows of it there.  With
-one slab the caller writes every row and nothing is forked.  A slab
-evaluates a stage in blocks of at most BLOCK_CELLS cells (a row at
-least), whose arrays stay in a core's L2 cache.
+axis 0, the first into the midpoint and the second into P in place,
+which lie in one shared anonymous mmap with the field's buffer: the
+caller takes the first slab, and for a grid of at least 2 MIN_SLAB_CELLS
+cells on two or more CPUs a worker forked for the solve (_fork) takes
+each other one.  The caller alone forms the field, and every slab reads
+its rows of it there.  With one slab the caller writes every row and
+nothing is forked.  A slab evaluates a stage in blocks of at most
+BLOCK_CELLS cells (a row at least), whose arrays stay in a core's L2
+cache.
 """
 
 from __future__ import annotations
@@ -232,32 +237,23 @@ def _at(axis, index):
     return tuple(sel)
 
 
-def _flat(F, axis):
-    """F as a C-contiguous array, a new array of its shape, both also
-    flattened, and the distance s in the flattened arrays from a cell to
-    its neighbour along `axis`."""
-    F = np.ascontiguousarray(F)
-    out = np.empty_like(F)
-    return F, out, F.reshape(-1), out.reshape(-1), F.strides[axis] // F.itemsize
-
-
-def _d(F, axis, h):
-    """Central first difference with zero ghost cells (pinned boundary),
-    as a new array.
-
-    The interior is one contiguous pass over the flattened arrays, where
-    a cell's neighbours along the axis lie s elements away.  That pass
-    also fills the two faces normal to the axis, from the adjacent rows
-    of the flattened array; the one-sided formulas then overwrite them.
-    """
-    F, out, f, o, s = _flat(F, axis)
-    mid = o[s:-s]
-    np.subtract(f[2 * s:], f[:-2 * s], out=mid)
-    mid /= 2.0 * h
-    np.divide(F[_at(axis, 1)], 2.0 * h, out=out[_at(axis, 0)])
-    last = np.negative(F[_at(axis, -2)], out=out[_at(axis, -1)])
-    last /= 2.0 * h
-    return out
+def _central(out, t, axis):
+    """Add t[x+e] - t[x-e] along axis, zero beyond the block, to out, as
+    the divergence of the face sums Phi[x+1/2] = t[x] + t[x+e] in flat
+    passes: each cell gets its upper face's flux, then loses its lower
+    face's.  The outer faces carry t of the first and of the last cells.
+    out and t are C-contiguous, and t holds the differenced quantity over
+    twice the spacing, so a face sum is its face average."""
+    s = t.strides[axis] // t.itemsize
+    phi, flat, o = np.empty_like(t), t.reshape(-1), out.reshape(-1)
+    f = np.add(flat[:-s], flat[s:], out=phi.reshape(-1)[:-s])
+    # the interior faces only: zero where a flat pass meets the next row
+    phi[_at(axis, -1)] = 0.0
+    o[:-s] += f
+    last, first = out[_at(axis, -1)], out[_at(axis, 0)]
+    last += t[_at(axis, -1)]
+    o[s:] -= f
+    first -= t[_at(axis, 0)]
 
 
 # the entries (k, j), k <= j, that fix a symmetric 3x3 matrix
@@ -376,7 +372,7 @@ def _field(X, h, coeffs, cfg, quad=None, out=None):
 
 
 def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.ndarray:
-    """Discrete right-hand side dP/ds on the grid (second-order stencils).
+    """Discrete right-hand side dP/ds on the grid, a divergence of face fluxes.
 
     `field` is the field of `_field` for these coeffs on the grid's cells,
     formed here when omitted: for additive noise the stencil's weights W,
@@ -390,28 +386,28 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
     block's first and last rows (fpe_evolve's blocks).
 
     Beside the result the call holds at most 2 arrays of the grid's shape
-    for additive noise: the products t = W_i P and u = 2 alpha_i P - t that
-    the cells at -e_i and +e_i take, one pair for all three axes, then
-    each off-diagonal eps term, freed before the next.  For multiplicative
-    noise it holds F and forms G beside it (with one product F_j eps_ij
-    more while an off-diagonal eps sums into G_i); F is freed before the
-    flux terms, which hold G and at most 3 more, all freed when it returns.
+    for additive noise: the 7-point flux's products t = W_i P and u = 2
+    alpha_i P - t, one pair for all three axes, then each off-diagonal eps
+    term, freed before the next.  For multiplicative noise it holds F, P /
+    2h (one array per spacing) and a product with its face sums, then G
+    beside F (with one product F_j eps_ij more while an off-diagonal eps
+    sums into G_i); F is freed before the flux terms, which hold G and at
+    most 3 more.
     """
     if field is None:
         field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
-    P, h, eps = grid.P, grid.h, cfg.epsilon
-
+    P, h, eps = np.ascontiguousarray(grid.P), grid.h, cfg.epsilon
     if not cfg.multiplicative:
+        # each cell's own part -(t + u)[x] over all axes, then t[x + e_i] +
+        # u[x - e_i]; the outer faces' products are zeroed, so a flat shift
+        # takes none where it meets the next row (module docstring)
         W, alpha = field[0], _alpha(h, eps)
-        P = np.ascontiguousarray(P)
         rhs = P * (-2.0 * sum(alpha))
         t, u = np.empty_like(P), np.empty_like(P)
         for i in range(3):
             np.multiply(P, W[i], out=t)
             np.multiply(P, 2.0 * alpha[i], out=u)
             u -= t
-            # the products that a ghost cell would take; zero, they make
-            # the shifts below exact where they wrap into the next row
             t[_at(i, 0)] = 0.0
             u[_at(i, -1)] = 0.0
             s = P.strides[i] // P.itemsize
@@ -420,24 +416,27 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
         del t, u
         for i, j in itertools.combinations(range(3), 2):
             if eps[i, j] != 0.0:
-                term = _d(_d(P, j, h[j]), i, h[i])
-                term *= 2.0 * eps[i, j]
-                rhs += term
-                del term
+                # 2 eps_ij d_i d_j P, both differences as face averages
+                d_j = np.zeros(P.shape)
+                _central(d_j, P * (eps[i, j] / (2.0 * h[i] * h[j])), j)
+                _central(rhs, d_j, i)
+                del d_j
         return rhs
 
-    # F_j = sum_k d_k (B_kj P), component by component.  Each product
-    # B_kj P (k <= j) is formed once and differenced along k for F_j and
-    # along j for F_k; in _UPPER order every F_j gets its terms k = 0, 1, 2
-    # left to right, the first one starting it.
-    B = field
-    F = [None] * 3
+    # F_j = sum_k d_k (B_kj P) from P / 2h, formed once per spacing: B_kj P
+    # (k <= j) is differenced along k for F_j and along j for F_k, formed
+    # once if h_j = h_k; in _UPPER order F_j gets its terms k = 0, 1, 2.
+    B, half = field, 0.5 / h
+    scaled = {c: P * c for c in set(half.tolist())}
+    F = [np.zeros(P.shape) for _ in range(3)]
     for k, j in _UPPER:
-        t = B[k][j] * P
-        for axis, comp in {(k, j), (j, k)}:
-            term = _d(t, axis, h[axis])
-            F[comp] = term if F[comp] is None else np.add(F[comp], term, out=F[comp])
-    del t, term
+        t = B[k][j] * scaled[half[k]]
+        _central(F[j], t, k)
+        if j != k:
+            if half[j] != half[k]:
+                t = B[k][j] * scaled[half[j]]
+            _central(F[k], t, j)
+    del t, scaled
     # the drift term sign * sum_i d_i(A_i P) with A = B a, B symmetric:
     # sign * sum_k a_k F_k, summed over k left to right
     c = cfg.drift_sign * np.asarray(coeffs[0], dtype=float)
@@ -453,13 +452,14 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
         G.append(np.zeros(P.shape) if g is None else g)
     del F
     # rhs += sum_l d_l [ sum_i B_il G_i ], the flux pinned like P: its
-    # difference then moves no mass through the outer faces
+    # outer faces then carry no mass
     for l in range(3):
         t = B[0][l] * G[0]
         for i in (1, 2):
             t += B[i][l] * G[i]
+        t *= half[l]
         pin_boundary(t)
-        rhs += _d(t, l, h[l])
+        _central(rhs, t, l)
     return rhs
 
 
@@ -555,50 +555,49 @@ def _key(coeffs) -> bytes:
 
 
 def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> FpeResult:
-    """Explicit RK2 (midpoint) evolution with a CFL-bounded step.
+    """Explicit midpoint RK2 evolution with a CFL-bounded step, in two
+    states: the midpoint P + ds/2 fpe_rhs(P), then P + ds fpe_rhs(midpoint)
+    in place, as that stage reads only the midpoint and the rows it writes.
 
-    The initial density must be normalized to 1e-9, the span must lie
-    inside the schedule and the snapshot times in (s0, s1].  Boundary
-    cells are pinned to zero every stage; snapshots are deep copies.  The
-    diagnostics record the mass that the end-of-step pins delete, summed
-    over the boundary shell (`boundary_outflow`), the steps that leave a
-    cell below -1e-12 of the peak (`negative_undershoot_steps`), and
-    `mass_balance_residual` = mass_initial -
-    mass_final - boundary_outflow; the number of `steps`, their `ds_min`,
-    `ds_median` and `ds_max`; in `cfl_limit` how many steps the drift
-    or the diffusion bound set and how many were cut to end on a
-    snapshot time ("snapshot"); and in `field_evals` how many times the
-    solve formed a field with _field.
+    The initial density must be normalized to 1e-9 (a NaN mass is not), the
+    span must lie inside the schedule and the snapshot times in (s0, s1].
+    Boundary cells are pinned to zero every stage; snapshots are deep
+    copies.  The diagnostics record `boundary_outflow`, the mass that the
+    end-of-step pins delete, summed over the boundary shell;
+    `mass_balance_residual` = mass_initial - mass_final - boundary_outflow;
+    `negative_undershoot_steps`, the steps that leave a cell below -1e-12 of
+    the peak; the number of `steps`, their `ds_min`, `ds_median` and
+    `ds_max`; in `cfl_limit` how many steps the drift or the diffusion bound
+    set and how many were cut to end on a snapshot time ("snapshot"); and in
+    `field_evals` how many fields the solve formed with _field.
 
     A stage forms a field only when its coefficients differ, bit for bit,
-    from those of the field held, in its place.  The step bound
-    is computed once per field, when a step start first reads it, and the
-    step's first stage shares that field.  So a constant schedule forms its
-    field and its bound once per solve (`field_evals` 1), and a schedule
-    that changes between stages forms a field at every stage (`field_evals`
-    = 2 `steps`).  Reuse skips a call of _field or _stable_ds on the inputs
-    it was last called with, so the results are the same bits.
+    from those of the field held, in its place.  The step bound is computed
+    once per field, when a step start first reads it, and the step's first
+    stage shares that field.  So a constant schedule forms its field and its
+    bound once per solve (`field_evals` 1), and a schedule that changes
+    between stages forms a field at every stage (`field_evals` = 2
+    `steps`), with the same bits as without reuse.
 
-    A stage base + scale fpe_rhs(src) is evaluated in contiguous slabs of
-    axis 0 (_slab_bounds) into P, the midpoint or the new state, three
-    rows of a shared anonymous mmap whose other three hold the field.  The
-    caller writes the first slab's rows, and a worker forked before the
-    first step (_fork) each other slab's, with one pipe round trip per
-    stage; with one slab, on one CPU or below 2 MIN_SLAB_CELLS cells,
-    nothing is forked.  A slab writes its rows in blocks (_blocking), each
-    from fpe_rhs on its rows, the halo rows beside them and those rows of
-    the field, which gives the same bits as on the whole grid.
-    BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest additive blocks of
-    a sweep from 2 to 32 rows of one slab there (CHANGES.md).  The
-    additive field is formed block by block too, so no additive solve
-    holds the whole grid's mesh.  Only the caller forms the field, once
-    every slab has written the stage before, and only the caller pins,
-    sums the boundary shell and reads min and max, once every slab is
+    A stage is evaluated in contiguous slabs of axis 0 (_slab_bounds) into
+    the midpoint or P, two rows of a shared anonymous mmap whose other three
+    hold the field.  The caller writes the first slab's rows, and a worker
+    forked before the first step (_fork) each other slab's, with one pipe
+    round trip per stage; with one slab, on one CPU or below 2
+    MIN_SLAB_CELLS cells, nothing is forked.  A slab writes its rows in
+    blocks (_blocking), each from fpe_rhs on its rows, the halo rows beside
+    them and those rows of the field, which gives the same bits as on the
+    whole grid.  BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest
+    additive blocks of a sweep from 2 to 32 rows of one slab there
+    (CHANGES.md).  The additive field is formed block by block too, so no
+    additive solve holds the whole grid's mesh.  Only the caller forms the
+    field, once every slab has written the stage before, and only the caller
+    pins, sums the boundary shell and reads min and max, once every slab is
     written.  So the result is the same bits on any number of slabs.  A
     worker is reaped before the call returns or raises, and killed first
     when the caller's part is cut short.
     """
-    if abs(total_mass(grid0) - 1.0) > 1e-9:
+    if not abs(total_mass(grid0) - 1.0) <= 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
     s0, s1 = float(s_span[0]), float(s_span[1])
     if s1 <= s0:
@@ -616,11 +615,11 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     n1 = grid0.shape[0]
     bounds = _slab_bounds(grid0)
     rows, halo = _blocking(grid0.shape, cfg)
-    # P, the midpoint, the new state and the field's per-cell arrays: one
-    # shared block, whose rows every slab reads and writes in place
-    block = _fork.shared((6,) + grid0.shape)
-    states, buffer = block[:3], block[3:]
-    P, mid, new = 0, 1, 2
+    # P, the midpoint and the field's per-cell arrays: one shared block,
+    # whose rows every slab reads and writes in place
+    block = _fork.shared((5,) + grid0.shape)
+    states, buffer = block[:2], block[2:]
+    P, mid = 0, 1
     states[P][...] = grid0.P
     work = MomentumGrid(grid0.mins, grid0.maxs, grid0.shape, states[P])
     # the field in buffer, the bits of its coefficients, and its step bound
@@ -648,8 +647,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             field_evals += 1
         return held["field"]
 
-    def evaluate(src, base, dst, scale, coeffs, lo, hi):
-        """Rows [lo, hi) of the stage states[dst] = states[base] + scale
+    def evaluate(src, dst, scale, coeffs, lo, hi):
+        """Rows [lo, hi) of the stage states[dst] = P + scale
         fpe_rhs(states[src]), a block [r, t) at a time, each from fpe_rhs on
         rows [a, b), those and halo more on each side, and the held field's
         rows [a, b)."""
@@ -657,10 +656,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             t = min(r + rows, hi)
             a, b = max(r - halo, 0), min(t + halo, n1)
             work.P = states[src][a:b]
-            out = states[dst][r:t]
             field = _field_rows(held["field"], a, b, cfg)
-            np.multiply(fpe_rhs(work, coeffs, cfg, field=field)[r - a:t - a], scale, out=out)
-            out += states[base][r:t]
+            step = fpe_rhs(work, coeffs, cfg, field=field)[r - a:t - a]
+            step *= scale
+            np.add(states[P][r:t], step, out=states[dst][r:t])
 
     def serve(caller, lo, hi):
         """A slab worker's loop: write rows [lo, hi) of each stage the caller
@@ -669,13 +668,13 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             evaluate(*command, lo, hi)
             caller.reply(None)
 
-    def stage(src, base, dst, scale, coeffs):
-        """states[dst] = states[base] + scale fpe_rhs(states[src]) with the
-        field at coeffs; returns once every slab has written its rows."""
+    def stage(src, dst, scale, coeffs):
+        """states[dst] = P + scale fpe_rhs(states[src]) with the field at
+        coeffs; returns once every slab has written its rows."""
         field_at(coeffs)
         for worker in workers:
-            worker.send((src, base, dst, scale, coeffs))
-        evaluate(src, base, dst, scale, coeffs, 0, bounds[1])
+            worker.send((src, dst, scale, coeffs))
+        evaluate(src, dst, scale, coeffs, 0, bounds[1])
         for worker in workers:
             worker.receive()
 
@@ -705,10 +704,11 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                     ds, term = target - s, "snapshot"
                 if ds < DS_FLOOR:
                     raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
-                stage(P, P, mid, 0.5 * ds, coeffs)
+                stage(P, mid, 0.5 * ds, coeffs)
                 pin_boundary(states[mid])
-                stage(mid, P, new, ds, cfg.schedule.at(s + 0.5 * ds))
-                P, new = new, P
+                # P in place: this stage reads the midpoint and only the
+                # rows of P that it writes
+                stage(mid, P, ds, cfg.schedule.at(s + 0.5 * ds))
                 outflow += _shell_sum(states[P]) * work.cell_volume
                 pin_boundary(states[P])
                 if states[P].min() < -1e-12 * max(states[P].max(), 1e-300):

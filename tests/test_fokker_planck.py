@@ -222,23 +222,46 @@ class TestFpeRhs:
         assert np.allclose(rhs, ref, atol=1e-12, rtol=1e-10)
 
 
+def _faces(t, axis):
+    """t[x] + t[x+e] on the n + 1 faces along axis of t zero-padded: the
+    face sums whose divergence is the central difference t[x+e] - t[x-e]."""
+    padded = np.pad(t, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
+    return _along(padded, axis, slice(None, -1)) + _along(padded, axis, slice(1, None))
+
+
+def _along(F, axis, index):
+    sel = [slice(None)] * 3
+    sel[axis] = index
+    return F[tuple(sel)]
+
+
+def _add_divergence(out, faces, axis):
+    """out += Phi[x+1/2], then out -= Phi[x-1/2], from the flux on the
+    n + 1 faces along axis."""
+    out += _along(faces, axis, slice(1, None))
+    out -= _along(faces, axis, slice(None, -1))
+
+
 def tensor_rhs(grid, coeffs, cfg):
     """The multiplicative right-hand side with the coupling as an
     (n1, n2, n3, 3, 3) tensor from langevin.diffusion, contracted by einsum
     and a matrix product: the oracle for the component form of fpe_rhs.
-    The drift term is sign * sum_k a_k F_k, and the flux B G is pinned
-    to zero on the boundary cells before its difference."""
-    from tribody.fokker_planck import _d
+    Every difference is the divergence of face averages on zero-padded
+    arrays, the drift term is sign * sum_k a_k F_k, and the flux B G is
+    pinned to zero on the boundary cells before its difference."""
     from tribody.langevin import diffusion
 
     mesh, P, h = grid.mesh(), grid.P, grid.h
     B = diffusion(mesh, coeffs[1])
-    F = sum(_d(B[..., k, :] * P[..., None], k, h[k]) for k in range(3))
+    F = np.zeros(P.shape + (3,))
+    for k in range(3):
+        for j in range(3):
+            _add_divergence(F[..., j], _faces(B[..., k, j] * (P * (0.5 / h[k])), k), k)
     rhs = sum(F[..., k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
-    BG = np.einsum("...il,...i->...l", B, F @ cfg.epsilon)
+    BG = np.einsum("...il,...i->...l", B, F @ cfg.epsilon) * (0.5 / h)
     pin_boundary(BG)
     for l in range(3):
-        rhs += _d(BG[..., l], l, h[l])
+        _add_divergence(rhs, _faces(BG[..., l], l), l)
     return rhs
 
 
@@ -284,13 +307,11 @@ class TestCouplingComponents:
     def test_drift_term_is_a_dot_F(self, sign_mode):
         # eps = 0 leaves the drift term alone: sign * sum_k a_k F_k must be
         # sign * sum_i d_i(A_i P) with the drift field A = B a, up to rounding
-        from tribody.fokker_planck import _d
-
         grid = self.grid()
         cfg = FpeConfig(epsilon=0.0, schedule=CoefficientSchedule.constant(*self.COEFFS),
                         sign_mode=sign_mode, multiplicative=True)
         A = drift(grid.mesh(), self.COEFFS)
-        ref = sum(cfg.drift_sign * _d(A[..., i] * grid.P, i, grid.h[i]) for i in range(3))
+        ref = sum(cfg.drift_sign * _mesh_d(A[..., i] * grid.P, i, grid.h) for i in range(3))
         rhs = fpe_rhs(grid, self.COEFFS, cfg)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -338,9 +359,11 @@ def mesh_rhs(grid, coeffs, cfg):
     sum in the solver's order.  Additive noise: the 7-point stencil, with
     weights W_i = alpha_i + sign A_i / (2 h_i) from `drift(grid.mesh(),
     ...)`, neighbours from zero-padded arrays, and the off-diagonal eps
-    terms last.  Multiplicative noise: drift as sign * sum_k a_k F_k,
-    coupling from `langevin.diffusion`, differences on zero-padded arrays,
-    the outer flux pinned."""
+    terms last.  Every central difference is the divergence of face
+    averages, each cell getting the flux on its upper face, then losing the
+    flux on its lower face, on the n + 1 faces of zero-padded arrays.
+    Multiplicative noise: drift as sign * sum_k a_k F_k, coupling from
+    `langevin.diffusion`, the outer flux pinned."""
     from tribody.langevin import diffusion
 
     mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
@@ -356,16 +379,21 @@ def mesh_rhs(grid, coeffs, cfg):
             rhs += _neighbour(u, i, -1)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             if eps[i, j] != 0.0:
-                rhs += _mesh_d(_mesh_d(P, j, h), i, h) * (2.0 * eps[i, j])
+                d_j = np.zeros_like(P)
+                _add_divergence(d_j, _faces(P * (eps[i, j] / (2.0 * h[i] * h[j])), j), j)
+                _add_divergence(rhs, _faces(d_j, i), i)
         return rhs
     B = diffusion(mesh, coeffs[1])
-    F = [sum(_mesh_d(B[..., k, j] * P, k, h) for k in range(3)) for j in range(3)]
+    F = [np.zeros_like(P) for _ in range(3)]
+    for k in range(3):
+        for j in range(3):
+            _add_divergence(F[j], _faces(B[..., k, j] * (P * (0.5 / h[k])), k), k)
     rhs = sum(F[k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
     G = [sum(eps[i, j] * F[j] for j in range(3)) for i in range(3)]
     for l in range(3):
-        flux = sum(B[..., i, l] * G[i] for i in range(3))
+        flux = sum(B[..., i, l] * G[i] for i in range(3)) * (0.5 / h[l])
         pin_boundary(flux)
-        rhs += _mesh_d(flux, l, h)
+        _add_divergence(rhs, _faces(flux, l), l)
     return rhs
 
 
@@ -561,6 +589,84 @@ class TestStencil:
         ds, term = _stable_ds(grid, cfg, coeffs, field, None)
         assert (ds, term) == (SAFETY * 2.0 / R, "diffusion")
         assert ds * radius <= 2.0
+
+
+def net_outer_flux(grid, coeffs, cfg):
+    """The grid sum that the operator's zero-ghost differences leave: the
+    flux through the outer faces, upper minus lower, from the mesh form.
+    A central difference sums to (t on the last cells - t on the first) /
+    2h; the stencil's flux is t = W_i P on the lower faces and -u = -(2
+    alpha_i P - t) on the upper ones; the multiplicative flux B G is pinned."""
+    from tribody.langevin import diffusion
+
+    mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
+
+    def across(t, axis):
+        return (_along(t, axis, -1).sum() - _along(t, axis, 0).sum()) / (2.0 * h[axis])
+
+    if cfg.multiplicative:
+        B = diffusion(mesh, coeffs[1])
+        return sum(cfg.drift_sign * coeffs[0][k] * across(B[..., m, k] * P, m)
+                   for k in range(3) for m in range(3))
+    A = drift(mesh, coeffs)
+    total = 0.0
+    for i in range(3):
+        alpha = eps[i, i] / (h[i] * h[i])
+        t = P * (A[..., i] * (cfg.drift_sign / (2.0 * h[i])) + alpha)
+        total += _along(t - P * (2.0 * alpha), i, -1).sum() - _along(t, i, 0).sum()
+        for j in range(i + 1, 3):
+            total += 2.0 * eps[i, j] * across(_mesh_d(P, j, h), i)
+    return total
+
+
+class TestConservation:
+    """Both operators are a divergence of face fluxes: the grid sum of the
+    right-hand side is the net flux through the outer faces, and on a pinned
+    density no flux crosses an outer face."""
+
+    @staticmethod
+    def rhs_and_outer_faces(monkeypatch, grid, multiplicative):
+        """fpe_rhs with a full eps, and a copy of the flux on the outer faces
+        of every central difference, t of the first and of the last cells."""
+        import tribody.fokker_planck as fp
+
+        faces, central = [], fp._central
+
+        def recorded(out, t, axis):
+            faces.extend(np.array(_along(t, axis, index)) for index in (0, -1))
+            return central(out, t, axis)
+
+        monkeypatch.setattr(fp, "_central", recorded)
+        coeffs = TestStencil.COEFFS
+        cfg = FpeConfig(epsilon=TestComponentMajor.FULL, schedule=CoefficientSchedule.constant(
+            *coeffs), multiplicative=multiplicative)
+        return fpe_rhs(grid, coeffs, cfg), faces, net_outer_flux(grid, coeffs, cfg)
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_grid_sum_is_the_net_outer_flux(self, monkeypatch, multiplicative):
+        grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 13, 11))
+        grid.P = philox(23).random(grid.shape)
+        rhs, faces, net = self.rhs_and_outer_faces(monkeypatch, grid, multiplicative)
+        assert any(np.any(face != 0.0) for face in faces)
+        total = float(np.sum(rhs))
+        assert abs(net) > 1.0
+        assert abs(total - net) <= 1e-15 * float(np.sum(np.abs(rhs)))
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_no_flux_crosses_the_outer_faces_of_a_pinned_density(self, monkeypatch,
+                                                                 multiplicative):
+        grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 13, 11))
+        grid.P = philox(23).random(grid.shape)
+        pin_boundary(grid.P)
+        rhs, faces, net = self.rhs_and_outer_faces(monkeypatch, grid, multiplicative)
+        # additive: 2 differences per cross term (the stencil's outer faces
+        # carry t and -u of the pinned cells: net); multiplicative: 9
+        # differences for F and 3 of the flux B G
+        assert len(faces) == 2 * (12 if multiplicative else 6)
+        for face in faces:
+            assert np.all(face == 0.0)
+        assert net == 0.0
+        assert abs(float(np.sum(rhs))) <= 1e-15 * float(np.sum(np.abs(rhs)))
 
 
 def slab_grid(slabs):
@@ -959,9 +1065,9 @@ class TestFpeEvolve:
         sched = CoefficientSchedule.constant([0.0, 0.0, 0.0], 0.0)
         cfg = FpeConfig(epsilon=0.01, schedule=sched)
         grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
-        bad = grid.copy_with(2.0 * grid.P)
-        with pytest.raises(DomainError):
-            fpe_evolve(bad, (0.0, 0.1), cfg)
+        for bad in (grid.copy_with(2.0 * grid.P), grid.copy_with(np.full(grid.shape, np.nan))):
+            with pytest.raises(DomainError):
+                fpe_evolve(bad, (0.0, 0.1), cfg)
         with pytest.raises(DomainError):
             fpe_evolve(grid, (0.5, 0.5), cfg)
         with pytest.raises(DomainError):
