@@ -32,7 +32,8 @@ traj = integrate(state0, surface, J=(0.1, 0.0, 0.0), s_end=5.0,
 print(f"\nintegrated to s = {traj.s[-1]:.3f} ({traj.termination})")
 print(f"final internal coordinates: {np.round(traj.x[-1], 4)}")
 
-report = conservation_report(traj, surface, mu0)
+# the audit evaluates H at the reduced mass the trajectory records
+report = conservation_report(traj, surface)
 print(f"\nreduced-Hamiltonian relative drift: {report['H_drift']:.3e}")
 print(f"conformal-speed relative drift:     {report['speed_drift']:.3e}")
 

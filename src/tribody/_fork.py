@@ -35,7 +35,10 @@ def usable_cpus() -> int:
 def shared(shape) -> np.ndarray:
     """A zeroed float array of shape in a shared anonymous mmap: a worker
     forked after it is made writes the caller's pages, not copies."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    size = 8 * math.prod(shape)
+    if size > np.iinfo(np.intp).max:  # more than numpy can index
+        raise MemoryError(f"{size} bytes for a shared array of shape {shape}")
+    return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
 
 
 def _die_with(parent: int) -> None:
@@ -93,10 +96,11 @@ class Worker:
                 os.close(commands[1])
                 os.close(replies[0])
                 outbox = open(replies[1], "wb")
-                try:
-                    result = (True, work(Caller(open(commands[0], "rb"), outbox)))
-                except BaseException as exc:  # the caller re-raises it
-                    result = (False, exc)
+                with open(commands[0], "rb") as inbox:
+                    try:
+                        result = (True, work(Caller(inbox, outbox)))
+                    except BaseException as exc:  # the caller re-raises it
+                        result = (False, exc)
                 _send(outbox, result)
                 code = 0
             finally:

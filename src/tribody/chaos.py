@@ -4,7 +4,8 @@ The chaos indicator is the Kullback-Leibler distance between two
 momentum-density tubes attached to neighboring classical trajectories;
 sustained exponential growth D_ab(s) ~ exp(k*s) with k > 0 marks the
 motion as quantum-chaotic.  Scattering outcomes are labeled by which
-pair, if any, stays bound while the third body escapes.
+pair, if any, stays bound while the third body escapes.  The verdict's
+gates and the channel window are constants here, which no config sets.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 KL_FLOOR = 1e-300         # stand-in for Pb where Pa > 0 but Pb is not
+RESIDUAL_MAX = 0.2        # the verdict trusts a fit whose RMS log-residual is below this
+MIN_DECADES = 1.0         # fewest decades of growth of a "chaotic" series
+WINDOW_FRAC = 0.2         # share of the samples in the channel reference window
 MIN_WINDOW_SAMPLES = 4    # fewest samples in the channel reference window
 
 
@@ -65,19 +69,14 @@ def kl_divergence(
     return val
 
 
-def growth_rate(s, D, window=None):
-    """Least-squares slope k of ln D versus s, plus the RMS log-residual.
-
-    window = (s_lo, s_hi) restricts the fit; samples with D <= 0 are
-    excluded; at least 3 usable samples are required.
-    """
+def growth_rate(s, D):
+    """Least-squares slope k of ln D versus s over the samples with D > 0,
+    of which at least 3 are required, plus the RMS log-residual."""
     s = np.asarray(s, dtype=float).reshape(-1)
     D = np.asarray(D, dtype=float).reshape(-1)
     mask = D > 0.0
-    if window is not None:
-        mask &= (s >= window[0]) & (s <= window[1])
     if np.count_nonzero(mask) < 3:
-        raise FitError("need >= 3 samples with D > 0 in the fit window")
+        raise FitError("need >= 3 samples with D > 0")
     sf, lf = s[mask], np.log(D[mask])
     k, b = np.polyfit(sf, lf, 1)
     resid = float(np.sqrt(np.mean((lf - (k * sf + b)) ** 2)))
@@ -119,44 +118,36 @@ class ChaosReport:
         )
 
 
-def chaos_report(
-    s,
-    D,
-    residual_max: float = 0.2,
-    min_decades: float = 1.0,
-) -> ChaosReport:
+def chaos_report(s, D) -> ChaosReport:
     """Fit the KL series over its whole span and apply the verdict gate.
 
-    "chaotic" requires k > 0, RMS log-residual below residual_max, and at
-    least min_decades decades of growth over the series; decaying or
-    flat series with a clean fit are "regular"; anything else (including
-    an unusable fit) is "inconclusive".
+    "chaotic" requires k > 0, RMS log-residual below RESIDUAL_MAX, and at
+    least MIN_DECADES decades of growth over the fitted samples; decaying
+    or flat series with a clean fit, and an all-zero series, are
+    "regular"; anything else (including an unusable fit) is "inconclusive".
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     D = np.asarray(D, dtype=float).reshape(-1)
     if np.any(D < 0.0):
         raise DomainError("KL series must be nonnegative")
-    window = (float(s[0]), float(s[-1]))
-    thresholds = {"residual_max": residual_max, "min_decades": min_decades}
-    if np.all(D == 0.0):
-        # identical tubes: zero distance throughout
-        return ChaosReport(s=s, D=D, k=0.0, residual=0.0, decades=0.0, verdict="regular",
-                           fit_window=window, thresholds=thresholds)
-    try:
-        k, resid = growth_rate(s, D, window)
-    except FitError:
-        return ChaosReport(s=s, D=D, k=float("nan"), residual=float("nan"), decades=float("nan"),
-                           verdict="inconclusive", fit_window=window, thresholds=thresholds)
-    mask = (D > 0) & (s >= window[0]) & (s <= window[1])
-    decades = float(np.log10(D[mask].max() / D[mask].min()))
-    if k > 0.0 and resid < residual_max and decades >= min_decades:
+    k = resid = decades = 0.0   # identical tubes: zero distance throughout
+    if not np.all(D == 0.0):
+        try:
+            k, resid = growth_rate(s, D)
+        except FitError:   # NaN fails both tests of the gate below
+            k = resid = decades = float("nan")
+        else:
+            fitted = D[D > 0.0]
+            decades = float(np.log10(fitted.max() / fitted.min()))
+    if k > 0.0 and resid < RESIDUAL_MAX and decades >= MIN_DECADES:
         verdict = "chaotic"
-    elif resid < residual_max and (k <= 0.0 or decades < min_decades):
+    elif resid < RESIDUAL_MAX and (k <= 0.0 or decades < MIN_DECADES):
         verdict = "regular"
     else:
         verdict = "inconclusive"
     return ChaosReport(s=s, D=D, k=k, residual=resid, decades=decades, verdict=verdict,
-                       fit_window=window, thresholds=thresholds)
+                       fit_window=(float(s[0]), float(s[-1])),
+                       thresholds={"residual_max": RESIDUAL_MAX, "min_decades": MIN_DECADES})
 
 
 def _monotone_growing(d, tol_frac=1e-9):
@@ -168,22 +159,21 @@ def classify_channel(
     s,
     x,
     masses: Masses,
-    r_bound: float = 3.0,
-    r_free: float = 10.0,
-    window_frac: float = 0.2,
+    r_bound: float,
+    r_free: float,
 ) -> ChannelLabel:
     """Label the asymptotic outcome of a trajectory.
 
     A pair is bound when its separation stays below r_bound over the final
-    reference window while the third body's distance from the pair's
-    center of mass grows monotonically past r_free.  All three separations
-    growing past r_free means full breakup; anything else is a transient
-    complex.  Defaults recommended: r_bound = 3*d0, r_free = 10*d0 of the
-    potential length scale.
+    reference window, the last WINDOW_FRAC of the samples, while the third
+    body's distance from the pair's center of mass grows monotonically
+    past r_free.  All three separations growing past r_free means full
+    breakup; anything else is a transient complex.  Recommended:
+    r_bound = 3*d0, r_free = 10*d0 of the potential length scale.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(len(s), 3)
-    n_win = max(MIN_WINDOW_SAMPLES, int(math.ceil(window_frac * len(s))))
+    n_win = max(MIN_WINDOW_SAMPLES, int(math.ceil(WINDOW_FRAC * len(s))))
     if len(s) < MIN_WINDOW_SAMPLES:
         raise DomainError("trajectory shorter than the minimum reference window")
     w = slice(len(s) - n_win, len(s))

@@ -9,8 +9,9 @@ coefficient schedule (a, Lambda^2) from trajectory.csv, not the config,
 and share their snapshot times.  chaos compares the fpe stage's densities
 (tube a) with a tube b that it solves along a perturbed trajectory.  chaos
 and channels hold the config keys they share with simulate and fpe to the
-values those stages' manifests recorded.  Same config + seed gives
-bit-identical outputs.
+values those stages' manifests recorded.  The chaos verdict's gates and
+the channel window are chaos module constants, not config keys.  Same
+config + seed gives bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
 artifact, 4 numerical failure, 5 I/O error or out of memory.
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chaos import chaos_report, classify_channel, kl_divergence
+from .chaos import WINDOW_FRAC, chaos_report, classify_channel, kl_divergence
 from .errors import (
     ConfigError,
     DependencyError,
@@ -119,8 +120,8 @@ _SCHEMA = {
     "noise": {"epsilon": _epsilon, "hbar_scale": _real, "omega_sq_mean": _real},
     "sde": {"mode": _text, "ds": _real, "n_paths": _integer, "snapshots": _reals},
     "grid": {"min": _real, "max": _real, "n": _integer, "sigma0": _real},
-    "chaos": {"delta": _real, "residual_max": _real, "min_decades": _real},
-    "channels": {"r_bound": _real, "r_free": _real, "window_frac": _real},
+    "chaos": {"delta": _real},
+    "channels": {"r_bound": _real, "r_free": _real},
     "seed": _integer,
 }
 
@@ -129,8 +130,8 @@ _DEFAULTS = {
     "integrator": {"tol": 1e-9, "s_end": 5.0, "n_samples": 512},
     "sde": {"mode": "additive", "ds": 0.002, "n_paths": 1000, "snapshots": []},
     "grid": {"min": -1.5, "max": 1.5, "n": 32, "sigma0": 0.1},
-    "chaos": {"delta": 1e-3, "residual_max": 0.2, "min_decades": 1.0},
-    "channels": {"r_bound": 3.0, "r_free": 10.0, "window_frac": 0.2},
+    "chaos": {"delta": 1e-3},
+    "channels": {"r_bound": 3.0, "r_free": 10.0},
     "seed": 0,
 }
 
@@ -228,7 +229,7 @@ def parse_config(doc: dict, seed=None) -> dict:
         raise ConfigError("grid.sigma0 must be positive")
     try:
         _grid_spec(cfg)
-    except (DomainError, MemoryError) as exc:  # MemoryError: a grid too large to hold
+    except (ValueError, MemoryError) as exc:  # also a grid too large to index or hold
         raise ConfigError(f"grid: {exc}")
 
     noise = typed.get("noise", {})
@@ -479,8 +480,8 @@ def _initial_density(cfg: dict, xi0) -> MomentumGrid:
 
 def cmd_simulate(cfg: dict, writer: StageWriter) -> None:
     traj = _run_trajectory(cfg)
-    write_trajectory_csv(traj, cfg["surface"], cfg["mu0"], writer.path("trajectory.csv"))
-    report = conservation_report(traj, cfg["surface"], cfg["mu0"])
+    write_trajectory_csv(traj, cfg["surface"], writer.path("trajectory.csv"))
+    report = conservation_report(traj, cfg["surface"])
     # exact-rate identity audit: sum_mu (xdot_mu)^2 vs Lambda^2
     rates = external_rates(traj.g, *traj.J)
     report["external_rate_identity_max_err"] = float(
@@ -544,7 +545,6 @@ def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
-    cc = cfg["chaos"]
     # tube a is the fpe stage's densities, on the schedule simulate
     # recorded: tube b is solved under the same physics, noise and grid
     _verified(writer.out, "simulate", cfg, ("masses", "potential", "energy", "u0",
@@ -552,7 +552,7 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
     s_vals, series_a = _load_densities(writer.out, cfg)
     # tube b from initial internal coordinates perturbed by delta, solved
     # at tube a's times up to the end of trajectory b (zip stops there)
-    traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cc["delta"])
+    traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cfg["chaos"]["delta"])
     s_vals = [v for v in s_vals if v <= traj_b.s[-1]]
     if not s_vals:
         raise DomainError(f"trajectory b ends at s = {traj_b.s[-1]}, before tube a's times")
@@ -567,11 +567,7 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
         d, diag = kl_divergence(ga, gb, return_diagnostics=True)
         D.append(d)
         mismatch.append(diag["support_mismatch_cells"])
-    report = chaos_report(
-        np.asarray(s_vals), np.asarray(D),
-        residual_max=cc["residual_max"],
-        min_decades=cc["min_decades"],
-    )
+    report = chaos_report(np.asarray(s_vals), np.asarray(D))
     report.support_mismatch_cells = mismatch
     _atomic_write_text(writer.path("chaos_report.json"), report.to_json() + "\n")
 
@@ -580,10 +576,10 @@ def cmd_channels(cfg: dict, writer: StageWriter) -> None:
     # the pair distances weigh x by the masses, which must be simulate's
     s, x, _, _ = _load_trajectory(writer.out, cfg, ("masses",))
     ch = cfg["channels"]
-    label = classify_channel(s, x, cfg["masses"], **ch)
+    label = classify_channel(s, x, cfg["masses"], ch["r_bound"], ch["r_free"])
     _atomic_write_text(writer.path("channels.json"), _json_dump({
         "label": label.value,
-        "thresholds": ch,
+        "thresholds": {**ch, "window_frac": WINDOW_FRAC},
     }))
 
 

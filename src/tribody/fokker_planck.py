@@ -569,7 +569,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     the peak; the number of `steps`, their `ds_min`, `ds_median` and
     `ds_max`; in `cfl_limit` how many steps the drift or the diffusion bound
     set and how many were cut to end on a snapshot time ("snapshot"); and in
-    `field_evals` how many fields the solve formed with _field.
+    `field_evals` how many fields the solve formed with _field.  A snapshot
+    time less than DS_FLOOR ahead is taken without a step, at its own time.
 
     A stage forms a field only when its coefficients differ, bit for bit,
     from those of the field held, in its place.  The step bound is computed
@@ -694,7 +695,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: serve(caller, lo, hi)))
         for target in targets:
-            while s < target - 1e-15:
+            while target - s >= DS_FLOOR:
                 coeffs = cfg.schedule.at(s)
                 field = field_at(coeffs)
                 if held["bound"] is None:
@@ -716,6 +717,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                 s += ds
                 steps.append(ds)
                 limits[term] += 1
+            s = target
             work.P = states[P]
             mass_series.append((s, total_mass(work)))
             snaps.append((s, work.copy_with(work.P)))

@@ -340,11 +340,11 @@ def integrate(
     )
 
 
-def conservation_report(traj: TrajectoryRecord, surf: EnergySurface, mu0: float) -> dict:
-    """Max relative drift of H and of the conformal speed along a trajectory."""
+def conservation_report(traj: TrajectoryRecord, surf: EnergySurface) -> dict:
+    """Max relative drift of H (at traj.mu0) and of the conformal speed."""
     if len(traj.s) == 0:
         raise DomainError("empty trajectory")
-    H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, mu0)
+    H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, traj.mu0)
     speed = traj.g * (np.sum(traj.xi**2, axis=1) + traj.lam_sq)
     def drift(v):
         ref = max(abs(v[0]), 1e-300)
@@ -357,10 +357,11 @@ def conservation_report(traj: TrajectoryRecord, surf: EnergySurface, mu0: float)
     }
 
 
-def write_trajectory_csv(traj: TrajectoryRecord, surf: EnergySurface, mu0: float, path):
-    """Export s, x, xi, g, H and the schedule a, Lambda^2 with a header row,
-    one sample per line, each value as its repr, which reads back exactly."""
-    H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, mu0)
+def write_trajectory_csv(traj: TrajectoryRecord, surf: EnergySurface, path):
+    """Export s, x, xi, g, H (at the trajectory's own mu0) and the schedule
+    a, Lambda^2 with a header row, one sample per line, each value as its
+    repr, which reads back exactly."""
+    H = reduced_hamiltonian(traj.x, traj.xi, traj.J_total, surf, traj.mu0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)

@@ -397,7 +397,6 @@ def run_ensemble(
     snapshot_s = sorted(float(v) for v in snapshot_s)
     if snapshot_s and (snapshot_s[0] <= s0 or snapshot_s[-1] > s1 + 1e-12):
         raise DomainError("snapshot times must lie in (s0, s1]")
-    xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
 
     plan, times, s_final = _step_plan(schedule, noise, s0, s1, ds, snapshot_s)
     # the final states are the last snapshot's when that is taken at the
@@ -408,6 +407,8 @@ def run_ensemble(
     # rows of in place
     out = _fork.shared((len(times) + (not end_taken), n_traj, 3))
     snaps, xi_final = out[:len(times)], out[-1]
+    # after the block, whose size check turns too many paths into a MemoryError
+    xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
     additive = mode == "additive"
 
     def step_chunks(c_lo: int, c_hi: int) -> list:

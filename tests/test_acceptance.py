@@ -117,8 +117,8 @@ def test_criterion_01_free_motion_oracle(verdict):
 def test_criterion_02_conservation(verdict):
     m, surf, state0 = morse_setup()
     traj = integrate(state0, surf, J=(0.1, 0.0, 0.0), s_end=5.0, tol=1e-9,
-                     n_samples=512)
-    report = conservation_report(traj, surf, mu0=np.sqrt(1.0 / 3.0))
+                     n_samples=512, mu0=np.sqrt(1.0 / 3.0))
+    report = conservation_report(traj, surf)
     rates = external_rates(traj.g, *traj.J)
     rate_err = float(np.max(np.abs(np.sum(rates**2, axis=-1) - traj.lam_sq)))
     ok = report["H_drift"] < 1e-6 and rate_err < 1e-10

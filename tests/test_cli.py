@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribody import cli
+from tribody import chaos, cli
 from tribody.chaos import kl_divergence
 from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _snapshot_times, main,
                          parse_config)
@@ -167,15 +167,24 @@ class TestParseConfig:
         assert run("simulate", write_config(tmp_path, doc), out) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["series_a", "series_b"])
-    def test_chaos_series_key_is_unknown_is_2(self, tmp_path, key):
+    @pytest.mark.parametrize("section, key, value", [
         # chaos reads tube a from its own run directory only: a config
         # naming another density series is rejected before any stage
+        ("chaos", "series_a", "runs/a"),
+        ("chaos", "series_b", "runs/b"),
+        # the verdict's gates and the channel window are constants of
+        # the chaos module, which no config sets
+        ("chaos", "residual_max", 0.2),
+        ("chaos", "min_decades", 0.8),
+        ("channels", "window_frac", 0.2),
+    ], ids=["series_a", "series_b", "residual_max", "min_decades", "window_frac"])
+    def test_chaos_series_key_is_unknown_is_2(self, tmp_path, capsys, section, key, value):
         doc = base_config()
-        doc["chaos"] = {key: str(tmp_path)}
-        with pytest.raises(ConfigError, match=f"unknown config key chaos.{key}"):
+        doc[section] = {key: value}
+        with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
             parse_config(doc)
-        assert run("chaos", write_config(tmp_path, doc), tmp_path / "out") == 2
+        assert run(section, write_config(tmp_path, doc), tmp_path / "out") == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("grid", "n", 4),
@@ -184,6 +193,8 @@ class TestParseConfig:
         ("grid", "sigma0", 0.0),
         ("sde", "ds", 0.0),
         ("sde", "n_paths", 0),
+        # a grid of more cells than numpy can index
+        ("grid", "n", 10**7),
     ])
     def test_out_of_range_value_is_2(self, tmp_path, section, key, value):
         # values the solvers cannot run with are rejected before any stage
@@ -625,6 +636,17 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest_simulate.json").read_text())
         assert manifest["status"] == "failed"
 
+    def test_ensemble_too_large_to_index_is_5(self, tmp_path, capsys):
+        # more paths than numpy can index: out of memory, not a traceback
+        doc = base_config()
+        doc["sde"]["n_paths"] = 10**18
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("ensemble", cfg, out) == 5
+        assert "out of memory" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest_ensemble.json").read_text())
+        assert manifest["status"] == "failed"
+
     def test_trajectory_without_the_schedule_is_3(self, tmp_path):
         # a trajectory.csv without the coefficient columns, vouched for
         cfg, out, manifest = self.simulated(tmp_path)
@@ -911,14 +933,21 @@ class TestPipelineStages:
         assert len(pairs) == len(table)
         return table["s"][::n_paths].tolist()
 
-    def test_duplicate_snapshot_times_are_taken_once(self, tmp_path):
+    @pytest.mark.parametrize("snapshots, taken", [
+        ([1.0, 1.0], [1.0, 2.0]),
+        # times within rounding of the one before or of the end: the
+        # ensemble takes them at its grid point, fpe without a step
+        ([0.5, 0.5000000001, 2.0], [0.5, 0.5000000001, 2.0]),
+        ([1.9999999999], [1.9999999999, 2.0]),
+    ], ids=["repeated", "within-rounding-of-the-one-before", "within-rounding-of-the-end"])
+    def test_duplicate_snapshot_times_are_taken_once(self, tmp_path, snapshots, taken):
         doc = base_config()
-        doc["sde"]["snapshots"] = [1.0, 1.0]
+        doc["sde"]["snapshots"] = snapshots
         cfg, out = write_config(tmp_path, doc), tmp_path / "out"
         for stage in ("simulate", "ensemble", "fpe"):
             assert run(stage, cfg, out) == 0
         times = self.ensemble_times(out, 50)
-        assert times == [1.0, 2.0]
+        assert times == taken
         assert times == json.loads((out / "fpe_meta.json").read_text())["snapshot_s"]
 
     def test_ensemble_and_fpe_without_snapshots_take_the_same_eight_times(self, tmp_path):
@@ -951,6 +980,19 @@ class TestPipelineStages:
                          if not p.name.startswith("manifest_")})
         assert "ensemble_snapshots.csv" in runs[0] and "density_0000.npy" in runs[0]
         assert runs[0] == runs[1] == runs[2]
+
+    def test_reports_record_the_chaos_module_gates(self, tmp_path):
+        # the thresholds that the sample's verdict and label used are the
+        # constants of the chaos module
+        cfg, out = REPO / "configs" / "sample_morse.json", tmp_path / "out"
+        for stage in ("simulate", "fpe", "chaos", "channels"):
+            assert run(stage, cfg, out) == 0
+        report = json.loads((out / "chaos_report.json").read_text())
+        assert report["thresholds"] == {"residual_max": chaos.RESIDUAL_MAX,
+                                        "min_decades": chaos.MIN_DECADES}
+        channels = json.loads((out / "channels.json").read_text())
+        assert channels["thresholds"] == {"r_bound": 6.0, "r_free": 20.0,
+                                          "window_frac": chaos.WINDOW_FRAC}
 
     def test_channels(self, prepared):
         cfg, out = prepared

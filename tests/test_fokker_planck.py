@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -782,6 +783,22 @@ class TestSlabs:
             monkeypatch.setattr(fp, name, in_caller_only(name, getattr(fp, name)))
         res = self.solve(slab_grid(2), multiplicative)
         assert res.diagnostics["field_evals"] == 2 * res.diagnostics["steps"]
+        self.assert_no_child_left()
+
+    def test_workers_close_their_pipes(self, monkeypatch, use_cpus, capfd):
+        # with ResourceWarning an error, a pipe that a worker leaves open
+        # raises as it is collected, which Python reports on stderr and
+        # otherwise ignores; the hook writes that report to the stderr file
+        # descriptor, which the workers share and capfd reads
+        def report(unraisable):
+            os.write(2, f"Exception ignored: {unraisable.exc_value!r}\n".encode())
+
+        use_cpus(2)
+        monkeypatch.setattr(sys, "unraisablehook", report)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            self.solve(slab_grid(2))
+        assert capfd.readouterr().err == ""
         self.assert_no_child_left()
 
     def test_below_the_cutoff_nothing_is_forked(self, monkeypatch, use_cpus):

@@ -265,15 +265,15 @@ class TestConservation:
     def test_free_motion_zero_drift(self):
         traj = integrate(GeodesicState(x=[1, 1, 1], xi=[0.1, 0, 0]),
                          free_surface(), s_end=10.0, tol=1e-10)
-        report = conservation_report(traj, free_surface(), mu0=1.0)
+        report = conservation_report(traj, free_surface())
         assert report["H_drift"] < 1e-12
         assert report["speed_drift"] < 1e-12
 
     def test_morse_run_drift(self):
         m, surf, s0 = morse_setup()
         mu0 = reduced_mass(m)
-        traj = integrate(s0, surf, J=(0.1, 0.2, 0.05), s_end=5.0, tol=1e-9)
-        report = conservation_report(traj, surf, mu0)
+        traj = integrate(s0, surf, J=(0.1, 0.2, 0.05), s_end=5.0, tol=1e-9, mu0=mu0)
+        report = conservation_report(traj, surf)
         assert report["H_drift"] < 1e-6
 
     def test_single_sample_zero_drift(self):
@@ -282,16 +282,17 @@ class TestConservation:
         traj.s = traj.s[:1]
         traj.x, traj.xi = traj.x[:1], traj.xi[:1]
         traj.g, traj.lam_sq = traj.g[:1], traj.lam_sq[:1]
-        report = conservation_report(traj, surf, mu0=1.0)
+        report = conservation_report(traj, surf)
         assert report["H_drift"] == 0.0
 
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         m, surf, s0 = morse_setup()
-        traj = integrate(s0, surf, J=(0.1, 0.0, 0.0), s_end=1.0, tol=1e-9, n_samples=32)
+        traj = integrate(s0, surf, J=(0.1, 0.0, 0.0), s_end=1.0, tol=1e-9, n_samples=32,
+                         mu0=reduced_mass(m))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, surf, reduced_mass(m), path)
+        write_trajectory_csv(traj, surf, path)
         data = read_trajectory_csv(path)
         assert list(data) == ["s", "x1", "x2", "x3", "xi1", "xi2", "xi3", "g", "H",
                               "a1", "a2", "a3", "lam_sq"]
