@@ -88,15 +88,15 @@ one row away for additive noise (the 7-point flux and the cross
 differences).  So fpe_rhs on a block of rows of axis 0 with HALO = 2, or
 for additive noise 1, more rows on each side gives those rows' bits on
 the whole grid.  fpe_evolve writes each stage in contiguous slabs of
-axis 0, the first into the midpoint and the second into P in place,
-which lie in one shared anonymous mmap with the field's buffer: the
-caller takes the first slab, and for a grid of at least 2 MIN_SLAB_CELLS
-cells on two or more CPUs a worker forked for the solve (_fork) takes
-each other one.  The caller alone forms the field, and every slab reads
-its rows of it there.  With one slab the caller writes every row and
-nothing is forked.  A slab evaluates a stage in blocks of at most
-BLOCK_CELLS cells (a row at least), whose arrays stay in a core's L2
-cache.
+axis 0, one per usable CPU but none of fewer than MIN_SLAB_CELLS cells
+(_slab_bounds), the first stage into the midpoint and the second into P
+in place, which lie in one shared anonymous mmap with the field's
+buffer.  The slabs are the parts of _fork.parts: the caller writes the
+last, and a worker forked for the solve each other one; with one slab
+the caller writes every row and nothing is forked.  The caller alone
+forms the field, and every slab reads its rows of it there.  A slab
+evaluates a stage in blocks of at most BLOCK_CELLS cells (a row at
+least), whose arrays stay in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -531,8 +531,7 @@ def _slab_bounds(grid) -> list:
     """The row bounds along axis 0 of the slabs whose stages a solve on grid
     evaluates side by side: as many slabs as CPUs usable by the process,
     but no more than leave each at least MIN_SLAB_CELLS cells, or a row."""
-    slabs = max(1, min(_fork.usable_cpus(), grid.P.size // MIN_SLAB_CELLS, grid.shape[0]))
-    return [i * grid.shape[0] // slabs for i in range(slabs + 1)]
+    return _fork.bounds(grid.shape[0], grid.P.size // MIN_SLAB_CELLS)
 
 
 def _blocking(shape, cfg) -> tuple:
@@ -582,10 +581,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
 
     A stage is evaluated in contiguous slabs of axis 0 (_slab_bounds) into
     the midpoint or P, two rows of a shared anonymous mmap whose other three
-    hold the field.  The caller writes the first slab's rows, and a worker
-    forked before the first step (_fork) each other slab's, with one pipe
-    round trip per stage; with one slab, on one CPU or below 2
-    MIN_SLAB_CELLS cells, nothing is forked.  A slab writes its rows in
+    hold the field, with one command of _fork.parts per stage: the caller
+    writes the last slab's rows, and a worker forked before the first step
+    each other slab's; with one slab, on one CPU or below 2 MIN_SLAB_CELLS
+    cells, nothing is forked.  A slab writes its rows in
     blocks (_blocking), each from fpe_rhs on its rows, the halo rows beside
     them and those rows of the field, which gives the same bits as on the
     whole grid.  BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest
@@ -594,9 +593,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     additive solve holds the whole grid's mesh.  Only the caller forms the
     field, once every slab has written the stage before, and only the caller
     pins, sums the boundary shell and reads min and max, once every slab is
-    written.  So the result is the same bits on any number of slabs.  A
-    worker is reaped before the call returns or raises, and killed first
-    when the caller's part is cut short.
+    written.  So the result is the same bits on any number of slabs.
     """
     if not abs(total_mass(grid0) - 1.0) <= 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -614,7 +611,6 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
         quad = _quadratic(grid0.mesh(axis=0))
         sums = _row_sums(quad, grid0.h, cfg.epsilon)
     n1 = grid0.shape[0]
-    bounds = _slab_bounds(grid0)
     rows, halo = _blocking(grid0.shape, cfg)
     # P, the midpoint and the field's per-cell arrays: one shared block,
     # whose rows every slab reads and writes in place
@@ -648,11 +644,12 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             field_evals += 1
         return held["field"]
 
-    def evaluate(src, dst, scale, coeffs, lo, hi):
-        """Rows [lo, hi) of the stage states[dst] = P + scale
-        fpe_rhs(states[src]), a block [r, t) at a time, each from fpe_rhs on
-        rows [a, b), those and halo more on each side, and the held field's
-        rows [a, b)."""
+    def evaluate(lo, hi, stage):
+        """Rows [lo, hi) of the stage (src, dst, scale, coeffs), states[dst]
+        = P + scale fpe_rhs(states[src]), a block [r, t) at a time, each from
+        fpe_rhs on rows [a, b), those and halo more on each side, and the
+        held field's rows [a, b)."""
+        src, dst, scale, coeffs = stage
         for r in range(lo, hi, rows):
             t = min(r + rows, hi)
             a, b = max(r - halo, 0), min(t + halo, n1)
@@ -661,23 +658,6 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             step = fpe_rhs(work, coeffs, cfg, field=field)[r - a:t - a]
             step *= scale
             np.add(states[P][r:t], step, out=states[dst][r:t])
-
-    def serve(caller, lo, hi):
-        """A slab worker's loop: write rows [lo, hi) of each stage the caller
-        sends, until it sends None."""
-        for command in iter(caller.receive, None):
-            evaluate(*command, lo, hi)
-            caller.reply(None)
-
-    def stage(src, dst, scale, coeffs):
-        """states[dst] = P + scale fpe_rhs(states[src]) with the field at
-        coeffs; returns once every slab has written its rows."""
-        field_at(coeffs)
-        for worker in workers:
-            worker.send((src, dst, scale, coeffs))
-        evaluate(src, dst, scale, coeffs, 0, bounds[1])
-        for worker in workers:
-            worker.receive()
 
     snaps: list = []
     mass_series = [(s0, total_mass(work))]
@@ -691,9 +671,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     # inherit: they read each later field, which the caller writes there
     # only once every slab has written its rows of the stage before
     field_at(cfg.schedule.at(s0))
-    with _fork.reaped() as workers:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: serve(caller, lo, hi)))
+    with _fork.parts(_slab_bounds(grid0), evaluate) as run:
         for target in targets:
             while target - s >= DS_FLOOR:
                 coeffs = cfg.schedule.at(s)
@@ -705,11 +683,14 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                     ds, term = target - s, "snapshot"
                 if ds < DS_FLOOR:
                     raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
-                stage(P, mid, 0.5 * ds, coeffs)
+                # each stage returns once every slab has written its rows
+                run((P, mid, 0.5 * ds, coeffs))
                 pin_boundary(states[mid])
                 # P in place: this stage reads the midpoint and only the
                 # rows of P that it writes
-                stage(mid, P, ds, cfg.schedule.at(s + 0.5 * ds))
+                coeffs = cfg.schedule.at(s + 0.5 * ds)
+                field_at(coeffs)
+                run((mid, P, ds, coeffs))
                 outflow += _shell_sum(states[P]) * work.cell_volume
                 pin_boundary(states[P])
                 if states[P].min() < -1e-12 * max(states[P].max(), 1e-300):
@@ -721,9 +702,6 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
             work.P = states[P]
             mass_series.append((s, total_mass(work)))
             snaps.append((s, work.copy_with(work.P)))
-        for worker in workers:
-            worker.send(None)
-            worker.receive()
 
     masses = [m for _, m in mass_series]
     # the median by hand: np.median imports numpy.ma, ~1 MB of resident

@@ -313,28 +313,6 @@ def _step_plan(schedule, noise, s0: float, s1: float, ds: float, snapshot_s):
     return plan, times, s
 
 
-def _step_shares(step_chunks, n_chunks: int) -> list:
-    """Step chunks [0, n_chunks) in contiguous shares, the last in the
-    calling process and each other one in a forked worker, and return the
-    blow-ups of all.  There are as many shares as CPUs usable by the
-    process, but no more than chunks; with one share nothing is forked.
-    Share i holds chunks [i n / shares, (i+1) n / shares), rounded down,
-    so the last share, which holds the short last chunk, is the largest:
-    the caller steps it while each worker pays for its fork.  A worker's
-    exception is raised here with its type; every worker is reaped before
-    this returns or raises, and killed first when the caller's own share
-    or the wait is cut short, by an exception or an interrupt."""
-    shares = min(_fork.usable_cpus(), n_chunks)
-    bounds = [i * n_chunks // shares for i in range(shares + 1)]
-    with _fork.reaped() as workers:
-        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
-            workers.append(_fork.Worker(lambda caller, lo=lo, hi=hi: step_chunks(lo, hi)))
-        found = step_chunks(bounds[-2], bounds[-1])
-        for worker in workers:
-            found.extend(worker.receive())
-    return found
-
-
 def run_ensemble(
     n_traj: int,
     schedule: CoefficientSchedule,
@@ -362,18 +340,16 @@ def run_ensemble(
     of (rows, 3) storage, bit for bit.  xi0 may be a single 3-vector
     (all paths start together) or (n_traj, 3).
 
-    The chunks are independent, so with two or more chunks and two or
-    more CPUs usable by the process (os.sched_getaffinity) they are split
-    into contiguous shares, one per CPU (_step_shares): the caller steps
-    the last, which holds the short last chunk, and a worker forked with
-    os.fork steps each other one, with no interpreter lock shared between
-    them.  The snapshots and the final states lie in one shared anonymous
-    mmap, which each worker writes its rows of in place; blow-ups come
-    back through a pipe.  With one share the caller steps every chunk,
-    one after another.  The result is the same
-    bits either way.  Every worker is reaped before the call returns or
-    raises, and on Linux the kernel kills it if the caller dies first, by
-    SIGTERM or SIGKILL too (_fork).
+    The chunks are independent, so they are stepped in contiguous
+    shares, one per CPU usable by the process (os.sched_getaffinity) but
+    no more than chunks (_fork.bounds), with _fork.parts: the caller
+    steps the last share, the largest, which holds the short last chunk,
+    and a worker forked for the call each other one, with no interpreter
+    lock shared between them.  The snapshots and the final states lie in
+    one shared anonymous mmap, which each share writes its rows of in
+    place; a share's blow-ups are its result.  With one share the caller
+    steps every chunk, one after another, and nothing is forked.  The
+    result is the same bits either way.
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -411,7 +387,7 @@ def run_ensemble(
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
     additive = mode == "additive"
 
-    def step_chunks(c_lo: int, c_hi: int) -> list:
+    def step_chunks(c_lo: int, c_hi: int, _command) -> list:
         """Step chunks [c_lo, c_hi) into out; return their blow-ups as
         (step, path, s)."""
         # a chunk's component-major state, its finiteness and the drift
@@ -455,7 +431,9 @@ def run_ensemble(
                     xi_final[lo:hi] = xi
         return found
 
-    found = _step_shares(step_chunks, -(-n_traj // CHUNK))
+    n_chunks = -(-n_traj // CHUNK)
+    with _fork.parts(_fork.bounds(n_chunks, n_chunks), step_chunks) as run:
+        found = [f for share in run(None, last=True) for f in share]
     return EnsembleResult(
         s_final=s_final,
         xi_final=xi_final,

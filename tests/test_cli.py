@@ -1,8 +1,10 @@
 """Tests for the batch pipeline CLI: config validation, exit codes,
 artifacts, manifests, and determinism."""
 
+import errno
 import hashlib
 import json
+import mmap
 import shutil
 from pathlib import Path
 
@@ -642,6 +644,18 @@ class TestExitCodes:
         doc["sde"]["n_paths"] = 10**18
         cfg, out = write_config(tmp_path, doc), tmp_path / "out"
         assert run("simulate", cfg, out) == 0
+        assert run("ensemble", cfg, out) == 5
+        assert "out of memory" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest_ensemble.json").read_text())
+        assert manifest["status"] == "failed"
+
+    def test_ensemble_block_that_cannot_be_mapped_is_5(self, tmp_path, monkeypatch, capsys):
+        # a stand-in for a kernel that refuses the ensemble's output block
+        def refused(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        cfg, out = write_config(tmp_path, base_config()), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        monkeypatch.setattr(mmap, "mmap", refused)
         assert run("ensemble", cfg, out) == 5
         assert "out of memory" in capsys.readouterr().err
         manifest = json.loads((out / "manifest_ensemble.json").read_text())

@@ -699,8 +699,9 @@ SLAB_MODES = {
 
 class TestSlabs:
     """On two or more CPUs a solve of a large grid evaluates its stages in
-    slabs of axis 0, the first in the caller and each other one in a worker
-    forked for the solve: the same bits as the inline solve."""
+    slabs of axis 0, the parts of _fork.parts: the last in the caller and
+    each other one in a worker forked for the solve, with the same bits as
+    the inline solve."""
 
     @staticmethod
     def assert_no_child_left():

@@ -27,7 +27,7 @@ from tribody import (
     run_ensemble,
     two_point_increments,
 )
-from tribody import _fork, langevin
+from tribody import langevin
 from tribody.langevin import CHUNK, _increment_scale, _scale_rows, _step, _step_plan
 
 
@@ -865,19 +865,6 @@ class TestForkedShares:
         with pytest.raises(error, match=match):
             run_ensemble(2 * CHUNK, self.SCHED, [0.1, -0.2, 0.05], ds, mode,
                          NoiseModel(epsilon=0.01, seed=5), s_span=s_span)
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="counts the descriptors in Linux's /proc/self/fd")
-    def test_failed_fork_closes_its_pipes(self, monkeypatch):
-        def no_fork():
-            raise BlockingIOError("no process to fork")
-        monkeypatch.setattr(os, "fork", no_fork)
-        before = len(os.listdir("/proc/self/fd"))
-        for _ in range(3):
-            with pytest.raises(BlockingIOError, match="no process"), _fork.reaped() as workers:
-                workers.append(_fork.Worker(lambda caller: None))
-            assert workers == []
-        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the parent-death signal is Linux's")
