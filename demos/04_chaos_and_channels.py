@@ -62,7 +62,7 @@ for (s, ga), (_, gb) in zip(*series):
     ga.normalize()
     gb.normalize()
     s_vals.append(s)
-    D.append(kl_divergence(ga, gb))
+    D.append(kl_divergence(ga, gb)[0])
 print("KL distance between neighboring tubes:")
 for s, d in zip(s_vals, D):
     print(f"  s = {s:.2f}: D = {d:.3e}")

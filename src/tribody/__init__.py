@@ -21,13 +21,11 @@ from .kinematics import (
     JacobiCoords,
     Masses,
     internal_from_jacobi,
-    jacobi_from_internal,
     mass_scaled_jacobi,
     pair_distances,
     reduced_mass,
 )
 from .potentials import (
-    CallablePotential,
     FreePotential,
     GravityPotential,
     MorsePotential,
@@ -36,12 +34,8 @@ from .potentials import (
 )
 from .metric import (
     EnergySurface,
-    RhoCoords,
     conformal_factor,
     flow_coefficients,
-    gamma_rho,
-    lambda_sq,
-    log_gradient,
     reduced_hamiltonian,
 )
 from .geodesic import (
@@ -56,11 +50,9 @@ from .frames import (
     ExternalFrame,
     FrameGauge,
     InternalFrame,
-    RhoSeries,
     external_frame,
     frame_residual,
     internal_frame,
-    reconstruct_rho,
 )
 from .langevin import (
     CoefficientSchedule,

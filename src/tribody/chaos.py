@@ -45,15 +45,12 @@ class ChannelLabel(Enum):
     TRANSIENT = "transient"
 
 
-def kl_divergence(
-    Pa: MomentumGrid,
-    Pb: MomentumGrid,
-    return_diagnostics: bool = False,
-):
-    """Sum of Pa*ln(Pa/Pb)*cellvol over cells with Pa > 0.
+def kl_divergence(Pa: MomentumGrid, Pb: MomentumGrid):
+    """(D, support_mismatch_cells): D is the sum of Pa*ln(Pa/Pb)*cellvol
+    over cells with Pa > 0.
 
     Cells where Pa > 0 but Pb is at or below KL_FLOOR use Pb = KL_FLOOR
-    and are counted in the support-mismatch diagnostic.  Asymmetric by design:
+    and are counted in support_mismatch_cells.  Asymmetric by design:
     the direction is (a || b).
     """
     if not Pa.same_spec(Pb):
@@ -64,9 +61,7 @@ def kl_divergence(
     mismatch = int(np.count_nonzero(mask & (pb <= KL_FLOOR)))
     pb_safe = np.maximum(pb, KL_FLOOR)
     val = float(np.sum(pa[mask] * np.log(pa[mask] / pb_safe[mask])) * Pa.cell_volume)
-    if return_diagnostics:
-        return val, {"support_mismatch_cells": mismatch}
-    return val
+    return val, mismatch
 
 
 def growth_rate(s, D):
@@ -97,7 +92,7 @@ class ChaosReport:
     direction: str = "a||b"
     thresholds: dict = field(default_factory=dict)
     # per KL pair, the cells where Pa > 0 and Pb is floored
-    # (kl_divergence's diagnostic); set by the caller that has them
+    # (kl_divergence's count); set by the caller that has them
     support_mismatch_cells: list = field(default_factory=list)
 
     def to_json(self) -> str:

@@ -564,9 +564,9 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
     for ga, gb in zip(series_a, series_b):
         ga.normalize()
         gb.normalize()
-        d, diag = kl_divergence(ga, gb, return_diagnostics=True)
+        d, cells = kl_divergence(ga, gb)
         D.append(d)
-        mismatch.append(diag["support_mismatch_cells"])
+        mismatch.append(cells)
     report = chaos_report(np.asarray(s_vals), np.asarray(D))
     report.support_mismatch_cells = mismatch
     _atomic_write_text(writer.path("chaos_report.json"), report.to_json() + "\n")

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError, ForbiddenRegionError
-from .metric import flow_coefficients
+from .errors import DegenerateMetricError, DomainError
 
 __all__ = [
     "FrameGauge",
@@ -24,8 +23,6 @@ __all__ = [
     "internal_frame",
     "external_frame",
     "frame_residual",
-    "reconstruct_rho",
-    "RhoSeries",
 ]
 
 
@@ -40,10 +37,6 @@ class FrameGauge:
         if np.max(np.abs(O.T @ O - np.eye(3))) > 1e-12:
             raise DomainError("gauge matrix is not orthogonal to 1e-12")
         object.__setattr__(self, "O", O)
-
-    @classmethod
-    def identity(cls) -> "FrameGauge":
-        return cls(np.eye(3))
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "FrameGauge":
@@ -115,62 +108,3 @@ def frame_residual(internal: InternalFrame, external: ExternalFrame, gamma, g: f
     D[3:, 3:] = external.as_matrix()
     res = D.T @ gamma @ D - g * np.eye(6)
     return float(np.max(np.abs(res)))
-
-
-@dataclass
-class RhoSeries:
-    """Reconstructed internal rho coordinates along a trajectory."""
-
-    s: np.ndarray
-    rho: np.ndarray  # (N, 3)
-    complete: bool
-    stop_reason: str = ""
-
-
-def reconstruct_rho(
-    traj,
-    rho0,
-    surf,
-    dx_cap: float = 0.5,
-) -> RhoSeries:
-    """Integrate d(rho_i) = x_i dx1 + y_i dx2 + z_i dx3 along a trajectory.
-
-    The frame is re-solved at every step, in the identity gauge, from the
-    current gamma33 = rho2^2 and the local g; a midpoint pass keeps the
-    quadrature second order.  The transformation is differential, so
-    closed loops may show holonomy.
-    """
-    gauge = FrameGauge.identity()
-    x = np.asarray(traj.x, dtype=float)
-    s = np.asarray(traj.s, dtype=float)
-    n = len(s)
-    rho = np.full((n, 3), np.nan)
-    rho[0] = np.asarray(rho0, dtype=float).reshape(3)
-    # g at the samples and the step midpoints; a forbidden one ends the
-    # series at its step
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = flow_coefficients(x, surf, 0.0)[0]
-        g_mid = flow_coefficients(0.5 * (x[:-1] + x[1:]), surf, 0.0)[0]
-
-    for k in range(n - 1):
-        dx = x[k + 1] - x[k]
-        if np.linalg.norm(dx) > dx_cap:
-            raise DomainError(
-                f"per-step |dx| = {np.linalg.norm(dx)} exceeds cap {dx_cap}; sample more densely"
-            )
-        try:
-            if min(g[k], g_mid[k]) <= surf.g_min:
-                raise ForbiddenRegionError(
-                    f"g = {min(g[k], g_mid[k])} <= g_min = {surf.g_min} near x = {x[k]}"
-                )
-            frame = internal_frame(g[k], rho[k, 1] ** 2, gauge)
-            # predictor half-step, then full step with the midpoint frame
-            rho_mid = rho[k] + frame.as_matrix() @ (0.5 * dx)
-            frame_mid = internal_frame(g_mid[k], rho_mid[1] ** 2, gauge)
-        except (DegenerateMetricError, ForbiddenRegionError) as exc:
-            return RhoSeries(
-                s=s[: k + 1], rho=rho[: k + 1], complete=False,
-                stop_reason=f"{exc.__class__.__name__} at step {k}: {exc}",
-            )
-        rho[k + 1] = rho[k] + frame_mid.as_matrix() @ dx
-    return RhoSeries(s=s, rho=rho, complete=True)

@@ -28,7 +28,6 @@ __all__ = [
     "reduced_mass",
     "mass_scaled_jacobi",
     "internal_from_jacobi",
-    "jacobi_from_internal",
     "pair_matrix",
     "separations",
     "pair_distances",
@@ -90,9 +89,6 @@ class InternalCoords:
                 f"triangle inequality violated: |x1-x2|={lo} <= x3={self.x3} <= x1+x2={hi}"
             )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3], dtype=float)
-
 
 def reduced_mass(m: Masses) -> float:
     """Effective mass of the imaginary point, sqrt(m1*m2*m3 / (m1+m2+m3))."""
@@ -140,17 +136,6 @@ def internal_from_jacobi(j: JacobiCoords) -> InternalCoords:
     """Map (r, R, theta) to the shape coordinates (x1, x2, x3)."""
     x3sq = j.r * j.r - 2.0 * j.r * j.R * math.cos(j.theta) + j.R * j.R
     return InternalCoords(j.r, j.R, math.sqrt(max(x3sq, 0.0)))
-
-
-def jacobi_from_internal(x: InternalCoords) -> JacobiCoords:
-    """Inverse of :func:`internal_from_jacobi` on nondegenerate triangles."""
-    if x.x1 <= 0.0 or x.x2 <= 0.0:
-        raise DegenerateConfigurationError("x1 = 0 or x2 = 0: angle undefined")
-    c = (x.x1 * x.x1 + x.x2 * x.x2 - x.x3 * x.x3) / (2.0 * x.x1 * x.x2)
-    if abs(c) > 1.0 + 1e-12:
-        raise DomainError(f"triangle inequality violated, cos(theta)={c}")
-    theta = math.acos(min(1.0, max(-1.0, c)))
-    return JacobiCoords(x.x1, x.x2, theta)
 
 
 def pair_matrix(m: Masses) -> np.ndarray:

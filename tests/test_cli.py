@@ -905,10 +905,10 @@ class TestPipelineStages:
         # and tube b is floored
         counts = []
 
-        def recording(pa, pb, return_diagnostics):
-            val, diag = kl_divergence(pa, pb, return_diagnostics=True)
-            counts.append(diag["support_mismatch_cells"])
-            return val, diag
+        def recording(pa, pb):
+            val, cells = kl_divergence(pa, pb)
+            counts.append(cells)
+            return val, cells
 
         monkeypatch.setattr(cli, "kl_divergence", recording)
         cfg, out = REPO / "configs" / "sample_morse.json", tmp_path / "out"

@@ -1,24 +1,18 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tribody import (
-    CallablePotential,
     DegenerateMetricError,
     DomainError,
-    EnergySurface,
     FrameGauge,
-    FreePotential,
-    GeodesicState,
     external_frame,
     frame_residual,
-    integrate,
     internal_frame,
-    reconstruct_rho,
 )
-from tribody.frames import RhoSeries
+
+IDENTITY = FrameGauge(np.eye(3))
 
 
 def random_spd(rng, scale=1.0):
@@ -26,15 +20,23 @@ def random_spd(rng, scale=1.0):
     return A @ A.T + 0.1 * np.eye(3) * scale
 
 
+class TestFrameGauge:
+    def test_non_orthogonal_rejected(self):
+        with pytest.raises(DomainError):
+            FrameGauge(np.diag([1.0, 1.0, 1.0 + 1e-9]))
+        with pytest.raises(DomainError):
+            FrameGauge(np.ones((3, 3)))
+
+
 class TestInternalFrame:
     def test_identity_gauge(self):
-        f = internal_frame(4.0, 1.0, FrameGauge.identity())
+        f = internal_frame(4.0, 1.0, IDENTITY)
         assert np.allclose(f.x, [2, 0, 0])
         assert np.allclose(f.y, [0, 2, 0])
         assert np.allclose(f.z, [0, 0, 2])
 
     def test_gamma33_rescales_z_only(self):
-        f = internal_frame(4.0, 4.0, FrameGauge.identity())
+        f = internal_frame(4.0, 4.0, IDENTITY)
         assert np.allclose(f.x, [2, 0, 0])
         assert np.allclose(f.y, [0, 2, 0])
         assert np.allclose(f.z, [0, 0, 1])
@@ -54,25 +56,35 @@ class TestInternalFrame:
 
     def test_degenerate_gamma33(self):
         with pytest.raises(DegenerateMetricError):
-            internal_frame(1.0, 0.0, FrameGauge.identity())
+            internal_frame(1.0, 0.0, IDENTITY)
+
+    def test_nonpositive_g_rejected(self):
+        for g in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError):
+                internal_frame(g, 1.0, IDENTITY)
 
 
 class TestExternalFrame:
     def test_identity_case(self):
-        f = external_frame(1.0, np.eye(3), FrameGauge.identity())
+        f = external_frame(1.0, np.eye(3), IDENTITY)
         assert np.allclose(f.as_matrix(), np.eye(3))
 
     def test_diagonal_cholesky(self):
-        f = external_frame(1.0, np.diag([4.0, 1.0, 1.0]), FrameGauge.identity())
+        f = external_frame(1.0, np.diag([4.0, 1.0, 1.0]), IDENTITY)
         W = f.as_matrix()
         assert W[0, 0] == pytest.approx(0.5)
         assert W[1, 1] == pytest.approx(1.0)
         assert W[2, 2] == pytest.approx(1.0)
         assert np.max(np.abs(W - np.diag(np.diag(W)))) < 1e-14
 
+    def test_nonpositive_g_rejected(self):
+        for g in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError):
+                external_frame(g, np.eye(3), IDENTITY)
+
     def test_non_spd_rejected(self):
         with pytest.raises(DegenerateMetricError):
-            external_frame(1.0, np.diag([1.0, -1.0, 1.0]), FrameGauge.identity())
+            external_frame(1.0, np.diag([1.0, -1.0, 1.0]), IDENTITY)
 
     def test_non_finite_gamma_rejected(self):
         # a NaN block would otherwise factor into a NaN frame without an error
@@ -80,7 +92,7 @@ class TestExternalFrame:
             Gamma = np.eye(3)
             Gamma[1, 1] = bad
             with pytest.raises(DomainError):
-                external_frame(1.0, Gamma, FrameGauge.identity())
+                external_frame(1.0, Gamma, IDENTITY)
 
     def test_all_six_equations_with_designations(self):
         # diagonal equations W_mu' Gamma W_mu = g and the bilinear conditions
@@ -131,8 +143,8 @@ class TestFrameResidual:
         assert frame_residual(fi, fe, gamma, 2.5) == pytest.approx(2.5)
 
     def test_residual_continuous_in_perturbation(self):
-        fi = internal_frame(1.0, 1.0, FrameGauge.identity())
-        fe = external_frame(1.0, np.eye(3), FrameGauge.identity())
+        fi = internal_frame(1.0, 1.0, IDENTITY)
+        fe = external_frame(1.0, np.eye(3), IDENTITY)
         gamma = np.eye(6)
         base = frame_residual(fi, fe, gamma, 1.0)
         from tribody.frames import InternalFrame
@@ -156,73 +168,12 @@ class TestGaugeFamily:
         R = O2.O @ O1.O.T
         assert np.allclose(V2, R @ V1, atol=1e-12)
 
-
-class TestReconstructRho:
-    def test_free_motion_displacement_matches(self):
-        surf = EnergySurface(E=1.0, U0=1.0, potential=FreePotential())
-        traj = integrate(GeodesicState(x=[1.0, 1.0, 1.0], xi=[0.05, 0.0, 0.0]),
-                         surf, s_end=4.0, tol=1e-10, n_samples=200)
-        series = reconstruct_rho(traj, rho0=[1.0, 1.0, 0.5], surf=surf)
-        assert series.complete
-        # g = 1 and rho2 stays 1 (dx2 = 0): displacement maps 1:1
-        drho = series.rho[-1] - series.rho[0]
-        dx = traj.x[-1] - traj.x[0]
-        assert np.allclose(drho, dx, atol=1e-9)
-
-    def test_zero_length_trajectory(self):
-        surf = EnergySurface(E=1.0, U0=1.0, potential=FreePotential())
-        traj = integrate(GeodesicState(x=[1, 1, 1], xi=[0, 0, 0]),
-                         surf, s_end=1.0, tol=1e-9, n_samples=16)
-        series = reconstruct_rho(traj, rho0=[2.0, 3.0, 0.1], surf=surf)
-        assert np.allclose(series.rho, series.rho[0])
-
-    def test_step_cap_enforced(self):
-        surf = EnergySurface(E=1.0, U0=1.0, potential=FreePotential())
-        traj = integrate(GeodesicState(x=[1, 1, 1], xi=[1.0, 0, 0]),
-                         surf, s_end=5.0, tol=1e-9, n_samples=4)
-        with pytest.raises(DomainError):
-            reconstruct_rho(traj, rho0=[1, 1, 1], surf=surf, dx_cap=0.5)
-
-    def test_forbidden_sample_ends_series(self):
-        # g = 1 - x1 reaches the floor at sample 5, where x1 = 1
-        pot = CallablePotential(lambda x: x[0], lambda x: np.array([1.0, 0.0, 0.0]))
-        surf = EnergySurface(E=1.0, U0=1.0, potential=pot, g_min=1e-6)
-        traj = SimpleNamespace(
-            s=np.arange(12.0),
-            x=np.column_stack([np.linspace(0.0, 2.2, 12), np.full((12, 2), 3.0)]),
-        )
-        series = reconstruct_rho(traj, rho0=[3.0, 3.0, 0.3], surf=surf)
-        assert not series.complete
-        assert series.stop_reason.startswith("ForbiddenRegionError at step 5")
-        assert len(series.s) == 6 and np.all(np.isfinite(series.rho))
-
-    @staticmethod
-    def _loop_traj(radius, n=400):
-        # closed square-ish loop in the (x1, x2) plane
-        t = np.linspace(0, 2 * np.pi, n)
-        x = np.stack([
-            3.0 + radius * np.cos(t) - radius,
-            3.0 + radius * np.sin(t),
-            np.full_like(t, 3.0),
-        ], axis=1)
-        class Fake:
-            pass
-        traj = Fake()
-        traj.x = x
-        traj.s = t
-        return traj
-
-    def test_holonomy_scales_with_loop_area(self):
-        # g varies with x2, so the loop integral of sqrt(g) dx1 does not cancel
-        pot = CallablePotential(lambda x: -x[1], lambda x: np.array([0.0, -1.0, 0.0]))
-        surf = EnergySurface(E=1.0, U0=1.0, potential=pot)
-        gaps = []
-        for radius in (0.2, 0.4):
-            traj = self._loop_traj(radius)
-            series = reconstruct_rho(traj, rho0=[3.0, 3.0, 0.3], surf=surf)
-            assert series.complete
-            gaps.append(np.linalg.norm(series.rho[-1] - series.rho[0]))
-        assert gaps[0] > 1e-6
-        # area scales by 4; allow generous slack around exact quadrupling
-        ratio = gaps[1] / gaps[0]
-        assert 2.0 < ratio < 8.0
+    def test_external_gauges_related_by_orthogonal_map(self):
+        # W = sqrt(g) L^-T O, so L^T W2 = (L^T W1) O1^T O2
+        rng = np.random.default_rng(37)
+        g, Gamma = 1.7, random_spd(rng)
+        O1, O2 = FrameGauge.random(rng), FrameGauge.random(rng)
+        L = np.linalg.cholesky(Gamma)
+        W1 = external_frame(g, Gamma, O1).as_matrix()
+        W2 = external_frame(g, Gamma, O2).as_matrix()
+        assert np.allclose(L.T @ W2, L.T @ W1 @ O1.O.T @ O2.O, atol=1e-12)

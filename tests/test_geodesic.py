@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tribody import (
-    CallablePotential,
     DomainError,
     EnergySurface,
     FreePotential,
@@ -15,13 +14,13 @@ from tribody import (
     conservation_report,
     external_rates,
     integrate,
-    lambda_sq,
-    log_gradient,
     momentum_rhs,
     reduced_mass,
 )
 from tribody.geodesic import read_trajectory_csv, write_trajectory_csv
 from tribody.metric import flow_coefficients
+
+from helpers import CallablePotential
 
 
 def free_surface():
@@ -140,9 +139,8 @@ class TestIntegrate:
 
         def rhs(s, y):
             x, v = y[:3], y[3:]
-            a = log_gradient(x, surf)
-            g = (surf.E - surf.potential.evaluate(x)) / surf.U0
-            return np.concatenate([v, momentum_rhs(v, a, lambda_sq(g, J_tot))])
+            _, a, lam2 = flow_coefficients(x, surf, J_tot)
+            return np.concatenate([v, momentum_rhs(v, a, lam2)])
 
         sol = solve_ivp(rhs, (0, 3.0), np.concatenate([s0.x, s0.xi]),
                         rtol=1e-10, atol=1e-13, t_eval=traj.s)

@@ -10,7 +10,6 @@ from tribody import (
     JacobiCoords,
     Masses,
     internal_from_jacobi,
-    jacobi_from_internal,
     mass_scaled_jacobi,
     pair_distances,
     reduced_mass,
@@ -88,6 +87,58 @@ class TestMassScaledJacobi:
         expected = math.acos(np.dot(rvec, Rvec) / np.linalg.norm(rvec) / np.linalg.norm(Rvec))
         assert j.theta == pytest.approx(expected, abs=1e-12)
 
+    def test_right_angle_configuration(self):
+        # body 1 above the pair's center of mass: R is perpendicular to r
+        m = Masses(1.0, 1.0, 1.0)
+        j = mass_scaled_jacobi([0, 2, 0], [1, 0, 0], [-1, 0, 0], m)
+        assert j.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        x = internal_from_jacobi(j)
+        assert x.x3 == pytest.approx(math.hypot(j.r, j.R), abs=1e-12)
+
+    def test_collinear_configurations(self):
+        # body 1 on the pair's line: beyond body 2 gives theta = 0, beyond body 3 pi
+        m = Masses(1.0, 2.0, 3.0)
+        j = mass_scaled_jacobi([3, 0, 0], [1, 0, 0], [-1, 0, 0], m)
+        assert j.theta == pytest.approx(0.0, abs=1e-7)
+        j = mass_scaled_jacobi([-3, 0, 0], [1, 0, 0], [-1, 0, 0], m)
+        assert j.theta == pytest.approx(math.pi, abs=1e-7)
+        x = internal_from_jacobi(j)
+        assert x.x3 == pytest.approx(x.x1 + x.x2, abs=1e-12)
+
+    def test_invariant_under_rotation_and_translation(self):
+        rng = np.random.default_rng(19)
+        m = Masses(0.7, 1.9, 1.3)
+        for _ in range(100):
+            pos = rng.standard_normal((3, 3)) * 2
+            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+            Q = q * np.sign(np.diag(r))
+            shift = rng.standard_normal(3) * 5
+            moved = pos @ Q.T + shift
+            j = mass_scaled_jacobi(*pos, m)
+            k = mass_scaled_jacobi(*moved, m)
+            assert (k.r, k.R, k.theta) == pytest.approx((j.r, j.R, j.theta), rel=1e-9, abs=1e-9)
+
+    def test_non_finite_positions_rejected(self):
+        m = Masses(1, 1, 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                mass_scaled_jacobi([0, bad, 0], [1, 0, 0], [-1, 0, 0], m)
+
+
+class TestJacobiCoords:
+    def test_negative_length_rejected(self):
+        with pytest.raises(DomainError):
+            JacobiCoords(-1.0, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            JacobiCoords(1.0, -1.0, 0.5)
+
+    def test_theta_outside_zero_to_pi_rejected(self):
+        for theta in (-0.1, math.pi + 0.1):
+            with pytest.raises(DomainError):
+                JacobiCoords(1.0, 1.0, theta)
+        # acos round-off just past the ends is tolerated
+        assert JacobiCoords(1.0, 1.0, math.pi + 1e-15).theta > math.pi
+
 
 class TestInternalCoords:
     def test_pythagorean(self):
@@ -115,30 +166,6 @@ class TestInternalCoords:
             InternalCoords(1, 1, 3)
 
 
-class TestJacobiFromInternal:
-    def test_right_angle(self):
-        j = jacobi_from_internal(InternalCoords(3, 4, 5))
-        assert j.theta == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_collinear(self):
-        j = jacobi_from_internal(InternalCoords(1, 1, 2))
-        assert j.theta == pytest.approx(math.pi, abs=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateConfigurationError):
-            jacobi_from_internal(InternalCoords(0, 1, 1))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            j = JacobiCoords(rng.uniform(0.1, 10), rng.uniform(0.1, 10),
-                             rng.uniform(0.01, math.pi - 0.01))
-            j2 = jacobi_from_internal(internal_from_jacobi(j))
-            assert abs(j2.r - j.r) < 1e-12
-            assert abs(j2.R - j.R) < 1e-12
-            assert abs(j2.theta - j.theta) < 1e-12
-
-
 class TestPairDistances:
     def test_matches_cartesian_geometry(self):
         rng = np.random.default_rng(11)
@@ -155,5 +182,5 @@ class TestPairDistances:
             except DegenerateConfigurationError:
                 continue
             x = internal_from_jacobi(j)
-            d = pair_distances(x.as_array(), m)
+            d = pair_distances([x.x1, x.x2, x.x3], m)
             assert np.allclose(d, d_direct, rtol=1e-10)

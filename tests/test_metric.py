@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tribody import (
-    CallablePotential,
     DomainError,
     EnergySurface,
     ForbiddenRegionError,
@@ -12,13 +11,12 @@ from tribody import (
     GravityPotential,
     Masses,
     MorsePotential,
-    RhoCoords,
     conformal_factor,
-    gamma_rho,
-    lambda_sq,
-    log_gradient,
+    flow_coefficients,
     reduced_hamiltonian,
 )
+
+from helpers import CallablePotential
 
 
 def exp_well():
@@ -50,16 +48,24 @@ class TestConformalFactor:
         with pytest.raises(DomainError):
             EnergySurface(E=1.0, U0=0.0, potential=FreePotential())
 
+    def test_batch_error_names_the_deepest_point(self):
+        # g = 1 - x1 here: the second and third rows are forbidden, the third most
+        surf = EnergySurface(E=0.0, U0=1.0, potential=CallablePotential(
+            lambda x: x[0] - 1.0, lambda x: np.array([1.0, 0.0, 0.0])))
+        x = np.array([[0.5, 1.0, 1.0], [1.5, 1.0, 1.0], [2.5, 1.0, 1.0]])
+        with pytest.raises(ForbiddenRegionError, match=r"g = -1\.5 .* at x = \[2\.5 1\. +1\. *\]"):
+            conformal_factor(x, surf)
+
 
 class TestLogGradient:
     def test_exponential_well_analytic(self):
         surf = EnergySurface(E=0.0, U0=1.0, potential=exp_well())
-        a = log_gradient([0.7, 1.0, 1.2], surf)
+        _, a, _ = flow_coefficients(np.array([0.7, 1.0, 1.2]), surf, 0.0)
         assert np.allclose(a, [0.5, 0.0, 0.0], atol=1e-14)
 
     def test_constant_potential_zero(self):
         surf = EnergySurface(E=1.0, U0=1.0, potential=FreePotential())
-        assert np.allclose(log_gradient([1, 2, 2], surf), 0.0)
+        assert np.allclose(flow_coefficients(np.array([1.0, 2.0, 2.0]), surf, 0.0)[1], 0.0)
 
     @pytest.mark.parametrize("make_pot", [
         lambda m: MorsePotential(m, D=1.0, alpha=1.0, d0=1.5),
@@ -77,7 +83,7 @@ class TestLogGradient:
             x1, x2 = rng.uniform(1.0, 4.0, size=2)
             x3 = rng.uniform(abs(x1 - x2) + 0.2, x1 + x2 - 0.2)
             x = np.array([x1, x2, x3])
-            a = log_gradient(x, surf)
+            _, a, _ = flow_coefficients(x, surf, 0.0)
             fd = np.zeros(3)
             for i in range(3):
                 xp, xm = x.copy(), x.copy()
@@ -89,13 +95,52 @@ class TestLogGradient:
             checked += 1
 
 
+def morse_surface():
+    return EnergySurface(E=2.0, U0=1.0,
+                         potential=MorsePotential(Masses(1.0, 1.2, 0.8), D=1.0, alpha=1.0, d0=1.5))
+
+
+def allowed_points(rng, n):
+    x1, x2 = rng.uniform(1.0, 4.0, size=(2, n))
+    x3 = rng.uniform(np.abs(x1 - x2) + 0.2, x1 + x2 - 0.2)
+    return np.stack([x1, x2, x3], axis=-1)
+
+
+class TestFlowCoefficients:
+    def test_batch_rows_match_single_points(self):
+        surf = morse_surface()
+        x = allowed_points(np.random.default_rng(13), 50)
+        g, a, lam2 = flow_coefficients(x, surf, 0.7)
+        assert g.shape == lam2.shape == (50,) and a.shape == (50, 3)
+        for k in range(50):
+            gk, ak, lam2k = flow_coefficients(x[k], surf, 0.7)
+            assert np.allclose(g[k], gk, rtol=1e-15, atol=0)
+            assert np.allclose(a[k], ak, rtol=1e-15, atol=0)
+            assert np.allclose(lam2[k], lam2k, rtol=1e-15, atol=0)
+
+    def test_past_the_boundary_is_finite_and_unchecked(self):
+        # integrator trial points may step past g = 0; no error, finite values
+        surf = EnergySurface(E=0.0, U0=2.0, potential=CallablePotential(
+            lambda x: x[0] - 1.0, lambda x: np.array([1.0, 0.0, 0.0])))
+        g, a, lam2 = flow_coefficients(np.array([3.0, 1.0, 1.0]), surf, 1.0)
+        assert g == pytest.approx(-1.0)
+        assert np.allclose(a, [-0.25, 0.0, 0.0])
+        assert lam2 == pytest.approx(1.0)
+
+
+def flat(g):
+    """A surface of constant height g, so that flow_coefficients' Lambda^2
+    is (J/g)^2 at any point."""
+    return EnergySurface(E=g, U0=1.0, potential=FreePotential())
+
+
 class TestLambdaSq:
     def test_direct(self):
-        assert lambda_sq(0.5, 2.0) == pytest.approx(16.0)
+        assert flow_coefficients(np.ones(3), flat(0.5), 2.0)[2] == pytest.approx(16.0)
 
     def test_zero_momentum(self):
         for g in (0.1, 1.0, 7.3):
-            assert lambda_sq(g, 0.0) == 0.0
+            assert flow_coefficients(np.ones(3), flat(g), 0.0)[2] == 0.0
 
     def test_external_rate_identity(self):
         # sum over mu of (J_(mu-3)/g)^2 equals (J_total/g)^2
@@ -104,55 +149,8 @@ class TestLambdaSq:
             g = rng.uniform(0.05, 5.0)
             J = rng.standard_normal(3) * 3
             rates_sq = np.sum((J / g) ** 2)
-            assert rates_sq == pytest.approx(lambda_sq(g, float(np.linalg.norm(J))), rel=1e-12)
-
-
-def gamma_reference(rho):
-    """Independent transcription of the component list (second reading)."""
-    r, R, th, Th, Ps = rho.r, rho.R, rho.theta, rho.Theta, rho.Psi
-    s, c = np.sin, np.cos
-    gam = np.zeros((6, 6))
-    gam[0, 0] = gam[1, 1] = 1
-    gam[2, 2] = R * R
-    gam[3, 3] = r * r + R * R * c(Ps) ** 2 * c(th) ** 2
-    gam[4, 4] = (r * r * s(Th)
-                 + R * R * (s(Th) ** 2 * s(Ps) ** 2 * c(th) ** 2
-                            + c(Th) ** 2 * s(th) ** 2
-                            - s(2 * Th) * s(2 * th) * s(Ps) / 2))
-    gam[5, 5] = R * R * s(th) ** 2
-    gam[3, 4] = gam[4, 3] = R * R * (s(Th) * s(2 * Ps) * c(th) ** 2
-                                     - 2 * c(Th) * c(Ps) * s(2 * th))
-    gam[3, 5] = gam[5, 3] = R * R * s(2 * th) * c(Ps)
-    gam[4, 5] = gam[5, 4] = R * R * (s(Th) * s(Ps) * s(2 * th) - 2 * c(Th) * s(th) ** 2)
-    return gam
-
-
-class TestGammaRho:
-    def test_substitution_case(self):
-        g = gamma_rho(RhoCoords(2, 3, math.pi / 2, 0.0, 0.0, 0.0))
-        assert g[3, 3] == pytest.approx(4.0, abs=1e-12)
-        assert g[5, 5] == pytest.approx(9.0, abs=1e-12)
-        assert g[3, 5] == pytest.approx(0.0, abs=1e-12)
-
-    def test_degenerate_lengths(self):
-        g = gamma_rho(RhoCoords(0, 0, 1.0, 0.5, 0.5, 0.5))
-        assert np.allclose(g[2:, 2:], 0.0)
-        assert g[0, 0] == 1 and g[1, 1] == 1
-
-    def test_random_matches_double_transcription(self):
-        rng = np.random.default_rng(21)
-        for _ in range(300):
-            rho = RhoCoords(
-                rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, math.pi),
-                rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi),
-                rng.uniform(0, math.pi),
-            )
-            g = gamma_rho(rho)
-            assert np.array_equal(g, g.T)
-            # internal-external off-blocks are exactly zero
-            assert np.all(g[:3, 3:] == 0.0) and np.all(g[3:, :3] == 0.0)
-            assert np.all(g[0, 1:] == 0.0) and np.all(g[1, 2:] == 0.0)
-            assert np.allclose(g, gamma_reference(rho), rtol=1e-13, atol=1e-13)
+            lam2 = flow_coefficients(np.ones(3), flat(g), float(np.linalg.norm(J)))[2]
+            assert rates_sq == pytest.approx(lam2, rel=1e-12)
 
 
 class TestReducedHamiltonian:
@@ -170,3 +168,20 @@ class TestReducedHamiltonian:
         # g = 2: H = (mu0/2) * g * (|xi|^2 + (J/g)^2)
         H = reduced_hamiltonian([1, 1, 1], [1, 2, 2], 3.0, surf, mu0=1.5)
         assert H == pytest.approx(0.75 * 2.0 * (9.0 + 2.25))
+
+    def test_batch_rows_match_single_points(self):
+        rng = np.random.default_rng(17)
+        surf = morse_surface()
+        x = allowed_points(rng, 40)
+        xdot = rng.standard_normal((40, 3))
+        H = reduced_hamiltonian(x, xdot, 0.4, surf, mu0=0.8)
+        assert H.shape == (40,)
+        for k in range(40):
+            assert H[k] == pytest.approx(reduced_hamiltonian(x[k], xdot[k], 0.4, surf, mu0=0.8),
+                                         rel=1e-14)
+
+    def test_forbidden_point_raises(self):
+        surf = EnergySurface(E=1.0, U0=1.0, potential=CallablePotential(
+            lambda x: 2.0, lambda x: np.zeros(3)))
+        with pytest.raises(ForbiddenRegionError):
+            reduced_hamiltonian([1, 1, 1], [1, 0, 0], 0.0, surf, mu0=1.0)

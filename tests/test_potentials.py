@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribody import (
-    CallablePotential,
     FreePotential,
     GravityPotential,
     Masses,
     MorsePotential,
     pair_distances,
 )
+
+from helpers import CallablePotential
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
