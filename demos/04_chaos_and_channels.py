@@ -9,7 +9,6 @@ of a few constructed three-body motions.
 import numpy as np
 
 from tribody import (
-    ChannelLabel,
     CoefficientSchedule,
     EnergySurface,
     FpeConfig,

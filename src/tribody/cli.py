@@ -85,16 +85,6 @@ def _reals(value, where: str) -> list:
     return [_real(v, where) for v in value]
 
 
-def _epsilon(value, where: str):
-    """A number, or a 3x3 matrix as a list of 3 rows of 3 numbers."""
-    if not isinstance(value, list):
-        return _real(value, where)
-    rows = [_reals(row, where) for row in value]
-    if len(rows) != 3 or any(len(row) != 3 for row in rows):
-        raise ConfigError(f"{where}: expected a number or 3 rows of 3 numbers, got {value!r}")
-    return rows
-
-
 def _integer(value, where: str) -> int:
     if not _real(value, where).is_integer():
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -117,7 +107,7 @@ _SCHEMA = {
     "angular_momentum": _reals,
     "initial": {"x": _reals, "xi": _reals},
     "integrator": {"tol": _real, "s_end": _real, "n_samples": _integer},
-    "noise": {"epsilon": _epsilon, "hbar_scale": _real, "omega_sq_mean": _real},
+    "noise": {"epsilon": _real, "hbar_scale": _real, "omega_sq_mean": _real},
     "sde": {"mode": _text, "ds": _real, "n_paths": _integer, "snapshots": _reals},
     "grid": {"min": _real, "max": _real, "n": _integer, "sigma0": _real},
     "chaos": {"delta": _real},
@@ -245,7 +235,6 @@ def parse_config(doc: dict, seed=None) -> dict:
         except DomainError as exc:
             raise ConfigError(f"noise: {exc}")
     else:
-        # kept in JSON form (a float or nested lists); the solvers normalize it
         cfg["epsilon"] = noise.get("epsilon", 0.0)
 
     cfg["seed"] = typed.get("seed", _DEFAULTS["seed"]) if seed is None else seed
@@ -515,7 +504,7 @@ def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
     meta = {
         **result.meta,
         "n_paths": sde["n_paths"],
-        "epsilon": noise.epsilon.tolist(),
+        "epsilon": noise.epsilon,
         "schedule_source": "trajectory.csv",
         "blowups": {str(k): v for k, v in result.blowups.items()},
     }

@@ -3,17 +3,18 @@
 The density P(xi, s) obeys
 
     dP/ds = sign * sum_i d_i(A_i P)
-            + sum_{i,j,l,k} eps_ij d_l [ B_il d_k ( B_kj P ) ]
+            + eps sum_{i,l,k} d_l [ B_il d_k ( B_ki P ) ]
 
-with the coupling B(xi; Lambda^2) v = 2 (xi . v) xi - (|xi|^2 + Lambda^2) v
-and the drift A = B a of the stochastic module; this pairs with the
-Stratonovich SDE dxi = B(xi) o (a ds + dW).  The printed operator carries
+with the coupling B(xi; Lambda^2) v = 2 (xi . v) xi - (|xi|^2 + Lambda^2) v,
+the drift A = B a of the stochastic module and the noise power eps, one
+number >= 0 (langevin.noise_power); this pairs with the Stratonovich SDE
+dxi = B(xi) o (a ds + dW).  The printed operator carries
 +d_i(A_i P); the continuity form matching the SDE needs the minus sign.
 Both are available ("verbatim" vs "conventional"); the conventional sign
 is the default and the one validated against ensembles.
 
 For multiplicative noise the operator is formed component by component
-on (n1, n2, n3) arrays: F_j = sum_k d_k(B_kj P), G = eps F, then
+on (n1, n2, n3) arrays: F_j = sum_k d_k(B_kj P), G_i = eps F_i, then
 sum_l d_l(t_l) with t_l = sum_i B_il G_i pinned to zero on the boundary
 cells like P.  The drift term needs no drift field: a is constant over
 the mesh, d linear and B symmetric, so sum_i d_i(A_i P) = sum_k a_k F_k.
@@ -22,16 +23,15 @@ so fpe_evolve forms the products 2 xi_k xi_j (k <= j) and |xi|^2 once and
 each stage sets only the diagonal 2 xi_k^2 - (|xi|^2 + Lambda^2).
 
 For additive noise, dxi = B(xi) a ds + dW, the noise coupling is the
-identity and the diffusion term collapses to sum_ij eps_ij d_i d_j P.
+identity and the diffusion term collapses to eps sum_i d_i d_i P.
 Both operators are a divergence of face fluxes, rhs[x] = sum_i
 (Phi_i[x+e_i/2] - Phi_i[x-e_i/2]), with zero ghost cells.  A central
 difference (t[x+e] - t[x-e]) / 2h is the divergence of the face averages
 (t[x] + t[x+e]) / 2h, whose outer faces carry t of the first and of the
-last cells (_central); the multiplicative operator and the additive cross
-terms 2 eps_ij d_i d_j P are made of these.  The additive drift and
-diagonal diffusion make one 7-point flux: with alpha_i = eps_ii / h_i^2,
-weights W_i = alpha_i + sign A_i / (2 h_i), t = W_i P and u = 2 alpha_i P
-- t, Phi_i[x+e_i/2] = t[x+e_i] - u[x], so
+last cells (_central); the multiplicative operator is made of these.
+The additive drift and diffusion make one 7-point flux: with alpha_i =
+eps / h_i^2, weights W_i = alpha_i + sign A_i / (2 h_i), t = W_i P and
+u = 2 alpha_i P - t, Phi_i[x+e_i/2] = t[x+e_i] - u[x], so
 
     rhs[x] = -2 sum_i alpha_i P[x] + sum_i ( t[x+e_i] + u[x-e_i] ),
 
@@ -50,12 +50,10 @@ spectral radius.  For multiplicative noise R = r0 + |Lambda^2| r1 +
 Lambda^4 r2, where r_m bounds the row sums of the part of the 19-point
 stencil's coefficients that goes with Lambda^(2m), so R bounds the radius
 (Gershgorin); fpe_evolve forms (r0, r1, r2) once per solve, from the
-products that it forms once too.  For additive noise R = 4 tr(eps) /
-min(h)^2, the compact stencil's row sum on a cubic grid with diagonal
-eps, and max|A| is read off the drift before it is turned into the
-weights.  R leaves out an off-diagonal eps's cross differences: on a 10^3
-cubic grid with eps_ii = 0.01 and eps_ij = 0.008 the largest row sum is
-1.40 R and the radius 1.01 R, inside the limit only because of SAFETY.
+products that it forms once too.  For additive noise R = 12 eps /
+min(h)^2, which bounds the compact stencil's row sums 4 eps sum_i 1 /
+h_i^2 and equals them on a cubic grid, and max|A| is read off the drift
+before it is turned into the weights.
 
 Layout.  Each coefficient set (a, Lambda^2) has one field, which the
 operator and the step bound read: for additive noise the weights W with
@@ -84,19 +82,19 @@ bit-identical to it.
 
 Slabs.  The operator at a cell reads cells at most two rows away along
 any axis for multiplicative noise, whose form nests two differences, and
-one row away for additive noise (the 7-point flux and the cross
-differences).  So fpe_rhs on a block of rows of axis 0 with HALO = 2, or
-for additive noise 1, more rows on each side gives those rows' bits on
-the whole grid.  fpe_evolve writes each stage in contiguous slabs of
-axis 0, one per usable CPU but none of fewer than MIN_SLAB_CELLS cells
-(_slab_bounds), the first stage into the midpoint and the second into P
-in place, which lie in one shared anonymous mmap with the field's
-buffer.  The slabs are the parts of _fork.parts: the caller writes the
-last, and a worker forked for the solve each other one; with one slab
-the caller writes every row and nothing is forked.  The caller alone
-forms the field, and every slab reads its rows of it there.  A slab
-evaluates a stage in blocks of at most BLOCK_CELLS cells (a row at
-least), whose arrays stay in a core's L2 cache.
+one row away for additive noise (the 7-point flux).  So fpe_rhs on a
+block of rows of axis 0 with HALO = 2, or for additive noise 1, more
+rows on each side gives those rows' bits on the whole grid.  fpe_evolve
+writes each stage in contiguous slabs of axis 0, one per usable CPU but
+none of fewer than MIN_SLAB_CELLS cells (_slab_bounds), the first stage
+into the midpoint and the second into P in place, which lie in one
+shared anonymous mmap with the field's buffer.  The slabs are the parts
+of _fork.parts: the caller writes the last, and a worker forked for the
+solve each other one; with one slab the caller writes every row and
+nothing is forked.  The caller alone forms the field, and every slab
+reads its rows of it there.  A slab evaluates a stage in blocks of at
+most BLOCK_CELLS cells (a row at least), whose arrays stay in a core's
+L2 cache.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ import numpy as np
 
 from . import _fork
 from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
-from .langevin import CoefficientSchedule, drift, epsilon_matrix
+from .langevin import CoefficientSchedule, drift, noise_power
 
 DS_FLOOR = 1e-9   # smallest admissible step
 SAFETY = 0.5      # fraction of the CFL bound taken per step
@@ -201,15 +199,15 @@ class MomentumGrid:
 
 @dataclass
 class FpeConfig:
-    """Evolution parameters: noise matrix, drift sign mode, schedule."""
+    """Evolution parameters: noise power, drift sign mode, schedule."""
 
-    epsilon: np.ndarray
+    epsilon: float
     schedule: CoefficientSchedule
     sign_mode: str = "conventional"     # or "verbatim"
     multiplicative: bool = False        # False: B = identity (additive noise)
 
     def __post_init__(self):
-        self.epsilon = epsilon_matrix(self.epsilon)
+        self.epsilon = noise_power(self.epsilon)
         if self.sign_mode not in ("conventional", "verbatim"):
             raise ConfigError(f"unknown sign mode {self.sign_mode!r}")
 
@@ -295,23 +293,22 @@ def _coupling(quad, lam_sq, out=None):
 
 def _row_sums(quad, h, eps):
     """Gershgorin row sums of the pinned multiplicative diffusion operator
-    P -> sum_l d_l pin(sum_i B_il sum_j eps_ij sum_k d_k(B_kj P)), split by
+    P -> sum_l d_l pin(sum_i B_il eps sum_k d_k(B_ki P)), split by
     powers of Lambda^2: (r0, r1, r2) with r_m the largest over interior
     rows of sum_offsets |c_m|, where c0 + Lambda^2 c1 + Lambda^4 c2 is the
     coefficient at an offset.
 
     The operator is a 19-point stencil.  Its coefficient at x + s e_l +
-    t e_k sums s t / (4 h_l h_k) (B(y) eps B(z))_lk over every (l, k, s, t)
+    t e_k sums s t / (4 h_l h_k) eps (B(y) B(z))_lk over every (l, k, s, t)
     that lands there, with y = x + s e_l (no term when y is a boundary cell,
     whose flux is pinned) and z = y + t e_k.  With B = Q - Lambda^2 I and Q
-    the coupling at Lambda^2 = 0, (B(y) eps B(z))_lk = (Q(y) eps Q(z))_lk -
-    Lambda^2 ((eps Q(z))_lk + (Q(y) eps)_lk) + Lambda^4 eps_lk.  The
+    the coupling at Lambda^2 = 0, eps (B(y) B(z))_lk = eps (Q(y) Q(z))_lk -
+    Lambda^2 (eps Q(z)_lk + eps Q(y)_lk) + Lambda^4 eps delta_lk.  The
     offsets are summed one at a time, so beside Q's diagonal and the three
     sums only one offset's coefficients are held."""
     Q = _coupling(quad, 0.0)
     n = quad[1].shape
     inner = tuple(m - 2 for m in n)
-    nonzero = [(i, j) for i in range(3) for j in range(3) if eps[i, j] != 0.0]
     stencil = {}
     for l, k, s, t in itertools.product(range(3), range(3), (-1, 1), (-1, 1)):
         offset = tuple(s * (a == l) + t * (a == k) for a in range(3))
@@ -332,20 +329,18 @@ def _row_sums(quad, h, eps):
                       for d, (a, b) in enumerate(zip(lo, hi)))
             z = tuple(slice(a + o, b + o) for a, b, o in zip(lo, hi, offset))
             w = s * t / (4.0 * h[l] * h[k])
-            c0 = sum(eps[i, j] * Q[l][i][y] * Q[j][k][z] for i, j in nonzero)
-            c1 = sum(eps[l, j] * Q[j][k][z] for j in range(3) if eps[l, j] != 0.0)
-            c1 = c1 + sum(eps[i, k] * Q[l][i][y] for i in range(3) if eps[i, k] != 0.0)
-            coeff[0][rows] += w * c0
-            coeff[1][rows] -= w * c1
-            coeff[2][rows] += w * eps[l, k]
+            coeff[0][rows] += w * sum(eps * Q[l][i][y] * Q[i][k][z] for i in range(3))
+            coeff[1][rows] -= w * (eps * Q[l][k][z] + eps * Q[l][k][y])
+            if l == k:
+                coeff[2][rows] += w * eps
         for total, c in zip(sums, coeff):
             total += np.abs(c, out=c)
     return tuple(float(total.max()) for total in sums)
 
 
 def _alpha(h, eps):
-    """The diffusion weights alpha_i = eps_ii / h_i^2 of the additive stencil."""
-    return [eps[i, i] / (h[i] * h[i]) for i in range(3)]
+    """The diffusion weights alpha_i = eps / h_i^2 of the additive stencil."""
+    return [eps / (h[i] * h[i]) for i in range(3)]
 
 
 def _field(X, h, coeffs, cfg, quad=None, out=None):
@@ -387,12 +382,10 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
 
     Beside the result the call holds at most 2 arrays of the grid's shape
     for additive noise: the 7-point flux's products t = W_i P and u = 2
-    alpha_i P - t, one pair for all three axes, then each off-diagonal eps
-    term, freed before the next.  For multiplicative noise it holds F, P /
-    2h (one array per spacing) and a product with its face sums, then G
-    beside F (with one product F_j eps_ij more while an off-diagonal eps
-    sums into G_i); F is freed before the flux terms, which hold G and at
-    most 3 more.
+    alpha_i P - t, one pair for all three axes.  For multiplicative noise
+    it holds F, P / 2h (one array per spacing) and a product with its face
+    sums, then G beside F; F is freed before the flux terms, which hold G
+    and at most 3 more.
     """
     if field is None:
         field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
@@ -413,14 +406,6 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
             s = P.strides[i] // P.itemsize
             rhs.reshape(-1)[:-s] += t.reshape(-1)[s:]
             rhs.reshape(-1)[s:] += u.reshape(-1)[:-s]
-        del t, u
-        for i, j in itertools.combinations(range(3), 2):
-            if eps[i, j] != 0.0:
-                # 2 eps_ij d_i d_j P, both differences as face averages
-                d_j = np.zeros(P.shape)
-                _central(d_j, P * (eps[i, j] / (2.0 * h[i] * h[j])), j)
-                _central(rhs, d_j, i)
-                del d_j
         return rhs
 
     # F_j = sum_k d_k (B_kj P) from P / 2h, formed once per spacing: B_kj P
@@ -443,13 +428,7 @@ def fpe_rhs(grid: MomentumGrid, coeffs, cfg: FpeConfig, *, field=None) -> np.nda
     rhs = F[0] * c[0]
     for k in (1, 2):
         rhs += F[k] * c[k]
-    # each G_i summed over j left to right from its first nonzero term
-    G = []
-    for i in range(3):
-        g = None
-        for j in np.flatnonzero(eps[i]):
-            g = F[j] * eps[i, j] if g is None else np.add(g, F[j] * eps[i, j], out=g)
-        G.append(np.zeros(P.shape) if g is None else g)
+    G = [F[i] * eps for i in range(3)]
     del F
     # rhs += sum_l d_l [ sum_i B_il G_i ], the flux pinned like P: its
     # outer faces then carry no mass
@@ -478,9 +457,8 @@ def _stable_ds(grid, cfg, coeffs, field, sums):
     multiplicative field B.
     The diffusion term allows 2 / R (module docstring, Step bound), with
     R = r0 + |Lambda^2| r1 + Lambda^4 r2 from the row sums (r0, r1, r2) of
-    _row_sums for multiplicative noise, and 4 tr(eps) / min(h)^2 for
-    additive noise (sums unused), which an off-diagonal eps can put below
-    the operator's spectral radius."""
+    _row_sums for multiplicative noise, and 12 eps / min(h)^2 for additive
+    noise (sums unused)."""
     if cfg.multiplicative:
         a = coeffs[0]
         amax = max(_absmax(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in field)
@@ -490,14 +468,13 @@ def _stable_ds(grid, cfg, coeffs, field, sums):
     ds, term = np.inf, None
     if amax > 0.0:
         ds, term = float(np.min(h)) / amax, "drift"
-    tr_eps = float(np.trace(cfg.epsilon))
-    if tr_eps > 0.0:
+    if cfg.epsilon > 0.0:
         if cfg.multiplicative:
             r0, r1, r2 = sums
             lam_sq = coeffs[1]
             diffusive = 2.0 / (r0 + abs(lam_sq) * r1 + lam_sq * lam_sq * r2)
         else:
-            diffusive = float(np.min(h)) ** 2 / (2.0 * tr_eps)
+            diffusive = float(np.min(h)) ** 2 / (6.0 * cfg.epsilon)
         if diffusive < ds:
             ds, term = diffusive, "diffusion"
     return SAFETY * ds, term

@@ -15,13 +15,14 @@ The drift is A = B a.  Two noise routes are supported:
 * additive -- dxi = B(xi) a ds + dW, stepped with Euler.
 
 Both routes draw one law of increments, the two-point values
-S z sqrt(ds), z = +-1 per axis, S S^T = 2 eps, of the simplified weak
-schemes (Kloeden & Platen, Numerical Solution of SDEs, 1992, section
-14.1).  Only the law of the paths matters here (the density solver
-evolves it), and these increments match the Gaussian ones of covariance
-2*eps*ds, the correlator <eta_i(s) eta_j(s')> = 2 eps_ij delta(s-s'), in
-their first three moments: so both schemes keep their weak order 1 at a
-fraction of the cost of a normal draw.  An ensemble steps its paths in
+sqrt(2 eps ds) z, z = +-1 per axis, of the simplified weak schemes
+(Kloeden & Platen, Numerical Solution of SDEs, 1992, section 14.1), with
+eps the one noise power.  Only the law of the paths matters here (the
+density solver evolves it), and these increments match the Gaussian
+ones of covariance 2*eps*ds per axis, the correlator <eta_i(s)
+eta_j(s')> = 2 eps delta_ij delta(s-s'), in their first three moments:
+so both schemes keep their weak order 1 at a fraction of the cost of a
+normal draw.  An ensemble steps its paths in
 chunks of CHUNK, and at step k chunk c draws from its own SFC64
 generator, seeded with SeedSequence((seed, c, k)): numpy's construction
 of independent streams from one master seed.  So path p's noise is fixed
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +50,7 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 CHUNK = 16384
 
 __all__ = [
-    "epsilon_matrix",
+    "noise_power",
     "NoiseModel",
     "CoefficientSchedule",
     "EnsembleResult",
@@ -59,50 +61,29 @@ __all__ = [
 ]
 
 
-def epsilon_matrix(epsilon) -> np.ndarray:
-    """The noise power as a symmetric PSD 3x3 matrix; a scalar means
-    scalar * identity."""
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim == 0:
-        eps = float(eps) * np.eye(3)
-    eps = eps.reshape(3, 3)
-    if np.max(np.abs(eps - eps.T)) > 0.0:
-        raise ConfigError("epsilon must be symmetric")
-    # a diagonal eps has its diagonal for eigenvalues: no LAPACK call
-    off = np.count_nonzero(eps - np.diag(np.diagonal(eps)))
-    w = np.linalg.eigvalsh(eps) if off else np.diagonal(eps)
-    if w.min() < -1e-13 * max(1.0, abs(w.max())):
-        raise ConfigError(f"epsilon must be positive semidefinite, eigenvalues {w}")
+def noise_power(epsilon) -> float:
+    """The noise power eps as a float: a finite number >= 0."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ConfigError(f"epsilon must be a number, got {epsilon!r}")
+    eps = float(epsilon)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ConfigError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     return eps
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise power matrix eps_ij (PSD) and the master seed."""
+    """Noise power eps (a number >= 0) and the master seed."""
 
-    epsilon: np.ndarray
+    epsilon: float
     seed: int = 0
-    _scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eps = epsilon_matrix(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", noise_power(self.epsilon))
         # the seed is the first of the entropy words (seed, chunk, step) of
         # every noise stream's SeedSequence, which rejects a negative word
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if np.count_nonzero(eps - np.diag(np.diagonal(eps))) == 0:
-            scale = np.diag(np.sqrt(2.0 * np.maximum(np.diagonal(eps), 0.0)))
-        else:
-            w, Q = np.linalg.eigh(2.0 * eps)
-            scale = Q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
-        object.__setattr__(self, "_scale", scale)
-
-    def scale_matrix(self) -> np.ndarray:
-        """S with S S^T = 2*eps; increments are S z sqrt(ds), z = +-1 per
-        axis, so their covariance is 2*eps*ds.  Formed
-        once per model, so the caller must not modify it."""
-        return self._scale
 
 
 @dataclass(frozen=True)
@@ -149,36 +130,18 @@ class CoefficientSchedule:
 
 
 def _increment_scale(noise: NoiseModel, ds: float):
-    """S sqrt(ds) as its diagonal and its off-diagonal entries
-    [(i, j, S_ij sqrt(ds)), ...], or None for a zero eps."""
-    if not np.any(noise.epsilon):
+    """The increments' factor sqrt(2 eps) sqrt(ds), or None for a zero eps."""
+    if noise.epsilon == 0.0:
         return None
-    scale = noise.scale_matrix() * np.sqrt(ds)
-    diagonal = np.diagonal(scale)
-    off = zip(*np.nonzero(scale - np.diag(diagonal)))
-    return diagonal, [(i, j, scale[i, j]) for i, j in off]
-
-
-def _scale_rows(z, diagonal, off) -> np.ndarray:
-    """z (n, 3) -> z S^T sqrt(ds) in place, S sqrt(ds) given by
-    _increment_scale.  Formed term by term, not by a BLAS product, whose
-    last bit can depend on how many rows it multiplies: a row depends
-    only on its own z.  Column by column: a product broadcast over the
-    length-3 axis runs a 3-element inner loop per row."""
-    zj = z.copy() if off else z
-    for i in range(3):
-        z[:, i] *= diagonal[i]
-    for i, j, v in off:
-        z[:, i] += v * zj[:, j]
-    return z
+    return np.sqrt(2.0 * noise.epsilon) * np.sqrt(ds)
 
 
 def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
     """Two-point increments into out ((n, 3), any layout): z_ri = +1 where
     bit 3r + i of the ceil(3n / 64) words rng.bit_generator.random_raw
     draws is set, -1 where it is clear (bit b of word w is bit 64 w + b,
-    least significant first, on any host), then scaled by _scale_rows,
-    so a diagonal eps gives exactly +-S_ii sqrt(ds); zeros, drawing
+    least significant first, on any host), times the factor of
+    _increment_scale, so exactly +-sqrt(2 eps) sqrt(ds); zeros, drawing
     nothing, for a zero eps (scale None)."""
     if scale is None:
         out.fill(0.0)
@@ -190,13 +153,14 @@ def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
     out[...] = bits[:3 * n].reshape(n, 3)
     out *= 2.0
     out -= 1.0
-    return _scale_rows(out, *scale)
+    out *= scale
+    return out
 
 
 def two_point_increments(ds: float, noise: NoiseModel, rng: np.random.Generator,
                          n: int) -> np.ndarray:
-    """A batch (n, 3) of two-point increments S z sqrt(ds), z = +-1 per
-    axis, with covariance 2*eps*ds: the law of the ensemble.
+    """A batch (n, 3) of two-point increments sqrt(2 eps ds) z, z = +-1
+    per axis, with covariance 2*eps*ds per axis: the law of the ensemble.
     Component i of row r has sign bit 3r + i of the raw words that
     rng's bit generator draws, least significant bit first."""
     if not ds > 0.0:

@@ -23,7 +23,6 @@ from tribody import (
     MomentumGrid,
     MorsePotential,
     NoiseModel,
-    chaos_report,
     classify_channel,
     conservation_report,
     density_from_ensemble,

@@ -216,26 +216,30 @@ class TestParseConfig:
             parse_config(doc)
         assert run("simulate", write_config(tmp_path, doc), tmp_path / "out") == 2
 
-    @pytest.mark.parametrize("key, value, extra", [
-        ("epsilon", [[0.01, 0.02, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]], ()),
-        ("epsilon", -0.01, ()),
-        ("epsilon", [[0.01, 0.05, 0.0], [0.05, 0.01, 0.0], [0.0, 0.0, 0.01]], ()),
-        ("seed", -1, ()),
-        ("seed", 2**64, ()),
-        ("seed", 11, ("--seed", "-3")),
-    ], ids=["asymmetric_epsilon", "negative_epsilon", "indefinite_epsilon", "negative_seed",
-            "seed_2_pow_64", "negative_seed_flag"])
-    def test_invalid_noise_or_seed_is_2(self, tmp_path, key, value, extra):
-        # the ensemble and fpe stages would reject these; simulate must too,
-        # before it writes a manifest
+    @pytest.mark.parametrize("key, value, extra, named", [
+        ("epsilon", [[0.01, 0.02, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]], (), "noise.epsilon"),
+        ("epsilon", -0.01, (), "epsilon"),
+        ("epsilon", [[0.01, 0.05, 0.0], [0.05, 0.01, 0.0], [0.0, 0.0, 0.01]], (), "noise.epsilon"),
+        # the noise power is one number, so not even a diagonal matrix
+        ("epsilon", [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]], (), "noise.epsilon"),
+        ("seed", -1, (), "seed"),
+        ("seed", 2**64, (), "seed"),
+        ("seed", 11, ("--seed", "-3"), "seed"),
+    ], ids=["asymmetric_epsilon", "negative_epsilon", "indefinite_epsilon", "diagonal_epsilon",
+            "negative_seed", "seed_2_pow_64", "negative_seed_flag"])
+    def test_invalid_noise_or_seed_is_2(self, tmp_path, capsys, key, value, extra, named):
+        # the ensemble and fpe stages would reject these; every other stage
+        # must too, before it writes a manifest
         doc = base_config()
         if key == "epsilon":
             doc["noise"]["epsilon"] = value
         else:
             doc["seed"] = value
         out = tmp_path / "out"
-        assert run("simulate", write_config(tmp_path, doc), out, *extra) == 2
-        assert not (out / "manifest_simulate.json").exists()
+        for stage in cli.STAGES:
+            assert run(stage, write_config(tmp_path, doc), out, *extra) == 2
+            assert named in capsys.readouterr().err
+            assert not (out / f"manifest_{stage}.json").exists()
 
     def test_defaults_when_sections_absent(self):
         doc = base_config()

@@ -89,24 +89,12 @@ class TestMomentumGrid:
 
 
 class TestFpeConfig:
-    def test_scalar_epsilon_promoted(self):
-        cfg = FpeConfig(epsilon=0.25, schedule=CoefficientSchedule.constant([0, 0, 0], 0.0))
-        assert np.allclose(cfg.epsilon, 0.25 * np.eye(3))
-
     def test_sign_modes(self):
         sched = CoefficientSchedule.constant([0, 0, 0], 0.0)
         assert FpeConfig(epsilon=0.1, schedule=sched).drift_sign == -1.0
         assert FpeConfig(epsilon=0.1, schedule=sched, sign_mode="verbatim").drift_sign == 1.0
         with pytest.raises(ConfigError):
             FpeConfig(epsilon=0.1, schedule=sched, sign_mode="upwind")
-
-    def test_epsilon_must_be_psd(self):
-        sched = CoefficientSchedule.constant([0, 0, 0], 0.0)
-        asymmetric = np.eye(3)
-        asymmetric[0, 1] = 0.1
-        for bad in (np.diag([1.0, 1.0, -0.5]), asymmetric):
-            with pytest.raises(ConfigError):
-                FpeConfig(epsilon=bad, schedule=sched)
 
     def test_quantum_epsilon(self):
         assert np.isclose(quantum_epsilon(0.1, 4.0), 0.5 * 0.1 * 2.0)
@@ -187,7 +175,7 @@ class TestFpeRhs:
         from tribody.langevin import diffusion
 
         coeffs = (np.array([0.06, -0.04, 0.05]), 0.25)
-        eps = np.array([[0.02, 0.005, 0.0], [0.005, 0.015, 0.002], [0.0, 0.002, 0.01]])
+        eps = 0.015
         grid = gaussian_grid([-0.7] * 3, [0.7] * 3, (14, 14, 14), [0.0] * 3, 0.18)
         sched = CoefficientSchedule.constant(coeffs[0], coeffs[1])
         cfg = FpeConfig(epsilon=eps, schedule=sched, multiplicative=True)
@@ -213,7 +201,7 @@ class TestFpeRhs:
         for j in range(3):
             for k in range(3):
                 F[..., j] += d(B[..., k, j] * P, k)
-        G = np.einsum("ij,...j->...i", eps, F)
+        G = eps * F
         for l in range(3):
             flux = np.zeros_like(P)
             for i in range(3):
@@ -259,7 +247,7 @@ def tensor_rhs(grid, coeffs, cfg):
         for j in range(3):
             _add_divergence(F[..., j], _faces(B[..., k, j] * (P * (0.5 / h[k])), k), k)
     rhs = sum(F[..., k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
-    BG = np.einsum("...il,...i->...l", B, F @ cfg.epsilon) * (0.5 / h)
+    BG = np.einsum("...il,...i->...l", B, F * cfg.epsilon) * (0.5 / h)
     pin_boundary(BG)
     for l in range(3):
         _add_divergence(rhs, _faces(BG[..., l], l), l)
@@ -296,14 +284,6 @@ class TestCouplingComponents:
         grid, cfg = self.grid(), self.cfg(0.013)
         assert np.array_equal(fpe_rhs(grid, self.COEFFS, cfg), tensor_rhs(grid, self.COEFFS, cfg))
 
-    def test_full_epsilon_matches_tensor_oracle(self):
-        # G = eps F is summed term by term, the oracle's matrix product in
-        # BLAS order: the two may differ in the last bits
-        eps = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
-        grid, cfg = self.grid(), self.cfg(eps)
-        rhs, ref = fpe_rhs(grid, self.COEFFS, cfg), tensor_rhs(grid, self.COEFFS, cfg)
-        assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
-
     @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
     def test_drift_term_is_a_dot_F(self, sign_mode):
         # eps = 0 leaves the drift term alone: sign * sum_k a_k F_k must be
@@ -319,13 +299,13 @@ class TestCouplingComponents:
 
     @pytest.mark.parametrize("lam_sq", [0.0, 0.3])
     def test_step_bound_is_a_gershgorin_bound_of_the_operator(self, lam_sq):
-        # the pinned diffusion operator (a = 0, so the drift term is zero),
-        # with a full eps on a box where |B| varies: R is at least its
+        # the pinned diffusion operator (a = 0, so the drift term is zero)
+        # on a box where |B| varies: R is at least its
         # largest absolute row sum and its spectral radius, and equals that
         # row sum at Lambda^2 = 0
         from tribody.fokker_planck import SAFETY, _field, _quadratic, _row_sums, _stable_ds
 
-        eps = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
+        eps = 0.015
         grid = MomentumGrid([0.4, -0.3, 0.2], [2.0, 1.1, 1.9], (10, 10, 10))
         coeffs = (np.zeros(3), lam_sq)
         cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*coeffs),
@@ -359,8 +339,8 @@ def mesh_rhs(grid, coeffs, cfg):
     """The right-hand side transcribed on the (n1, n2, n3, 3) mesh, every
     sum in the solver's order.  Additive noise: the 7-point stencil, with
     weights W_i = alpha_i + sign A_i / (2 h_i) from `drift(grid.mesh(),
-    ...)`, neighbours from zero-padded arrays, and the off-diagonal eps
-    terms last.  Every central difference is the divergence of face
+    ...)`, neighbours from zero-padded arrays.  Every central difference
+    is the divergence of face
     averages, each cell getting the flux on its upper face, then losing the
     flux on its lower face, on the n + 1 faces of zero-padded arrays.
     Multiplicative noise: drift as sign * sum_k a_k F_k, coupling from
@@ -371,18 +351,13 @@ def mesh_rhs(grid, coeffs, cfg):
 
     if not cfg.multiplicative:
         A = drift(mesh, coeffs)
-        alpha = [eps[i, i] / (h[i] * h[i]) for i in range(3)]
+        alpha = [eps / (h[i] * h[i]) for i in range(3)]
         rhs = P * (-2.0 * (alpha[0] + alpha[1] + alpha[2]))
         for i in range(3):
             t = P * (A[..., i] * (cfg.drift_sign / (2.0 * h[i])) + alpha[i])
             u = P * (2.0 * alpha[i]) - t
             rhs += _neighbour(t, i, 1)
             rhs += _neighbour(u, i, -1)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if eps[i, j] != 0.0:
-                d_j = np.zeros_like(P)
-                _add_divergence(d_j, _faces(P * (eps[i, j] / (2.0 * h[i] * h[j])), j), j)
-                _add_divergence(rhs, _faces(d_j, i), i)
         return rhs
     B = diffusion(mesh, coeffs[1])
     F = [np.zeros_like(P) for _ in range(3)]
@@ -390,7 +365,7 @@ def mesh_rhs(grid, coeffs, cfg):
         for j in range(3):
             _add_divergence(F[j], _faces(B[..., k, j] * (P * (0.5 / h[k])), k), k)
     rhs = sum(F[k] * (cfg.drift_sign * coeffs[0][k]) for k in range(3))
-    G = [sum(eps[i, j] * F[j] for j in range(3)) for i in range(3)]
+    G = [F[i] * eps for i in range(3)]
     for l in range(3):
         flux = sum(B[..., i, l] * G[i] for i in range(3)) * (0.5 / h[l])
         pin_boundary(flux)
@@ -400,8 +375,8 @@ def mesh_rhs(grid, coeffs, cfg):
 
 def composed_rhs(grid, coeffs, cfg):
     """The additive right-hand side composed term by term on the mesh:
-    sign * sum_i d_i(A_i P) + sum_i eps_ii d2_i P + sum_{i<j} 2 eps_ij d_i
-    d_j P, with central and compact differences on zero-padded arrays.  An
+    sign * sum_i d_i(A_i P) + eps sum_i d2_i P, with central and compact
+    differences on zero-padded arrays.  An
     oracle independent of the stencil's weights; it equals the stencil up
     to the order of floating-point operations."""
     mesh, P, h, eps = grid.mesh(), grid.P, grid.h, cfg.epsilon
@@ -414,9 +389,7 @@ def composed_rhs(grid, coeffs, cfg):
     for i in range(3):
         rhs += cfg.drift_sign * _mesh_d(A[..., i] * P, i, h)
     for i in range(3):
-        rhs += eps[i, i] * d2(P, i)
-        for j in range(i + 1, 3):
-            rhs += 2.0 * eps[i, j] * _mesh_d(_mesh_d(P, j, h), i, h)
+        rhs += eps * d2(P, i)
     return rhs
 
 
@@ -425,7 +398,6 @@ class TestComponentMajor:
     and right-hand side are those of the mesh form, bit for bit."""
 
     COEFFS = (np.array([0.06, -0.04, 0.05]), 0.25)
-    FULL = np.array([[0.02, 0.005, 0.003], [0.005, 0.015, 0.002], [0.003, 0.002, 0.01]])
 
     def grid(self):
         return gaussian_grid([-0.7, -0.9, -0.6], [0.8, 0.7, 0.9], (10, 8, 20),
@@ -456,7 +428,7 @@ class TestComponentMajor:
             assert W.shape == (3, 10, 8, 20) and W.flags.c_contiguous
             A, h = drift(grid.mesh(), self.COEFFS), grid.h
             for i in range(3):
-                alpha = cfg.epsilon[i, i] / (h[i] * h[i])
+                alpha = cfg.epsilon / (h[i] * h[i])
                 assert np.array_equal(W[i], A[..., i] * (cfg.drift_sign / (2.0 * h[i])) + alpha)
             assert amax == np.max(np.abs(A))
             return
@@ -466,12 +438,11 @@ class TestComponentMajor:
                 assert np.array_equal(field[k][j], ref[..., k, j])
 
     @pytest.mark.parametrize("multiplicative", [False, True])
-    @pytest.mark.parametrize("epsilon", ["scalar", "full"])
+    @pytest.mark.parametrize("eps", [0.013, 0.0], ids=["noise", "zero"])
     @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
-    def test_rhs_matches_mesh_form(self, multiplicative, epsilon, sign_mode):
+    def test_rhs_matches_mesh_form(self, multiplicative, eps, sign_mode):
         # for additive noise also the composed form, up to the order of
         # floating-point operations
-        eps = 0.013 if epsilon == "scalar" else self.FULL
         grid = self.grid()
         cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*self.COEFFS),
                         sign_mode=sign_mode, multiplicative=multiplicative)
@@ -490,13 +461,13 @@ class TestStencil:
     COEFFS = (np.array([0.3, -0.2, 0.25]), 0.4)
 
     @pytest.mark.parametrize("sign_mode", ["conventional", "verbatim"])
-    def test_non_cubic_grid_with_full_eps(self, sign_mode):
+    def test_non_cubic_grid(self, sign_mode):
         # a density that is nonzero on every face, so each wrapped shift
         # meets a live neighbour; the drift sets some weights below zero
         grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 13, 11))
         grid.P = philox(11).random(grid.shape)
-        cfg = FpeConfig(epsilon=TestComponentMajor.FULL,
-                        schedule=CoefficientSchedule.constant(*self.COEFFS), sign_mode=sign_mode)
+        cfg = FpeConfig(epsilon=0.013, schedule=CoefficientSchedule.constant(*self.COEFFS),
+                        sign_mode=sign_mode)
         from tribody.fokker_planck import _field
 
         W, _ = _field(grid.mesh(axis=0), grid.h, self.COEFFS, cfg)
@@ -515,10 +486,9 @@ class TestStencil:
         from tribody.fokker_planck import _field
 
         grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 10, 11))
-        cfg = FpeConfig(epsilon=np.diag([0.02, 0.01, 0.015]),
-                        schedule=CoefficientSchedule.constant(*self.COEFFS))
+        cfg = FpeConfig(epsilon=0.015, schedule=CoefficientSchedule.constant(*self.COEFFS))
         W, _ = _field(grid.mesh(axis=0), grid.h, self.COEFFS, cfg)
-        alpha = [cfg.epsilon[i, i] / (grid.h[i] * grid.h[i]) for i in range(3)]
+        alpha = [cfg.epsilon / (grid.h[i] * grid.h[i]) for i in range(3)]
         for face in (0, grid.shape[axis] - 1):
             x = [4, 5, 6]
             x[axis] = face
@@ -571,27 +541,6 @@ class TestStencil:
             assert s_a == s_b
             assert np.max(np.abs(a.P - b.P)) <= 1e-14 * np.max(b.P)
 
-    def test_additive_step_stays_stable_with_a_full_eps(self):
-        # the pinned additive diffusion operator with large off-diagonal
-        # eps: R = 4 tr(eps) / min(h)^2 bounds neither its row sums nor its
-        # spectral radius, so only SAFETY keeps the step inside midpoint
-        # RK2's real-axis limit ds rho <= 2
-        from tribody.fokker_planck import SAFETY, _field, _stable_ds
-
-        eps = np.full((3, 3), 0.008)
-        np.fill_diagonal(eps, 0.01)
-        grid = MomentumGrid([-1.0] * 3, [1.0] * 3, (10, 10, 10))
-        coeffs = (np.zeros(3), 0.0)
-        cfg = FpeConfig(epsilon=eps, schedule=CoefficientSchedule.constant(*coeffs))
-        row_sum, radius = row_sum_and_radius(grid, coeffs, cfg)
-        R = 4.0 * np.trace(eps) / np.min(grid.h) ** 2
-        assert row_sum > radius > R
-        field = _field(grid.mesh(axis=0), grid.h, coeffs, cfg)
-        ds, term = _stable_ds(grid, cfg, coeffs, field, None)
-        assert (ds, term) == (SAFETY * 2.0 / R, "diffusion")
-        assert ds * radius <= 2.0
-
-
 def net_outer_flux(grid, coeffs, cfg):
     """The grid sum that the operator's zero-ghost differences leave: the
     flux through the outer faces, upper minus lower, from the mesh form.
@@ -612,11 +561,9 @@ def net_outer_flux(grid, coeffs, cfg):
     A = drift(mesh, coeffs)
     total = 0.0
     for i in range(3):
-        alpha = eps[i, i] / (h[i] * h[i])
+        alpha = eps / (h[i] * h[i])
         t = P * (A[..., i] * (cfg.drift_sign / (2.0 * h[i])) + alpha)
         total += _along(t - P * (2.0 * alpha), i, -1).sum() - _along(t, i, 0).sum()
-        for j in range(i + 1, 3):
-            total += 2.0 * eps[i, j] * across(_mesh_d(P, j, h), i)
     return total
 
 
@@ -627,8 +574,8 @@ class TestConservation:
 
     @staticmethod
     def rhs_and_outer_faces(monkeypatch, grid, multiplicative):
-        """fpe_rhs with a full eps, and a copy of the flux on the outer faces
-        of every central difference, t of the first and of the last cells."""
+        """fpe_rhs, and a copy of the flux on the outer faces of every
+        central difference, t of the first and of the last cells."""
         import tribody.fokker_planck as fp
 
         faces, central = [], fp._central
@@ -639,8 +586,8 @@ class TestConservation:
 
         monkeypatch.setattr(fp, "_central", recorded)
         coeffs = TestStencil.COEFFS
-        cfg = FpeConfig(epsilon=TestComponentMajor.FULL, schedule=CoefficientSchedule.constant(
-            *coeffs), multiplicative=multiplicative)
+        cfg = FpeConfig(epsilon=0.013, schedule=CoefficientSchedule.constant(*coeffs),
+                        multiplicative=multiplicative)
         return fpe_rhs(grid, coeffs, cfg), faces, net_outer_flux(grid, coeffs, cfg)
 
     @pytest.mark.parametrize("multiplicative", [False, True])
@@ -648,7 +595,9 @@ class TestConservation:
         grid = MomentumGrid([-0.9, -0.6, -1.1], [1.0, 0.8, 0.7], (9, 13, 11))
         grid.P = philox(23).random(grid.shape)
         rhs, faces, net = self.rhs_and_outer_faces(monkeypatch, grid, multiplicative)
-        assert any(np.any(face != 0.0) for face in faces)
+        # the additive stencil takes no central difference (net holds its
+        # outer faces' t and -u)
+        assert any(np.any(face != 0.0) for face in faces) == multiplicative
         total = float(np.sum(rhs))
         assert abs(net) > 1.0
         assert abs(total - net) <= 1e-15 * float(np.sum(np.abs(rhs)))
@@ -660,10 +609,10 @@ class TestConservation:
         grid.P = philox(23).random(grid.shape)
         pin_boundary(grid.P)
         rhs, faces, net = self.rhs_and_outer_faces(monkeypatch, grid, multiplicative)
-        # additive: 2 differences per cross term (the stencil's outer faces
-        # carry t and -u of the pinned cells: net); multiplicative: 9
-        # differences for F and 3 of the flux B G
-        assert len(faces) == 2 * (12 if multiplicative else 6)
+        # additive: no central difference (the stencil's outer faces carry
+        # t and -u of the pinned cells: net); multiplicative: 9 differences
+        # for F and 3 of the flux B G
+        assert len(faces) == (2 * 12 if multiplicative else 0)
         for face in faces:
             assert np.all(face == 0.0)
         assert net == 0.0
@@ -687,7 +636,7 @@ def changing_schedule():
     return CoefficientSchedule(s, a, 0.2 + 0.5 * s)
 
 
-FULL_EPS = np.array([[0.01, 0.002, 0.001], [0.002, 0.012, 0.0015], [0.001, 0.0015, 0.009]])
+SLAB_EPS = 0.012
 # (multiplicative, sign_mode, changing schedule) of TestSlabs' solves
 SLAB_MODES = {
     "additive-constant": (False, "conventional", False),
@@ -713,15 +662,15 @@ class TestSlabs:
               span=(0.0, 0.008), snapshot_s=(0.0017,)):
         sched = changing_schedule() if changing else CoefficientSchedule.constant(
             [0.3, -0.2, 0.1], 0.2, (0.0, 0.1))
-        cfg = FpeConfig(epsilon=FULL_EPS, schedule=sched, sign_mode=sign_mode,
+        cfg = FpeConfig(epsilon=SLAB_EPS, schedule=sched, sign_mode=sign_mode,
                         multiplicative=multiplicative)
         return fpe_evolve(grid, span, cfg, snapshot_s=snapshot_s)
 
     # a slab is cut into blocks of rows, each read with one row more on
-    # each side for additive noise and two for multiplicative noise:
-    # FULL_EPS's cross differences and both signs in both modes on blocks
-    # of the default budget's 54 rows, of 4 rows (a budget that is not a
-    # whole number of rows) and of one row, in 1, 2 and 3 slabs
+    # each side for additive noise and two for multiplicative noise: both
+    # signs in both modes on blocks of the default budget's 54 rows, of 4
+    # rows (a budget that is not a whole number of rows) and of one row, in
+    # 1, 2 and 3 slabs
     @pytest.mark.parametrize("multiplicative, sign_mode, changing, budget, slabs", [
         *(pytest.param(*SLAB_MODES[mode], None, slabs, id=f"{mode}-{slabs}")
           for mode in SLAB_MODES for slabs in (2, 3)),
@@ -749,7 +698,7 @@ class TestSlabs:
             monkeypatch.setattr(fp, "BLOCK_CELLS", cells)
             assert len(fp._slab_bounds(grid)) - 1 == cpus
             runs.append(self.solve(grid, multiplicative, sign_mode, changing, span))
-        cfg = FpeConfig(epsilon=FULL_EPS, schedule=changing_schedule(),
+        cfg = FpeConfig(epsilon=SLAB_EPS, schedule=changing_schedule(),
                         multiplicative=multiplicative)
         assert fp._blocking(grid.shape, cfg) == (
             {None: 54, 2999: 4, 1: 1}[budget], 2 if multiplicative else 1)
@@ -1030,14 +979,12 @@ class TestFpeEvolve:
         assert -A.min() > A.max()
         h = float(np.min(grid.h))
         sched = CoefficientSchedule.constant(*coeffs)
-        shape = np.diag([0.5, 0.3, 0.2])
         if not multiplicative:
             drift_bound = h / float(np.max(np.abs(A)))
-            tr_eps = h * h / (2.0 * ratio * drift_bound)
-            cfg = FpeConfig(epsilon=shape * tr_eps, schedule=sched)
-            diffusive, sums = h * h / (2.0 * float(np.trace(cfg.epsilon))), None
+            cfg = FpeConfig(epsilon=h * h / (6.0 * ratio * drift_bound), schedule=sched)
+            diffusive, sums = h * h / (6.0 * cfg.epsilon), None
         else:
-            cfg = FpeConfig(epsilon=shape, schedule=sched, multiplicative=True)
+            cfg = FpeConfig(epsilon=1.0, schedule=sched, multiplicative=True)
             B, a = _field(grid.mesh(axis=0), grid.h, coeffs, cfg), coeffs[0]
             amax = max(float(np.max(np.abs(B[i][0] * a[0] + B[i][1] * a[1] + B[i][2] * a[2])))
                        for i in range(3))
@@ -1047,7 +994,7 @@ class TestFpeEvolve:
             quad, lam_sq = _quadratic(grid.mesh(axis=0)), coeffs[1]
             r0, r1, r2 = _row_sums(quad, grid.h, cfg.epsilon)
             R = r0 + lam_sq * r1 + lam_sq * lam_sq * r2
-            cfg = FpeConfig(epsilon=shape * (2.0 / (R * ratio * drift_bound)), schedule=sched,
+            cfg = FpeConfig(epsilon=2.0 / (R * ratio * drift_bound), schedule=sched,
                             multiplicative=True)
             sums = _row_sums(quad, grid.h, cfg.epsilon)
             diffusive = 2.0 / (sums[0] + lam_sq * sums[1] + lam_sq * lam_sq * sums[2])
@@ -1253,7 +1200,7 @@ class TestFpeEvolve:
         use_cpus(1)
         monkeypatch.setattr(fp, "BLOCK_CELLS", 4 * 20 * 20)
         grid = gaussian_grid([-1] * 3, [1] * 3, (40, 20, 20), [0] * 3, 0.2)
-        cfg = FpeConfig(epsilon=FULL_EPS, schedule=changing_schedule())
+        cfg = FpeConfig(epsilon=SLAB_EPS, schedule=changing_schedule())
         shapes, mesh = [], MomentumGrid.mesh
 
         def recorded(self, *args, **kwargs):

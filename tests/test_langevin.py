@@ -16,6 +16,7 @@ from tribody import (
     ConfigError,
     DomainError,
     EnergySurface,
+    FpeConfig,
     GeodesicState,
     Masses,
     MorsePotential,
@@ -28,7 +29,7 @@ from tribody import (
     two_point_increments,
 )
 from tribody import langevin
-from tribody.langevin import CHUNK, _increment_scale, _scale_rows, _step, _step_plan
+from tribody.langevin import CHUNK, _increment_scale, _step, _step_plan
 
 
 def philox(seed=0):
@@ -53,22 +54,19 @@ def white_noise_increments(ds, nm, rng, n, out=None):
         out.fill(0.0)
         return out
     rng.standard_normal(out=out)
-    return _scale_rows(out, *scale)
+    out *= scale
+    return out
 
 
 def two_point_stream(nm, ds, seed, chunk=0, step=0, rows=1):
     """The ensemble's increments for one chunk of rows paths at
-    one step of ds: S z sqrt(ds), where z of path r on axis i is +1 if bit
-    3r + i of the chunk-step stream's raw 64-bit words is set, else -1,
-    bits counted from the least significant of the first word."""
+    one step of ds: sqrt(2 eps) sqrt(ds) z, where z of path r on axis i is
+    +1 if bit 3r + i of the chunk-step stream's raw 64-bit words is set,
+    else -1, bits counted from the least significant of the first word."""
     bits = np.random.SFC64(np.random.SeedSequence((seed, chunk, step))).random_raw(
         -(-3 * rows // 64))[:, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)
     z = np.where(bits.ravel()[:3 * rows] == 1, 1.0, -1.0).reshape(rows, 3)
-    scale = nm.scale_matrix() * np.sqrt(ds)
-    dW = z * np.diagonal(scale)
-    for i, j in zip(*np.nonzero(scale - np.diag(np.diagonal(scale)))):
-        dW[:, i] += scale[i, j] * z[:, j]
-    return dW
+    return z * (np.sqrt(2.0 * nm.epsilon) * np.sqrt(ds))
 
 
 def stepped(xi, ds, mode, coeffs, dW):
@@ -92,37 +90,35 @@ def matrix_form_heun(xi, ds, coeffs, dW):
 
 
 class TestNoiseModel:
-    def test_scalar_expands_to_diagonal(self):
-        nm = NoiseModel(epsilon=0.5)
-        assert np.allclose(nm.epsilon, 0.5 * np.eye(3))
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ConfigError):
-            NoiseModel(epsilon=np.diag([1.0, -1.0, 1.0]))
-
-    def test_diagonal_epsilon_is_checked_on_its_diagonal(self, monkeypatch):
-        # a diagonal eps has its diagonal for eigenvalues: LAPACK is called
-        # only for an eps with off-diagonal entries
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        NoiseModel(epsilon=0.5)
-        NoiseModel(epsilon=np.diag([0.1, 0.0, 0.2]))
-        with pytest.raises(ConfigError, match="semidefinite"):
-            NoiseModel(epsilon=np.diag([0.1, -1e-3, 0.2]))
-        assert calls == []
-        # positive diagonal, eigenvalues 0.1 - 0.2 < 0 and 0.1 + 0.2
-        with pytest.raises(ConfigError, match="semidefinite"):
-            NoiseModel(epsilon=[[0.1, 0.2, 0.0], [0.2, 0.1, 0.0], [0.0, 0.0, 0.1]])
-        assert len(calls) == 1
-        NoiseModel(epsilon=[[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
-        assert len(calls) == 2
-
-    def test_asymmetric_rejected(self):
-        eps = np.eye(3)
-        eps[0, 1] = 0.1
-        with pytest.raises(ConfigError):
-            NoiseModel(epsilon=eps)
+    @pytest.mark.parametrize("epsilon, accepted", [
+        (0, 0.0),
+        (2, 2.0),
+        (0.01, 0.01),
+        ([0.01, 0.01, 0.01], None),
+        (np.array(0.01), None),
+        (np.diag([0.01, 0.01, 0.01]), None),
+        (True, None),
+        (float("nan"), None),
+        (float("inf"), None),
+        (float("-inf"), None),
+        (-0.01, None),
+    ], ids=["zero", "int", "float", "list", "array", "diagonal-3x3", "bool", "nan", "inf",
+            "-inf", "negative"])
+    @pytest.mark.parametrize("model", ["NoiseModel", "FpeConfig"])
+    def test_noise_power_is_one_finite_number_at_least_zero(self, model, epsilon, accepted):
+        # both solvers take the noise power as one number: a float, an int
+        # or 0 is kept as a float, anything else is a config error
+        def make():
+            if model == "NoiseModel":
+                return NoiseModel(epsilon=epsilon)
+            sched = CoefficientSchedule.constant(np.zeros(3), 0.0)
+            return FpeConfig(epsilon=epsilon, schedule=sched)
+        if accepted is None:
+            with pytest.raises(ConfigError, match="epsilon"):
+                make()
+        else:
+            eps = make().epsilon
+            assert type(eps) is float and eps == accepted
 
     def test_seed_must_fit_one_key_word(self):
         # the seed is one word of the SeedSequence entropy (seed, chunk,
@@ -146,13 +142,6 @@ class TestWhiteNoise:
         assert np.all(np.abs(var - 0.01) < 0.0001)
         assert np.all(np.abs(draws.mean(axis=0)) < 5e-4)
 
-    def test_full_matrix_covariance(self):
-        eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
-        nm = NoiseModel(epsilon=eps)
-        draws = white_noise_increments(0.05, nm, philox(3), n=500_000)
-        cov = np.cov(draws.T)
-        assert np.allclose(cov, 2 * eps * 0.05, rtol=0.02, atol=2e-4)
-
     def test_seed_determinism(self):
         nm = NoiseModel(epsilon=1.0, seed=42)
         a = white_noise_increments(0.1, nm, philox(42), n=100)
@@ -163,55 +152,38 @@ class TestWhiteNoise:
         with pytest.raises(DomainError):
             white_noise_increments(0.0, NoiseModel(epsilon=1.0), philox(), n=1)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.5, [[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]]])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_draw_into_out_is_the_same_draw(self, eps):
         nm = NoiseModel(epsilon=eps, seed=6)
         out = np.full((7, 3), np.nan)
         assert white_noise_increments(0.02, nm, philox(6), n=7, out=out) is out
         assert np.array_equal(out, white_noise_increments(0.02, nm, philox(6), n=7))
-        # the scale matrix is formed once per model
-        assert nm.scale_matrix() is nm.scale_matrix()
-
-    @pytest.mark.parametrize("eps", [[0.5, 0.02, 0.3], [[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]]])
-    def test_columnwise_scaling_is_the_broadcast_product(self, eps):
-        # a non-uniform diagonal and a full eps: scaling column by column
-        # gives the broadcast product's bits
-        nm = NoiseModel(epsilon=np.diag(eps) if np.ndim(eps) == 1 else eps, seed=2)
-        ds, n = 0.013, 1000
-        z = philox(9).standard_normal((n, 3))
-        scale = nm.scale_matrix() * np.sqrt(ds)
-        diagonal = np.diagonal(scale)
-        ref = z * diagonal
-        for i, j in zip(*np.nonzero(scale - np.diag(diagonal))):
-            ref[:, i] += scale[i, j] * z[:, j]
-        assert np.array_equal(white_noise_increments(ds, nm, philox(9), n=n), ref)
 
 
 class TestTwoPoint:
-    EPS = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
+    EPS = 0.4
 
-    @pytest.mark.parametrize("eps", [0.5, [0.5, 0.02, 0.3], EPS])
+    @pytest.mark.parametrize("eps", [0.5, 0.02])
     def test_increments_are_the_signed_raw_bits(self, eps):
         # 37 rows take 111 bits, two words; the second is drawn whole
-        nm = NoiseModel(epsilon=np.diag(eps) if np.ndim(eps) == 1 else eps, seed=5)
+        nm = NoiseModel(epsilon=eps, seed=5)
         draws = two_point_increments(0.02, nm, chunk_stream(5, 3, 4), n=37)
         assert np.array_equal(draws, two_point_stream(nm, 0.02, 5, 3, 4, rows=37))
-        if np.ndim(eps) < 2:
-            # a diagonal eps: exactly +-sqrt(2 eps_ii ds)
-            c = np.sqrt(2.0 * np.diagonal(nm.epsilon) * 0.02)
-            assert np.all((draws == c) | (draws == -c))
+        # exactly +-sqrt(2 eps ds)
+        c = np.sqrt(2.0 * eps * 0.02)
+        assert np.all((draws == c) | (draws == -c))
 
     def test_short_draw_is_the_start_of_a_long_one(self):
         nm = NoiseModel(epsilon=self.EPS)
         short = two_point_increments(0.01, nm, chunk_stream(1), n=5)
         assert np.array_equal(short, two_point_increments(0.01, nm, chunk_stream(1), n=1000)[:5])
 
-    def test_full_matrix_covariance_and_moments(self):
-        # mean 0, covariance 2 eps ds, third moments 0: the moments that
+    def test_covariance_and_moments(self):
+        # mean 0, covariance 2 eps ds I, third moments 0: the moments that
         # give the simplified weak Euler scheme weak order 1
         n, ds = 500_000, 0.05
         draws = two_point_increments(ds, NoiseModel(epsilon=self.EPS), philox(3), n=n)
-        expect = 2 * self.EPS * ds
+        expect = 2 * self.EPS * ds * np.eye(3)
         se = np.sqrt((np.outer(np.diagonal(expect), np.diagonal(expect)) + expect**2) / n)
         assert np.all(np.abs(np.cov(draws.T) - expect) < 5 * se)
         sd = np.sqrt(np.diagonal(expect))
@@ -327,8 +299,8 @@ class TestSdeStep:
         n_ref = int(round(span / ds_ref))
         n_paths = 400
         rng = philox(99)
-        scale = nm.scale_matrix()
-        dW_fine = rng.standard_normal((n_paths, n_ref, 3)) @ scale.T * np.sqrt(ds_ref)
+        dW_fine = rng.standard_normal((n_paths, n_ref, 3)) * np.sqrt(2.0 * nm.epsilon) \
+            * np.sqrt(ds_ref)
 
         def heun_run(dW, ds):
             xi = np.tile([0.3, 0.2, -0.1], (n_paths, 1))
@@ -475,7 +447,7 @@ class TestRunEnsemble:
         # coefficients are those schedule.at gives there, bit for bit, and
         # its scale that of _increment_scale for its length
         _, sched = morse_schedule()
-        nm = NoiseModel(epsilon=np.diag([0.01, 0.02, 0.005]), seed=3)
+        nm = NoiseModel(epsilon=0.01, seed=3)
         plan, times, s_final = _step_plan(sched, nm, *span, ds, snapshot_s)
         assert times == snapshot_s and s_final == span[1]
         starts = [start for start, _, _, _, _ in plan]
@@ -486,8 +458,7 @@ class TestRunEnsemble:
             a_at, lam_at = sched.at(start)
             assert a.tobytes() == a_at.tobytes()
             assert type(lam_sq) is float and lam_sq.hex() == lam_at.hex()
-            diagonal, off = _increment_scale(nm, h)
-            assert diagonal.tobytes() == scale[0].tobytes() and scale[1] == off == []
+            assert scale == _increment_scale(nm, h) == np.sqrt(0.02) * np.sqrt(h)
 
     def test_snapshots_on_the_grid_leave_every_step_ds(self):
         # 0.35 / 0.002 is 174.99999999999997 in floating point: on the grid
@@ -561,8 +532,7 @@ class TestOneStepKernel:
     def test_one_path_step_is_the_kernel_at_the_step_start(self, mode):
         # a trajectory schedule, so coefficients change within the step
         _, sched = morse_schedule()
-        eps = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
-        nm = NoiseModel(epsilon=eps, seed=31)
+        nm = NoiseModel(epsilon=0.015, seed=31)
         xi0, ds, s0 = np.array([0.1, -0.2, 0.05]), 0.01, float(sched.s[0])
         res = run_ensemble(1, sched, xi0, ds, mode, nm, s_span=(s0, s0 + ds))
         # both modes take two-point increments
@@ -572,8 +542,7 @@ class TestOneStepKernel:
     def test_ensemble_draws_white_noise_increments(self):
         # zero drift from the origin: one step leaves exactly the increment,
         # the additive law's two-point white noise
-        eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
-        nm = NoiseModel(epsilon=eps, seed=8)
+        nm = NoiseModel(epsilon=0.4, seed=8)
         sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.02))
         res = run_ensemble(16, sched, np.zeros(3), 0.01, "additive", nm, s_span=(0.0, 0.01))
         assert np.array_equal(res.xi_final, two_point_stream(nm, 0.01, 8, rows=16))
@@ -597,14 +566,14 @@ class TestOneStepKernel:
 
     def test_streams_of_many_chunks_have_the_noise_covariance(self):
         # zero drift from the origin, one step over six chunks: the rows are
-        # the increments, with covariance 2 eps ds, and the streams of two
+        # the increments, with covariance 2 eps ds I, and the streams of two
         # chunks are uncorrelated
-        eps = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]])
+        eps = 0.4
         nm = NoiseModel(epsilon=eps, seed=19)
         sched = CoefficientSchedule.constant(np.zeros(3), 0.0, (0.0, 0.01))
         n = 6 * CHUNK
         res = run_ensemble(n, sched, np.zeros(3), 0.01, "additive", nm)
-        expect = 2 * eps * 0.01
+        expect = 2 * eps * 0.01 * np.eye(3)
         # five standard errors of each sample covariance entry
         se = np.sqrt((np.outer(np.diagonal(expect), np.diagonal(expect)) + expect**2) / n)
         assert np.all(np.abs(np.cov(res.xi_final.T) - expect) < 5 * se)
@@ -684,7 +653,7 @@ class TestChunkedEnsemble:
     worker processes; the bits are those of one process stepping every
     chunk."""
 
-    EPS = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.002], [0.0, 0.002, 0.015]])
+    EPS = 0.015
     SCHED = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.1))
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])

@@ -8,7 +8,10 @@ Exits with a message naming the first check that fails:
 - the chaos series (tube a) is not taken at the times of the fpe stage's
   densities, fpe_meta.json's snapshot_s;
 - ensemble_snapshots.csv writes a (path_id, s) pair twice;
-- the ensemble's snapshots are not taken at those times.
+- the ensemble's snapshots are not taken at those times;
+- the ensemble's noise power, ensemble_meta.json's epsilon, is not the
+  number that the fpe stage ran with, manifest_fpe.json's
+  derived.epsilon.
 
 With --summary it first appends the fpe solve's step counts (steps,
 cfl_limit, negative_undershoot_steps) to FILE as a markdown section
@@ -55,7 +58,13 @@ def main(argv=None) -> None:
     if times != meta["snapshot_s"]:
         sys.exit(f"ensemble times {times} are not fpe_meta.json's snapshot_s "
                  f"{meta['snapshot_s']}")
-    print(f"{run}: mass balance, chaos and ensemble times, and (path_id, s) pairs check")
+    eps = json.loads((run / "ensemble_meta.json").read_text())["epsilon"]
+    fpe_eps = json.loads((run / "manifest_fpe.json").read_text())["derived"]["epsilon"]
+    if not (isinstance(eps, (int, float)) and eps == fpe_eps):
+        sys.exit(f"ensemble_meta.json's epsilon {eps!r} is not manifest_fpe.json's "
+                 f"derived.epsilon {fpe_eps!r}")
+    print(f"{run}: mass balance, chaos and ensemble times, (path_id, s) pairs and "
+          f"noise power check")
 
 
 if __name__ == "__main__":
