@@ -2,16 +2,17 @@
 
 Each command reads a JSON run config, consumes upstream artifacts from the
 output directory where required, and writes its outputs and a per-stage
-manifest, which lists their checksums once the stage completes.  A stage
-trusts an upstream output only once its manifest is complete and its
-checksum matches.  ensemble and fpe read the starting momentum and the
-coefficient schedule (a, Lambda^2) from trajectory.csv, not the config,
-and share their snapshot times.  chaos compares the fpe stage's densities
-(tube a) with a tube b that it solves along a perturbed trajectory.  chaos
-and channels hold the config keys they share with simulate and fpe to the
-values those stages' manifests recorded.  The chaos verdict's gates and
-the channel window are chaos module constants, not config keys.  Same
-config + seed gives bit-identical outputs.
+manifest, which records the config filled in and, once the stage
+completes, the outputs' checksums.  A stage trusts an upstream output
+only once its manifest is complete and its checksum matches.  ensemble
+and fpe read the starting momentum and the coefficient schedule
+(a, Lambda^2) from trajectory.csv, not the config, and share their
+snapshot times.  chaos compares the fpe stage's densities (tube a) with a
+tube b that it solves along a perturbed trajectory.  chaos and channels
+hold the config keys they share with simulate and fpe to the values
+those stages' manifests recorded.  The chaos verdict's gates and the
+channel window are chaos module constants, not config keys.  Same config
++ seed gives bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
 artifact, 4 numerical failure, 5 I/O error or out of memory.
@@ -20,6 +21,7 @@ artifact, 4 numerical failure, 5 I/O error or out of memory.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -31,15 +33,7 @@ import numpy as np
 
 from . import __version__
 from .chaos import WINDOW_FRAC, chaos_report, classify_channel, kl_divergence
-from .errors import (
-    ConfigError,
-    DependencyError,
-    DomainError,
-    EmptyDensityError,
-    FitError,
-    ForbiddenRegionError,
-    ResolutionError,
-)
+from .errors import ConfigError, DependencyError, DomainError, TribodyError
 from .fokker_planck import (
     FpeConfig,
     MomentumGrid,
@@ -59,7 +53,7 @@ from .geodesic import (
     write_trajectory_csv,
 )
 from .kinematics import Masses, reduced_mass
-from .langevin import CoefficientSchedule, NoiseModel, run_ensemble
+from .langevin import CoefficientSchedule, NoiseModel, noise_power, run_ensemble
 from .metric import EnergySurface
 from .potentials import FreePotential, GravityPotential, MorsePotential
 
@@ -118,6 +112,7 @@ _SCHEMA = {
 _DEFAULTS = {
     "angular_momentum": [0.0, 0.0, 0.0],
     "integrator": {"tol": 1e-9, "s_end": 5.0, "n_samples": 512},
+    "noise": {"epsilon": 0.0},
     "sde": {"mode": "additive", "ds": 0.002, "n_paths": 1000, "snapshots": []},
     "grid": {"min": -1.5, "max": 1.5, "n": 32, "sigma0": 0.1},
     "chaos": {"delta": 1e-3},
@@ -149,20 +144,31 @@ def _typed(doc: dict) -> dict:
 
 
 def parse_config(doc: dict, seed=None) -> dict:
-    """Validate a raw config document; convert its values; fill defaults;
-    reject unknown keys.  seed, when given, overrides the config's seed."""
+    """Validate a raw config document and build the run's config from it:
+    under "settings" the document as plain JSON, its values converted,
+    defaults filled in, the noise power as noise.epsilon in either form
+    and seed, when given, as its seed, which each stage's manifest
+    records; beside it the objects the stages run with."""
     typed = _typed(doc)
     for key in ("masses", "potential", "energy", "u0", "initial"):
         if key not in typed:
             raise ConfigError(f"missing required config key {key!r}")
+    settings = copy.deepcopy(_DEFAULTS)
+    for key, value in typed.items():
+        if key in settings and isinstance(value, dict):
+            settings[key].update(value)
+        else:
+            settings[key] = value
+    if seed is not None:
+        settings["seed"] = seed
 
-    cfg = {}
+    cfg = {"settings": settings}
     try:
-        cfg["masses"] = Masses(**typed["masses"])
+        cfg["masses"] = Masses(**settings["masses"])
     except (DomainError, TypeError) as exc:
         raise ConfigError(f"masses: {exc}")
 
-    pot = dict(typed["potential"])
+    pot = dict(settings["potential"])
     name = pot.pop("name", None)
     try:
         if name == "free":
@@ -176,17 +182,14 @@ def parse_config(doc: dict, seed=None) -> dict:
     except TypeError as exc:
         raise ConfigError(f"potential: {exc}")
 
-    cfg["energy"] = typed["energy"]
-    cfg["u0"] = typed["u0"]
-    if cfg["u0"] <= 0.0:
-        raise ConfigError(f"u0 must be positive, got {cfg['u0']}")
+    if settings["u0"] <= 0.0:
+        raise ConfigError(f"u0 must be positive, got {settings['u0']}")
 
-    J = typed.get("angular_momentum", _DEFAULTS["angular_momentum"])
-    if len(J) != 3:
+    if len(settings["angular_momentum"]) != 3:
         raise ConfigError("angular_momentum must be a 3-vector")
-    cfg["angular_momentum"] = tuple(J)
+    cfg["angular_momentum"] = tuple(settings["angular_momentum"])
 
-    init = typed["initial"]
+    init = settings["initial"]
     if "x" not in init or "xi" not in init:
         raise ConfigError("initial must carry both 'x' and 'xi'")
     cfg["x0"] = np.asarray(init["x"], dtype=float)
@@ -195,9 +198,7 @@ def parse_config(doc: dict, seed=None) -> dict:
         raise ConfigError("initial.x and initial.xi must be 3-vectors")
 
     for key in ("integrator", "sde", "grid", "chaos", "channels"):
-        merged = dict(_DEFAULTS[key])
-        merged.update(typed.get(key, {}))
-        cfg[key] = merged
+        cfg[key] = settings[key]
     if cfg["integrator"]["tol"] <= 0:
         raise ConfigError("integrator.tol must be positive")
     if cfg["integrator"]["s_end"] <= 0:
@@ -223,26 +224,25 @@ def parse_config(doc: dict, seed=None) -> dict:
         raise ConfigError(f"grid: {exc}")
 
     noise = typed.get("noise", {})
-    has_eps = "epsilon" in noise
-    has_q = "hbar_scale" in noise or "omega_sq_mean" in noise
-    if has_eps and has_q:
+    quantum = {"hbar_scale", "omega_sq_mean"} & set(noise)
+    if quantum and "epsilon" in noise:
         raise ConfigError("noise: give either 'epsilon' or (hbar_scale, omega_sq_mean), not both")
-    if has_q:
-        if not ("hbar_scale" in noise and "omega_sq_mean" in noise):
+    if quantum:
+        if len(quantum) < 2:
             raise ConfigError("noise: hbar_scale and omega_sq_mean must come together")
         try:
-            cfg["epsilon"] = quantum_epsilon(noise["hbar_scale"], noise["omega_sq_mean"])
+            settings["noise"] = {"epsilon": quantum_epsilon(**noise)}
         except DomainError as exc:
             raise ConfigError(f"noise: {exc}")
-    else:
-        cfg["epsilon"] = noise.get("epsilon", 0.0)
+    try:
+        noise_power(settings["noise"]["epsilon"])
+    except ConfigError as exc:
+        raise ConfigError(f"noise.epsilon: {exc}")
 
-    cfg["seed"] = typed.get("seed", _DEFAULTS["seed"]) if seed is None else seed
-    # every stage runs NoiseModel's checks of the noise power and the seed
-    cfg["noise"] = NoiseModel(epsilon=cfg["epsilon"], seed=cfg["seed"])
+    # every stage runs NoiseModel's check of the seed, not only those that draw noise
+    cfg["noise"] = NoiseModel(epsilon=settings["noise"]["epsilon"], seed=settings["seed"])
     cfg["mu0"] = reduced_mass(cfg["masses"])
-    cfg["surface"] = EnergySurface(E=cfg["energy"], U0=cfg["u0"], potential=cfg["potential"])
-    cfg["echo"] = doc
+    cfg["surface"] = EnergySurface(settings["energy"], settings["u0"], cfg["potential"])
     return cfg
 
 
@@ -291,12 +291,8 @@ class StageWriter:
         self.header = {
             "artifact_version": __version__,
             "stage": self.stage,
-            "config": self.cfg["echo"],
-            "derived": {
-                "mu0": self.cfg["mu0"],
-                "epsilon": self.cfg["epsilon"],
-                "seed": self.cfg["seed"],
-            },
+            "config": self.cfg["settings"],
+            "derived": {"mu0": self.cfg["mu0"]},
             "status": "running",
             "outputs": {},
         }
@@ -323,35 +319,23 @@ class StageWriter:
 
 
 def _check_ran_under(cfg: dict, stage: str, upstream: dict, keys) -> None:
-    """DependencyError unless each config key in keys (a section, one
-    "section.key", or noise.epsilon, compared as the derived noise power
-    so that either noise form matches) has in cfg the value, defaults
-    filled in, that stage's manifest upstream records in its config echo.
-    The error names the first key that differs."""
+    """DependencyError unless each config key in keys (a section, or one
+    "section.key") has in cfg's settings the value that stage's manifest
+    upstream records in its config.  The error names the first key that
+    differs."""
 
-    def values(config: dict, epsilon) -> dict:
-        typed = _typed(config)
+    def values(config) -> dict:
         found = {}
         for key in keys:
-            if key == "noise.epsilon":
-                found[key] = epsilon
-                continue
             section, _, sub = key.partition(".")
-            default = _DEFAULTS.get(section)
-            value = typed.get(section, default)
-            if isinstance(default, dict):
-                value = {**default, **value}
+            value = config.get(section) if isinstance(config, dict) else None
             if isinstance(value, dict):
                 found.update((f"{section}.{k}", v) for k, v in value.items() if sub in ("", k))
             else:
                 found[key] = value
         return found
 
-    try:
-        recorded = values(upstream["config"], upstream["derived"]["epsilon"])
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise DependencyError(f"manifest_{stage}.json records no config that parses: {exc!r}")
-    given = values(cfg["echo"], cfg["epsilon"])
+    given, recorded = values(cfg["settings"]), values(upstream.get("config"))
     for key in dict.fromkeys([*given, *recorded]):
         if given.get(key) != recorded.get(key):
             raise DependencyError(f"config key {key} is {given.get(key)!r}, but {stage} ran "
@@ -513,7 +497,7 @@ def cmd_ensemble(cfg: dict, writer: StageWriter) -> None:
 
 def _fpe_run(cfg: dict, xi0, schedule: CoefficientSchedule, snapshot_s, s_end: float):
     """Evolve the initial density about xi0 over the schedule to s_end."""
-    fpe_cfg = FpeConfig(epsilon=cfg["epsilon"], schedule=schedule,
+    fpe_cfg = FpeConfig(epsilon=cfg["noise"].epsilon, schedule=schedule,
                         multiplicative=cfg["sde"]["mode"] == "multiplicative")
     return fpe_evolve(_initial_density(cfg, xi0), (schedule.s[0], s_end), fpe_cfg,
                       snapshot_s=snapshot_s)
@@ -620,8 +604,7 @@ def main(argv=None) -> int:
     except DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return 3
-    except (ResolutionError, ForbiddenRegionError, FitError, EmptyDensityError,
-            DomainError) as exc:
+    except TribodyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

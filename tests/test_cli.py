@@ -18,7 +18,7 @@ from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _snapsh
 from tribody.errors import ConfigError
 from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
 from tribody.geodesic import GeodesicState, integrate
-from tribody.langevin import CoefficientSchedule, NoiseModel, run_ensemble
+from tribody.langevin import CoefficientSchedule, run_ensemble
 from tribody.potentials import MorsePotential
 
 REPO = Path(__file__).resolve().parents[1]
@@ -57,8 +57,8 @@ class TestParseConfig:
     def test_valid_config(self):
         cfg = parse_config(base_config())
         assert isinstance(cfg["potential"], MorsePotential)
-        assert cfg["seed"] == 11
-        assert cfg["epsilon"] == 0.01
+        assert cfg["noise"].seed == 11
+        assert cfg["noise"].epsilon == 0.01
         assert cfg["channels"]["r_bound"] == 3.0  # default filled
 
     def test_unknown_top_level_key(self):
@@ -98,7 +98,8 @@ class TestParseConfig:
         doc = base_config()
         doc["noise"] = {"hbar_scale": 0.1, "omega_sq_mean": 4.0}
         cfg = parse_config(doc)
-        assert np.isclose(cfg["epsilon"], 0.5 * 0.1 * 2.0)
+        assert np.isclose(cfg["noise"].epsilon, 0.5 * 0.1 * 2.0)
+        assert cfg["settings"]["noise"] == {"epsilon": cfg["noise"].epsilon}
 
     def test_nonpositive_u0_rejected(self):
         doc = base_config()
@@ -218,7 +219,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value, extra, named", [
         ("epsilon", [[0.01, 0.02, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]], (), "noise.epsilon"),
-        ("epsilon", -0.01, (), "epsilon"),
+        ("epsilon", -0.01, (), "noise.epsilon"),
         ("epsilon", [[0.01, 0.05, 0.0], [0.05, 0.01, 0.0], [0.0, 0.0, 0.01]], (), "noise.epsilon"),
         # the noise power is one number, so not even a diagonal matrix
         ("epsilon", [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]], (), "noise.epsilon"),
@@ -247,8 +248,8 @@ class TestParseConfig:
             doc.pop(key, None)
         cfg = parse_config(doc)
         assert cfg["integrator"]["tol"] == 1e-9
-        assert cfg["epsilon"] == 0.0
-        assert cfg["seed"] == 0
+        assert cfg["noise"].epsilon == 0.0
+        assert cfg["noise"].seed == 0
 
 
 class TestExitCodes:
@@ -462,14 +463,26 @@ class TestExitCodes:
         assert "config key masses.m2 " in capsys.readouterr().err
         assert not (out / "channels.json").exists()
 
-    def test_simulate_manifest_without_its_config_is_3(self, after_fpe):
-        # the config echo is what chaos holds the physics to
+    @pytest.mark.parametrize("stage, key, edit", [
+        ("simulate", "masses.m1", lambda doc: doc.pop("config")),
+        ("simulate", "masses.m1", lambda doc: doc.update(config=list(doc["config"]))),
+        ("fpe", "grid.min", lambda doc: doc["config"].update(grid=24)),
+        ("fpe", "grid.n", lambda doc: doc["config"]["grid"].update(n="24")),
+        ("simulate", "masses.m1", lambda doc: doc["config"].pop("masses")),
+    ], ids=["config-deleted", "config-a-list", "grid-a-number", "grid.n-a-string",
+            "masses-deleted"])
+    def test_tampered_upstream_config_is_3(self, after_fpe, capsys, stage, key, edit):
+        # the recorded config is what chaos holds the physics, grid and
+        # noise to: one in any other shape names the first key that differs
         cfg, out = after_fpe
-        manifest = out / "manifest_simulate.json"
+        manifest = out / f"manifest_{stage}.json"
         doc = json.loads(manifest.read_text())
-        del doc["config"]
+        edit(doc)
         manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert run("chaos", cfg, out) == 3
+        assert f"config key {key} " in capsys.readouterr().err
+        assert not (out / "chaos_report.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(seed=12, angular_momentum=[0.0, 0.0, 0.0]),
@@ -722,7 +735,32 @@ class TestSimulateStage:
         out = tmp_path / "out"
         assert run("simulate", cfg, out, "--seed", "99") == 0
         manifest = json.loads((out / "manifest_simulate.json").read_text())
-        assert manifest["derived"]["seed"] == 99
+        assert manifest["config"] == parse_config(base_config(), seed=99)["settings"]
+        assert manifest["config"]["seed"] == 99
+
+    @pytest.mark.parametrize("edit, recorded", [
+        (lambda doc: [doc.pop(key) for key in ("integrator", "sde", "grid", "noise", "seed")],
+         {"integrator": {"tol": 1e-9, "s_end": 5.0, "n_samples": 512},
+          "sde": {"mode": "additive", "ds": 0.002, "n_paths": 1000, "snapshots": []},
+          "grid": {"min": -1.5, "max": 1.5, "n": 32, "sigma0": 0.1},
+          "noise": {"epsilon": 0.0}, "seed": 0}),
+        # 0.5 * 0.1 * sqrt(4.0)
+        (lambda doc: doc.update(noise={"hbar_scale": 0.1, "omega_sq_mean": 4.0}),
+         {"noise": {"epsilon": 0.5 * 0.1 * 2.0}}),
+    ], ids=["sections_absent", "hbar_scale"])
+    def test_manifest_records_the_filled_in_config(self, tmp_path, edit, recorded):
+        # the manifest keeps the config the stage ran under, every default
+        # written out and the noise power in one form
+        doc = base_config()
+        edit(doc)
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, doc), out) == 0
+        config = json.loads((out / "manifest_simulate.json").read_text())["config"]
+        assert config == parse_config(doc)["settings"]
+        assert config.items() >= recorded.items()
+        assert config["angular_momentum"] == [0.0, 0.0, 0.0]
+        assert config["chaos"] == {"delta": 1e-3}
+        assert config["channels"] == {"r_bound": 3.0, "r_free": 10.0}
 
 
 class TestPipelineStages:
@@ -769,7 +807,7 @@ class TestPipelineStages:
         _, _, _, schedule = _load_trajectory(out)
         sde = parsed["sde"]
         res = run_ensemble(sde["n_paths"], schedule, parsed["xi0"], sde["ds"],
-                           sde["mode"], NoiseModel(epsilon=parsed["epsilon"], seed=parsed["seed"]),
+                           sde["mode"], parsed["noise"],
                            snapshot_s=_snapshot_times(parsed, schedule))
         states = np.concatenate([xi for _, xi in res.snapshots])
         written = np.column_stack([table[c] for c in ("xi1", "xi2", "xi3")])
@@ -841,7 +879,7 @@ class TestPipelineStages:
         _, _, _, schedule = _load_trajectory(out)
 
         def direct(multiplicative):
-            fpe_cfg = FpeConfig(epsilon=parsed["epsilon"], schedule=schedule,
+            fpe_cfg = FpeConfig(epsilon=parsed["noise"].epsilon, schedule=schedule,
                                 multiplicative=multiplicative)
             res = fpe_evolve(_initial_density(parsed, parsed["xi0"]), (0.0, 0.5), fpe_cfg,
                              snapshot_s=[0.5])

@@ -9,9 +9,11 @@ Exits with a message naming the first check that fails:
   densities, fpe_meta.json's snapshot_s;
 - ensemble_snapshots.csv writes a (path_id, s) pair twice;
 - the ensemble's snapshots are not taken at those times;
+- the manifests in RUN_DIR record different configs (every stage of a
+  run directory runs from one config file);
 - the ensemble's noise power, ensemble_meta.json's epsilon, is not the
   number that the fpe stage ran with, manifest_fpe.json's
-  derived.epsilon.
+  config.noise.epsilon.
 
 With --summary it first appends the fpe solve's step counts (steps,
 cfl_limit, negative_undershoot_steps) to FILE as a markdown section
@@ -58,13 +60,17 @@ def main(argv=None) -> None:
     if times != meta["snapshot_s"]:
         sys.exit(f"ensemble times {times} are not fpe_meta.json's snapshot_s "
                  f"{meta['snapshot_s']}")
+    configs = {p.name: json.loads(p.read_text())["config"] for p in run.glob("manifest_*.json")}
+    for name, config in sorted(configs.items()):
+        if config != configs["manifest_fpe.json"]:
+            sys.exit(f"{name} records another config than manifest_fpe.json")
     eps = json.loads((run / "ensemble_meta.json").read_text())["epsilon"]
-    fpe_eps = json.loads((run / "manifest_fpe.json").read_text())["derived"]["epsilon"]
+    fpe_eps = configs["manifest_fpe.json"]["noise"]["epsilon"]
     if not (isinstance(eps, (int, float)) and eps == fpe_eps):
         sys.exit(f"ensemble_meta.json's epsilon {eps!r} is not manifest_fpe.json's "
-                 f"derived.epsilon {fpe_eps!r}")
-    print(f"{run}: mass balance, chaos and ensemble times, (path_id, s) pairs and "
-          f"noise power check")
+                 f"config.noise.epsilon {fpe_eps!r}")
+    print(f"{run}: mass balance, chaos and ensemble times, (path_id, s) pairs, "
+          f"recorded configs and noise power check")
 
 
 if __name__ == "__main__":

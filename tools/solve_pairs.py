@@ -52,7 +52,7 @@ sched = CoefficientSchedule.from_trajectory(traj)
 s0 = float(sched.s[0])
 if schedule == "constant":
     sched = CoefficientSchedule.constant(*sched.at(s0), s_span=(s0, s_end))
-fpe_cfg = FpeConfig(epsilon=cfg["epsilon"], schedule=sched,
+fpe_cfg = FpeConfig(epsilon=cfg["noise"].epsilon, schedule=sched,
                     multiplicative=mode == "multiplicative")
 grid0 = cli._initial_density(cfg, traj.xi[0])
 t = time.perf_counter()
