@@ -69,7 +69,6 @@ from .fokker_planck import (
     density_from_ensemble,
     fpe_evolve,
     fpe_rhs,
-    quantum_epsilon,
     read_density,
     total_mass,
     write_density,

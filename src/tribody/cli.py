@@ -15,7 +15,8 @@ channel window are chaos module constants, not config keys.  Same config
 + seed gives bit-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
-artifact, 4 numerical failure, 5 I/O error or out of memory.
+artifact, 4 numerical failure (an arithmetic overflow included), 5 I/O
+error or out of memory.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .fokker_planck import (
     MomentumGrid,
     fpe_evolve,
     pin_boundary,
-    quantum_epsilon,
     read_density,
     write_density,
 )
@@ -101,7 +101,7 @@ _SCHEMA = {
     "angular_momentum": _reals,
     "initial": {"x": _reals, "xi": _reals},
     "integrator": {"tol": _real, "s_end": _real, "n_samples": _integer},
-    "noise": {"epsilon": _real, "hbar_scale": _real, "omega_sq_mean": _real},
+    "noise": {"epsilon": _real},
     "sde": {"mode": _text, "ds": _real, "n_paths": _integer, "snapshots": _reals},
     "grid": {"min": _real, "max": _real, "n": _integer, "sigma0": _real},
     "chaos": {"delta": _real},
@@ -146,8 +146,8 @@ def _typed(doc: dict) -> dict:
 def parse_config(doc: dict, seed=None) -> dict:
     """Validate a raw config document and build the run's config from it:
     under "settings" the document as plain JSON, its values converted,
-    defaults filled in, the noise power as noise.epsilon in either form
-    and seed, when given, as its seed, which each stage's manifest
+    defaults filled in, the potential's parameters as its model holds
+    them and seed, when given, as its seed, which each stage's manifest
     records; beside it the objects the stages run with."""
     typed = _typed(doc)
     for key in ("masses", "potential", "energy", "u0", "initial"):
@@ -181,6 +181,10 @@ def parse_config(doc: dict, seed=None) -> dict:
             raise ConfigError(f"potential.name must be free|gravity|morse, got {name!r}")
     except TypeError as exc:
         raise ConfigError(f"potential: {exc}")
+    # the parameters the model was built with, its defaults included
+    settings["potential"] = {"name": name, **{k: getattr(cfg["potential"], k)
+                                              for k in _SCHEMA["potential"]
+                                              if hasattr(cfg["potential"], k)}}
 
     if settings["u0"] <= 0.0:
         raise ConfigError(f"u0 must be positive, got {settings['u0']}")
@@ -203,8 +207,9 @@ def parse_config(doc: dict, seed=None) -> dict:
         raise ConfigError("integrator.tol must be positive")
     if cfg["integrator"]["s_end"] <= 0:
         raise ConfigError("integrator.s_end must be positive")
-    if cfg["integrator"]["n_samples"] < 2:
-        raise ConfigError("integrator.n_samples must be at least 2")
+    if not 2 <= cfg["integrator"]["n_samples"] <= np.iinfo(np.intp).max:
+        raise ConfigError(f"integrator.n_samples must lie in [2, {np.iinfo(np.intp).max}], "
+                          f"got {cfg['integrator']['n_samples']}")
     if cfg["sde"]["mode"] not in ("additive", "multiplicative"):
         raise ConfigError("sde.mode must be 'additive' or 'multiplicative'")
     if cfg["sde"]["ds"] <= 0:
@@ -223,17 +228,6 @@ def parse_config(doc: dict, seed=None) -> dict:
     except (ValueError, MemoryError) as exc:  # also a grid too large to index or hold
         raise ConfigError(f"grid: {exc}")
 
-    noise = typed.get("noise", {})
-    quantum = {"hbar_scale", "omega_sq_mean"} & set(noise)
-    if quantum and "epsilon" in noise:
-        raise ConfigError("noise: give either 'epsilon' or (hbar_scale, omega_sq_mean), not both")
-    if quantum:
-        if len(quantum) < 2:
-            raise ConfigError("noise: hbar_scale and omega_sq_mean must come together")
-        try:
-            settings["noise"] = {"epsilon": quantum_epsilon(**noise)}
-        except DomainError as exc:
-            raise ConfigError(f"noise: {exc}")
     try:
         noise_power(settings["noise"]["epsilon"])
     except ConfigError as exc:
@@ -604,7 +598,7 @@ def main(argv=None) -> int:
     except DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return 3
-    except TribodyError as exc:
+    except (TribodyError, ArithmeticError) as exc:   # a float overflow is one too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

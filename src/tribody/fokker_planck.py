@@ -100,7 +100,6 @@ L2 cache.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +124,6 @@ MIN_SLAB_CELLS = 50000
 __all__ = [
     "MomentumGrid",
     "FpeConfig",
-    "quantum_epsilon",
     "fpe_rhs",
     "fpe_evolve",
     "density_from_ensemble",
@@ -214,13 +212,6 @@ class FpeConfig:
     @property
     def drift_sign(self) -> float:
         return -1.0 if self.sign_mode == "conventional" else 1.0
-
-
-def quantum_epsilon(hbar_scale: float, omega_sq_mean: float) -> float:
-    """Quantum noise power, eps = hbar * sqrt(<omega^2>) / 2."""
-    if hbar_scale < 0.0 or omega_sq_mean < 0.0:
-        raise DomainError("hbar scale and <omega^2> must be nonnegative")
-    return 0.5 * hbar_scale * math.sqrt(omega_sq_mean)
 
 
 def total_mass(grid: MomentumGrid) -> float:
@@ -546,7 +537,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     `ds_max`; in `cfl_limit` how many steps the drift or the diffusion bound
     set and how many were cut to end on a snapshot time ("snapshot"); and in
     `field_evals` how many fields the solve formed with _field.  A snapshot
-    time less than DS_FLOOR ahead is taken without a step, at its own time.
+    time less than DS_FLOOR ahead is taken without a step, at its own time,
+    and a solve that would take no step at all is a DomainError.
 
     A stage forms a field only when its coefficients differ, bit for bit,
     from those of the field held, in its place.  The step bound is computed
@@ -575,10 +567,12 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     if not abs(total_mass(grid0) - 1.0) <= 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
     s0, s1 = float(s_span[0]), float(s_span[1])
-    if s1 <= s0:
-        raise DomainError("empty evolution span")
-    cfg.schedule.check_span(s0, s1)
     targets = sorted({float(v) for v in snapshot_s} | {s1})
+    # the solve steps toward a time only from one at least DS_FLOOR before it
+    if not max(b - a for a, b in zip([s0, *targets], targets)) >= DS_FLOOR:
+        raise DomainError(f"no step in [{s0}, {s1}]: s0 and the snapshot times leave no gap "
+                          f"of DS_FLOOR = {DS_FLOOR}")
+    cfg.schedule.check_span(s0, s1)
     if targets[0] <= s0 or targets[-1] > s1 + 1e-12:
         raise DomainError("snapshot times must lie in (s0, s1]")
 
@@ -728,7 +722,7 @@ def _bins(x, edges) -> np.ndarray:
 
 def density_from_ensemble(samples, grid_spec: MomentumGrid) -> MomentumGrid:
     """Normalized histogram of samples (n, 3) on the grid; counts out-of-range
-    samples in the returned grid's diagnostics attribute.  The counts are
+    samples in the returned grid's out_of_range attribute.  The counts are
     np.histogramdd's on the grid's linspace edges, bin for bin: a sample
     on an inner edge falls in the bin above it, one on the last edge in
     the last bin, and one outside the box or not finite in none."""

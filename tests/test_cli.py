@@ -85,21 +85,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="free|gravity|morse"):
             parse_config(doc)
 
-    def test_noise_forms_are_exclusive(self):
+    @pytest.mark.parametrize("potential, recorded", [
+        ({"name": "morse", "D": 1.0, "alpha": 1.0},
+         {"name": "morse", "D": 1.0, "alpha": 1.0, "d0": 1.0}),
+        ({"name": "gravity"}, {"name": "gravity", "G": 1.0, "softening": 0.0}),
+    ], ids=["morse-without-d0", "gravity-without-G-or-softening"])
+    def test_potential_defaults_are_recorded(self, potential, recorded):
+        # the settings hold the parameters of the model that was built
         doc = base_config()
-        doc["noise"] = {"epsilon": 0.01, "hbar_scale": 0.1, "omega_sq_mean": 1.0}
-        with pytest.raises(ConfigError, match="not both"):
-            parse_config(doc)
-        doc["noise"] = {"hbar_scale": 0.1}
-        with pytest.raises(ConfigError, match="together"):
-            parse_config(doc)
-
-    def test_quantum_noise_converted(self):
-        doc = base_config()
-        doc["noise"] = {"hbar_scale": 0.1, "omega_sq_mean": 4.0}
-        cfg = parse_config(doc)
-        assert np.isclose(cfg["noise"].epsilon, 0.5 * 0.1 * 2.0)
-        assert cfg["settings"]["noise"] == {"epsilon": cfg["noise"].epsilon}
+        doc["potential"] = potential
+        assert parse_config(doc)["settings"]["potential"] == recorded
 
     def test_nonpositive_u0_rejected(self):
         doc = base_config()
@@ -124,6 +119,9 @@ class TestParseConfig:
         ("integrator", "s_end", float("inf")),
         ("sde", "ds", float("-inf")),
         pytest.param("integrator", "n_samples", 10**400, id="integrator-n_samples-1e400"),
+        # more samples than numpy can index
+        pytest.param("integrator", "n_samples", 2**63, id="integrator-n_samples-2_pow_63"),
+        pytest.param("integrator", "n_samples", 1e30, id="integrator-n_samples-1e30"),
         # out of range for the integrator
         ("integrator", "s_end", 0.0),
         ("integrator", "n_samples", 0),
@@ -159,8 +157,11 @@ class TestParseConfig:
                      "angular_momentum must be a 3-vector", id="angular_momentum-of-length-2"),
         pytest.param(lambda d: {**d, "initial": {"x": [2.0, 3.0, 3.5]}}, "both 'x' and 'xi'",
                      id="initial-without-xi"),
-        pytest.param(lambda d: {**d, "noise": {"hbar_scale": -1.0, "omega_sq_mean": 1.0}},
-                     "noise: hbar scale", id="negative-hbar_scale"),
+        # the noise power is given as noise.epsilon only
+        pytest.param(lambda d: {**d, "noise": {"hbar_scale": 0.02, "omega_sq_mean": 1.0}},
+                     "unknown config key noise.hbar_scale", id="noise-hbar_scale"),
+        pytest.param(lambda d: {**d, "noise": {"epsilon": 0.01, "omega_sq_mean": 1.0}},
+                     "unknown config key noise.omega_sq_mean", id="noise-omega_sq_mean"),
     ])
     def test_invalid_document_is_2(self, tmp_path, edit, match):
         doc = edit(base_config())
@@ -489,14 +490,10 @@ class TestExitCodes:
         lambda doc: doc["sde"].update(n_paths=7),
         lambda doc: doc["sde"].update(ds=0.02),
         lambda doc: doc.update(channels={"r_bound": 4.0}),
-        # 0.5 * 0.02 * sqrt(1.0) is the config's epsilon, 0.01
-        lambda doc: doc.update(noise={"hbar_scale": 0.02, "omega_sq_mean": 1.0}),
-    ], ids=["seed-and-default", "sde.n_paths", "sde.ds", "channels.r_bound",
-            "noise-hbar_scale-same-epsilon"])
+    ], ids=["seed-and-default", "sde.n_paths", "sde.ds", "channels.r_bound"])
     def test_seed_and_defaults_are_not_physics(self, after_fpe, tmp_path, edit):
-        # another seed, a default written out, keys that neither simulate
-        # nor fpe reads, and the same noise power in its other form leave
-        # the run as simulate and fpe made it
+        # another seed, a default written out and keys that neither
+        # simulate nor fpe reads leave the run as simulate and fpe made it
         cfg, out = after_fpe
         doc = json.loads(cfg.read_text())
         edit(doc)
@@ -512,17 +509,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, edit", [
         ("noise.epsilon", lambda doc: doc["noise"].update(epsilon=0.05)),
-        # 0.5 * 0.1 * sqrt(1.0) = 0.05 in the other noise form
-        ("noise.epsilon", lambda doc: doc.update(noise={"hbar_scale": 0.1,
-                                                        "omega_sq_mean": 1.0})),
         ("sde.mode", lambda doc: doc["sde"].update(mode="multiplicative")),
         ("grid.min", lambda doc: doc["grid"].update(min=-1.4)),
         # the bounds' bits: 1e-6 apart is another grid
         ("grid.max", lambda doc: doc["grid"].update(max=1.500001)),
         ("grid.n", lambda doc: doc["grid"].update(n=16)),
         ("grid.sigma0", lambda doc: doc["grid"].update(sigma0=0.3)),
-    ], ids=["noise.epsilon", "noise-hbar_scale", "sde.mode", "grid.min", "grid.max", "grid.n",
-            "grid.sigma0"])
+    ], ids=["noise.epsilon", "sde.mode", "grid.min", "grid.max", "grid.n", "grid.sigma0"])
     def test_grid_edited_after_fpe_is_3(self, after_fpe, capsys, key, edit):
         # tube b is solved from the initial density on the grid, in the mode
         # and with the noise that fpe solved tube a with; the key that
@@ -620,6 +613,41 @@ class TestExitCodes:
         doc["energy"] = -5.0  # E < U everywhere reachable: forbidden region
         cfg = write_config(tmp_path, doc)
         assert run("simulate", cfg, tmp_path / "out") == 4
+
+    def test_default_written_out_after_fpe_is_0(self, tmp_path):
+        # potential.d0 left to the model's default, then written out: the
+        # same physics, so chaos runs on what simulate and fpe made
+        doc = base_config()
+        doc["potential"].pop("d0")
+        doc["integrator"]["s_end"] = 0.5
+        doc["sde"]["snapshots"] = [0.25, 0.5]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        assert run("fpe", cfg, out) == 0
+        doc["potential"]["d0"] = 1.0
+        assert run("chaos", write_config(tmp_path, doc, "d0.json"), out) == 0
+
+    @pytest.mark.parametrize("stage, edit", [
+        # the pair distances weigh x by masses whose products overflow
+        ("channels", lambda doc: doc["masses"].update(m1=1e300)),
+        # the initial density's sigma0 squared overflows
+        ("fpe", lambda doc: doc["grid"].update(sigma0=1e300)),
+        # a span shorter than DS_FLOOR, and one whose eight snapshot times
+        # each lie less than DS_FLOOR after the one before: no step
+        ("fpe", lambda doc: (doc["integrator"].update(s_end=1e-300),
+                             doc["sde"].update(snapshots=[]))),
+        ("fpe", lambda doc: (doc["integrator"].update(s_end=3e-9),
+                             doc["sde"].update(snapshots=[]))),
+    ], ids=["masses.m1-1e300", "grid.sigma0-1e300", "s_end-1e-300", "s_end-3e-9"])
+    def test_numerical_failure_after_simulate_is_4(self, tmp_path, capsys, stage, edit):
+        doc = base_config()
+        edit(doc)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        capsys.readouterr()
+        assert run(stage, cfg, out) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert json.loads((out / f"manifest_{stage}.json").read_text())["status"] == "failed"
 
     def test_existing_output_without_force_is_5(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -744,13 +772,10 @@ class TestSimulateStage:
           "sde": {"mode": "additive", "ds": 0.002, "n_paths": 1000, "snapshots": []},
           "grid": {"min": -1.5, "max": 1.5, "n": 32, "sigma0": 0.1},
           "noise": {"epsilon": 0.0}, "seed": 0}),
-        # 0.5 * 0.1 * sqrt(4.0)
-        (lambda doc: doc.update(noise={"hbar_scale": 0.1, "omega_sq_mean": 4.0}),
-         {"noise": {"epsilon": 0.5 * 0.1 * 2.0}}),
-    ], ids=["sections_absent", "hbar_scale"])
+    ], ids=["sections_absent"])
     def test_manifest_records_the_filled_in_config(self, tmp_path, edit, recorded):
         # the manifest keeps the config the stage ran under, every default
-        # written out and the noise power in one form
+        # written out
         doc = base_config()
         edit(doc)
         out = tmp_path / "out"

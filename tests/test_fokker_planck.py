@@ -22,13 +22,12 @@ from tribody import (
     drift,
     fpe_evolve,
     fpe_rhs,
-    quantum_epsilon,
     read_density,
     total_mass,
     write_density,
 )
 from tribody.errors import ConfigError
-from tribody.fokker_planck import pin_boundary
+from tribody.fokker_planck import DS_FLOOR, pin_boundary
 
 
 def philox(seed):
@@ -95,14 +94,6 @@ class TestFpeConfig:
         assert FpeConfig(epsilon=0.1, schedule=sched, sign_mode="verbatim").drift_sign == 1.0
         with pytest.raises(ConfigError):
             FpeConfig(epsilon=0.1, schedule=sched, sign_mode="upwind")
-
-    def test_quantum_epsilon(self):
-        assert np.isclose(quantum_epsilon(0.1, 4.0), 0.5 * 0.1 * 2.0)
-        assert quantum_epsilon(0.0, 5.0) == 0.0
-        with pytest.raises(DomainError):
-            quantum_epsilon(-0.1, 1.0)
-        with pytest.raises(DomainError):
-            quantum_epsilon(0.1, -1.0)
 
 
 class TestFpeRhs:
@@ -1041,6 +1032,19 @@ class TestFpeEvolve:
         stiff = FpeConfig(epsilon=1e7, schedule=sched)
         with pytest.raises(ResolutionError):
             fpe_evolve(grid, (0.0, 0.1), stiff)
+
+    @pytest.mark.parametrize("s_span, snapshot_s", [
+        ((0.0, 1e-300), ()),
+        ((0.0, 0.5 * DS_FLOOR), ()),
+        # every snapshot time less than DS_FLOOR after the one before
+        ((0.0, 2.4 * DS_FLOOR), (0.8 * DS_FLOOR, 1.6 * DS_FLOOR)),
+    ], ids=["span-1e-300", "span-half-the-floor", "gaps-below-the-floor"])
+    def test_solve_without_a_step_rejected(self, s_span, snapshot_s):
+        # such a solve would take no step and return no step statistics
+        cfg = FpeConfig(epsilon=0.01, schedule=CoefficientSchedule.constant([0.0] * 3, 0.0))
+        grid = gaussian_grid([-1] * 3, [1] * 3, (12, 12, 12), [0] * 3, 0.2)
+        with pytest.raises(DomainError, match="no step"):
+            fpe_evolve(grid, s_span, cfg, snapshot_s=snapshot_s)
 
     def test_span_past_schedule_rejected(self):
         # the schedule covers [0, 1]; a longer span must not hold the last
