@@ -1,15 +1,17 @@
 """Forked workers, the one way both solvers use a second CPU.
 
-run_ensemble's chunks and fpe_evolve's rows of axis 0 are cut into
-contiguous parts, one per usable CPU at most (`bounds`), and `parts` runs
-them: the last in the caller and each other one in a worker forked with
-os.fork.  A worker shares no interpreter lock with its caller, and writes
-its part of the result in place into a shared anonymous mmap (`shared`)
-mapped before the fork.  Commands and replies pass through two pipes of
-pickled objects.  A worker leaves only through os._exit, so none of the
-caller's handlers, atexit hooks or buffered output run or flush twice,
-and on Linux the kernel kills it when its caller dies first (_die_with).
-The workers make no BLAS call; Python 3.12 and later warn on a fork in a
+Both solvers follow one rule: run_ensemble's paths and fpe_evolve's rows
+of axis 0 are cut into contiguous parts of rows, one per usable CPU at
+most and none below the solver's minimum per part (MIN_SHARE_ROWS paths,
+MIN_SLAB_CELLS cells; `bounds`), and `parts` runs them: the last in the
+caller and each other one in a worker forked with os.fork.  A worker
+shares no interpreter lock with its caller, and writes its part of the
+result in place into a shared anonymous mmap (`shared`) mapped before
+the fork.  Commands and replies pass through two pipes of pickled
+objects.  A worker leaves only through os._exit, so none of the caller's
+handlers, atexit hooks or buffered output run or flush twice, and on
+Linux the kernel kills it when its caller dies first (_die_with).  The
+workers make no BLAS call; Python 3.12 and later warn on a fork in a
 process with more than one thread, as numpy's OpenBLAS makes it unless
 pinned to one.
 """

@@ -553,16 +553,18 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     hold the field, with one command of _fork.parts per stage: the caller
     writes the last slab's rows, and a worker forked before the first step
     each other slab's; with one slab, on one CPU or below 2 MIN_SLAB_CELLS
-    cells, nothing is forked.  A slab writes its rows in
-    blocks (_blocking), each from fpe_rhs on its rows, the halo rows beside
-    them and those rows of the field, which gives the same bits as on the
-    whole grid.  BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest
-    additive blocks of a sweep from 2 to 32 rows of one slab there
-    (CHANGES.md).  The additive field is formed block by block too, so no
-    additive solve holds the whole grid's mesh.  Only the caller forms the
-    field, once every slab has written the stage before, and only the caller
-    pins, sums the boundary shell and reads min and max, once every slab is
-    written.  So the result is the same bits on any number of slabs.
+    cells, nothing is forked.  The solve's last stage is sent as the last
+    command, so a worker ends as it replies to it, not when the solve is
+    done with the snapshot.  A slab writes its rows in blocks (_blocking),
+    each from fpe_rhs on its rows, the halo rows beside them and those
+    rows of the field, which gives the same bits as on the whole grid.
+    BLOCK_CELLS is 8 rows of the 64^3 grid, the fastest additive blocks of
+    a sweep from 2 to 32 rows of one slab there (CHANGES.md).  The
+    additive field is formed block by block too, so no additive solve holds
+    the whole grid's mesh.  Only the caller forms the field, once every
+    slab has written the stage before, and only the caller pins, sums the
+    boundary shell and reads min and max, once every slab is written.  So
+    the result is the same bits on any number of slabs.
     """
     if not abs(total_mass(grid0) - 1.0) <= 1e-9:
         raise DomainError(f"initial density not normalized: mass = {total_mass(grid0)}")
@@ -642,8 +644,10 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
     # inherit: they read each later field, which the caller writes there
     # only once every slab has written its rows of the stage before
     field_at(cfg.schedule.at(s0))
+    # the last target the solve steps toward, the one its last stage ends on
+    final = max(i for i, (a, b) in enumerate(zip([s0, *targets], targets)) if b - a >= DS_FLOOR)
     with _fork.parts(_slab_bounds(grid0), evaluate) as run:
-        for target in targets:
+        for i, target in enumerate(targets):
             while target - s >= DS_FLOOR:
                 coeffs = cfg.schedule.at(s)
                 field = field_at(coeffs)
@@ -661,7 +665,8 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                 # rows of P that it writes
                 coeffs = cfg.schedule.at(s + 0.5 * ds)
                 field_at(coeffs)
-                run((mid, P, ds, coeffs))
+                # the last stage lets the slab workers end as they reply
+                run((mid, P, ds, coeffs), last=i == final and not target - (s + ds) >= DS_FLOOR)
                 outflow += _shell_sum(states[P]) * work.cell_volume
                 pin_boundary(states[P])
                 if states[P].min() < -1e-12 * max(states[P].max(), 1e-300):

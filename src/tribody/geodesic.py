@@ -163,8 +163,9 @@ def _rms(v):
 
 class _DormandPrince:
     """Adaptive steps of the autonomous system y' = fun(y) from (t, y)
-    forward to t_end > t; step() takes one accepted step, dense(ts)
-    interpolates within the last one.  The error of a step is the RMS norm of the
+    forward to t_end > t, from a y whose derivative is finite (else
+    DomainError); step() takes one accepted step, dense(ts) interpolates
+    within the last one.  The error of a step is the RMS norm of the
     embedded estimate over atol + rtol * max(|y|, |y_new|)."""
 
     def __init__(self, fun, t, y, t_end, rtol, atol):
@@ -172,7 +173,12 @@ class _DormandPrince:
         self.rtol, self.atol = rtol, atol
         self.nfev = self.accepted = self.rejected = 0
         self.K = np.empty((7, y.size))
-        self.f = self._eval(y)
+        # the check below is the detector of a start that overflows, so
+        # silence the transient
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.f = self._eval(y)
+        if not np.all(np.isfinite(self.f)):
+            raise DomainError(f"the derivative at the initial state is not finite: {self.f}")
         self.h_abs = self._initial_step()
 
     def _eval(self, y):
@@ -203,7 +209,8 @@ class _DormandPrince:
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # not >=, so that a NaN step ends the solve as well
+            if not h_abs >= min_step:
                 return False
             t_new = min(t + h_abs, self.t_end)
             h = t_new - t
@@ -265,6 +272,8 @@ def integrate(
     - "max_steps", after that many accepted steps;
     - "solver_stop: ...", when the step size underflows.
     On an early stop the state reached is appended as the last sample.
+    An initial state whose derivative is not finite (a momentum so large
+    that its square overflows) is a DomainError.
     meta counts the right-hand-side evaluations (nfev) and the accepted
     and rejected steps.
     """

@@ -26,10 +26,11 @@ normal draw.  An ensemble steps its paths in
 chunks of CHUNK, and at step k chunk c draws from its own SFC64
 generator, seeded with SeedSequence((seed, c, k)): numpy's construction
 of independent streams from one master seed.  So path p's noise is fixed
-by (seed, p, step).  The chunks are independent: with two or more of
-them and two or more usable CPUs, contiguous shares are stepped in
-worker processes forked for the call (_fork), with the same bits as one
-process stepping every chunk in turn (run_ensemble).
+by (seed, p, step).  The paths are independent: with at least
+2 MIN_SHARE_ROWS of them and two or more usable CPUs, contiguous shares
+of rows are stepped in worker processes forked for the call (_fork),
+with the same bits as one process stepping every chunk in turn
+(run_ensemble).
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .geodesic import TrajectoryRecord, momentum_rhs
 # paths per chunk of the ensemble; each chunk has its own noise stream at
 # every step, SFC64(SeedSequence((seed, chunk, step)))
 CHUNK = 16384
+# fewest paths a share of the ensemble may get for a worker to be forked
+# for it (measured, see run_ensemble)
+MIN_SHARE_ROWS = 2048
 
 __all__ = [
     "noise_power",
@@ -136,21 +140,24 @@ def _increment_scale(noise: NoiseModel, ds: float):
     return np.sqrt(2.0 * noise.epsilon) * np.sqrt(ds)
 
 
-def _two_point(rng: np.random.Generator, scale, out) -> np.ndarray:
+def _two_point(rng: np.random.Generator, scale, out, skip: int = 0) -> np.ndarray:
     """Two-point increments into out ((n, 3), any layout): z_ri = +1 where
-    bit 3r + i of the ceil(3n / 64) words rng.bit_generator.random_raw
-    draws is set, -1 where it is clear (bit b of word w is bit 64 w + b,
-    least significant first, on any host), times the factor of
-    _increment_scale, so exactly +-sqrt(2 eps) sqrt(ds); zeros, drawing
-    nothing, for a zero eps (scale None)."""
+    bit 3 (skip + r) + i of the ceil(3 (skip + n) / 64) words
+    rng.bit_generator.random_raw draws is set, -1 where it is clear (bit b
+    of word w is bit 64 w + b, least significant first, on any host), times
+    the factor of _increment_scale, so exactly +-sqrt(2 eps) sqrt(ds); zeros,
+    drawing nothing, for a zero eps (scale None).  So rows [skip, skip + n)
+    of a draw of skip + n rows, bit for bit."""
     if scale is None:
         out.fill(0.0)
         return out
     n = len(out)
-    words = rng.bit_generator.random_raw(-(-3 * n // 64))
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    words = rng.bit_generator.random_raw(-(-3 * (skip + n) // 64))
+    first, lead = divmod(3 * skip, 64)
+    bits = np.unpackbits(words[first:].astype("<u8", copy=False).view(np.uint8),
+                         bitorder="little")
     # an assignment casts across layouts faster than a ufunc with out=
-    out[...] = bits[:3 * n].reshape(n, 3)
+    out[...] = bits[lead:lead + 3 * n].reshape(n, 3)
     out *= 2.0
     out -= 1.0
     out *= scale
@@ -298,22 +305,29 @@ def run_ensemble(
     all practical purposes.  The draw is sequential, so a short last
     chunk gets the first rows of a full draw.  Path p's noise therefore
     depends only on (seed, p, step), not on n_traj, and the result is
-    bit-identical for a given (seed, ds, span, snapshot times).  A
-    chunk's state is stored component-major, (3, rows), so that the
-    elementwise kernels run over contiguous rows; its values are those
-    of (rows, 3) storage, bit for bit.  xi0 may be a single 3-vector
-    (all paths start together) or (n_traj, 3).
+    bit-identical for a given (seed, ds, span, snapshot times).  The
+    state of the rows stepped together is stored component-major,
+    (3, rows), so that the elementwise kernels run over contiguous rows;
+    its values are those of (rows, 3) storage, bit for bit.  xi0 may be
+    a single 3-vector (all paths start together) or (n_traj, 3).
 
-    The chunks are independent, so they are stepped in contiguous
-    shares, one per CPU usable by the process (os.sched_getaffinity) but
-    no more than chunks (_fork.bounds), with _fork.parts: the caller
-    steps the last share, the largest, which holds the short last chunk,
-    and a worker forked for the call each other one, with no interpreter
-    lock shared between them.  The snapshots and the final states lie in
-    one shared anonymous mmap, which each share writes its rows of in
-    place; a share's blow-ups are its result.  With one share the caller
-    steps every chunk, one after another, and nothing is forked.  The
-    result is the same bits either way.
+    The paths are independent, so they are stepped in contiguous shares
+    of rows, one per CPU usable by the process (os.sched_getaffinity) but
+    none of fewer than MIN_SHARE_ROWS paths (_fork.bounds), with
+    _fork.parts: the caller steps the last share, the largest, and a
+    worker forked for the call each other one, with no interpreter lock
+    shared between them.  A share steps its rows one piece of a chunk at
+    a time; a piece of rows [r0, r0 + m) of chunk c draws that chunk's
+    words for rows [0, r0 + m) at each step and keeps the rows' own bits
+    (_two_point's skip), so a share boundary inside a chunk changes no
+    path's noise.  The snapshots and the final states lie in one shared
+    anonymous mmap, which each share writes its rows of in place; a
+    share's blow-ups are its result.  With one share, on one CPU or
+    below 2 MIN_SHARE_ROWS paths, the caller steps every chunk, one after
+    another, and nothing is forked.  The result is the same bits either
+    way.  MIN_SHARE_ROWS keeps ensembles of up to ~4000 paths, such as
+    the sample's 500, in one process: on a 2-vCPU VM a fork for them cost
+    about as much as it saved (CHANGES.md).
 
     Steps are ds long on the grid s0 + k ds.  A step that would cross a
     snapshot time off that grid is cut to end on it (as fpe_evolve does),
@@ -351,52 +365,54 @@ def run_ensemble(
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (n_traj, 3))
     additive = mode == "additive"
 
-    def step_chunks(c_lo: int, c_hi: int, _command) -> list:
-        """Step chunks [c_lo, c_hi) into out; return their blow-ups as
-        (step, path, s)."""
-        # a chunk's component-major state, its finiteness and the drift
+    def step_rows(lo: int, hi: int, _command) -> list:
+        """Step paths [lo, hi) into out, the rows of one chunk at a time;
+        return their blow-ups as (step, path, s)."""
+        # a piece's component-major state, its finiteness and the drift
         # stages: one in additive mode, which forms the increments in it
         # once the step is done with it; in multiplicative mode the three
         # Heun stages and the increments, which the step turns into its
         # forcing
-        rows = min(n_traj, CHUNK)
+        rows = min(hi - lo, CHUNK)
         state = [np.empty((3, rows)), np.empty((3, rows), dtype=bool)] \
             + [np.empty((3, rows)) for _ in range(1 if additive else 4)]
         found = []
+        # the pieces of [lo, hi) that the chunk bounds cut it into
+        cuts = [lo, *range((lo // CHUNK + 1) * CHUNK, hi, CHUNK), hi]
         # runaway paths overflow before they are frozen; the non-finite
         # check after each step is the intended detector, so silence the
         # transient
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(c_lo, c_hi):
-                lo, hi = c * CHUNK, min(n_traj, (c + 1) * CHUNK)
-                # the (rows, 3) views of the chunk's component-major arrays
-                xi, finite, *work = (b[:, :hi - lo].T for b in state)
-                xi[...] = xi0[lo:hi]
-                alive = np.ones(hi - lo, dtype=bool)
+            for p_lo, p_hi in zip(cuts[:-1], cuts[1:]):
+                # chunk c's rows [skip, skip + p_hi - p_lo)
+                c, skip = divmod(p_lo, CHUNK)
+                # the (rows, 3) views of the piece's component-major arrays
+                xi, finite, *work = (b[:, :p_hi - p_lo].T for b in state)
+                xi[...] = xi0[p_lo:p_hi]
+                alive = np.ones(p_hi - p_lo, dtype=bool)
                 for k, (start, h, coeffs, slots, scale) in enumerate(plan):
                     seeded = np.random.SeedSequence((noise.seed, c, k))
                     rng = np.random.Generator(np.random.SFC64(seeded))
                     if additive:
                         _step(xi, h, mode, coeffs, None, work)
                         if scale is not None:
-                            xi += _two_point(rng, scale, work[0])
+                            xi += _two_point(rng, scale, work[0], skip)
                     else:
-                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3]), work)
+                        _step(xi, h, mode, coeffs, _two_point(rng, scale, work[3], skip), work)
                     # a frozen path stays NaN, so while all is finite no
                     # path has blown up yet
                     if not np.isfinite(xi, out=finite).all():
                         bad = alive & ~finite.all(axis=1)
-                        found.extend((k, lo + int(p), start + h) for p in np.nonzero(bad)[0])
+                        found.extend((k, p_lo + int(p), start + h) for p in np.nonzero(bad)[0])
                         alive &= ~bad
                         xi[~alive] = np.nan
                     for j in slots:
-                        snaps[j][lo:hi] = xi
+                        snaps[j][p_lo:p_hi] = xi
                 if not end_taken:
-                    xi_final[lo:hi] = xi
+                    xi_final[p_lo:p_hi] = xi
         return found
 
-    n_chunks = -(-n_traj // CHUNK)
-    with _fork.parts(_fork.bounds(n_chunks, n_chunks), step_chunks) as run:
+    with _fork.parts(_fork.bounds(n_traj, n_traj // MIN_SHARE_ROWS), step_rows) as run:
         found = [f for share in run(None, last=True) for f in share]
     return EnsembleResult(
         s_final=s_final,

@@ -3,9 +3,13 @@ artifacts, manifests, and determinism."""
 
 import errno
 import hashlib
+import importlib.util
 import json
 import mmap
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -649,6 +653,35 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert json.loads((out / f"manifest_{stage}.json").read_text())["status"] == "failed"
 
+    @pytest.mark.parametrize("stage, edit", [
+        # |xi|^2 overflows, and with chaos.delta 1e300 tube b starts where
+        # the potential's gradient does: the derivative at the start of the
+        # trajectory is not finite
+        ("simulate", lambda doc: doc["initial"].update(xi=[1e300, 0.0, 0.0])),
+        ("chaos", lambda doc: doc.update(chaos={"delta": 1e300})),
+    ], ids=["initial.xi-1e300", "chaos.delta-1e300"])
+    def test_derivative_that_is_not_finite_is_4(self, tmp_path, stage, edit):
+        # the stage runs in its own interpreter, so that a solver that does
+        # not end fails the test at the timeout instead of holding the suite
+        doc = base_config()
+        edit(doc)
+        doc["integrator"]["s_end"] = 0.5
+        doc["sde"]["snapshots"] = [0.25, 0.5]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        if stage == "chaos":
+            assert run("simulate", cfg, out) == 0
+            assert run("fpe", cfg, out) == 0
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tribody.cli", stage, "--config",
+                                   str(cfg), "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{stage} still ran after 30 s")
+        assert proc.returncode == 4, proc.stderr
+        assert "numerical failure" in proc.stderr
+        assert json.loads((out / f"manifest_{stage}.json").read_text())["status"] == "failed"
+
     def test_existing_output_without_force_is_5(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -1084,3 +1117,51 @@ class TestPipelineStages:
             "full_breakup", "transient",
         )
         assert doc["thresholds"]["r_bound"] == 3.0
+
+
+class TestCheckRun:
+    """tools/check_run.py on run directories of the stages."""
+
+    @pytest.fixture(scope="class")
+    def check_run(self):
+        spec = importlib.util.spec_from_file_location("check_run", REPO / "tools" / "check_run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.fixture()
+    def finished(self, tmp_path):
+        doc = base_config()
+        doc["integrator"]["s_end"] = 0.5
+        doc["sde"]["snapshots"] = [0.25, 0.5]
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        for stage in ("simulate", "ensemble", "fpe", "chaos"):
+            assert run(stage, cfg, out) == 0
+        return out
+
+    @pytest.mark.parametrize("edit, named", [
+        # chaos not run
+        (lambda out: [(out / name).unlink() for name in ("chaos_report.json",
+                                                          "manifest_chaos.json")],
+         ["chaos_report.json is missing", "manifest_chaos.json is missing"]),
+        # chaos exited 4: a failed manifest and no report
+        (lambda out: ((out / "chaos_report.json").unlink(),
+                      (out / "manifest_chaos.json").write_text(json.dumps({"status": "failed"}))),
+         ["chaos_report.json is missing", "manifest_chaos.json has status 'failed'"]),
+        # fpe stopped while it ran
+        (lambda out: (out / "manifest_fpe.json").write_text(json.dumps({"status": "running"})),
+         ["manifest_fpe.json has status 'running'"]),
+    ], ids=["chaos-not-run", "chaos-failed", "fpe-running"])
+    def test_unfinished_run_is_named_not_a_traceback(self, check_run, finished, capsys, edit,
+                                                     named):
+        # the finished run passes; with a stage's files gone or its
+        # manifest unfinished, the tool names them and exits non-zero
+        check_run.main([str(finished)])
+        assert "noise power check" in capsys.readouterr().out
+        edit(finished)
+        with pytest.raises(SystemExit) as exit_:
+            check_run.main([str(finished)])
+        message = str(exit_.value.code)
+        assert "is not a finished run" in message
+        for text in named:
+            assert text in message

@@ -1,5 +1,6 @@
 """Tests for the momentum-space density evolution."""
 
+import contextlib
 import math
 import os
 import signal
@@ -740,6 +741,29 @@ class TestSlabs:
             warnings.simplefilter("error", ResourceWarning)
             self.solve(slab_grid(2))
         assert capfd.readouterr().err == ""
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("snapshot_s", [(), (0.0017,), (0.008 - 1e-10,)],
+                             ids=["no-snapshot", "snapshot", "snapshot-without-a-step-after"])
+    def test_only_the_last_stage_is_sent_as_the_last(self, monkeypatch, use_cpus, snapshot_s):
+        # the solve's last stage says that no command follows, so each
+        # slab worker ends as it replies, also when the last snapshot time
+        # is taken without a step after it
+        import tribody._fork as fork
+
+        use_cpus(2)
+        parts, sent = fork.parts, []
+
+        @contextlib.contextmanager
+        def recorded(bounds, do):
+            with parts(bounds, do) as run:
+                def run_recorded(command, last=False):
+                    sent.append(last)
+                    return run(command, last)
+                yield run_recorded
+        monkeypatch.setattr(fork, "parts", recorded)
+        res = self.solve(slab_grid(2), snapshot_s=snapshot_s)
+        assert sent == [False] * (2 * res.diagnostics["steps"] - 1) + [True]
         self.assert_no_child_left()
 
     def test_below_the_cutoff_nothing_is_forked(self, monkeypatch, use_cpus):

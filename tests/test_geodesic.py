@@ -1,4 +1,7 @@
+import contextlib
 import math
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from tribody import (
     momentum_rhs,
     reduced_mass,
 )
-from tribody.geodesic import read_trajectory_csv, write_trajectory_csv
+from tribody.geodesic import _DormandPrince, read_trajectory_csv, write_trajectory_csv
 from tribody.metric import flow_coefficients
 
 from helpers import CallablePotential
@@ -176,6 +179,43 @@ class TestIntegrate:
         _, surf, s0 = morse_setup()
         with pytest.raises(DomainError):
             integrate(s0, surf, **{"s_end": 1.0, **kwargs})
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """A block that raises TimeoutError once it has run seconds of wall
+    time (a POSIX interval timer), so that a loop that does not end fails
+    the test instead of holding the suite."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("xi", [[1e300, 0.0, 0.0], [0.1, math.inf, 0.0]],
+                             ids=["overflowing-xi", "infinite-xi"])
+    def test_start_with_a_derivative_that_is_not_finite_is_rejected(self, xi):
+        # |xi|^2 overflows: the derivative at the start holds NaN and inf,
+        # which the solver reports as such, not as an overflow warning
+        _, surf, s0 = morse_setup()
+        with within(1.0), warnings.catch_warnings(), \
+                pytest.raises(DomainError, match="derivative at the initial state"):
+            warnings.simplefilter("error", RuntimeWarning)
+            integrate(GeodesicState(x=s0.x, xi=xi), surf, s_end=0.5)
+
+    def test_nan_step_size_stops_the_solver(self):
+        # the retry loop compares the step to its floor NaN-safely
+        solver = _DormandPrince(lambda y: -y, 0.0, np.ones(6), 1.0, 1e-9, 1e-12)
+        solver.h_abs = math.nan
+        with within(1.0):
+            assert solver.step() is False
+        assert solver.accepted == 0
 
 
 def scipy_reference(state0, surf, J, s_end, tol, n_samples):

@@ -178,6 +178,16 @@ class TestTwoPoint:
         short = two_point_increments(0.01, nm, chunk_stream(1), n=5)
         assert np.array_equal(short, two_point_increments(0.01, nm, chunk_stream(1), n=1000)[:5])
 
+    @pytest.mark.parametrize("skip", [0, 1, 21, 22, 64, 1000])
+    def test_skipped_rows_are_the_rows_of_a_longer_draw(self, skip):
+        # rows [skip, skip + 40) of a draw of skip + 40 rows, bit for bit,
+        # whether 3 skip falls on a word boundary (0, 64), just before or
+        # after one (21, 22) or not near one
+        scale = _increment_scale(NoiseModel(epsilon=self.EPS), 0.01)
+        whole = langevin._two_point(chunk_stream(3, 1, 2), scale, np.empty((skip + 40, 3)))
+        rows = langevin._two_point(chunk_stream(3, 1, 2), scale, np.empty((3, 40)).T, skip)
+        assert np.array_equal(rows, whole[skip:])
+
     def test_covariance_and_moments(self):
         # mean 0, covariance 2 eps ds I, third moments 0: the moments that
         # give the simplified weak Euler scheme weak order 1
@@ -626,32 +636,52 @@ class TestTwoPointEnsemble:
         assert np.all(np.abs(va - vb) < 5 * np.sqrt(2 / (n - 1) * (va**2 + vb**2)))
 
 
-def on_one_and_two_cpus(use_cpus, *args, **kwargs):
-    """run_ensemble(*args, **kwargs) with 1 and with 2 CPUs usable by the
-    process, in process and with a forked worker when there are two or
-    more chunks; the two results must agree bit for bit, and the first is
-    returned."""
+@pytest.fixture()
+def forks(monkeypatch):
+    """The workers forked since the test began, counted in a list of one."""
+    count, fork = [0], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            count[0] += 1
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def on_cpus(use_cpus, counts, *args, forks=None, **kwargs):
+    """run_ensemble(*args, **kwargs) with each number of CPUs in counts
+    usable by the process; the results must agree bit for bit, and the
+    first is returned.  With forks (the fixture) given, each run must fork
+    one worker per share but the last, with a share per CPU but none of
+    fewer than MIN_SHARE_ROWS paths."""
     results = []
-    for cpus in (1, 2):
+    for cpus in counts:
         use_cpus(cpus)
+        before = forks[0] if forks else 0
         results.append(run_ensemble(*args, **kwargs))
-    one, two = results
-    assert np.array_equal(one.xi_final, two.xi_final, equal_nan=True)
-    assert len(one.snapshots) == len(two.snapshots)
-    for (s_a, a), (s_b, b) in zip(one.snapshots, two.snapshots):
-        assert s_a == s_b
-        assert np.array_equal(a, b, equal_nan=True)
-    assert list(one.blowups.items()) == list(two.blowups.items())
-    assert one.meta == two.meta and one.s_final == two.s_final
+        if forks:
+            shares = max(1, min(cpus, args[0] // langevin.MIN_SHARE_ROWS))
+            assert forks[0] - before == shares - 1
+    one = results[0]
+    for other in results[1:]:
+        assert np.array_equal(one.xi_final, other.xi_final, equal_nan=True)
+        assert len(one.snapshots) == len(other.snapshots)
+        for (s_a, a), (s_b, b) in zip(one.snapshots, other.snapshots):
+            assert s_a == s_b
+            assert np.array_equal(a, b, equal_nan=True)
+        assert list(one.blowups.items()) == list(other.blowups.items())
+        assert one.meta == other.meta and one.s_final == other.s_final
     return one
 
 
 class TestChunkedEnsemble:
     """Paths are stepped in chunks of CHUNK, each chunk with its own
-    counter-keyed noise stream.  With two or more chunks and two or more
-    usable CPUs, contiguous shares of the chunks are stepped in forked
-    worker processes; the bits are those of one process stepping every
-    chunk."""
+    counter-keyed noise stream.  With two or more usable CPUs and at least
+    2 MIN_SHARE_ROWS paths, contiguous shares of the rows are stepped in
+    forked worker processes, a piece of a chunk at a time; the bits are
+    those of one process stepping every chunk."""
 
     EPS = 0.015
     SCHED = CoefficientSchedule.constant([0.05, -0.03, 0.02], 0.2, (0.0, 0.1))
@@ -665,8 +695,8 @@ class TestChunkedEnsemble:
         xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(3).standard_normal((40000, 3))
 
         def run(n):
-            return on_one_and_two_cpus(use_cpus, n, sched, xi0[:n], 0.01, mode, nm,
-                                       s_span=(0.0, 0.2), snapshot_s=[0.1, 0.15])
+            return on_cpus(use_cpus, (1, 2), n, sched, xi0[:n], 0.01, mode, nm,
+                           s_span=(0.0, 0.2), snapshot_s=[0.1, 0.15])
 
         big = run(40000)
         assert 32768 == 2 * CHUNK < 40000 < 3 * CHUNK
@@ -691,8 +721,8 @@ class TestChunkedEnsemble:
         assert t_fast < t_slow
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = on_one_and_two_cpus(use_cpus, len(xi0), sched, xi0, 0.01, mode, nm,
-                                      snapshot_s=[t_fast])
+            res = on_cpus(use_cpus, (1, 2), len(xi0), sched, xi0, 0.01, mode, nm,
+                          snapshot_s=[t_fast])
         assert list(res.blowups.items()) == [(3, t_fast), (CHUNK + 1, t_fast),
                                              (CHUNK + 3, t_fast), (1, t_slow)]
         # a path is frozen as a row of NaN at the step it blows up
@@ -704,16 +734,15 @@ class TestChunkedEnsemble:
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_short_last_chunk_is_stepped_in_the_caller(self, monkeypatch, use_cpus, mode):
-        # 2 CHUNK + 10 paths make two full chunks and a short one: on 2 and
-        # 3 CPUs the caller steps the short chunk, and no worker steps one
+        # 2 CHUNK + 10 paths: the caller steps the last share, the largest,
+        # [lo, n), as a piece of chunk 1 from row lo - CHUNK and the 10 rows
+        # of the short chunk 2, at each of the 10 steps
         caller = os.getpid()
         rows_in_caller = []
 
         def step(xi, *args):
             if os.getpid() == caller:
                 rows_in_caller.append(len(xi))
-            elif len(xi) < CHUNK:
-                raise AssertionError("a worker stepped the short chunk")
             return _step(xi, *args)
         monkeypatch.setattr(langevin, "_step", step)
         n = 2 * CHUNK + 10
@@ -724,22 +753,66 @@ class TestChunkedEnsemble:
             use_cpus(cpus)
             rows_in_caller.clear()
             runs.append(run_ensemble(n, self.SCHED, xi0, 0.01, mode, nm, snapshot_s=[0.05]))
-            assert 10 in rows_in_caller
-            assert (CHUNK in rows_in_caller) == (cpus < 3)
+            bounds = [i * n // cpus for i in range(cpus + 1)]
+            lo = bounds[-2]
+            assert n - lo == max(np.diff(bounds))
+            pieces = [CHUNK] * 2 if cpus == 1 else [2 * CHUNK - lo]
+            assert rows_in_caller == [r for r in pieces + [10] for _ in range(10)]
         for other in runs[1:]:
             assert np.array_equal(runs[0].xi_final, other.xi_final)
             assert np.array_equal(runs[0].snapshots[0][1], other.snapshots[0][1])
 
     def test_one_chunk_is_stepped_in_the_caller(self, monkeypatch, use_cpus):
-        # one chunk makes one share: nothing forked
-        use_cpus(2)
-
+        # below 2 MIN_SHARE_ROWS paths a share would hold fewer than
+        # MIN_SHARE_ROWS: one share, nothing forked, on any CPU count
         def no_fork():
-            raise AssertionError("forked for a one-chunk ensemble")
+            raise AssertionError("forked for an ensemble below 2 MIN_SHARE_ROWS paths")
         monkeypatch.setattr(os, "fork", no_fork)
-        res = run_ensemble(CHUNK, self.SCHED, [0.1, -0.2, 0.05], 0.01, "additive",
-                           NoiseModel(epsilon=0.01))
+        for cpus in (2, 3):
+            use_cpus(cpus)
+            res = run_ensemble(2 * langevin.MIN_SHARE_ROWS - 1, self.SCHED, [0.1, -0.2, 0.05],
+                               0.01, "additive", NoiseModel(epsilon=0.01))
+            assert np.isfinite(res.xi_final).all()
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("extra", [-1, 0], ids=["below-2-shares", "2-shares"])
+    def test_same_bits_on_1_2_and_3_cpus_at_the_share_cutoff(self, use_cpus, forks, mode,
+                                                               extra):
+        n = 2 * langevin.MIN_SHARE_ROWS + extra
+        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(5).standard_normal((n, 3))
+        on_cpus(use_cpus, (1, 2, 3), n, self.SCHED, xi0, 0.01, mode,
+                NoiseModel(epsilon=self.EPS, seed=29), snapshot_s=[0.05], forks=forks)
+
+    def test_same_bits_on_1_2_and_3_cpus_in_one_chunk(self, use_cpus, forks):
+        # the multiplicative_noise workload's 10^4 paths, one chunk: two or
+        # three shares of its rows
+        _, sched = morse_schedule()
+        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(6).standard_normal((10_000, 3))
+        res = on_cpus(use_cpus, (1, 2, 3), 10_000, sched, xi0, 0.01, "multiplicative",
+                      NoiseModel(epsilon=self.EPS, seed=31), s_span=(0.0, 0.1),
+                      snapshot_s=[0.05], forks=forks)
         assert np.isfinite(res.xi_final).all()
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_blowup_in_a_piece_that_starts_mid_chunk(self, use_cpus, forks, mode):
+        # 20001 paths on 3 CPUs: shares [0, 6667), [6667, 13334) and
+        # [13334, 20001), the last two starting inside chunk 0; paths 6667
+        # + 3 and 13334 + 5 start fast and blow up, and so does path CHUNK
+        # + 2 (chunk 1) in the caller's second piece
+        n = 20_001
+        sched = CoefficientSchedule.constant([1.0, 0.5, -0.5], 0.1, (0.0, 2.0))
+        xi0 = np.array([0.1, -0.2, 0.05]) + 0.05 * philox(7).standard_normal((n, 3))
+        fast = [6670, 13339, CHUNK + 2]
+        xi0[fast] = [30.0, 15.0, -15.0]
+        t_fast = run_ensemble(1, sched, xi0[fast[0]], 0.01, mode, NoiseModel(0.0)).blowups[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = on_cpus(use_cpus, (1, 2, 3), n, sched, xi0, 0.01, mode,
+                          NoiseModel(epsilon=self.EPS, seed=37), s_span=(0.0, 2 * t_fast),
+                          snapshot_s=[t_fast], forks=forks)
+        assert sorted(res.blowups) == fast
+        assert np.all(np.isnan(res.xi_final[fast]))
+        assert np.isfinite(np.delete(res.xi_final, fast, axis=0)).all()
 
 
 def hooked_step(in_caller=None, in_worker=None):

@@ -22,6 +22,13 @@ gap larger than the parent's interquartile range), the failed operations
 of each side, and the workload's checks (criterion 6's TVs and the like)
 per seed; it prints the same per workload and metric.  A run that fails
 or prints no result stops the comparison.
+
+Before each pair it times a fixed CPU-bound loop alone and then in two
+forked processes at once, and records the ratio of the two wall times
+per pair (``cpu_ratio``, also printed with each run): about 1 when a
+second CPU ran beside the first, about 2 when the two processes shared
+one.  A gain or loss of the solvers' forked workers can only be read
+beside it.
 """
 
 from __future__ import annotations
@@ -29,10 +36,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -84,6 +93,30 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "machine": details["machine"], "checks": details["checks"]}
 
 
+def cpu_ratio(loops: int = 5_000_000) -> float:
+    """The wall time of a Python loop of loops additions run in two forked
+    processes at once over its time in one alone."""
+    def timed(processes: int) -> float:
+        t0 = time.perf_counter()
+        pids = []
+        for _ in range(processes):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    total = 0
+                    for i in range(loops):
+                        total += i
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        return time.perf_counter() - t0
+
+    alone = timed(1)
+    return round(timed(2) / alone, 3)
+
+
 def summary(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
@@ -94,14 +127,17 @@ def compare(roots: dict, workload: str, seeds: list, seconds: float):
     """Alternating pairs of one workload; returns its BENCH entry and the
     machine the runs reported."""
     runs = {side: {} for side in SIDES}
+    ratios = {}
     for i, seed in enumerate(seeds):
+        ratios[seed] = cpu_ratio()
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             runs[side][seed] = run_once(roots[side], workload, seed, seconds)
             r = runs[side][seed]
             print(f"{workload} seed {seed} {side}: "
                   + ", ".join(f"{m} {r['metrics'][m]:.4f}" for m in METRICS)
-                  + f", failed {r['failed']}", file=sys.stderr)
+                  + f", failed {r['failed']}, cpu ratio {ratios[seed]}", file=sys.stderr)
     entry = {"pairs": len(seeds), "seeds": seeds,
+             "cpu_ratio": [[seed, ratios[seed]] for seed in seeds],
              "failed_operations": {side: sum(r["failed"] for r in runs[side].values())
                                    for side in SIDES}}
     for m in METRICS:
@@ -163,7 +199,9 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, entry in entries.items():
-        print(f"{workload}: failed operations {entry['failed_operations']}")
+        ratios = [ratio for _, ratio in entry["cpu_ratio"]]
+        print(f"{workload}: failed operations {entry['failed_operations']}, cpu ratio "
+              f"{min(ratios)}-{max(ratios)} (median {statistics.median(ratios):.3f})")
         for m in METRICS:
             e = entry[m]
             print(f"  {m} {e['parent']['median']} -> {e['change']['median']} "

@@ -2,7 +2,11 @@
 
     python3 tools/check_run.py RUN_DIR [--summary FILE --title TEXT]
 
-Exits with a message naming the first check that fails:
+Exits non-zero with a message naming every file the checks read that
+RUN_DIR lacks (the manifests of simulate, ensemble, fpe and chaos among
+them) and every manifest whose status is not "complete", such as that of
+a stage that exited 4.  Otherwise it exits with a message naming the
+first of these checks that fails:
 
 - the fpe stage's mass balance residual is above rounding (1e-12);
 - the chaos series (tube a) is not taken at the times of the fpe stage's
@@ -28,6 +32,24 @@ import json
 import sys
 from pathlib import Path
 
+# the files the checks read, besides any manifest_channels.json
+NEEDED = ("fpe_meta.json", "chaos_report.json", "ensemble_snapshots.csv", "ensemble_meta.json",
+          *(f"manifest_{stage}.json" for stage in ("simulate", "ensemble", "fpe", "chaos")))
+
+
+def unfinished(run: Path) -> list:
+    """What keeps run from being checked: each file of NEEDED that it
+    lacks, and each manifest whose status is not 'complete'."""
+    found = [f"{name} is missing" for name in NEEDED if not (run / name).is_file()]
+    for path in sorted(run.glob("manifest_*.json")):
+        try:
+            status = json.loads(path.read_text()).get("status")
+        except (ValueError, AttributeError):
+            status = "unreadable"
+        if status != "complete":
+            found.append(f"{path.name} has status {status!r}")
+    return found
+
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -36,6 +58,9 @@ def main(argv=None) -> None:
     parser.add_argument("--title", default="fpe steps", help="heading of that section")
     args = parser.parse_args(argv)
     run = args.run
+    problems = unfinished(run)
+    if problems:
+        sys.exit(f"{run} is not a finished run: " + "; ".join(problems))
     meta = json.loads((run / "fpe_meta.json").read_text())
     diag = meta["diagnostics"]
     if args.summary:
