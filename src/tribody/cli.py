@@ -8,11 +8,12 @@ only once its manifest is complete and its checksum matches.  ensemble
 and fpe read the starting momentum and the coefficient schedule
 (a, Lambda^2) from trajectory.csv, not the config, and share their
 snapshot times.  chaos compares the fpe stage's densities (tube a) with a
-tube b that it solves along a perturbed trajectory.  chaos and channels
-hold the config keys they share with simulate and fpe to the values
-those stages' manifests recorded.  The chaos verdict's gates and the
-channel window are chaos module constants, not config keys.  Same config
-+ seed gives bit-identical outputs.
+tube b that it solves along a perturbed trajectory.  READS names the
+config keys each stage reads, and a stage holds every other complete
+manifest in the output directory to the keys that both stages read.
+The chaos verdict's gates and the channel window are chaos module
+constants, not config keys.  Same config + seed gives bit-identical
+outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
 artifact, 4 numerical failure (an arithmetic overflow included), 5 I/O
@@ -57,7 +58,20 @@ from .langevin import CoefficientSchedule, NoiseModel, noise_power, run_ensemble
 from .metric import EnergySurface
 from .potentials import FreePotential, GravityPotential, MorsePotential
 
-STAGES = ("simulate", "ensemble", "fpe", "chaos", "channels")
+# the config keys each stage reads itself, each a section or one
+# "section.key": chaos integrates simulate's physics again for tube b, and
+# channels weighs the pair distances by the masses.  ensemble and fpe take
+# the starting momentum and the schedule from trajectory.csv, so they read
+# none of the physics
+_PHYSICS = ("masses", "potential", "energy", "u0", "angular_momentum", "initial", "integrator")
+READS = {
+    "simulate": _PHYSICS,
+    "ensemble": ("noise", "sde", "seed"),
+    "fpe": ("noise", "sde.mode", "sde.snapshots", "grid"),
+    "chaos": (*_PHYSICS, "noise", "sde.mode", "grid", "chaos"),
+    "channels": ("masses", "channels"),
+}
+STAGES = tuple(READS)
 
 
 def _real(value, where: str) -> float:
@@ -312,13 +326,14 @@ class StageWriter:
         _atomic_write_text(self.manifest_path, _json_dump(self.header))
 
 
-def _check_ran_under(cfg: dict, stage: str, upstream: dict, keys) -> None:
-    """DependencyError unless each config key in keys (a section, or one
-    "section.key") has in cfg's settings the value that stage's manifest
-    upstream records in its config.  The error names the first key that
-    differs."""
+def _hold_to_peers(cfg: dict, stage: str, out_dir: Path) -> None:
+    """DependencyError unless each config key that stage and another stage
+    both read (READS) has in cfg's settings the value that the other
+    stage's manifest in out_dir records in its config, where that
+    manifest is a complete JSON object.  The other stages go in STAGES
+    order, and the error names the first key that differs."""
 
-    def values(config) -> dict:
+    def values(config, keys) -> dict:
         found = {}
         for key in keys:
             section, _, sub = key.partition(".")
@@ -329,18 +344,29 @@ def _check_ran_under(cfg: dict, stage: str, upstream: dict, keys) -> None:
                 found[key] = value
         return found
 
-    given, recorded = values(cfg["settings"]), values(upstream.get("config"))
-    for key in dict.fromkeys([*given, *recorded]):
-        if given.get(key) != recorded.get(key):
-            raise DependencyError(f"config key {key} is {given.get(key)!r}, but {stage} ran "
-                                  f"with {recorded.get(key)!r}")
+    for other in STAGES:
+        # a key both name, or the narrower of a section and one of its keys
+        keys = [max(k, j, key=len) for k in READS[stage] for j in READS[other]
+                if f"{k}.".startswith(f"{j}.") or f"{j}.".startswith(f"{k}.")]
+        if other == stage or not keys:
+            continue
+        try:
+            doc = json.loads((out_dir / f"manifest_{other}.json").read_bytes())
+        except (FileNotFoundError, ValueError):   # absent, not text or not JSON
+            continue
+        if not isinstance(doc, dict) or doc.get("status") != "complete":
+            continue
+        given, recorded = values(cfg["settings"], keys), values(doc.get("config"), keys)
+        for key in dict.fromkeys([*given, *recorded]):
+            if given.get(key) != recorded.get(key):
+                raise DependencyError(f"config key {key} is {given.get(key)!r}, but {other} "
+                                      f"ran with {recorded.get(key)!r}")
 
 
-def _verified(out_dir: Path, stage: str, cfg=None, keys=()) -> dict:
+def _verified(out_dir: Path, stage: str) -> dict:
     """A stage's manifest in out_dir, with its outputs {name: sha256} under
     "outputs", once the manifest is a complete JSON object, every output
-    is a file named directly in out_dir, each matches its checksum, and
-    the stage ran under cfg's values of the config keys in keys."""
+    is a file named directly in out_dir and each matches its checksum."""
     manifest = out_dir / f"manifest_{stage}.json"
     try:
         doc = json.loads(manifest.read_bytes().decode("utf-8"))
@@ -361,16 +387,13 @@ def _verified(out_dir: Path, stage: str, cfg=None, keys=()) -> dict:
         path = out_dir / name
         if not path.is_file() or _sha256(path) != digest:
             raise DependencyError(f"{path} does not match the checksum in {manifest.name}")
-    if keys:
-        _check_ran_under(cfg, stage, doc, keys)
     return doc
 
 
-def _load_trajectory(out_dir: Path, cfg=None, keys=()):
+def _load_trajectory(out_dir: Path):
     """Samples (s, x, xi) of trajectory.csv and the coefficient schedule
-    recorded with them, once the simulate manifest vouches for it and
-    simulate ran under cfg's values of the config keys in keys."""
-    if "trajectory.csv" not in _verified(out_dir, "simulate", cfg, keys)["outputs"]:
+    recorded with them, once the simulate manifest vouches for it."""
+    if "trajectory.csv" not in _verified(out_dir, "simulate")["outputs"]:
         raise DependencyError(f"manifest_simulate.json in {out_dir} does not list trajectory.csv")
     data = read_trajectory_csv(out_dir / "trajectory.csv")
     try:
@@ -383,12 +406,12 @@ def _load_trajectory(out_dir: Path, cfg=None, keys=()):
     return s, x, xi, CoefficientSchedule(s=s, a=a, lam_sq=lam_sq)
 
 
-def _load_densities(out_dir: Path, cfg: dict) -> tuple:
+def _load_densities(out_dir: Path) -> tuple:
     """The snapshot times and density grids of the fpe run in out_dir, once
-    its manifest vouches for fpe_meta.json and every density_NNNN.npy, fpe
-    ran under cfg's mode, grid and noise, and fpe_meta.json gives a grid,
-    whose shape each density has, and the times as a list of numbers."""
-    outputs = _verified(out_dir, "fpe", cfg, ("sde.mode", "grid", "noise.epsilon"))["outputs"]
+    its manifest vouches for fpe_meta.json and every density_NNNN.npy, and
+    fpe_meta.json gives a grid, whose shape each density has, and the
+    times as a list of numbers."""
+    outputs = _verified(out_dir, "fpe")["outputs"]
     if "fpe_meta.json" not in outputs:
         raise DependencyError(f"manifest_fpe.json in {out_dir} does not list fpe_meta.json")
     try:
@@ -513,10 +536,10 @@ def cmd_fpe(cfg: dict, writer: StageWriter) -> None:
 
 def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
     # tube a is the fpe stage's densities, on the schedule simulate
-    # recorded: tube b is solved under the same physics, noise and grid
-    _verified(writer.out, "simulate", cfg, ("masses", "potential", "energy", "u0",
-                                            "angular_momentum", "initial", "integrator"))
-    s_vals, series_a = _load_densities(writer.out, cfg)
+    # recorded: tube b is solved under the physics, noise and grid that
+    # those two stages' manifests record
+    _verified(writer.out, "simulate")
+    s_vals, series_a = _load_densities(writer.out)
     # tube b from initial internal coordinates perturbed by delta, solved
     # at tube a's times up to the end of trajectory b (zip stops there)
     traj_b = _run_trajectory(cfg, x0=cfg["x0"] + cfg["chaos"]["delta"])
@@ -540,8 +563,7 @@ def cmd_chaos(cfg: dict, writer: StageWriter) -> None:
 
 
 def cmd_channels(cfg: dict, writer: StageWriter) -> None:
-    # the pair distances weigh x by the masses, which must be simulate's
-    s, x, _, _ = _load_trajectory(writer.out, cfg, ("masses",))
+    s, x, _, _ = _load_trajectory(writer.out)
     ch = cfg["channels"]
     label = classify_channel(s, x, cfg["masses"], ch["r_bound"], ch["r_free"])
     _atomic_write_text(writer.path("channels.json"), _json_dump({
@@ -560,6 +582,7 @@ def run_command(name: str, cfg: dict, out_dir: Path, force: bool = False) -> Non
     writer = StageWriter(name, out_dir, cfg, force)
     writer.start()
     try:
+        _hold_to_peers(cfg, name, out_dir)
         globals()[f"cmd_{name}"](cfg, writer)
     except Exception:
         writer.fail()
@@ -598,7 +621,8 @@ def main(argv=None) -> int:
     except DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return 3
-    except (TribodyError, ArithmeticError) as exc:   # a float overflow is one too
+    # a float overflow is one too, and so is numpy's warning of one under -W error
+    except (TribodyError, ArithmeticError, RuntimeWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -497,11 +497,14 @@ class TestExitCodes:
     ], ids=["seed-and-default", "sde.n_paths", "sde.ds", "channels.r_bound"])
     def test_seed_and_defaults_are_not_physics(self, after_fpe, tmp_path, edit):
         # another seed, a default written out and keys that neither
-        # simulate nor fpe reads leave the run as simulate and fpe made it
+        # simulate nor fpe reads leave the run as simulate and fpe made it;
+        # an ensemble under a third seed beside them holds neither back
         cfg, out = after_fpe
         doc = json.loads(cfg.read_text())
         edit(doc)
-        assert run("chaos", write_config(tmp_path, doc, "reseeded.json"), out, "--seed", "5") == 0
+        reseeded = write_config(tmp_path, doc, "reseeded.json")
+        assert run("ensemble", reseeded, out, "--seed", "7") == 0
+        assert run("chaos", reseeded, out, "--seed", "5") == 0
 
     def test_fpe_on_another_grid_is_3(self, tmp_path):
         cfg, out, _ = self.simulated(tmp_path)
@@ -530,6 +533,50 @@ class TestExitCodes:
         assert f"config key {key} " in err and "but fpe ran" in err
         assert not (out / "chaos_report.json").exists()
         assert run("chaos", cfg, out, "--force") == 0
+
+    @pytest.mark.parametrize("key, edit", [
+        ("noise.epsilon", lambda doc: doc["noise"].update(epsilon=0.05)),
+        ("sde.mode", lambda doc: doc["sde"].update(mode="multiplicative")),
+        ("sde.snapshots", lambda doc: doc["sde"].update(snapshots=[0.5, 2.0])),
+        ("noise.epsilon", lambda doc: (doc["noise"].update(epsilon=0.05),
+                                       doc["sde"].update(mode="multiplicative"))),
+    ], ids=["noise.epsilon", "sde.mode", "sde.snapshots", "noise.epsilon-and-sde.mode"])
+    def test_ensemble_and_fpe_under_other_noise_are_3(self, after_fpe, tmp_path, capsys, key,
+                                                      edit):
+        # ensemble samples the process whose density fpe solves for: beside
+        # an fpe of another noise power, mode or snapshot times it exits 3,
+        # and so does fpe beside such an ensemble; the key is named
+        cfg, out = after_fpe
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        edited = write_config(tmp_path, doc, "edited.json")
+        capsys.readouterr()
+        assert run("ensemble", edited, out) == 3
+        err = capsys.readouterr().err
+        assert f"config key {key} " in err and "but fpe ran" in err
+        assert not (out / "ensemble_snapshots.csv").exists()
+        (tmp_path / "ensemble_first").mkdir()
+        _, out, _ = self.simulated(tmp_path / "ensemble_first")
+        assert run("ensemble", edited, out) == 0
+        assert run("fpe", cfg, out) == 3
+        err = capsys.readouterr().err
+        assert f"config key {key} " in err and "but ensemble ran" in err
+        assert not (out / "fpe_meta.json").exists()
+        assert json.loads((out / "manifest_fpe.json").read_text())["status"] == "failed"
+
+    def test_simulate_again_under_other_masses_beside_channels_is_3(self, tmp_path, capsys):
+        # channels weighed the pair distances by the masses its manifest
+        # records: simulate run again under others leaves the trajectory be
+        cfg, out, _ = self.simulated(tmp_path)
+        assert run("channels", cfg, out) == 0
+        traj = (out / "trajectory.csv").read_bytes()
+        doc = base_config()
+        doc["masses"]["m2"] = 2.0
+        capsys.readouterr()
+        assert run("simulate", write_config(tmp_path, doc, "edited.json"), out, "--force") == 3
+        err = capsys.readouterr().err
+        assert "config key masses.m2 " in err and "but channels ran" in err
+        assert (out / "trajectory.csv").read_bytes() == traj
 
     def test_failed_stage_runs_again_without_force(self, after_fpe, tmp_path):
         # a stage whose run failed runs again once its fault is fixed; a
@@ -653,14 +700,16 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert json.loads((out / f"manifest_{stage}.json").read_text())["status"] == "failed"
 
-    @pytest.mark.parametrize("stage, edit", [
+    @pytest.mark.parametrize("stage, edit, flags", [
         # |xi|^2 overflows, and with chaos.delta 1e300 tube b starts where
         # the potential's gradient does: the derivative at the start of the
         # trajectory is not finite
-        ("simulate", lambda doc: doc["initial"].update(xi=[1e300, 0.0, 0.0])),
-        ("chaos", lambda doc: doc.update(chaos={"delta": 1e300})),
-    ], ids=["initial.xi-1e300", "chaos.delta-1e300"])
-    def test_derivative_that_is_not_finite_is_4(self, tmp_path, stage, edit):
+        ("simulate", lambda doc: doc["initial"].update(xi=[1e300, 0.0, 0.0]), []),
+        ("chaos", lambda doc: doc.update(chaos={"delta": 1e300}), []),
+        # with -W error numpy's overflow warning is raised as an exception
+        ("chaos", lambda doc: doc.update(chaos={"delta": 1e300}), ["-W", "error"]),
+    ], ids=["initial.xi-1e300", "chaos.delta-1e300", "chaos.delta-1e300-W-error"])
+    def test_derivative_that_is_not_finite_is_4(self, tmp_path, stage, edit, flags):
         # the stage runs in its own interpreter, so that a solver that does
         # not end fails the test at the timeout instead of holding the suite
         doc = base_config()
@@ -673,8 +722,8 @@ class TestExitCodes:
             assert run("fpe", cfg, out) == 0
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         try:
-            proc = subprocess.run([sys.executable, "-m", "tribody.cli", stage, "--config",
-                                   str(cfg), "--out", str(out)],
+            proc = subprocess.run([sys.executable, *flags, "-m", "tribody.cli", stage,
+                                   "--config", str(cfg), "--out", str(out)],
                                   env=env, capture_output=True, text=True, timeout=30)
         except subprocess.TimeoutExpired:
             pytest.fail(f"{stage} still ran after 30 s")
@@ -1157,7 +1206,7 @@ class TestCheckRun:
         # the finished run passes; with a stage's files gone or its
         # manifest unfinished, the tool names them and exits non-zero
         check_run.main([str(finished)])
-        assert "noise power check" in capsys.readouterr().out
+        assert "recorded configs check" in capsys.readouterr().out
         edit(finished)
         with pytest.raises(SystemExit) as exit_:
             check_run.main([str(finished)])
