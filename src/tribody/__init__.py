@@ -4,18 +4,7 @@ and a Kullback-Leibler chaos criterion."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateConfigurationError,
-    DegenerateMetricError,
-    DependencyError,
-    DomainError,
-    EmptyDensityError,
-    FitError,
-    ForbiddenRegionError,
-    ResolutionError,
-    TribodyError,
-)
+from .errors import ConfigError, DependencyError, DomainError, TribodyError
 from .kinematics import (
     InternalCoords,
     JacobiCoords,

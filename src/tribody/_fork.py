@@ -10,7 +10,9 @@ result in place into a shared anonymous mmap (`shared`) mapped before
 the fork.  Commands and replies pass through two pipes of pickled
 objects.  A worker leaves only through os._exit, so none of the caller's
 handlers, atexit hooks or buffered output run or flush twice, and on
-Linux the kernel kills it when its caller dies first (_die_with).  The
+Linux the kernel kills it when its caller dies first (_die_with).  A
+worker that ends without sending a result, killed by a signal say, is a
+ChildProcessError in the caller: an OSError, as a fork that fails is.  The
 workers make no BLAS call; Python 3.12 and later warn on a fork in a
 process with more than one thread, as numpy's OpenBLAS makes it unless
 pinned to one.
@@ -147,8 +149,8 @@ class Worker:
 
     def _ended(self):
         self.reap(kill=False)
-        raise RuntimeError(f"a forked worker ended with wait status {self.status} "
-                           "and sent no result")
+        raise ChildProcessError(f"a forked worker ended with wait status {self.status} "
+                                "and sent no result")
 
     def _close(self) -> None:
         for pipe in (self._commands, self._replies):
@@ -180,7 +182,8 @@ def parts(bounds, do):
     before the caller ends then, not when the block is left.
 
     An exception that do raises in a worker is raised by run with its
-    type, and a worker that ends without replying is a RuntimeError.
+    type, and a worker that ends without replying is a ChildProcessError,
+    an OSError, as a failed fork is.
     Every worker is reaped when the block is left.  A block that ends
     normally has had every reply, so its idle workers end as their pipes
     close; a block left by an exception or an interrupt, the caller's own

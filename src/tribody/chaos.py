@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError
 from .kinematics import Masses, pair_distances
 from .fokker_planck import MomentumGrid
 
@@ -71,7 +71,7 @@ def growth_rate(s, D):
     D = np.asarray(D, dtype=float).reshape(-1)
     mask = D > 0.0
     if np.count_nonzero(mask) < 3:
-        raise FitError("need >= 3 samples with D > 0")
+        raise DomainError("need >= 3 samples with D > 0")
     sf, lf = s[mask], np.log(D[mask])
     k, b = np.polyfit(sf, lf, 1)
     resid = float(np.sqrt(np.mean((lf - (k * sf + b)) ** 2)))
@@ -129,7 +129,7 @@ def chaos_report(s, D) -> ChaosReport:
     if not np.all(D == 0.0):
         try:
             k, resid = growth_rate(s, D)
-        except FitError:   # NaN fails both tests of the gate below
+        except DomainError:   # NaN fails both tests of the gate below
             k = resid = decades = float("nan")
         else:
             fitted = D[D > 0.0]

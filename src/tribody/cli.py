@@ -9,15 +9,18 @@ and fpe read the starting momentum and the coefficient schedule
 (a, Lambda^2) from trajectory.csv, not the config, and share their
 snapshot times.  chaos compares the fpe stage's densities (tube a) with a
 tube b that it solves along a perturbed trajectory.  READS names the
-config keys each stage reads, and a stage holds every other complete
-manifest in the output directory to the keys that both stages read.
+config keys each stage reads and NEEDS the stages whose outputs it reads:
+a stage is held to every other complete manifest in the output directory
+on the keys both read, and to one that needs it on all it reads, or
+refused before it writes anything.
 The chaos verdict's gates and the channel window are chaos module
 constants, not config keys.  Same config + seed gives bit-identical
 outputs.
 
 Exit codes: 0 success, 2 config error, 3 missing or unverified upstream
-artifact, 4 numerical failure (an arithmetic overflow included), 5 I/O
-error or out of memory.
+artifact or a refused run, 4 numerical failure (an arithmetic overflow
+included), 5 I/O error (a forked worker that ended without a result
+included) or out of memory.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ READS = {
     "channels": ("masses", "channels"),
 }
 STAGES = tuple(READS)
+# the stages whose outputs each stage reads
+NEEDS = {"simulate": (), "ensemble": ("simulate",), "fpe": ("simulate",),
+         "chaos": ("simulate", "fpe"), "channels": ("simulate",)}
 
 
 def _real(value, where: str) -> float:
@@ -328,10 +334,11 @@ class StageWriter:
 
 def _hold_to_peers(cfg: dict, stage: str, out_dir: Path) -> None:
     """DependencyError unless each config key that stage and another stage
-    both read (READS) has in cfg's settings the value that the other
-    stage's manifest in out_dir records in its config, where that
-    manifest is a complete JSON object.  The other stages go in STAGES
-    order, and the error names the first key that differs."""
+    both read (READS), or that stage reads when the other needs it (NEEDS:
+    a new run would replace what the other read), has in cfg's settings
+    the value that the other stage's complete manifest in out_dir records
+    in its config.  The other stages go in STAGES order, and the error
+    names the first key that differs."""
 
     def values(config, keys) -> dict:
         found = {}
@@ -345,9 +352,11 @@ def _hold_to_peers(cfg: dict, stage: str, out_dir: Path) -> None:
         return found
 
     for other in STAGES:
-        # a key both name, or the narrower of a section and one of its keys
-        keys = [max(k, j, key=len) for k in READS[stage] for j in READS[other]
-                if f"{k}.".startswith(f"{j}.") or f"{j}.".startswith(f"{k}.")]
+        # every key stage reads where other needs it, else each key both
+        # name, or the narrower of a section and one of its keys
+        keys = READS[stage] if stage in NEEDS[other] else [
+            max(k, j, key=len) for k in READS[stage] for j in READS[other]
+            if f"{k}.".startswith(f"{j}.") or f"{j}.".startswith(f"{k}.")]
         if other == stage or not keys:
             continue
         try:
@@ -573,16 +582,17 @@ def cmd_channels(cfg: dict, writer: StageWriter) -> None:
 
 
 def run_command(name: str, cfg: dict, out_dir: Path, force: bool = False) -> None:
-    """Run stage name, one of STAGES, as cmd_<name>(cfg, writer) between
-    the writer's start and finalize, or its fail before raising on.
-    cmd_<name> is looked up in this module's namespace at each call, so a
-    wrapper put there after import (a tracer's, a test's) is what runs."""
+    """Run stage name, one of STAGES, once _hold_to_peers lets it, as
+    cmd_<name>(cfg, writer) between the writer's start and finalize, or its
+    fail before raising on.  cmd_<name> is looked up in this module's
+    namespace at each call, so a wrapper put there after import (a
+    tracer's, a test's) is what runs."""
     if name not in STAGES:
         raise ConfigError(f"unknown command {name!r}")
+    _hold_to_peers(cfg, name, out_dir)
     writer = StageWriter(name, out_dir, cfg, force)
     writer.start()
     try:
-        _hold_to_peers(cfg, name, out_dir)
         globals()[f"cmd_{name}"](cfg, writer)
     except Exception:
         writer.fail()

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library: one class for each exit
+code of the command line that a library error ends in (cli.main)."""
 
 
 class TribodyError(Exception):
@@ -6,31 +7,8 @@ class TribodyError(Exception):
 
 
 class DomainError(TribodyError, ValueError):
-    """Input outside the mathematical domain of an operation."""
-
-
-class DegenerateConfigurationError(TribodyError):
-    """Body configuration with a vanishing separation; angles undefined."""
-
-
-class ForbiddenRegionError(TribodyError):
-    """Conformal factor at or below its positive floor; metric undefined."""
-
-
-class DegenerateMetricError(TribodyError):
-    """Metric block not positive definite; frame equations unsolvable."""
-
-
-class ResolutionError(TribodyError):
-    """Stability limit pushed the time step below the configured floor."""
-
-
-class FitError(TribodyError):
-    """Not enough usable samples for a growth-rate fit."""
-
-
-class EmptyDensityError(TribodyError):
-    """All ensemble samples fell outside the histogram grid."""
+    """Input outside the mathematical domain of an operation, or a
+    numerical failure on it (a step below the floor, an unusable fit)."""
 
 
 class ConfigError(TribodyError):

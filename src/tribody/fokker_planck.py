@@ -105,7 +105,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fork
-from .errors import ConfigError, DomainError, EmptyDensityError, ResolutionError
+from .errors import ConfigError, DomainError
 from .langevin import CoefficientSchedule, drift, noise_power
 
 DS_FLOOR = 1e-9   # smallest admissible step
@@ -657,7 +657,7 @@ def fpe_evolve(grid0: MomentumGrid, s_span, cfg: FpeConfig, snapshot_s=()) -> Fp
                 if target - s < ds:
                     ds, term = target - s, "snapshot"
                 if ds < DS_FLOOR:
-                    raise ResolutionError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
+                    raise DomainError(f"stability limit forced ds = {ds} below floor {DS_FLOOR}")
                 # each stage returns once every slab has written its rows
                 run((P, mid, 0.5 * ds, coeffs))
                 pin_boundary(states[mid])
@@ -744,7 +744,7 @@ def density_from_ensemble(samples, grid_spec: MomentumGrid) -> MomentumGrid:
         inside &= (samples[:, i] >= edges[i][0]) & (samples[:, i] <= edges[i][-1])
     n_in = int(np.count_nonzero(inside))
     if n_in == 0:
-        raise EmptyDensityError("all samples fell outside the grid")
+        raise DomainError("all samples fell outside the grid")
     cell = np.zeros(n_in, dtype=np.intp)
     for i in range(3):
         cell *= grid_spec.shape[i]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "FrameGauge",
@@ -75,7 +75,7 @@ def internal_frame(g: float, gamma33: float, gauge: FrameGauge) -> InternalFrame
     if not g > 0.0:
         raise DomainError(f"g must be positive, got {g}")
     if not gamma33 > 0.0:
-        raise DegenerateMetricError(f"gamma33 must be positive, got {gamma33}")
+        raise DomainError(f"gamma33 must be positive, got {gamma33}")
     V = math.sqrt(g) * gauge.O
     return InternalFrame(x=V[0].copy(), y=V[1].copy(), z=V[2] / math.sqrt(gamma33))
 
@@ -91,7 +91,7 @@ def external_frame(g: float, Gamma, gauge: FrameGauge) -> ExternalFrame:
     try:
         L = np.linalg.cholesky(Gamma)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(
+        raise DomainError(
             "external metric block is not positive definite "
             "(expected near collinear configurations)"
         ) from exc

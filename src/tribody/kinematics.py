@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "Masses",
@@ -124,7 +124,7 @@ def mass_scaled_jacobi(r1, r2, r3, m: Masses) -> JacobiCoords:
     Rn = float(np.linalg.norm(Rvec))
     scale = max(np.linalg.norm(r1), np.linalg.norm(r2), np.linalg.norm(r3), 1.0)
     if rn <= _EPS * scale or Rn <= _EPS * scale:
-        raise DegenerateConfigurationError(
+        raise DomainError(
             "coincident bodies: a Jacobi vector vanishes, scattering angle undefined"
         )
     c = float(np.dot(rvec, Rvec)) / (rn * Rn)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ForbiddenRegionError
+from .errors import DomainError
 from .potentials import PotentialModel
 
 __all__ = [
@@ -63,7 +63,7 @@ def _allowed_coefficients(x, surf: EnergySurface, J: float):
         g, a, lam2 = flow_coefficients(x, surf, J)
     if np.any(g <= surf.g_min):
         k = np.argmin(g)
-        raise ForbiddenRegionError(
+        raise DomainError(
             f"g = {np.ravel(g)[k]} <= g_min = {surf.g_min} at x = {np.reshape(x, (-1, 3))[k]}"
         )
     return g, a, lam2

@@ -8,7 +8,6 @@ import pytest
 from tribody import (
     ChannelLabel,
     DomainError,
-    FitError,
     Masses,
     MomentumGrid,
     chaos_report,
@@ -111,9 +110,9 @@ class TestGrowthRate:
         assert np.isclose(k_late, 3.0, atol=1e-10)
 
     def test_needs_three_positive_samples(self):
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError, match="need >= 3 samples with D > 0"):
             growth_rate([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError, match="need >= 3 samples with D > 0"):
             growth_rate(np.linspace(0, 1, 10), np.r_[np.zeros(8), 1.0, 2.0])
 
 

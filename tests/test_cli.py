@@ -8,6 +8,7 @@ import json
 import mmap
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribody import chaos, cli
+from tribody import chaos, cli, langevin
 from tribody.chaos import kl_divergence
 from tribody.cli import (_grid_spec, _initial_density, _load_trajectory, _snapshot_times, main,
                          parse_config)
-from tribody.errors import ConfigError
+from tribody.errors import ConfigError, DomainError
 from tribody.fokker_planck import FpeConfig, fpe_evolve, read_density
 from tribody.geodesic import GeodesicState, integrate
 from tribody.langevin import CoefficientSchedule, run_ensemble
@@ -562,7 +563,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config key {key} " in err and "but ensemble ran" in err
         assert not (out / "fpe_meta.json").exists()
-        assert json.loads((out / "manifest_fpe.json").read_text())["status"] == "failed"
+        assert not (out / "manifest_fpe.json").exists()
 
     def test_simulate_again_under_other_masses_beside_channels_is_3(self, tmp_path, capsys):
         # channels weighed the pair distances by the masses its manifest
@@ -578,16 +579,52 @@ class TestExitCodes:
         assert "config key masses.m2 " in err and "but channels ran" in err
         assert (out / "trajectory.csv").read_bytes() == traj
 
-    def test_failed_stage_runs_again_without_force(self, after_fpe, tmp_path):
+    @pytest.mark.parametrize("reader", ["channels", "ensemble"])
+    def test_simulate_refused_beside_a_reader_writes_nothing(self, tmp_path, capsys, reader):
+        # simulate run again under other masses would replace the
+        # trajectory that the reader read: it is refused and leaves the
+        # run directory as it was, so an ensemble under the first config
+        # still runs on it
+        cfg, out, manifest = self.simulated(tmp_path)
+        assert run(reader, cfg, out) == 0
+        before = {name: (out / name).read_bytes() for name in (manifest.name, "trajectory.csv")}
+        doc = base_config()
+        doc["masses"]["m2"] = 2.0
+        capsys.readouterr()
+        assert run("simulate", write_config(tmp_path, doc, "edited.json"), out, "--force") == 3
+        err = capsys.readouterr().err
+        assert "config key masses.m2 " in err and f"but {reader} ran" in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert run("ensemble", cfg, out, "--force") == 0
+
+    def test_fpe_refused_beside_chaos_writes_nothing(self, after_fpe, tmp_path, capsys):
+        # chaos read fpe's densities at fpe's times: fpe run again at other
+        # times is refused and leaves its outputs as they were
+        cfg, out = after_fpe
+        assert run("chaos", cfg, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        doc = base_config()
+        doc["sde"]["snapshots"] = [0.5, 1.0, 2.0]
+        capsys.readouterr()
+        assert run("fpe", write_config(tmp_path, doc, "edited.json"), out, "--force") == 3
+        err = capsys.readouterr().err
+        assert "config key sde.snapshots " in err and "but chaos ran" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_stage_runs_again_without_force(self, after_fpe, monkeypatch):
         # a stage whose run failed runs again once its fault is fixed; a
         # complete manifest, and one still "running" (a live run's, or a
         # killed one's), need --force
         cfg, out = after_fpe
-        doc = base_config()
-        doc["grid"]["max"] = 1.500001
-        assert run("chaos", write_config(tmp_path, doc, "edited.json"), out) == 3
+
+        def fails(cfg, writer):
+            raise DomainError("stand-in")
+
+        monkeypatch.setattr(cli, "cmd_chaos", fails)
+        assert run("chaos", cfg, out) == 4
         manifest = out / "manifest_chaos.json"
         assert json.loads(manifest.read_text())["status"] == "failed"
+        monkeypatch.undo()
         assert run("chaos", cfg, out) == 0
         assert json.loads(manifest.read_text())["status"] == "complete"
         assert run("chaos", cfg, out) == 5
@@ -785,6 +822,28 @@ class TestExitCodes:
         monkeypatch.setattr(mmap, "mmap", refused)
         assert run("ensemble", cfg, out) == 5
         assert "out of memory" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest_ensemble.json").read_text())
+        assert manifest["status"] == "failed"
+
+    def test_forked_worker_that_dies_is_5(self, tmp_path, monkeypatch, use_cpus, capsys):
+        # a worker killed as the kernel's out-of-memory killer kills one: an
+        # I/O error that marks the stage failed, not a traceback
+        use_cpus(2)
+        doc = base_config()
+        doc["sde"]["n_paths"] = 2 * langevin.MIN_SHARE_ROWS
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert run("simulate", cfg, out) == 0
+        caller, step = os.getpid(), langevin._step
+
+        def killed(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step(*args)
+
+        monkeypatch.setattr(langevin, "_step", killed)
+        capsys.readouterr()
+        assert run("ensemble", cfg, out) == 5
+        assert "I/O error: a forked worker ended" in capsys.readouterr().err
         manifest = json.loads((out / "manifest_ensemble.json").read_text())
         assert manifest["status"] == "failed"
 

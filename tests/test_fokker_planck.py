@@ -15,10 +15,8 @@ from scipy.integrate import solve_ivp
 from tribody import (
     CoefficientSchedule,
     DomainError,
-    EmptyDensityError,
     FpeConfig,
     MomentumGrid,
-    ResolutionError,
     density_from_ensemble,
     drift,
     fpe_evolve,
@@ -805,11 +803,11 @@ class TestSlabs:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(*args, **kwargs)
         monkeypatch.setattr(fp, "fpe_rhs", dying)
-        with pytest.raises(RuntimeError, match="no result"):
+        with pytest.raises(ChildProcessError, match="no result"):
             self.solve(slab_grid(2))
         self.assert_no_child_left()
 
-    @pytest.mark.parametrize("exc", [ResolutionError, KeyboardInterrupt])
+    @pytest.mark.parametrize("exc", [DomainError, KeyboardInterrupt])
     def test_caller_exception_kills_and_reaps_the_worker(self, monkeypatch, use_cpus, exc):
         # the caller raises in its part of the second stage while the
         # worker stalls for 20 s in its own: the worker is killed, not
@@ -860,7 +858,7 @@ class TestSlabs:
             bounds.append(original(*args))
             return bounds[-1] if len(bounds) < 2 else (fp.DS_FLOOR / 2, "drift")
         monkeypatch.setattr(fp, "_stable_ds", collapsing)
-        with pytest.raises(ResolutionError):
+        with pytest.raises(DomainError, match="stability limit forced ds"):
             self.solve(slab_grid(2))
         assert len(bounds) == 2
         self.assert_no_child_left()
@@ -1054,7 +1052,7 @@ class TestFpeEvolve:
             fpe_evolve(grid, (0.0, 0.1), cfg, snapshot_s=(0.5,))
         # the diffusion CFL bound on this grid gives ds ~ 2.3e-10, below the floor
         stiff = FpeConfig(epsilon=1e7, schedule=sched)
-        with pytest.raises(ResolutionError):
+        with pytest.raises(DomainError, match="stability limit forced ds"):
             fpe_evolve(grid, (0.0, 0.1), stiff)
 
     @pytest.mark.parametrize("s_span, snapshot_s", [
@@ -1358,7 +1356,7 @@ class TestDensityFromEnsemble:
 
     def test_all_outside_raises(self):
         spec = MomentumGrid([-1.0] * 3, [1.0] * 3, (8, 8, 8))
-        with pytest.raises(EmptyDensityError):
+        with pytest.raises(DomainError, match="all samples fell outside the grid"):
             density_from_ensemble(np.full((5, 3), 10.0), spec)
         with pytest.raises(DomainError):
             density_from_ensemble(np.zeros((0, 3)), spec)

@@ -126,7 +126,7 @@ class TestParts:
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return lo
-        with deadline(20), pytest.raises(RuntimeError, match="no result"):
+        with deadline(20), pytest.raises(ChildProcessError, match="no result"):
             with _fork.parts([0, 1, 2, 3], die) as run:
                 run(None)
         assert_no_child_left()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tribody import (
-    DegenerateConfigurationError,
     DomainError,
     InternalCoords,
     JacobiCoords,
@@ -40,18 +39,18 @@ class TestReducedMass:
 class TestMassScaledJacobi:
     def test_coincident_pair_is_degenerate(self):
         m = Masses(1, 1, 1)
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(DomainError, match="coincident bodies"):
             mass_scaled_jacobi([0, 0, 1], [1, 0, 0], [1, 0, 0], m)
 
     def test_body1_at_pair_center_is_degenerate(self):
         m = Masses(1, 1, 1)
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(DomainError, match="coincident bodies"):
             mass_scaled_jacobi([0, 0, 0], [-1, 0, 0], [1, 0, 0], m)
 
     def test_collinear_symmetric(self):
         # body 1 exactly at the pair center: R = 0, flagged degenerate
         m = Masses(1, 1, 1)
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(DomainError, match="coincident bodies"):
             mass_scaled_jacobi([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], m)
 
     def test_kinetic_energy_isotropy(self):
@@ -179,7 +178,7 @@ class TestPairDistances:
             ])
             try:
                 j = mass_scaled_jacobi(pos[0], pos[1], pos[2], m)
-            except DegenerateConfigurationError:
+            except DomainError:
                 continue
             x = internal_from_jacobi(j)
             d = pair_distances([x.x1, x.x2, x.x3], m)

@@ -865,7 +865,7 @@ class TestForkedShares:
         use_cpus(2)
         monkeypatch.setattr(langevin, "_step", hooked_step(
             in_worker=lambda: os.kill(os.getpid(), signal.SIGKILL)))
-        with pytest.raises(RuntimeError, match="no result"):
+        with pytest.raises(ChildProcessError, match="no result"):
             self.run()
         self.assert_no_child_left()
 

@@ -6,7 +6,6 @@ import pytest
 from tribody import (
     DomainError,
     EnergySurface,
-    ForbiddenRegionError,
     FreePotential,
     GravityPotential,
     Masses,
@@ -36,7 +35,7 @@ class TestConformalFactor:
     def test_boundary_is_forbidden(self):
         surf = EnergySurface(E=-1.0, U0=1.0, potential=CallablePotential(
             lambda x: -1.0, lambda x: np.zeros(3)))
-        with pytest.raises(ForbiddenRegionError):
+        with pytest.raises(DomainError, match="<= g_min"):
             conformal_factor([1, 1, 1], surf)
 
     def test_free_motion_unity(self):
@@ -53,7 +52,7 @@ class TestConformalFactor:
         surf = EnergySurface(E=0.0, U0=1.0, potential=CallablePotential(
             lambda x: x[0] - 1.0, lambda x: np.array([1.0, 0.0, 0.0])))
         x = np.array([[0.5, 1.0, 1.0], [1.5, 1.0, 1.0], [2.5, 1.0, 1.0]])
-        with pytest.raises(ForbiddenRegionError, match=r"g = -1\.5 .* at x = \[2\.5 1\. +1\. *\]"):
+        with pytest.raises(DomainError, match=r"g = -1\.5 .* at x = \[2\.5 1\. +1\. *\]"):
             conformal_factor(x, surf)
 
 
@@ -183,5 +182,5 @@ class TestReducedHamiltonian:
     def test_forbidden_point_raises(self):
         surf = EnergySurface(E=1.0, U0=1.0, potential=CallablePotential(
             lambda x: 2.0, lambda x: np.zeros(3)))
-        with pytest.raises(ForbiddenRegionError):
+        with pytest.raises(DomainError, match="<= g_min"):
             reduced_hamiltonian([1, 1, 1], [1, 0, 0], 0.0, surf, mu0=1.0)
